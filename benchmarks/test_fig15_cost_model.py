@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from itertools import product
 
+from repro import select_alternative_patterns
 from repro.core.atlas import motif_patterns
 from repro.core.costmodel import CostModel
 from repro.core.equations import materialize, normalize_item
-from repro.core.selection import select_alternative_patterns
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.morph.profiles import PEREGRINE_PROFILE

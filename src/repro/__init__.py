@@ -26,12 +26,10 @@ Public API quick tour — one call does the whole pipeline::
 :class:`RunOptions` carrying the whole configuration (``aggregation``,
 ``morph``, ``strategy``, ``workers``, ``margin``, ``cache``,
 ``plan_cache``, ``trace``, ``progress``, plus fault tolerance:
-``deadline_seconds``, ``checkpoint``, ``retry``, ``faults``); the
-historical loose keywords keep working for one release through
-warn-once deprecation shims. ``repro.run`` returns a
-:class:`MorphRunResult`. Failures surface through the typed
-:class:`ReproError` hierarchy; deadline-degraded runs return
-:class:`PartialRunResult` (completed aggregates + coverage fraction),
+``deadline_seconds``, ``checkpoint``, ``retry``, ``faults``).
+``repro.run`` returns a :class:`MorphRunResult`. Failures surface
+through the typed :class:`ReproError` hierarchy; deadline-degraded runs
+return :class:`PartialRunResult` (completed aggregates + coverage fraction),
 and ``checkpoint=`` journals finished shards so an interrupted run can
 resume (see ``docs/cookbook.md``, "Surviving failures"). Construct a
 :class:`MorphingSession` directly for streaming mode
@@ -46,11 +44,13 @@ client whose ``run`` mirrors this module's with identical typed
 results.
 
 Layout: ``repro.core`` is the paper's contribution (patterns, the
-morphing algebra, S-DAG, cost model, selection, result conversion);
-``repro.engines`` holds the five system substrates; ``repro.apps`` the
-mining applications (MC, SC, SE, FSM); ``repro.morph`` the end-to-end
-pipeline; ``repro.observe`` structured run telemetry; ``repro.graph``
-data graphs, generators and dataset stand-ins.
+morphing algebra, S-DAG, cost model, result conversion);
+``repro.plan`` the rewrite planner (Algorithm 1 selection, IEP
+decomposition, typed plans); ``repro.engines`` holds the five system
+substrates; ``repro.apps`` the mining applications (MC, SC, SE, FSM);
+``repro.morph`` the plan executor and its two result sinks;
+``repro.observe`` structured run telemetry; ``repro.graph`` data
+graphs, generators and dataset stand-ins.
 """
 
 from repro.api import ENGINES, resolve_engine, run
@@ -84,7 +84,6 @@ from repro.core.equations import morph_equation, solve_query
 from repro.core.parser import format_pattern, parse_pattern
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED, SDag
-from repro.core.selection import select_alternative_patterns
 from repro.engines.autozero.engine import AutoZeroEngine
 from repro.engines.base import EngineStats, MiningEngine
 from repro.engines.bigjoin.engine import BigJoinEngine
@@ -94,7 +93,7 @@ from repro.engines.peregrine.engine import PeregrineEngine
 from repro.engines.sumpa.engine import SumPAEngine
 from repro.graph.datagraph import DataGraph
 from repro.morph.cache import MeasurementCache, PlanCache
-from repro.plan import RewritePlan, search_plan
+from repro.plan import RewritePlan, search_plan, select_alternative_patterns
 from repro.morph.session import (
     MorphingSession,
     MorphRunResult,
@@ -117,7 +116,7 @@ from repro.observe import (
     write_jsonl,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Aggregation",

@@ -11,16 +11,14 @@ single function, so the common case reads::
 
 Configuration travels in one typed :class:`repro.RunOptions` object —
 also the wire request schema of the resident mining service
-(:mod:`repro.serve`). The historical loose keywords
-(``repro.run(..., workers=4)``) keep working for one release through
-warn-once deprecation shims (:mod:`repro._compat`). The session class
-remains available for callers that need streaming mode, a caller-owned
-executor, or engine subclassing.
+(:mod:`repro.serve`). The session class remains available for callers
+that need streaming mode, a caller-owned executor, or engine
+subclassing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.core.pattern import Pattern
 from repro.engines.autozero.engine import AutoZeroEngine
@@ -104,7 +102,6 @@ def run(
     engine: str | MiningEngine | type[MiningEngine] | None = None,
     *,
     options: RunOptions | None = None,
-    **deprecated_kwargs: Any,
 ) -> MorphRunResult:
     """Mine ``patterns`` on ``graph`` through the morphing pipeline.
 
@@ -129,14 +126,6 @@ def run(
         the README's parameter table) for the semantics of each field.
         ``None`` runs with defaults: morphed counting, the ``"auto"``
         strategy, serial, untraced.
-    **deprecated_kwargs:
-        The pre-1.2 loose keywords (``workers=``, ``margin=``,
-        ``trace=``, ``deadline_seconds=``, ...) keep working for one
-        release: each warns a :class:`DeprecationWarning` once per
-        process and is folded onto ``options`` via
-        :meth:`RunOptions.replace`, taking the exact same code path as
-        the typed form (results are byte-identical). Unknown keywords
-        raise :class:`TypeError`.
 
     Returns
     -------
@@ -146,10 +135,6 @@ def run(
         carry the run's telemetry. Deadline-degraded runs return the
         :class:`repro.PartialRunResult` subclass.
     """
-    if deprecated_kwargs:
-        from repro import _compat
-
-        options = _compat.run_options_from_kwargs(options, deprecated_kwargs)
     opts = options if options is not None else RunOptions()
     if isinstance(patterns, Pattern):
         patterns = [patterns]

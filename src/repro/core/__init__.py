@@ -5,6 +5,6 @@ Modules: ``pattern`` (pattern graphs with anti-edges), ``canonical``
 automorphisms, symmetry breaking), ``atlas`` (named patterns, motif
 sets), ``generation``/``sdag`` (superpattern closure, the S-DAG),
 ``equations`` (Eq. 1/2 and triangular solves), ``costmodel`` (Section 5.2),
-``selection`` (Algorithm 1), ``conversion`` (Algorithms 2-3),
-``aggregation`` (the (lambda, +) abstraction).
+``conversion`` (Algorithms 2-3), ``aggregation`` (the (lambda, +)
+abstraction). Algorithm 1 (selection) lives in :mod:`repro.plan.search`.
 """

@@ -1,42 +1,52 @@
-"""End-to-end Subgraph Morphing pipeline (Figure 5).
+"""End-to-end Subgraph Morphing pipeline (Figure 5): plan → executor → sink.
 
-:class:`MorphingSession` wraps any engine and runs the enhanced workflow:
-*pattern transformation* (S-DAG + Algorithm 1) → *matching* (the wrapped
-engine, untouched) → *result transformation* (Algorithm 2 for batched
-aggregations, Algorithm 3 for streamed matches). Disable morphing with
-``enabled=False`` to get the baseline path; both paths return identical
-results, which every benchmark asserts (claim C1).
+:class:`MorphingSession` wraps any engine and runs the enhanced workflow
+as one pipeline: *pattern transformation* searches a typed
+:class:`~repro.plan.RewritePlan` (S-DAG + Algorithm 1 + the rule
+competition of :func:`repro.plan.search_plan`), *matching* walks the
+plan's measure steps through the wrapped engine (untouched), and
+*result transformation* is the **sink** the steps feed:
 
-The two public entry points mirror the paper's output modes:
+* the **store sink** (Algorithm 2) keeps every step's value and then
+  runs the plan's combine steps — :meth:`MorphingSession.run`, for
+  counts, MNI tables and match lists;
+* the **stream sink** (Algorithm 3) hands every match to the caller's
+  ``process`` as the engine finds it, permuted on the fly into the
+  query's numbering and fanned out behind an optional pre-conversion
+  vertex filter (Section 7.3's workload: the filter only depends on the
+  matched vertex set, so it runs once per alternative match) —
+  :meth:`MorphingSession.run_streaming`.
 
-* :meth:`MorphingSession.run` — batched mode (counts, MNI, match lists);
-* :meth:`MorphingSession.run_streaming` — streaming mode with on-the-fly
-  conversion and an optional pre-conversion vertex filter (Section 7.3's
-  workload: the filter only depends on the matched vertex set, so it runs
-  once per alternative match, before fan-out).
+Nothing else varies. ``enabled=False`` is the plan whose every step is a
+direct match (``search_plan(strategy="direct")``), and a search that
+declines every morph arrives at the same plan, so the baseline is a
+plan, not a code path; both return identical results, which every
+benchmark asserts (claim C1).
 
-Most callers want neither directly: :func:`repro.run` builds the session,
-resolves the engine by name, and attaches tracing in one call.
+Most callers want neither entry point directly: :func:`repro.run`
+builds the session, resolves the engine by name, and attaches tracing
+in one call.
 
 **Telemetry.** Pass ``tracer=repro.Tracer()`` and every phase of the run
-is spanned — ``transform`` (with a ``selection`` child), ``match`` with
-one ``match.item`` span per measured alternative (kernel and shard spans
-nested below), ``convert``, plus ``executor.setup``/``teardown`` for the
-worker pool's fixed cost. Phase spans *are* the timers the result
-reports: ``MorphRunResult.transform_seconds`` is the transform span's
-duration, so trace and result always reconcile exactly. Traced morphed
-runs additionally emit one cost-model audit record per measured
-alternative pattern (Algorithm 1's predicted cost vs the measured match
-time — §5.2's accuracy story) and a ``selection`` summary record.
-Tracing changes no results (asserted byte-for-byte by the trace
-invariance tests); with ``tracer=None`` nothing is recorded and the
-count path keeps engine-native multi-pattern batching.
+is spanned — ``transform`` (``plan.search`` with a ``selection`` child),
+``match`` with one ``match.item`` span per measured step (kernel and
+shard spans nested below), ``convert`` with one ``plan.step`` per
+combine step, plus ``executor.setup``/``teardown`` for the worker pool's
+fixed cost. Phase spans *are* the timers the result reports:
+``MorphRunResult.transform_seconds`` is the transform span's duration,
+so trace and result always reconcile exactly. Traced morphing runs
+additionally emit one cost-model audit record per measured step (the
+predicted cost vs the measured match time — §5.2's accuracy story) and
+a ``selection`` summary record. Tracing changes no results (asserted
+byte-for-byte by the trace invariance tests); with ``tracer=None``
+nothing is recorded and the count path keeps engine-native
+multi-pattern batching.
 
-**Progress.** Pass ``progress=repro.ProgressReporter()`` and the
-per-item match loop reports live progress: the ETA is seeded from
-Algorithm 1's predicted per-item costs and corrected online by the
-measured ``match.item`` durations (see :mod:`repro.observe.progress`).
-Off by default, at the cost of one ``is None`` test per item.
+**Progress.** Pass ``progress=repro.ProgressReporter()`` and the step
+loop reports live progress: the ETA is seeded from the plan's predicted
+per-step costs and corrected online by the measured ``match.item``
+durations (see :mod:`repro.observe.progress`). Off by default, at the
+cost of one ``is None`` test per step.
 """
 
 from __future__ import annotations
@@ -44,18 +54,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.aggregation import Aggregation, CountAggregation, Match
+from repro.core.aggregation import (
+    Aggregation,
+    CountAggregation,
+    Match,
+    MatchListAggregation,
+)
 from repro.core.atlas import pattern_name
+from repro.core.canonical import pattern_id
 from repro.core.conversion import (
     OnTheFlyConverter,
     convert_aggregation_store,
     convert_counts,
-    on_the_fly_plan,
 )
-from repro.core.costmodel import CostModel
-from repro.core.equations import Item, UnderivableError, item_of, materialize
+from repro.core.costmodel import CostModel, profile_udf_cost
+from repro.core.equations import Item, UnderivableError
 from repro.core.pattern import Pattern
-from repro.core.selection import SelectionResult, select_alternative_patterns
 from repro.engines.base import EngineStats, MiningEngine
 from repro.errors import RunDeadlineExceeded
 from repro.graph.datagraph import DataGraph
@@ -64,15 +78,9 @@ from repro.observe.audit import CostAuditRecord
 from repro.observe.export import RunTrace
 from repro.observe.progress import ProgressReporter
 from repro.observe.tracer import Tracer, timed_span
-from repro.plan.rewrite import DecomposeStep, RewritePlan
+from repro.plan.rewrite import DecomposeStep, MeasureStep, RewritePlan, item_label
 from repro.plan.rules import decompose_count
-from repro.plan.search import STRATEGIES, search_plan
-
-
-def _item_label(item: Item) -> str:
-    """Human-readable ``name^variant`` label for spans and audit records."""
-    skel, variant = item
-    return f"{pattern_name(skel)}^{variant}"
+from repro.plan.search import SelectionResult, search_plan
 
 
 @dataclass
@@ -83,8 +91,12 @@ class MorphRunResult:
     stats: EngineStats
     morphing_enabled: bool
     measured: frozenset[Item] = field(default_factory=frozenset)
+    #: Algorithm 1's bookkeeping (``None`` when morphing was disabled:
+    #: no selection ran).
     selection: SelectionResult | None = None
-    #: The executed :class:`repro.plan.RewritePlan` (morphed runs only).
+    #: The executed :class:`repro.plan.RewritePlan`. Every run has one —
+    #: batched or streaming, and with morphing disabled it is the plan
+    #: whose every step is a direct match.
     plan: RewritePlan | None = None
     transform_seconds: float = 0.0
     match_seconds: float = 0.0
@@ -144,13 +156,188 @@ class PartialRunResult(MorphRunResult):
         return not self.unresolved and self.coverage >= 1.0
 
 
+class _StoreSink:
+    """Algorithm 2: keep every step's value, then run the combine steps."""
+
+    mode = "batched"
+
+    def __init__(self, aggregation: Aggregation) -> None:
+        self._aggregation = aggregation
+
+    def aggregation(self, graph, patterns) -> Aggregation:
+        """The aggregation the planner prices and the steps fold with."""
+        return self._aggregation
+
+    def bind(self, plan: RewritePlan) -> None:
+        """Nothing to prepare: conversion runs after matching."""
+
+    def measure(self, session: "MorphingSession", graph, step, exec_):
+        """One step's value: a direct aggregate, or prefix stream + IEP."""
+        if isinstance(step, DecomposeStep):
+            # The prefix streams sharded-or-serial like any measurement,
+            # so shards, retries and deadlines compose unchanged.
+            return decompose_count(
+                graph,
+                step.decomposition,
+                lambda pattern, callback: session._stream(
+                    graph, pattern, callback, exec_
+                ),
+                session.engine.stats,
+            )
+        return session._measure(graph, step.pattern, self._aggregation, exec_)
+
+    def interrupted(self, control) -> None:
+        """Degrade: the executor quarantines the item and carries on."""
+
+    def convert(self, plan: RewritePlan, store, partial: bool, tracer):
+        """Run every combine step: ``(results, unresolved queries)``.
+
+        On a ``partial`` (deadline-interrupted) run a query survives if
+        the completed items still determine it (Eq. 1 may need only a
+        subset); otherwise an underivable query is a planner bug and
+        propagates.
+        """
+        aggregation = self._aggregation
+        count_mode = isinstance(aggregation, CountAggregation)
+        results: dict[Pattern, Any] = {}
+        unresolved: list[Pattern] = []
+        for cstep in plan.combine_steps:
+            query = cstep.query
+            with timed_span(
+                tracer,
+                "plan.step",
+                kind="combine",
+                mode=cstep.mode,
+                query=pattern_name(query),
+            ):
+                try:
+                    if cstep.mode == "given":
+                        (source,) = cstep.sources
+                        if source not in store:
+                            raise UnderivableError(f"{query!r} was not measured")
+                        results[query] = store[source]
+                    elif count_mode:
+                        results[query] = convert_counts([query], store)[query]
+                    else:
+                        sources = {s: store[s] for s in cstep.sources if s in store}
+                        results[query] = convert_aggregation_store(
+                            [query], sources, aggregation
+                        )[query]
+                except UnderivableError:
+                    if not partial:
+                        raise
+                    unresolved.append(query)
+        return results, unresolved
+
+
+class _StreamSink:
+    """Algorithm 3: hand every match to ``process`` as the engine finds it."""
+
+    mode = "streaming"
+
+    def __init__(self, patterns, process, vertex_filter) -> None:
+        emitted = self.emitted = {p: 0 for p in patterns}
+        self.vertex_filter = vertex_filter
+        self.callbacks: dict[Item, Callable[[Pattern, Match], None]] = {}
+
+        def counted(query: Pattern, match: Match) -> None:
+            emitted[query] += 1
+            process(query, match)
+
+        self._process = counted
+
+    def aggregation(self, graph, patterns) -> Aggregation:
+        """Match-list pricing, plus the filter's profiled per-match cost.
+
+        Section 5.2's UDF profiling: time the filter on dummy matches so
+        its real cost steers the alternative selection (an expensive
+        filter makes fewer-match alternatives pay).
+        """
+        aggregation = MatchListAggregation()
+        # A dummy match needs |V(p)| distinct data vertices; a graph too
+        # small for that holds no match, so there is nothing to steer.
+        if (
+            self.vertex_filter is not None
+            and patterns
+            and patterns[0].n <= graph.num_vertices
+        ):
+            aggregation.per_match_cost += profile_udf_cost(
+                self.vertex_filter, patterns[0], graph
+            )
+        return aggregation
+
+    def bind(self, plan: RewritePlan) -> None:
+        """One engine callback per measured item.
+
+        A query matched as given receives its matches straight from the
+        engine (no conversion frame on the hot path); every other item
+        fans out through one :class:`OnTheFlyConverter` per query it
+        feeds, behind the vertex filter.
+        """
+        process, vertex_filter = self._process, self.vertex_filter
+
+        def filtered(query: Pattern, match: Match) -> None:
+            if vertex_filter(match):
+                process(query, match)
+
+        fans: dict[Item, list[OnTheFlyConverter]] = {}
+        for cstep in plan.combine_steps:
+            if cstep.mode == "given":
+                self.callbacks[cstep.sources[0]] = (
+                    process if vertex_filter is None else filtered
+                )
+                continue
+            for source in cstep.sources:
+                fans.setdefault(source, []).append(
+                    OnTheFlyConverter(cstep.query, source[0], process)
+                )
+        for item, fan in fans.items():
+
+            def on_match(_alternative: Pattern, match: Match, _fan=fan) -> None:
+                if vertex_filter is not None and not vertex_filter(match):
+                    return
+                for converter in _fan:
+                    converter(match)
+
+            self.callbacks[item] = on_match
+
+    def measure(self, session: "MorphingSession", graph, step, exec_) -> None:
+        """Stream one step's matches through its callback (no value)."""
+        session._stream(graph, step.pattern, self.callbacks[step.item], exec_)
+
+    def interrupted(self, control) -> None:
+        """Streaming cannot degrade to a partial store: raise instead.
+
+        A match already handed to ``process`` cannot be recalled, so an
+        expired deadline surfaces as :class:`RunDeadlineExceeded` — the
+        streamed prefix is explicitly incomplete — rather than a
+        :class:`PartialRunResult`.
+        """
+        seconds = control.deadline.seconds
+        raise RunDeadlineExceeded(
+            f"deadline of {seconds:g}s expired during a streaming run; "
+            "the match stream is incomplete",
+            deadline_seconds=seconds,
+        )
+
+    def convert(self, plan: RewritePlan, store, partial: bool, tracer):
+        """Nothing to convert: the results are the emitted-match counts."""
+        return dict(self.emitted), []
+
+
 class MorphingSession:
-    """Subgraph Morphing around an unmodified matching engine."""
+    """Subgraph Morphing around an unmodified matching engine.
+
+    One executor serves every run: it searches a
+    :class:`~repro.plan.RewritePlan`, walks the plan's measure steps
+    through the engine, and feeds a result sink — the Algorithm 2 store
+    (:meth:`run`) or the Algorithm 3 stream (:meth:`run_streaming`).
+    """
 
     def __init__(
         self,
         engine: MiningEngine,
-        *args: Any,
+        *,
         options: "RunOptions | None" = None,
         aggregation: Aggregation | None = None,
         enabled: bool = True,
@@ -168,8 +355,7 @@ class MorphingSession:
         retry=None,
         faults=None,
     ) -> None:
-        """Configuration is keyword-only (positional config is a
-        deprecated shim, see :mod:`repro._compat`).
+        """Configuration is keyword-only.
 
         ``options`` — a :class:`repro.RunOptions` — is the consolidated
         form of the whole configuration and what the session actually
@@ -180,6 +366,9 @@ class MorphingSession:
         caller-owned transport is a live in-process object, not run
         configuration.
 
+        ``enabled=False`` turns rewriting off: the run executes the plan
+        whose every step matches a query directly (the baseline).
+
         ``margin`` is forwarded to Algorithm 1: a morph must be
         predicted to cost under ``margin`` times what it saves. ``margin
         >= 1`` accepts any predicted win; large values force morphing
@@ -187,17 +376,18 @@ class MorphingSession:
         §7.5). ``cache`` optionally memoizes measured alternative values
         across runs on the same graph (FSM levels share superpatterns).
 
-        ``strategy`` picks the batched-mode rewrite strategy (see
+        ``strategy`` picks the rewrite strategy (see
         :func:`repro.plan.search.search_plan`): ``"auto"`` (default)
         lets direct matching and IEP decomposition compete per measured
         item under the cost model, ``"morph"`` is Algorithm 1 exactly,
         ``"decompose"`` forces decomposition wherever legal, and
         ``"direct"`` disables rewriting while keeping the session's
-        bookkeeping. Streaming runs always use Algorithm 1 (a
-        decomposition produces arithmetic, not a match stream).
-        ``plan_cache`` (a :class:`repro.PlanCache`) memoizes the entire
-        search result across runs keyed by graph fingerprint, queries,
-        aggregation, engine and strategy.
+        bookkeeping. Streaming runs search the same space (a
+        decomposition produces arithmetic, not a match stream, so the
+        planner never offers one for them). ``plan_cache`` (a
+        :class:`repro.PlanCache`) memoizes the entire search result
+        across runs keyed by graph fingerprint, queries, aggregation,
+        engine and strategy.
 
         ``workers`` enables the shard-parallel execution layer: with
         ``workers > 1`` every pattern's matching fans out over
@@ -213,12 +403,12 @@ class MorphingSession:
         docstring); results are identical traced or not.
 
         ``progress`` attaches a live :class:`repro.ProgressReporter` to
-        the per-item match loop: its ETA is seeded from Algorithm 1's
-        predicted per-item costs and corrected online by the measured
+        the step loop: its ETA is seeded from the plan's predicted
+        per-step costs and corrected online by the measured
         ``match.item`` durations. Like tracing, attaching progress
         trades the count path's engine-native multi-pattern batching for
-        per-item measurement (identical results), and ``progress=None``
-        (the default) costs one ``is None`` test per item.
+        per-step measurement (identical results), and ``progress=None``
+        (the default) costs one ``is None`` test per step.
 
         ``batch_roots`` switches the wrapped engine's match kernels to
         the vectorized batched-frontier path
@@ -245,53 +435,27 @@ class MorphingSession:
         ``faults`` injects a :class:`repro.FaultPlan` (tests only)."""
         from repro.options import RunOptions
 
-        if args:
-            from repro import _compat
-
-            overrides = _compat.positional_config(
-                "MorphingSession",
-                ("aggregation", "enabled", "margin", "cache", "workers", "executor"),
-                args,
-            )
-            aggregation = overrides.get("aggregation", aggregation)
-            enabled = overrides.get("enabled", enabled)
-            margin = overrides.get("margin", margin)
-            cache = overrides.get("cache", cache)
-            workers = overrides.get("workers", workers)
-            executor = overrides.get("executor", executor)
+        keywords = dict(
+            aggregation=aggregation,
+            morph=enabled,
+            strategy=strategy,
+            margin=margin,
+            cache=cache,
+            plan_cache=plan_cache,
+            workers=workers,
+            trace=tracer,
+            progress=progress,
+            batch_roots=batch_roots,
+            deadline_seconds=deadline_seconds,
+            checkpoint=checkpoint,
+            retry=retry,
+            faults=faults,
+        )
         if options is None:
-            options = RunOptions(
-                engine=getattr(engine, "name", "engine"),
-                aggregation=aggregation,
-                morph=enabled,
-                strategy=strategy,
-                margin=margin,
-                cache=cache,
-                plan_cache=plan_cache,
-                workers=workers,
-                trace=tracer,
-                progress=progress,
-                batch_roots=batch_roots,
-                deadline_seconds=deadline_seconds,
-                checkpoint=checkpoint,
-                retry=retry,
-                faults=faults,
-            )
-        elif (
-            aggregation is not None
-            or enabled is not True
-            or strategy != "auto"
-            or margin != 0.6
-            or cache is not None
-            or plan_cache is not None
-            or workers != 1
-            or tracer is not None
-            or progress is not None
-            or batch_roots is not None
-            or deadline_seconds is not None
-            or checkpoint is not None
-            or retry is not None
-            or faults is not None
+            options = RunOptions(engine=getattr(engine, "name", "engine"), **keywords)
+        elif any(
+            value != RunOptions.__dataclass_fields__[name].default
+            for name, value in keywords.items()
         ):
             raise TypeError(
                 "pass the configuration either as options=RunOptions(...) "
@@ -315,9 +479,34 @@ class MorphingSession:
         self.checkpoint = options.checkpoint
         self.retry = options.retry
         self.faults = options.faults
-        #: The active run's RunControl (set by ``_run_scoped`` for the
-        #: duration of one run; the sharded helpers read it).
+        #: The active run's RunControl (set by ``_run`` for the duration
+        #: of one run; the sharded measure helper reads it).
         self._control = None
+
+    # -- entry points --------------------------------------------------------
+
+    def run(self, graph: DataGraph, patterns: Sequence[Pattern]) -> MorphRunResult:
+        """Mine all query patterns into a result store (Algorithm 2)."""
+        return self._run(graph, list(patterns), _StoreSink(self.aggregation))
+
+    def run_streaming(
+        self,
+        graph: DataGraph,
+        patterns: Sequence[Pattern],
+        process: Callable[[Pattern, Match], None],
+        vertex_filter: Callable[[Match], bool] | None = None,
+    ) -> MorphRunResult:
+        """Stream matches for every query through ``process`` (Algorithm 3).
+
+        ``vertex_filter`` receives the matched data vertices (in arbitrary
+        role order) and may reject the subgraph before conversion fan-out;
+        the §7.3 weight filter has exactly this form. ``results`` maps
+        each query to the number of matches emitted for it.
+        """
+        patterns = list(patterns)
+        return self._run(
+            graph, patterns, _StreamSink(patterns, process, vertex_filter)
+        )
 
     # -- shard-parallel plumbing -------------------------------------------
 
@@ -344,10 +533,11 @@ class MorphingSession:
     def _make_control(self, graph):
         """Build one run's RunControl: ``(control, owns_checkpoint)``.
 
-        ``None`` when no fault-tolerance option is set — the run then
-        takes the exact pre-existing code paths. A ``checkpoint`` given
-        as a path is opened here (the graph's identity goes into the
-        journal's meta line) and closed by ``_run_scoped``.
+        ``None`` when no fault-tolerance option is set — matching then
+        stays off the sharded path unless ``workers > 1``. A
+        ``checkpoint`` given as a path is opened here (the graph's
+        identity goes into the journal's meta line) and closed by
+        ``_run``.
         """
         if (
             self.deadline_seconds is None
@@ -383,49 +573,26 @@ class MorphingSession:
         )
         return control, owns_checkpoint
 
-    def _count_set(self, graph, patterns, exec_):
-        """Counts for a pattern set, sharded when an executor is active.
-
-        The serial path keeps engine-native multi-pattern execution
-        (AutoZero's merged schedules, SumPA's abstraction); the sharded
-        path fans each pattern over root-vertex shards instead.
-        """
+    def _measure(self, graph, pattern, aggregation, exec_):
+        """One pattern's aggregate, sharded when an executor is active."""
         if exec_ is None:
-            return self.engine.count_set(graph, patterns)
-        from repro.engines.execution import run_sharded
-
-        return {
-            p: run_sharded(
-                self.engine,
-                graph,
-                p,
-                CountAggregation(),
-                exec_,
-                tracer=self.tracer,
-                control=self._control,
-            )
-            for p in patterns
-        }
-
-    def _aggregate_one(self, graph, pattern, exec_):
-        if exec_ is None:
-            return self.engine.aggregate(graph, pattern, self.aggregation)
+            return self.engine.aggregate(graph, pattern, aggregation)
         from repro.engines.execution import run_sharded
 
         return run_sharded(
             self.engine,
             graph,
             pattern,
-            self.aggregation,
+            aggregation,
             exec_,
             tracer=self.tracer,
             control=self._control,
         )
 
-    def _explore(self, graph, pattern, callback, exec_) -> None:
-        """Stream matches through ``callback``, sharded when parallel.
+    def _stream(self, graph, pattern, callback, exec_) -> None:
+        """Stream one pattern's matches through ``callback``.
 
-        The parallel path materializes each shard's matches, merges them
+        The sharded path materializes each shard's matches, merges them
         in shard order (= the serial enumeration order) and replays the
         stream in the parent, so callbacks observe the exact serial
         sequence without having to cross process boundaries.
@@ -433,84 +600,81 @@ class MorphingSession:
         if exec_ is None:
             self.engine.explore(graph, pattern, callback)
             return
-        from repro.core.aggregation import MatchListAggregation
-        from repro.engines.execution import run_sharded
-
-        matches = run_sharded(
-            self.engine,
-            graph,
-            pattern,
-            MatchListAggregation(),
-            exec_,
-            tracer=self.tracer,
-            control=self._control,
-        )
-        for match in matches:
+        for match in self._measure(graph, pattern, MatchListAggregation(), exec_):
             callback(pattern, match)
 
     # -- run scaffolding (tracing + executor lifetime) -----------------------
 
-    def _run_scoped(self, graph, mode: str, num_patterns: int, body):
-        """Shared entry-point scaffolding for batched and streaming runs.
+    def _run(self, graph, patterns: list[Pattern], sink) -> MorphRunResult:
+        """Entry-point scaffolding shared by both sinks.
 
         Owns the root ``run`` span, the executor's lifetime (eager
         ``prepare`` so pool spin-up is measured instead of hiding in
         the first pattern's match window — the ``executor_seconds``
         fix), the engine's tracer attachment, and the result's trace.
         """
-        if getattr(self.engine, "busy", False):
+        engine = self.engine
+        if getattr(engine, "busy", False):
             raise ValueError(
-                f"{type(self.engine).__name__} instance is already mid-run; "
+                f"{type(engine).__name__} instance is already mid-run; "
                 "engine instances carry per-run mutable state and cannot be "
                 "shared across concurrent runs"
             )
-        self.engine.busy = True
-        self.engine.reset_stats()
+        engine.busy = True
         tracer = self.tracer
-        control, owns_checkpoint = self._make_control(graph)
-        parallel = (
-            self.workers > 1 or self.executor is not None or control is not None
-        )
+        previous = (engine.tracer, engine.batch_roots, engine.progress)
+        control, owns_checkpoint = None, False
+        exec_, owned = None, False
         setup_seconds = teardown_seconds = 0.0
         with timed_span(
             tracer,
             "run",
-            mode=mode,
-            engine=self.engine.name,
-            patterns=num_patterns,
+            mode=sink.mode,
+            engine=engine.name,
+            patterns=len(patterns),
             morphing=self.enabled,
             workers=self.workers,
         ):
-            previous_tracer = self.engine.tracer
-            self.engine.tracer = tracer
-            previous_batch = self.engine.batch_roots
-            previous_progress = self.engine.progress
-            self.engine.batch_roots = self.batch_roots
-            self.engine.progress = self.progress
-            exec_, owned = None, False
-            self._control = control
+            # Everything from here on — opening a checkpoint included —
+            # can raise; the finally below is what un-marks the engine.
             try:
-                if parallel:
+                engine.reset_stats()
+                engine.tracer = tracer
+                engine.batch_roots = self.batch_roots
+                engine.progress = self.progress
+                control, owns_checkpoint = self._make_control(graph)
+                self._control = control
+                if (
+                    self.workers > 1
+                    or self.executor is not None
+                    or control is not None
+                ):
                     with timed_span(tracer, "executor.setup") as setup_span:
                         exec_, owned = self._make_executor(
                             force=control is not None
                         )
                         if exec_ is not None and owned:
-                            exec_.prepare(self.engine, graph)
+                            exec_.prepare(engine, graph)
                     setup_seconds = setup_span.seconds
-                result = body(exec_)
+                with timed_span(
+                    tracer, "transform", queries=len(patterns)
+                ) as transform_span:
+                    cost_model, plan = self._plan(
+                        graph, patterns, sink.aggregation(graph, patterns)
+                    )
+                    sink.bind(plan)
+                result = self._execute(graph, plan, sink, exec_, cost_model)
+                result.transform_seconds = transform_span.seconds
             finally:
                 self._control = None
                 if exec_ is not None and owned:
                     with timed_span(tracer, "executor.teardown") as teardown_span:
                         exec_.close()
                     teardown_seconds = teardown_span.seconds
-                if owns_checkpoint and control.checkpoint is not None:
+                if owns_checkpoint:
                     control.checkpoint.close()
-                self.engine.tracer = previous_tracer
-                self.engine.batch_roots = previous_batch
-                self.engine.progress = previous_progress
-                self.engine.busy = False
+                engine.tracer, engine.batch_roots, engine.progress = previous
+                engine.busy = False
                 if self.progress is not None:
                     # A run that raised mid-render would otherwise leave
                     # a dangling \r-overwritten line for the traceback
@@ -522,54 +686,200 @@ class MorphingSession:
             tracer.metrics.record_engine_stats(result.stats)
             result.trace = RunTrace.from_tracer(
                 tracer,
-                engine=self.engine.name,
-                mode=mode,
+                engine=engine.name,
+                mode=sink.mode,
                 morphing=self.enabled,
                 workers=self.workers,
             )
         return result
 
+    # -- the plan executor ---------------------------------------------------
+
+    def _plan(self, graph, patterns, aggregation) -> tuple[CostModel, RewritePlan]:
+        """Search (or fetch from the plan cache) this run's rewrite plan."""
+        tracer = self.tracer
+        strategy = self.strategy if self.enabled else "direct"
+        cost_model = CostModel.for_graph(
+            graph, profile_for(self.engine), aggregation
+        )
+        key = dict(engine=self.engine.name, strategy=strategy, margin=self.margin)
+        plan: RewritePlan | None = None
+        if self.plan_cache is not None:
+            plan = self.plan_cache.get(graph, patterns, aggregation, **key)
+            if tracer is not None:
+                tracer.metrics.add(
+                    "plan.cache.hit" if plan is not None else "plan.cache.miss"
+                )
+        with timed_span(
+            tracer, "plan.search", strategy=strategy, cached=plan is not None
+        ) as search_span:
+            if plan is None:
+                plan = search_plan(
+                    patterns,
+                    cost_model,
+                    aggregation,
+                    strategy=strategy,
+                    margin=self.margin,
+                    tracer=tracer,
+                )
+                if self.plan_cache is not None:
+                    self.plan_cache.put(graph, patterns, aggregation, plan, **key)
+        selection = plan.selection
+        search_span.attributes.update(
+            measured=len(selection.measured),
+            decompose_steps=len(plan.decompose_steps),
+            predicted_cost=plan.predicted_cost,
+        )
+        if selection.truncated and tracer is not None:
+            tracer.metrics.add("plan.truncated", len(selection.truncations))
+        return cost_model, plan
+
+    def _execute(
+        self, graph, plan: RewritePlan, sink, exec_, cost_model: CostModel
+    ) -> MorphRunResult:
+        """Walk ``plan``'s steps into ``sink`` and assemble the result.
+
+        The one step loop: cache lookup → deadline → progress →
+        ``match.item`` span → measure → incomplete check → timing; then
+        the sink converts and the audits pair predictions with timings.
+        """
+        tracer, progress, control = self.tracer, self.progress, self._control
+        aggregation = cost_model.aggregation
+        steps = plan.steps
+        store: dict[Item, Any] = {}
+        item_seconds: dict[Item, float] = {}
+        unstarted: list[Item] = []
+        incomplete: set[Item] = set()
+        with timed_span(tracer, "match", items=len(steps)) as match_span:
+            # Steps matched as a query states it hold values in that
+            # query's numbering; the cache's entries are canonical.
+            cache = self.cache
+            shared = [s.item for s in steps if cache is not None and s.query is None]
+            for item in shared:
+                value = cache.get(graph, aggregation, item)
+                if value is not None:
+                    store[item] = value
+            cached_items = set(store)
+            pending = [s for s in steps if s.item not in store]
+            if (
+                isinstance(aggregation, CountAggregation)
+                and exec_ is None
+                and tracer is None
+                and progress is None
+            ):
+                # Engine-native multi-pattern execution (AutoZero's merged
+                # schedules, SumPA's abstraction) for the direct count
+                # steps. Tracing, progress and fault tolerance trade it
+                # for per-step measurement — identical counts, and the
+                # audit gets a real per-step match time.
+                direct = [s for s in pending if isinstance(s, MeasureStep)]
+                counts = self.engine.count_set(graph, [s.pattern for s in direct])
+                store.update((s.item, counts[s.pattern]) for s in direct)
+                pending = [s for s in pending if s.item not in store]
+            if progress is not None:
+                progress.start(
+                    [(item_label(s.item), s.predicted_cost) for s in pending]
+                )
+            for step in pending:
+                item = step.item
+                if control is not None and control.expired():
+                    sink.interrupted(control)
+                    unstarted.append(item)
+                    continue
+                label = item_label(item)
+                if progress is not None:
+                    progress.item_started(label)
+                with timed_span(
+                    tracer, "match.item", item=label, rule=step.rule
+                ) as item_span:
+                    store[item] = sink.measure(self, graph, step, exec_)
+                if (
+                    control is not None
+                    and control.reports
+                    and not control.reports[-1].complete
+                ):
+                    sink.interrupted(control)
+                    incomplete.add(item)
+                item_seconds[item] = item_span.seconds
+                if progress is not None:
+                    progress.item_finished(label, item_span.seconds)
+            if progress is not None:
+                progress.finish()
+            # An interrupted item's value covers only its completed
+            # shards: keep it out of the conversion store (and the
+            # cache) so a partial aggregate is never passed off as full.
+            partial_items = {
+                item: store.pop(item) for item in sorted(incomplete, key=repr)
+            }
+            for item in shared:
+                if item in store and item not in cached_items:
+                    cache.put(graph, aggregation, item, store[item])
+
+        partial = control is not None and bool(
+            control.interrupted or unstarted or incomplete
+        )
+        with timed_span(
+            tracer, "convert", queries=len(plan.combine_steps)
+        ) as convert_span:
+            results, unresolved = sink.convert(plan, store, partial, tracer)
+
+        if tracer is not None and self.enabled:
+            self._emit_audits(plan, cost_model, item_seconds, store, cached_items)
+
+        fields = dict(
+            results=results,
+            stats=self.engine.stats,
+            morphing_enabled=self.enabled,
+            measured=plan.measured,
+            selection=plan.selection if self.enabled else None,
+            plan=plan,
+            match_seconds=match_span.seconds,
+            convert_seconds=convert_span.seconds,
+        )
+        if not partial:
+            return MorphRunResult(**fields)
+        return PartialRunResult(
+            **fields,
+            coverage=control.coverage(len(unstarted)),
+            completed_shards=control.completed_shards,
+            total_shards=control.charged_total(len(unstarted)),
+            unresolved=tuple(unresolved),
+            partial_items=partial_items,
+        )
+
     def _emit_audits(
         self,
-        selection: SelectionResult,
+        plan: RewritePlan,
         cost_model: CostModel,
         item_seconds: dict[Item, float],
-        store: dict[Item, Any] | None,
+        store: dict[Item, Any],
         cached_items: set[Item],
-        plan: RewritePlan | None = None,
     ) -> None:
-        """One audit record per measured item, plus the set summary."""
+        """One audit record per measured step, plus the set summary.
+
+        Each record pairs the executed step's own predicted cost with
+        its measured wall time — a decomposed item audits the
+        decomposition, not the direct match the search rejected, which
+        would poison the ``unit_seconds`` fit and the rank score.
+        """
         tracer = self.tracer
-        assert tracer is not None
+        selection = plan.selection
         query_items = set(selection.query_items.values())
-        for item in sorted(selection.measured, key=repr):
-            skel, variant = item
-            value = store.get(item) if store is not None else None
-            extra = {}
-            predicted = selection.item_costs.get(
-                item, cost_model.pattern_cost(skel, variant)
-            )
-            if plan is not None:
-                step = plan.step_for(item)
-                if step.rule != "direct":
-                    # Audit the step the planner actually executed: a
-                    # decomposed item's measurement is the decomposition's
-                    # wall time, so pairing it with the direct cost would
-                    # poison the unit_seconds fit and the rank score.
-                    extra["rule"] = step.rule
-                    predicted = step.predicted_cost
+        for step in plan.steps:
+            skel, variant = item = step.item
+            value = store.get(item)
             tracer.audit(
                 CostAuditRecord(
-                    item=_item_label(item),
-                    pattern_id=_pattern_id(skel),
+                    item=item_label(item),
+                    pattern_id=pattern_id(skel),
                     variant=variant,
                     role="query" if item in query_items else "alternative",
-                    predicted_cost=predicted,
+                    predicted_cost=step.predicted_cost,
                     measured_seconds=item_seconds.get(item, 0.0),
                     predicted_matches=cost_model.estimated_matches(skel, variant),
                     measured_matches=value if isinstance(value, int) else None,
                     cached=item in cached_items,
-                    extra=extra,
+                    extra={} if step.rule == "direct" else {"rule": step.rule},
                 )
             )
         tracer.audit(
@@ -589,691 +899,12 @@ class MorphingSession:
             )
         )
 
-    # -- batched mode --------------------------------------------------------
-
-    def run(self, graph: DataGraph, patterns: Sequence[Pattern]) -> MorphRunResult:
-        """Mine all query patterns, morphing when enabled."""
-        patterns = list(patterns)
-        return self._run_scoped(
-            graph,
-            "batched",
-            len(patterns),
-            lambda exec_: self._run_batched(graph, patterns, exec_),
-        )
-
-    def _measure_item(self, graph, item: Item, exec_, count_mode: bool):
-        """Measure one item's value (the traced per-item match path)."""
-        pattern = materialize(item)
-        if count_mode:
-            return self._count_set(graph, [pattern], exec_)[pattern]
-        return self._aggregate_one(graph, pattern, exec_)
-
-    def _execute_decompose(self, graph, step: DecomposeStep, exec_) -> int:
-        """Execute one decompose step: stream the prefix, IEP the rest.
-
-        The prefix streams through :meth:`_explore`, so shards, retries
-        and deadlines compose exactly as for a direct measurement.
-        """
-        return decompose_count(
-            graph,
-            step.decomposition,
-            lambda pattern, callback: self._explore(
-                graph, pattern, callback, exec_
-            ),
-            self.engine.stats,
-        )
-
-    def _run_batched(
-        self, graph: DataGraph, patterns: list[Pattern], exec_
-    ) -> MorphRunResult:
-        if not self.enabled:
-            return self._run_baseline(graph, patterns, exec_)
-        tracer = self.tracer
-
-        with timed_span(tracer, "transform", queries=len(patterns)) as transform_span:
-            cost_model = CostModel.for_graph(
-                graph, profile_for(self.engine), self.aggregation
-            )
-            plan: RewritePlan | None = None
-            if self.plan_cache is not None:
-                plan = self.plan_cache.get(
-                    graph,
-                    patterns,
-                    self.aggregation,
-                    engine=self.engine.name,
-                    strategy=self.strategy,
-                    margin=self.margin,
-                )
-                if tracer is not None:
-                    tracer.metrics.add(
-                        "plan.cache.hit" if plan is not None else "plan.cache.miss"
-                    )
-            with timed_span(
-                tracer,
-                "plan.search",
-                strategy=self.strategy,
-                cached=plan is not None,
-            ) as search_span:
-                if plan is None:
-                    plan = search_plan(
-                        patterns,
-                        cost_model,
-                        self.aggregation,
-                        strategy=self.strategy,
-                        margin=self.margin,
-                        tracer=tracer,
-                    )
-                    if self.plan_cache is not None:
-                        self.plan_cache.put(
-                            graph,
-                            patterns,
-                            self.aggregation,
-                            plan,
-                            engine=self.engine.name,
-                            strategy=self.strategy,
-                            margin=self.margin,
-                        )
-            selection = plan.selection
-            search_span.attributes.update(
-                measured=len(selection.measured),
-                decompose_steps=len(plan.decompose_steps),
-                predicted_cost=plan.predicted_cost,
-            )
-            if selection.truncated and tracer is not None:
-                tracer.metrics.add("plan.truncated", len(selection.truncations))
-        transform_seconds = transform_span.seconds
-
-        if not any(selection.morphed.values()) and not plan.decompose_steps:
-            # The cost model declined every morph: run the queries as
-            # given (their own numbering and plans), keeping the selection
-            # metadata so callers can see the decision.
-            baseline = self._run_baseline(
-                graph, patterns, exec_, selection=selection, cost_model=cost_model
-            )
-            if isinstance(baseline, PartialRunResult):
-                # The deadline interrupted the passthrough run: keep its
-                # coverage bookkeeping, not just its results.
-                return PartialRunResult(
-                    results=baseline.results,
-                    stats=baseline.stats,
-                    morphing_enabled=True,
-                    measured=selection.measured,
-                    selection=selection,
-                    plan=plan,
-                    transform_seconds=transform_seconds,
-                    match_seconds=baseline.match_seconds,
-                    coverage=baseline.coverage,
-                    completed_shards=baseline.completed_shards,
-                    total_shards=baseline.total_shards,
-                    unresolved=baseline.unresolved,
-                    partial_items=baseline.partial_items,
-                )
-            return MorphRunResult(
-                results=baseline.results,
-                stats=baseline.stats,
-                morphing_enabled=True,
-                measured=selection.measured,
-                selection=selection,
-                plan=plan,
-                transform_seconds=transform_seconds,
-                match_seconds=baseline.match_seconds,
-            )
-
-        store: dict[Item, Any] = {}
-        count_mode = isinstance(self.aggregation, CountAggregation)
-        item_seconds: dict[Item, float] = {}
-        cached_items: set[Item] = set()
-        with timed_span(
-            tracer, "match", items=len(selection.measured)
-        ) as match_span:
-            measured_items = sorted(selection.measured, key=repr)
-
-            if self.cache is not None:
-                cached = {
-                    item: self.cache.get(graph, self.aggregation, item)
-                    for item in measured_items
-                }
-                store.update({k: v for k, v in cached.items() if v is not None})
-                cached_items = set(store)
-                measured_items = [i for i in measured_items if i not in cached_items]
-
-            progress = self.progress
-            control = self._control
-            unstarted_items: list[Item] = []
-            incomplete_items: set[Item] = set()
-            if (
-                count_mode
-                and tracer is None
-                and progress is None
-                and control is None
-            ):
-                # Engine-native multi-pattern execution (AutoZero's merged
-                # schedules, SumPA's abstraction). The traced path trades
-                # it for per-item measurement — identical counts, and the
-                # audit gets a real per-alternative match time. The
-                # fault-tolerant path also trades it away: completion is
-                # tracked per item.
-                concrete = {
-                    item: materialize(item)
-                    for item in measured_items
-                    if not isinstance(plan.step_for(item), DecomposeStep)
-                }
-                if concrete:
-                    counts = self._count_set(
-                        graph, list(concrete.values()), exec_
-                    )
-                    for item, pattern in concrete.items():
-                        store[item] = counts[pattern]
-                for item in measured_items:
-                    if item not in concrete:
-                        store[item] = self._execute_decompose(
-                            graph, plan.step_for(item), exec_
-                        )
-            else:
-                if progress is not None:
-                    progress.start(
-                        [
-                            (
-                                _item_label(item),
-                                selection.item_costs.get(
-                                    item, cost_model.pattern_cost(*item)
-                                ),
-                            )
-                            for item in measured_items
-                        ]
-                    )
-                for item in measured_items:
-                    if control is not None and control.expired():
-                        unstarted_items.append(item)
-                        continue
-                    if progress is not None:
-                        progress.item_started(_item_label(item))
-                    step = plan.step_for(item)
-                    with timed_span(
-                        tracer,
-                        "match.item",
-                        item=_item_label(item),
-                        rule=step.rule,
-                    ) as item_span:
-                        if isinstance(step, DecomposeStep):
-                            store[item] = self._execute_decompose(
-                                graph, step, exec_
-                            )
-                        else:
-                            store[item] = self._measure_item(
-                                graph, item, exec_, count_mode
-                            )
-                    if (
-                        control is not None
-                        and control.reports
-                        and not control.reports[-1].complete
-                    ):
-                        incomplete_items.add(item)
-                    item_seconds[item] = item_span.seconds
-                    if progress is not None:
-                        progress.item_finished(
-                            _item_label(item), item_span.seconds
-                        )
-                if progress is not None:
-                    progress.finish()
-            # An interrupted item's value covers only its completed
-            # shards: keep it out of the conversion store (and the
-            # cache) so a partial aggregate is never passed off as full.
-            partial_values = {
-                item: store.pop(item) for item in sorted(incomplete_items, key=repr)
-            }
-            if self.cache is not None:
-                for item in measured_items:
-                    if item in store:
-                        self.cache.put(graph, self.aggregation, item, store[item])
-        match_seconds = match_span.seconds
-
-        interrupted = control is not None and (
-            control.interrupted or unstarted_items or incomplete_items
-        )
-        with timed_span(tracer, "convert", queries=len(patterns)) as convert_span:
-            unresolved: list[Pattern] = []
-            if not interrupted and tracer is None:
-                if count_mode:
-                    results: dict[Pattern, Any] = convert_counts(patterns, store)
-                else:
-                    results = convert_aggregation_store(
-                        patterns, store, self.aggregation
-                    )
-            else:
-                # Per-query combine-step execution (one ``plan.step``
-                # span each). On an interrupted run a query survives if
-                # the completed items still determine it (Eq. 1 may need
-                # only a subset).
-                results = {}
-                for cstep in plan.combine_steps:
-                    query = cstep.query
-                    with timed_span(
-                        tracer,
-                        "plan.step",
-                        kind="combine",
-                        mode=cstep.mode,
-                        query=pattern_name(query),
-                    ):
-                        try:
-                            if count_mode:
-                                results[query] = convert_counts(
-                                    [query], store
-                                )[query]
-                            else:
-                                results[query] = convert_aggregation_store(
-                                    [query], store, self.aggregation
-                                )[query]
-                        except UnderivableError:
-                            if not interrupted:
-                                raise
-                            unresolved.append(query)
-        convert_seconds = convert_span.seconds
-
-        if tracer is not None:
-            self._emit_audits(
-                selection, cost_model, item_seconds, store, cached_items, plan
-            )
-
-        if interrupted:
-            return PartialRunResult(
-                results=results,
-                stats=self.engine.stats,
-                morphing_enabled=True,
-                measured=selection.measured,
-                selection=selection,
-                plan=plan,
-                transform_seconds=transform_seconds,
-                match_seconds=match_seconds,
-                convert_seconds=convert_seconds,
-                coverage=control.coverage(len(unstarted_items)),
-                completed_shards=control.completed_shards,
-                total_shards=control.charged_total(len(unstarted_items)),
-                unresolved=tuple(unresolved),
-                partial_items=partial_values,
-            )
-        return MorphRunResult(
-            results=results,
-            stats=self.engine.stats,
-            morphing_enabled=True,
-            measured=selection.measured,
-            selection=selection,
-            plan=plan,
-            transform_seconds=transform_seconds,
-            match_seconds=match_seconds,
-            convert_seconds=convert_seconds,
-        )
-
-    def _run_baseline(
-        self,
-        graph: DataGraph,
-        patterns: list[Pattern],
-        exec_=None,
-        selection: SelectionResult | None = None,
-        cost_model: CostModel | None = None,
-    ) -> MorphRunResult:
-        """The unmorphed path: match every query pattern as given.
-
-        ``selection``/``cost_model`` are passed when the morphed path
-        declined every morph — the queries are then the measured items,
-        and a traced run still emits their audit records.
-        """
-        tracer = self.tracer
-        progress = self.progress
-        control = self._control
-        count_mode = isinstance(self.aggregation, CountAggregation)
-        item_seconds: dict[Item, float] = {}
-        unstarted = 0
-        unresolved: list[Pattern] = []
-        partial_values: dict[Item, Any] = {}
-        with timed_span(tracer, "match", items=len(patterns)) as match_span:
-            if (
-                count_mode
-                and tracer is None
-                and progress is None
-                and control is None
-            ):
-                results: dict[Pattern, Any] = dict(
-                    self._count_set(graph, patterns, exec_)
-                )
-            else:
-                if progress is not None:
-                    # Baseline items get the model's predicted costs when
-                    # the morphed path handed us one (the declined-morph
-                    # case); otherwise uniform weights — the ETA still
-                    # calibrates online from the measured durations.
-                    progress.start(
-                        [
-                            (
-                                pattern_name(p),
-                                cost_model.pattern_cost(*item_of(p))
-                                if cost_model is not None
-                                else 1.0,
-                            )
-                            for p in patterns
-                        ]
-                    )
-                results = {}
-                for p in patterns:
-                    if control is not None and control.expired():
-                        unstarted += 1
-                        unresolved.append(p)
-                        continue
-                    if progress is not None:
-                        progress.item_started(pattern_name(p))
-                    with timed_span(
-                        tracer, "match.item", item=pattern_name(p)
-                    ) as item_span:
-                        if count_mode:
-                            results[p] = self._count_set(graph, [p], exec_)[p]
-                        else:
-                            results[p] = self._aggregate_one(graph, p, exec_)
-                    if (
-                        control is not None
-                        and control.reports
-                        and not control.reports[-1].complete
-                    ):
-                        # Only some shards finished: surface the value as
-                        # explicitly partial, not as this query's answer.
-                        partial_values[item_of(p)] = results.pop(p)
-                        unresolved.append(p)
-                    item_seconds[item_of(p)] = item_span.seconds
-                    if progress is not None:
-                        progress.item_finished(
-                            pattern_name(p), item_span.seconds
-                        )
-                if progress is not None:
-                    progress.finish()
-        if tracer is not None and selection is not None and cost_model is not None:
-            counts_store = (
-                {item_of(p): v for p, v in results.items()} if count_mode else None
-            )
-            self._emit_audits(
-                selection, cost_model, item_seconds, counts_store, set()
-            )
-        if control is not None and (
-            control.interrupted or unstarted or partial_values
-        ):
-            return PartialRunResult(
-                results=results,
-                stats=self.engine.stats,
-                morphing_enabled=False,
-                measured=frozenset(item_of(p) for p in patterns),
-                match_seconds=match_span.seconds,
-                coverage=control.coverage(unstarted),
-                completed_shards=control.completed_shards,
-                total_shards=control.charged_total(unstarted),
-                unresolved=tuple(unresolved),
-                partial_items=partial_values,
-            )
-        return MorphRunResult(
-            results=results,
-            stats=self.engine.stats,
-            morphing_enabled=False,
-            measured=frozenset(item_of(p) for p in patterns),
-            match_seconds=match_span.seconds,
-        )
-
-    # -- streaming mode --------------------------------------------------------
-
-    def run_streaming(
-        self,
-        graph: DataGraph,
-        patterns: Sequence[Pattern],
-        process: Callable[[Pattern, Match], None],
-        vertex_filter: Callable[[Match], bool] | None = None,
-    ) -> MorphRunResult:
-        """Stream matches for every query through ``process``.
-
-        ``vertex_filter`` receives the matched data vertices (in arbitrary
-        role order) and may reject the subgraph before conversion fan-out;
-        the §7.3 weight filter has exactly this form.
-        """
-        patterns = list(patterns)
-        return self._run_scoped(
-            graph,
-            "streaming",
-            len(patterns),
-            lambda exec_: self._run_streaming(
-                graph, patterns, process, vertex_filter, exec_
-            ),
-        )
-
-    def _run_streaming(
-        self,
-        graph: DataGraph,
-        patterns: list[Pattern],
-        process: Callable[[Pattern, Match], None],
-        vertex_filter: Callable[[Match], bool] | None,
-        exec_,
-    ) -> MorphRunResult:
-        tracer = self.tracer
-        emitted: dict[Pattern, int] = {p: 0 for p in patterns}
-
-        def counted_process(query: Pattern, match: Match) -> None:
-            emitted[query] += 1
-            process(query, match)
-
-        def check_deadline(done_streaming: bool = False) -> None:
-            """Streaming cannot degrade to a partial store: raise instead.
-
-            A match already handed to ``process`` cannot be recalled, so
-            an expired deadline here surfaces as
-            :class:`RunDeadlineExceeded` — the streamed prefix is
-            explicitly incomplete — rather than a PartialRunResult.
-            """
-            control = self._control
-            if control is None:
-                return
-            incomplete = (
-                done_streaming
-                and control.reports
-                and not control.reports[-1].complete
-            )
-            if incomplete or (not done_streaming and control.expired()):
-                assert control.deadline is not None
-                raise RunDeadlineExceeded(
-                    f"deadline of {control.deadline.seconds:g}s expired "
-                    "during a streaming run; the match stream is incomplete",
-                    deadline_seconds=control.deadline.seconds,
-                )
-
-        def stream_patterns(items: list[tuple[str, Pattern, Callable]]):
-            """Run each (label, pattern, callback), spanning per item."""
-            progress = self.progress
-            item_seconds: dict[Item, float] = {}
-            if progress is not None:
-                progress.start([(label, 1.0) for label, _p, _cb in items])
-            with timed_span(tracer, "match", items=len(items)) as match_span:
-                for label, pattern, callback in items:
-                    check_deadline()
-                    if progress is not None:
-                        progress.item_started(label)
-                    with timed_span(
-                        tracer, "match.item", item=label
-                    ) as item_span:
-                        self._explore(graph, pattern, callback, exec_)
-                    check_deadline(done_streaming=True)
-                    try:
-                        item_seconds[item_of(pattern)] = item_span.seconds
-                    except ValueError:
-                        pass  # mixed patterns carry no item
-                    if progress is not None:
-                        progress.item_finished(label, item_span.seconds)
-            if progress is not None:
-                progress.finish()
-            return match_span.seconds, item_seconds
-
-        if not self.enabled:
-            plain = [
-                (
-                    pattern_name(p),
-                    p,
-                    counted_process
-                    if vertex_filter is None
-                    else _filtered(vertex_filter, counted_process),
-                )
-                for p in patterns
-            ]
-            match_seconds, _ = stream_patterns(plain)
-            return MorphRunResult(
-                results=dict(emitted),
-                stats=self.engine.stats,
-                morphing_enabled=False,
-                measured=frozenset(item_of(p) for p in patterns),
-                match_seconds=match_seconds,
-            )
-
-        with timed_span(tracer, "transform", queries=len(patterns)) as transform_span:
-            from repro.core.aggregation import MatchListAggregation
-            from repro.core.costmodel import profile_udf_cost
-
-            stream_agg = MatchListAggregation()
-            if vertex_filter is not None and patterns:
-                # Section 5.2's UDF profiling: time the filter on dummy
-                # matches so its real cost steers the alternative selection
-                # (an expensive filter makes fewer-match alternatives pay).
-                stream_agg.per_match_cost += profile_udf_cost(
-                    vertex_filter, patterns[0], graph
-                )
-            cost_model = CostModel.for_graph(
-                graph, profile_for(self.engine), stream_agg
-            )
-            with timed_span(tracer, "selection", margin=self.margin) as selection_span:
-                selection = select_alternative_patterns(
-                    patterns, cost_model, stream_agg, margin=self.margin
-                )
-            selection_span.attributes.update(
-                rounds=selection.rounds,
-                measured=len(selection.measured),
-                morphed_queries=sum(selection.morphed.values()),
-            )
-
-        if not any(selection.morphed.values()):
-            transform_seconds = transform_span.seconds
-            plain = [
-                (
-                    pattern_name(p),
-                    p,
-                    counted_process
-                    if vertex_filter is None
-                    else _filtered(vertex_filter, counted_process),
-                )
-                for p in patterns
-            ]
-            match_seconds, item_seconds = stream_patterns(plain)
-            if tracer is not None:
-                self._emit_audits(
-                    selection, cost_model, item_seconds, None, set()
-                )
-            return MorphRunResult(
-                results=dict(emitted),
-                stats=self.engine.stats,
-                morphing_enabled=True,
-                measured=selection.measured,
-                selection=selection,
-                transform_seconds=transform_seconds,
-                match_seconds=match_seconds,
-            )
-
-        with timed_span(
-            tracer, "transform.plan", queries=len(patterns)
-        ) as plan_span:
-            # One converter per (measured item, query) pair.
-            converters: dict[Item, list[OnTheFlyConverter]] = {
-                item: [] for item in selection.measured
-            }
-            for query in patterns:
-                plan = on_the_fly_plan(query, selection.measured, counted_process)
-                for item, converter in plan.items():
-                    converters[item].append(converter)
-        # The on-the-fly plan is part of pattern transformation; its span
-        # is separate only because the no-morph early return above ends
-        # the transform span first.
-        transform_seconds = transform_span.seconds + plan_span.seconds
-
-        item_seconds = {}
-        progress = self.progress
-        live_items = [
-            item
-            for item in sorted(selection.measured, key=repr)
-            if converters[item]
-        ]
-        if progress is not None:
-            progress.start(
-                [
-                    (
-                        _item_label(item),
-                        selection.item_costs.get(
-                            item, cost_model.pattern_cost(*item)
-                        ),
-                    )
-                    for item in live_items
-                ]
-            )
-        with timed_span(
-            tracer, "match", items=len(selection.measured)
-        ) as match_span:
-            for item in live_items:
-                fan_out = converters[item]
-
-                def on_match(alt_pattern: Pattern, match: Match, _fan=fan_out) -> None:
-                    if vertex_filter is not None and not vertex_filter(match):
-                        return
-                    for converter in _fan:
-                        converter(match)
-
-                check_deadline()
-                if progress is not None:
-                    progress.item_started(_item_label(item))
-                with timed_span(
-                    tracer, "match.item", item=_item_label(item)
-                ) as item_span:
-                    self._explore(graph, materialize(item), on_match, exec_)
-                check_deadline(done_streaming=True)
-                item_seconds[item] = item_span.seconds
-                if progress is not None:
-                    progress.item_finished(_item_label(item), item_span.seconds)
-        if progress is not None:
-            progress.finish()
-        match_seconds = match_span.seconds
-
-        if tracer is not None:
-            self._emit_audits(selection, cost_model, item_seconds, None, set())
-
-        return MorphRunResult(
-            results=dict(emitted),
-            stats=self.engine.stats,
-            morphing_enabled=True,
-            measured=selection.measured,
-            selection=selection,
-            transform_seconds=transform_seconds,
-            match_seconds=match_seconds,
-        )
-
-
-def _pattern_id(skel: Pattern) -> int:
-    from repro.core.canonical import pattern_id
-
-    return pattern_id(skel)
-
-
-def _filtered(
-    vertex_filter: Callable[[Match], bool],
-    process: Callable[[Pattern, Match], None],
-) -> Callable[[Pattern, Match], None]:
-    def wrapped(pattern: Pattern, match: Match) -> None:
-        if vertex_filter(match):
-            process(pattern, match)
-
-    return wrapped
-
 
 def compare_baseline_and_morphed(
     engine_factory: Callable[[], MiningEngine],
     graph: DataGraph,
     patterns: Iterable[Pattern],
-    *args: Any,
+    *,
     aggregation: Aggregation | None = None,
     workers: int = 1,
     cache: "MeasurementCache | None" = None,
@@ -1300,32 +931,18 @@ def compare_baseline_and_morphed(
     ``strategy`` picks the morphed side's rewrite strategy (the baseline
     side never rewrites by definition).
     """
-    if args:
-        from repro import _compat
-
-        overrides = _compat.positional_config(
-            "compare_baseline_and_morphed", ("aggregation",), args
-        )
-        aggregation = overrides.get("aggregation", aggregation)
     patterns = list(patterns)
-    baseline = MorphingSession(
-        engine_factory(),
+    shared = dict(
         aggregation=aggregation,
-        enabled=False,
         workers=workers,
         cache=cache,
         margin=margin,
         batch_roots=batch_roots,
-    ).run(graph, patterns)
+    )
+    baseline = MorphingSession(engine_factory(), enabled=False, **shared).run(
+        graph, patterns
+    )
     morphed = MorphingSession(
-        engine_factory(),
-        aggregation=aggregation,
-        enabled=True,
-        strategy=strategy,
-        workers=workers,
-        cache=cache,
-        margin=margin,
-        tracer=tracer,
-        batch_roots=batch_roots,
+        engine_factory(), strategy=strategy, tracer=tracer, **shared
     ).run(graph, patterns)
     return baseline, morphed

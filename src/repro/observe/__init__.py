@@ -2,7 +2,7 @@
 
 The measurement substrate behind every profiling claim this repo makes.
 A :class:`Tracer` records a tree of phase/item/shard/kernel spans while
-a run executes (attach one via ``repro.run(..., trace=...)`` or
+a run executes (attach one via ``RunOptions(trace=...)`` or
 ``MorphingSession(tracer=...)``); the resulting :class:`RunTrace`
 carries the spans, a metrics snapshot subsuming the engine counters,
 and one :class:`CostAuditRecord` per measured alternative pattern —
@@ -12,7 +12,7 @@ Algorithm 1's predicted cost next to the match time actually observed
 :class:`ProgressReporter` is the live side of the same substrate: a
 per-item progress/ETA line whose estimate starts from Algorithm 1's
 predicted per-item costs and is corrected online by the measured
-``match.item`` durations (``repro.run(..., progress=True)``, CLI
+``match.item`` durations (``RunOptions(progress=True)``, CLI
 ``--progress``).
 
 Exporters: :func:`write_jsonl` / :func:`load_trace` for the cookbook's

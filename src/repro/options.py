@@ -7,8 +7,7 @@ harness) re-declared in parallel. :class:`RunOptions` consolidates them
 into one frozen, validated dataclass that is simultaneously:
 
 * the **primary API**: ``repro.run(graph, patterns, options=RunOptions(
-  workers=4, strategy="auto"))`` — the loose kwargs keep working through
-  warn-once deprecation shims (:mod:`repro._compat`);
+  workers=4, strategy="auto"))``;
 * the **session configuration**: :class:`repro.MorphingSession` consumes
   a ``RunOptions`` directly instead of re-declaring the kwarg list;
 * the **wire request schema** of the resident mining service

@@ -30,8 +30,8 @@ from repro.plan.search import (
     STRATEGIES,
     SelectionResult,
     legal_variants,
-    morph_greedy,
     search_plan,
+    select_alternative_patterns,
 )
 
 __all__ = [
@@ -52,8 +52,8 @@ __all__ = [
     "decompose_count",
     "find_decompositions",
     "legal_variants",
-    "morph_greedy",
     "ordered_distinct_count",
     "search_plan",
+    "select_alternative_patterns",
     "set_partitions",
 ]

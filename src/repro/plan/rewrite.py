@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.pattern import Pattern
-from repro.core.equations import Item
+from repro.core.equations import Item, materialize
 from repro.plan.rules import Decomposition
 
 __all__ = [
@@ -41,6 +41,17 @@ class MeasureStep:
     item: Item
     predicted_cost: float
     rule: str = "direct"
+    #: Set when this step answers exactly one query and feeds no other
+    #: conversion: the engine is handed that query as stated, so the
+    #: value is already in the query's own vertex numbering (ordered
+    #: match lists, MNI columns) and needs no conversion. Such values
+    #: bypass the measurement cache, whose entries are canonical.
+    query: Pattern | None = None
+
+    @property
+    def pattern(self) -> Pattern:
+        """The concrete pattern the engine matches for this step."""
+        return self.query if self.query is not None else materialize(self.item)
 
 
 @dataclass(frozen=True)
@@ -54,16 +65,22 @@ class DecomposeStep:
     #: alternative the search rejected; kept for audits and describe()).
     direct_cost: float = 0.0
     rule: str = "decompose"
+    #: Never matched as a query states it (see :attr:`MeasureStep.query`):
+    #: a decomposed count carries no vertex numbering.
+    query = None
 
 
 @dataclass(frozen=True)
 class CombineStep:
     """Recombine measured items into one query's answer.
 
-    ``mode`` is ``"identity"`` (the query's own item was measured),
-    ``"solve"`` (counting: signed integer combination from
-    :func:`repro.core.equations.solve_query`) or ``"union"`` (Eq. 1's
-    V-union direction for non-invertible aggregations).
+    ``mode`` is ``"given"`` (the query itself was matched as stated —
+    see :attr:`MeasureStep.query` — and its value passes through),
+    ``"identity"`` (the query's own item was measured in canonical
+    numbering and is renumbered back), ``"solve"`` (counting: signed
+    integer combination from :func:`repro.core.equations.solve_query`)
+    or ``"union"`` (Eq. 1's V-union direction for non-invertible
+    aggregations).
     """
 
     query: Pattern
@@ -89,19 +106,27 @@ class RewritePlan:
     combine_steps: tuple[CombineStep, ...] = ()
     predicted_cost: float = 0.0
 
-    #: item -> its measure-or-decompose step, for executor lookup.
+    #: Every measure/decompose step in the executor's fixed order
+    #: (sorted by item), and the same steps keyed by item. Derived once
+    #: at construction, so executing a cached plan re-sorts nothing.
+    steps: tuple = field(init=False, repr=False, compare=False, hash=False)
     _step_by_item: dict = field(
-        default=None, repr=False, compare=False, hash=False
+        init=False, repr=False, compare=False, hash=False
     )
+
+    def __post_init__(self) -> None:
+        steps = tuple(
+            sorted(
+                self.measure_steps + self.decompose_steps,
+                key=lambda s: repr(s.item),
+            )
+        )
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_step_by_item", {s.item: s for s in steps})
 
     def step_for(self, item: Item):
         """The measure/decompose step that produces ``item``'s value."""
-        index = self._step_by_item
-        if index is None:
-            index = {s.item: s for s in self.measure_steps}
-            index.update({s.item: s for s in self.decompose_steps})
-            object.__setattr__(self, "_step_by_item", index)
-        return index[item]
+        return self._step_by_item[item]
 
     @property
     def measured(self) -> frozenset[Item]:
@@ -114,11 +139,7 @@ class RewritePlan:
             f"RewritePlan(strategy={self.strategy}, "
             f"predicted_cost={self.predicted_cost:.1f})"
         ]
-        steps = sorted(
-            list(self.measure_steps) + list(self.decompose_steps),
-            key=lambda s: repr(s.item),
-        )
-        for step in steps:
+        for step in self.steps:
             lines.append(
                 f"  measure {item_label(step.item)}"
                 f" [{step.rule}] cost≈{step.predicted_cost:.1f}"

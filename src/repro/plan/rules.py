@@ -214,7 +214,7 @@ def decompose_count(
 
     ``stream(pattern, callback)`` must invoke ``callback(pattern,
     match)`` once per occurrence of ``pattern`` — the session passes its
-    sharded-or-serial ``_explore``, so workers, retries and deadlines
+    sharded-or-serial ``_stream``, so workers, retries and deadlines
     compose unchanged. ``stats`` collects the suffix set operations.
     """
     total = 0

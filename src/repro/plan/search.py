@@ -1,10 +1,10 @@
 """Cost-driven search over the rewrite-rule space (planner core).
 
-This module owns what ``core/selection.py`` used to: the Algorithm 1
-greedy (Section 5.2) that decides *which items to measure*, now recast
-as the :class:`~repro.plan.rules.SuperpatternMorph` move inside a wider
-search. On top of it, :func:`search_plan` lets the execution rules —
-:class:`~repro.plan.rules.DirectMatch` vs
+This module owns the Algorithm 1 greedy (Section 5.2,
+:func:`select_alternative_patterns`) that decides *which items to
+measure*, recast as the :class:`~repro.plan.rules.SuperpatternMorph`
+move inside a wider search. On top of it, :func:`search_plan` lets the
+execution rules — :class:`~repro.plan.rules.DirectMatch` vs
 :class:`~repro.plan.rules.Decompose` — compete per measured item under
 the same cost model, and emits the typed
 :class:`~repro.plan.rewrite.RewritePlan` the session executes.
@@ -33,7 +33,8 @@ it into the ``plan.truncated`` metric.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from repro.core.aggregation import Aggregation, CountAggregation
@@ -60,8 +61,8 @@ __all__ = [
     "STRATEGIES",
     "SelectionResult",
     "legal_variants",
-    "morph_greedy",
     "search_plan",
+    "select_alternative_patterns",
 ]
 
 #: Safety cap on the per-parent child subsets Algorithm 1 examines.
@@ -71,10 +72,6 @@ MAX_ROUNDS = 64
 
 #: The rewrite strategies :func:`search_plan` accepts.
 STRATEGIES = ("auto", "direct", "morph", "decompose")
-
-# Backwards-compatible alias: the cap originally lived in
-# core/selection.py under this name.
-_MAX_SUBSET_CHILDREN = MAX_SUBSET_CHILDREN
 
 
 class PlanTruncationWarning(RuntimeWarning):
@@ -110,7 +107,7 @@ def legal_variants(aggregation: Aggregation) -> tuple[str, ...]:
     return (VERTEX_INDUCED,)
 
 
-def morph_greedy(
+def select_alternative_patterns(
     queries: list[Pattern],
     cost_model: CostModel,
     aggregation: Aggregation | None = None,
@@ -380,7 +377,7 @@ def search_plan(
         selection = _direct_selection(queries, cost_model, aggregation)
     else:
         with timed_span(tracer, "selection", margin=margin) as span:
-            selection = morph_greedy(
+            selection = select_alternative_patterns(
                 queries, cost_model, aggregation, sdag=sdag, margin=margin
             )
         span.attributes.update(
@@ -388,6 +385,21 @@ def search_plan(
             measured=len(selection.measured),
             morphed_queries=sum(selection.morphed.values()),
         )
+
+    combine_steps = [_combine_step(q, selection, aggregation) for q in queries]
+    # A measured item that answers exactly one query and feeds no other
+    # conversion is matched as that query states it (its own vertex
+    # numbering): the value then needs no renumbering, so a plan that
+    # rewrites nothing returns exactly what the engine returns for the
+    # queries as given — ordered match lists and MNI tables included.
+    uses = Counter(source for c in combine_steps for source in c.sources)
+    combine_steps = tuple(
+        replace(c, mode="given")
+        if c.mode == "identity" and uses[c.sources[0]] == 1
+        else c
+        for c in combine_steps
+    )
+    given = {c.sources[0]: c.query for c in combine_steps if c.mode == "given"}
 
     decompose = Decompose()
     measure_steps: list[MeasureStep] = []
@@ -412,11 +424,12 @@ def search_plan(
                         )
                     )
                     continue
-        measure_steps.append(MeasureStep(item=item, predicted_cost=direct_cost))
+        measure_steps.append(
+            MeasureStep(
+                item=item, predicted_cost=direct_cost, query=given.get(item)
+            )
+        )
 
-    combine_steps = tuple(
-        _combine_step(q, selection, aggregation) for q in queries
-    )
     predicted = sum(s.predicted_cost for s in measure_steps) + sum(
         s.predicted_cost for s in decompose_steps
     )

@@ -12,7 +12,10 @@ This module is the single implementation:
   same mapping in different orders).
 * :func:`assert_matches_oracle` — run a workload twice, once plainly
   (the oracle) and once with the caller's session options, and assert
-  the variant's results are byte-identical to the oracle's.
+  the variant's results are byte-identical to the oracle's. The result
+  sink is one more axis: ``sink="stream"`` runs the variant through
+  ``run_streaming`` (Algorithm 3) and compares the emitted stream with
+  the oracle's match-list store (Algorithm 2).
 
 Lives under :mod:`repro.testing` rather than ``tests/`` so downstream
 engine subclasses can reuse the same differential harness.
@@ -58,6 +61,8 @@ def assert_matches_oracle(
     engine="peregrine",
     agg=None,
     *,
+    sink: str = "store",
+    vertex_filter=None,
     oracle_kwargs: Mapping[str, Any] | None = None,
     **run_kwargs,
 ):
@@ -78,14 +83,27 @@ def assert_matches_oracle(
     ``agg`` is an aggregation instance or class (instantiated fresh per
     run); ``None`` keeps the session default.
 
+    ``sink="stream"`` makes the result sink the axis under test: the
+    variant runs ``run_streaming`` (with ``vertex_filter``, if given)
+    and the ``(query, match)`` pairs it emits must equal, as a sorted
+    multiset, the oracle's :class:`MatchListAggregation` store filtered
+    the same way (``agg`` is then ignored; give both runs the same
+    morphing options so they execute the same plan and therefore pick
+    the same automorphic representative of every occurrence).
+
     Returns ``(variant, oracle)`` so callers can assert further on
     either result (trace contents, stats, brute-force cross-checks).
     """
     from repro.api import resolve_engine
+    from repro.core.aggregation import MatchListAggregation
     from repro.core.pattern import Pattern
     from repro.morph.session import MorphingSession, PartialRunResult
 
+    if sink not in ("store", "stream"):
+        raise ValueError(f"unknown sink {sink!r}; expected 'store' or 'stream'")
     patterns = [pattern] if isinstance(pattern, Pattern) else list(pattern)
+    if sink == "stream":
+        agg = MatchListAggregation
 
     def run_once(kwargs: Mapping[str, Any]):
         kwargs = dict(kwargs)
@@ -95,6 +113,26 @@ def assert_matches_oracle(
         return session.run(graph, patterns)
 
     oracle = run_once(oracle_kwargs or {})
+    if sink == "stream":
+        emitted: list = []
+        variant = MorphingSession(resolve_engine(engine), **run_kwargs).run_streaming(
+            graph, patterns, lambda q, m: emitted.append((q, m)), vertex_filter
+        )
+        expected = [
+            (q, m)
+            for q, matches in oracle.results.items()
+            for m in matches
+            if vertex_filter is None or vertex_filter(m)
+        ]
+
+        def order(pair):
+            return repr(pair[0]), pair[1]
+
+        assert sorted(emitted, key=order) == sorted(expected, key=order), (
+            f"streamed matches ({len(emitted)}) differ from the oracle's "
+            f"match-list store ({len(expected)})"
+        )
+        return variant, oracle
     variant = run_once(run_kwargs)
     assert not isinstance(variant, PartialRunResult), (
         f"variant run degraded to a partial result "

@@ -10,13 +10,13 @@ brute-force oracle.
 
 from __future__ import annotations
 
+from repro import select_alternative_patterns
 from repro.core import atlas
 from repro.core.aggregation import MNIAggregation
 from repro.core.costmodel import CostModel, EngineCostProfile, GraphModel
 from repro.core.equations import evaluate, item_of, normalize_item, solve_query
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED, SDag
-from repro.core.selection import select_alternative_patterns
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.graph.datagraph import DataGraph
 from repro.morph.session import MorphingSession

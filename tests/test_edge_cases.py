@@ -13,6 +13,7 @@ from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.graph.datagraph import DataGraph
 from repro.morph.session import MorphingSession
+from repro.testing.oracle import assert_matches_oracle
 
 from .oracle import brute_force_count
 
@@ -126,6 +127,41 @@ class TestSessionEdgeCases:
         )
         assert result.results[a] == result.results[b]
         assert result.results[a] == brute_force_count(small_graph, a)
+
+    def test_isomorphic_queries_share_one_canonical_step(self, small_graph):
+        """Two numberings of one shape share a measured item, so neither
+        can be matched as given: the step runs canonically and each query
+        gets its own renumbering — from the store and from the stream."""
+        a = atlas.TAILED_TRIANGLE
+        b = atlas.TAILED_TRIANGLE.relabel([3, 2, 1, 0])
+        for enabled in (False, True):
+            streamed, stored = assert_matches_oracle(
+                small_graph,
+                [a, b],
+                sink="stream",
+                oracle_kwargs={"enabled": enabled},
+                enabled=enabled,
+            )
+            assert len(stored.plan.steps) == 1
+            assert {c.mode for c in stored.plan.combine_steps} == {"identity"}
+            for query in (a, b):
+                for match in stored.results[query]:
+                    assert all(
+                        small_graph.has_edge(match[u], match[v])
+                        for u, v in query.edges
+                    )
+            assert streamed.results[a] == brute_force_count(small_graph, a)
+
+    def test_filtered_stream_on_graph_smaller_than_pattern(self):
+        """No match can exist, so there is nothing to profile or emit."""
+        path = DataGraph(3, [(0, 1), (1, 2)], name="p3")
+        for enabled in (False, True):
+            result = MorphingSession(
+                PeregrineEngine(), enabled=enabled
+            ).run_streaming(
+                path, [atlas.FOUR_CYCLE], lambda p, m: None, lambda m: True
+            )
+            assert result.results == {atlas.FOUR_CYCLE: 0}
 
     def test_clique_query_never_morphs(self, small_graph):
         result = MorphingSession(PeregrineEngine(), margin=1e9).run(

@@ -222,10 +222,12 @@ class TestCrashRetryMatrix:
         result = repro.run(
             small_graph,
             [TRIANGLE],
-            faults=FaultPlan.crashes([0]),
-            retry=NOSLEEP,
-            trace=tracer,
-            progress=reporter,
+            options=repro.RunOptions(
+                faults=FaultPlan.crashes([0]),
+                retry=NOSLEEP,
+                trace=tracer,
+                progress=reporter,
+            ),
         )
         retries = result.trace.find("shard.retry")
         assert retries, "a retried shard must be visible in the trace"
@@ -243,8 +245,10 @@ class TestCrashRetryMatrix:
             repro.run(
                 small_graph,
                 [TRIANGLE],
-                faults=FaultPlan({1: FaultSpec("crash", times=None)}),
-                retry=RetryPolicy(max_retries=2, sleep=lambda _s: None),
+                options=repro.RunOptions(
+                    faults=FaultPlan({1: FaultSpec("crash", times=None)}),
+                    retry=RetryPolicy(max_retries=2, sleep=lambda _s: None),
+                ),
             )
         assert info.value.shard_index == 1
         assert info.value.attempts == 3  # initial try + 2 retries
@@ -253,12 +257,18 @@ class TestCrashRetryMatrix:
     def test_corrupt_fault_is_caught_by_the_differential(self, small_graph):
         """A silently wrong shard value must fail the oracle comparison —
         this is what gives the rest of the matrix its teeth."""
-        oracle = repro.run(small_graph, [TRIANGLE], morph=False)
+        oracle = repro.run(
+            small_graph,
+            [TRIANGLE],
+            options=repro.RunOptions(morph=False),
+        )
         corrupted = repro.run(
             small_graph,
             [TRIANGLE],
-            morph=False,
-            faults=FaultPlan({0: FaultSpec("corrupt", times=None, delta=1)}),
+            options=repro.RunOptions(
+                morph=False,
+                faults=FaultPlan({0: FaultSpec("corrupt", times=None, delta=1)}),
+            ),
         )
         assert corrupted.results[TRIANGLE] == oracle.results[TRIANGLE] + 1
         assert not results_equal(corrupted.results, oracle.results)
@@ -272,9 +282,11 @@ class TestRunDeadline:
         result = repro.run(
             tiny_graph,
             [TRIANGLE],
-            deadline_seconds=0.25,
-            faults=FaultPlan({2: FaultSpec("hang", times=None)}),
-            retry=NOSLEEP,
+            options=repro.RunOptions(
+                deadline_seconds=0.25,
+                faults=FaultPlan({2: FaultSpec("hang", times=None)}),
+                retry=NOSLEEP,
+            ),
         )
         assert isinstance(result, PartialRunResult)
         assert not result.complete
@@ -392,10 +404,12 @@ class TestResume:
         interrupted = repro.run(
             small_graph,
             queries,
-            deadline_seconds=0.25,
-            checkpoint=path,
-            faults=FaultPlan({2: FaultSpec("hang", times=None)}),
-            retry=NOSLEEP,
+            options=repro.RunOptions(
+                deadline_seconds=0.25,
+                checkpoint=path,
+                faults=FaultPlan({2: FaultSpec("hang", times=None)}),
+                retry=NOSLEEP,
+            ),
         )
         assert isinstance(interrupted, PartialRunResult)
         journal = ShardCheckpoint(path)
@@ -404,7 +418,11 @@ class TestResume:
         assert journaled > 0, "completed shards must be on disk already"
 
         tracer = Tracer()
-        resumed = repro.run(small_graph, queries, checkpoint=path, trace=tracer)
+        resumed = repro.run(
+            small_graph,
+            queries,
+            options=repro.RunOptions(checkpoint=path, trace=tracer),
+        )
         assert not isinstance(resumed, PartialRunResult)
         assert results_equal(resumed.results, oracle.results)
         skipped = resumed.trace.find("shard.checkpoint")
@@ -422,18 +440,38 @@ class TestResume:
             repro.run(
                 small_graph,
                 [TRIANGLE],
-                checkpoint=path,
-                faults=FaultPlan({3: FaultSpec("crash", times=None)}),
-                retry=RetryPolicy(max_retries=1, sleep=lambda _s: None),
+                options=repro.RunOptions(
+                    checkpoint=path,
+                    faults=FaultPlan({3: FaultSpec("crash", times=None)}),
+                    retry=RetryPolicy(max_retries=1, sleep=lambda _s: None),
+                ),
             )
         journal = ShardCheckpoint(path)
         assert len(journal) > 0
         journal.close()
         oracle = repro.run(small_graph, [TRIANGLE])
         tracer = Tracer()
-        resumed = repro.run(small_graph, [TRIANGLE], checkpoint=path, trace=tracer)
+        resumed = repro.run(
+            small_graph,
+            [TRIANGLE],
+            options=repro.RunOptions(checkpoint=path, trace=tracer),
+        )
         assert results_equal(resumed.results, oracle.results)
         assert resumed.trace.find("shard.checkpoint")
+
+    def test_mismatched_checkpoint_leaves_engine_reusable(
+        self, small_graph, tiny_graph, tmp_path
+    ):
+        """A journal written for another graph is refused — and refusing
+        it must not leave the engine instance marked mid-run."""
+        path = tmp_path / "other-graph.ckpt.jsonl"
+        repro.run(tiny_graph, [TRIANGLE], options=repro.RunOptions(checkpoint=path))
+        engine = repro.PeregrineEngine()
+        with pytest.raises(CheckpointError, match="refusing to mix"):
+            MorphingSession(engine, checkpoint=path).run(small_graph, [TRIANGLE])
+        again = MorphingSession(engine).run(small_graph, [TRIANGLE])
+        oracle = repro.run(small_graph, [TRIANGLE])
+        assert results_equal(again.results, oracle.results)
 
     def test_checkpoint_run_equals_plain_run(self, small_graph, tmp_path):
         assert_matches_oracle(

@@ -11,7 +11,8 @@ here pins that at three layers:
   against :func:`repro.engines.base.run_plan`, counts and ``on_match``
   streams, over hypothesis-random graphs and patterns;
 * session level — every engine × aggregation × morphed/baseline ×
-  batch size {1, 7, 4096} × workers {1, 4};
+  batch size {1, 7, 4096} × workers {1, 4} × result sink {store,
+  stream} (the stream sink where the aggregation is a match list);
 * composition — batching under shard retry, deadlines, checkpoints and
   progress reporting still matches the fault-free per-root oracle.
 """
@@ -69,6 +70,9 @@ AGGREGATIONS = [
 BATCH_SIZES = (1, 7, 4096)
 
 QUERIES = [TRIANGLE, TAILED_TRIANGLE.vertex_induced(), FOUR_CYCLE]
+
+#: The result-sink axis: Algorithm 2's store and Algorithm 3's stream.
+SINKS = ("store", "stream")
 
 NOSLEEP = RetryPolicy(max_retries=3, backoff_seconds=0.0, sleep=lambda _s: None)
 
@@ -192,32 +196,39 @@ class TestBatchedSessionMatrix:
     def test_batched_equals_per_root_serial(
         self, engine_cls, agg_cls, small_graph
     ):
-        """engines × aggregations × morphed/baseline × batch sizes."""
+        """engines × aggregations × morphed/baseline × batch sizes, and
+        for match lists both result sinks (store and stream)."""
+        sinks = SINKS if agg_cls is MatchListAggregation else SINKS[:1]
         for enabled in (False, True):
             for batch in BATCH_SIZES:
-                assert_matches_oracle(
-                    small_graph,
-                    QUERIES,
-                    engine_cls,
-                    agg_cls,
-                    oracle_kwargs={"enabled": enabled},
-                    enabled=enabled,
-                    batch_roots=batch,
-                )
+                for sink in sinks:
+                    assert_matches_oracle(
+                        small_graph,
+                        QUERIES,
+                        engine_cls,
+                        agg_cls,
+                        sink=sink,
+                        oracle_kwargs={"enabled": enabled},
+                        enabled=enabled,
+                        batch_roots=batch,
+                    )
 
     def test_batched_equals_per_root_sharded(
         self, engine_cls, agg_cls, small_graph
     ):
         """The workers=4 axis: shards feed root batches independently."""
-        assert_matches_oracle(
-            small_graph,
-            QUERIES,
-            engine_cls,
-            agg_cls,
-            workers=4,
-            executor="serial",
-            batch_roots=7,
-        )
+        sinks = SINKS if agg_cls is MatchListAggregation else SINKS[:1]
+        for sink in sinks:
+            assert_matches_oracle(
+                small_graph,
+                QUERIES,
+                engine_cls,
+                agg_cls,
+                sink=sink,
+                workers=4,
+                executor="serial",
+                batch_roots=7,
+            )
 
 
 @pytest.mark.parametrize("engine_cls", [PeregrineEngine, AutoZeroEngine])
@@ -229,6 +240,31 @@ def test_labeled_session_batched(engine_cls, small_labeled_graph):
         )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch", [None, 64])
+def test_forced_morph_stream_with_vertex_filter(small_graph, workers, batch):
+    """The default margin declines every streaming morph of QUERIES, so
+    force one: Algorithm 3's fan-out behind a vertex filter must emit
+    what Algorithm 2 stores, per-root and batched, serial and sharded."""
+
+    def accept(match):
+        return sum(match) % 3 != 0
+
+    variant, _oracle = assert_matches_oracle(
+        small_graph,
+        [FOUR_CYCLE, TAILED_TRIANGLE],
+        sink="stream",
+        vertex_filter=accept,
+        oracle_kwargs={"margin": 10.0},
+        margin=10.0,
+        workers=workers,
+        executor="serial" if workers > 1 else None,
+        batch_roots=batch,
+    )
+    assert any(variant.selection.morphed.values())
+    assert any(c.mode == "union" for c in variant.plan.combine_steps)
+
+
 def test_process_pool_batched(small_graph):
     """batch_roots must survive pickling into real pool workers."""
     assert_matches_oracle(small_graph, TRIANGLE, workers=2, batch_roots=7)
@@ -236,7 +272,7 @@ def test_process_pool_batched(small_graph):
 
 def test_run_facade_batch_roots_validated(small_graph):
     with pytest.raises(ValueError, match="batch_roots"):
-        repro.run(small_graph, [TRIANGLE], batch_roots=0)
+        repro.run(small_graph, [TRIANGLE], options=repro.RunOptions(batch_roots=0))
 
 
 def test_batched_runs_record_batched_setops(small_graph):
@@ -285,10 +321,12 @@ class TestBatchedComposition:
         result = repro.run(
             tiny_graph,
             [TRIANGLE],
-            batch_roots=7,
-            deadline_seconds=0.25,
-            faults=FaultPlan({2: FaultSpec("hang", times=None)}),
-            retry=NOSLEEP,
+            options=repro.RunOptions(
+                batch_roots=7,
+                deadline_seconds=0.25,
+                faults=FaultPlan({2: FaultSpec("hang", times=None)}),
+                retry=NOSLEEP,
+            ),
         )
         assert isinstance(result, PartialRunResult)
         assert TRIANGLE in result.unresolved

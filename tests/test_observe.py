@@ -510,7 +510,11 @@ class TestProgressIntegration:
         patterns = list(motif_patterns(3))
         plain = repro.run(small_graph, patterns)
         reporter = repro.ProgressReporter(stream=None)
-        watched = repro.run(small_graph, patterns, progress=reporter)
+        watched = repro.run(
+            small_graph,
+            patterns,
+            options=repro.RunOptions(progress=reporter),
+        )
         assert plain.results == watched.results
         assert reporter.snapshot().total_items > 0
 

@@ -159,17 +159,22 @@ class TestSessionParallelDifferential:
     @settings(max_examples=5, deadline=None)
     def test_counts_match_serial_and_oracle(self, engine_cls, graph, num_shards):
         for enabled in (False, True):
-            _parallel, serial = assert_matches_oracle(
-                graph,
-                QUERIES,
-                engine_cls,
-                oracle_kwargs={"enabled": enabled},
-                enabled=enabled,
-                workers=4,
-                executor="serial",
-            )
-            for pattern in QUERIES:
-                assert serial.results[pattern] == brute_force_count(graph, pattern)
+            for sink in ("store", "stream"):
+                _parallel, serial = assert_matches_oracle(
+                    graph,
+                    QUERIES,
+                    engine_cls,
+                    sink=sink,
+                    oracle_kwargs={"enabled": enabled},
+                    enabled=enabled,
+                    workers=4,
+                    executor="serial",
+                )
+                for pattern in QUERIES:
+                    got = serial.results[pattern]
+                    assert (got if sink == "store" else len(got)) == (
+                        brute_force_count(graph, pattern)
+                    )
 
     @given(data_graphs(min_n=4, max_n=10))
     @settings(max_examples=4, deadline=None)

@@ -34,6 +34,7 @@ from repro.core.sdag import VERTEX_INDUCED
 from repro.engines.base import EngineStats
 from repro.morph.cache import PlanCache
 from repro.morph.profiles import profile_for
+from repro.morph.session import MorphingSession
 from repro.plan import (
     Decompose,
     PlanTruncationWarning,
@@ -69,21 +70,27 @@ class TestDifferentialMatrix:
     def test_strategies_match_baseline(self, tiny_graph, engine, agg_name):
         agg = AGGREGATIONS[agg_name]()
         baseline = repro.run(
-            tiny_graph, MATRIX_PATTERNS, engine, aggregation=agg, morph=False
+            tiny_graph,
+            MATRIX_PATTERNS,
+            engine,
+            options=repro.RunOptions(aggregation=agg, morph=False),
         )
         for strategy in STRATEGIES:
             got = repro.run(
                 tiny_graph,
                 MATRIX_PATTERNS,
                 engine,
-                aggregation=agg,
-                strategy=strategy,
+                options=repro.RunOptions(aggregation=agg, strategy=strategy),
             )
             assert got.results == baseline.results, (engine, agg_name, strategy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_counts_match_oracle(self, small_graph, strategy):
-        result = repro.run(small_graph, MATRIX_PATTERNS, strategy=strategy)
+        result = repro.run(
+            small_graph,
+            MATRIX_PATTERNS,
+            options=repro.RunOptions(strategy=strategy),
+        )
         for pattern in MATRIX_PATTERNS:
             assert result.results[pattern] == brute_force_count(
                 small_graph, pattern
@@ -100,13 +107,21 @@ class TestDifferentialMatrix:
     )
     def test_random_graphs_match_oracle(self, graph, strategy):
         patterns = [atlas.FOUR_PATH, atlas.FIVE_STAR]
-        result = repro.run(graph, patterns, strategy=strategy)
+        result = repro.run(
+            graph,
+            patterns,
+            options=repro.RunOptions(strategy=strategy),
+        )
         for pattern in patterns:
             assert result.results[pattern] == brute_force_count(graph, pattern)
 
     def test_unknown_strategy_rejected(self, tiny_graph):
         with pytest.raises(ValueError, match="strategy"):
-            repro.run(tiny_graph, [atlas.FOUR_PATH], strategy="greedy")
+            repro.run(
+                tiny_graph,
+                [atlas.FOUR_PATH],
+                options=repro.RunOptions(strategy="greedy"),
+            )
         with pytest.raises(ValueError, match="strategy"):
             search_plan([atlas.FOUR_PATH], _cost_model(tiny_graph), strategy="x")
 
@@ -178,7 +193,11 @@ class TestAutoStrategy:
     def test_auto_answers_five_star_by_decomposition(self, medium_graph):
         """Acceptance: a standing 5-vertex counting workload goes through
         a Decompose plan under ``auto``, with a differential proof."""
-        auto = repro.run(medium_graph, [atlas.FIVE_STAR], strategy="auto")
+        auto = repro.run(
+            medium_graph,
+            [atlas.FIVE_STAR],
+            options=repro.RunOptions(strategy="auto"),
+        )
         steps = [
             s
             for s in auto.plan.decompose_steps
@@ -186,7 +205,11 @@ class TestAutoStrategy:
         ]
         assert steps, "auto should decompose the 5-star on a dense graph"
         assert steps[0].predicted_cost < steps[0].direct_cost
-        direct = repro.run(medium_graph, [atlas.FIVE_STAR], strategy="direct")
+        direct = repro.run(
+            medium_graph,
+            [atlas.FIVE_STAR],
+            options=repro.RunOptions(strategy="direct"),
+        )
         assert auto.results == direct.results
 
     def test_plan_surfaces_on_result(self, tiny_graph):
@@ -206,12 +229,12 @@ class TestTruncationSurfacing:
         monkeypatch.setattr(search_mod, "MAX_ROUNDS", 1)
         cm = _cost_model(small_graph)
         with pytest.warns(PlanTruncationWarning):
-            selection = search_mod.morph_greedy(MATRIX_PATTERNS, cm)
+            selection = search_mod.select_alternative_patterns(MATRIX_PATTERNS, cm)
         assert selection.truncated
         assert any(t.startswith("subset-children:") for t in selection.truncations)
 
     def test_untruncated_by_default(self, small_graph):
-        selection = search_mod.morph_greedy(
+        selection = search_mod.select_alternative_patterns(
             MATRIX_PATTERNS, _cost_model(small_graph)
         )
         assert not selection.truncated
@@ -222,7 +245,11 @@ class TestTruncationSurfacing:
         tracer = repro.Tracer()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PlanTruncationWarning)
-            result = repro.run(tiny_graph, MATRIX_PATTERNS, trace=tracer)
+            result = repro.run(
+                tiny_graph,
+                MATRIX_PATTERNS,
+                options=repro.RunOptions(trace=tracer),
+            )
         assert result.trace.metrics.get("plan.truncated", 0) >= 1
 
 
@@ -231,14 +258,18 @@ class TestPlanCache:
         cache = PlanCache()
         tracer = repro.Tracer()
         first = repro.run(
-            tiny_graph, MATRIX_PATTERNS, plan_cache=cache, trace=tracer
+            tiny_graph,
+            MATRIX_PATTERNS,
+            options=repro.RunOptions(plan_cache=cache, trace=tracer),
         )
         assert len(cache) == 1
         assert cache.misses == 1 and cache.hits == 0
         assert tracer.metrics.snapshot()["plan.cache.miss"] == 1
         tracer2 = repro.Tracer()
         second = repro.run(
-            tiny_graph, MATRIX_PATTERNS, plan_cache=cache, trace=tracer2
+            tiny_graph,
+            MATRIX_PATTERNS,
+            options=repro.RunOptions(plan_cache=cache, trace=tracer2),
         )
         assert cache.hits == 1 and len(cache) == 1
         assert tracer2.metrics.snapshot()["plan.cache.hit"] == 1
@@ -247,19 +278,79 @@ class TestPlanCache:
 
     def test_key_discriminates(self, tiny_graph, small_graph):
         cache = PlanCache()
-        repro.run(tiny_graph, MATRIX_PATTERNS, plan_cache=cache)
-        repro.run(tiny_graph, MATRIX_PATTERNS, plan_cache=cache, strategy="direct")
-        repro.run(tiny_graph, MATRIX_PATTERNS, plan_cache=cache, engine="graphpi")
-        repro.run(small_graph, MATRIX_PATTERNS, plan_cache=cache)
-        repro.run(tiny_graph, MATRIX_PATTERNS[:-1], plan_cache=cache)
+        repro.run(
+            tiny_graph,
+            MATRIX_PATTERNS,
+            options=repro.RunOptions(plan_cache=cache),
+        )
+        repro.run(
+            tiny_graph,
+            MATRIX_PATTERNS,
+            options=repro.RunOptions(plan_cache=cache, strategy="direct"),
+        )
+        repro.run(
+            tiny_graph,
+            MATRIX_PATTERNS,
+            engine="graphpi",
+            options=repro.RunOptions(plan_cache=cache),
+        )
+        repro.run(
+            small_graph,
+            MATRIX_PATTERNS,
+            options=repro.RunOptions(plan_cache=cache),
+        )
+        repro.run(
+            tiny_graph,
+            MATRIX_PATTERNS[:-1],
+            options=repro.RunOptions(plan_cache=cache),
+        )
         assert len(cache) == 5
         assert cache.hits == 0
 
     def test_clear(self, tiny_graph):
         cache = PlanCache()
-        repro.run(tiny_graph, [atlas.FOUR_PATH], plan_cache=cache)
+        repro.run(
+            tiny_graph,
+            [atlas.FOUR_PATH],
+            options=repro.RunOptions(plan_cache=cache),
+        )
         cache.clear()
         assert len(cache) == 0
+
+
+class TestStreamingPlans:
+    """Streaming plans through the same search as batched runs."""
+
+    QUERIES = [atlas.FOUR_CYCLE, atlas.TAILED_TRIANGLE]
+
+    def _stream(self, graph, **kwargs):
+        seen: list = []
+        result = MorphingSession(repro.PeregrineEngine(), **kwargs).run_streaming(
+            graph, self.QUERIES, lambda q, m: seen.append((q, m))
+        )
+        return seen, result
+
+    def test_direct_strategy_streams_the_baseline(self, small_graph):
+        forced, morphed = self._stream(small_graph, margin=10.0)
+        assert any(morphed.selection.morphed.values()), "margin=10 must morph"
+        direct_seen, direct = self._stream(
+            small_graph, margin=10.0, strategy="direct"
+        )
+        baseline_seen, _ = self._stream(small_graph, enabled=False)
+        assert not any(direct.selection.morphed.values())
+        assert direct_seen == baseline_seen
+        assert direct.plan.strategy == "direct"
+        assert direct.results == morphed.results  # same emitted counts
+        assert len(forced) == len(baseline_seen)
+
+    def test_streaming_consults_the_plan_cache(self, small_graph):
+        cache = PlanCache()
+        first_tracer, second_tracer = repro.Tracer(), repro.Tracer()
+        _, first = self._stream(small_graph, plan_cache=cache, tracer=first_tracer)
+        _, second = self._stream(small_graph, plan_cache=cache, tracer=second_tracer)
+        assert first_tracer.metrics.snapshot()["plan.cache.miss"] == 1
+        assert second_tracer.metrics.snapshot()["plan.cache.hit"] == 1
+        assert second.plan is first.plan
 
 
 class TestGraphFingerprint:
@@ -337,7 +428,11 @@ class TestCalibrateTool:
     def test_end_to_end_on_stored_trace(self, small_graph, tmp_path, capsys):
         calib = _load_calibrate()
         trace_path = tmp_path / "run.jsonl"
-        repro.run(small_graph, MATRIX_PATTERNS, trace=str(trace_path))
+        repro.run(
+            small_graph,
+            MATRIX_PATTERNS,
+            options=repro.RunOptions(trace=str(trace_path)),
+        )
         assert calib.main([str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "peregrine" in out
@@ -373,7 +468,9 @@ class TestPlanTracing:
     def test_spans_and_rule_attribution(self, small_graph):
         tracer = repro.Tracer()
         result = repro.run(
-            small_graph, [atlas.FIVE_STAR], strategy="decompose", trace=tracer
+            small_graph,
+            [atlas.FIVE_STAR],
+            options=repro.RunOptions(strategy="decompose", trace=tracer),
         )
         trace = result.trace
         (search,) = trace.find("plan.search")

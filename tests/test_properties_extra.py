@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro import select_alternative_patterns
 from repro.core import atlas
 from repro.core.aggregation import CountAggregation, MNIAggregation
 from repro.core.costmodel import CostModel, EngineCostProfile, GraphModel
 from repro.core.equations import item_of, solve_query
 from repro.core.pattern import Pattern
-from repro.core.selection import select_alternative_patterns
 from repro.engines.autozero.engine import AutoZeroEngine
 from repro.engines.peregrine.engine import PeregrineEngine
 

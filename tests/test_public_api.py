@@ -5,23 +5,20 @@ importable truth (every name exists, is documented, and nothing public
 is missing), ``repro.run`` round-trips every engine with results
 identical to a hand-built session, the typed :class:`repro.RunOptions`
 is validated on every construction path and JSON round-trips exactly,
-and the deprecated calling conventions keep working — warning exactly
-once per shimmed keyword and byte-identical to the typed form.
+and the calling conventions deprecated in 1.1/1.2 are gone (they raise
+``TypeError`` like any other signature mismatch).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
 import repro
-from repro import _compat
 from repro.core.atlas import TRIANGLE, motif_patterns
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.morph.session import MorphingSession, compare_baseline_and_morphed
-from repro.serve.protocol import encode_value
 
 
 class TestAllList:
@@ -71,7 +68,11 @@ class TestRunFacade:
 
     def test_morph_false_matches_baseline_session(self, small_graph):
         patterns = list(motif_patterns(3))
-        facade = repro.run(small_graph, patterns, morph=False)
+        facade = repro.run(
+            small_graph,
+            patterns,
+            options=repro.RunOptions(morph=False),
+        )
         session = MorphingSession(PeregrineEngine(), enabled=False).run(
             small_graph, patterns
         )
@@ -92,7 +93,11 @@ class TestRunFacade:
 
     def test_trace_kwarg_writes_jsonl(self, small_graph, tmp_path):
         path = tmp_path / "run.jsonl"
-        result = repro.run(small_graph, list(motif_patterns(3)), trace=path)
+        result = repro.run(
+            small_graph,
+            list(motif_patterns(3)),
+            options=repro.RunOptions(trace=path),
+        )
         assert result.trace is not None
         loaded = repro.load_trace(path)
         assert [s.name for s in loaded.spans] == [
@@ -101,7 +106,11 @@ class TestRunFacade:
 
     def test_trace_tracer_instance(self, small_graph):
         tracer = repro.Tracer()
-        result = repro.run(small_graph, [TRIANGLE], trace=tracer)
+        result = repro.run(
+            small_graph,
+            [TRIANGLE],
+            options=repro.RunOptions(trace=tracer),
+        )
         assert result.trace is not None
         assert result.trace.spans == tracer.spans
 
@@ -110,59 +119,24 @@ class TestRunFacade:
             repro.run(small_graph, [TRIANGLE], "peregrine", None, True)
 
 
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_registry(self):
-        _compat._reset()
-        yield
-        _compat._reset()
+class TestRemovedShims:
+    """The 1.1/1.2 call-convention shims were cut in 2.0."""
 
-    def test_positional_session_config_warns_exactly_once(self, small_graph):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = MorphingSession(PeregrineEngine(), None, False)
-            second = MorphingSession(PeregrineEngine(), None, True)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "keyword arguments" in str(deprecations[0].message)
-        # The shim remaps, so behavior matches the keyword spelling.
-        assert first.enabled is False and second.enabled is True
-        assert first.run(small_graph, [TRIANGLE]).results == MorphingSession(
-            PeregrineEngine(), enabled=False
-        ).run(small_graph, [TRIANGLE]).results
-
-    def test_positional_compare_aggregation_warns_exactly_once(self, small_graph):
+    def test_positional_config_raises(self, small_graph):
         from repro.core.aggregation import CountAggregation
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compare_baseline_and_morphed(
-                PeregrineEngine, small_graph, [TRIANGLE], CountAggregation()
-            )
-            compare_baseline_and_morphed(
-                PeregrineEngine, small_graph, [TRIANGLE], CountAggregation()
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_keyword_calls_do_not_warn(self, small_graph):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            MorphingSession(PeregrineEngine(), enabled=False)
-            compare_baseline_and_morphed(PeregrineEngine, small_graph, [TRIANGLE])
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_too_many_positionals_rejected(self):
         with pytest.raises(TypeError, match="positional"):
-            MorphingSession(
-                PeregrineEngine(), None, True, 0.6, None, 1, None, "extra"
+            MorphingSession(PeregrineEngine(), None, False)
+        with pytest.raises(TypeError, match="positional"):
+            compare_baseline_and_morphed(
+                PeregrineEngine, small_graph, [TRIANGLE], CountAggregation()
             )
+
+    def test_loose_run_keywords_raise(self, small_graph):
+        with pytest.raises(TypeError, match="workers"):
+            repro.run(small_graph, [TRIANGLE], workers=1)
+        with pytest.raises(TypeError, match="wokers"):
+            repro.run(small_graph, [TRIANGLE], wokers=4)
 
 
 class TestRunOptions:
@@ -268,84 +242,3 @@ class TestRunOptions:
             MorphingSession(
                 PeregrineEngine(), options=repro.RunOptions(), workers=2
             )
-
-
-#: The four aggregation wire names crossed with every engine below.
-_AGGREGATIONS = ("count", "mni", "matches", "exists")
-
-
-class TestRunOptionsShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_registry(self):
-        _compat._reset()
-        yield
-        _compat._reset()
-
-    def test_each_legacy_kwarg_warns_exactly_once(self, small_graph):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.run(small_graph, [TRIANGLE], workers=1, margin=0.7)
-            repro.run(small_graph, [TRIANGLE], workers=1, margin=0.7)
-        deprecations = [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
-        assert sum("workers" in m for m in deprecations) == 1
-        assert sum("margin" in m for m in deprecations) == 1
-        assert all("RunOptions" in m for m in deprecations)
-
-    def test_options_spelling_does_not_warn(self, small_graph):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.run(
-                small_graph, [TRIANGLE], options=repro.RunOptions(workers=1)
-            )
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_unknown_kwarg_raises(self, small_graph):
-        with pytest.raises(TypeError, match="wokers"):
-            repro.run(small_graph, [TRIANGLE], wokers=4)
-
-    def test_legacy_kwargs_layer_onto_options(self, small_graph):
-        """A legacy kwarg overrides the same field of a given options."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = repro.run(
-                small_graph,
-                [TRIANGLE],
-                options=repro.RunOptions(morph=False),
-                aggregation="exists",
-            )
-        assert result.results[TRIANGLE] is True
-        assert not result.morphing_enabled
-
-    @pytest.mark.parametrize("aggregation", _AGGREGATIONS)
-    @pytest.mark.parametrize("engine_name", sorted(repro.ENGINES))
-    def test_legacy_matrix_byte_identical_to_options(
-        self, small_graph, engine_name, aggregation
-    ):
-        patterns = list(motif_patterns(3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.run(
-                small_graph, patterns, engine_name, aggregation=aggregation
-            )
-        typed = repro.run(
-            small_graph,
-            patterns,
-            engine_name,
-            options=repro.RunOptions(aggregation=aggregation),
-        )
-        assert legacy.results == typed.results
-        # Byte-identical on the wire encoding (deterministic element order).
-        legacy_wire = json.dumps(
-            {str(i): encode_value(v) for i, v in enumerate(legacy.results.values())}
-        )
-        typed_wire = json.dumps(
-            {str(i): encode_value(v) for i, v in enumerate(typed.results.values())}
-        )
-        assert legacy_wire == typed_wire

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import select_alternative_patterns
 from repro.core import atlas
 from repro.core.aggregation import CountAggregation, MNIAggregation
 from repro.core.costmodel import CostModel, EngineCostProfile, GraphModel
@@ -11,8 +12,8 @@ from repro.core.equations import item_of, normalize_item, solve_query
 from repro.core.generation import skeleton, superpattern_closure
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED
-from repro.core.selection import legal_variants, select_alternative_patterns
 from repro.graph.generators import power_law_cluster
+from repro.plan.search import legal_variants
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ where ``c`` is an item's predicted cost units and ``t`` its measured
 match seconds. Cached items and the per-run selection summary are
 skipped — they carry no fresh measurement.
 
-Inputs are JSONL traces as written by ``repro.run(..., trace=path)``
+Inputs are JSONL traces as written by ``RunOptions(trace=path)``
 (the engine name is read from each trace's ``run`` span). With no
 trace arguments, ``--run-suite`` measures a fresh calibration workload
 across all five engines in-process and fits from that.
@@ -166,7 +166,12 @@ def run_suite(repeats: int = 3):
     for engine in sorted(repro.ENGINES):
         for _ in range(repeats):
             tracer = repro.Tracer()
-            repro.run(graph, patterns, engine, trace=tracer)
+            repro.run(
+                graph,
+                patterns,
+                engine,
+                options=repro.RunOptions(trace=tracer),
+            )
             runs.append((engine, list(tracer.audits)))
     return runs
 
