@@ -8,8 +8,12 @@ the benchmark report (``--benchmark-verbose`` or the JSON export).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any
+
 import pytest
 
+from repro.engines.base import EngineStats
 from repro.graph import datasets
 from repro.graph.generators import assign_labels, power_law_cluster
 from repro.graph.partition import partition_subgraphs
@@ -86,10 +90,36 @@ def run_morphed(engine_cls, graph, patterns, aggregation=None):
     return session.run(graph, list(patterns))
 
 
+@dataclass
+class ComparisonRow:
+    """One figure row: a workload measured with and without morphing."""
+
+    workload: str
+    graph: str
+    baseline_seconds: float
+    morphed_seconds: float
+    baseline_stats: EngineStats
+    morphed_stats: EngineStats
+    results_equal: bool
+    morphed_patterns: int
+
+    @property
+    def speedup(self) -> float:
+        if self.morphed_seconds <= 0:
+            return float("inf")
+        return self.baseline_seconds / self.morphed_seconds
+
+    @property
+    def setop_reduction(self) -> float:
+        """Figure 12c/d-style set-operation time reduction factor."""
+        morphed = self.morphed_stats.setops.seconds
+        if morphed <= 0:
+            return float("inf")
+        return self.baseline_stats.setops.seconds / morphed
+
+
 def make_row(workload, graph, baseline, morphed):
     """Build a ComparisonRow from two runs, asserting equal results."""
-    from repro.bench.harness import ComparisonRow
-
     equal = set(baseline.results) == set(morphed.results) and all(
         baseline.results[k] == morphed.results[k] for k in baseline.results
     )
@@ -119,3 +149,24 @@ def record_comparison(benchmark, row) -> None:
     benchmark.extra_info["branch_misses_baseline"] = row.baseline_stats.branch_misses
     benchmark.extra_info["branch_misses_morphed"] = row.morphed_stats.branch_misses
     benchmark.extra_info["morphed_patterns"] = row.morphed_patterns
+
+
+def breakdown_row(
+    label: str, stats: EngineStats, total: float | None = None
+) -> dict[str, Any]:
+    """Figure 4-style percentage breakdown of one run's time.
+
+    Percentages of ``total`` wall seconds per cost category, as a flat
+    mapping for ``benchmark.extra_info``; ``other`` is the unattributed
+    remainder, clamped at zero.
+    """
+    total = total if total is not None else stats.total_seconds
+    known = stats.setops.seconds + stats.udf_seconds + stats.filter_seconds
+    return {
+        "label": label,
+        "setops": 100.0 * stats.setops.seconds / total,
+        "udf": 100.0 * stats.udf_seconds / total,
+        "filter": 100.0 * stats.filter_seconds / total,
+        "other": max(0.0, 100.0 * (total - known) / total),
+        "total": total,
+    }

@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.fsm import mine_frequent_subgraphs
-from repro.bench.harness import breakdown_row
 from repro.core.atlas import (
     CHORDAL_FOUR_CYCLE,
     FOUR_CLIQUE,
@@ -26,6 +25,8 @@ from repro.core.atlas import (
 from repro.engines.bigjoin.engine import BigJoinEngine
 from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.peregrine.engine import PeregrineEngine
+
+from .conftest import breakdown_row
 
 PATTERNS_4 = {
     "4S": FOUR_STAR,
@@ -46,7 +47,7 @@ def test_fig4a_fsm_breakdown(benchmark, mico):
         iterations=1,
     )
     stats = result.stats
-    benchmark.extra_info.update(breakdown_row("3-FSM/MI", stats).as_dict())
+    benchmark.extra_info.update(breakdown_row("3-FSM/MI", stats))
     assert stats.udf_calls > 0
     assert stats.udf_seconds > stats.setops.seconds, (
         "FSM must be UDF-bound, not set-operation-bound"
@@ -66,7 +67,7 @@ def test_fig4b_enumeration_breakdown(name, benchmark, mico):
         return engine.stats
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info.update(breakdown_row(f"SE/{name}", stats).as_dict())
+    benchmark.extra_info.update(breakdown_row(f"SE/{name}", stats))
     assert stats.udf_calls == stats.matches
     assert stats.udf_seconds > 0
     assert stats.materialized == stats.matches
@@ -85,7 +86,7 @@ def test_fig4c_counting_breakdown(name, benchmark, mico):
         return engine.stats
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info.update(breakdown_row(f"SC/{name}", stats).as_dict())
+    benchmark.extra_info.update(breakdown_row(f"SC/{name}", stats))
     assert stats.udf_calls == 0
     assert stats.materialized == 0
     assert stats.setops.total_ops > 0
@@ -111,7 +112,7 @@ def test_fig4de_filter_udf_bottleneck(engine_cls, name, benchmark, mico):
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     total = stats.total_seconds + stats.filter_seconds
     benchmark.extra_info.update(
-        breakdown_row(f"{engine_cls.name}/{name}-V", stats, total).as_dict()
+        breakdown_row(f"{engine_cls.name}/{name}-V", stats, total)
     )
     benchmark.extra_info["edge_induced_s"] = round(edge_seconds, 4)
     assert stats.filter_calls > 0

@@ -9,8 +9,6 @@ Usage examples::
     python -m repro.cli fsm --graph mico --support 15 --max-edges 3
     python -m repro.cli equation TT C4-V
     python -m repro.cli cliques --graph orkut --max-size 8
-    python -m repro.cli bench record --trials 3
-    python -m repro.cli bench compare
     python -m repro.cli serve --graphs mico --port 7071
     python -m repro.cli submit --port 7071 --graph mico --pattern 4CL
     python -m repro.cli top 7071
@@ -289,55 +287,6 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def cmd_bench_record(args) -> int:
-    """Measure the standing suite and append a BENCH_<seq>.json record."""
-    from repro.bench.trajectory import collect_record, save_record
-
-    record = collect_record(
-        trials=args.trials,
-        quick=args.quick,
-        log=lambda message: print(f"# {message}", file=sys.stderr),
-    )
-    path = save_record(record, root=args.root)
-    for key, stats in record.workloads.items():
-        print(
-            f"{key:28s} morphed {stats.morphed.median:.4f}s "
-            f"(±{stats.morphed.mad:.4f} MAD, {stats.trials} trials)  "
-            f"baseline {stats.baseline.median:.4f}s  "
-            f"speedup {stats.speedup:.2f}x"
-        )
-    print(f"# wrote {path} (seq {record.seq}, schema v{record.schema_version})")
-    return 0
-
-
-def cmd_bench_compare(args) -> int:
-    """Gate the newest (or given) record against the stored trajectory."""
-    from repro.bench.regress import compare_to_history
-    from repro.bench.trajectory import load_record, load_trajectory
-
-    trajectory = load_trajectory(args.root)
-    if args.record:
-        candidate = load_record(args.record)
-    elif trajectory:
-        candidate = trajectory[-1]
-    else:
-        raise SystemExit(
-            f"no BENCH_*.json records under {args.root!r}; "
-            "run `repro bench record` first"
-        )
-    history = [r for r in trajectory if r.seq < candidate.seq]
-    comparison = compare_to_history(candidate, history, k=args.k)
-    print(comparison.render())
-    if args.advisory or comparison.ok:
-        return 0
-    return 1
-
-
-def cmd_bench(args) -> int:
-    handlers = {"record": cmd_bench_record, "compare": cmd_bench_compare}
-    return handlers[args.bench_command](args)
-
-
 def cmd_serve(args) -> int:
     """Run the resident mining daemon until interrupted or shut down."""
     from repro.serve import AdmissionPolicy, GraphRegistry, MiningServer
@@ -610,45 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--prob", type=float, default=0.5)
     approx.add_argument("--trials", type=int, default=5)
 
-    bench = sub.add_parser(
-        "bench", help="benchmark trajectory: record / compare"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    record = bench_sub.add_parser(
-        "record",
-        help="measure the standing suite, write BENCH_<seq>.json",
-    )
-    record.add_argument(
-        "--trials", type=int, default=3, help="repeated trials per workload"
-    )
-    record.add_argument(
-        "--quick", action="store_true", help="cheapest workloads only"
-    )
-    record.add_argument(
-        "--root", default=".", help="trajectory directory (default: repo root)"
-    )
-    compare = bench_sub.add_parser(
-        "compare",
-        help="gate the newest record against the stored trajectory",
-    )
-    compare.add_argument(
-        "--record", metavar="PATH", help="candidate record (default: newest)"
-    )
-    compare.add_argument(
-        "--root", default=".", help="trajectory directory (default: repo root)"
-    )
-    compare.add_argument(
-        "--k",
-        type=float,
-        default=4.0,
-        help="acceptance band half-width in robust noise units (median ± k·MAD)",
-    )
-    compare.add_argument(
-        "--advisory",
-        action="store_true",
-        help="always exit 0 (shared/1-core runners: verdicts are advisory)",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="resident mining daemon: load graphs once, answer queries "
@@ -839,7 +749,6 @@ def main(argv: list[str] | None = None) -> int:
         "equation": cmd_equation,
         "orbits": cmd_orbits,
         "approx": cmd_approx,
-        "bench": cmd_bench,
         "serve": cmd_serve,
         "submit": cmd_submit,
         "top": cmd_top,

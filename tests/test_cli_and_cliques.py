@@ -76,6 +76,13 @@ class TestCliCommands:
         assert main(["equation", "TT"]) == 0
         assert "TT^E" in capsys.readouterr().out
 
+    def test_bench_verb_is_gone(self, capsys):
+        """Removed in 3.0.0 (morphbench is the yardstick); argparse exits 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "record"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_count_on_file(self, capsys, tmp_path, small_graph):
         from repro.graph.io import save_edge_list
 

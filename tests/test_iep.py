@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from repro.engines.graphpi.iep import (
     run_iep_count,
 )
 from repro.engines.plan import ExplorationPlan
+from repro.graph.generators import power_law_cluster
 
 from .oracle import brute_force_count
 from .strategies import connected_skeletons, data_graphs
@@ -82,8 +85,21 @@ class TestIEPCounting:
         plan = ExplorationPlan.build(pattern)
         suffix = iep_suffix_length(plan)
         assert suffix >= 2
-        count = run_iep_count(small_graph, plan, EngineStats(), suffix)
-        assert count == brute_force_count(small_graph, pattern)
+
+        def iep_count(graph):
+            return run_iep_count(graph, plan, EngineStats(), suffix)
+
+        # Closed form, independent of any matcher: a star is a centre
+        # plus an unordered choice of its leaves among the neighbours.
+        assert iep_count(small_graph) == sum(
+            math.comb(int(d), pattern.n - 1) for d in small_graph.degrees
+        )
+        # Brute force tests |V|!/(|V|-n)! assignments: 127.5M for the
+        # 6-star on the 25-vertex graph, so that leg uses 13 vertices.
+        graph = small_graph
+        if pattern.n > 5:
+            graph = power_law_cluster(13, 3, 0.5, seed=5)
+        assert iep_count(graph) == brute_force_count(graph, pattern)
 
     def test_engine_toggles(self, small_graph):
         on = GraphPiEngine()

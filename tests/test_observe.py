@@ -222,7 +222,7 @@ class TestCostAudit:
     )
     def test_every_engine_emits_audit_records(self, small_graph, engine_cls):
         """Traced morphed runs must never produce an empty audit — the
-        regression behind BENCH_0001's degenerate peregrine scores."""
+        regression that once gave peregrine a degenerate rank agreement."""
         tracer = Tracer()
         result = MorphingSession(engine_cls(), tracer=tracer).run(
             small_graph, list(motif_patterns(4))

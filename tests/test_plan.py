@@ -106,3 +106,26 @@ class TestSingleVertexPlan:
         plan = ExplorationPlan.build(p)
         count = run_plan(small_labeled_graph, plan, EngineStats())
         assert count == len(small_labeled_graph.vertices_by_label[0])
+
+
+class TestPlanDescribe:
+    def test_star_plan(self):
+        text = ExplorationPlan.build(atlas.FOUR_STAR).describe()
+        lines = text.splitlines()
+        assert len(lines) == 4
+        assert lines[0].endswith("← V")
+        assert "N(v0)" in lines[1]
+        assert "> v1" in lines[2] or "< v" in lines[2]  # symmetry bounds
+
+    def test_vertex_induced_shows_differences(self):
+        text = ExplorationPlan.build(atlas.FOUR_CYCLE.vertex_induced()).describe()
+        assert "∖ N(" in text
+
+    def test_intersections_shown(self):
+        text = ExplorationPlan.build(atlas.CHORDAL_FOUR_CYCLE).describe()
+        assert "∩" in text
+
+    def test_labels_shown(self):
+        p = Pattern.path(3, labels=[1, 2, 1])
+        text = ExplorationPlan.build(p).describe()
+        assert "label=" in text

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.core.atlas import motif_patterns
 from repro.engines import setops
 from repro.engines.setops import (
     GALLOP_RATIO,
@@ -99,6 +101,15 @@ class TestAdaptiveMatchesLegacy:
         b = np.arange(100, dtype=np.int64)
         assert intersect(a, b, SetOpStats()).tolist() == [1, 5, 9]
         assert difference(a, b, SetOpStats()).tolist() == []
+
+    def test_whole_session_results_identical(self, small_graph):
+        """The kernel equivalence composes: a morphed 3-motif run on the
+        legacy kernels returns exactly what the adaptive ones return."""
+        patterns = list(motif_patterns(3))
+        adaptive = repro.run(small_graph, patterns)
+        with use_adaptive(False):
+            legacy = repro.run(small_graph, patterns)
+        assert adaptive.results == legacy.results
 
 
 class TestStatsAccounting:

@@ -2,9 +2,8 @@
 """Lint the ``repro`` public API surface (CI gate).
 
 Fails (exit 1) when a facade's export contract is violated, for each
-linted module (the top-level ``repro`` package, the ``repro.bench``
-subsystem whose record/compare surface other tooling scripts against,
-``repro.plan``, and the ``repro.serve`` service facade):
+linted module (the top-level ``repro`` package, ``repro.plan``, and the
+``repro.serve`` service facade):
 
 * a name in ``__all__`` does not exist on the module;
 * a public symbol (non-underscore class/function defined somewhere in
@@ -63,12 +62,11 @@ def lint_module(module) -> list[str]:
 
 def main() -> int:
     import repro
-    import repro.bench
     import repro.plan
     import repro.serve
 
     failures: list[str] = []
-    modules = (repro, repro.bench, repro.plan, repro.serve)
+    modules = (repro, repro.plan, repro.serve)
     for module in modules:
         failures.extend(lint_module(module))
 
