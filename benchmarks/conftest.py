@@ -66,6 +66,12 @@ def orkut_partition(orkut):
 
 _BASELINE_CACHE: dict = {}
 
+#: The figures reproduce claims about per-root DFS matching (what the
+#: paper's systems run as compiled loops), so every session here pins
+#: the per-root kernel; sessions default to the batched one, where
+#: morphing is worth ~1.0x (EXPERIMENTS.md, "Kernel caveat").
+PER_ROOT = {"batch_roots": 0}
+
 
 def run_baseline_cached(engine_cls, graph, patterns, workload, aggregation=None):
     """Baseline (no-morph) run, cached per (engine, graph, workload).
@@ -78,7 +84,9 @@ def run_baseline_cached(engine_cls, graph, patterns, workload, aggregation=None)
 
     key = (engine_cls.__name__, graph.name, workload)
     if key not in _BASELINE_CACHE:
-        session = MorphingSession(engine_cls(), aggregation=aggregation, enabled=False)
+        session = MorphingSession(
+            engine_cls(), aggregation=aggregation, enabled=False, **PER_ROOT
+        )
         _BASELINE_CACHE[key] = session.run(graph, list(patterns))
     return _BASELINE_CACHE[key]
 
@@ -86,7 +94,9 @@ def run_baseline_cached(engine_cls, graph, patterns, workload, aggregation=None)
 def run_morphed(engine_cls, graph, patterns, aggregation=None):
     from repro.morph.session import MorphingSession
 
-    session = MorphingSession(engine_cls(), aggregation=aggregation, enabled=True)
+    session = MorphingSession(
+        engine_cls(), aggregation=aggregation, enabled=True, **PER_ROOT
+    )
     return session.run(graph, list(patterns))
 
 

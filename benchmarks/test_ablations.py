@@ -26,6 +26,8 @@ from repro.engines.peregrine.engine import PeregrineEngine
 from repro.engines.plan import ExplorationPlan
 from repro.morph.session import MorphingSession
 
+from .conftest import PER_ROOT
+
 
 def test_ablation_selection_margin(benchmark, mico):
     """Margin sweep on 4-MC: every setting must stay exact; the default
@@ -36,12 +38,16 @@ def test_ablation_selection_margin(benchmark, mico):
     """
     never = 1e-9
     queries = list(motif_patterns(4))
-    baseline = MorphingSession(PeregrineEngine(), enabled=False).run(mico, queries)
+    baseline = MorphingSession(PeregrineEngine(), enabled=False, **PER_ROOT).run(
+        mico, queries
+    )
 
     def sweep():
         times = {}
         for margin in (never, 0.6, 1.0, 1e9):
-            session = MorphingSession(PeregrineEngine(), enabled=True, margin=margin)
+            session = MorphingSession(
+                PeregrineEngine(), enabled=True, margin=margin, **PER_ROOT
+            )
             result = session.run(mico, queries)
             assert result.results == baseline.results
             times[margin] = result.total_seconds

@@ -14,15 +14,25 @@ the cost model usually declines FSM morphs; the asserted reproduction is
 * safety: the model-guided session stays within noise of baseline;
 * the §7.5 shape: forcing every morph (huge margin) is measurably slower
   than the cost-model-guided run.
+
+Every run here is pinned to the per-root kernel (``batch_roots=0``) —
+the kernel the paper's claim is about (EXPERIMENTS.md, "Kernel caveat").
+``repro.apps.fsm.mine_frequent_subgraphs`` takes no kernel option, so
+``_mine`` below runs its level loop on a session this module builds.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps.fsm import mine_frequent_subgraphs
+from repro.apps import fsm as fsm_mod
+from repro.core.aggregation import MNIAggregation
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.graph.generators import community_graph
+from repro.morph.cache import MeasurementCache
+from repro.morph.session import MorphingSession
+
+from .conftest import PER_ROOT
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +44,23 @@ def fsm_graph():
 _BASELINES: dict = {}
 
 
+def _mine(graph, threshold, max_edges=3, morph=True, margin=0.6):
+    """``mine_frequent_subgraphs`` on a per-root session (see above)."""
+    session = MorphingSession(
+        PeregrineEngine(),
+        aggregation=MNIAggregation(),
+        enabled=morph,
+        margin=margin,
+        cache=MeasurementCache() if morph else None,
+        **PER_ROOT,
+    )
+    return fsm_mod._mine_levels(session, graph, threshold, max_edges)
+
+
 def _baseline(graph, threshold, max_edges=3):
     key = (graph.name, threshold, max_edges)
     if key not in _BASELINES:
-        _BASELINES[key] = mine_frequent_subgraphs(
-            graph, threshold, max_edges=max_edges, morph=False
-        )
+        _BASELINES[key] = _mine(graph, threshold, max_edges, morph=False)
     return _BASELINES[key]
 
 
@@ -47,9 +68,7 @@ def _baseline(graph, threshold, max_edges=3):
 def test_fig13c_fsm_morphing(threshold, benchmark, fsm_graph):
     base = _baseline(fsm_graph, threshold)
     morphed = benchmark.pedantic(
-        lambda: mine_frequent_subgraphs(
-            fsm_graph, threshold, max_edges=3, morph=True
-        ),
+        lambda: _mine(fsm_graph, threshold),
         rounds=1,
         iterations=1,
     )
@@ -70,7 +89,7 @@ def test_fig13c_fsm_morphing(threshold, benchmark, fsm_graph):
 def test_fig13c_fsm_on_mico(benchmark, mico):
     base = _baseline(mico, 15)
     morphed = benchmark.pedantic(
-        lambda: mine_frequent_subgraphs(mico, 15, max_edges=3, morph=True),
+        lambda: _mine(mico, 15),
         rounds=1,
         iterations=1,
     )
@@ -83,42 +102,13 @@ def test_fig13c_fsm_on_mico(benchmark, mico):
 def test_fig13c_blind_morphing_is_slower(benchmark, fsm_graph):
     """§7.5: blindly morphing all input patterns loses to the query set
     (the paper's 22h-vs-14h case); the cost model exists to avoid this."""
-    from repro.apps.fsm import FSMResult
-    from repro.core.aggregation import MNIAggregation
-    from repro.morph.session import MorphingSession
-
     threshold = 14
     base = _baseline(fsm_graph, threshold)
-
-    def blind():
-        # margin >> 1 forces every legal morph regardless of cost.
-        engine = PeregrineEngine()
-        session = MorphingSession(
-            engine, aggregation=MNIAggregation(), enabled=True, margin=1e9
-        )
-        # Re-run the FSM levels manually with the forced session.
-        from repro.apps import fsm as fsm_mod
-
-        candidates = fsm_mod._seed_edge_patterns(fsm_graph)
-        result = FSMResult(frequent={}, support_threshold=threshold, max_edges=3)
-        level = 1
-        while candidates and level <= 3:
-            run = session.run(fsm_graph, candidates)
-            result.total_seconds += run.total_seconds
-            frequent_level = {}
-            for pattern, table in run.results.items():
-                support = MNIAggregation.support(table)
-                if support >= threshold:
-                    frequent_level[pattern] = support
-            result.frequent.update(frequent_level)
-            level += 1
-            if level > 3:
-                break
-            candidates = fsm_mod._extend_patterns(frequent_level, result.frequent)
-        return result
-
-    forced = benchmark.pedantic(blind, rounds=1, iterations=1)
-    guided = mine_frequent_subgraphs(fsm_graph, threshold, max_edges=3, morph=True)
+    # margin >> 1 forces every legal morph regardless of cost.
+    forced = benchmark.pedantic(
+        lambda: _mine(fsm_graph, threshold, margin=1e9), rounds=1, iterations=1
+    )
+    guided = _mine(fsm_graph, threshold)
     benchmark.extra_info["baseline_s"] = round(base.total_seconds, 3)
     benchmark.extra_info["guided_s"] = round(guided.total_seconds, 3)
     benchmark.extra_info["blind_s"] = round(forced.total_seconds, 3)

@@ -24,7 +24,13 @@ from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.morph.session import MorphingSession
 
-from .conftest import make_row, record_comparison, run_baseline_cached, run_morphed
+from .conftest import (
+    PER_ROOT,
+    make_row,
+    record_comparison,
+    run_baseline_cached,
+    run_morphed,
+)
 
 _PATTERNS = {"pV9": P9.vertex_induced(), "pV10": P10.vertex_induced()}
 
@@ -75,7 +81,9 @@ def test_fig15cd_forced_morph_validates_decline(benchmark, products_partition):
     guided = run_morphed(PeregrineEngine, products_partition, [pattern])
 
     def forced():
-        session = MorphingSession(PeregrineEngine(), enabled=True, margin=1e9)
+        session = MorphingSession(
+            PeregrineEngine(), enabled=True, margin=1e9, **PER_ROOT
+        )
         return session.run(products_partition, [pattern])
 
     forced_run = benchmark.pedantic(forced, rounds=1, iterations=1)

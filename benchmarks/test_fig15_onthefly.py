@@ -26,6 +26,8 @@ from repro.engines.peregrine.engine import PeregrineEngine
 from repro.graph.generators import random_weights
 from repro.morph.session import MorphingSession
 
+from .conftest import PER_ROOT
+
 
 def _smoothed_filter(graph, weights):
     """Two-hop smoothed weight window: a realistic heavier analytics UDF."""
@@ -54,7 +56,9 @@ def _cheap_filter(weights):
 def _run(graph, patterns, accept, enabled, margin=1.0):
     """margin=1.0 trusts the profiled filter cost outright; the cheap-
     filter case uses the default conservative margin instead."""
-    session = MorphingSession(PeregrineEngine(), enabled=enabled, margin=margin)
+    session = MorphingSession(
+        PeregrineEngine(), enabled=enabled, margin=margin, **PER_ROOT
+    )
     result = session.run_streaming(
         graph, patterns, lambda p, m: None, vertex_filter=accept
     )

@@ -121,11 +121,13 @@ def run(
     options:
         A :class:`repro.RunOptions` carrying the whole run
         configuration — aggregation, morphing/strategy, workers,
-        margin, caches, tracing, progress, batching and the four
+        margin, caches, tracing, progress, the match kernel and the four
         fault-tolerance knobs. See the ``RunOptions`` field docs (and
         the README's parameter table) for the semantics of each field.
         ``None`` runs with defaults: morphed counting, the ``"auto"``
-        strategy, serial, untraced.
+        strategy, serial, untraced, on the batched frontier kernel
+        (``batch_roots=0`` selects the per-root reference kernel;
+        results are identical).
 
     Returns
     -------

@@ -128,8 +128,8 @@ def _add_batch_roots(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="expand roots in vectorized frontier batches of N instead of "
-        "the per-root DFS kernels (identical results; try 2048)",
+        help="root-chunk size of the vectorized frontier kernel (default: "
+        "batched, 2048; 0 = per-root reference kernel; identical results)",
     )
 
 

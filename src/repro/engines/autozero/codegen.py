@@ -12,13 +12,10 @@ counts, same set-operation accounting) but runs the unrolled loops.
 ``compiled_source`` exposes the generated code for inspection/debugging,
 mirroring AutoMine's emitted kernels.
 
-``compile_plan_batched`` / ``run_compiled_batched`` are the batched
-analogues: instead of per-root loops the emitted kernel expands a whole
-frontier of roots per level through the vectorized primitives of
-:mod:`repro.engines.frontier`, with every constraint's column indices,
-bounds, and labels inlined as literals — a *batched schedule*. Output
-is byte-identical to both the per-root kernels and the interpreted
-batched kernel (:func:`repro.engines.frontier.run_plan_batched`).
+Only the per-root kernel is compiled. Under batching every engine runs
+the one frontier kernel (:func:`repro.engines.frontier.run_plan_batched`):
+all its time is inside numpy calls, so re-emitting it as source bought
+nothing and kept a second copy of the frontier segmentation.
 """
 
 from __future__ import annotations
@@ -185,263 +182,6 @@ def run_compiled(
     stopped_early = False
     try:
         count = kernel(graph, stats, on_match, root_window, should_stop)
-    except StopExploration:
-        stopped_early = True
-        count = 0
-    stats.total_seconds += time.perf_counter() - start
-    if not stopped_early:
-        stats.matches += count
-    stats.patterns_matched += 1
-    return count
-
-
-# -- batched schedules -----------------------------------------------------
-
-_BATCHED_CACHE: dict[tuple, Callable] = {}
-
-
-def _bound_expr(names: list[str], fn: str) -> str:
-    """``np.minimum``/``np.maximum`` chain over embedding columns."""
-    expr = names[0]
-    for name in names[1:]:
-        expr = f"np.{fn}({expr}, {name})"
-    return expr
-
-
-def _root_expr(plan: ExplorationPlan) -> str:
-    level = plan.levels[0]
-    if level.label is not None:
-        return (
-            f"graph.vertices_by_label.get({level.label!r}, EMPTY) "
-            "if graph.is_labeled else graph.all_vertices"
-        )
-    return "graph.all_vertices"
-
-
-def compiled_batched_source(plan: ExplorationPlan) -> str:
-    """Generated source for a plan's *batched* frontier kernel.
-
-    One ``descend{i}`` closure per level, deepest first, each a
-    straight-line block of vectorized primitives with the level's
-    constraints inlined as literals — the batched analogue of
-    :func:`compiled_source`'s unrolled loops. Frontier segmentation
-    (``frontier.MAX_FRONTIER_ROWS``) is emitted as a self-recursive
-    guard at the top of each closure, so memory stays bounded exactly
-    like the interpreted kernel.
-    """
-    depth = plan.depth
-    lines: list[str] = [
-        "def _batched_kernel(graph, stats, on_match, root_window=None,",
-        "                    should_stop=None, batch_roots=2048, on_batch=None):",
-        "    setops = stats.setops",
-        "    count = 0",
-        f"    roots = {_root_expr(plan)}",
-        "    if root_window is not None:",
-        "        roots = clip_to_window(roots, root_window)",
-        "    n_roots = len(roots)",
-    ]
-
-    def emit(line: str, pad: int) -> None:
-        lines.append("    " * pad + line)
-
-    # Tiled levels fan out over a base set that does not depend on the
-    # frontier: compute it (and its segment limit) once per kernel call.
-    for i in range(1, depth):
-        level = plan.levels[i]
-        if level.backward_neighbors:
-            continue
-        if level.label is not None:
-            base = (
-                f"graph.vertices_by_label.get({level.label!r}, EMPTY) "
-                "if graph.is_labeled else graph.all_vertices"
-            )
-        else:
-            base = "graph.all_vertices"
-        emit(f"base{i} = {base}", 1)
-        emit(
-            f"limit{i} = max(1, frontier.MAX_FRONTIER_ROWS // max(1, len(base{i})))",
-            1,
-        )
-
-    perm = [0] * plan.pattern.n
-    for i, lv in enumerate(plan.levels):
-        perm[lv.pattern_vertex] = i
-
-    for i in range(depth - 1, 0, -1):
-        level = plan.levels[i]
-        limit = (
-            "frontier.MAX_FRONTIER_ROWS" if level.backward_neighbors else f"limit{i}"
-        )
-        emit(f"def descend{i}(emb):", 1)
-        emit("if emb.shape[0] == 0:", 2)
-        emit("    return 0", 2)
-        emit(f"if emb.shape[0] > {limit}:", 2)
-        emit("    total = 0", 2)
-        emit(f"    for s in range(0, emb.shape[0], {limit}):", 2)
-        emit(f"        total += descend{i}(emb[s : s + {limit}])", 2)
-        emit("    return total", 2)
-        emit(f"# level {i}: pattern vertex {level.pattern_vertex}", 2)
-
-        bound_kwargs = []
-        if level.upper_bounds:
-            expr = _bound_expr([f"emb[:, {j}]" for j in level.upper_bounds], "minimum")
-            emit(f"upper = {expr}", 2)
-            bound_kwargs.append("upper=upper")
-        if level.lower_bounds:
-            expr = _bound_expr([f"emb[:, {j}]" for j in level.lower_bounds], "maximum")
-            emit(f"lower = {expr}", 2)
-            bound_kwargs.append("lower=lower")
-
-        if level.backward_neighbors:
-            j0 = level.backward_neighbors[0]
-            kwargs = (", " + ", ".join(bound_kwargs)) if bound_kwargs else ""
-            emit(
-                f"rows, cand = gather_frontier(graph, emb[:, {j0}], setops{kwargs})",
-                2,
-            )
-        else:
-            if level.lower_bounds:
-                emit(f'starts = np.searchsorted(base{i}, lower, side="right")', 2)
-            else:
-                emit("starts = np.zeros(emb.shape[0], dtype=np.int64)", 2)
-            if level.upper_bounds:
-                emit(f'ends = np.searchsorted(base{i}, upper, side="left")', 2)
-            else:
-                emit(f"ends = np.full(emb.shape[0], len(base{i}), dtype=np.int64)", 2)
-            emit(
-                f"rows, cand = ragged_take(base{i}, starts, "
-                "np.maximum(ends - starts, 0))",
-                2,
-            )
-            emit("setops.batched += 1", 2)
-            emit("setops.elements_scanned += len(cand)", 2)
-
-        if level.label is not None and level.backward_neighbors:
-            emit("if graph.is_labeled:", 2)
-            emit(f"    keep = graph.labels[cand] == {level.label!r}", 2)
-            emit("    rows = rows[keep]", 2)
-            emit("    cand = cand[keep]", 2)
-        for j in level.non_adjacent:
-            emit(f"keep = cand != emb[rows, {j}]", 2)
-            emit("rows = rows[keep]", 2)
-            emit("cand = cand[keep]", 2)
-        for j in level.backward_neighbors[1:]:
-            emit(f"keep = member_mask(graph, emb[rows, {j}], cand, setops)", 2)
-            emit("rows = rows[keep]", 2)
-            emit("cand = cand[keep]", 2)
-        for j in level.backward_anti:
-            emit(
-                f"keep = ~member_mask(graph, emb[rows, {j}], cand, setops, "
-                "difference=True)",
-                2,
-            )
-            emit("rows = rows[keep]", 2)
-            emit("cand = cand[keep]", 2)
-
-        if i == depth - 1:
-            emit("if on_match is None:", 2)
-            emit("    return len(cand)", 2)
-            emit(f"full = np.empty((len(rows), {depth}), dtype=np.int64)", 2)
-            emit(f"full[:, : {depth - 1}] = emb[rows]", 2)
-            emit(f"full[:, {depth - 1}] = cand", 2)
-            emit("emitted = 0", 2)
-            emit(f"for match_row in full[:, {perm!r}].tolist():", 2)
-            emit("    stats.materialized += 1", 2)
-            emit("    on_match(tuple(match_row))", 2)
-            emit("    emitted += 1", 2)
-            emit("return emitted", 2)
-        else:
-            emit(f"next_emb = np.empty((len(rows), {i + 1}), dtype=np.int64)", 2)
-            emit(f"next_emb[:, : {i}] = emb[rows]", 2)
-            emit(f"next_emb[:, {i}] = cand", 2)
-            emit(f"return descend{i + 1}(next_emb)", 2)
-
-    emit("for s in range(0, n_roots, batch_roots):", 1)
-    emit("if should_stop is not None and should_stop():", 2)
-    emit("    raise StopExploration()", 2)
-    emit("chunk = roots[s : s + batch_roots].astype(np.int64, copy=False)", 2)
-    if depth == 1:
-        emit("if on_match is None:", 2)
-        emit("    count += len(chunk)", 2)
-        emit("else:", 2)
-        emit("    for v in chunk.tolist():", 2)
-        emit("        stats.materialized += 1", 2)
-        emit("        on_match((v,))", 2)
-        emit("        count += 1", 2)
-    else:
-        emit("count += descend1(chunk.reshape(-1, 1))", 2)
-    emit("if on_batch is not None:", 2)
-    emit("    on_batch(min(1.0, (s + len(chunk)) / max(1, n_roots)))", 2)
-    emit("return count", 1)
-    return "\n".join(lines)
-
-
-def compile_plan_batched(plan: ExplorationPlan) -> Callable:
-    """Compile a plan into a batched frontier kernel (cached by shape)."""
-    key = tuple(level.signature + (level.non_adjacent,) for level in plan.levels) + (
-        plan.pattern.n,
-        tuple(lv.pattern_vertex for lv in plan.levels),
-    )
-    kernel = _BATCHED_CACHE.get(key)
-    if kernel is None:
-        import numpy as np
-
-        from repro.engines import frontier
-        from repro.engines.base import clip_to_window
-        from repro.engines.frontier import (
-            _EMPTY,
-            _ragged_take,
-            gather_frontier,
-            member_mask,
-        )
-
-        source = compiled_batched_source(plan)
-        namespace: dict = {}
-        exec(  # noqa: S102 - the source is generated locally, not user input
-            compile(source, f"<compiled-batched-plan-{key[-1]}>", "exec"),
-            {
-                "np": np,
-                "frontier": frontier,
-                "gather_frontier": gather_frontier,
-                "member_mask": member_mask,
-                "ragged_take": _ragged_take,
-                "clip_to_window": clip_to_window,
-                "StopExploration": StopExploration,
-                "EMPTY": _EMPTY,
-            },
-            namespace,
-        )
-        kernel = namespace["_batched_kernel"]
-        _BATCHED_CACHE[key] = kernel
-    return kernel
-
-
-def run_compiled_batched(
-    graph,
-    plan: ExplorationPlan,
-    stats: EngineStats,
-    on_match=None,
-    root_window=None,
-    should_stop=None,
-    batch_roots: int = 2048,
-    on_batch=None,
-) -> int:
-    """Drop-in for :func:`repro.engines.frontier.run_plan_batched`."""
-    if batch_roots < 1:
-        raise ValueError(f"batch_roots must be >= 1, got {batch_roots!r}")
-    kernel = compile_plan_batched(plan)
-    start = time.perf_counter()
-    stopped_early = False
-    try:
-        count = kernel(
-            graph,
-            stats,
-            on_match,
-            root_window,
-            should_stop,
-            batch_roots,
-            on_batch,
-        )
     except StopExploration:
         stopped_early = True
         count = 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.pattern import Pattern
-from repro.engines.autozero.codegen import run_compiled, run_compiled_batched
+from repro.engines.autozero.codegen import run_compiled
 from repro.engines.autozero.schedule import execute_merged_counts, merge_schedules
 from repro.engines.base import MiningEngine
 from repro.graph.datagraph import DataGraph
@@ -34,30 +34,14 @@ class AutoZeroEngine(MiningEngine):
     native_anti_edges = True
 
     def _execute(self, graph, plan, on_match=None, root_window=None, should_stop=None):
-        """Single-pattern paths run *compiled* kernels (AutoMine-style).
+        """Per-root single-pattern paths run *compiled* kernels (AutoMine-style).
 
-        With ``batch_roots`` set the compiled kernel is the *batched
-        schedule* (:func:`~repro.engines.autozero.codegen.compile_plan_batched`):
-        same inlined constants, but expanding a whole root frontier per
-        level through the vectorized frontier primitives.
+        With ``batch_roots`` set the engine runs the shared frontier
+        kernel like every other engine — there is nothing per-level left
+        to specialize once each level is a handful of numpy calls.
         """
         if self.batch_roots is not None:
-            with self.kernel_span(
-                "kernel.compiled_batched",
-                depth=plan.depth,
-                batch_roots=self.batch_roots,
-                window=list(root_window) if root_window else None,
-            ):
-                return run_compiled_batched(
-                    graph,
-                    plan,
-                    self.stats,
-                    on_match,
-                    root_window=root_window,
-                    should_stop=should_stop,
-                    batch_roots=self.batch_roots,
-                    on_batch=self._batch_hook(),
-                )
+            return super()._execute(graph, plan, on_match, root_window, should_stop)
         with self.kernel_span(
             "kernel.compiled",
             depth=plan.depth,
@@ -81,8 +65,8 @@ class AutoZeroEngine(MiningEngine):
             return {}
         if self.batch_roots is not None:
             # The merged-schedule interpreter is a per-root DFS by
-            # construction; under batching each pattern runs its own
-            # batched schedule instead (no loop sharing to report).
+            # construction; under batching each pattern runs the frontier
+            # kernel on its own (no loop sharing to report).
             self.last_sharing_ratio = 1.0
             return super().count_set(graph, patterns)
         plans = [self.make_plan(p, graph) for p in patterns]

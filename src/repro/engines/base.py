@@ -289,8 +289,10 @@ class MiningEngine(ABC):
         #: Batched frontier matching (:mod:`repro.engines.frontier`):
         #: ``None`` keeps the per-root kernels; an int expands roots in
         #: chunks of that size through the vectorized frontier kernel.
-        #: Set by the session's ``batch_roots`` knob; pickles to pool
-        #: workers, so shards batch exactly like the parent would.
+        #: Mechanism only — a bare engine is per-root; sessions set this
+        #: from ``RunOptions.resolved_batch_roots()`` (batched unless
+        #: ``batch_roots=0``). Pickles to pool workers, so shards batch
+        #: exactly like the parent would.
         self.batch_roots: int | None = None
         #: Live :class:`repro.observe.ProgressReporter` during a run
         #: with both progress and batching enabled — the batched kernel

@@ -2,16 +2,19 @@
 
 The per-root kernel (:func:`repro.engines.base.run_plan`) expands one
 root vertex at a time through a Python DFS loop — morphbench's
-``mc4-count`` puts 99.8% of an op in that loop. This module replaces
-it, opt-in, with a *frontier* formulation: thousands of root candidates
-expand level-by-level at once, every constraint applied as one
-vectorized numpy operation over the whole batch.
+``mc4-count`` put 99.8% of an op in that loop. This module is the
+**default** match kernel (``RunOptions.batch_roots=None``; ``0`` selects
+the per-root reference kernel): a *frontier* formulation in which
+thousands of root candidates expand level-by-level at once, every
+constraint applied as one vectorized numpy operation over the whole
+batch.
 
 Data layout (see docs/architecture.md, "Batched frontier matching"):
 
-* the **frontier matrix** ``emb`` — an ``int64`` array of shape
-  ``(R, k)``: R partial embeddings, column ``i`` holding the data
-  vertex matched at plan level ``i``;
+* the **frontier matrix** ``emb`` — an array of shape ``(R, k)`` in the
+  graph's index dtype (``int32`` unless the graph has over 2³¹
+  vertices): R partial embeddings, column ``i`` holding the data vertex
+  matched at plan level ``i``;
 * **per-row CSR slicing** — expanding level ``k`` gathers each row's
   candidate neighbors directly out of the graph's flat ``indices``
   array (``np.repeat`` of row starts + a cumulative-sum offset trick),
@@ -28,12 +31,31 @@ Data layout (see docs/architecture.md, "Batched frontier matching"):
   first, compacting between passes so every probe runs over an
   already-shrunk frontier.
 
+**The element budget.** Transient memory is a constant, not a function
+of the graph: before a level gathers anything, every frontier row's
+cut-point width is already known, so the frontier is split where the
+cumulative width crosses :data:`FRONTIER_ELEMENT_BUDGET` (a row wider
+than the whole budget is itself cut into budget-sized pieces) and the
+segments descend depth-first, in order. No gather, mask or probe ever
+spans more than the budget, so a run holds at most ``depth`` segments'
+worth of temporaries whatever the graph's size or skew. The budget is
+deliberately small (``1 << 12`` elements — a 32 KiB index array): a
+segment's arrays then stay cache-resident from the gather through the
+last probe, so wide segments buy nothing (4-motif count on a 900-vertex
+power-law graph, CPU seconds: 0.35 / 0.33 / 0.32 / 0.32 at 2 k / 4 k /
+8 k / 16 k elements), while every doubling from here adds about
+0.3 MiB to the heap of *each* thread that matches — a daemon's workers
+keep their malloc arenas — which is what holds peak RSS at the per-root
+kernel's. ``should_stop`` is polled once per segment, so cancellation
+and deadline latency are bounded by the budget as well.
+
 The expansion preserves the per-root DFS enumeration order exactly:
 CSR rows are sorted ascending, ``np.repeat`` keeps frontier rows in
-order, and masking is order-stable — so the final embeddings appear in
-the same lexicographic order the recursive kernel emits, and batched
-results are **byte-identical** to per-root results (the
-``tests/test_frontier.py`` differential matrix pins this).
+order, masking is order-stable, and segments are contiguous row ranges
+visited in order — so the final embeddings appear in the same
+lexicographic order the recursive kernel emits, and batched results are
+**byte-identical** to per-root results (the ``tests/test_frontier.py``
+differential matrix pins this).
 
 Set-operation accounting: each vectorized membership pass counts as one
 intersection/difference in :class:`~repro.engines.setops.SetOpStats`
@@ -45,7 +67,7 @@ for batched runs and ``kernel_span()`` reports the batched-op deltas.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -61,18 +83,19 @@ from repro.graph.datagraph import DataGraph
 
 __all__ = [
     "DEFAULT_BATCH_ROOTS",
-    "gather_frontier",
+    "FRONTIER_ELEMENT_BUDGET",
+    "level_cuts",
     "member_mask",
     "run_plan_batched",
 ]
 
-#: Root-chunk size when ``batch_roots`` is requested without a number.
+#: Root-chunk size of the default kernel (``RunOptions.batch_roots=None``).
 DEFAULT_BATCH_ROOTS = 2048
 
-#: Frontier-row budget: a frontier wider than this is split into
-#: segments (processed in order, so results are unaffected) to bound
-#: the memory of one expansion. Overridable for tests.
-MAX_FRONTIER_ROWS = 1 << 18
+#: Candidates one gather/mask/probe pass may span (see the module
+#: docstring): the frontier is split where the cumulative per-row
+#: cut-point width crosses it. Tests patch it down to 1.
+FRONTIER_ELEMENT_BUDGET = 1 << 12
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
@@ -87,60 +110,105 @@ def _ragged_take(
     to, and the element itself, rows in order and each row's slice kept
     contiguous — the layout every frontier kernel builds on.
     """
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return _EMPTY, _EMPTY
-    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    # Within-row offsets: a flat arange minus each row's exclusive
-    # cumulative start, then added to the repeated slice starts.
-    exclusive = np.cumsum(counts) - counts
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(exclusive, counts)
-    cand = values[np.repeat(starts, counts) + offsets].astype(np.int64, copy=False)
-    return rows, cand
+    rows = np.repeat(np.arange(len(counts)), counts)
+    # Output element k of row r reads values[k + starts[r] - (elements
+    # before row r)]: one per-row shift, spread by ``rows``, plus a flat
+    # arange — built in place so only three full-width arrays are live.
+    shift = starts - ends
+    shift += counts
+    index = shift[rows]
+    index += np.arange(total)
+    return rows, values[index]
 
 
-def gather_frontier(
+def _packed_keys(graph: DataGraph, owners: np.ndarray) -> np.ndarray:
+    """``owners * n``: each owner's row offset into ``adjacency_keys``.
+
+    Computed in the key array's own dtype, which is wide enough for
+    ``n² - 1`` by construction — so the product cannot wrap, and adding
+    a vertex id to it yields a probe ``searchsorted`` need not convert.
+    """
+    return np.multiply(owners, graph.num_vertices, dtype=graph.adjacency_keys.dtype)
+
+
+def _level_bounds(
+    level: PlanLevel, emb: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Per-row strict (lower, upper) symmetry-breaking bounds, or None."""
+    upper = lower = None
+    if level.upper_bounds:
+        upper = emb[:, level.upper_bounds[0]]
+        for j in level.upper_bounds[1:]:
+            upper = np.minimum(upper, emb[:, j])
+    if level.lower_bounds:
+        lower = emb[:, level.lower_bounds[0]]
+        for j in level.lower_bounds[1:]:
+            lower = np.maximum(lower, emb[:, j])
+    return lower, upper
+
+
+def level_cuts(
     graph: DataGraph,
-    owners: np.ndarray,
+    level: PlanLevel,
+    emb: np.ndarray,
     stats: SetOpStats,
-    *,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated CSR neighbor slices for a column of frontier vertices.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every frontier row's candidate slice, before anything is gathered.
 
-    ``owners[i]`` is the data vertex whose adjacency row seeds row ``i``'s
-    candidates. Returns ``(rows, cand)``: for every gathered candidate,
-    the frontier row it belongs to and its vertex id, with candidates of
-    one row contiguous and ascending (CSR rows are sorted) — the order
-    the per-root DFS kernel would visit them in.
+    Returns ``(values, starts, counts)``: row ``i``'s candidates are
+    ``values[starts[i] : starts[i] + counts[i]]``, ascending — the order
+    the per-root DFS kernel would visit them in. With a backward
+    neighbor ``values`` is the graph's flat CSR ``indices`` and the slice
+    is the adjacency row of the vertex matched at that level; without
+    one (a *tiled* level) every row fans out over the shared sorted base
+    (the label's vertex set, or all vertices).
 
-    ``lower`` / ``upper`` are optional per-row strict bounds: row ``i``
-    only gathers neighbors ``> lower[i]`` / ``< upper[i]``. Because the
-    packed key array shares the CSR layout (row ``u``'s keys occupy the
-    same flat positions as its ``indices`` slice), one ``searchsorted``
-    of ``owner * n + bound`` yields every row's cut-point at once — the
-    bounds are applied *before* any candidate is materialized, which is
-    what keeps star-shaped patterns from gathering the full hub row for
-    every frontier entry.
+    The level's strict symmetry-breaking bounds are folded into the
+    cut-points: because the packed key array shares the CSR layout (row
+    ``u``'s keys occupy the same flat positions as its ``indices``
+    slice), one ``searchsorted`` of ``owner * n + bound`` yields every
+    row's cut at once — the bounds apply *before* any candidate is
+    materialized, which is what keeps star-shaped patterns from
+    gathering the full hub row for every frontier entry, and what lets
+    the element budget split the frontier by widths it already knows.
     """
     start = time.perf_counter()
-    indptr = graph.indptr
-    starts = indptr[owners]
-    ends = indptr[owners + 1]
-    if (lower is not None or upper is not None) and len(owners):
-        keys = graph.adjacency_keys
-        scale = np.int64(graph.num_vertices)
+    lower, upper = _level_bounds(level, emb)
+    if level.backward_neighbors:
+        values = graph.indices
+        owners = emb[:, level.backward_neighbors[0]]
+        indptr = graph.indptr
+        starts = indptr[owners]
+        ends = indptr[owners + 1]
+        if (lower is not None or upper is not None) and len(owners):
+            keys = graph.adjacency_keys
+            packed = _packed_keys(graph, owners)
+            if lower is not None:
+                starts = np.searchsorted(keys, packed + lower, side="right")
+            if upper is not None:
+                ends = np.searchsorted(keys, packed + upper, side="left")
+    else:
+        if level.label is not None and graph.is_labeled:
+            values = graph.vertices_by_label.get(level.label, _EMPTY)
+        else:
+            values = graph.all_vertices
+        n_rows = emb.shape[0]
         if lower is not None:
-            starts = np.searchsorted(keys, owners * scale + lower, side="right")
+            starts = np.searchsorted(values, lower, side="right")
+        else:
+            starts = np.zeros(n_rows, dtype=np.int64)
         if upper is not None:
-            ends = np.searchsorted(keys, owners * scale + upper, side="left")
+            ends = np.searchsorted(values, upper, side="left")
+        else:
+            ends = np.full(n_rows, len(values), dtype=np.int64)
     counts = np.maximum(ends - starts, 0)
-    rows, cand = _ragged_take(graph.indices, starts, counts)
     stats.batched += 1
-    stats.elements_scanned += len(cand)
     stats.seconds += time.perf_counter() - start
-    return rows, cand
+    return values, starts, counts
 
 
 def member_mask(
@@ -176,7 +244,8 @@ def member_mask(
         found = np.zeros(n, dtype=bool)
     else:
         keys = graph.adjacency_keys
-        probes = owners * np.int64(graph.num_vertices) + cand
+        probes = _packed_keys(graph, owners)
+        probes += cand
         pos = np.searchsorted(keys, probes)
         np.minimum(pos, len(keys) - 1, out=pos)
         found = keys[pos] == probes
@@ -190,31 +259,15 @@ def member_mask(
     return found
 
 
-def _level_bounds(
-    level: PlanLevel, emb: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Per-row strict (lower, upper) symmetry-breaking bounds, or None."""
-    upper = lower = None
-    if level.upper_bounds:
-        upper = emb[:, level.upper_bounds[0]]
-        for j in level.upper_bounds[1:]:
-            upper = np.minimum(upper, emb[:, j])
-    if level.lower_bounds:
-        lower = emb[:, level.lower_bounds[0]]
-        for j in level.lower_bounds[1:]:
-            lower = np.maximum(lower, emb[:, j])
-    return lower, upper
-
-
 def count_only_level(graph: DataGraph, level: PlanLevel) -> bool:
-    """True when a level's candidate *count* equals its gather width.
+    """True when a level's candidate *count* equals its cut-point width.
 
-    Holds when nothing filters candidates after the bound-folded gather:
+    Holds when nothing filters candidates after the bound-folded cuts:
     at most one backward neighbor (the gather source), no anti-edge
     masks, no label mask, and no injectivity masks beyond those the
     strict symmetry-breaking bounds already subsume (``cand > emb[j]``
     or ``cand < emb[j]`` implies ``cand != emb[j]``). For such a level
-    the final count is just the sum of the per-row cut-point widths — no
+    the final count is just the sum of :func:`level_cuts`' widths — no
     candidate needs to be materialized at all (the batched analogue of
     the per-root kernel's ``len(cand)`` counting fast path, one level
     earlier).
@@ -231,98 +284,61 @@ def count_only_level(graph: DataGraph, level: PlanLevel) -> bool:
     return True
 
 
-def level_count(
-    graph: DataGraph,
-    level: PlanLevel,
-    emb: np.ndarray,
-    stats: SetOpStats,
-) -> int:
-    """Count a :func:`count_only_level`'s candidates without gathering.
+def _budget_segments(
+    starts: np.ndarray, counts: np.ndarray, budget: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Split a frontier where its cumulative cut-point width crosses ``budget``.
 
-    Computes the same per-row cut-points the gather would use and sums
-    their widths — the whole last level collapses to two
-    ``searchsorted`` calls and one reduction.
+    Yields ``(lo, hi, starts, counts)``: frontier rows ``lo:hi`` and the
+    slice of each to gather now, at most ``budget`` elements in all.
+    Pieces are contiguous and in row order, so consuming them in turn
+    visits every ``(row, candidate)`` pair exactly once in the unsplit
+    order. A single row wider than the budget is itself cut into
+    budget-sized pieces (``hi == lo + 1``, consecutive sub-slices).
     """
-    start = time.perf_counter()
-    lower, upper = _level_bounds(level, emb)
-    if level.backward_neighbors:
-        owners = emb[:, level.backward_neighbors[0]]
-        indptr = graph.indptr
-        starts = indptr[owners]
-        ends = indptr[owners + 1]
-        if (lower is not None or upper is not None) and len(owners):
-            keys = graph.adjacency_keys
-            scale = np.int64(graph.num_vertices)
-            if lower is not None:
-                starts = np.searchsorted(keys, owners * scale + lower, side="right")
-            if upper is not None:
-                ends = np.searchsorted(keys, owners * scale + upper, side="left")
-    else:
-        if level.label is not None and graph.is_labeled:
-            base = graph.vertices_by_label.get(level.label, _EMPTY)
+    n = len(counts)
+    ends = np.cumsum(counts)
+    if n == 0 or ends[-1] <= budget:
+        yield 0, n, starts, counts
+        return
+    lo = taken = 0
+    while lo < n:
+        hi = int(np.searchsorted(ends, taken + budget, side="right"))
+        if hi > lo:
+            yield lo, hi, starts[lo:hi], counts[lo:hi]
         else:
-            base = graph.all_vertices
-        n_rows = emb.shape[0]
-        if lower is not None:
-            starts = np.searchsorted(base, lower, side="right")
-        else:
-            starts = np.zeros(n_rows, dtype=np.int64)
-        if upper is not None:
-            ends = np.searchsorted(base, upper, side="left")
-        else:
-            ends = np.full(n_rows, len(base), dtype=np.int64)
-    total = int(np.maximum(ends - starts, 0).sum())
-    stats.batched += 1
-    stats.seconds += time.perf_counter() - start
-    return total
+            hi = lo + 1
+            first, width = int(starts[lo]), int(counts[lo])
+            for offset in range(0, width, budget):
+                yield (
+                    lo,
+                    hi,
+                    np.array([first + offset]),
+                    np.array([min(budget, width - offset)]),
+                )
+        taken = int(ends[hi - 1])
+        lo = hi
 
 
-def level_batch(
+def _filter_candidates(
     graph: DataGraph,
     level: PlanLevel,
     emb: np.ndarray,
+    rows: np.ndarray,
+    cand: np.ndarray,
     stats: SetOpStats,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One level's batched candidate generation: compacted ``(rows, cand)``.
+    """Apply a level's remaining constraints to gathered ``(rows, cand)``.
 
-    Applies the same constraint set as
-    :func:`repro.engines.base.level_candidates`, but over a whole
-    frontier and in cost order rather than plan order (every constraint
-    is a filter, so application order cannot change the surviving set,
-    and compaction is order-stable, so it cannot change the sequence
-    either): symmetry-breaking bounds fold into the gather itself, cheap
-    columnwise comparisons (labels, injectivity) go next, and the
-    packed-key membership probes — the expensive passes — run last over
-    an already-compacted frontier, shrinking it again after each probe.
+    The same constraint set as :func:`repro.engines.base.level_candidates`
+    but in cost order rather than plan order (every constraint is a
+    filter, so application order cannot change the surviving set, and
+    compaction is order-stable, so it cannot change the sequence
+    either): the bounds are already in the cuts, cheap columnwise
+    comparisons (labels, injectivity) go next, and the packed-key
+    membership probes — the expensive passes — run last over an
+    already-compacted frontier, shrinking it again after each probe.
     """
-    lower, upper = _level_bounds(level, emb)
-
-    if level.backward_neighbors:
-        j0 = level.backward_neighbors[0]
-        rows, cand = gather_frontier(
-            graph, emb[:, j0], stats, lower=lower, upper=upper
-        )
-    else:
-        # No backward edge to gather from: every row fans out over the
-        # label set / vertex range, per-row bound cut-points found by one
-        # searchsorted into the shared sorted base.
-        if level.label is not None and graph.is_labeled:
-            base = graph.vertices_by_label.get(level.label, _EMPTY)
-        else:
-            base = graph.all_vertices
-        n_rows = emb.shape[0]
-        if lower is not None:
-            starts = np.searchsorted(base, lower, side="right")
-        else:
-            starts = np.zeros(n_rows, dtype=np.int64)
-        if upper is not None:
-            ends = np.searchsorted(base, upper, side="left")
-        else:
-            ends = np.full(n_rows, len(base), dtype=np.int64)
-        rows, cand = _ragged_take(base, starts, np.maximum(ends - starts, 0))
-        stats.batched += 1
-        stats.elements_scanned += len(cand)
-
     mask = None
     if level.label is not None and graph.is_labeled and level.backward_neighbors:
         labels = graph.labels
@@ -346,19 +362,6 @@ def level_batch(
     return rows, cand
 
 
-def _segment_limit(graph: DataGraph, level: PlanLevel) -> int:
-    """Frontier rows one expansion of ``level`` may take at once."""
-    if level.backward_neighbors:
-        return MAX_FRONTIER_ROWS
-    # Tiled levels fan out |base| candidates per row: keep the product
-    # under the row budget so disconnected plans cannot blow memory.
-    if level.label is not None and graph.is_labeled:
-        base_len = len(graph.vertices_by_label.get(level.label, _EMPTY))
-    else:
-        base_len = graph.num_vertices
-    return max(1, MAX_FRONTIER_ROWS // max(1, base_len))
-
-
 def _pattern_order(plan: ExplorationPlan) -> list[int]:
     """Column permutation turning level order into pattern-vertex order."""
     by_vertex = {lv.pattern_vertex: i for i, lv in enumerate(plan.levels)}
@@ -373,47 +376,55 @@ def _descend_batched(
     stats: EngineStats,
     on_match,
     perm: list[int],
+    should_stop,
 ) -> int:
-    """Expand a frontier through levels ``level_index..depth-1``."""
-    depth = plan.depth
+    """Expand a frontier through levels ``level_index..depth-1``.
+
+    Depth-first over budget-sized segments: a segment's survivors
+    descend to the next level before the next segment is gathered, so
+    at most one segment per level is alive at a time.
+    """
     if emb.shape[0] == 0:
         return 0
+    setops = stats.setops
     level = plan.levels[level_index]
-    if (
-        level_index == depth - 1
-        and on_match is None
-        and count_only_level(graph, level)
+    last = level_index == plan.depth - 1
+    values, starts, counts = level_cuts(graph, level, emb, setops)
+    if last and on_match is None and count_only_level(graph, level):
+        # Counting fast path: the widths are the answer.
+        return int(counts.sum())
+    total = 0
+    for lo, hi, seg_starts, seg_counts in _budget_segments(
+        starts, counts, FRONTIER_ELEMENT_BUDGET
     ):
-        # Counting fast path: no candidate materialization, so no
-        # segment split is needed either.
-        return level_count(graph, level, emb, stats.setops)
-    limit = _segment_limit(graph, level)
-    if emb.shape[0] > limit:
-        total = 0
-        for s in range(0, emb.shape[0], limit):
+        if should_stop is not None and should_stop():
+            raise StopExploration()
+        segment = emb[lo:hi]
+        start = time.perf_counter()
+        rows, cand = _ragged_take(values, seg_starts, seg_counts)
+        setops.batched += 1
+        setops.elements_scanned += len(cand)
+        setops.seconds += time.perf_counter() - start
+        rows, cand = _filter_candidates(graph, level, segment, rows, cand, setops)
+        if last and on_match is None:
+            total += len(cand)
+            continue
+        if len(cand) == 0:
+            continue
+        full = np.empty((len(rows), level_index + 1), dtype=emb.dtype)
+        full[:, :level_index] = segment[rows]
+        full[:, level_index] = cand
+        del rows, cand  # only ``full`` stays alive across the descent
+        if not last:
             total += _descend_batched(
-                graph, plan, emb[s : s + limit], level_index, stats, on_match, perm
+                graph, plan, full, level_index + 1, stats, on_match, perm, should_stop
             )
-        return total
-    rows, cand = level_batch(graph, level, emb, stats.setops)
-    if level_index == depth - 1:
-        if on_match is None:
-            return len(cand)
-        full = np.empty((len(rows), depth), dtype=np.int64)
-        full[:, : depth - 1] = emb[rows]
-        full[:, depth - 1] = cand
-        emitted = 0
+            continue
         for match_row in full[:, perm].tolist():
             stats.materialized += 1
             on_match(tuple(match_row))
-            emitted += 1
-        return emitted
-    next_emb = np.empty((len(rows), level_index + 1), dtype=np.int64)
-    next_emb[:, :level_index] = emb[rows]
-    next_emb[:, level_index] = cand
-    return _descend_batched(
-        graph, plan, next_emb, level_index + 1, stats, on_match, perm
-    )
+        total += len(full)
+    return total
 
 
 def _root_candidates(
@@ -443,15 +454,17 @@ def run_plan_batched(
     """Batched drop-in for :func:`repro.engines.base.run_plan`.
 
     Roots are processed in chunks of ``batch_roots``; within a chunk the
-    whole frontier expands level-by-level through vectorized numpy
-    kernels. Results — counts, and the order and content of every
-    ``on_match`` stream — are byte-identical to the per-root kernel.
+    frontier expands level-by-level through vectorized numpy kernels, in
+    segments of at most :data:`FRONTIER_ELEMENT_BUDGET` candidates.
+    Results — counts, and the order and content of every ``on_match``
+    stream — are byte-identical to the per-root kernel.
 
-    ``should_stop`` is polled once per root chunk (the per-root kernel
-    polls per root; both grains only change how much *extra* work a
-    cancelled shard performs, never the results of completed shards).
-    ``on_batch`` receives the completed root fraction after each chunk —
-    the progress reporter's per-batch ETA recalibration hook.
+    ``should_stop`` is polled once per root chunk and once per segment
+    (the per-root kernel polls per root; the grain only changes how much
+    *extra* work a cancelled shard performs, never the results of
+    completed shards). ``on_batch`` receives the completed root fraction
+    after each chunk — the progress reporter's per-batch ETA
+    recalibration hook.
     """
     if batch_roots < 1:
         raise ValueError(f"batch_roots must be >= 1, got {batch_roots!r}")
@@ -466,7 +479,7 @@ def run_plan_batched(
         for s in range(0, n_roots, batch_roots):
             if should_stop is not None and should_stop():
                 raise StopExploration()
-            chunk = roots[s : s + batch_roots].astype(np.int64, copy=False)
+            chunk = roots[s : s + batch_roots]
             if depth == 1:
                 if on_match is None:
                     count += len(chunk)
@@ -477,7 +490,7 @@ def run_plan_batched(
                         count += 1
             else:
                 count += _descend_batched(
-                    graph, plan, chunk[:, None], 1, stats, on_match, perm
+                    graph, plan, chunk[:, None], 1, stats, on_match, perm, should_stop
                 )
             if on_batch is not None:
                 on_batch(min(1.0, (s + len(chunk)) / max(1, n_roots)))

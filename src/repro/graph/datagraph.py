@@ -28,10 +28,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
-#: Largest vertex count that still gets a dense boolean adjacency matrix
-#: (``n²`` bytes; 8192² = 64 MiB). Bigger graphs answer batch membership
-#: through the sorted ``adjacency_keys`` binary search instead.
-DENSE_ADJACENCY_MAX_VERTICES = 8192
+#: Byte cap of the dense boolean adjacency matrix (``n²`` bytes, so
+#: n <= 1024): small enough to stay cache-resident and to be noise in a
+#: process's peak RSS. Bigger graphs answer batch membership through the
+#: sorted ``adjacency_keys`` binary search, which measured as fast.
+DENSE_ADJACENCY_MAX_BYTES = 1 << 20
 
 
 def _index_dtype(num_vertices: int) -> np.dtype:
@@ -249,27 +250,33 @@ class DataGraph:
         ``np.searchsorted`` against this array answers a whole batch of
         "is ``v`` adjacent to ``u``?" probes at once (the batched
         frontier kernels' workhorse). Sorted by construction — CSR rows
-        ascend by head, and each row's tail list is sorted.
+        ascend by head, and each row's tail list is sorted. 32-bit
+        while the largest key (``n² - 1``) fits, which halves both the
+        array and every probe batch built to search it; callers pack
+        probes in ``adjacency_keys.dtype``.
         """
-        heads = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(self._indptr)
-        )
-        keys = heads * np.int64(self.num_vertices) + self._indices
+        n = self.num_vertices
+        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        # Built in place: one full-length array, no temporaries.
+        keys = np.repeat(np.arange(n, dtype=dtype), np.diff(self._indptr))
+        keys *= n
+        keys += self._indices
         keys.flags.writeable = False
         return keys
 
     @cached_property
     def dense_adjacency(self) -> np.ndarray | None:
-        """Dense boolean adjacency matrix, or ``None`` above the size cap.
+        """Dense boolean adjacency matrix, or ``None`` above the byte cap.
 
         ``dense[u, v]`` answers adjacency with a single 2-D fancy index —
         the fastest batch membership primitive there is, but it costs
-        ``n²`` bytes, so it only exists for graphs small enough that the
-        matrix stays cache-friendly (``DENSE_ADJACENCY_MAX_VERTICES``).
-        Larger graphs fall back to the ``adjacency_keys`` binary search.
+        ``n²`` bytes, so it only exists while that stays under
+        ``DENSE_ADJACENCY_MAX_BYTES`` (1 MiB, i.e. n <= 1024): the matrix
+        is then cache-resident and invisible in peak RSS. Larger graphs
+        use the ``adjacency_keys`` binary search.
         """
         n = self.num_vertices
-        if n > DENSE_ADJACENCY_MAX_VERTICES:
+        if n * n > DENSE_ADJACENCY_MAX_BYTES:
             return None
         dense = np.zeros((n, n), dtype=bool)
         heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))

@@ -26,7 +26,7 @@ from repro.engines.base import MiningEngine
 
 PEREGRINE_PROFILE = EngineCostProfile(
     name="peregrine",
-    unit_seconds=2.3e-6,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=9.4e-7,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=2.0,
     difference_weight=2.5,
     materialize_weight=1.5,
@@ -36,7 +36,7 @@ PEREGRINE_PROFILE = EngineCostProfile(
 
 AUTOZERO_PROFILE = EngineCostProfile(
     name="autozero",
-    unit_seconds=2.7e-6,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=1.2e-6,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=1.2,  # merged schedules share loop prefixes
     difference_weight=1.8,
     materialize_weight=1.5,
@@ -46,7 +46,7 @@ AUTOZERO_PROFILE = EngineCostProfile(
 
 GRAPHPI_PROFILE = EngineCostProfile(
     name="graphpi",
-    unit_seconds=2.3e-6,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=1.2e-6,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=1.8,  # model-selected orders shave set-op work
     difference_weight=2.3,
     materialize_weight=1.5,
@@ -68,7 +68,7 @@ BIGJOIN_PROFILE = EngineCostProfile(
 
 SUMPA_PROFILE = EngineCostProfile(
     name="sumpa",
-    unit_seconds=2.5e-6,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=9.9e-7,  # tools/calibrate_costmodel.py --run-suite
     native_anti_edges=True,
 )
 

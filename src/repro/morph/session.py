@@ -410,17 +410,19 @@ class MorphingSession:
         per-step measurement (identical results), and ``progress=None``
         (the default) costs one ``is None`` test per step.
 
-        ``batch_roots`` switches the wrapped engine's match kernels to
-        the vectorized batched-frontier path
-        (:mod:`repro.engines.frontier`): roots expand in chunks of that
-        size through whole-frontier numpy set-ops instead of a per-root
-        Python DFS. Results — counts, MNI tables, ordered match lists —
-        are byte-identical to the default per-root path (the
-        ``tests/test_frontier.py`` differential matrix pins this), and
-        the setting composes with every other knob: shards feed root
-        batches, so workers/retries/deadlines/checkpoints behave
-        unchanged, and with ``progress`` the ETA recalibrates after
-        every chunk. ``None`` (the default) keeps the per-root kernels.
+        ``batch_roots`` picks the match kernel. ``None`` (the default)
+        runs the vectorized batched-frontier kernel
+        (:mod:`repro.engines.frontier`) in root chunks of
+        ``DEFAULT_BATCH_ROOTS`` (2048): roots expand through
+        whole-frontier numpy set-ops, in segments of a fixed element
+        budget, instead of a per-root Python DFS. ``N >= 1`` sets the
+        chunk size; ``0`` selects the per-root reference kernel. Results
+        — counts, MNI tables, ordered match lists — are byte-identical
+        across all of them (the ``tests/test_frontier.py`` differential
+        matrix pins this), and the setting composes with every other
+        knob: shards feed root batches, so
+        workers/retries/deadlines/checkpoints behave unchanged, and with
+        ``progress`` the ETA recalibrates after every chunk.
 
         **Fault tolerance** (any of the four below activates it; matching
         then always routes through the sharded path, in-process when
@@ -474,7 +476,8 @@ class MorphingSession:
         self.executor = executor
         self.tracer, _ = options.resolved_tracer()
         self.progress = options.resolved_progress()
-        self.batch_roots = options.batch_roots
+        #: Engine-level kernel setting (chunk size, ``None`` = per-root).
+        self.batch_roots = options.resolved_batch_roots()
         self.deadline_seconds = options.deadline_seconds
         self.checkpoint = options.checkpoint
         self.retry = options.retry
@@ -926,8 +929,9 @@ def compare_baseline_and_morphed(
     cache warms across the two runs in call order (baseline first).
     ``tracer`` traces the **morphed** run (the side whose per-stage
     telemetry the figures need); trace the baseline by running it
-    directly with its own session. ``batch_roots`` selects the batched
-    frontier kernels on both sides (identical results either way).
+    directly with its own session. ``batch_roots`` picks the match kernel
+    on both sides (``None`` = batched default, ``0`` = per-root;
+    identical results either way).
     ``strategy`` picks the morphed side's rewrite strategy (the baseline
     side never rewrites by definition).
     """

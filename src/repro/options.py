@@ -107,6 +107,10 @@ class RunOptions:
     strategy: str = "auto"
     workers: int = 1
     margin: float = 0.6
+    #: Match kernel: ``None`` (default) is the batched frontier kernel in
+    #: root chunks of ``DEFAULT_BATCH_ROOTS`` (2048), ``N >= 1`` the same
+    #: kernel in chunks of N, ``0`` the per-root reference kernel.
+    #: Results are byte-identical either way.
     batch_roots: int | None = None
     #: Positive seconds (wire) or a live armed ``Deadline`` (local only —
     #: lets a supervisor such as a serve-side sentinel cancel the run
@@ -150,10 +154,11 @@ class RunOptions:
         if not isinstance(self.margin, (int, float)) or self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin!r}")
         if self.batch_roots is not None and (
-            not isinstance(self.batch_roots, int) or self.batch_roots < 1
+            not isinstance(self.batch_roots, int) or self.batch_roots < 0
         ):
             raise ValueError(
-                f"batch_roots must be >= 1, got {self.batch_roots!r}"
+                f"batch_roots must be >= 0 (0 = per-root kernel), got "
+                f"{self.batch_roots!r}"
             )
         if self.deadline_seconds is not None and not self._is_live_deadline(
             self.deadline_seconds
@@ -296,6 +301,19 @@ class RunOptions:
     def resolved_aggregation(self) -> Aggregation:
         """The live :class:`Aggregation` instance this run aggregates with."""
         return resolve_aggregation(self.aggregation)
+
+    def resolved_batch_roots(self) -> int | None:
+        """The kernel setting an engine runs with (``Engine.batch_roots``).
+
+        The one place the default lives: ``None`` resolves to the
+        batched kernel at ``DEFAULT_BATCH_ROOTS``, ``0`` to ``None``
+        (the engine-level spelling of "per-root"), ``N`` to itself.
+        """
+        if self.batch_roots is None:
+            from repro.engines.frontier import DEFAULT_BATCH_ROOTS
+
+            return DEFAULT_BATCH_ROOTS
+        return self.batch_roots or None
 
     def resolved_tracer(self) -> tuple[Any, Any]:
         """Normalize ``trace`` into ``(tracer, output_path)``.

@@ -71,8 +71,10 @@ def assert_matches_oracle(
     Runs ``pattern`` (a single :class:`~repro.core.pattern.Pattern` or a
     sequence) on ``graph`` twice through
     :class:`~repro.morph.session.MorphingSession`: once with only
-    ``oracle_kwargs`` (default: a plain serial morphed run — the oracle)
-    and once with ``run_kwargs`` (the variant under test: ``workers``,
+    ``oracle_kwargs`` over ``batch_roots=0`` (a plain serial morphed run
+    on the per-root reference kernel — the oracle; a variant on session
+    defaults therefore never shares a match kernel with it) and once
+    with ``run_kwargs`` (the variant under test: ``workers``,
     ``faults``/``retry``, ``tracer``, ``batch_roots``, ...). The variant
     must complete (no :class:`~repro.morph.session.PartialRunResult`)
     and its results must satisfy :func:`results_equal` against the
@@ -112,7 +114,7 @@ def assert_matches_oracle(
         session = MorphingSession(resolve_engine(engine), **kwargs)
         return session.run(graph, patterns)
 
-    oracle = run_once(oracle_kwargs or {})
+    oracle = run_once({"batch_roots": 0, **(oracle_kwargs or {})})
     if sink == "stream":
         emitted: list = []
         variant = MorphingSession(resolve_engine(engine), **run_kwargs).run_streaming(

@@ -10,6 +10,31 @@ from repro.graph.datagraph import DataGraph
 from repro.graph.generators import assign_labels, erdos_renyi, power_law_cluster
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--frontier-budget",
+        type=int,
+        default=None,
+        metavar="N",
+        help="pin repro.engines.frontier.FRONTIER_ELEMENT_BUDGET to N for "
+        "the whole session (CI re-runs the frontier matrix at 1)",
+    )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _frontier_budget(request):
+    budget = request.config.getoption("--frontier-budget")
+    if budget is None:
+        yield
+        return
+    from unittest import mock
+
+    from repro.engines import frontier
+
+    with mock.patch.object(frontier, "FRONTIER_ELEMENT_BUDGET", budget):
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _shared_memory_leak_probe():
     """Every test must leave no live shared-memory segment behind.

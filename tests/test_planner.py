@@ -437,6 +437,50 @@ class TestCalibrateTool:
         out = capsys.readouterr().out
         assert "peregrine" in out
 
+    @pytest.mark.parametrize("engine", sorted(repro.ENGINES))
+    def test_refit_cannot_change_a_plan(
+        self, engine, medium_graph, small_labeled_graph
+    ):
+        """``unit_seconds`` clocks a plan; it never picks one.
+
+        The constants were refit when the batched kernel became the
+        default (roughly 0.4x): the plans for the 4-motif set and for
+        the served labeled shape mix are the same objects before and
+        after, whatever the scale.
+        """
+        import dataclasses
+
+        from repro.core.pattern import Pattern
+
+        shapes = ("triangle", "3P", "TT", "4P", "4S", "C4")
+        served = [
+            Pattern(
+                shape.n,
+                shape.edges,
+                labels=[(i + k) % 3 for i in range(shape.n)],
+            ).vertex_induced()
+            for k, shape in enumerate(atlas.NAMED_PATTERNS[s] for s in shapes)
+        ]
+        profile = profile_for(engine)
+        for graph, queries in (
+            (medium_graph, list(atlas.motif_patterns(4))),
+            (small_labeled_graph, served),
+        ):
+            plans = [
+                search_plan(
+                    queries,
+                    CostModel.for_graph(
+                        graph,
+                        dataclasses.replace(
+                            profile, unit_seconds=profile.unit_seconds * scale
+                        ),
+                    ),
+                )
+                for scale in (1.0, 2.5, 1e3)
+            ]
+            assert plans[0] == plans[1] == plans[2]
+            assert plans[0].steps == plans[1].steps == plans[2].steps
+
 
 class TestCliStrategy:
     def test_count_accepts_strategy_flag(self, capsys, tmp_path, small_graph):

@@ -186,7 +186,7 @@ class TestRunOptions:
             {"workers": "two"},
             {"margin": 0},
             {"margin": -1.0},
-            {"batch_roots": 0},
+            {"batch_roots": -1},
             {"deadline_seconds": 0},
             {"aggregation": "median"},
             {"engine": ""},
@@ -200,8 +200,8 @@ class TestRunOptions:
     def test_validation_messages_preserved(self):
         with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
             repro.RunOptions(strategy="greedy")
-        with pytest.raises(ValueError, match="batch_roots must be >= 1"):
-            repro.RunOptions(batch_roots=0)
+        with pytest.raises(ValueError, match="batch_roots must be >= 0"):
+            repro.RunOptions(batch_roots=-1)
 
     def test_replace_revalidates(self):
         opts = repro.RunOptions()
