@@ -69,7 +69,7 @@ _BASELINE_CACHE: dict = {}
 #: The figures reproduce claims about per-root DFS matching (what the
 #: paper's systems run as compiled loops), so every session here pins
 #: the per-root kernel; sessions default to the batched one, where
-#: morphing is worth ~1.0x (EXPERIMENTS.md, "Kernel caveat").
+#: the multiples differ (EXPERIMENTS.md, "Kernel caveat").
 PER_ROOT = {"batch_roots": 0}
 
 

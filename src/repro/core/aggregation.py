@@ -39,6 +39,12 @@ class Aggregation(ABC):
     invertible: bool = False
     #: Relative per-match UDF work for the cost model (0 = engine-native).
     per_match_cost: float = 1.0
+    #: Optional block-native ``λ``: ``from_block(graph, rows, stats)`` maps
+    #: a whole ``(R, n)`` matrix of matches (one per row, pattern-vertex
+    #: order) to the ``⊕`` of their values. Engines then hand the fold the
+    #: match kernel's blocks instead of calling :meth:`from_match` once
+    #: per match. ``None`` (the default) means per-match only.
+    from_block = None
 
     @abstractmethod
     def zero(self) -> Any:

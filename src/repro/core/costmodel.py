@@ -162,15 +162,13 @@ class EngineCostProfile:
     #: decides — are scale-invariant in it. Calibrated per engine by
     #: ``tools/calibrate_costmodel.py`` from stored cost audits.
     unit_seconds: float = 4e-6
-    #: Cost units per interpreted planner-side operation (the Decompose
-    #: rule's per-match candidate builds and IEP terms run in Python,
-    #: not in the engine kernel, so they are priced separately). The
-    #: candidate builds and IEP block intersections are vectorized numpy
-    #: set-ops, so one planner op prices at ~1.5 engine cost units —
-    #: measured ~1.2 on power-law graphs (a 5-star decomposition runs
-    #: 2-10x faster than direct), kept slightly above measurement so the
-    #: margin gate stays conservative.
-    python_op_weight: float = 1.5
+    #: Cost units per element a vectorized block pass touches (the
+    #: Decompose rule's suffix: per-row set sizes gathered and reduced
+    #: over a whole block of prefix matches, then IEP vector arithmetic).
+    #: One unit is a kernel loop iteration (~1 µs interpreted); a numpy
+    #: pass moves an element in 10–40 ns, and 0.05 keeps the margin gate
+    #: on the conservative side of that.
+    block_element_weight: float = 0.05
 
 
 class CostModel:

@@ -33,15 +33,15 @@ class AutoZeroEngine(MiningEngine):
     name = "autozero"
     native_anti_edges = True
 
-    def _execute(self, graph, plan, on_match=None, root_window=None, should_stop=None):
+    def _run_kernel(
+        self, graph, plan, on_match=None, root_window=None, should_stop=None
+    ):
         """Per-root single-pattern paths run *compiled* kernels (AutoMine-style).
 
         With ``batch_roots`` set the engine runs the shared frontier
         kernel like every other engine — there is nothing per-level left
         to specialize once each level is a handful of numpy calls.
         """
-        if self.batch_roots is not None:
-            return super()._execute(graph, plan, on_match, root_window, should_stop)
         with self.kernel_span(
             "kernel.compiled",
             depth=plan.depth,

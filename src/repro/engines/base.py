@@ -278,6 +278,9 @@ class MiningEngine(ABC):
 
     name = "engine"
     native_anti_edges = True
+    #: False for an engine whose own kernel replaces the shared ones
+    #: whatever ``batch_roots`` says (BigJoin's breadth-first join).
+    batched_kernel = True
 
     def __init__(self) -> None:
         self.stats = EngineStats()
@@ -385,9 +388,16 @@ class MiningEngine(ABC):
         on_match: Callable[[Match], None] | None = None,
         root_window: RootWindow | None = None,
         should_stop: Callable[[], bool] | None = None,
+        on_block: Callable[[np.ndarray], None] | None = None,
     ) -> int:
-        """Run one plan; engines may swap the kernel (AutoZero compiles)."""
-        if self.batch_roots is not None:
+        """Run one plan through the selected kernel; returns the match count.
+
+        Matches leave as blocks (``on_block(rows)``, one match per row in
+        pattern-vertex order — the batched kernel's native output) or one
+        tuple at a time (``on_match``). A per-match kernel serves a block
+        consumer through :class:`~repro.engines.frontier.BlockBuffer`.
+        """
+        if self.batch_roots is not None and self.batched_kernel:
             from repro.engines.frontier import run_plan_batched
 
             with self.kernel_span(
@@ -405,7 +415,28 @@ class MiningEngine(ABC):
                     should_stop=should_stop,
                     batch_roots=self.batch_roots,
                     on_batch=self._batch_hook(),
+                    on_block=on_block,
                 )
+        if on_block is None:
+            return self._run_kernel(graph, plan, on_match, root_window, should_stop)
+        from repro.engines.frontier import BlockBuffer
+
+        buffer = BlockBuffer(on_block)
+        count = self._run_kernel(graph, plan, buffer, root_window, should_stop)
+        # The tail block is consumed after the kernel closed its wall-time
+        # window; its (UDF) seconds still belong to this run's total.
+        start = time.perf_counter()
+        try:
+            buffer.flush()
+        except StopExploration:
+            pass  # the consumer saturated on the tail block
+        self.stats.total_seconds += time.perf_counter() - start
+        return count
+
+    def _run_kernel(
+        self, graph, plan, on_match=None, root_window=None, should_stop=None
+    ) -> int:
+        """The engine's own per-match kernel (engines override this)."""
         with self.kernel_span(
             "kernel", depth=plan.depth, window=list(root_window) if root_window else None
         ):
@@ -502,25 +533,41 @@ class MiningEngine(ABC):
     ) -> int:
         """Stream every match through ``process``; returns the match count.
 
-        ``process`` is the application UDF: each call is timed and counted
-        (the Figure 4a/b bottleneck). ``root_window``/``cancel`` scope the
-        stream to one shard of a parallel run.
+        ``process`` is the application UDF: its calls are counted and timed
+        (the Figure 4a/b bottleneck) a block of matches at a time — one
+        loop, one clock pair and one counter update per kernel block.
+        ``root_window``/``cancel`` scope the stream to one shard of a
+        parallel run.
         """
         plan, needs_filter = self._plan_pattern(pattern, graph)
         should_stop = cancel.is_set if cancel is not None else None
+        stats = self.stats
         emitted = [0]
 
-        def on_match(match: Match) -> None:
-            if needs_filter and not self._filter_match(graph, pattern, match):
-                return
+        def on_block(rows: np.ndarray) -> None:
+            # One loop and one clock pair per block; the Filter UDF keeps
+            # its own timer, so its share is taken back out of the UDF's.
+            done = 0
+            filter_before = stats.filter_seconds
             start = time.perf_counter()
-            process(pattern, match)
-            self.stats.udf_calls += 1
-            self.stats.udf_seconds += time.perf_counter() - start
-            emitted[0] += 1
+            try:
+                for match in map(tuple, rows.tolist()):
+                    if needs_filter and not self._filter_match(graph, pattern, match):
+                        continue
+                    process(pattern, match)
+                    done += 1
+            finally:
+                elapsed = time.perf_counter() - start
+                stats.udf_calls += done
+                stats.udf_seconds += elapsed - (stats.filter_seconds - filter_before)
+                emitted[0] += done
 
         self._execute(
-            graph, plan, on_match, root_window=root_window, should_stop=should_stop
+            graph,
+            plan,
+            root_window=root_window,
+            should_stop=should_stop,
+            on_block=on_block,
         )
         return emitted[0]
 
@@ -549,6 +596,28 @@ class MiningEngine(ABC):
             )
 
         box = [aggregation.zero()]
+        if aggregation.from_block is not None:
+            # Block-native fold (a decomposed count): no per-match UDF.
+            def on_block(rows: np.ndarray) -> None:
+                box[0] = aggregation.combine(
+                    box[0], aggregation.from_block(graph, rows, self.stats)
+                )
+
+            plan, needs_filter = self._plan_pattern(pattern, graph)
+            if needs_filter:
+                raise ValueError(
+                    f"{aggregation.name} folds whole blocks; {self.name} would "
+                    f"have to filter {pattern!r} match by match"
+                )
+            self._execute(
+                graph,
+                plan,
+                root_window=root_window,
+                should_stop=cancel.is_set if cancel is not None else None,
+                on_block=on_block,
+            )
+            return box[0], False
+
         terminal = [False]
 
         def process(p: Pattern, match: Match) -> None:

@@ -21,7 +21,6 @@ import time
 from typing import Callable
 
 from repro.core.aggregation import Match
-from repro.core.pattern import Pattern
 from repro.engines.base import MiningEngine, level_candidates
 from repro.engines.plan import ExplorationPlan
 from repro.graph.datagraph import DataGraph
@@ -32,12 +31,14 @@ class BigJoinEngine(MiningEngine):
 
     name = "bigjoin"
     native_anti_edges = False
+    #: The BFS join below is the engine; ``batch_roots`` does not apply.
+    batched_kernel = False
 
-    def _run_bfs(
+    def _run_kernel(
         self,
         graph: DataGraph,
         plan: ExplorationPlan,
-        on_match: Callable[[Match], None] | None,
+        on_match: Callable[[Match], None] | None = None,
         root_window=None,
         should_stop=None,
     ) -> int:
@@ -104,46 +105,3 @@ class BigJoinEngine(MiningEngine):
             stats.matches += count
         stats.patterns_matched += 1
         return count
-
-    # -- MiningEngine overrides (BFS instead of the DFS kernel) ------------
-
-    def count(
-        self, graph: DataGraph, pattern: Pattern, *, root_window=None, cancel=None
-    ) -> int:
-        plan, needs_filter = self._plan_pattern(pattern, graph)
-        should_stop = cancel.is_set if cancel is not None else None
-        if not needs_filter:
-            return self._run_bfs(graph, plan, None, root_window, should_stop)
-        kept = [0]
-
-        def on_match(match: Match) -> None:
-            if self._filter_match(graph, pattern, match):
-                kept[0] += 1
-
-        self._run_bfs(graph, plan, on_match, root_window, should_stop)
-        return kept[0]
-
-    def explore(
-        self,
-        graph: DataGraph,
-        pattern: Pattern,
-        process,
-        *,
-        root_window=None,
-        cancel=None,
-    ) -> int:
-        plan, needs_filter = self._plan_pattern(pattern, graph)
-        should_stop = cancel.is_set if cancel is not None else None
-        emitted = [0]
-
-        def on_match(match: Match) -> None:
-            if needs_filter and not self._filter_match(graph, pattern, match):
-                return
-            udf_start = time.perf_counter()
-            process(pattern, match)
-            self.stats.udf_calls += 1
-            self.stats.udf_seconds += time.perf_counter() - udf_start
-            emitted[0] += 1
-
-        self._run_bfs(graph, plan, on_match, root_window, should_stop)
-        return emitted[0]

@@ -57,6 +57,15 @@ lexicographic order the recursive kernel emits, and batched results are
 **byte-identical** to per-root results (the ``tests/test_frontier.py``
 differential matrix pins this).
 
+**Blocks out.** Matches leave the kernel as it holds them: every
+last-level segment is handed to an ``on_block(rows)`` consumer as one
+matrix (:func:`run_plan_batched`). ``explore``'s UDF loop, block-native
+aggregations (a decomposed count) and GraphPi's IEP all consume blocks;
+kernels that emit one match at a time feed the same consumers through
+:class:`BlockBuffer`. :func:`level_counts` is the companion primitive:
+one expansion reduced to per-row candidate *counts*, which is all an
+inclusion–exclusion suffix needs (:mod:`repro.plan.iep`).
+
 Set-operation accounting: each vectorized membership pass counts as one
 intersection/difference in :class:`~repro.engines.setops.SetOpStats`
 plus one tick of the ``batched`` counter, with ``elements_scanned``
@@ -82,8 +91,10 @@ from repro.engines.setops import SetOpStats
 from repro.graph.datagraph import DataGraph
 
 __all__ = [
+    "BlockBuffer",
     "DEFAULT_BATCH_ROOTS",
     "FRONTIER_ELEMENT_BUDGET",
+    "level_counts",
     "level_cuts",
     "member_mask",
     "run_plan_batched",
@@ -362,6 +373,63 @@ def _filter_candidates(
     return rows, cand
 
 
+def _gather_filtered(
+    graph: DataGraph,
+    level: PlanLevel,
+    segment: np.ndarray,
+    values: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    stats: SetOpStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One budget segment's surviving ``(rows, cand)`` pairs."""
+    start = time.perf_counter()
+    rows, cand = _ragged_take(values, starts, counts)
+    stats.batched += 1
+    stats.elements_scanned += len(cand)
+    stats.seconds += time.perf_counter() - start
+    return _filter_candidates(graph, level, segment, rows, cand, stats)
+
+
+def level_counts(
+    graph: DataGraph, level: PlanLevel, emb: np.ndarray, stats: SetOpStats
+) -> np.ndarray:
+    """How many candidates ``level`` has for every row of ``emb`` (int64).
+
+    The count-only form of one frontier expansion: the same cuts,
+    gather and filters as :func:`_descend_batched`, reduced per row with
+    ``np.bincount`` instead of materialized — what an inclusion–exclusion
+    suffix needs of a candidate set is its size. Nothing is gathered when
+    the cut widths already are the counts, and a lone unbounded,
+    unlabeled backward neighbor is its degree minus the earlier columns
+    adjacent to it (one membership probe per column instead of a gather
+    of the whole neighborhood).
+    """
+    values, starts, counts = level_cuts(graph, level, emb, stats)
+    counts = counts.astype(np.int64, copy=False)
+    if count_only_level(graph, level):
+        return counts
+    anchors = level.backward_neighbors
+    if (
+        len(anchors) == 1
+        and not (level.backward_anti or level.upper_bounds or level.lower_bounds)
+        and (level.label is None or not graph.is_labeled)
+    ):
+        owners = emb[:, anchors[0]]
+        for j in level.non_adjacent:
+            counts = counts - member_mask(graph, owners, emb[:, j], stats)
+        return counts
+    out = np.zeros(len(emb), dtype=np.int64)
+    for lo, hi, seg_starts, seg_counts in _budget_segments(
+        starts, counts, FRONTIER_ELEMENT_BUDGET
+    ):
+        rows, _cand = _gather_filtered(
+            graph, level, emb[lo:hi], values, seg_starts, seg_counts, stats
+        )
+        out[lo:hi] += np.bincount(rows, minlength=hi - lo)
+    return out
+
+
 def _pattern_order(plan: ExplorationPlan) -> list[int]:
     """Column permutation turning level order into pattern-vertex order."""
     by_vertex = {lv.pattern_vertex: i for i, lv in enumerate(plan.levels)}
@@ -374,7 +442,7 @@ def _descend_batched(
     emb: np.ndarray,
     level_index: int,
     stats: EngineStats,
-    on_match,
+    on_block,
     perm: list[int],
     should_stop,
 ) -> int:
@@ -382,7 +450,9 @@ def _descend_batched(
 
     Depth-first over budget-sized segments: a segment's survivors
     descend to the next level before the next segment is gathered, so
-    at most one segment per level is alive at a time.
+    at most one segment per level is alive at a time. With ``on_block``
+    every last-level segment's matches are handed over as one matrix in
+    pattern-vertex column order (at most a budget's worth of rows).
     """
     if emb.shape[0] == 0:
         return 0
@@ -390,7 +460,7 @@ def _descend_batched(
     level = plan.levels[level_index]
     last = level_index == plan.depth - 1
     values, starts, counts = level_cuts(graph, level, emb, setops)
-    if last and on_match is None and count_only_level(graph, level):
+    if last and on_block is None and count_only_level(graph, level):
         # Counting fast path: the widths are the answer.
         return int(counts.sum())
     total = 0
@@ -400,13 +470,10 @@ def _descend_batched(
         if should_stop is not None and should_stop():
             raise StopExploration()
         segment = emb[lo:hi]
-        start = time.perf_counter()
-        rows, cand = _ragged_take(values, seg_starts, seg_counts)
-        setops.batched += 1
-        setops.elements_scanned += len(cand)
-        setops.seconds += time.perf_counter() - start
-        rows, cand = _filter_candidates(graph, level, segment, rows, cand, setops)
-        if last and on_match is None:
+        rows, cand = _gather_filtered(
+            graph, level, segment, values, seg_starts, seg_counts, setops
+        )
+        if last and on_block is None:
             total += len(cand)
             continue
         if len(cand) == 0:
@@ -417,12 +484,11 @@ def _descend_batched(
         del rows, cand  # only ``full`` stays alive across the descent
         if not last:
             total += _descend_batched(
-                graph, plan, full, level_index + 1, stats, on_match, perm, should_stop
+                graph, plan, full, level_index + 1, stats, on_block, perm, should_stop
             )
             continue
-        for match_row in full[:, perm].tolist():
-            stats.materialized += 1
-            on_match(tuple(match_row))
+        stats.materialized += len(full)
+        on_block(full[:, perm])
         total += len(full)
     return total
 
@@ -441,6 +507,46 @@ def _root_candidates(
     return roots
 
 
+class BlockBuffer:
+    """Turn a one-match-at-a-time kernel into a block producer.
+
+    The per-root kernel and the engines with kernels of their own
+    (BigJoin's BFS, AutoZero's compiled loops) emit ``on_match(match)``;
+    block consumers take ``on_block(rows)``. Matches are buffered as
+    they arrive and handed over, in order, one
+    :data:`FRONTIER_ELEMENT_BUDGET`-row matrix at a time. The owner
+    calls :meth:`flush` once the kernel returns.
+    """
+
+    __slots__ = ("_on_block", "_rows", "_capacity")
+
+    def __init__(self, on_block: Callable[[np.ndarray], None]) -> None:
+        self._on_block = on_block
+        self._rows: list = []
+        self._capacity = FRONTIER_ELEMENT_BUDGET
+
+    def __call__(self, match) -> None:
+        self._rows.append(match)
+        if len(self._rows) >= self._capacity:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand over what is buffered (nothing when empty)."""
+        if self._rows:
+            rows, self._rows = self._rows, []
+            self._on_block(np.array(rows, dtype=np.int64))
+
+
+def _per_match(on_match: Callable) -> Callable[[np.ndarray], None]:
+    """An ``on_block`` consumer that unpacks a block into ``on_match`` calls."""
+
+    def on_block(rows: np.ndarray) -> None:
+        for match in map(tuple, rows.tolist()):
+            on_match(match)
+
+    return on_block
+
+
 def run_plan_batched(
     graph: DataGraph,
     plan: ExplorationPlan,
@@ -450,14 +556,22 @@ def run_plan_batched(
     should_stop: Callable[[], bool] | None = None,
     batch_roots: int = DEFAULT_BATCH_ROOTS,
     on_batch: Callable[[float], None] | None = None,
+    on_block: Callable[[np.ndarray], None] | None = None,
 ) -> int:
     """Batched drop-in for :func:`repro.engines.base.run_plan`.
 
     Roots are processed in chunks of ``batch_roots``; within a chunk the
     frontier expands level-by-level through vectorized numpy kernels, in
     segments of at most :data:`FRONTIER_ELEMENT_BUDGET` candidates.
-    Results — counts, and the order and content of every ``on_match``
-    stream — are byte-identical to the per-root kernel.
+    Results — counts, and the order and content of every match stream —
+    are byte-identical to the per-root kernel.
+
+    Matches leave the kernel in blocks: ``on_block(rows)`` receives each
+    last-level segment as an ``(R, n)`` integer matrix, one match per
+    row in pattern-vertex column order, rows in enumeration order and at
+    most a budget's worth of them (a single-vertex pattern's blocks are
+    its root chunks). ``on_match(match)`` is the same stream unpacked
+    into one tuple per call (give one or the other).
 
     ``should_stop`` is polled once per root chunk and once per segment
     (the per-root kernel polls per root; the grain only changes how much
@@ -468,6 +582,10 @@ def run_plan_batched(
     """
     if batch_roots < 1:
         raise ValueError(f"batch_roots must be >= 1, got {batch_roots!r}")
+    if on_match is not None:
+        if on_block is not None:
+            raise ValueError("give on_match or on_block, not both")
+        on_block = _per_match(on_match)
     depth = plan.depth
     perm = _pattern_order(plan)
     start = time.perf_counter()
@@ -480,18 +598,15 @@ def run_plan_batched(
             if should_stop is not None and should_stop():
                 raise StopExploration()
             chunk = roots[s : s + batch_roots]
-            if depth == 1:
-                if on_match is None:
-                    count += len(chunk)
-                else:
-                    for v in chunk.tolist():
-                        stats.materialized += 1
-                        on_match(plan.match_to_pattern_order([v]))
-                        count += 1
-            else:
+            if depth > 1:
                 count += _descend_batched(
-                    graph, plan, chunk[:, None], 1, stats, on_match, perm, should_stop
+                    graph, plan, chunk[:, None], 1, stats, on_block, perm, should_stop
                 )
+            else:
+                if on_block is not None:
+                    stats.materialized += len(chunk)
+                    on_block(chunk[:, None])
+                count += len(chunk)
             if on_batch is not None:
                 on_batch(min(1.0, (s + len(chunk)) / max(1, n_roots)))
     except StopExploration:

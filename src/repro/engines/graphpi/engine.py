@@ -52,26 +52,43 @@ class GraphPiEngine(MiningEngine):
         self, graph: DataGraph, pattern: Pattern, *, root_window=None, cancel=None
     ) -> int:
         if self.use_iep and not self._needs_filter(pattern):
-            from repro.engines.graphpi.iep import iep_suffix_length, run_iep_count
+            from repro.engines.graphpi.iep import (
+                iep_suffix_length,
+                run_iep_blocks,
+                run_iep_count,
+            )
 
             plan = self.make_plan(pattern, graph)
             suffix = iep_suffix_length(plan)
-            # A whole-plan suffix has no root loop to shard, so a
-            # windowed request falls through to the plain kernel.
-            if suffix and (root_window is None or suffix < plan.depth):
+            batch_roots = self.batch_roots
+            # A whole-plan suffix has no root loop to shard (nor a prefix
+            # frontier to batch), so those fall through to the plain
+            # kernel / the per-root reference.
+            whole_plan = suffix == plan.depth
+            if whole_plan and (root_window is not None or batch_roots is not None):
+                suffix = 0
+            if suffix:
+                kernel = dict(
+                    root_window=root_window,
+                    should_stop=cancel.is_set if cancel is not None else None,
+                )
                 with self.kernel_span(
                     "kernel.iep",
                     depth=plan.depth,
                     suffix=suffix,
+                    batch_roots=batch_roots,
                     window=list(root_window) if root_window else None,
                 ):
-                    return run_iep_count(
+                    if batch_roots is None:
+                        return run_iep_count(graph, plan, self.stats, suffix, **kernel)
+                    return run_iep_blocks(
                         graph,
                         plan,
                         self.stats,
                         suffix,
-                        root_window=root_window,
-                        should_stop=cancel.is_set if cancel is not None else None,
+                        batch_roots=batch_roots,
+                        on_batch=self._batch_hook(),
+                        **kernel,
                     )
         return super().count(graph, pattern, root_window=root_window, cancel=cancel)
 

@@ -17,23 +17,26 @@ Eligibility for a plan suffix of ``k >= 2`` levels:
   constraint signatures), in which case the ordered IEP count divides by
   ``k!`` — matching what the restrictions would have enumerated.
 
-The ordered-distinct arithmetic itself is engine-agnostic and now lives
-in :mod:`repro.plan.iep`, where the rewrite planner's ``Decompose`` rule
-uses it to recombine sub-pattern measurements on *any* engine;
-``ordered_distinct_count`` is re-exported here (it is part of this
-module's long-standing surface). What stays engine-side is the
-plan-suffix analysis and execution: eligibility over
-:class:`~repro.engines.plan.PlanLevel` constraints and the counting loop
-over an :class:`~repro.engines.plan.ExplorationPlan`.
+The ordered-distinct arithmetic itself is engine-agnostic and lives in
+:mod:`repro.plan.iep`, shared with the rewrite planner's ``Decompose``
+rule. What stays engine-side is the plan-suffix analysis (eligibility
+over :class:`~repro.engines.plan.PlanLevel` constraints) and the two
+executions over an :class:`~repro.engines.plan.ExplorationPlan`:
+:func:`run_iep_blocks` expands the non-suffix levels with the batched
+frontier kernel and sizes the suffix's candidate sets a block of prefix
+matches at a time (the default), and :func:`run_iep_count` is the
+per-root scalar reference (``batch_roots=0``).
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
 
+from repro.core.pattern import Pattern
 from repro.engines.base import (
     EngineStats,
     StopExploration,
@@ -42,12 +45,14 @@ from repro.engines.base import (
 )
 from repro.engines.plan import ExplorationPlan, PlanLevel
 from repro.engines.setops import exclude
-from repro.plan.iep import ordered_distinct_count, set_partitions
+from repro.plan.iep import block_distinct_counts, ordered_distinct_count
 
-__all__ = ["iep_suffix_length", "ordered_distinct_count", "run_iep_count"]
-
-# Backwards-compatible alias for the pre-planner private name.
-_set_partitions = set_partitions
+__all__ = [
+    "iep_suffix_length",
+    "ordered_distinct_count",
+    "run_iep_blocks",
+    "run_iep_count",
+]
 
 
 def iep_suffix_length(plan: ExplorationPlan) -> int:
@@ -92,20 +97,21 @@ def _eligible(suffix: tuple[PlanLevel, ...], start: int) -> bool:
     return len(signatures) == 1 and constrained_pairs == k * (k - 1) // 2
 
 
+def _prefix_only(level: PlanLevel, start: int) -> PlanLevel:
+    """A suffix level with the constraints between suffix vertices dropped."""
+    return replace(
+        level,
+        upper_bounds=tuple(j for j in level.upper_bounds if j < start),
+        lower_bounds=tuple(j for j in level.lower_bounds if j < start),
+        non_adjacent=(),
+    )
+
+
 def _suffix_candidates(
     graph, level: PlanLevel, start: int, stack: list[int], stats: EngineStats
 ) -> np.ndarray:
     """Candidates for a suffix level using prefix constraints only."""
-    trimmed = PlanLevel(
-        pattern_vertex=level.pattern_vertex,
-        backward_neighbors=level.backward_neighbors,
-        backward_anti=level.backward_anti,
-        upper_bounds=tuple(j for j in level.upper_bounds if j < start),
-        lower_bounds=tuple(j for j in level.lower_bounds if j < start),
-        non_adjacent=(),
-        label=level.label,
-    )
-    cand = level_candidates(graph, trimmed, stack, stats)
+    cand = level_candidates(graph, _prefix_only(level, start), stack, stats)
     # Injectivity against the prefix (suffix-suffix handled by IEP).
     prefix_refs = [
         j
@@ -115,6 +121,71 @@ def _suffix_candidates(
     if prefix_refs:
         cand = exclude(cand, [stack[j] for j in prefix_refs])
     return cand
+
+
+def _suffix_divisor(plan: ExplorationPlan, start: int) -> int:
+    """k! when symmetry restrictions totally order an interchangeable suffix."""
+    constrained = any(
+        j >= start
+        for level in plan.levels[start:]
+        for j in level.upper_bounds + level.lower_bounds
+    )
+    return factorial(plan.depth - start) if constrained else 1
+
+
+def run_iep_blocks(
+    graph,
+    plan: ExplorationPlan,
+    stats: EngineStats,
+    suffix_length: int,
+    *,
+    batch_roots: int,
+    root_window=None,
+    should_stop=None,
+    on_batch=None,
+) -> int:
+    """:func:`run_iep_count` on the batched frontier kernel.
+
+    Levels ``0..start-1`` expand as an ordinary frontier; every block of
+    prefix matches it emits is answered by
+    :func:`repro.plan.iep.block_distinct_counts` over the suffix levels
+    (their backward references are the block's columns), so no suffix
+    vertex is ever enumerated. Requires a real prefix (``suffix_length <
+    depth``).
+    """
+    from repro.engines.frontier import run_plan_batched
+
+    start = plan.depth - suffix_length
+    if start == 0:
+        raise ValueError("a whole-plan IEP suffix has no prefix frontier")
+    slots = tuple(_prefix_only(level, start) for level in plan.levels[start:])
+    # The prefix as a plan of its own, its vertices numbered by level so
+    # blocks arrive in level order — the numbering the slots refer to.
+    levels = tuple(
+        replace(level, pattern_vertex=i) for i, level in enumerate(plan.levels[:start])
+    )
+    edges = [(j, i) for i, level in enumerate(levels) for j in level.backward_neighbors]
+    prefix = ExplorationPlan(Pattern(start, edges), levels)
+    ordered = [0]
+
+    def on_block(rows: np.ndarray) -> None:
+        ordered[0] += int(block_distinct_counts(graph, slots, rows, stats).sum())
+
+    prefix_matches = run_plan_batched(
+        graph,
+        prefix,
+        stats,
+        root_window=root_window,
+        should_stop=should_stop,
+        batch_roots=batch_roots,
+        on_batch=on_batch,
+        on_block=on_block,
+    )
+    if prefix_matches == 0:
+        return 0  # empty, or stopped early (partial sums are discarded)
+    total = ordered[0] // _suffix_divisor(plan, start)
+    stats.matches += total - prefix_matches  # report matches, not prefixes
+    return total
 
 
 def run_iep_count(
@@ -137,14 +208,7 @@ def run_iep_count(
     if start == 0 and root_window is not None:
         raise ValueError("whole-plan IEP suffix cannot be root-sharded")
     suffix = plan.levels[start:]
-    # /k! when symmetry restrictions totally order an interchangeable suffix.
-    constrained = sum(
-        1
-        for level in suffix
-        for j in level.upper_bounds + level.lower_bounds
-        if j >= start
-    )
-    divisor = factorial(suffix_length) if constrained else 1
+    divisor = _suffix_divisor(plan, start)
 
     stack: list[int] = [0] * depth
     total = 0

@@ -15,8 +15,11 @@ operation costs. Profiles below reflect each substrate's structure:
 * SumPA: generic operation weights; listed for its calibrated clock.
 
 Each profile's ``unit_seconds`` (cost units → wall seconds, used by
-ETAs and the planner's python-op pricing, never by within-engine
-rankings) comes from ``tools/calibrate_costmodel.py --run-suite``.
+ETAs and the flight recorder's slowness verdict, never by rankings)
+comes from ``tools/calibrate_costmodel.py --run-suite --repeats 5`` on
+the plans the planner picks today: direct items on the batched kernel
+and decomposed items as block folds both run at 1–2e-7 s per unit
+(BigJoin, whose BFS join is per-binding Python, at ~5e-6).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.engines.base import MiningEngine
 
 PEREGRINE_PROFILE = EngineCostProfile(
     name="peregrine",
-    unit_seconds=9.4e-7,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=1.4e-7,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=2.0,
     difference_weight=2.5,
     materialize_weight=1.5,
@@ -36,7 +39,7 @@ PEREGRINE_PROFILE = EngineCostProfile(
 
 AUTOZERO_PROFILE = EngineCostProfile(
     name="autozero",
-    unit_seconds=1.2e-6,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=1.7e-7,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=1.2,  # merged schedules share loop prefixes
     difference_weight=1.8,
     materialize_weight=1.5,
@@ -46,7 +49,7 @@ AUTOZERO_PROFILE = EngineCostProfile(
 
 GRAPHPI_PROFILE = EngineCostProfile(
     name="graphpi",
-    unit_seconds=1.2e-6,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=2.2e-7,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=1.8,  # model-selected orders shave set-op work
     difference_weight=2.3,
     materialize_weight=1.5,
@@ -57,7 +60,7 @@ GRAPHPI_PROFILE = EngineCostProfile(
 
 BIGJOIN_PROFILE = EngineCostProfile(
     name="bigjoin",
-    unit_seconds=2.4e-6,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=4.8e-6,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=2.0,
     difference_weight=2.5,
     materialize_weight=2.5,  # per-level binding materialization
@@ -68,7 +71,7 @@ BIGJOIN_PROFILE = EngineCostProfile(
 
 SUMPA_PROFILE = EngineCostProfile(
     name="sumpa",
-    unit_seconds=9.9e-7,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=1.8e-7,  # tools/calibrate_costmodel.py --run-suite
     native_anti_edges=True,
 )
 

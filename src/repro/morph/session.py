@@ -79,7 +79,7 @@ from repro.observe.export import RunTrace
 from repro.observe.progress import ProgressReporter
 from repro.observe.tracer import Tracer, timed_span
 from repro.plan.rewrite import DecomposeStep, MeasureStep, RewritePlan, item_label
-from repro.plan.rules import decompose_count
+from repro.plan.rules import DecomposedCount
 from repro.plan.search import SelectionResult, search_plan
 
 
@@ -172,19 +172,17 @@ class _StoreSink:
         """Nothing to prepare: conversion runs after matching."""
 
     def measure(self, session: "MorphingSession", graph, step, exec_):
-        """One step's value: a direct aggregate, or prefix stream + IEP."""
+        """One step's value: the run's aggregate, or a decomposed count.
+
+        A decomposed item is the count-like fold of its prefix's matches
+        (:class:`~repro.plan.rules.DecomposedCount`): it measures like
+        any aggregate, so a shard returns an integer partial sum rather
+        than its prefix matches.
+        """
+        aggregation = self._aggregation
         if isinstance(step, DecomposeStep):
-            # The prefix streams sharded-or-serial like any measurement,
-            # so shards, retries and deadlines compose unchanged.
-            return decompose_count(
-                graph,
-                step.decomposition,
-                lambda pattern, callback: session._stream(
-                    graph, pattern, callback, exec_
-                ),
-                session.engine.stats,
-            )
-        return session._measure(graph, step.pattern, self._aggregation, exec_)
+            aggregation = DecomposedCount(step.decomposition)
+        return session._measure(graph, step.pattern, aggregation, exec_)
 
     def interrupted(self, control) -> None:
         """Degrade: the executor quarantines the item and carries on."""
@@ -239,6 +237,7 @@ class _StreamSink:
         emitted = self.emitted = {p: 0 for p in patterns}
         self.vertex_filter = vertex_filter
         self.callbacks: dict[Item, Callable[[Pattern, Match], None]] = {}
+        self._user_process = process
 
         def counted(query: Pattern, match: Match) -> None:
             emitted[query] += 1
@@ -283,8 +282,10 @@ class _StreamSink:
         fans: dict[Item, list[OnTheFlyConverter]] = {}
         for cstep in plan.combine_steps:
             if cstep.mode == "given":
+                # Unfiltered, the caller's ``process`` is the engine's
+                # callback and ``measure`` counts the stream once.
                 self.callbacks[cstep.sources[0]] = (
-                    process if vertex_filter is None else filtered
+                    self._user_process if vertex_filter is None else filtered
                 )
                 continue
             for source in cstep.sources:
@@ -303,7 +304,11 @@ class _StreamSink:
 
     def measure(self, session: "MorphingSession", graph, step, exec_) -> None:
         """Stream one step's matches through its callback (no value)."""
-        session._stream(graph, step.pattern, self.callbacks[step.item], exec_)
+        delivered = session._stream(
+            graph, step.pattern, self.callbacks[step.item], exec_
+        )
+        if step.query is not None and self.vertex_filter is None:
+            self.emitted[step.query] += delivered
 
     def interrupted(self, control) -> None:
         """Streaming cannot degrade to a partial store: raise instead.
@@ -592,8 +597,8 @@ class MorphingSession:
             control=self._control,
         )
 
-    def _stream(self, graph, pattern, callback, exec_) -> None:
-        """Stream one pattern's matches through ``callback``.
+    def _stream(self, graph, pattern, callback, exec_) -> int:
+        """Stream one pattern's matches through ``callback``; returns how many.
 
         The sharded path materializes each shard's matches, merges them
         in shard order (= the serial enumeration order) and replays the
@@ -601,10 +606,11 @@ class MorphingSession:
         sequence without having to cross process boundaries.
         """
         if exec_ is None:
-            self.engine.explore(graph, pattern, callback)
-            return
-        for match in self._measure(graph, pattern, MatchListAggregation(), exec_):
+            return self.engine.explore(graph, pattern, callback)
+        matches = self._measure(graph, pattern, MatchListAggregation(), exec_)
+        for match in matches:
             callback(pattern, match)
+        return len(matches)
 
     # -- run scaffolding (tracing + executor lifetime) -----------------------
 

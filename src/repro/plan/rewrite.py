@@ -56,7 +56,7 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class DecomposeStep:
-    """Measure one counting item via prefix streaming + IEP arithmetic."""
+    """Measure one counting item as a block fold: prefix matches × IEP."""
 
     item: Item
     decomposition: Decomposition
@@ -68,6 +68,11 @@ class DecomposeStep:
     #: Never matched as a query states it (see :attr:`MeasureStep.query`):
     #: a decomposed count carries no vertex numbering.
     query = None
+
+    @property
+    def pattern(self) -> Pattern:
+        """The prefix sub-pattern the engine matches for this step."""
+        return self.decomposition.prefix
 
 
 @dataclass(frozen=True)

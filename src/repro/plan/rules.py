@@ -27,26 +27,36 @@ prefix images for injectivity) and ``D`` is the ordered-distinct count.
 The automorphism sum collapses to a few *multiplicity classes* computed
 once at plan time: automorphisms inducing the same family of anchor
 sets contribute identical terms.
+
+The sum over matches is additive, so it executes as a count-like fold
+(:class:`DecomposedCount`): the match kernel hands over prefix matches a
+block at a time, :func:`repro.plan.iep.block_distinct_counts` evaluates
+``D`` for every row of the block as vector arithmetic, shards return
+integer partial sums that merge by ``+``, and the division by
+``|Aut(p)|`` happens once, on the merged total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from repro.core.aggregation import Aggregation
+from repro.core.canonical import pattern_id
 from repro.core.costmodel import CostModel
 from repro.core.equations import Item
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED
-from repro.engines.setops import exclude, intersect
-from repro.plan.iep import ordered_distinct_count, set_partitions
+from repro.engines.plan import PlanLevel
+from repro.plan.iep import bell_number, block_distinct_counts
 
 __all__ = [
     "Decompose",
+    "DecomposedCount",
     "Decomposition",
     "DirectMatch",
     "RewriteRule",
@@ -54,8 +64,6 @@ __all__ = [
     "decompose_count",
     "find_decompositions",
 ]
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 #: A suffix slot: (anchor prefix-vertex ids, required label or None).
 SuffixSlot = tuple[tuple[int, ...], object]
@@ -87,30 +95,65 @@ class Decomposition:
         """Number of pattern vertices answered arithmetically."""
         return len(self.suffix)
 
-    @property
-    def per_match_ops(self) -> float:
-        """Interpreted planner operations per streamed prefix match.
+    @cached_property
+    def families(self) -> tuple[tuple[tuple[PlanLevel, ...], int], ...]:
+        """``aut_classes`` with every slot as a level over prefix columns."""
 
-        Candidate-set builds (one intersection chain + injectivity
-        exclusion per distinct slot) plus the IEP partition terms per
-        automorphism class — the quantity the cost model multiplies by
-        :attr:`~repro.core.costmodel.EngineCostProfile.python_op_weight`.
+        def level(slot: SuffixSlot) -> PlanLevel:
+            anchors, label = slot
+            return PlanLevel(
+                pattern_vertex=-1,
+                backward_neighbors=anchors,
+                backward_anti=(),
+                upper_bounds=(),
+                lower_bounds=(),
+                non_adjacent=(),
+                label=label,
+            )
+
+        return tuple(
+            (tuple(level(slot) for slot in family), multiplicity)
+            for family, multiplicity in self.aut_classes
+        )
+
+    @cached_property
+    def _anchor_sets(self) -> frozenset[tuple[int, ...]]:
+        """Distinct anchor unions over every partition block of every class.
+
+        One per block pass :func:`~repro.plan.iep.block_distinct_counts`
+        runs on a block of prefix matches (labels aside).
         """
-        slots = {slot for family, _mult in self.aut_classes for slot in family}
-        builds = sum(len(anchors) + 1 for anchors, _label in slots)
-        bell = sum(1 for _ in set_partitions(list(range(self.suffix_size))))
-        return builds + len(self.aut_classes) * (bell + self.suffix_size)
+        sets: set[tuple[int, ...]] = set()
+        for family, _multiplicity in self.aut_classes:
+            for size in range(1, len(family) + 1):
+                for block in combinations(family, size):
+                    sets.add(tuple(sorted({a for anchors, _ in block for a in anchors})))
+        return frozenset(sets)
 
     def predicted_cost(self, cost_model: CostModel) -> float:
-        """Relative cost: stream the prefix, then IEP every match."""
-        profile = cost_model.profile
+        """Relative cost: match the prefix, then the block passes' volume.
+
+        Per prefix match the fold touches the block's own row, what each
+        distinct anchor set's pass gathers — a lone anchor is a degree
+        lookup and one probe per other prefix column, a wider set
+        gathers one neighborhood and probes it against the others — and
+        the Bell(k)·k vector terms of every automorphism class. All of
+        it is vectorized, so an element is priced at
+        :attr:`~repro.core.costmodel.EngineCostProfile.block_element_weight`
+        of a kernel loop iteration.
+        """
         prefix_cost = cost_model.pattern_cost(self.prefix, EDGE_INDUCED)
         prefix_matches = cost_model.estimated_matches(self.prefix, EDGE_INDUCED)
-        stream_cost = prefix_matches * (
-            profile.materialize_weight + profile.per_udf_call_weight
-        )
-        iep_cost = prefix_matches * self.per_match_ops * profile.python_op_weight
-        return prefix_cost + stream_cost + iep_cost
+        neighborhood = cost_model.model.biased_degree
+        k = self.suffix_size
+        elements = self.prefix.n + len(self.aut_classes) * k * bell_number(k)
+        for anchors in self._anchor_sets:
+            if len(anchors) == 1:
+                elements += self.prefix.n - 1
+            else:
+                elements += neighborhood * len(anchors)
+        weight = cost_model.profile.block_element_weight
+        return prefix_cost + prefix_matches * elements * weight
 
 
 def _induced_prefix(
@@ -204,56 +247,85 @@ def find_decompositions(skel: Pattern) -> tuple[Decomposition, ...]:
     return tuple(out)
 
 
+class DecomposedCount(Aggregation):
+    """A :class:`Decomposition` as a count-like fold over prefix matches.
+
+    The value is ``Σ_matches Σ_classes multiplicity · D`` — an integer
+    that adds across blocks and shards; :meth:`finalize` divides by
+    ``|Aut(skeleton)|`` once. Engines run it through
+    :attr:`~repro.core.aggregation.Aggregation.from_block`, so workers,
+    retries, deadlines and checkpoints treat a decomposed item exactly
+    like a count of its prefix.
+    """
+
+    invertible = True
+    per_match_cost = 0.0
+
+    def __init__(self, decomposition: Decomposition) -> None:
+        self.decomposition = decomposition
+        #: Also the checkpoint journal key: one per (skeleton, split).
+        self.name = (
+            f"decompose/{pattern_id(decomposition.skeleton):016x}"
+            f"/{decomposition.suffix!r}"
+        )
+
+    def zero(self) -> int:
+        """No prefix match folded yet."""
+        return 0
+
+    def from_match(self, pattern: Pattern, match) -> int:
+        """Unsupported: candidate sets need the graph — see ``from_block``."""
+        raise TypeError("a decomposed count folds blocks, not single matches")
+
+    def from_block(self, graph, rows: np.ndarray, stats) -> int:
+        """``Σ multiplicity · D`` over a block of prefix matches."""
+        sizes: dict = {}
+        total = 0
+        for slots, multiplicity in self.decomposition.families:
+            ordered = block_distinct_counts(graph, slots, rows, stats, sizes)
+            total += multiplicity * int(ordered.sum())
+        return total
+
+    def combine(self, a: int, b: int) -> int:
+        """Partial sums add."""
+        return a + b
+
+    def permute(self, value: int, f) -> int:
+        """A count carries no vertex numbering."""
+        return value
+
+    def finalize(self, pattern: Pattern, value: int) -> int:
+        """Embeddings / ``|Aut(p)|`` = occurrences (exact on a full sum)."""
+        return value // self.decomposition.pattern_automorphisms
+
+
 def decompose_count(
     graph,
     decomposition: Decomposition,
     stream: Callable[[Pattern, Callable], None],
     stats,
 ) -> int:
-    """Execute a decomposition: stream the prefix, IEP the suffix.
+    """Execute a decomposition over any source of prefix matches.
 
     ``stream(pattern, callback)`` must invoke ``callback(pattern,
-    match)`` once per occurrence of ``pattern`` — the session passes its
-    sharded-or-serial ``_stream``, so workers, retries and deadlines
-    compose unchanged. ``stats`` collects the suffix set operations.
+    match)`` once per occurrence of ``pattern``. The matches are
+    buffered into blocks and folded by :class:`DecomposedCount` — the
+    routine a session runs inside the engine, here behind a per-match
+    adapter for callers that own the enumeration. ``stats`` collects the
+    suffix set operations.
     """
-    total = 0
-    prefix_n = decomposition.prefix.n
-    by_label = graph.vertices_by_label if graph.is_labeled else None
+    from repro.engines.frontier import BlockBuffer
 
-    def on_match(_pattern: Pattern, match) -> None:
-        nonlocal total
-        images = [int(match[u]) for u in range(prefix_n)]
-        cache: dict[SuffixSlot, np.ndarray] = {}
+    fold = DecomposedCount(decomposition)
+    total = [0]
 
-        def candidates(slot: SuffixSlot) -> np.ndarray:
-            got = cache.get(slot)
-            if got is not None:
-                return got
-            anchors, label = slot
-            current = graph.neighbors(images[anchors[0]])
-            for a in anchors[1:]:
-                current = intersect(
-                    current, graph.neighbors(images[a]), stats.setops
-                )
-            if label is not None and by_label is not None:
-                current = intersect(
-                    current, by_label.get(label, _EMPTY), stats.setops
-                )
-            current = exclude(current, images)
-            cache[slot] = current
-            return current
+    def add(rows: np.ndarray) -> None:
+        total[0] += fold.from_block(graph, rows, stats)
 
-        for family, multiplicity in decomposition.aut_classes:
-            sets = [candidates(slot) for slot in family]
-            ordered = ordered_distinct_count(sets, stats)
-            if ordered:
-                total += multiplicity * ordered
-
-    stream(decomposition.prefix, on_match)
-    # Embeddings / |Aut(p)| = occurrences; exact for complete streams
-    # (interrupted partial streams are discarded by the session).
-    return total // decomposition.pattern_automorphisms
+    buffer = BlockBuffer(add)
+    stream(decomposition.prefix, lambda _pattern, match: buffer(match))
+    buffer.flush()
+    return fold.finalize(decomposition.prefix, total[0])
 
 
 class RewriteRule:

@@ -1001,6 +1001,9 @@ class _Handler(socketserver.StreamRequestHandler):
     unknowable, so the connection still ends afterwards.
     """
 
+    #: Responses are small and latency-bound: never hold one for an ACK.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: MiningServer = self.server.mining_server  # type: ignore[attr-defined]
         while True:

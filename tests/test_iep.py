@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,17 +12,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import atlas
 from repro.core.pattern import Pattern
+from repro.engines import frontier
 from repro.engines.base import EngineStats
 from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.graphpi.iep import (
     iep_suffix_length,
     ordered_distinct_count,
+    run_iep_blocks,
     run_iep_count,
 )
+from repro.engines.peregrine.engine import PeregrineEngine
 from repro.engines.plan import ExplorationPlan
+from repro.graph.datagraph import DataGraph
 from repro.graph.generators import power_law_cluster
+from repro.plan.iep import block_distinct_counts
+from repro.plan.rules import DecomposedCount, find_decompositions
 
-from .oracle import brute_force_count
+from .oracle import brute_force_count, brute_force_match_tuples
 from .strategies import connected_skeletons, data_graphs
 
 
@@ -139,3 +147,81 @@ class TestIEPCounting:
             small_graph, atlas.FOUR_STAR.vertex_induced()
         )
         assert engine.stats.filter_calls > 0
+
+
+# -- block IEP: the routine Decompose and GraphPi share ----------------------
+
+ATLAS_3_TO_5 = [p for n in (3, 4, 5) for p in atlas.all_connected_patterns(n)]
+DECOMPOSABLE = [p for p in ATLAS_3_TO_5 if find_decompositions(p)]
+
+
+def _scalar_candidates(graph, slot, images) -> np.ndarray:
+    """One slot's candidate set the slow way: Python sets, no kernels."""
+    anchors, label = slot
+    cand = set.intersection(
+        *(set(graph.neighbors(images[a]).tolist()) for a in anchors)
+    )
+    if label is not None and graph.is_labeled:
+        cand = {v for v in cand if graph.label(v) == label}
+    return np.array(sorted(cand - set(images)), dtype=np.int64)
+
+
+class TestBlockIEP:
+    """``block_distinct_counts`` row by row against ``ordered_distinct_count``."""
+
+    @given(
+        data=st.data(),
+        labeled=st.booleans(),
+        budget=st.sampled_from([1, None]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_scalar_reference(self, data, labeled, budget):
+        graph = data.draw(data_graphs(min_n=5, max_n=10, labeled=labeled))
+        skel = data.draw(st.sampled_from(DECOMPOSABLE))
+        if labeled:
+            skel = skel.with_labels(
+                data.draw(
+                    st.lists(st.integers(0, 2), min_size=skel.n, max_size=skel.n)
+                )
+            )
+        dec = data.draw(st.sampled_from(find_decompositions(skel)))
+        matches = list(brute_force_match_tuples(graph, dec.prefix))
+        rows = np.array(matches, dtype=np.int64).reshape(len(matches), dec.prefix.n)
+        patch = (
+            mock.patch.object(frontier, "FRONTIER_ELEMENT_BUDGET", budget)
+            if budget is not None
+            else contextlib.nullcontext()
+        )
+        sizes: dict = {}
+        with patch:
+            for (family, _mult), (slots, _) in zip(dec.aut_classes, dec.families):
+                got = block_distinct_counts(graph, slots, rows, EngineStats(), sizes)
+                want = [
+                    ordered_distinct_count(
+                        [_scalar_candidates(graph, slot, m) for slot in family],
+                        EngineStats(),
+                    )
+                    for m in matches
+                ]
+                assert got.tolist() == want
+
+    def test_hub_products_past_int64_stay_exact(self):
+        """A 70 000-leaf star: the 5-star's ordered term d(d-1)(d-2)(d-3)
+        is past 2**63, the answer C(d, 4) is not — and must be exact."""
+        d = 70_000
+        star = DataGraph(d + 1, [(0, leaf) for leaf in range(1, d + 1)], name="star")
+        assert d * (d - 1) * (d - 2) * (d - 3) > 2**63 > math.comb(d, 4)
+        # Engine level on purpose: a session would first price the graph,
+        # and the cost model's clustering scan is quadratic in a hub.
+        for dec in find_decompositions(atlas.FIVE_STAR):
+            if dec.prefix.n > 2:
+                continue  # a wedge prefix has C(d, 2) matches here
+            engine = PeregrineEngine()
+            engine.batch_roots = 2048
+            got = engine.aggregate(star, dec.prefix, DecomposedCount(dec))
+            assert got == math.comb(d, 4), dec.suffix_size
+        # GraphPi's own IEP is the same block routine on this kernel.
+        plan = ExplorationPlan.build(atlas.FIVE_STAR)
+        assert run_iep_blocks(
+            star, plan, EngineStats(), iep_suffix_length(plan), batch_roots=2048
+        ) == math.comb(d, 4)

@@ -45,6 +45,11 @@ from repro.plan import (
 )
 from repro.plan import search as search_mod
 
+from repro.engines.recovery import RetryPolicy
+from repro.graph.generators import power_law_cluster
+from repro.testing.faults import FaultPlan
+from repro.testing.oracle import assert_matches_oracle
+
 from .oracle import brute_force_count, brute_force_match_tuples
 from .strategies import data_graphs
 
@@ -221,6 +226,95 @@ class TestAutoStrategy:
             assert plan.step_for(item).item == item
         assert {c.query for c in plan.combine_steps} == {atlas.FOUR_PATH}
         assert "auto" in plan.describe()
+
+
+DECOMPOSABLE = [
+    atlas.FOUR_PATH,
+    atlas.FOUR_STAR,
+    atlas.TAILED_TRIANGLE,
+    atlas.CHORDAL_FOUR_CYCLE,
+    atlas.FIVE_STAR,
+]
+NOSLEEP = RetryPolicy(max_retries=3, sleep=lambda _seconds: None)
+
+
+class TestDecomposeAxis:
+    """``strategy="decompose"`` as an axis of the serial-oracle harness.
+
+    The oracle rewrites nothing and runs the per-root kernel; the
+    variant answers every item by a block fold — on the batched kernel,
+    through the per-match adapter (``batch_roots=0``, BigJoin), and as
+    integer shard partials (``workers=2``).
+    """
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch_roots", [None, 0, 7])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_decomposed_counts_match_oracle(
+        self, tiny_graph, small_labeled_graph, engine, batch_roots, workers, labeled
+    ):
+        graph, patterns = tiny_graph, DECOMPOSABLE
+        if labeled:
+            graph = small_labeled_graph
+            patterns = [
+                atlas.FOUR_PATH.with_labels([0, 1, 1, 0]),
+                atlas.FOUR_STAR.with_labels([1, 0, 0, 2]),
+                atlas.TAILED_TRIANGLE.with_labels([0, 0, 1, 2]),
+            ]
+        variant, _oracle = assert_matches_oracle(
+            graph,
+            patterns,
+            engine,
+            oracle_kwargs={"strategy": "direct"},
+            strategy="decompose",
+            batch_roots=batch_roots,
+            workers=workers,
+        )
+        assert len(variant.plan.decompose_steps) == len(patterns)
+
+    def test_worker_crash_on_a_decomposed_shard_retries_to_the_exact_count(
+        self, small_graph
+    ):
+        variant, _oracle = assert_matches_oracle(
+            small_graph,
+            atlas.FOUR_PATH,
+            oracle_kwargs={"strategy": "direct"},
+            strategy="decompose",
+            workers=2,
+            faults=FaultPlan.crashes([1]),  # os._exit in a pool worker
+            retry=NOSLEEP,
+            tracer=repro.Tracer(),
+        )
+        assert variant.trace.find("shard.retry")
+        assert [step.rule for step in variant.plan.steps] == ["decompose"]
+        assert variant.results[atlas.FOUR_PATH] == brute_force_count(
+            small_graph, atlas.FOUR_PATH
+        )
+
+    def test_setop_volume_orders_auto_morph_direct(self):
+        """No clocks: on the 4-motif workload ``auto`` scans no more set
+        elements than ``morph``, which scans no more than ``direct`` —
+        and ``auto`` gets there by decomposing every item that splits."""
+        graph = power_law_cluster(900, 6, 0.5, seed=2023)
+        runs = {
+            strategy: repro.run(
+                graph,
+                list(atlas.motif_patterns(4)),
+                options=repro.RunOptions(strategy=strategy),
+            )
+            for strategy in ("auto", "morph", "direct")
+        }
+        scanned = {
+            strategy: run.stats.setops.elements_scanned
+            for strategy, run in runs.items()
+        }
+        assert scanned["auto"] <= scanned["morph"] <= scanned["direct"], scanned
+        assert runs["auto"].results == runs["direct"].results
+        assert {
+            atlas.pattern_name(step.item[0])
+            for step in runs["auto"].plan.decompose_steps
+        } >= {"4P", "4S", "C4C", "TT"}
 
 
 class TestTruncationSurfacing:

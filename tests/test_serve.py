@@ -13,7 +13,9 @@ probe enforces that part).
 
 from __future__ import annotations
 
+import io
 import json
+import socket
 import threading
 
 import pytest
@@ -23,6 +25,7 @@ from repro.core.atlas import TRIANGLE, motif_patterns
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.morph.session import MorphingSession
 from repro.options import RunOptions
+from repro.serve import protocol
 from repro.serve import (
     AdmissionPolicy,
     Client,
@@ -38,6 +41,50 @@ from repro.serve import (
 
 def tri_text() -> str:
     return repro.format_pattern(TRIANGLE)
+
+
+class TestWireFraming:
+    """One message = one segment: no Nagle/delayed-ACK stall on a reused
+    connection. Asserted structurally, never by timing."""
+
+    def test_a_message_is_exactly_one_write(self):
+        class Recorder:
+            def __init__(self):
+                self.writes, self.flushes = [], 0
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+
+            def flush(self):
+                self.flushes += 1
+
+        stream = Recorder()
+        message = {"op": "run", "patterns": ["a-b", "b-c"], "n": 3}
+        protocol.write_message(stream, message)
+        assert len(stream.writes) == 1 and stream.flushes == 1
+        (frame,) = stream.writes
+        assert frame.endswith(b"\n") and frame.count(b"\n") == 1
+        assert protocol.read_message(io.BytesIO(frame)) == message
+
+    def test_accepted_sockets_disable_nagle(self, small_graph, monkeypatch):
+        from repro.serve import server as server_module
+
+        nodelay = []
+        original_setup = server_module._Handler.setup
+
+        def recording_setup(handler):
+            original_setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
+        registry = GraphRegistry(share=False)
+        registry.add("small", small_graph)
+        with MiningServer(registry=registry) as server:
+            server.start()
+            assert connect(port=server.port).ping()
+        assert nodelay and all(nodelay)
 
 
 class TestProtocolEncoding:
