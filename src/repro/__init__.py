@@ -116,7 +116,7 @@ from repro.observe import (
     write_jsonl,
 )
 
-__version__ = "3.2.0"
+__version__ = "3.3.0"
 
 __all__ = [
     "Aggregation",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.engines.base import EngineStats, StopExploration
+from repro.engines.base import EngineStats, StopExploration, close_run
 from repro.engines.plan import ExplorationPlan, PlanLevel
 
 _COMPILED_CACHE: dict[tuple, Callable] = {}
@@ -179,14 +179,8 @@ def run_compiled(
     """Drop-in replacement for :func:`repro.engines.base.run_plan`."""
     kernel = compile_plan(plan)
     start = time.perf_counter()
-    stopped_early = False
     try:
         count = kernel(graph, stats, on_match, root_window, should_stop)
     except StopExploration:
-        stopped_early = True
-        count = 0
-    stats.total_seconds += time.perf_counter() - start
-    if not stopped_early:
-        stats.matches += count
-    stats.patterns_matched += 1
-    return count
+        count = None
+    return close_run(stats, start, count)

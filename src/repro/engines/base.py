@@ -201,6 +201,21 @@ def clip_to_window(cand: np.ndarray, window: RootWindow) -> np.ndarray:
     return cand[np.searchsorted(cand, lo) : np.searchsorted(cand, hi)]
 
 
+def close_run(stats: EngineStats, start: float, count: int | None) -> int:
+    """Book one kernel run that began at ``start``; returns its count.
+
+    ``count=None`` is a run a callback stopped early: its partial
+    results were delivered through the callback, so it books no matches
+    and counts 0.
+    """
+    stats.total_seconds += time.perf_counter() - start
+    stats.patterns_matched += 1
+    if count is None:
+        return 0
+    stats.matches += count
+    return count
+
+
 def run_plan(
     graph: DataGraph,
     plan: ExplorationPlan,
@@ -223,7 +238,6 @@ def run_plan(
     """
     depth = plan.depth
     stack: list[int] = [0] * depth
-    count = 0
 
     def descend(level_index: int) -> int:
         cand = level_candidates(graph, plan.levels[level_index], stack, stats)
@@ -254,17 +268,11 @@ def run_plan(
         return total
 
     start = time.perf_counter()
-    stopped_early = False
     try:
         count = descend(0)
     except StopExploration:
-        stopped_early = True
-        count = 0  # partial counts were delivered through the callback
-    stats.total_seconds += time.perf_counter() - start
-    if not stopped_early:
-        stats.matches += count
-    stats.patterns_matched += 1
-    return count
+        count = None
+    return close_run(stats, start, count)
 
 
 class MiningEngine(ABC):
@@ -281,6 +289,8 @@ class MiningEngine(ABC):
     #: False for an engine whose own kernel replaces the shared ones
     #: whatever ``batch_roots`` says (BigJoin's breadth-first join).
     batched_kernel = True
+    #: Span name of the engine's own per-match kernel (``_run_kernel``).
+    kernel_name = "kernel"
 
     def __init__(self) -> None:
         self.stats = EngineStats()
@@ -374,80 +384,66 @@ class MiningEngine(ABC):
     def make_plan(self, pattern: Pattern, graph: DataGraph) -> ExplorationPlan:
         return ExplorationPlan.build(pattern)
 
-    def _batch_hook(self):
-        """Per-chunk progress callback for the batched kernels (or None)."""
-        progress = self.progress
-        if progress is None:
-            return None
-        return progress.item_progress
-
     def _execute(
         self,
         graph: DataGraph,
         plan: ExplorationPlan,
-        on_match: Callable[[Match], None] | None = None,
         root_window: RootWindow | None = None,
-        should_stop: Callable[[], bool] | None = None,
+        cancel=None,
         on_block: Callable[[np.ndarray], None] | None = None,
     ) -> int:
         """Run one plan through the selected kernel; returns the match count.
 
-        Matches leave as blocks (``on_block(rows)``, one match per row in
-        pattern-vertex order — the batched kernel's native output) or one
-        tuple at a time (``on_match``). A per-match kernel serves a block
-        consumer through :class:`~repro.engines.frontier.BlockBuffer`.
+        The one place that knows two kernels exist (and the one that
+        opens their span). Matches leave either of them as blocks:
+        ``on_block(rows)``, one match per row in pattern-vertex order —
+        the frontier kernel's native output; a per-match ``_run_kernel``
+        is adapted by :class:`~repro.engines.frontier.BlockBuffer`.
+        Without ``on_block`` nothing is materialized and only the count
+        returns. ``root_window``/``cancel`` scope the run to one shard.
         """
-        if self.batch_roots is not None and self.batched_kernel:
-            from repro.engines.frontier import run_plan_batched
+        from repro.engines.frontier import BlockBuffer, run_plan_batched
 
-            with self.kernel_span(
-                "kernel.batched",
-                depth=plan.depth,
-                batch_roots=self.batch_roots,
-                window=list(root_window) if root_window else None,
-            ):
+        should_stop = cancel.is_set if cancel is not None else None
+        batched = self.batch_roots is not None and self.batched_kernel
+        attributes = {"batch_roots": self.batch_roots} if batched else {}
+        with self.kernel_span(
+            "kernel.batched" if batched else self.kernel_name,
+            depth=plan.depth,
+            window=list(root_window) if root_window else None,
+            **attributes,
+        ):
+            if batched:
+                progress = self.progress
                 return run_plan_batched(
                     graph,
                     plan,
                     self.stats,
-                    on_match,
                     root_window=root_window,
                     should_stop=should_stop,
                     batch_roots=self.batch_roots,
-                    on_batch=self._batch_hook(),
+                    on_batch=progress.item_progress if progress is not None else None,
                     on_block=on_block,
                 )
-        if on_block is None:
-            return self._run_kernel(graph, plan, on_match, root_window, should_stop)
-        from repro.engines.frontier import BlockBuffer
-
-        buffer = BlockBuffer(on_block)
-        count = self._run_kernel(graph, plan, buffer, root_window, should_stop)
-        # The tail block is consumed after the kernel closed its wall-time
-        # window; its (UDF) seconds still belong to this run's total.
-        start = time.perf_counter()
-        try:
-            buffer.flush()
-        except StopExploration:
-            pass  # the consumer saturated on the tail block
-        self.stats.total_seconds += time.perf_counter() - start
-        return count
+            if on_block is None:
+                return self._run_kernel(graph, plan, None, root_window, should_stop)
+            buffer = BlockBuffer(on_block)
+            count = self._run_kernel(graph, plan, buffer, root_window, should_stop)
+            # The tail block is consumed after the kernel closed its
+            # wall-time window; its (UDF) seconds still belong to the total.
+            start = time.perf_counter()
+            try:
+                buffer.flush()
+            except StopExploration:
+                pass  # the consumer saturated on the tail block
+            self.stats.total_seconds += time.perf_counter() - start
+            return count
 
     def _run_kernel(
         self, graph, plan, on_match=None, root_window=None, should_stop=None
     ) -> int:
         """The engine's own per-match kernel (engines override this)."""
-        with self.kernel_span(
-            "kernel", depth=plan.depth, window=list(root_window) if root_window else None
-        ):
-            return run_plan(
-                graph,
-                plan,
-                self.stats,
-                on_match,
-                root_window=root_window,
-                should_stop=should_stop,
-            )
+        return run_plan(graph, plan, self.stats, on_match, root_window, should_stop)
 
     # -- filter UDF for non-native anti-edges ------------------------------
 
@@ -500,26 +496,42 @@ class MiningEngine(ABC):
         ``is_set()``) shared across shards of a parallel run.
         """
         plan, needs_filter = self._plan_pattern(pattern, graph)
-        should_stop = cancel.is_set if cancel is not None else None
         if not needs_filter:
-            return self._execute(
-                graph, plan, root_window=root_window, should_stop=should_stop
-            )
-        holder = [0]
+            return self._execute(graph, plan, root_window, cancel)
+        kept = [0]
 
-        def on_match(match: Match) -> None:
-            if self._filter_match(graph, pattern, match):
-                holder[0] += 1
+        def on_block(rows: np.ndarray) -> None:
+            for match in map(tuple, rows.tolist()):
+                if self._filter_match(graph, pattern, match):
+                    kept[0] += 1
 
-        self._execute(
-            graph, plan, on_match, root_window=root_window, should_stop=should_stop
-        )
-        return holder[0]
+        self._execute(graph, plan, root_window, cancel, on_block)
+        return kept[0]
+
+    #: ``_count_shared(graph, patterns) -> {pattern: count}``: an engine's
+    #: one-pass answer to a whole pattern set (AutoZero's merged
+    #: schedules, SumPA's abstraction), or ``None`` when it has none.
+    _count_shared = None
+
+    @property
+    def multi_pattern(self) -> bool:
+        """Does :meth:`count_set` share work across patterns on this run?
+
+        Both shared passes walk root by root, so they are the per-root
+        reference only: under batching every pattern is counted on its
+        own through the frontier kernel. The session reads this before
+        it hands a plan's direct count steps to ``count_set``, so a run
+        executes the same steps whether or not it is traced.
+        """
+        return self._count_shared is not None and self.batch_roots is None
 
     def count_set(
         self, graph: DataGraph, patterns: Iterable[Pattern]
     ) -> dict[Pattern, int]:
-        """Counts for several patterns (engines may batch/merge plans)."""
+        """Counts for several patterns, shared where :attr:`multi_pattern`."""
+        patterns = list(patterns)
+        if self.multi_pattern:
+            return self._count_shared(graph, patterns)
         return {p: self.count(graph, p) for p in patterns}
 
     def explore(
@@ -540,7 +552,6 @@ class MiningEngine(ABC):
         parallel run.
         """
         plan, needs_filter = self._plan_pattern(pattern, graph)
-        should_stop = cancel.is_set if cancel is not None else None
         stats = self.stats
         emitted = [0]
 
@@ -562,13 +573,7 @@ class MiningEngine(ABC):
                 stats.udf_seconds += elapsed - (stats.filter_seconds - filter_before)
                 emitted[0] += done
 
-        self._execute(
-            graph,
-            plan,
-            root_window=root_window,
-            should_stop=should_stop,
-            on_block=on_block,
-        )
+        self._execute(graph, plan, root_window, cancel, on_block)
         return emitted[0]
 
     def aggregate_partial(
@@ -609,13 +614,7 @@ class MiningEngine(ABC):
                     f"{aggregation.name} folds whole blocks; {self.name} would "
                     f"have to filter {pattern!r} match by match"
                 )
-            self._execute(
-                graph,
-                plan,
-                root_window=root_window,
-                should_stop=cancel.is_set if cancel is not None else None,
-                on_block=on_block,
-            )
+            self._execute(graph, plan, root_window, cancel, on_block)
             return box[0], False
 
         terminal = [False]

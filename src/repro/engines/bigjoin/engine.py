@@ -21,7 +21,13 @@ import time
 from typing import Callable
 
 from repro.core.aggregation import Match
-from repro.engines.base import MiningEngine, level_candidates
+from repro.engines.base import (
+    MiningEngine,
+    StopExploration,
+    clip_to_window,
+    close_run,
+    level_candidates,
+)
 from repro.engines.plan import ExplorationPlan
 from repro.graph.datagraph import DataGraph
 
@@ -33,6 +39,7 @@ class BigJoinEngine(MiningEngine):
     native_anti_edges = False
     #: The BFS join below is the engine; ``batch_roots`` does not apply.
     batched_kernel = False
+    kernel_name = "kernel.bfs"
 
     def _run_kernel(
         self,
@@ -48,29 +55,11 @@ class BigJoinEngine(MiningEngine):
         vertex-id window; ``should_stop`` is polled per prefix binding
         (the BFS analogue of the DFS kernels' per-root-candidate poll).
         """
-        with self.kernel_span(
-            "kernel.bfs",
-            depth=plan.depth,
-            window=list(root_window) if root_window else None,
-        ):
-            return self._bfs_inner(graph, plan, on_match, root_window, should_stop)
-
-    def _bfs_inner(
-        self,
-        graph: DataGraph,
-        plan: ExplorationPlan,
-        on_match: Callable[[Match], None] | None,
-        root_window=None,
-        should_stop=None,
-    ) -> int:
-        from repro.engines.base import StopExploration, clip_to_window
-
         start = time.perf_counter()
         stats = self.stats
         depth = plan.depth
         bindings: list[list[int]] = [[]]
-        count = 0
-        stopped_early = False
+        count: int | None = 0
         try:
             for level_index, level in enumerate(plan.levels):
                 last = level_index == depth - 1
@@ -98,10 +87,5 @@ class BigJoinEngine(MiningEngine):
                     count = 0
                     break
         except StopExploration:
-            stopped_early = True
-            count = 0  # partial results were delivered via the callback
-        stats.total_seconds += time.perf_counter() - start
-        if not stopped_early:
-            stats.matches += count
-        stats.patterns_matched += 1
-        return count
+            count = None
+        return close_run(stats, start, count)

@@ -85,6 +85,8 @@ from repro.engines.base import (
     RootWindow,
     StopExploration,
     clip_to_window,
+    close_run,
+    level_candidates,
 )
 from repro.engines.plan import ExplorationPlan, PlanLevel
 from repro.engines.setops import SetOpStats
@@ -493,20 +495,6 @@ def _descend_batched(
     return total
 
 
-def _root_candidates(
-    graph: DataGraph, plan: ExplorationPlan, root_window: RootWindow | None
-) -> np.ndarray:
-    """Level-0 candidates (no earlier levels exist, so only label/window)."""
-    level = plan.levels[0]
-    if level.label is not None and graph.is_labeled:
-        roots = graph.vertices_by_label.get(level.label, _EMPTY)
-    else:
-        roots = graph.all_vertices
-    if root_window is not None:
-        roots = clip_to_window(roots, root_window)
-    return roots
-
-
 class BlockBuffer:
     """Turn a one-match-at-a-time kernel into a block producer.
 
@@ -537,21 +525,10 @@ class BlockBuffer:
             self._on_block(np.array(rows, dtype=np.int64))
 
 
-def _per_match(on_match: Callable) -> Callable[[np.ndarray], None]:
-    """An ``on_block`` consumer that unpacks a block into ``on_match`` calls."""
-
-    def on_block(rows: np.ndarray) -> None:
-        for match in map(tuple, rows.tolist()):
-            on_match(match)
-
-    return on_block
-
-
 def run_plan_batched(
     graph: DataGraph,
     plan: ExplorationPlan,
     stats: EngineStats,
-    on_match: Callable | None = None,
     root_window: RootWindow | None = None,
     should_stop: Callable[[], bool] | None = None,
     batch_roots: int = DEFAULT_BATCH_ROOTS,
@@ -570,8 +547,7 @@ def run_plan_batched(
     last-level segment as an ``(R, n)`` integer matrix, one match per
     row in pattern-vertex column order, rows in enumeration order and at
     most a budget's worth of them (a single-vertex pattern's blocks are
-    its root chunks). ``on_match(match)`` is the same stream unpacked
-    into one tuple per call (give one or the other).
+    its root chunks). Without it only the count is computed.
 
     ``should_stop`` is polled once per root chunk and once per segment
     (the per-root kernel polls per root; the grain only changes how much
@@ -582,17 +558,16 @@ def run_plan_batched(
     """
     if batch_roots < 1:
         raise ValueError(f"batch_roots must be >= 1, got {batch_roots!r}")
-    if on_match is not None:
-        if on_block is not None:
-            raise ValueError("give on_match or on_block, not both")
-        on_block = _per_match(on_match)
     depth = plan.depth
     perm = _pattern_order(plan)
     start = time.perf_counter()
-    stopped_early = False
-    count = 0
+    count: int | None = 0
     try:
-        roots = _root_candidates(graph, plan, root_window)
+        # Level 0 has no earlier level: its candidates are a label's
+        # vertices (or all of them), clipped to the shard's window.
+        roots = level_candidates(graph, plan.levels[0], [], stats)
+        if root_window is not None:
+            roots = clip_to_window(roots, root_window)
         n_roots = len(roots)
         for s in range(0, n_roots, batch_roots):
             if should_stop is not None and should_stop():
@@ -610,10 +585,5 @@ def run_plan_batched(
             if on_batch is not None:
                 on_batch(min(1.0, (s + len(chunk)) / max(1, n_roots)))
     except StopExploration:
-        stopped_early = True
-        count = 0  # partial counts were delivered through the callback
-    stats.total_seconds += time.perf_counter() - start
-    if not stopped_early:
-        stats.matches += count
-    stats.patterns_matched += 1
-    return count
+        count = None
+    return close_run(stats, start, count)

@@ -17,13 +17,17 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
+
 from repro.core.canonical import pattern_id
 from repro.core.costmodel import CostModel, GraphModel
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED
 from repro.engines.base import MiningEngine
+from repro.engines.graphpi.iep import iep_split, iep_suffix_length
 from repro.engines.plan import ExplorationPlan
 from repro.graph.datagraph import DataGraph
+from repro.plan.iep import block_distinct_counts
 
 #: Bound on the orders the performance model scores per pattern.
 _MAX_ORDERS = 2000
@@ -52,45 +56,31 @@ class GraphPiEngine(MiningEngine):
         self, graph: DataGraph, pattern: Pattern, *, root_window=None, cancel=None
     ) -> int:
         if self.use_iep and not self._needs_filter(pattern):
-            from repro.engines.graphpi.iep import (
-                iep_suffix_length,
-                run_iep_blocks,
-                run_iep_count,
-            )
-
             plan = self.make_plan(pattern, graph)
             suffix = iep_suffix_length(plan)
-            batch_roots = self.batch_roots
-            # A whole-plan suffix has no root loop to shard (nor a prefix
-            # frontier to batch), so those fall through to the plain
-            # kernel / the per-root reference.
-            whole_plan = suffix == plan.depth
-            if whole_plan and (root_window is not None or batch_roots is not None):
-                suffix = 0
             if suffix:
-                kernel = dict(
-                    root_window=root_window,
-                    should_stop=cancel.is_set if cancel is not None else None,
-                )
-                with self.kernel_span(
-                    "kernel.iep",
-                    depth=plan.depth,
-                    suffix=suffix,
-                    batch_roots=batch_roots,
-                    window=list(root_window) if root_window else None,
-                ):
-                    if batch_roots is None:
-                        return run_iep_count(graph, plan, self.stats, suffix, **kernel)
-                    return run_iep_blocks(
-                        graph,
-                        plan,
-                        self.stats,
-                        suffix,
-                        batch_roots=batch_roots,
-                        on_batch=self._batch_hook(),
-                        **kernel,
-                    )
+                return self._count_iep(graph, plan, suffix, root_window, cancel)
         return super().count(graph, pattern, root_window=root_window, cancel=cancel)
+
+    def _count_iep(self, graph, plan, suffix: int, root_window, cancel) -> int:
+        """Match the prefix; answer every block of it by inclusion–exclusion."""
+        prefix, slots, divisor = iep_split(plan, suffix)
+        stats = self.stats
+        ordered = [0]
+
+        def on_block(rows: np.ndarray) -> None:
+            ordered[0] += int(block_distinct_counts(graph, slots, rows, stats).sum())
+
+        # The prefix run's own kernel span (nested here) carries the window.
+        with self.kernel_span("kernel.iep", depth=plan.depth, suffix=suffix):
+            prefix_matches = self._execute(
+                graph, prefix, root_window, cancel, on_block
+            )
+        if prefix_matches == 0:
+            return 0  # empty, or stopped early (partial sums are discarded)
+        total = ordered[0] // divisor
+        stats.matches += total - prefix_matches  # report matches, not prefixes
+        return total
 
     def make_plan(self, pattern: Pattern, graph: DataGraph) -> ExplorationPlan:
         order = self._select_order(pattern, graph)

@@ -26,38 +26,20 @@ including aliases of the inputs — callers share buffers with the CSR
 graph and with each other, so a writable return would be a latent
 corruption hazard.
 
-Setting ``ADAPTIVE = False`` (see :func:`use_adaptive`) routes every
-call through the seed's plain ``intersect1d``/``setdiff1d``/``isin``
-kernels — the pre-refactor baseline the benchmarks compare against.
+The seed's plain ``intersect1d``/``setdiff1d``/``isin`` kernels survive
+as the test-side reference these are compared against
+(:mod:`repro.testing.setops_reference`).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 #: Size ratio beyond which intersection gallops instead of merging.
 GALLOP_RATIO = 8
-
-#: Module-wide kernel dispatch switch (True = adaptive, False = the
-#: seed's numpy set-routine path). Tests and benchmarks flip it through
-#: :func:`use_adaptive`; the entry points below read it per call.
-ADAPTIVE = True
-
-
-@contextmanager
-def use_adaptive(enabled: bool):
-    """Temporarily select the adaptive or legacy kernel path."""
-    global ADAPTIVE
-    previous = ADAPTIVE
-    ADAPTIVE = enabled
-    try:
-        yield
-    finally:
-        ADAPTIVE = previous
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -109,9 +91,6 @@ def intersect(a: np.ndarray, b: np.ndarray, stats: SetOpStats) -> np.ndarray:
     len_a, len_b = len(a), len(b)
     if len_a == 0 or len_b == 0:
         out = _EMPTY
-    elif not ADAPTIVE:
-        out = np.intersect1d(a, b, assume_unique=True)
-        out.flags.writeable = False
     elif a[-1] < b[0] or b[-1] < a[0]:
         out = _EMPTY  # value ranges do not overlap
     elif len_a * GALLOP_RATIO <= len_b:
@@ -139,9 +118,6 @@ def difference(a: np.ndarray, b: np.ndarray, stats: SetOpStats) -> np.ndarray:
         out = _EMPTY
     elif len_b == 0:
         out = _readonly(a)
-    elif not ADAPTIVE:
-        out = np.setdiff1d(a, b, assume_unique=True)
-        out.flags.writeable = False
     elif a[-1] < b[0] or b[-1] < a[0]:
         out = _readonly(a)  # nothing to remove: ranges disjoint
     else:
@@ -172,12 +148,6 @@ def exclude(arr: np.ndarray, values: list[int]) -> np.ndarray:
     """Remove a handful of specific values (injectivity filtering)."""
     if not values or len(arr) == 0:
         return _readonly(arr)
-    if not ADAPTIVE:
-        mask = ~np.isin(arr, values, assume_unique=False)
-        out = arr[mask] if not mask.all() else _readonly(arr)
-        if out.flags.writeable:
-            out.flags.writeable = False
-        return out
     # ``values`` is a few stack vertices: binary-search each into the
     # sorted array and delete the hits — no isin lookup table.
     vals = np.array(sorted(set(values)), dtype=np.int64)

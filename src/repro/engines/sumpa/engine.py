@@ -20,21 +20,22 @@ core execution strategy:
 Correctness rests on the unique-decomposition identity documented in the
 abstraction module. Vertex-induced patterns and singleton sets fall back
 to the shared kernel (anti-edge constraints differ per pattern, so their
-abstract matches cannot be shared).
+abstract matches cannot be shared). The residual extension walks one
+abstract embedding at a time, so the whole path is the per-root
+reference only (:attr:`MiningEngine.multi_pattern`): under batching
+``count_set`` counts each pattern on the frontier kernel.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.isomorphism import automorphisms
-from repro.core.pattern import Pattern
-from repro.engines.base import MiningEngine
-from repro.engines.plan import ExplorationPlan
-from repro.engines.setops import exclude, intersect
+from repro.core.pattern import Pattern, normalize_edge
+from repro.engines.base import MiningEngine, level_candidates
+from repro.engines.plan import ExplorationPlan, PlanLevel
 from repro.engines.sumpa.abstraction import embedding_of, maximum_common_subpattern
 from repro.graph.datagraph import DataGraph
 
@@ -47,20 +48,17 @@ class SumPAEngine(MiningEngine):
 
     #: Abstractions smaller than this many edges share too little to pay.
     min_abstract_edges = 1
+    #: The abstract pattern of the most recent shared pass (None: none ran).
+    last_abstraction: Pattern | None = None
 
-    def count_set(
-        self, graph: DataGraph, patterns: Iterable[Pattern]
+    def _count_shared(
+        self, graph: DataGraph, patterns: list[Pattern]
     ) -> dict[Pattern, int]:
-        patterns = list(patterns)
         shared = [p for p in patterns if p.is_edge_induced and p.n >= 2]
-        rest = [p for p in patterns if p not in shared]
-        counts: dict[Pattern, int] = {}
-        if len(shared) >= 2:
-            counts.update(self._count_via_abstraction(graph, shared))
-        else:
-            rest = patterns
-            counts = {}
-        for p in rest:
+        counts = (
+            self._count_via_abstraction(graph, shared) if len(shared) >= 2 else {}
+        )
+        for p in patterns:
             if p not in counts:
                 counts[p] = self.count(graph, p)
         return counts
@@ -84,20 +82,17 @@ class SumPAEngine(MiningEngine):
         # Match the abstraction WITHOUT symmetry breaking: embeddings.
         abstract_plan = ExplorationPlan.build(abstract, symmetry_breaking=False)
 
-        def on_abstract(match: tuple[int, ...]) -> None:
-            for i, residual in enumerate(residuals):
-                totals[i] += residual.extensions(graph, match, self.stats)
+        def on_block(rows: np.ndarray) -> None:
+            for match in rows.tolist():
+                for i, residual in enumerate(residuals):
+                    totals[i] += residual.extensions(graph, match, self.stats)
 
-        from repro.engines.base import run_plan
-
-        start = time.perf_counter()
         with self.kernel_span(
             "kernel.abstraction",
             patterns=len(patterns),
             abstract_edges=abstract.num_edges,
         ):
-            run_plan(graph, abstract_plan, self.stats, on_abstract)
-        _ = start  # run_plan already accounts wall time into stats
+            self._execute(graph, abstract_plan, on_block=on_block)
 
         return {
             p: totals[i] // len(automorphisms(p))
@@ -105,72 +100,55 @@ class SumPAEngine(MiningEngine):
         }
 
 
-class _ResidualPlan:
+class _ResidualPlan(NamedTuple):
     """Extension of an abstract embedding to one concrete pattern."""
 
-    def __init__(
-        self,
-        pattern: Pattern,
-        abstract_slots: tuple[int, ...],
-        levels: list[tuple[int, list[int], list[int], object]],
-        extra_pairs: list[tuple[int, int]],
-    ) -> None:
-        self.pattern = pattern
-        #: abstract position -> concrete vertex (the designated phi).
-        self.abstract_slots = abstract_slots
-        #: per residual vertex: (vertex, neighbor slot ids, distinct slot
-        #: ids, label) where slot ids index the running assignment list.
-        self.levels = levels
-        #: concrete edges between abstract slots that the abstraction does
-        #: not imply (e.g. a chord across the embedded image) — verified
-        #: per abstract embedding before extension.
-        self.extra_pairs = extra_pairs
+    #: one level per residual vertex; positions index the running
+    #: assignment (the abstract embedding, then earlier residuals).
+    levels: list[PlanLevel]
+    #: concrete edges between abstract slots that the abstraction does
+    #: not imply (e.g. a chord across the embedded image) — verified
+    #: per abstract embedding before extension.
+    extra_pairs: list[tuple[int, int]]
 
     @classmethod
     def build(
         cls, abstract: Pattern, pattern: Pattern, phi: tuple[int, ...]
     ) -> "_ResidualPlan":
-        mapped = list(phi)  # assignment slots 0..k-1 hold phi's images
-        slot_of = {v: i for i, v in enumerate(mapped)}
-
-        # Concrete edges inside the embedded image not implied by the
-        # abstraction's own edges.
-        from repro.core.pattern import normalize_edge
-
-        implied = {
-            normalize_edge(phi[a], phi[b]) for a, b in abstract.edges
-        }
-        image = set(phi)
+        slot_of = {v: i for i, v in enumerate(phi)}  # slots 0..k-1: phi's images
+        implied = {normalize_edge(phi[a], phi[b]) for a, b in abstract.edges}
         extra_pairs = [
             (slot_of[u], slot_of[v])
             for u, v in pattern.edges
-            if u in image and v in image and normalize_edge(u, v) not in implied
+            if u in slot_of and v in slot_of and normalize_edge(u, v) not in implied
         ]
         residual = [v for v in range(pattern.n) if v not in slot_of]
-        # Order residual vertices by connectivity to what's assigned.
-        ordered: list[int] = []
+        levels = []
         while residual:
-            residual.sort(
-                key=lambda v: (
-                    -sum(1 for w in pattern.neighbors(v) if w in slot_of),
-                    v,
+            # Next: the vertex most connected to what is assigned.
+            v = min(
+                residual,
+                key=lambda v: (-len(pattern.neighbors(v) & slot_of.keys()), v),
+            )
+            residual.remove(v)
+            neighbors = tuple(
+                sorted(slot_of[w] for w in pattern.neighbors(v) if w in slot_of)
+            )
+            levels.append(
+                PlanLevel(
+                    pattern_vertex=v,
+                    backward_neighbors=neighbors,
+                    backward_anti=(),
+                    upper_bounds=(),
+                    lower_bounds=(),
+                    non_adjacent=tuple(
+                        s for s in range(len(slot_of)) if s not in neighbors
+                    ),
+                    label=pattern.label(v),
                 )
             )
-            v = residual.pop(0)
-            slot_of[v] = len(mapped)
-            mapped.append(v)
-            ordered.append(v)
-
-        levels = []
-        for v in ordered:
-            neighbor_slots = sorted(
-                slot_of[w] for w in pattern.neighbors(v) if slot_of[w] < slot_of[v]
-            )
-            distinct_slots = [
-                s for s in range(slot_of[v]) if s not in neighbor_slots
-            ]
-            levels.append((v, neighbor_slots, distinct_slots, pattern.label(v)))
-        return cls(pattern, phi, levels, extra_pairs)
+            slot_of[v] = len(slot_of)
+        return cls(levels, extra_pairs)
 
     def extensions(self, graph: DataGraph, abstract_match, stats) -> int:
         """Number of ways to complete one abstract embedding."""
@@ -181,24 +159,10 @@ class _ResidualPlan:
         levels = self.levels
         if not levels:
             return 1
-        depth = len(levels)
 
         def descend(i: int) -> int:
-            _v, neighbor_slots, distinct_slots, label = levels[i]
-            if neighbor_slots:
-                cand = graph.neighbors(assignment[neighbor_slots[0]])
-                for s in neighbor_slots[1:]:
-                    cand = intersect(
-                        cand, graph.neighbors(assignment[s]), stats.setops
-                    )
-            else:
-                cand = graph.all_vertices
-            if label is not None and graph.is_labeled:
-                labels = graph.labels
-                cand = cand[labels[cand] == label]
-            if distinct_slots:
-                cand = exclude(cand, [assignment[s] for s in distinct_slots])
-            if i == depth - 1:
+            cand = level_candidates(graph, levels[i], assignment, stats)
+            if i == len(levels) - 1:
                 return int(len(cand))
             total = 0
             assignment.append(0)

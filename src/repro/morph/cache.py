@@ -36,9 +36,14 @@ if TYPE_CHECKING:
 
 @dataclass
 class MeasurementCache:
-    """Memoized ``(graph, aggregation, item) -> value`` measurements."""
+    """Memoized ``(graph, aggregation, item) -> value`` measurements.
 
-    _store: dict[tuple[int, str, Item], Any] = field(default_factory=dict)
+    Keyed by the graph's *content* fingerprint (as :class:`PlanCache`
+    is), never ``id(graph)``: a freed graph's id is reused, and a cache
+    that outlives its graphs would answer for the wrong one.
+    """
+
+    _store: dict[tuple[str, str, Item], Any] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -47,7 +52,7 @@ class MeasurementCache:
         return not isinstance(aggregation, MatchListAggregation)
 
     def key(self, graph: DataGraph, aggregation: Aggregation, item: Item):
-        return (id(graph), aggregation.name, item)
+        return (graph.fingerprint, aggregation.name, item)
 
     def get(self, graph: DataGraph, aggregation: Aggregation, item: Item):
         """Cached value or ``None`` (values themselves are never None)."""

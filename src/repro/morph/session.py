@@ -39,8 +39,9 @@ additionally emit one cost-model audit record per measured step (the
 predicted cost vs the measured match time — §5.2's accuracy story) and
 a ``selection`` summary record. Tracing changes no results (asserted
 byte-for-byte by the trace invariance tests); with ``tracer=None``
-nothing is recorded and the count path keeps engine-native
-multi-pattern batching.
+nothing is recorded and, on the per-root kernel, the count path keeps
+engine-native multi-pattern batching (the default kernel has none, so
+there a run executes the same steps traced or not).
 
 **Progress.** Pass ``progress=repro.ProgressReporter()`` and the step
 loop reports live progress: the ETA is seeded from the plan's predicted
@@ -771,16 +772,17 @@ class MorphingSession:
             cached_items = set(store)
             pending = [s for s in steps if s.item not in store]
             if (
-                isinstance(aggregation, CountAggregation)
+                self.engine.multi_pattern
+                and isinstance(aggregation, CountAggregation)
                 and exec_ is None
                 and tracer is None
                 and progress is None
             ):
                 # Engine-native multi-pattern execution (AutoZero's merged
-                # schedules, SumPA's abstraction) for the direct count
-                # steps. Tracing, progress and fault tolerance trade it
-                # for per-step measurement — identical counts, and the
-                # audit gets a real per-step match time.
+                # schedules, SumPA's abstraction: per-root kernel only) for
+                # the direct count steps. Tracing, progress and fault
+                # tolerance trade it for per-step measurement — identical
+                # counts, and the audit gets a real per-step match time.
                 direct = [s for s in pending if isinstance(s, MeasureStep)]
                 counts = self.engine.count_set(graph, [s.pattern for s in direct])
                 store.update((s.item, counts[s.pattern]) for s in direct)

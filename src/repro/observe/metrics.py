@@ -9,6 +9,7 @@ sub-run registries together with the same semantics.
 
 from __future__ import annotations
 
+import threading
 from typing import Any
 
 from repro.observe.histogram import StreamingHistogram, WindowGauge
@@ -25,6 +26,10 @@ class MetricsRegistry:
     flat view older exporters and the trace-invariance tests consume —
     while distributions are read through :meth:`histogram_snapshots`
     and :meth:`window`.
+
+    Thread-safe: every write is a read-modify-write, and a daemon's
+    handler, worker and sampler threads share one registry, so one
+    internal lock covers all of them — callers hold none.
     """
 
     def __init__(self) -> None:
@@ -32,12 +37,14 @@ class MetricsRegistry:
         self._gauges: dict[str, Any] = {}
         self._histograms: dict[str, StreamingHistogram] = {}
         self._windows: dict[str, WindowGauge] = {}
+        self._lock = threading.Lock()
 
     # -- write -------------------------------------------------------------
 
     def add(self, name: str, value: float = 1) -> None:
         """Increment counter ``name`` by ``value``."""
-        self._counters[name] = self._counters.get(name, 0) + value
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + value
 
     def gauge(self, name: str, value: Any) -> None:
         """Set gauge ``name`` to ``value`` (overwrites)."""
@@ -50,10 +57,9 @@ class MetricsRegistry:
         layout (1µs..10ks, 10 buckets/decade); the record path is O(1)
         and allocation-free thereafter.
         """
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = StreamingHistogram()
-        hist.record(value)
+        hist = self.histogram(name)
+        with self._lock:
+            hist.record(value)
 
     def sample_window(self, name: str, value: float) -> None:
         """Record a sample into window gauge ``name`` (and gauge ``name``).
@@ -63,11 +69,10 @@ class MetricsRegistry:
         value while :meth:`window` exposes the min/max envelope since
         the previous window read.
         """
-        window = self._windows.get(name)
-        if window is None:
-            window = self._windows[name] = WindowGauge()
-        window.record(value)
-        self._gauges[name] = value
+        window = self.window(name)
+        with self._lock:
+            window.record(value)
+            self._gauges[name] = value
 
     def record_engine_stats(self, stats, prefix: str = "engine.") -> None:
         """Fold an :class:`~repro.engines.base.EngineStats` in as counters.
@@ -97,18 +102,20 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry in: counters add, gauges overwrite,
         histograms merge bucket-wise (layouts must match)."""
-        for name, value in other._counters.items():
-            self.add(name, value)
-        self._gauges.update(other._gauges)
-        for name, hist in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = self._histograms[name] = StreamingHistogram(
-                    lo=hist.lo,
-                    hi=hist.hi,
-                    buckets_per_decade=hist.buckets_per_decade,
-                )
-            mine.merge(hist)
+        with self._lock:
+            counters = self._counters
+            for name, value in other._counters.items():
+                counters[name] = counters.get(name, 0) + value
+            self._gauges.update(other._gauges)
+            for name, hist in other._histograms.items():
+                mine = self._histograms.get(name)
+                if mine is None:
+                    mine = self._histograms[name] = StreamingHistogram(
+                        lo=hist.lo,
+                        hi=hist.hi,
+                        buckets_per_decade=hist.buckets_per_decade,
+                    )
+                mine.merge(hist)
 
     # -- read --------------------------------------------------------------
 
@@ -120,24 +127,25 @@ class MetricsRegistry:
     def histogram(self, name: str) -> StreamingHistogram:
         """The streaming histogram ``name`` (created empty on first use)."""
         hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = StreamingHistogram()
+        if hist is None:  # setdefault is atomic: racing creators agree
+            hist = self._histograms.setdefault(name, StreamingHistogram())
         return hist
 
     def window(self, name: str) -> WindowGauge:
         """The window gauge ``name`` (created empty on first use)."""
         window = self._windows.get(name)
-        if window is None:
-            window = self._windows[name] = WindowGauge()
+        if window is None:  # setdefault is atomic: racing creators agree
+            window = self._windows.setdefault(name, WindowGauge())
         return window
 
     def histogram_snapshots(self) -> dict[str, dict[str, float]]:
         """``name -> quantile summary`` for every non-empty histogram."""
-        return {
-            name: hist.snapshot()
-            for name, hist in sorted(self._histograms.items())
-            if hist.count
-        }
+        with self._lock:
+            return {
+                name: hist.snapshot()
+                for name, hist in sorted(self._histograms.items())
+                if hist.count
+            }
 
     def snapshot(self) -> dict[str, Any]:
         """Flat ``name -> value`` view (counters and gauges together).
@@ -146,9 +154,10 @@ class MetricsRegistry:
         scalar view; read distributions via
         :meth:`histogram_snapshots` / :meth:`window`.
         """
-        out: dict[str, Any] = dict(self._counters)
-        out.update(self._gauges)
-        return out
+        with self._lock:
+            out: dict[str, Any] = dict(self._counters)
+            out.update(self._gauges)
+            return out
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)

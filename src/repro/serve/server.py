@@ -66,9 +66,26 @@ __all__ = ["MiningServer"]
 #: Bound on the idempotency map (completed responses kept for replay).
 _IDEMPOTENCY_CAPACITY = 256
 
+#: Bound on the result cache (encoded payloads, one per distinct query).
+_RESULT_CACHE_CAPACITY = 4096
+
 #: Metrics forwarded to clients in every run response (cache behavior
 #: is part of the service contract, so clients can assert on it).
 _RESPONSE_METRICS = ("plan.cache.hit", "plan.cache.miss")
+
+
+def _put_bounded(store: dict, key, value, capacity: int) -> int:
+    """Insert ``key`` and evict oldest-inserted entries past ``capacity``.
+
+    Returns how many were evicted. A key already present keeps its place
+    in the queue (dicts iterate in first-insertion order).
+    """
+    store[key] = value
+    evicted = 0
+    while len(store) > capacity:
+        store.pop(next(iter(store)))
+        evicted += 1
+    return evicted
 
 
 class MiningServer:
@@ -257,6 +274,9 @@ class MiningServer:
             "scheduler": self.scheduler.snapshot(),
             "graphs": self.registry.names(),
             "result_cache_entries": len(self._result_cache),
+            "result_cache_evictions": self.metrics.value(
+                "serve.result_cache.evictions", 0
+            ),
             "plan_cache": {
                 "hits": self.plan_cache.hits,
                 "misses": self.plan_cache.misses,
@@ -370,10 +390,9 @@ class MiningServer:
         assert response is not None
         # End-to-end latency includes queueing, execution *and* the
         # submitter's wakeup — the number a client actually experiences.
-        with self._lock:
-            self.metrics.observe(
-                "serve.latency.total", self.scheduler.clock() - accepted_at
-            )
+        self.metrics.observe(
+            "serve.latency.total", self.scheduler.clock() - accepted_at
+        )
         chaos = request.get("_chaos")
         if chaos is not None and chaos[0].kind in ("corrupt", "torn-socket"):
             # Wire-level faults ride the response as a private marker
@@ -389,9 +408,12 @@ class MiningServer:
                 k: v for k, v in response.items() if k != "_chaos_wire"
             }
             with self._lock:
-                self._idempotency[str(idempotency_key)] = clean
-                while len(self._idempotency) > _IDEMPOTENCY_CAPACITY:
-                    self._idempotency.pop(next(iter(self._idempotency)))
+                _put_bounded(
+                    self._idempotency,
+                    str(idempotency_key),
+                    clean,
+                    _IDEMPOTENCY_CAPACITY,
+                )
         return response
 
     # -- query execution -----------------------------------------------------
@@ -422,8 +444,7 @@ class MiningServer:
         queue_wait = 0.0
         if query.submitted_at is not None and query.started_at is not None:
             queue_wait = max(0.0, query.started_at - query.submitted_at)
-        with self._lock:
-            self.metrics.observe("serve.latency.queue_wait", queue_wait)
+        self.metrics.observe("serve.latency.queue_wait", queue_wait)
         breaker = self.breakers.get(
             str(request.get("graph", "?")), str(options.engine)
         )
@@ -589,18 +610,17 @@ class MiningServer:
             )
             raise
         engine_label = str(options.engine)
-        with self._lock:
-            self.metrics.merge(tracer.metrics)
-            self.metrics.add("serve.queries")
-            self.metrics.observe(
-                f"serve.stage.plan.{engine_label}", result.transform_seconds
-            )
-            self.metrics.observe(
-                f"serve.stage.match.{engine_label}", result.match_seconds
-            )
-            self.metrics.observe(
-                f"serve.stage.convert.{engine_label}", result.convert_seconds
-            )
+        self.metrics.merge(tracer.metrics)
+        self.metrics.add("serve.queries")
+        self.metrics.observe(
+            f"serve.stage.plan.{engine_label}", result.transform_seconds
+        )
+        self.metrics.observe(
+            f"serve.stage.match.{engine_label}", result.match_seconds
+        )
+        self.metrics.observe(
+            f"serve.stage.convert.{engine_label}", result.convert_seconds
+        )
         self._observe_first_result(query)
 
         partial = isinstance(result, PartialRunResult)
@@ -634,12 +654,15 @@ class MiningServer:
             # query without deadline pressure deserves the full answer.
             # The fresh query_id is stripped with the cached flag — a
             # repeat query gets its own id stamped on the hit path.
+            entry = {
+                k: v for k, v in response.items() if k not in ("cached", "query_id")
+            }
             with self._lock:
-                self._result_cache[key] = {
-                    k: v
-                    for k, v in response.items()
-                    if k not in ("cached", "query_id")
-                }
+                evicted = _put_bounded(
+                    self._result_cache, key, entry, _RESULT_CACHE_CAPACITY
+                )
+            if evicted:
+                self.metrics.add("serve.result_cache.evictions", evicted)
         self._record_flight(
             query,
             resident.name,
@@ -655,11 +678,10 @@ class MiningServer:
         """Record admission-to-first-result latency for ``query``."""
         if query.submitted_at is None:
             return
-        with self._lock:
-            self.metrics.observe(
-                "serve.latency.first_result",
-                max(0.0, self.scheduler.clock() - query.submitted_at),
-            )
+        self.metrics.observe(
+            "serve.latency.first_result",
+            max(0.0, self.scheduler.clock() - query.submitted_at),
+        )
 
     def _record_flight(
         self,
@@ -865,7 +887,9 @@ class MiningServer:
                 )
                 failed.append(name)
         with self._lock:
-            self._result_cache.update(state.results)
+            # A journal may come from a build with a larger (or no) bound.
+            for key, entry in state.results.items():
+                _put_bounded(self._result_cache, key, entry, _RESULT_CACHE_CAPACITY)
         self.metrics.add("serve.resume.graphs", len(loaded))
         self.metrics.add("serve.resume.results", len(state.results))
         if state.skipped:

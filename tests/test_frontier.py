@@ -9,7 +9,7 @@ MNI tables, same match lists in the same order. The matrix pins that at
 four layers:
 
 * kernel level — :func:`repro.engines.frontier.run_plan_batched`
-  against :func:`repro.engines.base.run_plan`, counts and ``on_match``
+  against :func:`repro.engines.base.run_plan`, counts and match
   streams, over hypothesis-random graphs and patterns;
 * the element budget — the same comparison at *any* budget down to 1,
   a fixed memory ceiling that does not grow with the graph, and
@@ -112,7 +112,7 @@ def with_budget(budget):
 
 
 def assert_kernels_agree(graph, pattern, batch=DEFAULT_BATCH_ROOTS):
-    """Batched count and ``on_match`` sequence == per-root, exactly."""
+    """Batched count and block stream (unpacked) == per-root, exactly."""
     plan = PeregrineEngine().make_plan(pattern, graph)
     expected = run_plan(graph, plan, EngineStats())
     stream: list = []
@@ -120,7 +120,11 @@ def assert_kernels_agree(graph, pattern, batch=DEFAULT_BATCH_ROOTS):
     got_stream: list = []
     assert run_plan_batched(graph, plan, EngineStats(), batch_roots=batch) == expected
     run_plan_batched(
-        graph, plan, EngineStats(), on_match=got_stream.append, batch_roots=batch
+        graph,
+        plan,
+        EngineStats(),
+        on_block=lambda rows: got_stream.extend(map(tuple, rows.tolist())),
+        batch_roots=batch,
     )
     assert got_stream == stream, "match order must be preserved"
 

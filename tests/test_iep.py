@@ -15,17 +15,12 @@ from repro.core.pattern import Pattern
 from repro.engines import frontier
 from repro.engines.base import EngineStats
 from repro.engines.graphpi.engine import GraphPiEngine
-from repro.engines.graphpi.iep import (
-    iep_suffix_length,
-    ordered_distinct_count,
-    run_iep_blocks,
-    run_iep_count,
-)
+from repro.engines.graphpi.iep import iep_suffix_length
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.engines.plan import ExplorationPlan
 from repro.graph.datagraph import DataGraph
 from repro.graph.generators import power_law_cluster
-from repro.plan.iep import block_distinct_counts
+from repro.plan.iep import block_distinct_counts, ordered_distinct_count
 from repro.plan.rules import DecomposedCount, find_decompositions
 
 from .oracle import brute_force_count, brute_force_match_tuples
@@ -90,12 +85,11 @@ class TestIEPCounting:
         [atlas.FOUR_STAR, atlas.FIVE_STAR, Pattern.star(6)],
     )
     def test_star_counts_match_oracle(self, pattern, small_graph):
-        plan = ExplorationPlan.build(pattern)
-        suffix = iep_suffix_length(plan)
-        assert suffix >= 2
+        engine = GraphPiEngine()  # a bare engine: the per-root kernel
 
         def iep_count(graph):
-            return run_iep_count(graph, plan, EngineStats(), suffix)
+            assert iep_suffix_length(engine.make_plan(pattern, graph)) >= 2
+            return engine.count(graph, pattern)
 
         # Closed form, independent of any matcher: a star is a centre
         # plus an unordered choice of its leaves among the neighbours.
@@ -221,7 +215,7 @@ class TestBlockIEP:
             got = engine.aggregate(star, dec.prefix, DecomposedCount(dec))
             assert got == math.comb(d, 4), dec.suffix_size
         # GraphPi's own IEP is the same block routine on this kernel.
-        plan = ExplorationPlan.build(atlas.FIVE_STAR)
-        assert run_iep_blocks(
-            star, plan, EngineStats(), iep_suffix_length(plan), batch_roots=2048
-        ) == math.comb(d, 4)
+        engine = GraphPiEngine()
+        engine.batch_roots = 2048
+        assert engine.count(star, atlas.FIVE_STAR) == math.comb(d, 4)
+        assert engine.stats.setops.batched > 0

@@ -6,6 +6,7 @@ from repro.core import atlas
 from repro.core.aggregation import CountAggregation, MatchListAggregation, MNIAggregation
 from repro.core.equations import item_of
 from repro.engines.peregrine.engine import PeregrineEngine
+from repro.graph.datagraph import DataGraph
 from repro.morph.cache import MeasurementCache
 from repro.morph.session import MorphingSession
 
@@ -35,6 +36,22 @@ class TestCacheBasics:
         item = item_of(atlas.TRIANGLE)
         cache.put(small_graph, agg, item, 7)
         assert cache.get(tiny_graph, agg, item) is None
+
+    def test_keys_are_content_not_identity(self):
+        """Two structurally identical graph objects share entries; one
+        edge of difference never hits (``id(graph)`` is reused once a
+        graph is freed, so an identity key answers for the wrong graph)."""
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+        first, twin = DataGraph(4, edges), DataGraph(4, list(reversed(edges)))
+        other = DataGraph(4, edges + [(0, 3)])
+        assert first is not twin
+        cache = MeasurementCache()
+        agg = CountAggregation()
+        item = item_of(atlas.TRIANGLE)
+        cache.put(first, agg, item, 1)
+        assert cache.get(twin, agg, item) == 1
+        assert cache.get(other, agg, item) is None
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_keys_separate_aggregations(self, small_graph):
         cache = MeasurementCache()

@@ -279,7 +279,10 @@ class TestExporters:
 
     def test_dominant_stage(self, medium_graph):
         # Big enough that matching outweighs the plan search: on the
-        # 25-vertex fixture the batched kernel finishes before it.
+        # 25-vertex fixture the batched kernel finishes before it. The
+        # first search in a process also fills the pattern caches, so
+        # warm them: run alone, this test used to read "transform".
+        self._traced_run(medium_graph, size=4)
         trace = self._traced_run(medium_graph, size=4)
         assert trace.dominant_stage() == "match"
         assert RunTrace().dominant_stage() is None
@@ -336,6 +339,37 @@ class TestTracerPrimitives:
         reg.merge(other)
         assert reg.value("c") == 6
         assert "c" in reg and len(reg) == 2
+
+    def test_metrics_writes_are_atomic_across_threads(self):
+        """8 threads x 5,000 ``add`` + ``observe`` lose nothing: the
+        daemon's handler, worker and sampler threads share one registry
+        and hold no lock of their own around it."""
+        import sys
+        import threading
+
+        reg = MetricsRegistry()
+        threads, rounds = 8, 5_000
+        barrier = threading.Barrier(threads)
+
+        def hammer():
+            barrier.wait(timeout=30)
+            for _ in range(rounds):
+                reg.add("c")
+                reg.observe("h", 0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert reg.value("c") == threads * rounds
+        assert reg.histogram("h").count == threads * rounds
 
     def test_span_json_round_trip(self):
         span = Span(span_id=3, parent_id=1, name="n", start=1.5, end=2.5,

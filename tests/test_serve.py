@@ -377,6 +377,60 @@ class TestServerProtocol:
         assert remote == oracle.results[TRIANGLE]
 
 
+class TestBoundedCaches:
+    """The result cache and the idempotency map share one FIFO bound."""
+
+    def test_result_cache_evicts_oldest_and_counts_it(self, server, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_RESULT_CACHE_CAPACITY", 3)
+        texts = [repro.format_pattern(p) for p in motif_patterns(4)][:5]
+        for text in texts:
+            assert server.handle({"op": "run", "graph": "small", "patterns": [text]})["ok"]
+        stats = server.handle({"op": "stats"})
+        assert stats["result_cache_entries"] == 3
+        assert stats["result_cache_evictions"] == 2
+        assert stats["metrics"]["serve.result_cache.evictions"] == 2
+        protocol.validate_stats(stats)
+        # FIFO: the two oldest were dropped, the three newest still hit.
+        cached = [
+            server.handle({"op": "run", "graph": "small", "patterns": [text]})["cached"]
+            for text in reversed(texts)
+        ]
+        assert cached[:3] == [True, True, True] and cached[3] is False
+
+    def test_idempotency_map_uses_the_same_rule(self, server, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_IDEMPOTENCY_CAPACITY", 2)
+        request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        for key in ("k1", "k2", "k3"):
+            assert server.handle({**request, "idempotency_key": key})["ok"]
+        stats = server.handle({"op": "stats"})
+        assert stats["service"]["idempotency_entries"] == 2
+        server.handle({**request, "idempotency_key": "k3"})
+        server.handle({**request, "idempotency_key": "k1"})  # evicted: runs again
+        assert server.metrics.value("serve.idempotent.replays") == 1
+
+    def test_sixteen_warm_queries_all_hit(self, server):
+        """The ``serve-hit`` shape: 16 distinct warmed queries, then
+        every op is a result-cache hit and nothing is evicted."""
+        texts = [repro.format_pattern(p) for p in motif_patterns(4)]
+        texts += [repro.format_pattern(p) for p in motif_patterns(3)]
+        requests = [
+            {"op": "run", "graph": "small", "patterns": [t], "options": {"morph": m}}
+            for t in texts
+            for m in (True, False)
+        ]
+        assert len(requests) == 16
+        assert not any(server.handle(dict(r))["cached"] for r in requests)
+        for _ in range(3):
+            assert all(server.handle(dict(r))["cached"] for r in requests)
+        stats = server.handle({"op": "stats"})
+        assert stats["metrics"]["serve.result_cache.hits"] == 48
+        assert stats["result_cache_evictions"] == 0
+
+
 class TestEngineSharingContract:
     def test_fresh_rejects_instances(self):
         with pytest.raises(TypeError, match="fresh engine"):

@@ -1,7 +1,8 @@
 """Adaptive set-op kernel tests: dispatch, equivalence, aliasing safety.
 
-The adaptive kernels must be drop-in equivalent to the legacy numpy
-set-routine path (``use_adaptive(False)``) for every input shape — the
+The adaptive kernels must be drop-in equivalent to the seed's numpy
+set-routine kernels (``repro.testing.setops_reference``, the test-side
+reference) for every input shape — the
 engines' byte-identical-results guarantee rests on it. The aliasing
 tests pin the rule that *every* array a kernel returns is read-only,
 including the fast paths that hand back an alias of an input: those
@@ -11,13 +12,15 @@ one engine silently corrupt another's adjacency.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.atlas import motif_patterns
-from repro.engines import setops
+from repro.engines import base
 from repro.engines.setops import (
     GALLOP_RATIO,
     SetOpStats,
@@ -26,8 +29,8 @@ from repro.engines.setops import (
     difference,
     exclude,
     intersect,
-    use_adaptive,
 )
+from repro.testing import setops_reference
 
 
 def sorted_unique(max_value: int = 200, max_size: int = 40):
@@ -40,28 +43,22 @@ class TestAdaptiveMatchesLegacy:
     @given(sorted_unique(), sorted_unique())
     @settings(max_examples=150, deadline=None)
     def test_intersect(self, a, b):
-        with use_adaptive(True):
-            adaptive = intersect(a, b, SetOpStats())
-        with use_adaptive(False):
-            legacy = intersect(a, b, SetOpStats())
+        adaptive = intersect(a, b, SetOpStats())
+        legacy = setops_reference.intersect(a, b)
         assert np.array_equal(adaptive, legacy)
 
     @given(sorted_unique(), sorted_unique())
     @settings(max_examples=150, deadline=None)
     def test_difference(self, a, b):
-        with use_adaptive(True):
-            adaptive = difference(a, b, SetOpStats())
-        with use_adaptive(False):
-            legacy = difference(a, b, SetOpStats())
+        adaptive = difference(a, b, SetOpStats())
+        legacy = setops_reference.difference(a, b)
         assert np.array_equal(adaptive, legacy)
 
     @given(sorted_unique(), st.lists(st.integers(0, 200), max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_exclude(self, arr, values):
-        with use_adaptive(True):
-            adaptive = exclude(arr, values)
-        with use_adaptive(False):
-            legacy = exclude(arr, values)
+        adaptive = exclude(arr, values)
+        legacy = setops_reference.exclude(arr, values)
         assert np.array_equal(adaptive, legacy)
 
     def test_skewed_sizes_hit_gallop_path(self):
@@ -103,13 +100,30 @@ class TestAdaptiveMatchesLegacy:
         assert difference(a, b, SetOpStats()).tolist() == []
 
     def test_whole_session_results_identical(self, small_graph):
-        """The kernel equivalence composes: a morphed 3-motif run on the
-        legacy kernels returns exactly what the adaptive ones return."""
+        """The kernel equivalence composes: a morphed 3-motif run whose
+        per-root kernel is handed the reference set-ops returns exactly
+        what the adaptive ones return."""
         patterns = list(motif_patterns(3))
-        adaptive = repro.run(small_graph, patterns)
-        with use_adaptive(False):
-            legacy = repro.run(small_graph, patterns)
+        per_root = repro.RunOptions(batch_roots=0)
+        adaptive = repro.run(small_graph, patterns, options=per_root)
+        calls = []
+
+        def reference(kernel):
+            def run(a, b, _stats=None):
+                calls.append(kernel.__name__)
+                return kernel(a, b)
+
+            return run
+
+        with mock.patch.multiple(
+            base,
+            intersect=reference(setops_reference.intersect),
+            difference=reference(setops_reference.difference),
+            exclude=reference(setops_reference.exclude),
+        ):
+            legacy = repro.run(small_graph, patterns, options=per_root)
         assert adaptive.results == legacy.results
+        assert "intersect" in calls  # the reference kernels really ran
 
 
 class TestStatsAccounting:
@@ -206,34 +220,9 @@ class TestReturnedBuffersAreReadOnly:
         out = intersect(empty, empty, SetOpStats())
         assert not out.flags.writeable
 
-    def test_legacy_path_is_frozen_too(self):
-        a = np.array([1, 2, 3], dtype=np.int64)
-        b = np.array([2], dtype=np.int64)
-        with use_adaptive(False):
-            self._assert_frozen(intersect(a, b, SetOpStats()))
-            self._assert_frozen(difference(a, b, SetOpStats()))
-            self._assert_frozen(exclude(a, [2]))
-
     def test_readonly_input_accepted(self):
         a = np.array([1, 2, 3], dtype=np.int64)
         a.flags.writeable = False
         b = np.empty(0, dtype=np.int64)
         out = difference(a, b, SetOpStats())
         assert out is a  # already frozen: returned as-is, no extra view
-
-
-class TestAdaptiveToggle:
-    def test_flag_restored_on_exit(self):
-        assert setops.ADAPTIVE
-        with use_adaptive(False):
-            assert not setops.ADAPTIVE
-            with use_adaptive(True):
-                assert setops.ADAPTIVE
-            assert not setops.ADAPTIVE
-        assert setops.ADAPTIVE
-
-    def test_flag_restored_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_adaptive(False):
-                raise RuntimeError("boom")
-        assert setops.ADAPTIVE
