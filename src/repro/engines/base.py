@@ -15,8 +15,12 @@ from __future__ import annotations
 import os
 import time
 from abc import ABC
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
+from operator import length_hint
 from typing import Callable, Iterable
 
 import numpy as np
@@ -214,6 +218,52 @@ def close_run(stats: EngineStats, start: float, count: int | None) -> int:
         return 0
     stats.matches += count
     return count
+
+
+def _as_matches(rows: np.ndarray) -> Iterable[Match]:
+    """A block's rows as match tuples of Python ints, lazily, in row order.
+
+    Column-wise ``tolist`` plus ``zip`` builds each tuple in C; a tuple
+    its consumer did not keep is recycled for the next row, so a stream
+    allocates next to nothing per match.
+    """
+    return zip(*rows.T.tolist())
+
+
+#: Runs an iterator to exhaustion from C (the ``consume`` recipe).
+_consume = deque(maxlen=0).extend
+
+
+def deliver(
+    process: MatchCallback,
+    pattern: Pattern,
+    matches: Iterable[Match],
+    count: int,
+    stats: EngineStats,
+) -> int:
+    """Call ``process(pattern, match)`` for each of ``count`` matches, in order.
+
+    The one block-delivery loop: ``map`` drives the calls from C, so the
+    only per-match Python frame is the callee's own. Completed calls are
+    booked on ``stats`` as UDF calls, the loop's time as UDF seconds;
+    returns how many completed. A call that raises (a consumer's
+    :class:`StopExploration`, or any error) ends delivery: exactly the
+    calls before it stay booked, and the exception propagates unchanged.
+    """
+    patterns = repeat(pattern, count)
+    done = count
+    start = time.perf_counter()
+    try:
+        _consume(map(process, patterns, matches))
+    except BaseException:
+        # ``map`` took the raising call's pattern before calling; it and
+        # every pattern left over are calls that did not complete.
+        done -= length_hint(patterns) + 1
+        raise
+    finally:
+        stats.udf_calls += done
+        stats.udf_seconds += time.perf_counter() - start
+    return done
 
 
 def run_plan(
@@ -470,6 +520,13 @@ class MiningEngine(ABC):
         self.stats.filter_seconds += time.perf_counter() - start
         return ok
 
+    def _filter_block(
+        self, graph: DataGraph, pattern: Pattern, rows: np.ndarray
+    ) -> np.ndarray:
+        """The Filter UDF over a block: a boolean row mask, one call per row."""
+        keep = partial(self._filter_match, graph, pattern)
+        return np.fromiter(map(keep, _as_matches(rows)), dtype=bool, count=len(rows))
+
     def _needs_filter(self, pattern: Pattern) -> bool:
         return bool(pattern.anti_edges) and not self.native_anti_edges
 
@@ -501,9 +558,7 @@ class MiningEngine(ABC):
         kept = [0]
 
         def on_block(rows: np.ndarray) -> None:
-            for match in map(tuple, rows.tolist()):
-                if self._filter_match(graph, pattern, match):
-                    kept[0] += 1
+            kept[0] += int(self._filter_block(graph, pattern, rows).sum())
 
         self._execute(graph, plan, root_window, cancel, on_block)
         return kept[0]
@@ -546,35 +601,43 @@ class MiningEngine(ABC):
         """Stream every match through ``process``; returns the match count.
 
         ``process`` is the application UDF: its calls are counted and timed
-        (the Figure 4a/b bottleneck) a block of matches at a time — one
-        loop, one clock pair and one counter update per kernel block.
+        (the Figure 4a/b bottleneck) a block of matches at a time through
+        :func:`deliver`, so its own frame is the only per-match Python.
         ``root_window``/``cancel`` scope the stream to one shard of a
         parallel run.
         """
         plan, needs_filter = self._plan_pattern(pattern, graph)
         stats = self.stats
-        emitted = [0]
+        calls = stats.udf_calls
+        if needs_filter:
 
-        def on_block(rows: np.ndarray) -> None:
-            # One loop and one clock pair per block; the Filter UDF keeps
-            # its own timer, so its share is taken back out of the UDF's.
-            done = 0
-            filter_before = stats.filter_seconds
-            start = time.perf_counter()
-            try:
-                for match in map(tuple, rows.tolist()):
-                    if needs_filter and not self._filter_match(graph, pattern, match):
-                        continue
-                    process(pattern, match)
-                    done += 1
-            finally:
-                elapsed = time.perf_counter() - start
-                stats.udf_calls += done
-                stats.udf_seconds += elapsed - (stats.filter_seconds - filter_before)
-                emitted[0] += done
+            def on_block(rows: np.ndarray) -> None:
+                # A match is filtered just before its call, so an early
+                # stop leaves no row filtered ahead of it; the Filter UDF
+                # keeps its own timer, so its share is taken back out of
+                # the UDF's.
+                done = 0
+                filter_before = stats.filter_seconds
+                start = time.perf_counter()
+                try:
+                    for match in _as_matches(rows):
+                        if self._filter_match(graph, pattern, match):
+                            process(pattern, match)
+                            done += 1
+                finally:
+                    elapsed = time.perf_counter() - start
+                    stats.udf_calls += done
+                    stats.udf_seconds += elapsed - (
+                        stats.filter_seconds - filter_before
+                    )
+
+        else:
+
+            def on_block(rows: np.ndarray) -> None:
+                deliver(process, pattern, _as_matches(rows), len(rows), stats)
 
         self._execute(graph, plan, root_window, cancel, on_block)
-        return emitted[0]
+        return stats.udf_calls - calls
 
     def aggregate_partial(
         self,
@@ -592,6 +655,10 @@ class MiningEngine(ABC):
         run once after all shards merge) and ``terminal`` flags early
         saturation. When the value saturates, ``cancel`` (if given) is
         set so sibling shards short-circuit.
+
+        An aggregation with ``from_block`` folds the kernel's blocks (one
+        ``combine`` per block, Filter UDF applied to the rows first); the
+        others fold match by match through :meth:`explore`.
         """
         if isinstance(aggregation, CountAggregation):
             # Native or filtered counting: no per-match fold needed.
@@ -602,18 +669,26 @@ class MiningEngine(ABC):
 
         box = [aggregation.zero()]
         if aggregation.from_block is not None:
-            # Block-native fold (a decomposed count): no per-match UDF.
-            def on_block(rows: np.ndarray) -> None:
-                box[0] = aggregation.combine(
-                    box[0], aggregation.from_block(graph, rows, self.stats)
-                )
-
             plan, needs_filter = self._plan_pattern(pattern, graph)
-            if needs_filter:
-                raise ValueError(
-                    f"{aggregation.name} folds whole blocks; {self.name} would "
-                    f"have to filter {pattern!r} match by match"
+            stats = self.stats
+            # A fold standing in for a per-match UDF is booked as one (a
+            # call per row, its time); an engine-native one (a decomposed
+            # count, whose set operations have their own timer) is not.
+            per_match = aggregation.per_match_cost > 0
+
+            def on_block(rows: np.ndarray) -> None:
+                if needs_filter:
+                    rows = rows[self._filter_block(graph, pattern, rows)]
+                    if not len(rows):
+                        return
+                start = time.perf_counter()
+                box[0] = aggregation.combine(
+                    box[0], aggregation.from_block(graph, rows, stats)
                 )
+                if per_match:
+                    stats.udf_calls += len(rows)
+                    stats.udf_seconds += time.perf_counter() - start
+
             self._execute(graph, plan, root_window, cancel, on_block)
             return box[0], False
 

@@ -622,7 +622,10 @@ class ProcessShardExecutor(ShardExecutor):
         self._pool = None
         self._event = None
         self._payload: SharedGraphPayload | None = None
-        self._bound_to: tuple[int, int] | None = None
+        #: ``(engine, graph fingerprint)`` the live pool serves. The
+        #: engine is held, not its ``id``: a caller-supplied executor
+        #: outlives a run, and a freed object's id is reused.
+        self._bound_to: tuple[MiningEngine, str] | None = None
         self._fallback: SerialShardExecutor | None = None
 
     def prepare(self, engine: MiningEngine, graph: DataGraph) -> None:
@@ -653,8 +656,12 @@ class ProcessShardExecutor(ShardExecutor):
         self.setup_seconds += time.perf_counter() - start
 
     def _ensure_pool(self, engine: MiningEngine, graph: DataGraph) -> None:
-        key = (id(engine), id(graph))
-        if self._pool is not None and self._bound_to == key:
+        bound = self._bound_to
+        if (
+            self._pool is not None
+            and bound[0] is engine
+            and bound[1] == graph.fingerprint
+        ):
             return
         self.close()
         import multiprocessing as mp
@@ -672,7 +679,7 @@ class ProcessShardExecutor(ShardExecutor):
             initializer=_init_shard_worker,
             initargs=(engine, self._payload if self._payload is not None else graph, self._event),
         )
-        self._bound_to = key
+        self._bound_to = (engine, graph.fingerprint)
 
     def map_shards(
         self, engine, graph, pattern, aggregation, shards, collect_spans=False

@@ -19,7 +19,6 @@ from itertools import permutations
 
 import numpy as np
 
-from repro.core.canonical import pattern_id
 from repro.core.costmodel import CostModel, GraphModel
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED
@@ -49,8 +48,12 @@ class GraphPiEngine(MiningEngine):
 
     def __init__(self) -> None:
         super().__init__()
-        self._model_cache: dict[int, GraphModel] = {}
-        self._order_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        # Keyed by the graph's content fingerprint, never ``id(graph)``
+        # (a freed graph's id is reused by the next one), and orders by
+        # the pattern as numbered: an order is a permutation of *its*
+        # vertices, so an isomorphic renumbering needs its own.
+        self._model_cache: dict[str, GraphModel] = {}
+        self._order_cache: dict[tuple[Pattern, str], tuple[int, ...]] = {}
 
     def count(
         self, graph: DataGraph, pattern: Pattern, *, root_window=None, cancel=None
@@ -87,7 +90,7 @@ class GraphPiEngine(MiningEngine):
         return ExplorationPlan.build(pattern, order=order)
 
     def _graph_model(self, graph: DataGraph) -> GraphModel:
-        key = id(graph)
+        key = graph.fingerprint
         model = self._model_cache.get(key)
         if model is None:
             model = GraphModel.from_graph(graph)
@@ -96,7 +99,7 @@ class GraphPiEngine(MiningEngine):
 
     def _select_order(self, pattern: Pattern, graph: DataGraph) -> tuple[int, ...]:
         """Enumerate connected-prefix orders, keep the model's cheapest."""
-        cache_key = (pattern_id(pattern), id(graph))
+        cache_key = (pattern, graph.fingerprint)
         cached = self._order_cache.get(cache_key)
         if cached is not None:
             return cached

@@ -71,7 +71,7 @@ from repro.core.conversion import (
 from repro.core.costmodel import CostModel, profile_udf_cost
 from repro.core.equations import Item, UnderivableError
 from repro.core.pattern import Pattern
-from repro.engines.base import EngineStats, MiningEngine
+from repro.engines.base import EngineStats, MiningEngine, StopExploration, deliver
 from repro.errors import RunDeadlineExceeded
 from repro.graph.datagraph import DataGraph
 from repro.morph.profiles import profile_for
@@ -609,9 +609,14 @@ class MorphingSession:
         if exec_ is None:
             return self.engine.explore(graph, pattern, callback)
         matches = self._measure(graph, pattern, MatchListAggregation(), exec_)
-        for match in matches:
-            callback(pattern, match)
-        return len(matches)
+        # The shards booked the fold's calls; the replay's are the
+        # caller's own, counted apart so the engine's stats stay the same.
+        replay = EngineStats()
+        try:
+            deliver(callback, pattern, matches, len(matches), replay)
+        except StopExploration:
+            pass  # the caller ended this pattern's stream, as in explore
+        return replay.udf_calls
 
     # -- run scaffolding (tracing + executor lifetime) -----------------------
 

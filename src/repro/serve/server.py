@@ -839,11 +839,14 @@ class MiningServer:
         summary["flight_dir"] = directory
         summary["flight_files"] = len(files)
         if self.state_path is not None:
+            # Handlers insert under the lock until the listener closes.
+            with self._lock:
+                result_cache = dict(self._result_cache)
             try:
                 entries = save_service_state(
                     self.state_path,
                     graphs=self.registry.names(),
-                    result_cache=dict(self._result_cache),
+                    result_cache=result_cache,
                     meta={"drained": drained},
                 )
                 summary["state_entries"] = entries

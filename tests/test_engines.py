@@ -244,3 +244,31 @@ class TestAutoZeroMerging:
 
     def test_empty_set(self, small_graph):
         assert AutoZeroEngine().count_set(small_graph, []) == {}
+
+
+class TestGraphPiCaches:
+    """Model and order caches follow content, never object identity."""
+
+    def test_keyed_by_graph_fingerprint(self, small_graph):
+        from repro.graph.datagraph import DataGraph
+
+        edges = small_graph.edge_array().tolist()
+        twin = DataGraph(small_graph.num_vertices, edges, name="twin")
+        edited = DataGraph(small_graph.num_vertices, edges[1:], name="edited")
+        engine = GraphPiEngine()
+        for graph in (small_graph, twin):
+            engine.make_plan(atlas.TAILED_TRIANGLE, graph)
+        assert (len(engine._model_cache), len(engine._order_cache)) == (1, 1)
+        engine.make_plan(atlas.TAILED_TRIANGLE, edited)
+        assert (len(engine._model_cache), len(engine._order_cache)) == (2, 2)
+
+    def test_a_renumbered_pattern_gets_its_own_order(self, small_graph):
+        from repro.engines.graphpi.engine import _connected_prefix
+
+        path = Pattern(4, [(0, 1), (1, 2), (2, 3)])
+        renumbered = Pattern(4, [(0, 2), (2, 3), (3, 1)])
+        engine = GraphPiEngine()
+        engine.make_plan(path, small_graph)
+        plan = engine.make_plan(renumbered, small_graph)
+        order = tuple(level.pattern_vertex for level in plan.levels)
+        assert _connected_prefix(renumbered, order)

@@ -11,7 +11,11 @@ kernel a run uses. These tests pin what that buys:
   AutoZero's merged schedules and SumPA's abstraction;
 * no module outside ``engines/base.py``, ``engines/frontier.py`` and an
   engine's own ``_run_kernel`` names a kernel entry point;
-* the two early-stop behaviours of the block ``explore`` loop.
+* the two early-stop behaviours of the block ``explore`` loop;
+* the block-delivery contract: every consumer of a block (``explore``,
+  the sharded stream replay, the match-list fold) sees the per-root
+  kernel's matches in its order, books exactly the calls that
+  completed, and has no per-match Python loop of its own.
 """
 
 from __future__ import annotations
@@ -22,12 +26,16 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core import atlas
+from repro.core.aggregation import MatchListAggregation
 from repro.engines import frontier
 from repro.engines.autozero.engine import AutoZeroEngine
 from repro.engines.base import StopExploration
+from repro.engines.bigjoin.engine import BigJoinEngine
 from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.graphpi.iep import iep_suffix_length
 from repro.engines.peregrine.engine import PeregrineEngine
@@ -269,3 +277,231 @@ class TestEarlyStopInTheBlockLoop:
         with mock.patch.object(frontier, "FRONTIER_ELEMENT_BUDGET", 1):
             result, _seen = self._stream_until(medium_graph, 5)
         assert result.stats.materialized == 6
+
+
+ENGINES = [PeregrineEngine, AutoZeroEngine, GraphPiEngine, BigJoinEngine, SumPAEngine]
+#: ``enum-stream``'s query set: both vertex-induced, so GraphPi and
+#: BigJoin deliver through the Filter UDF branch.
+STREAM_QUERIES = [
+    atlas.NAMED_PATTERNS["TT"].vertex_induced(),
+    atlas.NAMED_PATTERNS["4P"].vertex_induced(),
+]
+
+
+def _odd_sum(match) -> bool:
+    return sum(match) % 2 == 1
+
+
+def _stream(graph, engine_cls, vertex_filter=None, **session_kwargs):
+    """``(callback calls, result)`` of one ``run_streaming``."""
+    calls = []
+    result = MorphingSession(engine_cls(), **session_kwargs).run_streaming(
+        graph,
+        STREAM_QUERIES,
+        lambda query, match: calls.append((query, match)),
+        vertex_filter=vertex_filter,
+    )
+    return calls, result
+
+
+@lru_cache(maxsize=None)
+def _per_root_stream(graph, engine_cls, filtered: bool):
+    with mock.patch.object(frontier, "FRONTIER_ELEMENT_BUDGET", SHIPPED_BUDGET):
+        return _stream(
+            graph, engine_cls, _odd_sum if filtered else None, batch_roots=0
+        )
+
+
+class CountingMatchList(MatchListAggregation):
+    """Counts the fold's block conversions and concatenations."""
+
+    def __init__(self) -> None:
+        self.blocks = self.combines = 0
+
+    def from_block(self, graph, rows, stats):
+        self.blocks += 1
+        return super().from_block(graph, rows, stats)
+
+    def combine(self, a, b):
+        self.combines += 1
+        return super().combine(a, b)
+
+
+#: Files whose block consumers must not unpack a block match by match.
+DELIVERY_FILES = ("engines/base.py", "morph/session.py")
+
+
+def _per_match_unpacking(tree: ast.AST) -> list[int]:
+    """Lines of ``map(tuple, ….tolist())`` calls and loops over ``rows.tolist()``."""
+
+    def tolist_of(node, owner=None) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "tolist"
+            and (
+                owner is None
+                or isinstance(node.func.value, ast.Name)
+                and node.func.value.id == owner
+            )
+        )
+
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "map"
+            and len(node.args) == 2
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "tuple"
+            and tolist_of(node.args[1])
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.For, ast.comprehension)) and tolist_of(
+            node.iter, "rows"
+        ):
+            lines.append(node.iter.lineno)
+    return sorted(lines)
+
+
+class TestBlockDelivery:
+    """One delivery path from the kernel's blocks to every consumer."""
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["all", "filtered"])
+    @pytest.mark.parametrize("budget", [1, SHIPPED_BUDGET], ids=["budget1", "shipped"])
+    @pytest.mark.parametrize("batch_roots", [None, 0, 7])
+    @pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda c: c.name)
+    def test_callback_sequence_is_the_per_root_sequence(
+        self, small_graph, engine_cls, batch_roots, budget, filtered
+    ):
+        expected_calls, expected = _per_root_stream(small_graph, engine_cls, filtered)
+        with mock.patch.object(frontier, "FRONTIER_ELEMENT_BUDGET", budget):
+            calls, result = _stream(
+                small_graph,
+                engine_cls,
+                _odd_sum if filtered else None,
+                batch_roots=batch_roots,
+            )
+        assert calls == expected_calls  # pattern, match and order
+        assert result.results == expected.results
+        assert sum(result.results.values()) == len(calls) > 0
+        assert all(
+            type(match) is tuple and all(type(v) is int for v in match)
+            for _query, match in calls
+        )
+
+    @pytest.mark.parametrize("engine_cls", [PeregrineEngine, GraphPiEngine])
+    def test_sharded_replay_is_the_serial_sequence(self, small_graph, engine_cls):
+        for filtered in (False, True):
+            expected_calls, expected = _per_root_stream(
+                small_graph, engine_cls, filtered
+            )
+            calls, result = _stream(
+                small_graph, engine_cls, _odd_sum if filtered else None, workers=2
+            )
+            assert calls == expected_calls
+            assert result.results == expected.results
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        k=st.integers(min_value=0, max_value=10**6),
+        error=st.sampled_from([StopExploration, ValueError]),
+        engine_cls=st.sampled_from([PeregrineEngine, GraphPiEngine]),
+        batch_roots=st.sampled_from([None, 0, 7]),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_a_raising_call_books_exactly_the_calls_before_it(
+        self, small_graph, k, error, engine_cls, batch_roots, workers
+    ):
+        """GraphPi takes the Filter-UDF branch; ``workers=2`` the replay."""
+        query = STREAM_QUERIES[0]
+        total = PeregrineEngine().count(small_graph, query)
+        k %= total
+        raised = error("stop here")
+        seen = []
+
+        def process(_query, match):
+            if len(seen) == k:
+                raise raised
+            seen.append(match)
+
+        engine = engine_cls()
+        session = MorphingSession(
+            engine,
+            enabled=False,
+            batch_roots=batch_roots,
+            workers=workers,
+            executor="serial" if workers > 1 else None,
+        )
+        if error is StopExploration:
+            result = session.run_streaming(small_graph, [query], process)
+            assert result.results == {query: k}
+        else:
+            with pytest.raises(ValueError) as info:
+                session.run_streaming(small_graph, [query], process)
+            assert info.value is raised
+        assert len(seen) == k
+        if workers == 1:
+            assert engine.stats.udf_calls == k
+        else:
+            # The shards' match-list fold is what the engine booked; the
+            # replay of the caller's stream is not an engine UDF.
+            assert engine.stats.udf_calls == total
+
+    @pytest.mark.parametrize("engine", ["peregrine", "graphpi"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_match_lists_equal_the_per_root_lists(self, small_graph, engine, workers):
+        queries = [*STREAM_QUERIES, atlas.TRIANGLE]
+        reference = repro.run(
+            small_graph,
+            queries,
+            options=repro.RunOptions(
+                engine=engine, aggregation="matches", batch_roots=0
+            ),
+        )
+        variant = repro.run(
+            small_graph,
+            queries,
+            options=repro.RunOptions(
+                engine=engine, aggregation="matches", workers=workers
+            ),
+        )
+        assert repr(variant.results) == repr(reference.results)
+        assert all(len(matches) > 0 for matches in reference.results.values())
+
+    @pytest.mark.parametrize("batch_roots", [None, 7, 2048])  # bare: None is per-root
+    @pytest.mark.parametrize("engine_cls", [PeregrineEngine, GraphPiEngine])
+    def test_the_fold_concatenates_once_per_block(
+        self, medium_graph, engine_cls, batch_roots
+    ):
+        query = STREAM_QUERIES[0]
+        engine = engine_cls()
+        engine.batch_roots = batch_roots
+        fold = CountingMatchList()
+        with mock.patch.object(frontier, "FRONTIER_ELEMENT_BUDGET", SHIPPED_BUDGET):
+            matches = engine.aggregate(medium_graph, query, fold)
+        assert len(matches) == PeregrineEngine().count(medium_graph, query)
+        assert fold.combines == fold.blocks < len(matches)
+        # Still booked as a per-match UDF: one call per folded match.
+        assert engine.stats.udf_calls == len(matches)
+
+    def test_delivery_files_unpack_no_block_match_by_match(self):
+        for relative in DELIVERY_FILES:
+            tree = ast.parse((SRC / relative).read_text())
+            assert _per_match_unpacking(tree) == [], relative
+
+    def test_the_unpacking_check_sees_planted_loops(self):
+        planted = ast.parse(
+            "def on_block(rows):\n"
+            "    for match in map(tuple, rows.tolist()):\n"
+            "        pass\n"
+            "    for match in rows.tolist():\n"
+            "        pass\n"
+            "    return [m for m in rows.tolist()]\n"
+        )
+        assert _per_match_unpacking(planted) == [2, 4, 6]

@@ -431,6 +431,104 @@ class TestBoundedCaches:
         assert stats["result_cache_evictions"] == 0
 
 
+class _LockCheckedDict(dict):
+    """Records, for every whole-map read, whether ``lock`` was held."""
+
+    def __init__(self, data, lock) -> None:
+        super().__init__(data)
+        self.lock = lock
+        self.reads: list[bool] = []
+
+    def __iter__(self):
+        self.reads.append(self.lock.locked())
+        return super().__iter__()
+
+    def keys(self):
+        self.reads.append(self.lock.locked())
+        return super().keys()
+
+
+class TestDrainSnapshot:
+    """``drain`` copies the result cache under the handlers' lock."""
+
+    @staticmethod
+    def _warm_server(small_graph, tmp_path) -> MiningServer:
+        registry = GraphRegistry(share=False)
+        registry.add("small", small_graph)
+        server = MiningServer(
+            registry=registry,
+            workers=0,
+            state_path=str(tmp_path / "state.jsonl"),
+            drain_deadline_s=2.0,
+        )
+        warm = server.handle({"op": "run", "graph": "small", "patterns": [tri_text()]})
+        assert warm["ok"]
+        return server
+
+    def test_the_copy_is_taken_under_the_lock(self, small_graph, tmp_path):
+        server = self._warm_server(small_graph, tmp_path)
+        checked = _LockCheckedDict(server._result_cache, server._lock)
+        server._result_cache = checked
+        server.drain(dump_dir=str(tmp_path / "flight"))
+        assert checked.reads and all(checked.reads)
+
+    def test_concurrent_writers_never_break_the_save(self, small_graph, tmp_path):
+        import sys
+
+        from repro.serve import load_service_state
+        from repro.serve import server as server_module
+
+        server = self._warm_server(small_graph, tmp_path)
+        ((key, entry),) = server._result_cache.items()
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def writer(name: str) -> None:
+            # Grow and shrink the map under the lock, as the handlers'
+            # inserts and evictions do, without evicting the warm entry.
+            i = 0
+            try:
+                while not stop.is_set():
+                    extra = (f"{name}-{i}", *key[1:])
+                    with server._lock:
+                        server_module._put_bounded(
+                            server._result_cache,
+                            extra,
+                            entry,
+                            server_module._RESULT_CACHE_CAPACITY,
+                        )
+                    with server._lock:
+                        server._result_cache.pop(extra)
+                    i += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        # More writers than cores, switching threads as often as possible.
+        threads = [
+            threading.Thread(target=writer, args=(f"writer{n}",)) for n in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            summary = server.drain(dump_dir=str(tmp_path / "flight"))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert summary["state"] == "closed"
+        state = load_service_state(str(tmp_path / "state.jsonl"))
+        assert state.skipped == 0
+        assert state.graphs == ["small"]
+        assert state.results[key] == entry
+        assert all(saved == entry for saved in state.results.values())
+        assert len(state.results) == summary["state_entries"] - 1
+
+
 class TestEngineSharingContract:
     def test_fresh_rejects_instances(self):
         with pytest.raises(TypeError, match="fresh engine"):

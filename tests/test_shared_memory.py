@@ -167,6 +167,30 @@ class TestProcessPoolTransport:
             got = run_sharded(engine, small_graph, TRIANGLE, aggregation, pool)
         assert got == expected
 
+    def test_pool_binding_follows_graph_content_not_identity(self, small_graph):
+        """A caller-owned executor outlives runs; a freed graph's id is
+        reused, so only the content fingerprint may decide the binding."""
+        engine = PeregrineEngine()
+        edges = small_graph.edge_array().tolist()
+        twin = DataGraph(small_graph.num_vertices, edges, name="twin")
+        edited = DataGraph(small_graph.num_vertices, edges[1:], name="edited")
+        executor = ProcessShardExecutor(workers=2)
+        try:
+            try:
+                executor._ensure_pool(engine, small_graph)
+            except OSError:
+                pytest.skip("process pools unavailable in this sandbox")
+            pool = executor._pool
+            executor._ensure_pool(engine, twin)
+            assert executor._pool is pool
+            executor._ensure_pool(engine, edited)
+            assert executor._pool is not pool
+            edited_pool = executor._pool
+            executor._ensure_pool(PeregrineEngine(), edited)
+            assert executor._pool is not edited_pool
+        finally:
+            executor.close()
+
     def test_close_disposes_segment(self, small_graph):
         engine = PeregrineEngine()
         executor = ProcessShardExecutor(workers=2)
