@@ -22,12 +22,23 @@ response instead of re-mining (and the answer stays byte-identical).
 Permanent rejections (``rejected:deadline``, unknown graphs, …) raise
 :class:`ServeRejected` / :class:`RuntimeError` immediately — retrying
 them would never succeed.
+
+Connections: each calling thread keeps one persistent connection to
+the daemon, opened on its first request. Any transport error, timeout,
+EOF or unparsable frame drops that connection and surfaces unchanged
+(the retry policy above owns recovery); a connection the daemon hung
+up *between* requests is noticed before anything is sent and reopened
+transparently. A request whose bytes were written is never resent by
+the connection layer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import select
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -109,13 +120,52 @@ class ServeResult:
     sentinel: str | None = None
 
 
+class _Connection:
+    """One socket and its stream, owned by one thread of one process."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.pid = os.getpid()
+        self.sock = sock
+        self.stream = sock.makefile("rwb")
+        # ``poll`` has no descriptor-number limit; Windows has only
+        # ``select``.
+        self._poll = None
+        if hasattr(select, "poll"):
+            self._poll = select.poll()
+            self._poll.register(sock, select.POLLIN)
+
+    def reusable(self) -> bool:
+        """Whether a request may be sent on this connection now.
+
+        Never in a process other than the one that opened it (a forked
+        child would interleave frames with its parent). Between requests
+        nothing may be readable: a readable socket has either seen the
+        daemon's hang-up (EOF) or holds bytes nobody asked for.
+        """
+        if self.pid != os.getpid():
+            return False
+        if self._poll is not None:
+            return not self._poll.poll(0)
+        return not select.select([self.sock], [], [], 0)[0]
+
+    def close(self) -> None:
+        # In a forked child this closes only the child's copy of the
+        # descriptor; the parent's connection stays up.
+        with contextlib.suppress(OSError):
+            self.stream.close()
+        self.sock.close()
+
+    __del__ = close
+
+
 class Client:
     """A connection to one ``repro serve`` daemon.
 
-    Thread-safe by construction: every request opens a fresh socket, so
-    concurrent callers (threads, test harnesses) never interleave
-    frames. The daemon's connection handler is cheap enough that this
-    costs microseconds against queries that cost milliseconds.
+    Thread-safe by construction: every calling thread gets its own
+    persistent connection (kept in a ``threading.local``), so concurrent
+    callers never interleave frames, and repeat requests from one thread
+    pay no TCP handshake. See the module docstring for when a
+    connection is dropped or reopened.
     """
 
     def __init__(
@@ -137,20 +187,36 @@ class Client:
         self.retry = None if retry is None else RetryPolicy.resolve(retry)
         self._seq = 0
         self._seq_lock = threading.Lock()
+        self._local = threading.local()
+
+    def _connection(self) -> _Connection:
+        """The calling thread's connection, (re)opened when unusable."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None and not connection.reusable():
+            connection.close()
+            connection = None
+        if connection is None:
+            connection = _Connection(
+                socket.create_connection((self.host, self.port), timeout=self.timeout)
+            )
+            self._local.connection = connection
+        return connection
 
     def _request(self, payload: dict) -> dict:
-        """One request/response exchange on a fresh connection."""
-        with socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        ) as sock:
-            stream = sock.makefile("rwb")
-            try:
-                protocol.write_message(stream, payload)
-                response = protocol.read_message(stream)
-            finally:
-                stream.close()
-        if response is None:
-            raise ConnectionError("server closed the connection mid-request")
+        """One request/response exchange on the thread's connection."""
+        connection = self._connection()
+        try:
+            protocol.write_message(connection.stream, payload)
+            response = protocol.read_message(connection.stream)
+            if response is None:
+                raise ConnectionError("server closed the connection mid-request")
+        except BaseException:
+            # Whatever broke the exchange (transport error, timeout,
+            # EOF, a corrupt frame) leaves the stream in an unknown
+            # state: the next request starts on a new connection.
+            self._local.connection = None
+            connection.close()
+            raise
         return response
 
     def _checked(self, payload: dict) -> dict:

@@ -15,7 +15,8 @@ Three cache layers, coarsest first:
 
 1. **result cache** — byte-identical encoded payloads keyed by (graph
    fingerprint, pattern texts, aggregation, engine, strategy, morph
-   knobs); a hit answers without touching the pipeline at all;
+   knobs); a hit is answered on the connection thread, before the
+   scheduler, and touches neither the queue nor the pipeline;
 2. **plan cache** — a result-cache miss still skips plan *search* when
    the same (graph, queries, engine, strategy) was planned before;
 3. **measurement cache** — per-graph memoized alternative-set
@@ -189,6 +190,8 @@ class MiningServer:
         self._idempotency: dict[str, dict] = {}
         self._measurement_caches: dict[str, MeasurementCache] = {}
         self._lock = threading.Lock()
+        #: Live handler sockets, hung up by :meth:`close`.
+        self._connections: set[socket.socket] = set()
         self._tcp: _TCPServer | None = None
         self._threads: list[threading.Thread] = []
         self._worker_threads: list[threading.Thread] = []
@@ -324,7 +327,18 @@ class MiningServer:
             return f"q-{self._query_seq:06d}"
 
     def _handle_run(self, request: dict) -> dict:
-        """Admit, schedule and (a)wait one mining query."""
+        """Answer one mining query, from the result cache or scheduled.
+
+        The checks run in this order: draining, idempotency replay,
+        breaker. Then a result-cache hit is answered right here, on the
+        calling (connection) thread. A hit is not an admission: it never
+        waits in the queue, so it records no ``serve.latency.queue_wait``,
+        it is never shed and it does not count against
+        ``max_per_client``. Only a miss (or a request carrying a chaos
+        fault, so fault plans replay unchanged) becomes a scheduled
+        :class:`Query`. Both paths share the tail: ``serve.latency.total``,
+        the wire-fault marker and the idempotency store.
+        """
         if self._drain_state != "accepting":
             self.metrics.add("serve.admission.rejected.draining")
             return {
@@ -368,26 +382,33 @@ class MiningServer:
             deadline=self.scheduler.make_deadline(options.deadline_seconds),
             query_id=self._next_query_id(),
         )
-        accepted_at = self.scheduler.clock()
-        verdict = self.scheduler.submit(query)
-        if verdict != ACCEPTED:
-            response = {
-                "ok": False,
-                "error": verdict,
-                "admission": verdict,
-                "query_id": query.query_id,
-            }
-            if query.retry_after_s is not None:
-                response["retry_after_s"] = query.retry_after_s
-            return response
-        if not self._worker_threads:
-            # Synchronous mode (``workers=0``, dict-level unit tests):
-            # drain the queue in the calling thread until this query
-            # resolves — higher-priority work still runs first.
-            while query.response is None:
-                self.scheduler.run_next(self._execute)
-        response = query.wait(timeout=None)
-        assert response is not None
+        accepted_at = query.submitted_at = self.scheduler.clock()
+        hit = None if "_chaos" in request else self._early_hit(query, options)
+        if hit is not None:
+            # As on the worker, an answered query closes a half-open
+            # breaker and resets its failure count.
+            breaker.record_success()
+            response = hit
+        else:
+            verdict = self.scheduler.submit(query)
+            if verdict != ACCEPTED:
+                response = {
+                    "ok": False,
+                    "error": verdict,
+                    "admission": verdict,
+                    "query_id": query.query_id,
+                }
+                if query.retry_after_s is not None:
+                    response["retry_after_s"] = query.retry_after_s
+                return response
+            if not self._worker_threads:
+                # Synchronous mode (``workers=0``, dict-level unit tests):
+                # drain the queue in the calling thread until this query
+                # resolves — higher-priority work still runs first.
+                while query.response is None:
+                    self.scheduler.run_next(self._execute)
+            response = query.wait(timeout=None)
+            assert response is not None
         # End-to-end latency includes queueing, execution *and* the
         # submitter's wakeup — the number a client actually experiences.
         self.metrics.observe(
@@ -414,6 +435,60 @@ class MiningServer:
                     clean,
                     _IDEMPOTENCY_CAPACITY,
                 )
+        return response
+
+    def _early_hit(self, query: Query, options: RunOptions) -> dict | None:
+        """``query``'s cached response, looked up before admission.
+
+        ``None`` on a miss, when the request bypasses the cache, or when
+        it is malformed (unknown graph, no patterns…): the scheduled
+        path then reports it exactly as it always has. Misses are
+        counted by the worker's own lookup, so they are counted once.
+        """
+        request = query.request
+        if not (self.result_cache_enabled and request.get("use_result_cache", True)):
+            return None
+        try:
+            resident = self.registry.get(str(request["graph"]))
+            texts = list(request.get("patterns") or [])
+        except (KeyError, TypeError):
+            return None
+        key = self._cache_key(resident.graph.fingerprint, texts, options)
+        return self._cached_response(query, key, resident.name, texts, options)
+
+    def _cached_response(
+        self,
+        query: Query,
+        key: tuple,
+        graph: str,
+        texts: list,
+        options: RunOptions,
+        queue_wait: float = 0.0,
+    ) -> dict | None:
+        """The result-cache entry for ``key`` stamped for ``query``.
+
+        The one lookup behind both hit paths: before admission
+        (:meth:`_early_hit`) and on the worker, for a query that queued
+        behind an identical one. Returns ``None`` on a miss.
+        """
+        with self._lock:
+            hit = self._result_cache.get(key)
+        if hit is None:
+            return None
+        self.metrics.add("serve.result_cache.hits")
+        response = dict(hit)
+        response["cached"] = True
+        response["query_id"] = query.query_id
+        self._observe_first_result(query)
+        self._record_flight(
+            query,
+            graph,
+            texts,
+            options,
+            status="ok",
+            cached=True,
+            queue_wait=queue_wait,
+        )
         return response
 
     # -- query execution -----------------------------------------------------
@@ -552,24 +627,11 @@ class MiningServer:
         )
         key = self._cache_key(resident.graph.fingerprint, texts, options)
         if use_cache:
-            with self._lock:
-                hit = self._result_cache.get(key)
+            hit = self._cached_response(
+                query, key, resident.name, texts, options, queue_wait
+            )
             if hit is not None:
-                self.metrics.add("serve.result_cache.hits")
-                response = dict(hit)
-                response["cached"] = True
-                response["query_id"] = query.query_id
-                self._observe_first_result(query)
-                self._record_flight(
-                    query,
-                    resident.name,
-                    texts,
-                    options,
-                    status="ok",
-                    cached=True,
-                    queue_wait=queue_wait,
-                )
-                return response
+                return hit
             self.metrics.add("serve.result_cache.misses")
 
         tracer = Tracer(
@@ -976,11 +1038,25 @@ class MiningServer:
         """Block until :meth:`close` runs (the ``repro serve`` main loop)."""
         return self._closed.wait(timeout)
 
-    def close(self) -> None:
-        """Stop listening, drain workers, release graphs and segments.
+    def _track_connection(self, connection: socket.socket) -> None:
+        """Register an accepted connection until its handler closes it."""
+        self.metrics.add("serve.connections.opened")
+        with self._lock:
+            self._connections.add(connection)
 
-        Idempotent and safe to race: the shutdown op's handler thread
-        and the ``repro serve`` main loop both call it.
+    def _untrack_connection(self, connection: socket.socket) -> None:
+        with self._lock:
+            self._connections.discard(connection)
+
+    def close(self) -> None:
+        """Stop listening, hang up live connections, drain workers,
+        release graphs and segments.
+
+        Clients keep their connections open between requests, so a
+        closed daemon must hang them up: otherwise their handler threads
+        would go on answering. Idempotent and safe to race: the shutdown
+        op's handler thread and the ``repro serve`` main loop both call
+        it.
         """
         self._stop.set()
         self._closed.set()
@@ -990,6 +1066,11 @@ class MiningServer:
         if tcp is not None:
             tcp.shutdown()
             tcp.server_close()
+        # The listener is down, so the set can no longer grow.
+        with self._lock:
+            connections, self._connections = self._connections, set()
+        for connection in connections:
+            _hang_up(connection)
         self.scheduler.close()
         for thread in self._threads:
             if thread is not threading.current_thread():
@@ -1006,6 +1087,14 @@ class MiningServer:
         self.close()
 
 
+def _hang_up(connection: socket.socket) -> None:
+    """End both directions of ``connection``; its handler sees EOF."""
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already gone
+
+
 class _TCPServer(socketserver.ThreadingTCPServer):
     """Threading TCP server carrying a back-reference to the daemon."""
 
@@ -1016,9 +1105,23 @@ class _TCPServer(socketserver.ThreadingTCPServer):
         self.mining_server = mining_server
         super().__init__(address, handler)
 
+    def process_request(self, request, client_address) -> None:
+        # Runs on the listener thread, so once ``shutdown()`` returns no
+        # connection can be registered behind ``close()``'s back.
+        self.mining_server._track_connection(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.mining_server._untrack_connection(request)
+
 
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: a loop of request → :meth:`MiningServer.handle`.
+
+    Clients keep the connection open between requests (one per client
+    thread). The loop ends on EOF, after a ``shutdown``/``drain`` ack,
+    on a wire fault, or when :meth:`MiningServer.close` hangs it up.
 
     Protocol errors are *answered*, not dropped: a torn or non-JSON
     request line gets a typed ``protocol-error`` response (and a

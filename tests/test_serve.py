@@ -8,17 +8,22 @@ byte-identical to cold ones and reports plan-cache hits on warm
 repeats; and the full socket stack answers concurrent multi-client
 query mixes identically to the serial in-process oracle, then shuts
 down without leaking a shared-memory segment (the suite-wide autouse
-probe enforces that part).
+probe enforces that part). On top of the socket stack: one persistent
+connection per client thread, result-cache hits answered before
+admission, and hypothesis-generated garbage on a live connection.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import socket
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.atlas import TRIANGLE, motif_patterns
@@ -37,6 +42,9 @@ from repro.serve import (
     decode_value,
     encode_value,
 )
+
+
+WEDGE = repro.parse_pattern("a-b-c")
 
 
 def tri_text() -> str:
@@ -658,3 +666,367 @@ class TestSocketStack:
             assert any(row["name"] == "mico" for row in client.graphs())
             result = client.run("mico", TRIANGLE)
             assert result.results[TRIANGLE] > 0
+
+
+def _small_server(small_graph, **kwargs) -> MiningServer:
+    registry = GraphRegistry(share=False)
+    registry.add("small", small_graph)
+    return MiningServer(registry=registry, **kwargs)
+
+
+def _opened(server: MiningServer) -> int:
+    return server.metrics.value("serve.connections.opened", 0)
+
+
+def _wait_until(condition, timeout: float = 5.0) -> None:
+    stop = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < stop, "condition never held"
+        time.sleep(0.005)
+
+
+class _RecordingHandle:
+    """Wraps ``server.handle`` to record the op of every request."""
+
+    def __init__(self, server: MiningServer) -> None:
+        self.inner = server.handle
+        self.ops: list[str] = []
+        server.handle = self
+
+    def __call__(self, request: dict) -> dict:
+        self.ops.append(str(request.get("op")))
+        return self.inner(request)
+
+
+class TestPersistentConnections:
+    """One connection per client thread, dropped or reopened only when
+    the transport says so; ``close()`` hangs every connection up."""
+
+    def test_one_thread_opens_one_connection(self, small_graph):
+        oracle = repro.run(small_graph, [TRIANGLE]).results
+        with _small_server(small_graph, workers=1) as server:
+            client = Client(port=server.port)
+            for i in range(200):
+                if i % 2:
+                    assert client.ping()
+                else:
+                    assert client.run("small", TRIANGLE).results == oracle
+            assert _opened(server) == 1
+
+    def test_two_threads_sharing_a_client_open_two(self, small_graph):
+        patterns = list(motif_patterns(3))
+        oracle = repro.run(small_graph, patterns).results
+        failures: list = []
+        with _small_server(small_graph, workers=2) as server:
+            client = Client(port=server.port)
+
+            def loop() -> None:
+                try:
+                    for _ in range(25):
+                        if client.run("small", patterns).results != oracle:
+                            failures.append("diverged from the oracle")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(repr(exc))
+
+            threads = [threading.Thread(target=loop) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert _opened(server) == 2
+
+    def test_concurrent_hits_keep_exact_counts(self, small_graph):
+        """More client threads than cores, switching as often as possible:
+        hits answered on connection threads lose no metric update."""
+        import sys
+
+        oracle = repro.run(small_graph, [TRIANGLE]).results
+        failures: list = []
+        with _small_server(small_graph, workers=1) as server:
+            client = Client(port=server.port)
+            assert not client.run("small", TRIANGLE).cached
+
+            def loop() -> None:
+                try:
+                    for _ in range(40):
+                        result = client.run("small", TRIANGLE)
+                        if not result.cached or result.results != oracle:
+                            failures.append(result)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(repr(exc))
+
+            threads = [threading.Thread(target=loop) for _ in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert server.metrics.value("serve.result_cache.hits") == 240
+            assert server.metrics.histogram("serve.latency.total").count == 241
+            assert server.flight.occupancy()["recorded"] == 241
+            assert _opened(server) == 7
+
+    def test_close_hangs_up_live_connections(self, small_graph):
+        server = _small_server(small_graph, workers=1)
+        server.start()
+        client = connect(port=server.port)
+        server.close()
+        start = time.monotonic()
+        with pytest.raises((ConnectionError, OSError)):
+            client.ping()
+        assert time.monotonic() - start < 1.0
+
+    def test_reconnects_after_a_drain_ack_hang_up(self, small_graph, monkeypatch):
+        with _small_server(small_graph, workers=1) as server:
+            # Keep the daemon up: only the hang-up after the ack is wanted.
+            monkeypatch.setattr(server, "drain", lambda *args: None)
+            client = connect(port=server.port)
+            assert client._checked({"op": "drain"})["draining"]
+            _wait_until(lambda: not server._connections)
+            recorder = _RecordingHandle(server)
+            assert client.ping()
+            assert recorder.ops == ["ping"]
+            assert _opened(server) == 2
+
+    def test_a_protocol_error_elsewhere_leaves_the_client_alone(self, small_graph):
+        with _small_server(small_graph, workers=1) as server:
+            client = connect(port=server.port)
+            with socket.create_connection((server.host, server.port)) as raw:
+                stream = raw.makefile("rwb")
+                stream.write(b"not json\n")
+                stream.flush()
+                answer = protocol.read_message(stream)
+                assert answer["error"].startswith("protocol-error")
+                assert protocol.read_message(stream) is None  # hung up
+                stream.close()
+            recorder = _RecordingHandle(server)
+            assert client.ping()
+            assert recorder.ops == ["ping"]
+            assert _opened(server) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_a_forked_child_opens_its_own_connection(self, small_graph):
+        with _small_server(small_graph, workers=1) as server:
+            client = connect(port=server.port)
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                status = b"ok"
+                try:
+                    assert client.ping()
+                except BaseException as exc:  # noqa: BLE001 - sent to the parent
+                    status = repr(exc).encode()
+                os.write(write_end, status)
+                os._exit(0)
+            os.close(write_end)
+            os.waitpid(pid, 0)
+            with os.fdopen(read_end, "rb") as pipe:
+                assert pipe.read() == b"ok"
+            assert _opened(server) == 2
+            assert client.ping()  # the parent's connection is intact
+            assert _opened(server) == 2
+
+    def test_a_timed_out_request_never_answers_the_next(self, small_graph):
+        from repro.testing.faults import QueryFaultPlan, QueryFaultSpec
+
+        chaos = QueryFaultPlan({0: QueryFaultSpec("slow", times=1, seconds=1.0)})
+        with _small_server(small_graph, workers=1, chaos=chaos) as server:
+            client = Client(port=server.port, timeout=0.3)
+            with pytest.raises(socket.timeout):
+                client.run("small", TRIANGLE, chaos_index=0)
+            # The late answer goes to the dropped connection, not to this.
+            assert client.ping()
+            assert _opened(server) == 2
+
+    def test_torn_socket_without_retry_still_raises(self, small_graph):
+        from repro.testing.faults import QueryFaultPlan, QueryFaultSpec
+
+        chaos = QueryFaultPlan({0: QueryFaultSpec("torn-socket", times=1)})
+        with _small_server(small_graph, workers=1, chaos=chaos) as server:
+            client = connect(port=server.port)
+            with pytest.raises(ConnectionError, match="closed the connection"):
+                client.run("small", TRIANGLE, chaos_index=0)
+            # The next request starts on a fresh connection.
+            assert client.run("small", TRIANGLE, chaos_index=0).results
+            assert _opened(server) == 2
+
+
+class TestEarlyHits:
+    """Result-cache hits are answered on the connection thread, before
+    admission, and read the same as a hit answered by a worker."""
+
+    def test_a_hit_overtakes_a_busy_worker(self, small_graph):
+        from repro.testing.faults import QueryFaultPlan, QueryFaultSpec
+
+        chaos = QueryFaultPlan({0: QueryFaultSpec("slow", times=1, seconds=1.0)})
+        with _small_server(small_graph, workers=1, chaos=chaos) as server:
+            client = connect(port=server.port)
+            assert not client.run("small", TRIANGLE).cached
+            slow = threading.Thread(
+                target=client.run,
+                args=("small", WEDGE),
+                kwargs={"chaos_index": 0, "use_result_cache": False},
+            )
+            slow.start()
+            # Wait until the one worker has taken the slow query.
+            _wait_until(
+                lambda: server.scheduler.total_inflight() == 1
+                and server.scheduler.depth == 0
+            )
+            assert client.run("small", TRIANGLE).cached
+            assert server.scheduler.total_inflight() == 1  # still sleeping
+            slow.join(timeout=30)
+            assert not slow.is_alive()
+
+    def test_a_hit_is_answered_at_the_client_limit(self, small_graph):
+        server = _small_server(
+            small_graph,
+            policy=AdmissionPolicy(max_queue_depth=8, max_per_client=1),
+            workers=0,
+        )
+        try:
+            request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+            assert not server.handle(dict(request))["cached"]
+            assert server.scheduler.submit(Query({}, client="greedy")) == "accepted"
+            server.start()
+            client = connect(port=server.port, client_id="greedy")
+            assert client.run("small", TRIANGLE).cached
+            with pytest.raises(RuntimeError, match="rejected:client-limit"):
+                client.run("small", WEDGE)
+        finally:
+            server.close()
+
+    def test_a_hit_is_refused_while_draining(self, server, tmp_path):
+        request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        assert server.handle(dict(request))["ok"]
+        server.drain(dump_dir=str(tmp_path))
+        assert server.handle(dict(request))["error"] == "rejected:draining"
+        assert server.metrics.value("serve.result_cache.hits", 0) == 0
+
+    def test_a_hit_is_refused_by_an_open_breaker(self, small_graph):
+        clock = FakeClock()
+        server = _small_server(
+            small_graph, clock=clock, breaker_threshold=1, breaker_reset_s=60
+        )
+        try:
+            request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+            assert server.handle(dict(request))["ok"]
+            breaker = server.breakers.get("small", "peregrine")
+            breaker.record_failure()
+            refused = server.handle(dict(request))
+            assert refused["error"] == "rejected:circuit-open"
+            assert refused["retry_after_s"] > 0
+            assert server.metrics.value("serve.result_cache.hits", 0) == 0
+            # After the cool-down the hit is the half-open probe, and it
+            # closes the breaker, as a hit answered by a worker does.
+            clock.advance(60)
+            assert server.handle(dict(request))["cached"]
+            assert breaker.state == "closed"
+        finally:
+            server.close()
+
+    def test_observables_match_a_worker_hit(self, server):
+        request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        # Two identical queries queued together: the second one is a hit
+        # answered by the worker (the path every hit took before).
+        queued = [Query(dict(request), query_id=f"q-w{i}") for i in range(2)]
+        for query in queued:
+            assert server.scheduler.submit(query) == "accepted"
+        while server.scheduler.run_next(server._execute):
+            pass
+        cold, worker_hit = (query.response for query in queued)
+        assert not cold["cached"] and worker_hit["cached"]
+
+        early = server.handle({**request, "idempotency_key": "k1"})
+        replay = server.handle({**request, "idempotency_key": "k1"})
+        strip = lambda r: {k: v for k, v in r.items() if k != "query_id"}
+        assert json.dumps(strip(early)) == json.dumps(strip(worker_hit))
+        assert replay == early and server._idempotency["k1"] == early
+        assert server.metrics.value("serve.result_cache.hits") == 2
+        assert server.metrics.value("serve.result_cache.misses") == 1
+        assert server.metrics.value("serve.idempotent.replays") == 1
+        # Total latency for the early hit only (the queued pair bypassed
+        # ``handle``); queue wait only for the two scheduled queries.
+        assert server.metrics.histogram("serve.latency.total").count == 1
+        assert server.metrics.histogram("serve.latency.queue_wait").count == 2
+        assert server.metrics.value("serve.admission.accepted") == 2
+        record = server.flight.find(early["query_id"])
+        assert record is not None and record.cached and record.status == "ok"
+        assert record.queue_wait == 0.0 and record.trace is None
+
+
+#: Lines no well-behaved client sends, each answered by ``protocol-error``.
+_BAD_LINES = st.one_of(
+    st.binary(max_size=64).map(lambda b: b"\x00" + b.replace(b"\n", b"") + b"\n"),
+    st.one_of(
+        st.integers(), st.text(), st.booleans(), st.none(), st.lists(st.integers())
+    ).map(lambda v: json.dumps(v).encode() + b"\n"),
+    st.binary(max_size=32).map(lambda b: b"\xff" + b.replace(b"\n", b"") + b"\n"),
+    st.just(b"x" * (1 << 20) + b"\n"),
+)
+
+
+class TestWireFuzz:
+    """Garbage on a persistent connection: everything before it is
+    answered, the garbage gets a typed ``protocol-error``, then the
+    daemon hangs up that connection and keeps serving new ones."""
+
+    def test_bad_lines_after_valid_requests(self, small_graph):
+        from repro.engines.execution import assert_no_leaked_segments
+
+        oracle = repro.run(small_graph, [TRIANGLE, WEDGE]).results
+        valid = [
+            ({"op": "ping"}, lambda r: r == {"ok": True, "pong": True}),
+            ({"op": "graphs"}, lambda r: r["graphs"][0]["name"] == "small"),
+        ] + [
+            (
+                {"op": "run", "graph": "small", "patterns": [repro.format_pattern(p)]},
+                lambda r, p=p: decode_value(r["results"][repro.format_pattern(p)])
+                == oracle[p],
+            )
+            for p in (TRIANGLE, WEDGE)
+        ]
+        registry = GraphRegistry()  # shared memory, for the leak check
+        registry.add("small", small_graph)
+        with MiningServer(registry=registry, workers=1) as server:
+
+            @settings(max_examples=40, deadline=None)
+            @given(
+                picks=st.lists(st.integers(0, len(valid) - 1), max_size=4),
+                bad=st.one_of(
+                    _BAD_LINES.map(lambda line: (line, False)),
+                    # Torn: a request cut short, then the write side closed.
+                    st.integers(1, 40).map(lambda n: (b'{"op": "run", "graph": "small"'[:n], True)),
+                ),
+            )
+            def exchange(picks, bad):
+                line, torn = bad
+                with socket.create_connection((server.host, server.port)) as sock:
+                    stream = sock.makefile("rwb")
+                    for pick in picks:
+                        request, check = valid[pick]
+                        protocol.write_message(stream, request)
+                        assert check(protocol.read_message(stream))
+                    stream.write(line)
+                    stream.flush()
+                    if torn:
+                        sock.shutdown(socket.SHUT_WR)
+                    answer = protocol.read_message(stream)
+                    assert answer["ok"] is False
+                    assert answer["error"].startswith("protocol-error")
+                    assert protocol.read_message(stream) is None
+                    stream.close()
+
+            exchange()
+            assert connect(port=server.port).ping()
+            assert server.metrics.value("serve.protocol.errors") >= 1
+        assert_no_leaked_segments()
