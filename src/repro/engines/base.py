@@ -70,6 +70,9 @@ class EngineStats:
     """Instrumentation for one or more matching runs."""
 
     setops: SetOpStats = field(default_factory=SetOpStats)
+    #: Matches the kernels produced. A decomposed count (the planner's
+    #: ``Decompose`` step, or GraphPi's compiled count) books its
+    #: *prefix* matches: the suffix is arithmetic, never matched.
     matches: int = 0
     materialized: int = 0
     udf_calls: int = 0
@@ -441,6 +444,7 @@ class MiningEngine(ABC):
         root_window: RootWindow | None = None,
         cancel=None,
         on_block: Callable[[np.ndarray], None] | None = None,
+        fold: str | None = None,
     ) -> int:
         """Run one plan through the selected kernel; returns the match count.
 
@@ -450,13 +454,16 @@ class MiningEngine(ABC):
         the frontier kernel's native output; a per-match ``_run_kernel``
         is adapted by :class:`~repro.engines.frontier.BlockBuffer`.
         Without ``on_block`` nothing is materialized and only the count
-        returns. ``root_window``/``cancel`` scope the run to one shard.
+        returns. ``root_window``/``cancel`` scope the run to one shard;
+        ``fold`` names the aggregation folding the blocks on the span.
         """
         from repro.engines.frontier import BlockBuffer, run_plan_batched
 
         should_stop = cancel.is_set if cancel is not None else None
         batched = self.batch_roots is not None and self.batched_kernel
         attributes = {"batch_roots": self.batch_roots} if batched else {}
+        if fold is not None:
+            attributes["fold"] = fold
         with self.kernel_span(
             "kernel.batched" if batched else self.kernel_name,
             depth=plan.depth,
@@ -536,6 +543,18 @@ class MiningEngine(ABC):
             return self.make_plan(pattern.edge_induced(), graph), True
         return self.make_plan(pattern, graph), False
 
+    def compile_aggregate(
+        self, graph: DataGraph, pattern: Pattern, aggregation: Aggregation
+    ) -> tuple[Pattern, Aggregation]:
+        """The ``(pattern, aggregation)`` pair that actually runs.
+
+        Applied once wherever an aggregate is finalized — :meth:`aggregate`
+        and :func:`repro.engines.execution.run_sharded` — so shards fold,
+        merge and finalize the compiled pair. The identity here; GraphPi
+        answers a count through the planner's ``Decompose`` rule.
+        """
+        return pattern, aggregation
+
     # -- public mining operations ------------------------------------------
 
     def count(
@@ -548,10 +567,18 @@ class MiningEngine(ABC):
     ) -> int:
         """Number of unique matches of ``pattern`` in ``graph``.
 
-        ``root_window`` restricts counting to matches rooted in one
-        vertex-id shard; ``cancel`` is a cancellation token (``set()`` /
+        A whole-graph count is :meth:`aggregate` of a count, so it runs
+        the engine's compiled pair. ``root_window`` restricts counting to
+        the kernel's exact count of matches rooted in one vertex-id
+        shard; ``cancel`` is a cancellation token (``set()`` /
         ``is_set()``) shared across shards of a parallel run.
         """
+        if root_window is None:
+            return self.aggregate(graph, pattern, CountAggregation())
+        return self._count(graph, pattern, root_window, cancel)
+
+    def _count(self, graph, pattern, root_window, cancel) -> int:
+        """The kernel's count of ``pattern``, Filter UDF applied."""
         plan, needs_filter = self._plan_pattern(pattern, graph)
         if not needs_filter:
             return self._execute(graph, plan, root_window, cancel)
@@ -662,10 +689,7 @@ class MiningEngine(ABC):
         """
         if isinstance(aggregation, CountAggregation):
             # Native or filtered counting: no per-match fold needed.
-            return (
-                self.count(graph, pattern, root_window=root_window, cancel=cancel),
-                False,
-            )
+            return self._count(graph, pattern, root_window, cancel), False
 
         box = [aggregation.zero()]
         if aggregation.from_block is not None:
@@ -689,7 +713,9 @@ class MiningEngine(ABC):
                     stats.udf_calls += len(rows)
                     stats.udf_seconds += time.perf_counter() - start
 
-            self._execute(graph, plan, root_window, cancel, on_block)
+            self._execute(
+                graph, plan, root_window, cancel, on_block, aggregation.name
+            )
             return box[0], False
 
         terminal = [False]
@@ -712,9 +738,10 @@ class MiningEngine(ABC):
     ):
         """Fold every match into an aggregation value.
 
-        Counting takes the native fast path (no per-match UDF); any other
-        aggregation pays one UDF invocation per match.
+        Runs the :meth:`compile_aggregate` pair. Counting takes the native
+        fast path; any other aggregation pays one UDF invocation per match.
         """
+        pattern, aggregation = self.compile_aggregate(graph, pattern, aggregation)
         value, _terminal = self.aggregate_partial(graph, pattern, aggregation)
         return aggregation.finalize(pattern, value)
 

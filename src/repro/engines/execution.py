@@ -758,10 +758,13 @@ def run_sharded(
 ):
     """One pattern, sharded: split, fan out, merge in shard order.
 
-    Per-shard stats merge into ``engine.stats`` (so the engine's counters
-    reflect the whole run, exactly like the serial path) and the merged
-    value is finalized once — :meth:`Aggregation.finalize` must see the
-    complete value, e.g. MNI's automorphism closure over the full table.
+    The shards run the engine's compiled pair
+    (:meth:`~repro.engines.base.MiningEngine.compile_aggregate`). Per-shard
+    stats merge into ``engine.stats`` (so the engine's counters reflect
+    the whole run, exactly like the serial path) and the merged value is
+    finalized once — :meth:`Aggregation.finalize` must see the complete
+    value, e.g. MNI's automorphism closure over the full table, or a
+    decomposed count's single ``// |Aut(p)|``.
 
     With a ``tracer``, cross-process transports return each shard's
     worker-side spans, which are adopted (re-parented and clamped)
@@ -774,6 +777,7 @@ def run_sharded(
     so the partial value is deterministic); the caller reads
     ``control.reports[-1]`` to learn whether the pattern completed.
     """
+    pattern, aggregation = engine.compile_aggregate(graph, pattern, aggregation)
     shards = shard_by_degree_prefix(
         graph, num_shards or default_shard_count(executor.workers, graph)
     )

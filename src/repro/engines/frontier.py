@@ -59,10 +59,10 @@ differential matrix pins this).
 
 **Blocks out.** Matches leave the kernel as it holds them: every
 last-level segment is handed to an ``on_block(rows)`` consumer as one
-matrix (:func:`run_plan_batched`). ``explore``'s UDF loop, block-native
-aggregations (a decomposed count) and GraphPi's IEP all consume blocks;
-kernels that emit one match at a time feed the same consumers through
-:class:`BlockBuffer`. :func:`level_counts` is the companion primitive:
+matrix (:func:`run_plan_batched`). ``explore``'s UDF loop and
+block-native aggregations (a decomposed count, GraphPi's IEP included)
+consume blocks; kernels that emit one match at a time feed the same
+consumers through :class:`BlockBuffer`. :func:`level_counts` is the companion primitive:
 one expansion reduced to per-row candidate *counts*, which is all an
 inclusion–exclusion suffix needs (:mod:`repro.plan.iep`).
 
@@ -76,6 +76,7 @@ for batched runs and ``kernel_span()`` reports the batched-op deltas.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -405,13 +406,21 @@ def level_counts(
     the cut widths already are the counts, and a lone unbounded,
     unlabeled backward neighbor is its degree minus the earlier columns
     adjacent to it (one membership probe per column instead of a gather
-    of the whole neighborhood).
+    of the whole neighborhood). A count has no candidate order, so of
+    several backward neighbors the one with the least total degree over
+    the block is gathered and the others probed.
     """
+    anchors = level.backward_neighbors
+    if len(anchors) > 1:
+        indptr = graph.indptr
+        width = {j: (indptr[emb[:, j] + 1] - indptr[emb[:, j]]).sum() for j in anchors}
+        lightest = min(anchors, key=width.get)
+        rest = tuple(j for j in anchors if j != lightest)
+        level = replace(level, backward_neighbors=(lightest, *rest))
     values, starts, counts = level_cuts(graph, level, emb, stats)
     counts = counts.astype(np.int64, copy=False)
     if count_only_level(graph, level):
         return counts
-    anchors = level.backward_neighbors
     if (
         len(anchors) == 1
         and not (level.backward_anti or level.upper_bounds or level.lower_bounds)

@@ -6,6 +6,9 @@ Reproduced behaviours:
   are enumerated and scored against the probabilistic cost model, and the
   cheapest is compiled into the plan (GraphPi's core idea of exploring
   the schedule/restriction space with a model);
+* IEP counting: a count compiles to the planner's cheapest priced
+  prefix/suffix split (:class:`~repro.plan.rules.Decompose`), the suffix
+  answered by inclusion–exclusion arithmetic;
 * symmetry breaking via restrictions (shared plan machinery);
 * **no native anti-edge support**: vertex-induced queries match the
   edge-induced skeleton and apply a per-match Filter UDF with
@@ -17,16 +20,14 @@ from __future__ import annotations
 
 from itertools import permutations
 
-import numpy as np
-
-from repro.core.costmodel import CostModel, GraphModel
+from repro.core.aggregation import Aggregation, CountAggregation
+from repro.core.costmodel import CostModel
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED
 from repro.engines.base import MiningEngine
-from repro.engines.graphpi.iep import iep_split, iep_suffix_length
 from repro.engines.plan import ExplorationPlan
 from repro.graph.datagraph import DataGraph
-from repro.plan.iep import block_distinct_counts
+from repro.plan.rules import Decompose, DecomposedCount, Decomposition
 
 #: Bound on the orders the performance model scores per pattern.
 _MAX_ORDERS = 2000
@@ -35,10 +36,10 @@ _MAX_ORDERS = 2000
 class GraphPiEngine(MiningEngine):
     """Performance-model-driven edge-induced matcher (GraphPi-style).
 
-    Counting additionally applies GraphPi's IEP optimization: when the
-    plan ends in mutually non-adjacent vertices, the final loops are
-    replaced by an inclusion-exclusion formula over candidate-set
-    intersections (:mod:`repro.engines.graphpi.iep`).
+    Counting additionally applies GraphPi's IEP optimization through
+    :meth:`compile_aggregate`: independent suffix vertices are never
+    iterated but counted by inclusion–exclusion over candidate-set
+    intersections (:mod:`repro.plan.iep`).
     """
 
     name = "graphpi"
@@ -52,50 +53,46 @@ class GraphPiEngine(MiningEngine):
         # (a freed graph's id is reused by the next one), and orders by
         # the pattern as numbered: an order is a permutation of *its*
         # vertices, so an isomorphic renumbering needs its own.
-        self._model_cache: dict[str, GraphModel] = {}
         self._order_cache: dict[tuple[Pattern, str], tuple[int, ...]] = {}
+        self._split_cache: dict[tuple[Pattern, str], Decomposition | None] = {}
 
-    def count(
-        self, graph: DataGraph, pattern: Pattern, *, root_window=None, cancel=None
-    ) -> int:
-        if self.use_iep and not self._needs_filter(pattern):
-            plan = self.make_plan(pattern, graph)
-            suffix = iep_suffix_length(plan)
-            if suffix:
-                return self._count_iep(graph, plan, suffix, root_window, cancel)
-        return super().count(graph, pattern, root_window=root_window, cancel=cancel)
+    def compile_aggregate(
+        self, graph: DataGraph, pattern: Pattern, aggregation: Aggregation
+    ) -> tuple[Pattern, Aggregation]:
+        """A count runs as the planner's priced IEP split, when one wins.
 
-    def _count_iep(self, graph, plan, suffix: int, root_window, cancel) -> int:
-        """Match the prefix; answer every block of it by inclusion–exclusion."""
-        prefix, slots, divisor = iep_split(plan, suffix)
-        stats = self.stats
-        ordered = [0]
+        Only for edge-induced counts with :attr:`use_iep` set: the pair
+        becomes ``(prefix, DecomposedCount)`` when ``Decompose`` prices
+        its best split below matching the pattern directly. Vertex-induced
+        patterns keep the Filter-UDF path.
+        """
+        if not (
+            self.use_iep
+            and isinstance(aggregation, CountAggregation)
+            and pattern.is_edge_induced
+        ):
+            return pattern, aggregation
+        key = (pattern, graph.fingerprint)
+        if key not in self._split_cache:
+            self._split_cache[key] = self._priced_split(graph, pattern)
+        split = self._split_cache[key]
+        if split is None:
+            return pattern, aggregation
+        return split.prefix, DecomposedCount(split)
 
-        def on_block(rows: np.ndarray) -> None:
-            ordered[0] += int(block_distinct_counts(graph, slots, rows, stats).sum())
+    def _priced_split(self, graph: DataGraph, pattern: Pattern) -> Decomposition | None:
+        """``Decompose``'s best split if priced below the direct match."""
+        from repro.morph.profiles import profile_for
 
-        # The prefix run's own kernel span (nested here) carries the window.
-        with self.kernel_span("kernel.iep", depth=plan.depth, suffix=suffix):
-            prefix_matches = self._execute(
-                graph, prefix, root_window, cancel, on_block
-            )
-        if prefix_matches == 0:
-            return 0  # empty, or stopped early (partial sums are discarded)
-        total = ordered[0] // divisor
-        stats.matches += total - prefix_matches  # report matches, not prefixes
-        return total
+        cost_model = CostModel.for_graph(graph, profile_for(self))
+        best = Decompose().best((pattern, EDGE_INDUCED), cost_model)
+        if best is None or best[1] >= cost_model.pattern_cost(pattern, EDGE_INDUCED):
+            return None
+        return best[0]
 
     def make_plan(self, pattern: Pattern, graph: DataGraph) -> ExplorationPlan:
         order = self._select_order(pattern, graph)
         return ExplorationPlan.build(pattern, order=order)
-
-    def _graph_model(self, graph: DataGraph) -> GraphModel:
-        key = graph.fingerprint
-        model = self._model_cache.get(key)
-        if model is None:
-            model = GraphModel.from_graph(graph)
-            self._model_cache[key] = model
-        return model
 
     def _select_order(self, pattern: Pattern, graph: DataGraph) -> tuple[int, ...]:
         """Enumerate connected-prefix orders, keep the model's cheapest."""
@@ -103,7 +100,7 @@ class GraphPiEngine(MiningEngine):
         cached = self._order_cache.get(cache_key)
         if cached is not None:
             return cached
-        cost_model = CostModel(self._graph_model(graph))
+        cost_model = CostModel.for_graph(graph)
         skel = pattern.edge_induced()
         best_order: tuple[int, ...] | None = None
         best_cost = float("inf")

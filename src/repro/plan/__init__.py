@@ -20,7 +20,6 @@ from repro.plan.rules import (
     DirectMatch,
     RewriteRule,
     SuperpatternMorph,
-    decompose_count,
     find_decompositions,
 )
 from repro.plan.search import (
@@ -49,7 +48,6 @@ __all__ = [
     "STRATEGIES",
     "SelectionResult",
     "SuperpatternMorph",
-    "decompose_count",
     "find_decompositions",
     "legal_variants",
     "ordered_distinct_count",

@@ -10,16 +10,15 @@ is
 implemented over set partitions (``k`` is at most a pattern's vertex
 count, so Bell numbers stay tiny).
 
-Both consumers — the planner's ``Decompose`` rule on any engine and
-GraphPi's engine-internal IEP — evaluate it over a whole *block* of
+Its one consumer, the planner's ``Decompose`` rule (which GraphPi's
+IEP counting also runs through), evaluates it over a whole *block* of
 prefix matches at once (:func:`block_distinct_counts`): every candidate
 set is a :class:`~repro.engines.plan.PlanLevel` over the block's
 columns, a partition block's intersection is the merged level, its size
 for every row is one :func:`~repro.engines.frontier.level_counts` pass,
 and the Bell(k) signed products are vector arithmetic. The scalar
 :func:`ordered_distinct_count` over materialized candidate sets is the
-reference the property tests (and GraphPi's per-root kernel) compare
-against.
+reference the property tests compare against.
 """
 
 from __future__ import annotations

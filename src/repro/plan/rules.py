@@ -12,8 +12,10 @@ greedy):
 * :class:`Decompose` — split a *counting* item into a smaller prefix
   sub-pattern the engine enumerates plus independent suffix vertices
   recombined arithmetically through the inclusion–exclusion formula
-  (:mod:`repro.plan.iep`) — engine-agnostic, unlike the GraphPi-internal
-  IEP which only that engine's plans could reach.
+  (:mod:`repro.plan.iep`) — engine-agnostic, and the one owner of
+  inclusion–exclusion: GraphPi's IEP counting is this rule's best split,
+  taken by the engine's compile step when it is priced below the direct
+  match.
 
 The decomposition identity, for an edge-induced pattern ``p`` with an
 independent suffix set ``S`` whose removal leaves a connected prefix
@@ -41,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
@@ -61,7 +62,6 @@ __all__ = [
     "DirectMatch",
     "RewriteRule",
     "SuperpatternMorph",
-    "decompose_count",
     "find_decompositions",
 ]
 
@@ -297,35 +297,6 @@ class DecomposedCount(Aggregation):
     def finalize(self, pattern: Pattern, value: int) -> int:
         """Embeddings / ``|Aut(p)|`` = occurrences (exact on a full sum)."""
         return value // self.decomposition.pattern_automorphisms
-
-
-def decompose_count(
-    graph,
-    decomposition: Decomposition,
-    stream: Callable[[Pattern, Callable], None],
-    stats,
-) -> int:
-    """Execute a decomposition over any source of prefix matches.
-
-    ``stream(pattern, callback)`` must invoke ``callback(pattern,
-    match)`` once per occurrence of ``pattern``. The matches are
-    buffered into blocks and folded by :class:`DecomposedCount` — the
-    routine a session runs inside the engine, here behind a per-match
-    adapter for callers that own the enumeration. ``stats`` collects the
-    suffix set operations.
-    """
-    from repro.engines.frontier import BlockBuffer
-
-    fold = DecomposedCount(decomposition)
-    total = [0]
-
-    def add(rows: np.ndarray) -> None:
-        total[0] += fold.from_block(graph, rows, stats)
-
-    buffer = BlockBuffer(add)
-    stream(decomposition.prefix, lambda _pattern, match: buffer(match))
-    buffer.flush()
-    return fold.finalize(decomposition.prefix, total[0])
 
 
 class RewriteRule:

@@ -247,7 +247,7 @@ class TestAutoZeroMerging:
 
 
 class TestGraphPiCaches:
-    """Model and order caches follow content, never object identity."""
+    """Order and split caches follow content, never object identity."""
 
     def test_keyed_by_graph_fingerprint(self, small_graph):
         from repro.graph.datagraph import DataGraph
@@ -257,10 +257,10 @@ class TestGraphPiCaches:
         edited = DataGraph(small_graph.num_vertices, edges[1:], name="edited")
         engine = GraphPiEngine()
         for graph in (small_graph, twin):
-            engine.make_plan(atlas.TAILED_TRIANGLE, graph)
-        assert (len(engine._model_cache), len(engine._order_cache)) == (1, 1)
-        engine.make_plan(atlas.TAILED_TRIANGLE, edited)
-        assert (len(engine._model_cache), len(engine._order_cache)) == (2, 2)
+            engine.count(graph, atlas.TAILED_TRIANGLE)
+        assert (len(engine._split_cache), len(engine._order_cache)) == (1, 1)
+        engine.count(edited, atlas.TAILED_TRIANGLE)
+        assert (len(engine._split_cache), len(engine._order_cache)) == (2, 2)
 
     def test_a_renumbered_pattern_gets_its_own_order(self, small_graph):
         from repro.engines.graphpi.engine import _connected_prefix

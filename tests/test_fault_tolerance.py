@@ -509,8 +509,10 @@ class TestProcessPoolRecovery:
             retry=RetryPolicy(max_retries=1, sleep=lambda _s: None),
             tracer=Tracer(),
         )
+        # Shards collateral to the same pool collapse are charged an
+        # attempt too, so another shard may fall back as well, and first.
         fallbacks = survived.trace.find("shard.fallback")
-        assert fallbacks and fallbacks[0].attributes["shard"] == 1
+        assert 1 in {span.attributes["shard"] for span in fallbacks}
 
 
 # -- graph input validation (io.py satellite) ---------------------------------

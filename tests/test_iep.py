@@ -1,4 +1,9 @@
-"""Tests for GraphPi-style IEP counting."""
+"""Tests for IEP counting: the block routine and GraphPi's compiled count.
+
+GraphPi owns no inclusion–exclusion of its own: its compile step takes
+the planner's priced ``Decompose`` split, so these tests pin which
+patterns compile to a split and that the fold counts exactly.
+"""
 
 from __future__ import annotations
 
@@ -11,17 +16,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import atlas
+from repro.core.aggregation import CountAggregation, MNIAggregation
+from repro.core.costmodel import CostModel
 from repro.core.pattern import Pattern
+from repro.core.sdag import EDGE_INDUCED
 from repro.engines import frontier
 from repro.engines.base import EngineStats
 from repro.engines.graphpi.engine import GraphPiEngine
-from repro.engines.graphpi.iep import iep_suffix_length
 from repro.engines.peregrine.engine import PeregrineEngine
-from repro.engines.plan import ExplorationPlan
 from repro.graph.datagraph import DataGraph
 from repro.graph.generators import power_law_cluster
+from repro.morph.profiles import profile_for
 from repro.plan.iep import block_distinct_counts, ordered_distinct_count
-from repro.plan.rules import DecomposedCount, find_decompositions
+from repro.plan.rules import Decompose, DecomposedCount, find_decompositions
 
 from .oracle import brute_force_count, brute_force_match_tuples
 from .strategies import connected_skeletons, data_graphs
@@ -60,23 +67,58 @@ class TestOrderedDistinctCount:
         assert ordered_distinct_count([c, c, c], EngineStats()) == 24
 
 
+def _compiled_split(graph, pattern, engine=None):
+    """GraphPi's compiled decomposition of a count, or ``None``."""
+    engine = engine or GraphPiEngine()
+    prefix, fold = engine.compile_aggregate(graph, pattern, CountAggregation())
+    if not isinstance(fold, DecomposedCount):
+        assert prefix is pattern
+        return None
+    assert prefix == fold.decomposition.prefix
+    return fold.decomposition
+
+
 class TestSuffixDetection:
-    def test_star_suffix_is_leaves(self):
-        plan = ExplorationPlan.build(atlas.FOUR_STAR)
-        assert iep_suffix_length(plan) == 3
+    """Which suffix GraphPi's compiled count answers by arithmetic."""
 
-    def test_five_star(self):
-        plan = ExplorationPlan.build(atlas.FIVE_STAR)
-        assert iep_suffix_length(plan) == 4
+    def test_star_suffix_is_leaves(self, small_graph):
+        dec = _compiled_split(small_graph, atlas.FOUR_STAR)
+        assert dec.suffix_size == 3 and dec.prefix.n == 1
 
-    def test_clique_has_no_suffix(self):
-        plan = ExplorationPlan.build(atlas.FOUR_CLIQUE)
-        assert iep_suffix_length(plan) == 0
+    def test_five_star(self, small_graph):
+        dec = _compiled_split(small_graph, atlas.FIVE_STAR)
+        assert dec.suffix_size == 4 and dec.prefix.n == 1
 
-    def test_tailed_triangle_default_order(self):
-        # Default core-first order ends ...vertex1, vertex3 (non-adjacent).
-        plan = ExplorationPlan.build(atlas.TAILED_TRIANGLE)
-        assert iep_suffix_length(plan) in (0, 2)  # order-dependent
+    def test_clique_has_no_suffix(self, small_graph):
+        assert _compiled_split(small_graph, atlas.FOUR_CLIQUE) is None
+
+    def test_tailed_triangle_default_order(self, small_graph):
+        # Both legal splits drop the tail and one triangle vertex; taking
+        # one is the price test's call.
+        dec = _compiled_split(small_graph, atlas.TAILED_TRIANGLE)
+        assert dec is None or dec.suffix_size == 2
+
+    def test_iep_off_and_other_aggregations_compile_to_themselves(
+        self, small_graph
+    ):
+        off = GraphPiEngine()
+        off.use_iep = False
+        assert _compiled_split(small_graph, atlas.FOUR_STAR, off) is None
+        mni = MNIAggregation()
+        assert GraphPiEngine().compile_aggregate(
+            small_graph, atlas.FOUR_STAR, mni
+        ) == (atlas.FOUR_STAR, mni)
+
+    def test_a_split_priced_above_direct_is_declined(self, medium_graph):
+        engine = GraphPiEngine()
+        pattern = next(
+            p
+            for p in atlas.all_connected_patterns(5)
+            if find_decompositions(p) and not _compiled_split(medium_graph, p)
+        )
+        cost_model = CostModel.for_graph(medium_graph, profile_for(engine))
+        _dec, cost = Decompose().best((pattern, EDGE_INDUCED), cost_model)
+        assert cost >= cost_model.pattern_cost(pattern, EDGE_INDUCED)
 
 
 class TestIEPCounting:
@@ -88,7 +130,7 @@ class TestIEPCounting:
         engine = GraphPiEngine()  # a bare engine: the per-root kernel
 
         def iep_count(graph):
-            assert iep_suffix_length(engine.make_plan(pattern, graph)) >= 2
+            assert _compiled_split(graph, pattern, engine).suffix_size >= 2
             return engine.count(graph, pattern)
 
         # Closed form, independent of any matcher: a star is a centre
@@ -143,7 +185,7 @@ class TestIEPCounting:
         assert engine.stats.filter_calls > 0
 
 
-# -- block IEP: the routine Decompose and GraphPi share ----------------------
+# -- block IEP: the routine every decomposed count runs ----------------------
 
 ATLAS_3_TO_5 = [p for n in (3, 4, 5) for p in atlas.all_connected_patterns(n)]
 DECOMPOSABLE = [p for p in ATLAS_3_TO_5 if find_decompositions(p)]
@@ -214,7 +256,7 @@ class TestBlockIEP:
             engine.batch_roots = 2048
             got = engine.aggregate(star, dec.prefix, DecomposedCount(dec))
             assert got == math.comb(d, 4), dec.suffix_size
-        # GraphPi's own IEP is the same block routine on this kernel.
+        # GraphPi's compiled count is the same block fold on this kernel.
         engine = GraphPiEngine()
         engine.batch_roots = 2048
         assert engine.count(star, atlas.FIVE_STAR) == math.comb(d, 4)

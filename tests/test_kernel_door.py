@@ -3,9 +3,11 @@
 Engines compile plans; none of them decides — or ignores — which match
 kernel a run uses. These tests pin what that buys:
 
-* GraphPi's IEP is one execution (prefix through the door, suffix as
-  block arithmetic), equal to the plain kernel and to brute force on
-  every kernel, sharded or not, with integer shard partials;
+* GraphPi's IEP is one execution — its compiled pair, the planner's
+  priced ``Decompose`` split (prefix through the door, suffix as block
+  arithmetic) — equal to the plain kernel and to brute force on every
+  kernel, sharded, resumed or crashed, with integer shard partials, and
+  no module outside ``repro/plan/`` owns inclusion–exclusion;
 * a default-kernel run executes the same steps traced or untraced (no
   multi-pattern side door), while the per-root reference keeps
   AutoZero's merged schedules and SumPA's abstraction;
@@ -21,6 +23,7 @@ kernel a run uses. These tests pin what that buys:
 from __future__ import annotations
 
 import ast
+import json
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -31,16 +34,18 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import atlas
-from repro.core.aggregation import MatchListAggregation
+from repro.core.aggregation import CountAggregation, MatchListAggregation
 from repro.engines import frontier
 from repro.engines.autozero.engine import AutoZeroEngine
 from repro.engines.base import StopExploration
 from repro.engines.bigjoin.engine import BigJoinEngine
 from repro.engines.graphpi.engine import GraphPiEngine
-from repro.engines.graphpi.iep import iep_suffix_length
 from repro.engines.peregrine.engine import PeregrineEngine
+from repro.engines.recovery import RetryPolicy, checkpoint_key
 from repro.engines.sumpa.engine import SumPAEngine
 from repro.morph.session import MorphingSession
+from repro.plan.rules import DecomposedCount
+from repro.testing.faults import FaultPlan
 from repro.testing.oracle import assert_matches_oracle
 
 from .oracle import brute_force_count
@@ -62,17 +67,25 @@ def _brute_force(graph) -> dict:
     return {p: brute_force_count(graph, p) for p in ATLAS_3_TO_5}
 
 
+def _compiled(engine, graph, pattern):
+    """GraphPi's compiled count pair for ``pattern``."""
+    return engine.compile_aggregate(graph, pattern, CountAggregation())
+
+
 class TestGraphPiIEPIsOneExecution:
     def test_atlas_has_all_29_patterns_and_iep_applies_to_some(self, tiny_graph):
         assert len(ATLAS_3_TO_5) == 29
         engine = GraphPiEngine()
-        with_suffix = [
-            p
+        decomposed = {
+            atlas.pattern_name(p)
             for p in ATLAS_3_TO_5
-            if iep_suffix_length(engine.make_plan(p, tiny_graph))
-        ]
-        assert len(with_suffix) >= 5
-        assert "5S" in {atlas.pattern_name(p) for p in with_suffix}
+            if isinstance(_compiled(engine, tiny_graph, p)[1], DecomposedCount)
+        }
+        assert {"4S", "5S", "C4C", "4P"} <= decomposed
+        assert "4CL" not in decomposed
+        for p in ATLAS_3_TO_5:
+            induced = p.vertex_induced()
+            assert _compiled(engine, tiny_graph, induced)[0] is induced
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("batch_roots", [None, 0, 7])
@@ -86,7 +99,7 @@ class TestGraphPiIEPIsOneExecution:
                 ATLAS_3_TO_5,
                 engine,
                 oracle_kwargs={"strategy": "direct"},
-                strategy="direct",  # the engine's IEP, not the planner's
+                strategy="direct",  # the engine's compiled IEP, no planner step
                 batch_roots=batch_roots,
                 workers=workers,
             )
@@ -98,20 +111,143 @@ class TestGraphPiIEPIsOneExecution:
     def test_root_window_partials_are_integers_that_add_up(
         self, small_graph, batch_roots
     ):
-        """The plan's own symmetry breaking stays on the prefix, so a
-        shard's count is whole — including the ``// k!`` star suffix."""
+        """Shards fold the compiled pair: each partial is a whole sum of
+        ordered suffix assignments, and ``|Aut|`` divides once, after
+        the merge — including the star's ``4!``."""
         n = small_graph.num_vertices
         windows = [(0, 4), (4, 11), (11, n)]
         for pattern in (atlas.FOUR_STAR, atlas.FIVE_STAR, atlas.CHORDAL_FOUR_CYCLE):
             engine = GraphPiEngine()
             engine.batch_roots = batch_roots
-            assert iep_suffix_length(engine.make_plan(pattern, small_graph))
+            prefix, fold = _compiled(engine, small_graph, pattern)
+            assert isinstance(fold, DecomposedCount)
             partials = [
-                engine.count(small_graph, pattern, root_window=w) for w in windows
+                engine.aggregate_partial(small_graph, prefix, fold, root_window=w)[0]
+                for w in windows
             ]
             assert all(type(part) is int for part in partials)
-            assert sum(partials) == brute_force_count(small_graph, pattern)
+            merged = fold.zero()
+            for part in partials:
+                merged = fold.merge(merged, part)
+            assert fold.finalize(prefix, merged) == brute_force_count(
+                small_graph, pattern
+            )
             assert any(partials[:-1])  # a real split, not one loaded shard
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_resume_and_a_worker_crash_stay_exact(
+        self, small_graph, tmp_path, workers
+    ):
+        """A resumed run re-reads the compiled pair's shards from the
+        journal; a crashed worker's shard is retried; both exact."""
+        patterns = [atlas.FOUR_STAR, atlas.FIVE_STAR, atlas.FOUR_PATH]
+        want = {p: brute_force_count(small_graph, p) for p in patterns}
+        path = tmp_path / "graphpi.ckpt.jsonl"
+        options = dict(engine="graphpi", strategy="direct", workers=workers)
+        first = repro.run(
+            small_graph, patterns, options=repro.RunOptions(checkpoint=path, **options)
+        )
+        assert first.results == want
+        engine = GraphPiEngine()
+        compiled = {
+            checkpoint_key(*_compiled(engine, small_graph, p)) for p in patterns
+        }
+        assert all("/decompose/" in key for key in compiled)
+        journaled = {
+            json.loads(line)["key"]
+            for line in path.read_text().splitlines()
+            if json.loads(line)["type"] == "shard"
+        }
+        assert journaled == compiled
+        tracer = repro.Tracer()
+        resumed = repro.run(
+            small_graph,
+            patterns,
+            options=repro.RunOptions(checkpoint=path, trace=tracer, **options),
+        )
+        assert resumed.results == want
+        assert resumed.trace.find("shard.checkpoint")
+        assert not resumed.trace.find("kernel.batched")  # every shard skipped
+        crashed = repro.run(
+            small_graph,
+            patterns,
+            options=repro.RunOptions(
+                faults=FaultPlan.crashes([1]),
+                retry=RetryPolicy(max_retries=2, sleep=lambda _s: None),
+                trace=repro.Tracer(),
+                **options,
+            ),
+        )
+        assert crashed.results == want
+        assert crashed.trace.find("shard.retry")
+
+    def test_a_traced_count_names_its_decomposed_fold(self, small_graph):
+        """The kernel span of a decomposed count carries the fold's
+        ``decompose/…`` name; an undecomposed one carries none."""
+        folds = {}
+        for engine in (GraphPiEngine(), GraphPiWithoutIEP()):
+            result = MorphingSession(
+                engine, strategy="direct", tracer=repro.Tracer()
+            ).run(small_graph, [atlas.FOUR_STAR])
+            folds[engine.use_iep] = [
+                span.attributes.get("fold")
+                for span in result.trace.find("kernel.batched")
+            ]
+        _prefix, fold = _compiled(GraphPiEngine(), small_graph, atlas.FOUR_STAR)
+        assert folds == {True: [fold.name], False: [None]}
+        assert fold.name.startswith("decompose/")
+
+
+IEP_OWNED = {"block_distinct_counts", "find_decompositions"}
+
+
+def _referenced_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rsplit(".", 1)[-1]
+    return None
+
+
+def _iep_references(tree: ast.AST) -> list[str]:
+    """IEP internals a module names, and every ``Decomposition(...)`` it builds."""
+    found = []
+    for node in ast.walk(tree):
+        called = _referenced_name(node.func) if isinstance(node, ast.Call) else None
+        if called == "Decomposition":
+            found.append("Decomposition()")
+        elif _referenced_name(node) in IEP_OWNED:
+            found.append(_referenced_name(node))
+    return found
+
+
+class TestOnlyThePlannerOwnsIEP:
+    def test_no_module_outside_plan_reaches_for_iep_internals(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            relative = path.relative_to(SRC).as_posix()
+            if relative.startswith("plan/"):
+                continue
+            for name in _iep_references(ast.parse(path.read_text())):
+                offenders.append(f"{relative}: {name}")
+        assert offenders == []
+        assert not (SRC / "engines" / "graphpi" / "iep.py").exists()
+
+    def test_the_check_sees_planted_references(self):
+        planted = ast.parse(
+            "from repro.plan.iep import block_distinct_counts\n"
+            "import repro.plan.rules as r\n"
+            "d = r.find_decompositions(p)\n"
+            "x = Decomposition(skeleton=p)\n"
+            "def f(d: Decomposition): pass\n"
+        )
+        assert sorted(_iep_references(planted)) == [
+            "Decomposition()",
+            "block_distinct_counts",
+            "find_decompositions",
+        ]
 
 
 EDGE_INDUCED_4 = list(atlas.all_connected_patterns(4))

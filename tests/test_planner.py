@@ -16,6 +16,7 @@ import pathlib
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -39,11 +40,11 @@ from repro.plan import (
     Decompose,
     PlanTruncationWarning,
     STRATEGIES,
-    decompose_count,
     find_decompositions,
     search_plan,
 )
 from repro.plan import search as search_mod
+from repro.plan.rules import DecomposedCount
 
 from repro.engines.recovery import RetryPolicy
 from repro.graph.generators import power_law_cluster
@@ -170,18 +171,17 @@ class TestDecomposeRule:
         "pattern", [atlas.FOUR_PATH, atlas.FOUR_STAR, atlas.FIVE_STAR]
     )
     def test_every_decomposition_counts_exactly(self, tiny_graph, pattern):
-        """Each legal split independently reproduces the oracle count."""
+        """Each legal split independently reproduces the oracle count:
+        its brute-force prefix matches folded as one block, no engine."""
         expected = brute_force_count(tiny_graph, pattern)
         decs = find_decompositions(pattern)
         assert decs
         for dec in decs:
-            stats = EngineStats()
-
-            def stream(prefix, callback):
-                for match in brute_force_match_tuples(tiny_graph, prefix):
-                    callback(prefix, match)
-
-            assert decompose_count(tiny_graph, dec, stream, stats) == expected
+            fold = DecomposedCount(dec)
+            matches = list(brute_force_match_tuples(tiny_graph, dec.prefix))
+            rows = np.array(matches, dtype=np.int64).reshape(-1, dec.prefix.n)
+            value = fold.from_block(tiny_graph, rows, EngineStats())
+            assert fold.finalize(dec.prefix, value) == expected
 
 
 class TestAutoStrategy:
