@@ -23,13 +23,17 @@ Data layout (see docs/architecture.md, "Batched frontier matching"):
 * **mask propagation** — symmetry-breaking bounds are folded directly
   into the gather (a packed-key ``searchsorted`` computes each row's
   bound cut-points before any candidate is materialized, the batch
-  analogue of the per-root ``bound_above``/``bound_below`` slicing);
-  the remaining constraints (label tests and injectivity as
-  comparisons against the partial-embedding columns, then backward
-  intersections and anti-edge differences as packed-key membership
-  probes) each filter the surviving ``(row, cand)`` pairs, cheapest
-  first, compacting between passes so every probe runs over an
-  already-shrunk frontier.
+  analogue of the per-root ``bound_above``/``bound_below`` slicing),
+  and so is a labeled level's label: on a labeled graph an anchored
+  level gathers only the anchor's run of that label from
+  :attr:`~repro.graph.datagraph.DataGraph.label_runs` (each CSR row
+  stored a second time in (label, id) order), so candidates of other
+  labels are never materialized. The remaining constraints
+  (injectivity as comparisons against the partial-embedding columns,
+  then backward intersections and anti-edge differences as packed-key
+  membership probes) each filter the surviving ``(row, cand)`` pairs,
+  cheapest first, compacting between passes so every probe runs over
+  an already-shrunk frontier.
 
 **The element budget.** Transient memory is a constant, not a function
 of the graph: before a level gathers anything, every frontier row's
@@ -165,6 +169,43 @@ def _level_bounds(
     return lower, upper
 
 
+def _label_run_cuts(
+    graph: DataGraph,
+    level: PlanLevel,
+    emb: np.ndarray,
+    lower: np.ndarray | None,
+    upper: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(values, starts, ends)`` of a labeled anchored level's label runs.
+
+    Each row's candidates are the anchor's neighbours that carry the
+    level's label (:attr:`DataGraph.label_runs`), ids ascending; a strict
+    bound becomes the label-local rank of the bounding id, added to the
+    run's base key. Probes are packed in the key array's dtype, as in
+    :func:`_packed_keys`, so ``searchsorted`` never converts the keys.
+    """
+    runs = graph.label_runs
+    members = graph.vertices_by_label.get(level.label)
+    if members is None:
+        empty = np.zeros(len(emb), dtype=np.int64)
+        return runs.neighbors, empty, empty
+    dtype = runs.keys.dtype
+    owners = emb[:, level.backward_neighbors[0]]
+    base = np.multiply(owners, graph.num_vertices, dtype=dtype)
+    base += runs.offsets[level.label]
+    if lower is None:
+        lo = base
+    else:
+        lo = base + np.searchsorted(members, lower, side="right").astype(dtype)
+    if upper is None:
+        hi = base + len(members)
+    else:
+        hi = base + np.searchsorted(members, upper, side="left").astype(dtype)
+    starts = np.searchsorted(runs.keys, lo)
+    ends = np.searchsorted(runs.keys, hi)
+    return runs.neighbors, starts, ends
+
+
 def level_cuts(
     graph: DataGraph,
     level: PlanLevel,
@@ -177,9 +218,12 @@ def level_cuts(
     ``values[starts[i] : starts[i] + counts[i]]``, ascending — the order
     the per-root DFS kernel would visit them in. With a backward
     neighbor ``values`` is the graph's flat CSR ``indices`` and the slice
-    is the adjacency row of the vertex matched at that level; without
-    one (a *tiled* level) every row fans out over the shared sorted base
-    (the label's vertex set, or all vertices).
+    is the adjacency row of the vertex matched at that level — or, on a
+    labeled level of a labeled graph, ``label_runs.neighbors`` and the
+    slice is only that row's run of the level's label, so no candidate of
+    another label is ever gathered. Without a backward neighbor (a
+    *tiled* level) every row fans out over the shared sorted base (the
+    label's vertex set, or all vertices).
 
     The level's strict symmetry-breaking bounds are folded into the
     cut-points: because the packed key array shares the CSR layout (row
@@ -192,7 +236,9 @@ def level_cuts(
     """
     start = time.perf_counter()
     lower, upper = _level_bounds(level, emb)
-    if level.backward_neighbors:
+    if level.backward_neighbors and level.label is not None and graph.is_labeled:
+        values, starts, ends = _label_run_cuts(graph, level, emb, lower, upper)
+    elif level.backward_neighbors:
         values = graph.indices
         owners = emb[:, level.backward_neighbors[0]]
         indptr = graph.indptr
@@ -273,12 +319,12 @@ def member_mask(
     return found
 
 
-def count_only_level(graph: DataGraph, level: PlanLevel) -> bool:
+def count_only_level(level: PlanLevel) -> bool:
     """True when a level's candidate *count* equals its cut-point width.
 
-    Holds when nothing filters candidates after the bound-folded cuts:
-    at most one backward neighbor (the gather source), no anti-edge
-    masks, no label mask, and no injectivity masks beyond those the
+    Holds when nothing filters candidates after the bound-folded (and
+    label-run) cuts: at most one backward neighbor (the gather source),
+    no anti-edge masks, and no injectivity masks beyond those the
     strict symmetry-breaking bounds already subsume (``cand > emb[j]``
     or ``cand < emb[j]`` implies ``cand != emb[j]``). For such a level
     the final count is just the sum of :func:`level_cuts`' widths — no
@@ -291,11 +337,7 @@ def count_only_level(graph: DataGraph, level: PlanLevel) -> bool:
     bounded = set(level.lower_bounds) | set(level.upper_bounds)
     if any(j not in bounded for j in level.non_adjacent):
         return False
-    if len(level.backward_neighbors) > 1:
-        return False
-    if level.label is not None and graph.is_labeled and level.backward_neighbors:
-        return False
-    return True
+    return len(level.backward_neighbors) <= 1
 
 
 def _budget_segments(
@@ -348,16 +390,12 @@ def _filter_candidates(
     but in cost order rather than plan order (every constraint is a
     filter, so application order cannot change the surviving set, and
     compaction is order-stable, so it cannot change the sequence
-    either): the bounds are already in the cuts, cheap columnwise
-    comparisons (labels, injectivity) go next, and the packed-key
+    either): the bounds and the label are already in the cuts, the
+    cheap columnwise injectivity comparisons go next, and the packed-key
     membership probes — the expensive passes — run last over an
     already-compacted frontier, shrinking it again after each probe.
     """
     mask = None
-    if level.label is not None and graph.is_labeled and level.backward_neighbors:
-        labels = graph.labels
-        assert labels is not None
-        mask = labels[cand] == level.label
     for j in level.non_adjacent:
         cheap = cand != emb[rows, j]
         mask = cheap if mask is None else (mask & cheap)
@@ -403,10 +441,11 @@ def level_counts(
     gather and filters as :func:`_descend_batched`, reduced per row with
     ``np.bincount`` instead of materialized — what an inclusion–exclusion
     suffix needs of a candidate set is its size. Nothing is gathered when
-    the cut widths already are the counts, and a lone unbounded,
-    unlabeled backward neighbor is its degree minus the earlier columns
-    adjacent to it (one membership probe per column instead of a gather
-    of the whole neighborhood). A count has no candidate order, so of
+    the cut widths already are the counts, and a lone unbounded backward
+    neighbor is its cut width (degree, or label-run length) minus the
+    earlier columns adjacent to it that carry the level's label (one
+    membership probe per column instead of a gather of the whole
+    neighborhood). A count has no candidate order, so of
     several backward neighbors the one with the least total degree over
     the block is gathered and the others probed.
     """
@@ -419,16 +458,18 @@ def level_counts(
         level = replace(level, backward_neighbors=(lightest, *rest))
     values, starts, counts = level_cuts(graph, level, emb, stats)
     counts = counts.astype(np.int64, copy=False)
-    if count_only_level(graph, level):
+    if count_only_level(level):
         return counts
-    if (
-        len(anchors) == 1
-        and not (level.backward_anti or level.upper_bounds or level.lower_bounds)
-        and (level.label is None or not graph.is_labeled)
+    if len(anchors) == 1 and not (
+        level.backward_anti or level.upper_bounds or level.lower_bounds
     ):
         owners = emb[:, anchors[0]]
+        labels = graph.labels if level.label is not None else None
         for j in level.non_adjacent:
-            counts = counts - member_mask(graph, owners, emb[:, j], stats)
+            earlier = member_mask(graph, owners, emb[:, j], stats)
+            if labels is not None:
+                earlier &= labels[emb[:, j]] == level.label
+            counts = counts - earlier
         return counts
     out = np.zeros(len(emb), dtype=np.int64)
     for lo, hi, seg_starts, seg_counts in _budget_segments(
@@ -471,7 +512,7 @@ def _descend_batched(
     level = plan.levels[level_index]
     last = level_index == plan.depth - 1
     values, starts, counts = level_cuts(graph, level, emb, setops)
-    if last and on_block is None and count_only_level(graph, level):
+    if last and on_block is None and count_only_level(level):
         # Counting fast path: the widths are the answer.
         return int(counts.sum())
     total = 0

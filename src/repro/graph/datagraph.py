@@ -12,6 +12,14 @@ mining (FSM). Undirected, simple (self-loops and duplicate edges are
 dropped during construction and *counted*, see
 ``num_dropped_self_loops`` / ``num_duplicate_edges``).
 
+A labeled graph can also hold its adjacency a second time, every row
+ordered by (label, id) (:attr:`DataGraph.label_runs`), so a labeled
+frontier level gathers only the neighbours that carry its label. It is
+built lazily by the first labeled level that has a backward neighbour,
+never for an unlabeled graph, and costs two more arrays of
+``len(indices)`` entries: the sorted packed keys (``adjacency_keys``'
+dtype) and the neighbour ids (the ``indices`` dtype).
+
 The flat layout is what the rest of the system builds on: the partition
 layer shards via ``indptr`` prefix sums, the cost model reads degree
 statistics straight off ``indptr``, and the parallel execution layer
@@ -23,7 +31,8 @@ ships the three arrays to worker processes through
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,9 +44,27 @@ import numpy as np
 DENSE_ADJACENCY_MAX_BYTES = 1 << 20
 
 
+#: Elements per slice when :attr:`DataGraph.label_runs` maps ranks back
+#: to ids, so its temporaries stay small (at most 64 KiB).
+_BUILD_SLICE = 1 << 13
+
+
 def _index_dtype(num_vertices: int) -> np.dtype:
     """Narrowest integer dtype that holds every vertex id."""
     return np.dtype(np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64)
+
+
+class LabelRuns(NamedTuple):
+    """A labeled graph's adjacency ordered by (label, id) per row.
+
+    See :attr:`DataGraph.label_runs`: ``keys`` are the sorted packed
+    ``u * n + σ(v)`` keys, ``neighbors`` the ``v`` at the same flat
+    positions, ``offsets`` each label's first rank in label-major order.
+    """
+
+    keys: np.ndarray
+    neighbors: np.ndarray
+    offsets: dict[int, int]
 
 
 class DataGraph:
@@ -263,6 +290,50 @@ class DataGraph:
         keys += self._indices
         keys.flags.writeable = False
         return keys
+
+    @cached_property
+    def label_runs(self) -> LabelRuns:
+        """Every CSR row a second time, ordered by (label, id).
+
+        With ``σ(v)`` a vertex's rank in label-major order (the
+        :attr:`vertices_by_label` arrays concatenated in label order),
+        ``keys`` holds the sorted packed ``u * n + σ(v)`` key of every
+        directed edge and ``neighbors`` the matching ``v``. Row ``u``
+        keeps its flat CSR positions, and label ``ℓ``'s neighbours of
+        ``u`` are the contiguous key range ``[u * n + offsets[ℓ], u * n +
+        offsets[ℓ] + |V_ℓ|)``, ascending by id — so a labeled frontier
+        level gathers one run instead of the whole row, and a strict id
+        bound ``b`` is the key ``u * n + offsets[ℓ] +
+        searchsorted(V_ℓ, b)``. ``keys`` has :attr:`adjacency_keys`'
+        dtype (``n²`` fits by the same rule); the two arrays are the only
+        full-length storage, and the build allocates no other.
+        Derived from ``(indptr, indices, labels)`` alone, so the
+        fingerprint does not cover it and an attached graph rebuilds it
+        on first use. Only labeled graphs build it.
+        """
+        if self.labels is None:
+            raise ValueError("label runs need a labeled graph")
+        n = self.num_vertices
+        by_label = self.vertices_by_label
+        dtype = self.adjacency_keys.dtype
+        label_major = np.concatenate(list(by_label.values()))
+        rank = np.empty(n, dtype=label_major.dtype)
+        rank[label_major] = np.arange(n, dtype=label_major.dtype)
+        sizes = (len(members) for members in by_label.values())
+        offsets = dict(zip(by_label, accumulate(sizes, initial=0)))
+        keys = np.repeat(np.arange(n, dtype=dtype), np.diff(self._indptr))
+        keys *= n
+        neighbors = rank[self._indices]  # σ(v) for now; v once sorted
+        keys += neighbors
+        keys.sort()
+        # σ -> v in slices: a full-length temporary would add its size to
+        # the peak, and freed it can stay resident in a malloc arena.
+        for lo in range(0, len(keys), _BUILD_SLICE):
+            hi = lo + _BUILD_SLICE
+            neighbors[lo:hi] = label_major[keys[lo:hi] % n]
+        keys.flags.writeable = False
+        neighbors.flags.writeable = False
+        return LabelRuns(keys, neighbors, offsets)
 
     @cached_property
     def dense_adjacency(self) -> np.ndarray | None:

@@ -22,6 +22,7 @@ mutated/regenerated graph never collides.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -35,17 +36,49 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class MeasurementCache:
+class _CountedStore:
+    """A memo dict with hit/miss counters that threads may share.
+
+    The daemon's worker threads share one :class:`PlanCache` and one
+    :class:`MeasurementCache` per graph, and ``+= 1`` on an attribute is
+    a read-modify-write that can lose an update between threads, so
+    every counter change happens under the instance's lock.
+    """
+
+    _store: dict = field(default_factory=dict)
+    hits: int = 0
+    misses: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def _counted(self, value):
+        """Count ``value`` as a miss (``None``) or a hit; return it."""
+        with self._lock:
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return value
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._store.clear()
+            self.hits = 0
+            self.misses = 0
+
+
+@dataclass
+class MeasurementCache(_CountedStore):
     """Memoized ``(graph, aggregation, item) -> value`` measurements.
 
     Keyed by the graph's *content* fingerprint (as :class:`PlanCache`
     is), never ``id(graph)``: a freed graph's id is reused, and a cache
     that outlives its graphs would answer for the wrong one.
     """
-
-    _store: dict[tuple[str, str, Item], Any] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
 
     @staticmethod
     def _cacheable(aggregation: Aggregation) -> bool:
@@ -58,12 +91,7 @@ class MeasurementCache:
         """Cached value or ``None`` (values themselves are never None)."""
         if not self._cacheable(aggregation):
             return None
-        value = self._store.get(self.key(graph, aggregation, item))
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
+        return self._counted(self._store.get(self.key(graph, aggregation, item)))
 
     def put(
         self, graph: DataGraph, aggregation: Aggregation, item: Item, value: Any
@@ -71,17 +99,9 @@ class MeasurementCache:
         if self._cacheable(aggregation) and value is not None:
             self._store[self.key(graph, aggregation, item)] = value
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-
 
 @dataclass
-class PlanCache:
+class PlanCache(_CountedStore):
     """Memoized planner searches keyed by everything that shapes a plan.
 
     The key is ``(graph fingerprint, queries, aggregation, engine,
@@ -92,10 +112,6 @@ class PlanCache:
     :class:`MeasurementCache`; the session additionally reports them as
     ``plan.cache.hit`` / ``plan.cache.miss`` metrics when traced.
     """
-
-    _store: dict[tuple, "RewritePlan"] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
 
     def key(
         self,
@@ -126,21 +142,18 @@ class PlanCache:
         strategy: str,
         margin: float,
     ) -> "RewritePlan | None":
-        plan = self._store.get(
-            self.key(
-                graph,
-                patterns,
-                aggregation,
-                engine=engine,
-                strategy=strategy,
-                margin=margin,
+        return self._counted(
+            self._store.get(
+                self.key(
+                    graph,
+                    patterns,
+                    aggregation,
+                    engine=engine,
+                    strategy=strategy,
+                    margin=margin,
+                )
             )
         )
-        if plan is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return plan
 
     def put(
         self,
@@ -163,11 +176,3 @@ class PlanCache:
                 margin=margin,
             )
         ] = plan
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0

@@ -31,6 +31,7 @@ import json
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,9 +55,11 @@ from repro.engines.base import EngineStats, run_plan
 from repro.engines.bigjoin.engine import BigJoinEngine
 from repro.engines.frontier import DEFAULT_BATCH_ROOTS, run_plan_batched
 from repro.engines.graphpi.engine import GraphPiEngine
+from repro.engines.plan import ExplorationPlan
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.engines.sumpa.engine import SumPAEngine
 from repro.engines.recovery import Deadline
+from repro.engines.setops import SetOpStats
 from repro.graph.datagraph import DataGraph
 from repro.graph.generators import power_law_cluster
 from repro.observe.progress import ProgressReporter
@@ -113,7 +116,11 @@ def with_budget(budget):
 
 def assert_kernels_agree(graph, pattern, batch=DEFAULT_BATCH_ROOTS):
     """Batched count and block stream (unpacked) == per-root, exactly."""
-    plan = PeregrineEngine().make_plan(pattern, graph)
+    assert_plan_kernels_agree(graph, PeregrineEngine().make_plan(pattern, graph), batch)
+
+
+def assert_plan_kernels_agree(graph, plan, batch=DEFAULT_BATCH_ROOTS):
+    """:func:`assert_kernels_agree` for an explicit plan."""
     expected = run_plan(graph, plan, EngineStats())
     stream: list = []
     run_plan(graph, plan, EngineStats(), on_match=stream.append)
@@ -324,6 +331,206 @@ class TestElementBudget:
         assert count == 0 and stats.matches == 0
         assert expire_at <= stats.setops.batched <= expire_at + per_segment
         assert medium_graph.num_vertices <= DEFAULT_BATCH_ROOTS  # one chunk
+
+
+# -- label runs: labeled levels gather only their label ----------------------
+
+#: Label alphabets that are not ``0..L-1``: the runs must key labels by
+#: value, never by position.
+LABEL_SPELLINGS = {
+    "dense": lambda i: i,
+    "negative": lambda i: -1 - i,
+    "sparse": lambda i: 7 * i + 3,
+    "large": lambda i: 2**40 + i,
+}
+
+#: Labeled shapes (``a``/``b``/``c`` are filled in per example). The
+#: symmetric ones carry symmetry-breaking bounds on labeled anchored
+#: levels, and some matching orders bound one level from both sides.
+#: ``3P(a,b,c)`` matched centre first has a lone-anchor level whose
+#: earlier column is adjacent to the anchor but may carry another label.
+LABELED_SHAPES = {
+    "3P(a,b,a)": (3, [(0, 1), (1, 2)], "aba"),
+    "3P(a,b,c)": (3, [(0, 1), (1, 2)], "abc"),
+    "C4(a,a,a,a)": (4, [(0, 1), (1, 2), (2, 3), (3, 0)], "aaaa"),
+    "S3(b;a,a,a)": (4, [(0, 1), (0, 2), (0, 3)], "baaa"),
+    "K3(a,a,a)": (3, [(0, 1), (1, 2), (0, 2)], "aaa"),
+}
+
+
+@st.composite
+def labeled_cases(draw):
+    """A labeled graph and a plan over a labeled pattern.
+
+    Graphs draw from 1, 2, 8 or 64 labels under one of the spellings —
+    every vertex from the whole range, or from a palette of at most three
+    of its values so that labels repeat on a small graph. Pattern labels
+    come from the graph's labels, sometimes plus one absent from it. The
+    pattern is random (any edges and anti-edges) or one of
+    :data:`LABELED_SHAPES`, and its matching order is random too, so
+    bounds land on either side.
+    """
+    n = draw(st.integers(1, 12))
+    num_labels = draw(st.sampled_from([1, 2, 8, 64]))
+    spell = LABEL_SPELLINGS[draw(st.sampled_from(sorted(LABEL_SPELLINGS)))]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, mask) if keep]
+    values = st.integers(0, num_labels - 1)
+    if draw(st.booleans()):
+        values = st.sampled_from(
+            draw(st.lists(values, min_size=1, max_size=3, unique=True))
+        )
+    labels = [spell(draw(values)) for _ in range(n)]
+    graph = DataGraph(n, edges, labels=labels, name="labeled-runs")
+    alphabet = sorted(set(labels))[:3]
+    if draw(st.integers(0, 3)) == 0:
+        alphabet.append(spell(num_labels))  # no vertex carries it
+    shape = draw(st.sampled_from(["random", *sorted(LABELED_SHAPES)]))
+    if shape == "random":
+        skeleton = draw(patterns(min_n=2, max_n=4))
+        labels = st.lists(
+            st.sampled_from(alphabet), min_size=skeleton.n, max_size=skeleton.n
+        )
+        pattern = skeleton.with_labels(draw(labels))
+    else:
+        size, shape_edges, spelling = LABELED_SHAPES[shape]
+        letters = {c: draw(st.sampled_from(alphabet)) for c in sorted(set(spelling))}
+        pattern = Pattern(size, shape_edges, labels=[letters[c] for c in spelling])
+    order = draw(st.permutations(list(range(pattern.n))))
+    return graph, ExplorationPlan.build(pattern, order)
+
+
+def brute_candidates(graph, level, row):
+    """Every vertex ``level`` accepts after the partial match ``row``."""
+    out = []
+    for v in range(graph.num_vertices):
+        if level.label is not None and graph.label(v) != level.label:
+            continue
+        if v in row:
+            continue
+        if not all(graph.has_edge(row[j], v) for j in level.backward_neighbors):
+            continue
+        if any(graph.has_edge(row[j], v) for j in level.backward_anti):
+            continue
+        if any(v >= row[j] for j in level.upper_bounds):
+            continue
+        if any(v <= row[j] for j in level.lower_bounds):
+            continue
+        out.append(v)
+    return out
+
+
+def assert_level_counts_brute(graph, plan):
+    """``level_counts`` == a brute-force count, row by row, at every level."""
+    rows = [[]]
+    for k, level in enumerate(plan.levels):
+        if k:
+            emb = np.array(rows, dtype=graph.indices.dtype).reshape(len(rows), k)
+            got = frontier.level_counts(graph, level, emb, SetOpStats())
+            want = [len(brute_candidates(graph, level, row)) for row in rows]
+            assert got.tolist() == want, f"level {k} of {plan.describe()}"
+        rows = [row + [v] for row in rows for v in brute_candidates(graph, level, row)]
+
+
+class TestLabelRuns:
+    @given(labeled_cases(), st.sampled_from(["one", "default"]))
+    @settings(max_examples=200, deadline=None)
+    def test_labeled_property(self, case, budget):
+        """Batched == per-root (count and ordered stream), and
+        ``level_counts`` == brute force, at budget 1 and as shipped."""
+        graph, plan = case
+        with with_budget(1 if budget == "one" else SHIPPED_BUDGET):
+            for batch in (DEFAULT_BATCH_ROOTS, 3):
+                assert_plan_kernels_agree(graph, plan, batch)
+            assert_level_counts_brute(graph, plan)
+
+    def test_some_order_bounds_a_labeled_level_from_both_sides(self):
+        """The shapes do reach a run cut by bounds at both ends."""
+        size, edges, _ = LABELED_SHAPES["C4(a,a,a,a)"]
+        pattern = Pattern(size, edges, labels=[5] * size)
+        plan = ExplorationPlan.build(pattern, [0, 3, 1, 2])
+        assert any(
+            lv.label is not None and lv.backward_neighbors
+            and lv.lower_bounds and lv.upper_bounds
+            for lv in plan.levels
+        )
+
+    @pytest.mark.parametrize("end_labels", [(0, 0), (0, 1), (2, 1)])
+    def test_lone_anchor_count_subtracts_same_label_columns(
+        self, small_labeled_graph, end_labels
+    ):
+        """``level_counts``' lone-anchor shortcut on a labeled level: the
+        run length, minus only the earlier columns adjacent to the anchor
+        that carry the level's label."""
+        first, last = end_labels
+        pattern = Pattern(3, [(0, 1), (1, 2)], labels=[first, 2, last])
+        plan = ExplorationPlan.build(pattern, [1, 0, 2])
+        lone = plan.levels[2]
+        assert len(lone.backward_neighbors) == 1 and lone.non_adjacent
+        assert_level_counts_brute(small_labeled_graph, plan)
+
+    def test_runs_are_rows_by_label_then_id(self, small_labeled_graph):
+        graph = small_labeled_graph
+        runs = graph.label_runs
+        n = graph.num_vertices
+        assert runs.keys.dtype == graph.adjacency_keys.dtype
+        assert runs.neighbors.dtype == graph.indices.dtype
+        assert len(runs.keys) == len(runs.neighbors) == len(graph.indices)
+        assert not runs.keys.flags.writeable and not runs.neighbors.flags.writeable
+        for u in range(n):
+            lo, hi = graph.indptr[u], graph.indptr[u + 1]
+            row = graph.neighbors(u).tolist()
+            want = sorted(row, key=lambda v: (graph.label(v), v))
+            assert runs.neighbors[lo:hi].tolist() == want
+            for label, members in graph.vertices_by_label.items():
+                base = u * n + runs.offsets[label]
+                a = np.searchsorted(runs.keys, base)
+                b = np.searchsorted(runs.keys, base + len(members))
+                assert runs.neighbors[a:b].tolist() == [
+                    v for v in row if graph.label(v) == label
+                ]
+
+    def test_wide_graph_packs_int64_keys(self):
+        """Past n = 46,341 the packed keys need 64 bits; cuts and probes
+        must still be packed in the keys' own dtype."""
+        n = 50_000
+        rng = np.random.default_rng(3)
+        edges = rng.integers(0, n, size=(3_000, 2))
+        # A dense corner at the top ids, so labeled paths exist where
+        # ``owner * n`` is past 2**31.
+        edges[:1_500] = n - 1 - edges[:1_500] % 300
+        graph = DataGraph(n, edges, labels=-(np.arange(n) % 3), name="wide")
+        assert graph.label_runs.keys.dtype == np.int64
+        for labels in ([0, -1, 0], [-2, -2, -2]):
+            pattern = Pattern(3, [(0, 1), (1, 2)], labels=labels)
+            plan = PeregrineEngine().make_plan(pattern, graph)
+            expected = run_plan(graph, plan, EngineStats())
+            assert expected > 0
+            assert batched_count(graph, plan, batch=DEFAULT_BATCH_ROOTS) == expected
+
+    def test_unlabeled_graphs_never_build_runs(self, small_graph, small_labeled_graph):
+        """Only a labeled level on a labeled graph builds the runs."""
+        unlabeled = DataGraph(
+            small_graph.num_vertices, small_graph.edge_array(), name="fresh"
+        )
+        labeled_query = Pattern(3, edges=[(0, 1), (1, 2)], labels=[0, 1, 0])
+        for query in (TRIANGLE, labeled_query):
+            plan = PeregrineEngine().make_plan(query, unlabeled)
+            batched_count(unlabeled, plan)
+        assert "label_runs" not in unlabeled.__dict__
+        with pytest.raises(ValueError, match="labeled graph"):
+            unlabeled.label_runs
+
+        labeled = DataGraph(
+            small_labeled_graph.num_vertices,
+            small_labeled_graph.edge_array(),
+            labels=small_labeled_graph.labels,
+        )
+        batched_count(labeled, PeregrineEngine().make_plan(TRIANGLE, labeled))
+        assert "label_runs" not in labeled.__dict__
+        batched_count(labeled, PeregrineEngine().make_plan(labeled_query, labeled))
+        assert "label_runs" in labeled.__dict__
 
 
 # -- session level: the full matrix ------------------------------------------

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import pytest
+
 from repro.core import atlas
 from repro.core.aggregation import CountAggregation, MatchListAggregation, MNIAggregation
 from repro.core.equations import item_of
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.graph.datagraph import DataGraph
-from repro.morph.cache import MeasurementCache
+from repro.morph.cache import MeasurementCache, PlanCache
 from repro.morph.session import MorphingSession
 
 from .oracle import brute_force_count
@@ -72,6 +77,64 @@ class TestCacheBasics:
         cache.put(small_graph, CountAggregation(), item_of(atlas.TRIANGLE), 1)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0
+
+
+class TestCounterThreadSafety:
+    """The daemon's worker threads share its caches: no counter update
+    may be lost however the interpreter interleaves them."""
+
+    THREADS, GETS = 8, 5_000
+
+    @pytest.fixture(autouse=True)
+    def _switch_often(self):
+        # Force a thread switch every microsecond so an unlocked
+        # read-modify-write loses updates reliably.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def _hammer(self, get) -> None:
+        barrier = threading.Barrier(self.THREADS)
+
+        def worker():
+            barrier.wait()
+            for i in range(self.GETS):
+                get(i % 2 == 0)
+
+        threads = [threading.Thread(target=worker) for _ in range(self.THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_measurement_cache_counts_every_get(self, small_graph):
+        cache = MeasurementCache()
+        agg = CountAggregation()
+        cached, absent = item_of(atlas.TRIANGLE), item_of(atlas.FOUR_CYCLE)
+        cache.put(small_graph, agg, cached, 7)
+        self._hammer(
+            lambda hit: cache.get(small_graph, agg, cached if hit else absent)
+        )
+        total = self.THREADS * self.GETS
+        assert cache.hits + cache.misses == total
+        assert cache.hits == cache.misses == total // 2
+        cache.clear()
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+
+    def test_plan_cache_counts_every_get(self, small_graph):
+        cache = PlanCache()
+        agg = CountAggregation()
+        kwargs = {"engine": "peregrine", "strategy": "auto", "margin": 0.6}
+        cache.put(small_graph, [atlas.TRIANGLE], agg, "plan", **kwargs)
+        queries = {True: [atlas.TRIANGLE], False: [atlas.FOUR_CYCLE]}
+        self._hammer(lambda hit: cache.get(small_graph, queries[hit], agg, **kwargs))
+        total = self.THREADS * self.GETS
+        assert cache.hits + cache.misses == total
+        assert cache.hits == cache.misses == total // 2
+        cache.clear()
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
 class TestCachedSessions:

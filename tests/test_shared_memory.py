@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.aggregation import CountAggregation
 from repro.core.atlas import TRIANGLE
+from repro.core.pattern import Pattern
 from repro.engines import execution
 from repro.engines.execution import (
     ProcessShardExecutor,
@@ -26,6 +27,7 @@ from repro.engines.execution import (
     export_graph,
     run_sharded,
 )
+from repro.engines.frontier import DEFAULT_BATCH_ROOTS
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.graph.datagraph import DataGraph
 
@@ -205,3 +207,54 @@ class TestProcessPoolTransport:
         executor.close()
         with pytest.raises(FileNotFoundError):
             payload.attach()
+
+
+class TestLabelRuns:
+    """Label runs are derived storage: never shipped, never fingerprinted,
+    rebuilt identically wherever the graph is attached."""
+
+    LABELED = Pattern(3, edges=[(0, 1), (1, 2)], labels=[0, 1, 0])
+
+    @staticmethod
+    def _twin(graph):
+        return DataGraph(
+            graph.num_vertices, graph.edge_array(), labels=graph.labels, name="twin"
+        )
+
+    def test_attached_graph_derives_equal_runs(self, small_labeled_graph):
+        graph = self._twin(small_labeled_graph)
+        payload = export_graph(graph)
+        if payload is None:
+            pytest.skip("shared memory unavailable in this sandbox")
+        try:
+            assert set(payload.blocks) == {"indptr", "indices", "labels"}
+            attached = payload.attach()
+            assert "label_runs" not in attached.__dict__
+            mine, theirs = graph.label_runs, attached.label_runs
+            for ours, derived in zip(mine[:2], theirs[:2]):
+                assert derived.dtype == ours.dtype
+                assert np.array_equal(derived, ours)
+            assert theirs.offsets == mine.offsets
+        finally:
+            payload.dispose()
+
+    def test_fingerprint_ignores_runs(self, small_labeled_graph):
+        untouched = self._twin(small_labeled_graph)
+        built = self._twin(small_labeled_graph)
+        before = built.fingerprint
+        built.label_runs
+        del built.__dict__["fingerprint"]
+        assert built.fingerprint == before == untouched.fingerprint
+        assert "label_runs" not in untouched.__dict__
+
+    def test_pool_labeled_count_matches_serial(self, small_labeled_graph):
+        graph = small_labeled_graph
+        aggregation = CountAggregation()
+        per_root = PeregrineEngine().count(graph, self.LABELED)
+        engine = PeregrineEngine()
+        engine.batch_roots = DEFAULT_BATCH_ROOTS
+        with SerialShardExecutor(1) as serial:
+            expected = run_sharded(engine, graph, self.LABELED, aggregation, serial)
+        with ProcessShardExecutor(workers=2) as pool:
+            got = run_sharded(engine, graph, self.LABELED, aggregation, pool)
+        assert got == expected == per_root > 0
