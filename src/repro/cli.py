@@ -155,8 +155,8 @@ def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="re-execute a crashed shard up to N times (exponential "
-        "backoff) before the in-process fallback (default 3 whenever "
-        "fault tolerance is active)",
+        "backoff) before the in-process fallback (default 3 on any "
+        "sharded run)",
     )
 
 

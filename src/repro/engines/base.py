@@ -377,7 +377,7 @@ class MiningEngine(ABC):
         # Engines ship to pool workers by pickle; the tracer and the
         # progress reporter stay home (workers record into their own
         # tracer when span collection is requested — see
-        # ``execution._run_shard_task`` — and cannot render to the
+        # ``execution.run_shard`` — and cannot render to the
         # parent's stream).
         state = self.__dict__.copy()
         state["tracer"] = None

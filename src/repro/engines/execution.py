@@ -14,10 +14,15 @@ results **deterministically in shard order**:
   exactly the serial enumeration order);
 * counters through :meth:`repro.engines.base.EngineStats.merge`.
 
-Two executors implement the transport:
+One loop, :func:`repro.engines.recovery.map_shards`, maps every
+sharded run's shards: rounds, retries, deadlines, checkpoints and the
+in-process fallback live there, once. This module holds what the loop
+drives: :func:`run_shard`, the one function that runs one shard attempt
+(in a pool worker, in the serial transport and in the last-resort
+fallback alike), and two transports whose only job is to ``submit`` it:
 
-* :class:`SerialShardExecutor` — in-process, shard-at-a-time. The
-  default/fallback: the same split/merge code path with zero new
+* :class:`SerialShardExecutor` — in-process; runs the attempt inline.
+  The default/fallback: the same split/merge code path with zero new
   failure modes, used by the differential tests to pin the parallel
   semantics to the serial kernel.
 * :class:`ProcessShardExecutor` — ``concurrent.futures``
@@ -26,12 +31,16 @@ Two executors implement the transport:
   ``multiprocessing.shared_memory`` segment that every worker attaches
   to **zero-copy** (:class:`SharedGraphPayload`), with a transparent
   fallback to pickling the graph when shared memory is unavailable.
-  Per-shard tasks carry only the pattern, aggregation and window.
+  Per-shard tasks (:class:`ShardTask`) carry only the pattern,
+  aggregation, window and attempt. A pool that cannot start degrades,
+  for good, to the serial transport.
 
 Early termination (``StopExploration`` / saturating aggregations such as
-existence probes) propagates across shards through a shared cancellation
-token: the shard that saturates sets the flag, kernels poll it once per
-root candidate, and unstarted shards return their aggregation's zero.
+existence probes) propagates across shards through each transport's
+per-pattern cancellation token (a :class:`CancelFlag` in-process, the
+pool's shared event): the shard that saturates sets it, kernels poll it
+once per root candidate, and unstarted shards return their
+aggregation's zero.
 """
 
 from __future__ import annotations
@@ -42,8 +51,10 @@ import os
 import warnings
 import weakref
 from abc import ABC, abstractmethod
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 from repro.core.aggregation import Aggregation
 from repro.core.pattern import Pattern
@@ -51,14 +62,10 @@ from repro.engines.base import EngineStats, MiningEngine
 from repro.errors import SharedMemoryLeakError
 from repro.graph.datagraph import DataGraph
 from repro.graph.partition import shard_by_degree_prefix
-from repro.observe.tracer import timed_span
+from repro.observe.tracer import Tracer, timed_span
 
 Shard = tuple[int, int]
-#: One shard's outcome: (un-finalized aggregation value, shard stats),
-#: extended to (value, stats, spans) when span collection is requested
-#: (``map_shards(collect_spans=True)``) and the transport crosses a
-#: process boundary — in-process executors record into the live tracer
-#: directly and keep the two-tuple shape.
+#: One completed shard: (un-finalized aggregation value, shard stats).
 ShardResult = tuple[Any, EngineStats]
 
 
@@ -82,8 +89,97 @@ def default_shard_count(workers: int, graph: DataGraph) -> int:
     return max(1, min(graph.num_vertices, max(1, workers) * 4))
 
 
+@dataclass(frozen=True)
+class ShardTask:
+    """One attempt at one shard: everything a worker needs besides the
+    (engine, graph) pair its pool was built for."""
+
+    pattern: Pattern
+    aggregation: Aggregation
+    shard: Shard
+    index: int
+    attempt: int = 0
+    faults: Any = None
+    collect_spans: bool = False
+
+
+def run_shard(
+    engine: MiningEngine,
+    graph: DataGraph,
+    task: ShardTask,
+    cancel,
+    *,
+    in_worker: bool = False,
+    deadline=None,
+):
+    """Run one shard attempt; ``(value, stats, spans)``, or ``None``.
+
+    The pool worker, the serial transport and the last-resort in-process
+    fallback all run this. The shard's stats are isolated from the
+    engine's; a shard whose ``cancel`` token is already set (a sibling
+    saturated) returns its aggregation's zero without running; a
+    :class:`~repro.testing.faults.FaultPlan` fires its pre-shard hook
+    (a crash kills a worker with ``os._exit`` and raises in-process) and
+    rewrites the value afterwards. ``None`` means an injected hang was
+    released by the deadline: the shard has no result. ``spans`` are the
+    shard's worker-side spans when ``task.collect_spans`` asks for them
+    across a process boundary; in-process, the shard traces live
+    through ``engine.tracer`` and ``spans`` is empty.
+    """
+    saved = engine.stats, engine.tracer
+    engine.stats = EngineStats()
+    if in_worker and task.collect_spans:
+        engine.tracer = Tracer()
+    try:
+        if not cancel.is_set() and not _fault_aborts(task, cancel, in_worker, deadline):
+            with timed_span(engine.tracer, "shard", window=list(task.shard)):
+                value, _terminal = engine.aggregate_partial(
+                    graph,
+                    task.pattern,
+                    task.aggregation,
+                    root_window=task.shard,
+                    cancel=cancel,
+                )
+            if task.faults is not None:
+                value = task.faults.transform_value(task.index, task.attempt, value)
+        elif cancel.is_set():
+            value = task.aggregation.zero()
+        else:
+            return None
+        spans = engine.tracer.spans if in_worker and task.collect_spans else ()
+        return value, engine.stats, spans
+    finally:
+        engine.stats, engine.tracer = saved
+
+
+def _fault_aborts(task: ShardTask, cancel, in_worker: bool, deadline) -> bool:
+    """Fire the task's pre-shard fault; whether an injected hang aborted it.
+
+    A worker's hang waits on the pool's cancel event (which the parent
+    sets when the deadline expires); in-process, on the deadline itself.
+    """
+    if task.faults is None:
+        return False
+    if in_worker:
+        stop_check = cancel.is_set
+    elif deadline is not None:
+        stop_check = lambda: cancel.is_set() or deadline.expired()  # noqa: E731
+    else:
+        stop_check = None
+    return task.faults.apply_before_shard(
+        task.index, task.attempt, in_worker=in_worker, stop_check=stop_check
+    )
+
+
 class ShardExecutor(ABC):
-    """Transport for running shard tasks and collecting ordered results."""
+    """Transport for shard attempts: run one, get a future for its result.
+
+    The mapping loop (:func:`repro.engines.recovery.map_shards`) owns
+    everything else — rounds, retries, deadlines, checkpoints, the merge
+    order. A transport owns one cancellation token per pattern, which
+    the loop resets with :meth:`begin_pattern` and sets with
+    :meth:`cancel`; a saturating shard sets it from the inside.
+    """
 
     workers: int = 1
     #: Wall seconds spent standing the transport up (pool fork, graph
@@ -94,31 +190,27 @@ class ShardExecutor(ABC):
     teardown_seconds: float = 0.0
 
     @abstractmethod
-    def map_shards(
-        self,
-        engine: MiningEngine,
-        graph: DataGraph,
-        pattern: Pattern,
-        aggregation: Aggregation,
-        shards: Sequence[Shard],
-        collect_spans: bool = False,
-    ) -> list[ShardResult]:
-        """Run every shard; results are returned in shard order.
+    def submit(
+        self, engine: MiningEngine, graph: DataGraph, task: ShardTask, deadline=None
+    ) -> Future:
+        """Start one shard attempt; the future resolves to :func:`run_shard`'s
+        result or raises what the attempt raised (a crashed pool worker:
+        ``BrokenProcessPool``)."""
 
-        ``collect_spans`` asks cross-process transports to trace each
-        shard into a fresh worker-side tracer and return the spans as a
-        third tuple element for the caller to adopt; in-process
-        transports ignore it (their kernels already record into the
-        live tracer through ``engine.tracer``).
-        """
+    @abstractmethod
+    def begin_pattern(self) -> None:
+        """Clear the cancellation token before a pattern's first shard."""
+
+    @abstractmethod
+    def cancel(self) -> None:
+        """Set the cancellation token: outstanding shards stop polling."""
 
     def prepare(self, engine: MiningEngine, graph: DataGraph) -> None:
         """Eagerly stand up worker resources for an (engine, graph) run.
 
-        Optional: transports that bind lazily inside ``map_shards``
-        would otherwise hide their spin-up cost inside the first
-        pattern's match time. Errors degrade with a warning instead of
-        raising — ``map_shards`` owns the degradation path.
+        Optional: transports that bind lazily inside ``submit`` would
+        otherwise hide their spin-up cost inside the first pattern's
+        match time. Errors degrade with a warning instead of raising.
         """
 
     def close(self) -> None:
@@ -132,39 +224,30 @@ class ShardExecutor(ABC):
 
 
 class SerialShardExecutor(ShardExecutor):
-    """In-process sharded execution: identical split/merge, no processes."""
+    """In-process sharded execution: identical split/merge, no processes.
+
+    ``submit`` runs the attempt inline and hands back a finished future.
+    """
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, workers)
+        self._cancel = CancelFlag()
 
-    def map_shards(
-        self, engine, graph, pattern, aggregation, shards, collect_spans=False
-    ):
-        # In-process execution records spans straight into the live
-        # tracer (engine.tracer), so collect_spans needs no special
-        # handling here beyond the per-shard grouping span.
-        tracer = getattr(engine, "tracer", None)
-        cancel = CancelFlag()
-        results: list[ShardResult] = []
-        saved_stats = engine.stats
+    def submit(self, engine, graph, task, deadline=None):
+        future: Future = Future()
         try:
-            for shard in shards:
-                engine.stats = EngineStats()
-                if not cancel.is_set():
-                    with timed_span(tracer, "shard", window=list(shard)):
-                        value, _terminal = engine.aggregate_partial(
-                            graph,
-                            pattern,
-                            aggregation,
-                            root_window=shard,
-                            cancel=cancel,
-                        )
-                else:
-                    value = aggregation.zero()
-                results.append((value, engine.stats))
-        finally:
-            engine.stats = saved_stats
-        return results
+            future.set_result(
+                run_shard(engine, graph, task, self._cancel, deadline=deadline)
+            )
+        except Exception as exc:  # noqa: BLE001 - the loop decides what is a crash
+            future.set_exception(exc)
+        return future
+
+    def begin_pattern(self) -> None:
+        self._cancel = CancelFlag()
+
+    def cancel(self) -> None:
+        self._cancel.set()
 
 
 # -- zero-copy graph transport ------------------------------------------------
@@ -541,57 +624,10 @@ def _probe_worker_graph() -> dict:
     }
 
 
-def _run_shard_task(
-    pattern,
-    aggregation,
-    shard,
-    collect_spans=False,
-    shard_index=None,
-    attempt=0,
-    faults=None,
-):
+def _run_shard_task(task: ShardTask):
     assert _WORKER_STATE is not None, "worker pool not initialized"
     engine, graph, cancel = _WORKER_STATE
-    engine.reset_stats()
-    if cancel is not None and cancel.is_set():
-        if collect_spans:
-            return aggregation.zero(), engine.stats, []
-        return aggregation.zero(), engine.stats
-    if faults is not None and shard_index is not None:
-        # Injected faults (tests only): a crash os._exit()s right here, a
-        # hang polls the shared cancel event and, once released, reports
-        # zero exactly like a saturation-cancelled shard.
-        stop_check = cancel.is_set if cancel is not None else None
-        if faults.apply_before_shard(
-            shard_index, attempt, in_worker=True, stop_check=stop_check
-        ):
-            if collect_spans:
-                return aggregation.zero(), engine.stats, []
-            return aggregation.zero(), engine.stats
-    if not collect_spans:
-        value, _terminal = engine.aggregate_partial(
-            graph, pattern, aggregation, root_window=shard, cancel=cancel
-        )
-        if faults is not None and shard_index is not None:
-            value = faults.transform_value(shard_index, attempt, value)
-        return value, engine.stats
-    # Trace this shard into a private tracer and ship the spans home;
-    # the parent adopts them under its per-item span (clamped into the
-    # parent window, so nesting survives any cross-process clock skew).
-    from repro.observe.tracer import Tracer
-
-    tracer = Tracer()
-    engine.tracer = tracer
-    try:
-        with tracer.span("shard", window=list(shard)):
-            value, _terminal = engine.aggregate_partial(
-                graph, pattern, aggregation, root_window=shard, cancel=cancel
-            )
-    finally:
-        engine.tracer = None
-    if faults is not None and shard_index is not None:
-        value = faults.transform_value(shard_index, attempt, value)
-    return value, engine.stats, tracer.spans
+    return run_shard(engine, graph, task, cancel, in_worker=True)
 
 
 def _warm_worker() -> bool:
@@ -603,14 +639,16 @@ class ProcessShardExecutor(ShardExecutor):
     """Worker-process transport over ``ProcessPoolExecutor``.
 
     The pool binds to one (engine, graph) pair at first use and is
-    rebuilt if either changes; a :class:`MorphingSession` therefore
-    reuses one warm pool across every pattern of a run. The graph ships
-    to workers through a :class:`SharedGraphPayload` — one shared-memory
-    copy of the CSR arrays that every worker attaches to zero-copy —
-    falling back to pickling the whole graph where shared memory is
-    unavailable. If the platform refuses to start worker processes
-    (restricted sandboxes), execution degrades to
-    :class:`SerialShardExecutor` transparently.
+    rebuilt if either changes — or after :meth:`close`, which is how the
+    mapping loop replaces a pool a crashed worker broke. A
+    :class:`MorphingSession` therefore reuses one warm pool across every
+    pattern of a run. The graph ships to workers through a
+    :class:`SharedGraphPayload` — one shared-memory copy of the CSR
+    arrays that every worker attaches to zero-copy — falling back to
+    pickling the whole graph where shared memory is unavailable. If the
+    platform refuses to start worker processes (restricted sandboxes),
+    the executor degrades for good to :class:`SerialShardExecutor`, with
+    one ``RuntimeWarning``.
     """
 
     def __init__(self, workers: int) -> None:
@@ -636,23 +674,17 @@ class ProcessShardExecutor(ShardExecutor):
         pattern's match window — the undercount that made morphed
         parallel totals look better than they were. A throwaway warm-up
         task forces worker spawn and the graph's shared-memory attach
-        here instead. Failures degrade, not raise — ``map_shards`` owns
-        the serial-fallback path — but they are warned about, never
-        silently swallowed.
+        here instead. A pool that cannot start degrades, with a warning.
         """
         import time
 
         start = time.perf_counter()
-        try:
-            self._ensure_pool(engine, graph)
-            self._pool.submit(_warm_worker).result()
-        except (OSError, BrokenProcessPool, ImportError, RuntimeError) as exc:
-            warnings.warn(
-                f"process pool warm-up failed ({exc!r}); execution will "
-                "fall back to in-process sharding",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if self._fallback is None:
+            try:
+                self._ensure_pool(engine, graph)
+                self._pool.submit(_warm_worker).result()
+            except (OSError, BrokenProcessPool, ImportError, RuntimeError) as exc:
+                self._degrade(exc)
         self.setup_seconds += time.perf_counter() - start
 
     def _ensure_pool(self, engine: MiningEngine, graph: DataGraph) -> None:
@@ -681,37 +713,46 @@ class ProcessShardExecutor(ShardExecutor):
         )
         self._bound_to = (engine, graph.fingerprint)
 
-    def map_shards(
-        self, engine, graph, pattern, aggregation, shards, collect_spans=False
-    ):
+    def _degrade(self, exc: BaseException) -> None:
+        """The one fall back to in-process execution, for good."""
+        warnings.warn(
+            f"process pool unavailable ({exc!r}); "
+            "falling back to in-process sharded execution",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self.close()
+        self._fallback = SerialShardExecutor(self.workers)
+
+    def submit(self, engine, graph, task, deadline=None):
+        if self._fallback is None:
+            try:
+                self._ensure_pool(engine, graph)
+                return self._pool.submit(_run_shard_task, task)
+            except BrokenProcessPool as exc:
+                if self._pool is not None:
+                    # A worker died while this round was still being
+                    # submitted: this shard is one more casualty.
+                    future: Future = Future()
+                    future.set_exception(exc)
+                    return future
+                self._degrade(exc)
+            except (OSError, ImportError) as exc:
+                # Restricted environments (no /dev/shm, no fork permission).
+                self._degrade(exc)
+        return self._fallback.submit(engine, graph, task, deadline)
+
+    def begin_pattern(self) -> None:
         if self._fallback is not None:
-            return self._fallback.map_shards(
-                engine, graph, pattern, aggregation, shards, collect_spans
-            )
-        try:
-            self._ensure_pool(engine, graph)
+            self._fallback.begin_pattern()
+        elif self._event is not None:
             self._event.clear()
-            futures = [
-                self._pool.submit(
-                    _run_shard_task, pattern, aggregation, shard, collect_spans
-                )
-                for shard in shards
-            ]
-            return [f.result() for f in futures]
-        except (OSError, BrokenProcessPool, ImportError) as exc:
-            # Restricted environments (no /dev/shm, no fork permission):
-            # degrade to in-process sharding — identical results, no pool.
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                "falling back to in-process sharded execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.close()
-            self._fallback = SerialShardExecutor(self.workers)
-            return self._fallback.map_shards(
-                engine, graph, pattern, aggregation, shards, collect_spans
-            )
+
+    def cancel(self) -> None:
+        if self._fallback is not None:
+            self._fallback.cancel()
+        elif self._event is not None:
+            self._event.set()
 
     def close(self) -> None:
         import time
@@ -766,45 +807,36 @@ def run_sharded(
     value, e.g. MNI's automorphism closure over the full table, or a
     decomposed count's single ``// |Aut(p)|``.
 
-    With a ``tracer``, cross-process transports return each shard's
-    worker-side spans, which are adopted (re-parented and clamped)
-    under the tracer's current span; in-process transports trace live.
-
-    ``control`` (a :class:`repro.engines.recovery.RunControl`) routes
-    the shards through the fault-tolerant mapping instead: retries,
-    deadline cancellation, checkpoint skip/journal. With a deadline the
-    merge covers only completed shards (still in ascending shard order,
-    so the partial value is deterministic); the caller reads
+    Every sharded run maps its shards through the one loop,
+    :func:`repro.engines.recovery.map_shards`, under ``control`` (a
+    :class:`~repro.engines.recovery.RunControl`; a default one — retry
+    on worker crashes, no deadline, no checkpoint — when ``None``).
+    With a ``tracer``, a cross-process transport's worker-side spans are
+    adopted (re-parented and clamped) under the tracer's current span;
+    in-process transports trace live. With a deadline the merge covers
+    only completed shards (still in ascending shard order, so the
+    partial value is deterministic); the caller reads
     ``control.reports[-1]`` to learn whether the pattern completed.
     """
+    from repro.engines.recovery import RunControl, map_shards
+
     pattern, aggregation = engine.compile_aggregate(graph, pattern, aggregation)
     shards = shard_by_degree_prefix(
         graph, num_shards or default_shard_count(executor.workers, graph)
     )
-    if control is not None:
-        from repro.engines.recovery import map_shards_recovering
-
-        indexed, _report = map_shards_recovering(
-            executor,
-            engine,
-            graph,
-            pattern,
-            aggregation,
-            shards,
-            tracer=tracer,
-            control=control,
-            collect_spans=tracer is not None,
-        )
-        parts = [indexed[index] for index in sorted(indexed)]
-    else:
-        parts = executor.map_shards(
-            engine, graph, pattern, aggregation, shards, tracer is not None
-        )
+    results = map_shards(
+        executor,
+        engine,
+        graph,
+        pattern,
+        aggregation,
+        shards,
+        control=control or RunControl(),
+        tracer=tracer,
+    )
     value = aggregation.zero()
-    for part in parts:
-        part_value, part_stats = part[0], part[1]
-        if len(part) > 2 and tracer is not None:
-            tracer.adopt(part[2])
+    for index in sorted(results):
+        part_value, part_stats = results[index]
         engine.stats.merge(part_stats)
         value = aggregation.merge(value, part_value)
     return aggregation.finalize(pattern, value)

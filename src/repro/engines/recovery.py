@@ -1,42 +1,48 @@
-"""Fault-tolerant shard mapping: retry, deadlines, checkpoint, fallback.
+"""The one shard-mapping loop, and its policy: retry, deadlines, checkpoints.
 
-This module wraps the transports in :mod:`repro.engines.execution` with
-the recovery policy the ISSUE calls for, without changing what a shard
-*is*: a crashed shard is re-executed (exponential backoff + jitter, up
-to :attr:`RetryPolicy.max_retries`), a shard that keeps killing pool
-workers is recovered **in-process** before the run gives up with
-:class:`repro.errors.WorkerCrashError`, an expired
-:class:`Deadline` cancels outstanding shards through the pool's shared
-event and reports the pattern as interrupted (the session turns that
-into a :class:`repro.PartialRunResult`), and completed shards are
+Every sharded run — in-process or process pool, with or without
+fault-tolerance options — maps its shards through :func:`map_shards`;
+the transports in :mod:`repro.engines.execution` only run one shard
+attempt each. A crashed shard is re-executed (exponential backoff +
+jitter, up to :attr:`RetryPolicy.max_retries`), a shard that keeps
+killing pool workers is recovered **in-process** before the run gives up
+with :class:`repro.errors.WorkerCrashError`, an expired
+:class:`Deadline` cancels outstanding shards through the transport's
+cancel token and reports the pattern as interrupted (the session turns
+that into a :class:`repro.PartialRunResult`), and completed shards are
 journaled to a :class:`repro.checkpoint.ShardCheckpoint` so a resumed
-run skips them (visible as ``shard.checkpoint`` tracer spans).
+run skips them (visible as ``shard.checkpoint`` tracer spans). A run
+with no option gets a default :class:`RunControl`: retry under
+``RetryPolicy()``, no deadline, no checkpoint.
 
 Everything stays deterministic: results are merged in ascending shard
-index exactly like the non-recovering path, a shard's value is the same
-no matter how many retries it took to produce, and backoff jitter is
-seeded per ``(shard, attempt)``. The differential matrix in
-``tests/test_fault_tolerance.py`` pins retried/resumed/degraded runs to
-the serial oracle byte-for-byte.
+index, a shard's value is the same no matter how many retries it took
+to produce, and backoff jitter is seeded per ``(shard, attempt)``. The
+differential matrix in ``tests/test_fault_tolerance.py`` pins
+retried/resumed/degraded runs to the serial oracle byte-for-byte.
 """
 
 from __future__ import annotations
 
 import random
 import time
-import warnings
-from concurrent.futures.process import BrokenProcessPool as BrokenProcessPoolError
+from concurrent.futures import Future
+from concurrent.futures import wait as wait_futures
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.aggregation import Aggregation
 from repro.core.canonical import pattern_id
 from repro.core.pattern import Pattern
-from repro.engines.base import EngineStats, MiningEngine
+from repro.engines.base import MiningEngine
 from repro.errors import WorkerCrashError
 from repro.graph.datagraph import DataGraph
 from repro.observe.tracer import timed_span
 from repro.testing.faults import FaultPlan, InjectedWorkerCrash
+
+if TYPE_CHECKING:
+    from repro.engines.execution import ShardExecutor, ShardResult
 
 __all__ = [
     "Deadline",
@@ -44,7 +50,7 @@ __all__ = [
     "RetryPolicy",
     "RunControl",
     "checkpoint_key",
-    "map_shards_recovering",
+    "map_shards",
 ]
 
 
@@ -147,7 +153,7 @@ class Deadline:
 
 @dataclass
 class PatternReport:
-    """Per-pattern recovery bookkeeping (one per ``map_shards_recovering``)."""
+    """Per-pattern recovery bookkeeping (one per :func:`map_shards` call)."""
 
     label: str = ""
     total_shards: int = 0
@@ -167,7 +173,7 @@ class RunControl:
     """The recovery configuration + bookkeeping threaded through a run.
 
     One instance lives for one ``session.run`` / ``repro.run`` call and
-    is consulted by :func:`map_shards_recovering` for every pattern.
+    is consulted by :func:`map_shards` for every pattern.
     ``reports`` accumulates one :class:`PatternReport` per executed
     pattern; the coverage fraction of a deadline-degraded run is
     ``completed_shards / total_shards`` over those reports plus one
@@ -241,378 +247,169 @@ def checkpoint_key(pattern: Pattern, aggregation: Aggregation) -> str:
     return f"{pattern_id(pattern):016x}/{agg}"
 
 
-def _run_shard_inprocess(
-    engine: MiningEngine,
-    graph: DataGraph,
-    pattern: Pattern,
-    aggregation: Aggregation,
-    shard: tuple[int, int],
-) -> tuple[Any, EngineStats]:
-    """One shard through the live engine, stats isolated like a worker's."""
-    saved = engine.stats
-    engine.stats = EngineStats()
-    try:
-        value, _terminal = engine.aggregate_partial(
-            graph, pattern, aggregation, root_window=shard, cancel=None
-        )
-        return value, engine.stats
-    finally:
-        engine.stats = saved
-
-
-def map_shards_recovering(
-    executor,
+def map_shards(
+    executor: ShardExecutor,
     engine: MiningEngine,
     graph: DataGraph,
     pattern: Pattern,
     aggregation: Aggregation,
     shards,
     *,
-    tracer=None,
     control: RunControl,
-    collect_spans: bool = False,
-) -> tuple[dict[int, tuple], PatternReport]:
-    """Run one pattern's shards under the recovery policy.
+    tracer=None,
+) -> dict[int, ShardResult]:
+    """Map one pattern's shards through ``executor``: the one loop.
 
-    Returns ``(results, report)`` where ``results`` maps shard index →
-    shard result for every shard that completed (checkpoint hits
-    included) and ``report`` records retries/fallbacks/interruption.
+    Returns shard index → ``(value, stats)`` for every shard that
+    completed, checkpoint hits included; ``control.reports[-1]`` records
+    retries, fallbacks and interruption. Checkpointed shards are skipped
+    (a ``shard.checkpoint`` span each). Then rounds: submit every
+    outstanding shard (an in-process transport runs each as it is
+    submitted, so the deadline is checked between shards), harvest the
+    completed ones in shard order, and charge each crashed one an
+    attempt. ``BrokenProcessPool`` semantics shape a round: one worker
+    dying abruptly breaks the *whole* pool, so every shard outstanding
+    at the collapse is a casualty (innocent ones included — the retry
+    budget is sized for that); the loop closes the broken pool and the
+    next round's first submit rebuilds it. A pool shard past the budget
+    gets one last attempt in-process (a ``shard.fallback`` span); a
+    shard that crashes in-process past it raises
+    :class:`WorkerCrashError`. An expired deadline stops the rounds and
+    sets the transport's cancel token, which releases wedged workers.
     Completed shards are journaled to the control's checkpoint even
-    when the pattern is interrupted or a poisoned shard ultimately
-    raises — that is what makes resume work.
+    when the pattern is interrupted or a poisoned shard raises — that
+    is what makes resume work.
     """
-    from repro.engines.execution import ProcessShardExecutor
+    # Imported here: ``import repro`` needs this module's policy types,
+    # not the transports.
+    from repro.engines.execution import SerialShardExecutor, ShardTask
 
     report = PatternReport(total_shards=len(shards))
     control.reports.append(report)
+    retry, deadline = control.retry, control.deadline
     key = checkpoint_key(pattern, aggregation)
-    results: dict[int, tuple] = {}
-    pending: list[int] = []
+    results: dict[int, ShardResult] = {}
+    #: Outstanding shard index → attempts charged so far.
+    attempts: dict[int, int] = {}
     for index, shard in enumerate(shards):
         hit = (
             control.checkpoint.get(key, shard)
             if control.checkpoint is not None
             else None
         )
-        if hit is not None:
-            with timed_span(
-                tracer, "shard.checkpoint", shard=index, window=list(shard)
-            ):
-                pass
-            results[index] = hit
-            report.completed_shards += 1
-            report.checkpointed_shards += 1
-        else:
-            pending.append(index)
+        if hit is None:
+            attempts[index] = 0
+            continue
+        with timed_span(tracer, "shard.checkpoint", shard=index, window=list(shard)):
+            pass
+        results[index] = hit
+        report.completed_shards += 1
+        report.checkpointed_shards += 1
+    inline = SerialShardExecutor()  # the last resort past the pool budget
+    executor.begin_pattern()
     try:
-        if pending:
-            use_pool = (
-                isinstance(executor, ProcessShardExecutor)
-                and executor._fallback is None
-            )
-            recover = _recover_pool if use_pool else _recover_serial
-            recover(
-                executor,
-                engine,
-                graph,
-                pattern,
-                aggregation,
-                shards,
-                pending,
-                results,
-                report,
-                tracer=tracer,
-                control=control,
-                collect_spans=collect_spans,
-            )
+        while attempts and not control.expired():
+            futures: dict[int, Future] = {}
+            for index in sorted(attempts):
+                if control.expired():
+                    break
+                task = ShardTask(
+                    pattern,
+                    aggregation,
+                    shards[index],
+                    index,
+                    attempts[index],
+                    control.faults,
+                    collect_spans=tracer is not None,
+                )
+                if attempts[index] <= retry.max_retries:
+                    futures[index] = executor.submit(engine, graph, task, deadline)
+                    continue
+                with timed_span(
+                    tracer, "shard.fallback", shard=index, window=list(shards[index])
+                ):
+                    futures[index] = inline.submit(engine, graph, task, deadline)
+            timeout = None if deadline is None else max(0.0, deadline.remaining())
+            done, not_done = wait_futures(futures.values(), timeout=timeout)
+            crashed: dict[int, BaseException] = {}
+            for index, future in futures.items():
+                if future in not_done:
+                    future.cancel()
+                    continue
+                exc = future.exception()
+                if isinstance(exc, (InjectedWorkerCrash, BrokenProcessPool)):
+                    crashed[index] = exc
+                    continue
+                if exc is not None:
+                    raise exc  # a genuine kernel error: not recoverable noise
+                part = future.result()
+                if part is None:
+                    continue  # a hang the deadline released: no result
+                value, stats, spans = part
+                if spans:
+                    tracer.adopt(spans)
+                results[index] = (value, stats)
+                report.completed_shards += 1
+                pool_attempts = attempts.pop(index)
+                if pool_attempts > retry.max_retries:
+                    report.fallbacks += 1
+                    control.event(
+                        "fallback",
+                        f"shard {index} recovered in-process after "
+                        f"{pool_attempts} pool attempts",
+                    )
+            if not_done or control.expired():
+                break
+            if crashed:
+                executor.close()  # the next submit rebuilds a broken pool
+                _charge(crashed, attempts, shards, pattern, report, control, tracer)
     finally:
         # Journal every completed shard — including on interruption or a
         # terminal WorkerCrashError — so the next run resumes from here.
         if control.checkpoint is not None:
             for index in sorted(results):
-                part = results[index]
-                control.checkpoint.put(key, shards[index], index, part[0], part[1])
-    return results, report
+                value, stats = results[index]
+                control.checkpoint.put(key, shards[index], index, value, stats)
+    if attempts:
+        executor.cancel()  # release polite hangs and polling kernels
+        report.interrupted = True
+    return results
 
 
-def _recover_serial(
-    executor,
-    engine,
-    graph,
-    pattern,
-    aggregation,
-    shards,
-    pending,
-    results,
-    report,
-    *,
-    tracer,
-    control,
-    collect_spans,
-):
-    """In-process transports: shard-at-a-time with a per-shard retry loop."""
-    retry = control.retry
-    deadline = control.deadline
-    faults = control.faults
-    stop_check = (lambda: deadline.expired()) if deadline is not None else None
-    for index in pending:
-        if deadline is not None and deadline.expired():
-            report.interrupted = True
-            return
-        shard = shards[index]
-        attempt = 0
-        while True:
-            try:
-                if faults is not None and faults.apply_before_shard(
-                    index, attempt, in_worker=False, stop_check=stop_check
-                ):
-                    # A hang released by the deadline: no result for this
-                    # shard, and no point starting the ones after it.
-                    report.interrupted = True
-                    return
-                part = list(
-                    executor.map_shards(
-                        engine, graph, pattern, aggregation, [shard], collect_spans
-                    )[0]
-                )
-                if faults is not None:
-                    part[0] = faults.transform_value(index, attempt, part[0])
-                results[index] = tuple(part)
-                report.completed_shards += 1
-                break
-            except (InjectedWorkerCrash, BrokenProcessPoolError) as exc:
-                attempt += 1
-                report.retries += 1
-                if attempt > retry.max_retries:
-                    raise WorkerCrashError(
-                        f"shard {index} {tuple(shard)} of pattern "
-                        f"{pattern_id(pattern):016x} still failing after "
-                        f"{attempt} attempts",
-                        shard=tuple(shard),
-                        shard_index=index,
-                        attempts=attempt,
-                        cause=exc,
-                    ) from exc
-                seconds = retry.delay(index, attempt)
-                with timed_span(
-                    tracer,
-                    "shard.retry",
-                    shard=index,
-                    attempt=attempt,
-                    error=type(exc).__name__,
-                    backoff_seconds=seconds,
-                ):
-                    retry.sleep(seconds)
-                control.event(
-                    "retry",
-                    f"shard {index} attempt {attempt} after {type(exc).__name__}",
-                )
+def _charge(crashed, attempts, shards, pattern, report, control, tracer) -> None:
+    """Charge each crashed shard one attempt, with one backoff per round.
 
-
-def _recover_pool(
-    executor,
-    engine,
-    graph,
-    pattern,
-    aggregation,
-    shards,
-    pending,
-    results,
-    report,
-    *,
-    tracer,
-    control,
-    collect_spans,
-):
-    """Pool transport: submit, harvest survivors of a crash, rebuild, retry.
-
-    ``BrokenProcessPool`` semantics drive the shape: one worker dying
-    abruptly breaks the *whole* pool — futures that already finished
-    keep their results, everything else raises. So each round submits
-    all outstanding shards, harvests completed ones, charges an attempt
-    to the casualties (including innocent shards collateral to the same
-    collapse — their retry budget is sized for that), rebuilds the pool
-    and goes again. Shards that exhaust the budget are recovered
-    in-process before :class:`WorkerCrashError` ends the run.
+    Each shard's ``shard.retry`` span waits out only what the spans
+    before it have not, so a round that lost many shards sleeps the
+    largest of their backoffs once. An in-process crash past the budget
+    has nowhere left to go and raises :class:`WorkerCrashError`.
     """
-    from concurrent.futures import wait as wait_futures
-
-    from repro.engines.execution import (
-        SerialShardExecutor,
-        _run_shard_task,
-    )
-
     retry = control.retry
-    deadline = control.deadline
-    faults = control.faults
-    attempts = {i: 0 for i in pending}
-    remaining = sorted(pending)
-    first_round = True
-    while remaining:
-        if deadline is not None and deadline.expired():
-            if executor._event is not None:
-                executor._event.set()  # release polite hangs / polling kernels
-            report.interrupted = True
-            return
-        # Shards past the pool retry budget leave the pool entirely.
-        for index in [i for i in remaining if attempts[i] > retry.max_retries]:
-            remaining.remove(index)
-            if not _fallback_shard(
-                engine,
-                graph,
-                pattern,
-                aggregation,
-                shards,
-                index,
-                attempts,
-                results,
-                report,
-                tracer=tracer,
-                control=control,
-            ):
-                return
-        if not remaining:
-            return
-        try:
-            executor._ensure_pool(engine, graph)
-            if first_round:
-                executor._event.clear()
-                first_round = False
-            futures = {
-                executor._pool.submit(
-                    _run_shard_task,
-                    pattern,
-                    aggregation,
-                    shards[i],
-                    collect_spans,
-                    i,
-                    attempts[i],
-                    faults,
-                ): i
-                for i in remaining
-            }
-        except (OSError, BrokenProcessPoolError, ImportError) as exc:
-            # The pool cannot be (re)built at all: degrade this and every
-            # later pattern to in-process sharded execution.
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                "recovering in-process with sharded execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            executor.close()
-            executor._fallback = SerialShardExecutor(executor.workers)
-            _recover_serial(
-                executor._fallback,
-                engine,
-                graph,
-                pattern,
-                aggregation,
-                shards,
-                remaining,
-                results,
-                report,
-                tracer=tracer,
-                control=control,
-                collect_spans=collect_spans,
-            )
-            return
-        timeout = max(0.0, deadline.remaining()) if deadline is not None else None
-        done, not_done = wait_futures(set(futures), timeout=timeout)
-        crashed: list[int] = []
-        for future in done:
-            index = futures[future]
-            exc = future.exception()
-            if exc is None:
-                results[index] = tuple(future.result())
-                report.completed_shards += 1
-                remaining.remove(index)
-            elif isinstance(exc, BrokenProcessPoolError):
-                crashed.append(index)
-            else:
-                raise exc  # a genuine kernel error: not recoverable noise
-        if not_done:
-            # Deadline expired mid-flight. Completed futures were already
-            # harvested above; cancel the queue, release wedged workers.
-            for future in not_done:
-                future.cancel()
-            if executor._event is not None:
-                executor._event.set()
-            report.interrupted = True
-            return
-        if remaining:
-            # Everything still outstanding was a casualty of the same pool
-            # collapse; one backoff for the round, one attempt charged each.
-            executor.close()  # tear the broken pool down; next round rebuilds
-            seconds = 0.0
-            for index in remaining:
-                attempts[index] += 1
-                report.retries += 1
-                seconds = max(seconds, retry.delay(index, attempts[index]))
-                control.event(
-                    "retry",
-                    f"shard {index} attempt {attempts[index]} after worker crash",
-                )
-            with timed_span(
-                tracer,
-                "shard.retry",
-                shards=list(remaining),
-                backoff_seconds=seconds,
-            ):
-                retry.sleep(seconds)
-
-
-def _fallback_shard(
-    engine,
-    graph,
-    pattern,
-    aggregation,
-    shards,
-    index,
-    attempts,
-    results,
-    report,
-    *,
-    tracer,
-    control,
-) -> bool:
-    """Last resort for a worker-poisoning shard: run it in the parent.
-
-    Returns ``False`` when an injected hang was released by the
-    deadline (the caller stops the pattern); raises
-    :class:`WorkerCrashError` when even the in-process attempt crashes.
-    """
-    shard = shards[index]
-    faults = control.faults
-    deadline = control.deadline
-    stop_check = (lambda: deadline.expired()) if deadline is not None else None
-    with timed_span(tracer, "shard.fallback", shard=index, window=list(shard)):
-        try:
-            if faults is not None and faults.apply_before_shard(
-                index, attempts[index], in_worker=False, stop_check=stop_check
-            ):
-                report.interrupted = True
-                return False
-            value, stats = _run_shard_inprocess(
-                engine, graph, pattern, aggregation, shard
-            )
-            if faults is not None:
-                value = faults.transform_value(index, attempts[index], value)
-        except InjectedWorkerCrash as exc:
+    waited = 0.0
+    for index, exc in crashed.items():
+        attempts[index] += 1
+        report.retries += 1
+        attempt = attempts[index]
+        error = type(exc).__name__
+        if attempt > retry.max_retries and not isinstance(exc, BrokenProcessPool):
+            shard = tuple(shards[index])
             raise WorkerCrashError(
-                f"shard {index} {tuple(shard)} crashed in {attempts[index]} "
-                "worker attempts and again in the in-process fallback",
-                shard=tuple(shard),
+                f"shard {index} {shard} of pattern {pattern_id(pattern):016x} "
+                f"still failing after {attempt} attempts",
+                shard=shard,
                 shard_index=index,
-                attempts=attempts[index] + 1,
+                attempts=attempt,
                 cause=exc,
             ) from exc
-    results[index] = (value, stats)
-    report.completed_shards += 1
-    report.fallbacks += 1
-    control.event(
-        "fallback",
-        f"shard {index} recovered in-process after "
-        f"{attempts[index]} pool attempts",
-    )
-    return True
+        delay = retry.delay(index, attempt)
+        with timed_span(
+            tracer,
+            "shard.retry",
+            shard=index,
+            attempt=attempt,
+            error=error,
+            backoff_seconds=delay,
+        ):
+            retry.sleep(max(0.0, delay - waited))
+        waited = max(waited, delay)
+        control.event("retry", f"shard {index} attempt {attempt} after {error}")

@@ -91,8 +91,8 @@ class FaultPlan:
 
     Construct directly from a ``{shard_index: FaultSpec}`` mapping or
     derive one deterministically from a seed with :meth:`random`. The
-    plan is consulted by the recovery layer (in-process transports) and
-    inside ``_run_shard_task`` (pool workers); both call sites key on
+    plan is consulted by ``repro.engines.execution.run_shard``, the one
+    shard attempt, in pool workers and in-process alike; it keys on
     ``(shard_index, attempt)``, so behavior is identical no matter
     which process evaluates the plan.
     """

@@ -2,13 +2,13 @@
 leak probe.
 
 ``ProcessShardExecutor`` promises to *degrade, never die*: a pool that
-cannot be built (restricted sandboxes), a warm-up that fails, or a
-``BrokenProcessPool`` mid-``map_shards`` all fall back to in-process
-sharded execution with a ``RuntimeWarning`` — identical results, no
-processes. Separately, every shared-memory segment the transport exports
-must be disposed on every exit path; ``assert_no_leaked_segments`` is the
-probe (wired into an autouse fixture in ``conftest.py``) that fails any
-test leaving a segment behind.
+cannot be built (restricted sandboxes) or a warm-up that fails falls
+back, for good, to in-process sharded execution with one
+``RuntimeWarning`` — identical results, no processes. Separately, every
+shared-memory segment the transport exports must be disposed on every
+exit path; ``assert_no_leaked_segments`` is the probe (wired into an
+autouse fixture in ``conftest.py``) that fails any test leaving a
+segment behind.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.engines.execution import (
     shard_by_degree_prefix,
 )
 from repro.engines.peregrine.engine import PeregrineEngine
+from repro.engines.recovery import RunControl, map_shards
 from repro.errors import SharedMemoryLeakError
 
 
@@ -39,8 +40,8 @@ def _count(engine, graph, executor):
 
 class TestPoolDegradation:
     def test_broken_pool_falls_back_to_serial(self, small_graph):
-        """A BrokenProcessPool during map_shards degrades to in-process
-        sharding — same results, and the fallback sticks for later calls."""
+        """A pool that breaks on contact degrades to in-process sharding —
+        same results, and the fallback sticks for later calls."""
         engine = PeregrineEngine()
         oracle = _count(PeregrineEngine(), small_graph, SerialShardExecutor(2))
         executor = ProcessShardExecutor(workers=2)
@@ -60,12 +61,12 @@ class TestPoolDegradation:
         executor = ProcessShardExecutor(workers=2)
         executor._ensure_pool = _raise_os_error
         try:
-            with pytest.warns(RuntimeWarning, match="warm-up failed"):
-                executor.prepare(engine, small_graph)
-            # prepare() degrades instead of raising; map_shards then owns
-            # the fallback and execution still completes in-process.
+            # prepare() degrades instead of raising — the one fallback,
+            # with the one warning — and execution completes in-process.
             with pytest.warns(RuntimeWarning, match="falling back"):
-                value = _count(engine, small_graph, executor)
+                executor.prepare(engine, small_graph)
+            assert isinstance(executor._fallback, SerialShardExecutor)
+            value = _count(engine, small_graph, executor)
             assert value == _count(
                 PeregrineEngine(), small_graph, SerialShardExecutor(2)
             )
@@ -73,33 +74,36 @@ class TestPoolDegradation:
             executor.close()
 
     def test_recovering_path_survives_unbuildable_pool(self, small_graph):
-        """The fault-tolerant mapper hits the same degradation: a pool that
-        cannot be rebuilt demotes the whole run to in-process sharding."""
-        from repro.engines.recovery import RunControl, map_shards_recovering
-
+        """The mapping loop, driven directly, hits the same degradation: a
+        pool that cannot be built demotes the whole run to in-process
+        sharding."""
         engine = PeregrineEngine()
         shards = shard_by_degree_prefix(small_graph, 4)
-        serial = SerialShardExecutor(2)
-        expected = [
-            r[0]
-            for r in serial.map_shards(
-                engine, small_graph, TRIANGLE, CountAggregation(), shards
-            )
-        ]
+        serial = map_shards(
+            SerialShardExecutor(2),
+            engine,
+            small_graph,
+            TRIANGLE,
+            CountAggregation(),
+            shards,
+            control=RunControl(),
+        )
+        expected = [serial[i][0] for i in sorted(serial)]
         executor = ProcessShardExecutor(workers=2)
         executor._ensure_pool = _raise_broken
+        control = RunControl()
         try:
-            with pytest.warns(RuntimeWarning, match="recovering in-process"):
-                results, report = map_shards_recovering(
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                results = map_shards(
                     executor,
                     engine,
                     small_graph,
                     TRIANGLE,
                     CountAggregation(),
                     shards,
-                    control=RunControl(),
+                    control=control,
                 )
-            assert report.complete
+            assert control.reports[-1].complete
             values = [results[i][0] for i in sorted(results)]
             assert pickle.dumps(values) == pickle.dumps(expected)
         finally:

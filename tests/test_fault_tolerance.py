@@ -178,13 +178,15 @@ class TestFaultPlan:
 
 
 class TestCrashRetryMatrix:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inprocess", "pool"])
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("agg_cls", AGGREGATIONS)
     def test_crashes_on_two_shards_match_oracle(
-        self, small_graph, engine, agg_cls
+        self, small_graph, engine, agg_cls, workers
     ):
         """Crashes on ≤2 shards, retried, must be byte-identical to the
-        fault-free oracle — every engine, every aggregation."""
+        fault-free oracle — every engine, every aggregation, on both
+        transports (in-process crashes raise; pool workers ``os._exit``)."""
         assert_matches_oracle(
             small_graph,
             TRIANGLE,
@@ -192,6 +194,7 @@ class TestCrashRetryMatrix:
             agg_cls,
             faults=FaultPlan.crashes([0, 2]),
             retry=NOSLEEP,
+            workers=workers,
         )
 
     @pytest.mark.parametrize("engine", ENGINES)

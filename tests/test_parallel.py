@@ -39,6 +39,7 @@ from repro.engines.execution import (
 )
 from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.peregrine.engine import PeregrineEngine
+from repro.engines.recovery import RetryPolicy, RunControl, map_shards
 from repro.engines.sumpa.engine import SumPAEngine
 from repro.graph.datagraph import DataGraph
 from repro.graph.partition import shard_by_degree_prefix
@@ -283,20 +284,63 @@ class TestEarlyTermination:
 
     def test_cancel_flag_skips_remaining_shards(self, small_graph):
         """Once a shard saturates, unstarted shards return the zero."""
-        executor = SerialShardExecutor(4)
         engine = PeregrineEngine()
         shards = shard_by_degree_prefix(small_graph, 8)
-        results = executor.map_shards(
-            engine, small_graph, TRIANGLE, ExistenceAggregation(), shards
+        results = map_shards(
+            SerialShardExecutor(4),
+            engine,
+            small_graph,
+            TRIANGLE,
+            ExistenceAggregation(),
+            shards,
+            control=RunControl(),
         )
         assert len(results) == len(shards)
-        values = [value for value, _stats in results]
+        parts = [results[index] for index in sorted(results)]
+        values = [value for value, _stats in parts]
         assert any(values)
         # Everything after the saturating shard was skipped entirely.
         saturated = values.index(True)
         assert all(v is False for v in values[saturated + 1 :])
-        skipped_stats = [stats for _value, stats in results[saturated + 1 :]]
+        skipped_stats = [stats for _value, stats in parts[saturated + 1 :]]
         assert all(s.total_seconds == 0.0 for s in skipped_stats)
+
+    @pytest.mark.parametrize(
+        "executor, workers", [("serial", 4), ("process", 2)], ids=["serial", "pool"]
+    )
+    @pytest.mark.parametrize(
+        "option",
+        [{"retry": RetryPolicy(max_retries=0)}, {"deadline_seconds": 600}],
+        ids=["retry", "deadline"],
+    )
+    def test_fault_tolerance_options_keep_saturation_across_shards(
+        self, small_graph, executor, workers, option
+    ):
+        """A fault-tolerance option must not switch cross-shard
+        cancellation off: the shards after the saturating one do no work,
+        exactly as in a run with no option."""
+
+        def shards_run(**kwargs) -> int:
+            session = MorphingSession(
+                PeregrineEngine(),
+                workers=workers,
+                executor=executor,
+                enabled=False,
+                aggregation=ExistenceAggregation(),
+                **kwargs,
+            )
+            result = session.run(small_graph, [TRIANGLE])
+            assert result.results[TRIANGLE] is True
+            return result.stats.patterns_matched
+
+        total = default_shard_count(workers, small_graph)
+        plain = shards_run()
+        # At most one shard per worker starts before the first saturates.
+        assert plain <= workers < total
+        guarded = shards_run(**option)
+        assert guarded <= workers
+        if executor == "serial":
+            assert guarded == plain  # the very same shards ran
 
     def test_cancel_flag_api(self):
         flag = CancelFlag()
