@@ -110,7 +110,7 @@ EVALUATION_PATTERNS: dict[str, Pattern] = {
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def all_connected_patterns(k: int) -> tuple[Pattern, ...]:
     """All connected unlabeled pattern topologies on ``k`` vertices.
 

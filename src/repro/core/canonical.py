@@ -20,9 +20,7 @@ import hashlib
 from functools import lru_cache
 from itertools import permutations
 
-from repro.core.pattern import Pattern
-
-_CACHE_SIZE = 65536
+from repro.core.pattern import MEMO_SIZE, Pattern
 
 
 def _refine_colors(pattern: Pattern) -> list[int]:
@@ -102,7 +100,7 @@ def _color_class_permutations(colors: list[int]):
     yield from rec(0, 0, [0] * n)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def canonical_permutation(pattern: Pattern) -> tuple[int, ...]:
     """The vertex renaming that takes ``pattern`` to its canonical form."""
     best_perm: tuple[int, ...] | None = None
@@ -117,13 +115,13 @@ def canonical_permutation(pattern: Pattern) -> tuple[int, ...]:
     return best_perm
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def canonical_form(pattern: Pattern) -> Pattern:
     """The canonical representative of ``pattern``'s isomorphism class."""
     return pattern.relabel(canonical_permutation(pattern))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def pattern_id(pattern: Pattern) -> int:
     """A stable 64-bit ID that uniquely identifies the pattern structure.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.aggregation import Aggregation, CountAggregation
-from repro.core.pattern import Pattern
+from repro.core.pattern import MEMO_SIZE, Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED
 from repro.graph.datagraph import DataGraph
 
@@ -336,7 +336,7 @@ def _constraint_counts(skel: Pattern, order: list[int]) -> list[int]:
     return counts
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=MEMO_SIZE)
 def _matching_order_cached(skel: Pattern) -> tuple[int, ...]:
     degrees = [skel.degree(v) for v in range(skel.n)]
     order = [max(range(skel.n), key=lambda v: (degrees[v], -v))]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from repro.core.canonical import canonical_form
-from repro.core.pattern import Pattern, normalize_edge
+from repro.core.pattern import MEMO_SIZE, Pattern, normalize_edge
 
 
 def skeleton(pattern: Pattern) -> Pattern:
@@ -25,7 +25,7 @@ def skeleton(pattern: Pattern) -> Pattern:
     return canonical_form(pattern.edge_induced())
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=MEMO_SIZE)
 def direct_superpatterns(skel: Pattern) -> tuple[Pattern, ...]:
     """Skeletons reachable by adding exactly one edge, deduplicated.
 
@@ -41,7 +41,7 @@ def direct_superpatterns(skel: Pattern) -> tuple[Pattern, ...]:
     return tuple(supers)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=MEMO_SIZE)
 def superpattern_closure(skel: Pattern) -> tuple[Pattern, ...]:
     """All superpattern skeletons of ``skel`` on the same vertices.
 

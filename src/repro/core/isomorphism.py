@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.pattern import Pattern, normalize_edge
-
-_CACHE_SIZE = 65536
+from repro.core.pattern import MEMO_SIZE, Pattern, normalize_edge
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def subgraph_isomorphisms(p: Pattern, q: Pattern) -> tuple[tuple[int, ...], ...]:
     """All injective maps ``f: V(p) -> V(q)`` preserving edges and labels.
 
@@ -103,7 +101,7 @@ def _connected_order(p: Pattern) -> list[int]:
     return order
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def automorphisms(p: Pattern) -> tuple[tuple[int, ...], ...]:
     """The automorphism group of ``p`` (edge- and label-preserving bijections).
 
@@ -118,7 +116,7 @@ def automorphisms(p: Pattern) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def occurrence_embeddings(p: Pattern, q: Pattern) -> tuple[tuple[int, ...], ...]:
     """One representative isomorphism per distinct occurrence of ``p`` in ``q``.
 
@@ -150,7 +148,7 @@ def occurrence_count(p: Pattern, q: Pattern) -> int:
     return len(occurrence_embeddings(p, q))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def symmetry_breaking_conditions(p: Pattern) -> tuple[tuple[int, int], ...]:
     """Partial-order conditions ``(u, v)`` meaning "match(u) < match(v)".
 
@@ -200,7 +198,7 @@ def matches_of_pattern_in(p: Pattern, q: Pattern, require_induced: bool) -> int:
     return count
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def vertex_orbits(p: Pattern) -> tuple[frozenset[int], ...]:
     """Partition of the pattern's vertices into automorphism orbits.
 

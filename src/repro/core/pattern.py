@@ -26,6 +26,11 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
+#: Entries kept by every ``lru_cache`` in the package whose keys are an
+#: open space (patterns, generated kernels: each distinct query can
+#: bring new ones). Memos over a closed key space are unbounded.
+MEMO_SIZE = 65536
+
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
     """Return the canonical ``(min, max)`` form of an undirected edge."""

@@ -21,12 +21,12 @@ nothing and kept a second copy of the frontier segmentation.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from typing import Callable
 
+from repro.core.pattern import MEMO_SIZE
 from repro.engines.base import EngineStats, StopExploration, close_run
 from repro.engines.plan import ExplorationPlan, PlanLevel
-
-_COMPILED_CACHE: dict[tuple, Callable] = {}
 
 
 def compiled_source(plan: ExplorationPlan) -> str:
@@ -128,44 +128,40 @@ def _match_tuple(plan: ExplorationPlan) -> str:
 def compile_plan(plan: ExplorationPlan) -> Callable:
     """Compile a plan into a kernel ``(graph, stats, on_match) -> count``.
 
-    Kernels are cached by the plan's structural signature, so recompiling
-    the same shape is free (the analogue of AutoMine reusing compiled
+    Kernels are memoized by their generated source, so recompiling the
+    same shape is free (the analogue of AutoMine reusing compiled
     schedules).
     """
-    key = tuple(level.signature + (level.non_adjacent,) for level in plan.levels) + (
-        plan.pattern.n,
-        tuple(lv.pattern_vertex for lv in plan.levels),
-    )
-    kernel = _COMPILED_CACHE.get(key)
-    if kernel is None:
-        source = compiled_source(plan)
-        namespace: dict = {}
-        from repro.engines.base import _EMPTY, clip_to_window
-        from repro.engines.setops import (
-            bound_above,
-            bound_below,
-            difference,
-            exclude,
-            intersect,
-        )
+    return _compile_source(compiled_source(plan))
 
-        exec(  # noqa: S102 - the source is generated locally, not user input
-            compile(source, f"<compiled-plan-{key[-1]}>", "exec"),
-            {
-                "intersect": intersect,
-                "difference": difference,
-                "bound_above": bound_above,
-                "bound_below": bound_below,
-                "exclude": exclude,
-                "clip_to_window": clip_to_window,
-                "StopExploration": StopExploration,
-                "EMPTY": _EMPTY,
-            },
-            namespace,
-        )
-        kernel = namespace["_kernel"]
-        _COMPILED_CACHE[key] = kernel
-    return kernel
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _compile_source(source: str) -> Callable:
+    from repro.engines.base import _EMPTY, clip_to_window
+    from repro.engines.setops import (
+        bound_above,
+        bound_below,
+        difference,
+        exclude,
+        intersect,
+    )
+
+    namespace: dict = {}
+    exec(  # noqa: S102 - the source is generated locally, not user input
+        compile(source, "<compiled-plan>", "exec"),
+        {
+            "intersect": intersect,
+            "difference": difference,
+            "bound_above": bound_above,
+            "bound_below": bound_below,
+            "exclude": exclude,
+            "clip_to_window": clip_to_window,
+            "StopExploration": StopExploration,
+            "EMPTY": _EMPTY,
+        },
+        namespace,
+    )
+    return namespace["_kernel"]
 
 
 def run_compiled(

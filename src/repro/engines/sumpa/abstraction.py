@@ -28,10 +28,10 @@ from itertools import combinations
 
 from repro.core.canonical import canonical_form, canonical_permutation
 from repro.core.isomorphism import subgraph_isomorphisms
-from repro.core.pattern import Pattern
+from repro.core.pattern import MEMO_SIZE, Pattern
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=MEMO_SIZE)
 def connected_subpatterns(pattern: Pattern, max_vertices: int) -> tuple[Pattern, ...]:
     """Connected subpatterns (canonical, deduplicated) up to a size cap.
 

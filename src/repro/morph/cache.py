@@ -1,4 +1,4 @@
-"""Cross-query measurement and plan caches.
+"""Cross-query measurement and plan caches, and the one bound they share.
 
 The same alternative pattern frequently recurs across queries and across
 session runs — FSM's level k+1 closures overlap level k's, and repeated
@@ -18,12 +18,16 @@ rule-competition pass entirely and execute the stored
 :class:`repro.plan.RewritePlan`. Keys use the graph's *content*
 fingerprint, so two structurally identical graphs share entries while a
 mutated/regenerated graph never collides.
+
+Both are bounded stores (:class:`BoundedStore`), the one rule for
+state kept across queries. The resident daemon's result cache and
+idempotency map are stores too, so every tier it keeps stops growing at
+its capacity.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.aggregation import Aggregation, MatchListAggregation
@@ -34,45 +38,73 @@ from repro.graph.datagraph import DataGraph
 if TYPE_CHECKING:
     from repro.plan.rewrite import RewritePlan
 
+#: Entries a store keeps, unless its owner sets another ``capacity``.
+STORE_CAPACITY = 4096
 
-@dataclass
-class _CountedStore:
-    """A memo dict with hit/miss counters that threads may share.
 
-    The daemon's worker threads share one :class:`PlanCache` and one
-    :class:`MeasurementCache` per graph, and ``+= 1`` on an attribute is
-    a read-modify-write that can lose an update between threads, so
-    every counter change happens under the instance's lock.
+class BoundedStore:
+    """An insertion-ordered map that keeps at most ``capacity`` entries.
+
+    :meth:`insert` past capacity evicts the oldest-inserted entries and
+    counts them; a key already present keeps its place in the queue.
+    :meth:`lookup` counts hits and misses (values are never ``None``).
+    Threads may share a store: every read and write, and the copy
+    :meth:`snapshot` takes, happen under the store's own lock, since a
+    ``+= 1`` or a dict copy racing an insert can lose an update or fail.
+    ``capacity`` is :data:`STORE_CAPACITY` as it reads when the store is
+    built (tests patch the constant before building the store's owner).
     """
 
-    _store: dict = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    def __init__(self) -> None:
+        self.capacity = STORE_CAPACITY
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._entries: dict = {}
+        self._lock = threading.Lock()
 
-    def _counted(self, value):
-        """Count ``value`` as a miss (``None``) or a hit; return it."""
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, key):
+        """The value stored under ``key``, or ``None``; counted."""
         with self._lock:
+            value = self._entries.get(key)
             if value is None:
                 self.misses += 1
             else:
                 self.hits += 1
         return value
 
-    def __len__(self) -> int:
-        return len(self._store)
+    def insert(self, key, value) -> int:
+        """Store ``value``; return how many old entries were evicted."""
+        with self._lock:
+            entries = self._entries
+            entries[key] = value
+            evicted = max(0, len(entries) - self.capacity)
+            for _ in range(evicted):
+                del entries[next(iter(entries))]
+            self.evictions += evicted
+        return evicted
+
+    def snapshot(self) -> dict:
+        """A copy of the entries, oldest first."""
+        with self._lock:
+            return dict(self._entries)
+
+    def describe(self) -> dict:
+        """``entries`` and ``evictions``, as the daemon's ``stats`` reports."""
+        return {"entries": len(self), "evictions": self.evictions}
 
     def clear(self) -> None:
         with self._lock:
-            self._store.clear()
+            self._entries.clear()
             self.hits = 0
             self.misses = 0
+            self.evictions = 0
 
 
-@dataclass
-class MeasurementCache(_CountedStore):
+class MeasurementCache(BoundedStore):
     """Memoized ``(graph, aggregation, item) -> value`` measurements.
 
     Keyed by the graph's *content* fingerprint (as :class:`PlanCache`
@@ -91,17 +123,16 @@ class MeasurementCache(_CountedStore):
         """Cached value or ``None`` (values themselves are never None)."""
         if not self._cacheable(aggregation):
             return None
-        return self._counted(self._store.get(self.key(graph, aggregation, item)))
+        return self.lookup(self.key(graph, aggregation, item))
 
     def put(
         self, graph: DataGraph, aggregation: Aggregation, item: Item, value: Any
     ) -> None:
         if self._cacheable(aggregation) and value is not None:
-            self._store[self.key(graph, aggregation, item)] = value
+            self.insert(self.key(graph, aggregation, item), value)
 
 
-@dataclass
-class PlanCache(_CountedStore):
+class PlanCache(BoundedStore):
     """Memoized planner searches keyed by everything that shapes a plan.
 
     The key is ``(graph fingerprint, queries, aggregation, engine,
@@ -142,16 +173,14 @@ class PlanCache(_CountedStore):
         strategy: str,
         margin: float,
     ) -> "RewritePlan | None":
-        return self._counted(
-            self._store.get(
-                self.key(
-                    graph,
-                    patterns,
-                    aggregation,
-                    engine=engine,
-                    strategy=strategy,
-                    margin=margin,
-                )
+        return self.lookup(
+            self.key(
+                graph,
+                patterns,
+                aggregation,
+                engine=engine,
+                strategy=strategy,
+                margin=margin,
             )
         )
 
@@ -166,7 +195,7 @@ class PlanCache(_CountedStore):
         strategy: str,
         margin: float,
     ) -> None:
-        self._store[
+        self.insert(
             self.key(
                 graph,
                 patterns,
@@ -174,5 +203,6 @@ class PlanCache(_CountedStore):
                 engine=engine,
                 strategy=strategy,
                 margin=margin,
-            )
-        ] = plan
+            ),
+            plan,
+        )

@@ -41,7 +41,7 @@ integer partial sums that merge by ``+``, and the division by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -50,7 +50,7 @@ from repro.core.aggregation import Aggregation
 from repro.core.canonical import pattern_id
 from repro.core.costmodel import CostModel
 from repro.core.equations import Item
-from repro.core.pattern import Pattern
+from repro.core.pattern import MEMO_SIZE, Pattern
 from repro.core.sdag import EDGE_INDUCED
 from repro.engines.plan import PlanLevel
 from repro.plan.iep import bell_number, block_distinct_counts
@@ -198,6 +198,7 @@ def _aut_classes(
     return tuple(sorted(groups.items(), key=lambda kv: repr(kv[0])))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def find_decompositions(skel: Pattern) -> tuple[Decomposition, ...]:
     """Every legal prefix/suffix split of an edge-induced skeleton.
 
@@ -351,8 +352,6 @@ class Decompose(RewriteRule):
 
     name = "decompose"
 
-    _candidates_cache: dict[Pattern, tuple[Decomposition, ...]] = {}
-
     def applies(self, item: Item, aggregation: Aggregation) -> bool:
         """Invertible aggregation + edge-induced non-clique item."""
         skel, variant = item
@@ -362,12 +361,7 @@ class Decompose(RewriteRule):
 
     def candidates(self, item: Item) -> tuple[Decomposition, ...]:
         """All legal decompositions of the item's skeleton (memoized)."""
-        skel, _variant = item
-        cached = self._candidates_cache.get(skel)
-        if cached is None:
-            cached = find_decompositions(skel)
-            self._candidates_cache[skel] = cached
-        return cached
+        return find_decompositions(item[0])
 
     def best(
         self, item: Item, cost_model: CostModel

@@ -1,13 +1,13 @@
 """Resident mining service: load graphs once, answer many queries.
 
-A cold ``repro.run()`` pays graph construction, plan search and (for
-``workers > 1``) process-pool spin-up on every call. The service keeps
-all three resident: a :class:`GraphRegistry` holds loaded graphs (with
-their shared-memory CSR segments exported once), a server-owned
-:class:`repro.PlanCache` / :class:`repro.MeasurementCache` pair carries
-planning and measurement work across queries, and a result cache
-returns byte-identical payloads for repeat queries without touching the
-engines at all.
+A cold ``repro.run()`` pays graph construction and plan search on
+every call. The service keeps both resident: a :class:`GraphRegistry`
+holds loaded graphs, a server-owned :class:`repro.PlanCache` /
+:class:`repro.MeasurementCache` pair carries planning and measurement
+work across queries, and a result cache returns byte-identical payloads
+for repeat queries without touching the engines at all. Every cache
+tier is bounded (:class:`repro.morph.cache.BoundedStore`). A sharded
+query (``workers > 1``) still starts its own process pool.
 
 Topology::
 

@@ -1,11 +1,9 @@
 """Resident graph registry: load once, serve every query.
 
 The cold-path cost a resident daemon amortizes away starts with the
-graph itself: dataset synthesis/parsing, CSR construction, and — when
-queries run sharded — the shared-memory export that lets worker
-processes attach the adjacency arrays zero-copy. :class:`GraphRegistry`
-does all of that exactly once per graph and keeps the results alive
-until :meth:`GraphRegistry.close` disposes the segments.
+graph itself: dataset synthesis/parsing and CSR construction.
+:class:`GraphRegistry` does that exactly once per graph and keeps the
+graph alive for every later query.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ class ResidentGraph:
     """One loaded graph plus its (optional) shared-memory export.
 
     ``payload`` is a :class:`repro.engines.execution.SharedGraphPayload`
-    when the platform supports shared memory, else ``None`` (workers
-    then receive pickled copies — slower, identical results).
+    when the registry shares and the platform supports shared memory,
+    else ``None``. No query attaches it: a sharded run exports its own.
     """
 
     def __init__(self, name: str, graph: DataGraph, payload=None) -> None:
@@ -52,11 +50,12 @@ class ResidentGraph:
 class GraphRegistry:
     """Name → :class:`ResidentGraph` map with single-load semantics.
 
-    ``share=True`` (the default) exports each graph's CSR arrays into a
-    shared-memory segment at load time, so the *first* sharded query
-    pays nothing extra and every later one attaches the same segment.
-    The registry owns those segments: :meth:`close` disposes them, and
-    tests pin the no-leak contract with
+    ``share=True`` (the default) also exports each graph's CSR arrays
+    into a shared-memory segment at load time. Sharded queries do not
+    attach that segment: each one's executor exports the graph afresh
+    for its pool workers and unlinks it when the run ends. The registry
+    owns its own segments: :meth:`close` disposes them, and tests pin
+    the no-leak contract with
     :func:`repro.engines.execution.assert_no_leaked_segments`.
     """
 

@@ -67,6 +67,11 @@ class Query:
         #: Server-minted id propagated through spans, responses and the
         #: flight recorder (``None`` for bare scheduler-level use).
         self.query_id = query_id
+        #: The request's parsed ``RunOptions`` and its result-cache key
+        #: (``None`` when it bypasses the cache), stamped by the server
+        #: once at admission so no later stage parses them again.
+        self.options = None
+        self.cache_key: tuple | None = None
         self.response: dict | None = None
         #: Backoff hint stamped by the shed controller on an
         #: ``rejected:overload`` verdict (``None`` otherwise).

@@ -1,9 +1,9 @@
 """The resident mining daemon: :class:`MiningServer`.
 
 One process owns the expensive state — resident graphs (with their
-shared-memory segments), a warm :class:`repro.PlanCache`, per-graph
-:class:`repro.MeasurementCache` instances, and a result cache — and
-answers queries over the JSON-lines protocol (:mod:`.protocol`).
+shared-memory segments), a warm :class:`repro.PlanCache`, a
+:class:`repro.MeasurementCache`, and a result cache — and answers
+queries over the JSON-lines protocol (:mod:`.protocol`).
 Requests flow through the :class:`.scheduler.QueryScheduler` (priority
 ordering, per-client limits, deadline-aware admission) into a small
 pool of worker threads, each of which builds a *fresh* engine per query
@@ -19,12 +19,15 @@ Three cache layers, coarsest first:
    scheduler, and touches neither the queue nor the pipeline;
 2. **plan cache** — a result-cache miss still skips plan *search* when
    the same (graph, queries, engine, strategy) was planned before;
-3. **measurement cache** — per-graph memoized alternative-set
-   measurements shared across queries.
+3. **measurement cache** — memoized alternative-set measurements
+   shared across queries (keyed by graph fingerprint).
 
-Every layer reports into the server's metrics registry
-(``serve.result_cache.*``, merged ``plan.cache.*``, admission verdicts
-and queue depth from the scheduler), surfaced by the ``stats`` op.
+Each layer, and the idempotency map, is a
+:class:`repro.morph.cache.BoundedStore`: one bound rule, one lock and
+one eviction counter per tier. Every layer reports into the server's
+metrics registry (``serve.result_cache.*``, merged ``plan.cache.*``,
+admission verdicts and queue depth from the scheduler), surfaced by
+the ``stats`` op.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Any, Callable
 from repro.core.parser import format_pattern, parse_pattern
 from repro.engines.recovery import Deadline
 from repro.errors import WorkerCrashError
-from repro.morph.cache import MeasurementCache, PlanCache
+from repro.morph.cache import BoundedStore, MeasurementCache, PlanCache
 from repro.morph.profiles import profile_for
 from repro.morph.session import MorphingSession, PartialRunResult
 from repro.observe.export import RunTrace
@@ -65,28 +68,12 @@ from repro.serve.state import load_service_state, save_service_state
 __all__ = ["MiningServer"]
 
 #: Bound on the idempotency map (completed responses kept for replay).
+#: The other tiers keep :data:`repro.morph.cache.STORE_CAPACITY`.
 _IDEMPOTENCY_CAPACITY = 256
-
-#: Bound on the result cache (encoded payloads, one per distinct query).
-_RESULT_CACHE_CAPACITY = 4096
 
 #: Metrics forwarded to clients in every run response (cache behavior
 #: is part of the service contract, so clients can assert on it).
 _RESPONSE_METRICS = ("plan.cache.hit", "plan.cache.miss")
-
-
-def _put_bounded(store: dict, key, value, capacity: int) -> int:
-    """Insert ``key`` and evict oldest-inserted entries past ``capacity``.
-
-    Returns how many were evicted. A key already present keeps its place
-    in the queue (dicts iterate in first-insertion order).
-    """
-    store[key] = value
-    evicted = 0
-    while len(store) > capacity:
-        store.pop(next(iter(store)))
-        evicted += 1
-    return evicted
 
 
 class MiningServer:
@@ -127,7 +114,6 @@ class MiningServer:
         port: int = 0,
         workers: int = 2,
         clock: Callable[[], float] = time.monotonic,
-        result_cache: bool = True,
         slow_factor: float = 8.0,
         flight_capacity: int = 64,
         sample_interval: float = 0.25,
@@ -140,7 +126,6 @@ class MiningServer:
         drain_deadline_s: float = 5.0,
         state_path: str | None = None,
         chaos: Any = None,
-        sweep_on_start: bool = True,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers!r}")
@@ -172,23 +157,22 @@ class MiningServer:
             on_transition=self._on_breaker_transition,
         )
         self.plan_cache = PlanCache()
+        self.measurement_cache = MeasurementCache()
+        self._result_cache = BoundedStore()
+        self._idempotency = BoundedStore()
+        self._idempotency.capacity = _IDEMPOTENCY_CAPACITY
         self.flight = FlightRecorder(
             capacity=flight_capacity, slow_factor=slow_factor
         )
         self.host = host
         self.port = port
         self.workers = workers
-        self.result_cache_enabled = result_cache
         self.sample_interval = sample_interval
         self.drain_deadline_s = drain_deadline_s
         self.state_path = state_path
         #: Optional :class:`repro.testing.faults.QueryFaultPlan` driving
         #: the service-level chaos harness (``None`` in production).
         self.chaos = chaos
-        self.sweep_on_start = sweep_on_start
-        self._result_cache: dict[tuple, dict] = {}
-        self._idempotency: dict[str, dict] = {}
-        self._measurement_caches: dict[str, MeasurementCache] = {}
         self._lock = threading.Lock()
         #: Live handler sockets, hung up by :meth:`close`.
         self._connections: set[socket.socket] = set()
@@ -284,6 +268,12 @@ class MiningServer:
                 "hits": self.plan_cache.hits,
                 "misses": self.plan_cache.misses,
             },
+            "caches": {
+                "result": self._result_cache.describe(),
+                "idempotency": self._idempotency.describe(),
+                "plan": self.plan_cache.describe(),
+                "measurement": self.measurement_cache.describe(),
+            },
             "flight": flight,
             "uptime_seconds": self._uptime_seconds(),
             "service": {
@@ -348,8 +338,7 @@ class MiningServer:
             }
         idempotency_key = request.get("idempotency_key")
         if idempotency_key is not None:
-            with self._lock:
-                stored = self._idempotency.get(str(idempotency_key))
+            stored = self._idempotency.lookup(str(idempotency_key))
             if stored is not None:
                 # A retried query whose first attempt completed (but
                 # whose response the client never saw — torn socket,
@@ -360,7 +349,7 @@ class MiningServer:
             spec, attempt = self.chaos.begin(request.get("chaos_index"))
             if spec is not None:
                 request["_chaos"] = (spec, attempt)
-        options = RunOptions.from_dict(request.get("options") or {})
+        options = self._parse_options(request)
         breaker = self.breakers.get(
             str(request.get("graph", "?")), str(options.engine)
         )
@@ -382,8 +371,12 @@ class MiningServer:
             deadline=self.scheduler.make_deadline(options.deadline_seconds),
             query_id=self._next_query_id(),
         )
+        query.options = options
+        query.cache_key = self._result_key(request, options)
         accepted_at = query.submitted_at = self.scheduler.clock()
-        hit = None if "_chaos" in request else self._early_hit(query, options)
+        hit = None
+        if query.cache_key is not None and "_chaos" not in request:
+            hit = self._cached_response(query)
         if hit is not None:
             # As on the worker, an answered query closes a half-open
             # breaker and resets its failure count.
@@ -428,51 +421,78 @@ class MiningServer:
             clean = {
                 k: v for k, v in response.items() if k != "_chaos_wire"
             }
-            with self._lock:
-                _put_bounded(
-                    self._idempotency,
-                    str(idempotency_key),
-                    clean,
-                    _IDEMPOTENCY_CAPACITY,
-                )
+            self._idempotency.insert(str(idempotency_key), clean)
         return response
 
-    def _early_hit(self, query: Query, options: RunOptions) -> dict | None:
-        """``query``'s cached response, looked up before admission.
+    def _parse_options(self, request: dict) -> RunOptions:
+        """``request``'s run options; bad ones are a flight anomaly too."""
+        try:
+            return RunOptions.from_dict(request.get("options") or {})
+        except Exception as exc:
+            query = Query(
+                request,
+                client=str(request.get("client", "anonymous")),
+                query_id=self._next_query_id(),
+            )
+            self._record_failure(query, exc)
+            raise
 
-        ``None`` on a miss, when the request bypasses the cache, or when
-        it is malformed (unknown graph, no patterns…): the scheduled
-        path then reports it exactly as it always has. Misses are
-        counted by the worker's own lookup, so they are counted once.
-        """
+    def _record_failure(self, query: Query, exc: Exception) -> None:
+        """Retain a query that died before a session existed (unknown
+        graph, unparseable pattern, bad options): the operator will ask
+        about it, so it is an anomaly, traceless."""
         request = query.request
-        if not (self.result_cache_enabled and request.get("use_result_cache", True)):
+        self._record_flight(
+            query,
+            str(request.get("graph", "?")),
+            list(request.get("patterns") or []),
+            query.options or RunOptions(),
+            status="error",
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+    def _result_key(self, request: dict, options: RunOptions) -> tuple | None:
+        """Result-cache identity: everything that can change the answer.
+
+        ``None`` when the request bypasses the cache, or when it is
+        malformed (unknown graph, no patterns…): the scheduled path then
+        reports it exactly as it always has. ``deadline_seconds`` is
+        excluded deliberately — a deadline changes *whether* the full
+        answer arrives, not what it is, and partial results are never
+        cached. Local-only fields can't occur here (options arrived via
+        ``from_dict``).
+        """
+        if not request.get("use_result_cache", True):
             return None
         try:
             resident = self.registry.get(str(request["graph"]))
-            texts = list(request.get("patterns") or [])
+            texts = tuple(str(t) for t in request.get("patterns") or [])
         except (KeyError, TypeError):
             return None
-        key = self._cache_key(resident.graph.fingerprint, texts, options)
-        return self._cached_response(query, key, resident.name, texts, options)
+        aggregation = options.aggregation
+        if aggregation is not None and not isinstance(aggregation, str):
+            aggregation = aggregation.name
+        return (
+            resident.graph.fingerprint,
+            texts,
+            aggregation or "count",
+            options.engine,
+            options.strategy,
+            options.morph,
+            options.margin,
+            options.workers,
+            options.batch_roots,
+        )
 
-    def _cached_response(
-        self,
-        query: Query,
-        key: tuple,
-        graph: str,
-        texts: list,
-        options: RunOptions,
-        queue_wait: float = 0.0,
-    ) -> dict | None:
-        """The result-cache entry for ``key`` stamped for ``query``.
+    def _cached_response(self, query: Query, queue_wait: float = 0.0) -> dict | None:
+        """The result-cache entry for ``query`` stamped for it.
 
-        The one lookup behind both hit paths: before admission
-        (:meth:`_early_hit`) and on the worker, for a query that queued
-        behind an identical one. Returns ``None`` on a miss.
+        The one lookup behind both hit paths: before admission (on the
+        connection thread) and on the worker, for a query that queued
+        behind an identical one. Returns ``None`` on a miss; misses are
+        counted by the worker alone, so each is counted once.
         """
-        with self._lock:
-            hit = self._result_cache.get(key)
+        hit = self._result_cache.lookup(query.cache_key)
         if hit is None:
             return None
         self.metrics.add("serve.result_cache.hits")
@@ -480,11 +500,12 @@ class MiningServer:
         response["cached"] = True
         response["query_id"] = query.query_id
         self._observe_first_result(query)
+        request = query.request
         self._record_flight(
             query,
-            graph,
-            texts,
-            options,
+            str(request["graph"]),
+            list(request.get("patterns") or []),
+            query.options,
             status="ok",
             cached=True,
             queue_wait=queue_wait,
@@ -502,20 +523,10 @@ class MiningServer:
             if not texts:
                 raise ValueError("run request carries no patterns")
             patterns = [parse_pattern(str(t)) for t in texts]
-            options = RunOptions.from_dict(request.get("options") or {})
         except Exception as exc:
-            # A query that dies before a session exists (unknown graph,
-            # unparseable pattern, bad options) is still an anomaly the
-            # operator will ask about; retain it traceless.
-            self._record_flight(
-                query,
-                str(request.get("graph", "?")),
-                list(request.get("patterns") or []),
-                RunOptions(),
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            self._record_failure(query, exc)
             raise
+        options = query.options
         queue_wait = 0.0
         if query.submitted_at is not None and query.started_at is not None:
             queue_wait = max(0.0, query.started_at - query.submitted_at)
@@ -621,15 +632,9 @@ class MiningServer:
         queue_wait: float,
     ) -> dict:
         """Cache check + session run + response build for one query."""
-        request = query.request
-        use_cache = self.result_cache_enabled and bool(
-            request.get("use_result_cache", True)
-        )
-        key = self._cache_key(resident.graph.fingerprint, texts, options)
+        use_cache = query.cache_key is not None
         if use_cache:
-            hit = self._cached_response(
-                query, key, resident.name, texts, options, queue_wait
-            )
+            hit = self._cached_response(query, queue_wait)
             if hit is not None:
                 return hit
             self.metrics.add("serve.result_cache.misses")
@@ -653,7 +658,7 @@ class MiningServer:
                     options=run_options.replace(
                         trace=tracer,
                         plan_cache=self.plan_cache,
-                        cache=self._measurement_cache(resident.name),
+                        cache=self.measurement_cache,
                     ),
                 )
                 result = session.run(resident.graph, patterns)
@@ -719,10 +724,7 @@ class MiningServer:
             entry = {
                 k: v for k, v in response.items() if k not in ("cached", "query_id")
             }
-            with self._lock:
-                evicted = _put_bounded(
-                    self._result_cache, key, entry, _RESULT_CACHE_CAPACITY
-                )
+            evicted = self._result_cache.insert(query.cache_key, entry)
             if evicted:
                 self.metrics.add("serve.result_cache.evictions", evicted)
         self._record_flight(
@@ -815,38 +817,6 @@ class MiningServer:
             self.metrics.add("serve.slow_queries")
         return record
 
-    @staticmethod
-    def _cache_key(fingerprint: str, texts: list, options: RunOptions) -> tuple:
-        """Result-cache identity: everything that can change the answer.
-
-        ``deadline_seconds`` is excluded deliberately — a deadline
-        changes *whether* the full answer arrives, not what it is, and
-        partial results are never cached. Local-only fields can't occur
-        here (options arrived via ``from_dict``).
-        """
-        aggregation = options.aggregation
-        if aggregation is not None and not isinstance(aggregation, str):
-            aggregation = aggregation.name
-        return (
-            fingerprint,
-            tuple(str(t) for t in texts),
-            aggregation or "count",
-            options.engine,
-            options.strategy,
-            options.morph,
-            options.margin,
-            options.workers,
-            options.batch_roots,
-        )
-
-    def _measurement_cache(self, graph_name: str) -> MeasurementCache:
-        """The per-graph measurement cache (created on first use)."""
-        with self._lock:
-            cache = self._measurement_caches.get(graph_name)
-            if cache is None:
-                cache = self._measurement_caches[graph_name] = MeasurementCache()
-            return cache
-
     def _on_breaker_transition(self, cell: str, old: str, new: str) -> None:
         """Record one circuit-breaker state change (metric + anomaly)."""
         self.metrics.add(f"serve.breaker.transition.{new}")
@@ -901,14 +871,12 @@ class MiningServer:
         summary["flight_dir"] = directory
         summary["flight_files"] = len(files)
         if self.state_path is not None:
-            # Handlers insert under the lock until the listener closes.
-            with self._lock:
-                result_cache = dict(self._result_cache)
             try:
                 entries = save_service_state(
                     self.state_path,
                     graphs=self.registry.names(),
-                    result_cache=result_cache,
+                    # Handlers insert until the listener closes.
+                    result_cache=self._result_cache.snapshot(),
                     meta={"drained": drained},
                 )
                 summary["state_entries"] = entries
@@ -951,10 +919,9 @@ class MiningServer:
                     stacklevel=2,
                 )
                 failed.append(name)
-        with self._lock:
-            # A journal may come from a build with a larger (or no) bound.
-            for key, entry in state.results.items():
-                _put_bounded(self._result_cache, key, entry, _RESULT_CACHE_CAPACITY)
+        # A journal may come from a build with a larger (or no) bound.
+        for key, entry in state.results.items():
+            self._result_cache.insert(key, entry)
         self.metrics.add("serve.resume.graphs", len(loaded))
         self.metrics.add("serve.resume.results", len(state.results))
         if state.skipped:
@@ -976,14 +943,13 @@ class MiningServer:
         """
         if self._tcp is not None:
             return self.host, self.port
-        if self.sweep_on_start:
-            # Reclaim shared-memory segments a SIGKILLed predecessor
-            # daemon left in /dev/shm (warns with the segment names).
-            from repro.engines.execution import sweep_stale_segments
+        # Reclaim shared-memory segments a SIGKILLed predecessor daemon
+        # left in /dev/shm (warns with the segment names).
+        from repro.engines.execution import sweep_stale_segments
 
-            swept = sweep_stale_segments()
-            if swept:
-                self.metrics.add("serve.segments.swept", len(swept))
+        swept = sweep_stale_segments()
+        if swept:
+            self.metrics.add("serve.segments.swept", len(swept))
         self._started = self.scheduler.clock()
         self._stop.clear()
         self._closed.clear()

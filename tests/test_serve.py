@@ -321,6 +321,27 @@ class TestServerProtocol:
         )
         assert not response["ok"] and "unknown strategy" in response["error"]
 
+    def test_bad_options_are_a_flight_anomaly(self, server):
+        """Options are parsed once, at admission: a request they reject
+        is retained like any query that died before its session."""
+        errors = []
+        for options in ({"wrkers": 2}, {"strategy": "x"}):
+            response = server.handle(
+                {
+                    "op": "run",
+                    "graph": "small",
+                    "patterns": [tri_text()],
+                    "options": options,
+                }
+            )
+            assert not response["ok"]
+            errors.append(response["error"])
+        anomalies = server.flight.anomalies()
+        assert [record.error for record in anomalies] == errors
+        assert all(record.status == "error" for record in anomalies)
+        assert [record.patterns for record in anomalies] == [[tri_text()]] * 2
+        assert server.handle({"op": "stats"})["flight"]["anomalies"] == 2
+
     def test_result_cache_hit_is_byte_identical(self, server):
         request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
         cold = server.handle(dict(request))
@@ -385,13 +406,34 @@ class TestServerProtocol:
         assert remote == oracle.results[TRIANGLE]
 
 
+@pytest.fixture()
+def capped(small_graph, monkeypatch):
+    """Build dict-level servers whose cache tiers keep ``store`` entries
+    and whose idempotency map keeps ``idempotency``."""
+    from repro.morph import cache as cache_module
+    from repro.serve import server as server_module
+
+    built = []
+
+    def build(store: int = 4096, idempotency: int = 256) -> MiningServer:
+        monkeypatch.setattr(cache_module, "STORE_CAPACITY", store)
+        monkeypatch.setattr(server_module, "_IDEMPOTENCY_CAPACITY", idempotency)
+        registry = GraphRegistry(share=False)
+        registry.add("small", small_graph)
+        built.append(MiningServer(registry=registry, workers=0))
+        return built[-1]
+
+    yield build
+    for server in built:
+        server.close()
+
+
 class TestBoundedCaches:
-    """The result cache and the idempotency map share one FIFO bound."""
+    """Every cache tier of the daemon is one ``BoundedStore``: FIFO past
+    its capacity, each eviction counted."""
 
-    def test_result_cache_evicts_oldest_and_counts_it(self, server, monkeypatch):
-        from repro.serve import server as server_module
-
-        monkeypatch.setattr(server_module, "_RESULT_CACHE_CAPACITY", 3)
+    def test_result_cache_evicts_oldest_and_counts_it(self, capped):
+        server = capped(store=3)
         texts = [repro.format_pattern(p) for p in motif_patterns(4)][:5]
         for text in texts:
             assert server.handle({"op": "run", "graph": "small", "patterns": [text]})["ok"]
@@ -407,10 +449,8 @@ class TestBoundedCaches:
         ]
         assert cached[:3] == [True, True, True] and cached[3] is False
 
-    def test_idempotency_map_uses_the_same_rule(self, server, monkeypatch):
-        from repro.serve import server as server_module
-
-        monkeypatch.setattr(server_module, "_IDEMPOTENCY_CAPACITY", 2)
+    def test_idempotency_map_uses_the_same_rule(self, capped):
+        server = capped(idempotency=2)
         request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
         for key in ("k1", "k2", "k3"):
             assert server.handle({**request, "idempotency_key": key})["ok"]
@@ -419,6 +459,51 @@ class TestBoundedCaches:
         server.handle({**request, "idempotency_key": "k3"})
         server.handle({**request, "idempotency_key": "k1"})  # evicted: runs again
         assert server.metrics.value("serve.idempotent.replays") == 1
+
+    def test_every_tier_stops_at_its_capacity(self, capped):
+        """Eight distinct queries (each forced to morph, so it measures
+        alternatives) through tiers of three: results, replays, plans and
+        measurements all stop at three and count what they dropped."""
+        server = capped(store=3, idempotency=3)
+        texts = [repro.format_pattern(p) for p in motif_patterns(4)]
+        texts += [repro.format_pattern(p) for p in motif_patterns(3)]
+        assert len(set(texts)) == 8
+
+        def run(text: str, **fields) -> dict:
+            response = server.handle(
+                {
+                    "op": "run",
+                    "graph": "small",
+                    "patterns": [text],
+                    "options": {"margin": 1e9},
+                    **fields,
+                }
+            )
+            assert response["ok"]
+            return response
+
+        first = [run(t, idempotency_key=f"k{i}") for i, t in enumerate(texts)]
+        newest = run(texts[-1], use_result_cache=False)
+        oldest = run(texts[0], use_result_cache=False)
+        assert newest["metrics"] == {"plan.cache.hit": 1}
+        assert oldest["metrics"] == {"plan.cache.miss": 1}
+        assert newest["results"] == first[-1]["results"]
+        assert oldest["results"] == first[0]["results"]
+
+        stats = protocol.validate_stats(server.handle({"op": "stats"}))
+        tiers = stats["caches"]
+        assert sorted(tiers) == ["idempotency", "measurement", "plan", "result"]
+        assert all(tier["entries"] <= 3 for tier in tiers.values())
+        assert tiers["result"] == {"entries": 3, "evictions": 5}
+        assert tiers["idempotency"] == {"entries": 3, "evictions": 5}
+        # Nine plans searched (eight queries, the oldest twice).
+        assert tiers["plan"] == {"entries": 3, "evictions": 6}
+        assert tiers["measurement"]["entries"] == 3
+        assert tiers["measurement"]["evictions"] > 0
+        assert len(server.plan_cache) == len(server.measurement_cache) == 3
+        assert stats["result_cache_entries"] == 3
+        assert stats["result_cache_evictions"] == 5
+        assert stats["service"]["idempotency_entries"] == 3
 
     def test_sixteen_warm_queries_all_hit(self, server):
         """The ``serve-hit`` shape: 16 distinct warmed queries, then
@@ -457,7 +542,7 @@ class _LockCheckedDict(dict):
 
 
 class TestDrainSnapshot:
-    """``drain`` copies the result cache under the handlers' lock."""
+    """``drain`` copies the result cache under its store's lock."""
 
     @staticmethod
     def _warm_server(small_graph, tmp_path) -> MiningServer:
@@ -475,8 +560,9 @@ class TestDrainSnapshot:
 
     def test_the_copy_is_taken_under_the_lock(self, small_graph, tmp_path):
         server = self._warm_server(small_graph, tmp_path)
-        checked = _LockCheckedDict(server._result_cache, server._lock)
-        server._result_cache = checked
+        store = server._result_cache
+        checked = _LockCheckedDict(store._entries, store._lock)
+        store._entries = checked
         server.drain(dump_dir=str(tmp_path / "flight"))
         assert checked.reads and all(checked.reads)
 
@@ -484,29 +570,21 @@ class TestDrainSnapshot:
         import sys
 
         from repro.serve import load_service_state
-        from repro.serve import server as server_module
 
         server = self._warm_server(small_graph, tmp_path)
-        ((key, entry),) = server._result_cache.items()
+        store = server._result_cache
+        ((key, entry),) = store.snapshot().items()
+        # A small bound, so that every insert past it also evicts: the
+        # map grows and shrinks under the copy, as handlers make it.
+        store.capacity = 64
         stop = threading.Event()
         errors: list[BaseException] = []
 
         def writer(name: str) -> None:
-            # Grow and shrink the map under the lock, as the handlers'
-            # inserts and evictions do, without evicting the warm entry.
             i = 0
             try:
                 while not stop.is_set():
-                    extra = (f"{name}-{i}", *key[1:])
-                    with server._lock:
-                        server_module._put_bounded(
-                            server._result_cache,
-                            extra,
-                            entry,
-                            server_module._RESULT_CACHE_CAPACITY,
-                        )
-                    with server._lock:
-                        server._result_cache.pop(extra)
+                    store.insert((f"{name}-{i}", *key[1:]), entry)
                     i += 1
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -528,12 +606,17 @@ class TestDrainSnapshot:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+        assert store.evictions > 0
         assert summary["state"] == "closed"
         state = load_service_state(str(tmp_path / "state.jsonl"))
         assert state.skipped == 0
         assert state.graphs == ["small"]
-        assert state.results[key] == entry
+        assert 1 <= len(state.results) <= 64
         assert all(saved == entry for saved in state.results.values())
+        assert all(
+            saved_key == key or saved_key[1:] == key[1:]
+            for saved_key in state.results
+        )
         assert len(state.results) == summary["state_entries"] - 1
 
 
@@ -940,6 +1023,8 @@ class TestEarlyHits:
         # answered by the worker (the path every hit took before).
         queued = [Query(dict(request), query_id=f"q-w{i}") for i in range(2)]
         for query in queued:
+            query.options = RunOptions()
+            query.cache_key = server._result_key(query.request, query.options)
             assert server.scheduler.submit(query) == "accepted"
         while server.scheduler.run_next(server._execute):
             pass
@@ -950,7 +1035,7 @@ class TestEarlyHits:
         replay = server.handle({**request, "idempotency_key": "k1"})
         strip = lambda r: {k: v for k, v in r.items() if k != "query_id"}
         assert json.dumps(strip(early)) == json.dumps(strip(worker_hit))
-        assert replay == early and server._idempotency["k1"] == early
+        assert replay == early and server._idempotency.lookup("k1") == early
         assert server.metrics.value("serve.result_cache.hits") == 2
         assert server.metrics.value("serve.result_cache.misses") == 1
         assert server.metrics.value("serve.idempotent.replays") == 1
