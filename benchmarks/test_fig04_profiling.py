@@ -36,21 +36,33 @@ PATTERNS_4 = {
 }
 
 
+#: FSM runs behind Observation 1's gate. One run's UDF and set-op times
+#: are two ≈20 ms wall times: warm runs read a UDF/set-op ratio of
+#: 1.3-1.8, but the first run in a process has read 0.70 (2-CPU box),
+#: so the gate is the median ratio over the runs, not one sample.
+FSM_RUNS = 5
+
+
 def test_fig4a_fsm_breakdown(benchmark, mico):
     """FSM on Peregrine: the MNI UDF dominates (Observation 1)."""
     engine = PeregrineEngine()
-    result = benchmark.pedantic(
-        lambda: mine_frequent_subgraphs(
-            mico, support_threshold=40, max_edges=2, engine=engine, morph=False
-        ),
+    results = benchmark.pedantic(
+        lambda: [
+            mine_frequent_subgraphs(
+                mico, support_threshold=40, max_edges=2, engine=engine, morph=False
+            )
+            for _ in range(FSM_RUNS)
+        ],
         rounds=1,
         iterations=1,
     )
-    stats = result.stats
-    benchmark.extra_info.update(breakdown_row("3-FSM/MI", stats))
-    assert stats.udf_calls > 0
-    assert stats.udf_seconds > stats.setops.seconds, (
-        "FSM must be UDF-bound, not set-operation-bound"
+    benchmark.extra_info.update(breakdown_row("3-FSM/MI", results[0].stats))
+    assert all(result.stats.udf_calls > 0 for result in results)
+    ratios = sorted(
+        result.stats.udf_seconds / result.stats.setops.seconds for result in results
+    )
+    assert ratios[len(ratios) // 2] > 1, (
+        f"FSM must be UDF-bound, not set-operation-bound (UDF/set-op {ratios})"
     )
 
 

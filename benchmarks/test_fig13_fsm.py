@@ -99,20 +99,46 @@ def test_fig13c_fsm_on_mico(benchmark, mico):
     assert base.frequent == morphed.frequent
 
 
+#: Paired rounds of the blind-vs-guided comparison; each round runs both
+#: sides back to back, and the side that goes first alternates (ABAB).
+BLIND_ROUNDS = 5
+
+
 def test_fig13c_blind_morphing_is_slower(benchmark, fsm_graph):
     """§7.5: blindly morphing all input patterns loses to the query set
-    (the paper's 22h-vs-14h case); the cost model exists to avoid this."""
+    (the paper's 22h-vs-14h case); the cost model exists to avoid this.
+
+    Each side takes about a second and single pairs have read ratios
+    from 0.99 to 1.53 on a 2-CPU box, so the gate is the median blind/guided ratio over
+    ``BLIND_ROUNDS`` paired rounds, not one sample of each."""
     threshold = 14
     base = _baseline(fsm_graph, threshold)
-    # margin >> 1 forces every legal morph regardless of cost.
-    forced = benchmark.pedantic(
-        lambda: _mine(fsm_graph, threshold, margin=1e9), rounds=1, iterations=1
+
+    def paired_rounds():
+        pairs = []
+        for i in range(BLIND_ROUNDS):
+            # margin >> 1 forces every legal morph regardless of cost.
+            sides = [("blind", 1e9), ("guided", 0.6)]
+            timed = {
+                name: _mine(fsm_graph, threshold, margin=margin)
+                for name, margin in (sides if i % 2 == 0 else sides[::-1])
+            }
+            pairs.append((timed["blind"], timed["guided"]))
+        return pairs
+
+    pairs = benchmark.pedantic(paired_rounds, rounds=1, iterations=1)
+    ratios = sorted(
+        forced.total_seconds / max(guided.total_seconds, 1e-9)
+        for forced, guided in pairs
     )
-    guided = _mine(fsm_graph, threshold)
+    forced, guided = pairs[0]
     benchmark.extra_info["baseline_s"] = round(base.total_seconds, 3)
     benchmark.extra_info["guided_s"] = round(guided.total_seconds, 3)
     benchmark.extra_info["blind_s"] = round(forced.total_seconds, 3)
-    assert forced.frequent == base.frequent, "even blind morphing is exact"
-    assert forced.total_seconds > guided.total_seconds, (
-        "blind morphing must be slower than cost-model-guided morphing"
+    benchmark.extra_info["blind_over_guided"] = [round(r, 3) for r in ratios]
+    for blind, _guided in pairs:
+        assert blind.frequent == base.frequent, "even blind morphing is exact"
+    assert ratios[len(ratios) // 2] > 1, (
+        f"blind morphing must be slower than cost-model-guided morphing "
+        f"(blind/guided ratios {ratios})"
     )

@@ -10,8 +10,9 @@ with the same checkpoint path skips every journaled shard (visible as
 
 Record layout::
 
-    {"type": "meta", "format_version": 1, "graph": ..., "num_vertices":
-     ..., "num_edges": ..., "engine": ..., "aggregation": ...}
+    {"type": "meta", "format_version": 2, "graph": ..., "fingerprint":
+     ..., "num_vertices": ..., "num_edges": ..., "engine": ...,
+     "aggregation": ...}
     {"type": "shard", "key": "<pattern key>", "lo": 0, "hi": 17,
      "index": 0, "value": "<base64 pickle>", "stats": "<base64 pickle>",
      "sha256": "<digest of value+stats payloads>"}
@@ -22,7 +23,12 @@ SHA-256 digest: a tampered or truncated record fails the digest check
 and is **dropped with a warning** (the shard is recomputed) rather than
 poisoning the resumed run. A meta line that disagrees with the resuming
 run's configuration raises :class:`repro.errors.CheckpointError` — a
-checkpoint never silently mixes two different runs.
+checkpoint never silently mixes two different runs. ``fingerprint`` is
+the content hash of the graph the kernel ran on
+(:attr:`repro.graph.datagraph.DataGraph.fingerprint`): shard windows are
+id ranges, so a journal answers only for the exact graph, in the exact
+numbering, that wrote it — not for another graph with the same name and
+size (a rewired one keeps both), nor for the same graph under other ids.
 """
 
 from __future__ import annotations
@@ -40,10 +46,18 @@ from repro.errors import CheckpointError
 __all__ = ["CHECKPOINT_FORMAT_VERSION", "ShardCheckpoint"]
 
 #: Format version stamped into (and required of) every journal's meta line.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 1 journals carry no ``fingerprint`` and are refused.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Meta fields that must match between the journal and the resuming run.
-_IDENTITY_FIELDS = ("graph", "num_vertices", "num_edges", "engine", "aggregation")
+_IDENTITY_FIELDS = (
+    "graph",
+    "fingerprint",
+    "num_vertices",
+    "num_edges",
+    "engine",
+    "aggregation",
+)
 
 
 def _pack(obj: Any) -> str:

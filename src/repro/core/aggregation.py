@@ -37,6 +37,13 @@ class Aggregation(ABC):
     name: str = "aggregation"
     #: Does ``combine`` admit an inverse? Gates subtraction-based morphs.
     invertible: bool = False
+    #: Is the finalized value of every pattern unchanged by any
+    #: relabelling of the data graph's vertices? Such a run may be
+    #: matched on the graph's ascending-degree copy instead of the
+    #: caller's ids, because no vertex id leaves it. Never inherited: a class that does
+    #: not set it itself is ``False``, so a subclass that overrides ``λ``
+    #: stays on the caller's ids.
+    id_invariant: bool = False
     #: Relative per-match UDF work for the cost model (0 = engine-native).
     per_match_cost: float = 1.0
     #: Optional block-native ``λ``: ``from_block(graph, rows, stats)`` maps
@@ -45,6 +52,10 @@ class Aggregation(ABC):
     #: match kernel's blocks instead of calling :meth:`from_match` once
     #: per match. ``None`` (the default) means per-match only.
     from_block = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.id_invariant = cls.__dict__.get("id_invariant", False)
 
     @abstractmethod
     def zero(self) -> Any:
@@ -120,6 +131,7 @@ class CountAggregation(Aggregation):
 
     name = "count"
     invertible = True
+    id_invariant = True
     per_match_cost = 0.0
 
     def zero(self) -> int:
@@ -252,6 +264,7 @@ class ExistenceAggregation(Aggregation):
 
     name = "exists"
     invertible = False
+    id_invariant = True
     per_match_cost = 0.1
 
     def zero(self) -> bool:

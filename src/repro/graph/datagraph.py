@@ -20,6 +20,19 @@ never for an unlabeled graph, and costs two more arrays of
 ``len(indices)`` entries: the sorted packed keys (``adjacency_keys``'
 dtype) and the neighbour ids (the ``indices`` dtype).
 
+Every graph can also hand out a copy of itself with ids in ascending
+(degree, id) order (:attr:`DataGraph.degree_ordered`): on it a
+symmetry-breaking bound ``v < u`` cuts a hub's row short, which is why
+count and existence runs are matched on it (the one switch is in
+:meth:`repro.morph.session.MorphingSession._run`; nothing else reads
+it). It is built lazily, once per graph object, straight from the CSR
+by permutation, and is ``self`` when the order is already the identity.
+The copy is an ordinary graph: its fingerprint is its own content hash,
+and its :attr:`~DataGraph.label_runs`, :attr:`~DataGraph.adjacency_keys`
+and :attr:`~DataGraph.dense_adjacency` are built on first use, on
+whichever graph a kernel reads. It costs one more ``indptr`` and
+``indices``.
+
 The flat layout is what the rest of the system builds on: the partition
 layer shards via ``indptr`` prefix sums, the cost model reads degree
 statistics straight off ``indptr``, and the parallel execution layer
@@ -44,14 +57,21 @@ import numpy as np
 DENSE_ADJACENCY_MAX_BYTES = 1 << 20
 
 
-#: Elements per slice when :attr:`DataGraph.label_runs` maps ranks back
-#: to ids, so its temporaries stay small (at most 64 KiB).
+#: Elements per slice when :attr:`DataGraph.label_runs` and
+#: :attr:`DataGraph.degree_ordered` map between ranks and ids, so their
+#: temporaries stay small (at most 64 KiB).
 _BUILD_SLICE = 1 << 13
 
 
 def _index_dtype(num_vertices: int) -> np.dtype:
     """Narrowest integer dtype that holds every vertex id."""
     return np.dtype(np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64)
+
+
+def _key_dtype(num_vertices: int) -> np.dtype:
+    """Narrowest integer dtype that holds every packed ``u * n + v`` key."""
+    n = num_vertices
+    return np.dtype(np.int32 if n * n <= np.iinfo(np.int32).max else np.int64)
 
 
 class LabelRuns(NamedTuple):
@@ -283,7 +303,7 @@ class DataGraph:
         probes in ``adjacency_keys.dtype``.
         """
         n = self.num_vertices
-        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        dtype = _key_dtype(n)
         # Built in place: one full-length array, no temporaries.
         keys = np.repeat(np.arange(n, dtype=dtype), np.diff(self._indptr))
         keys *= n
@@ -334,6 +354,54 @@ class DataGraph:
         keys.flags.writeable = False
         neighbors.flags.writeable = False
         return LabelRuns(keys, neighbors, offsets)
+
+    @cached_property
+    def degree_ordered(self) -> "DataGraph":
+        """This graph with ids handed out in ascending (degree, id) order.
+
+        Vertex ``r`` of the copy is this graph's vertex ``order[r]``, with
+        ``order = lexsort((ids, degrees))``; labels move with their
+        vertices, and every row is sorted in the new ids. ``self`` when
+        the order is already the identity, so the copy's own
+        ``degree_ordered`` is the copy. Built from the CSR by permutation:
+        the relabelled packed keys ``rank[u] * n + rank[v]`` of every
+        directed edge, sorted in place, are the copy's rows back to back.
+        Its fingerprint is its own content hash, and its lazies
+        (:attr:`adjacency_keys`, :attr:`label_runs`,
+        :attr:`dense_adjacency`) are built on first use, like any graph's.
+        """
+        degrees = self.degrees
+        if np.all(degrees[1:] >= degrees[:-1]):
+            return self
+        n = self.num_vertices
+        order = np.argsort(degrees, kind="stable")
+        dtype = _key_dtype(n)
+        rank = np.empty(n, dtype=dtype)
+        rank[order] = np.arange(n, dtype=dtype)
+        keys = np.repeat(rank, degrees)
+        keys *= n
+        # Relabel, then map sorted keys back to ids, in slices: neither
+        # pass needs a full-length temporary.
+        for lo in range(0, len(keys), _BUILD_SLICE):
+            hi = lo + _BUILD_SLICE
+            keys[lo:hi] += rank[self._indices[lo:hi]]
+        keys.sort()
+        indices = np.empty_like(self._indices)
+        for lo in range(0, len(keys), _BUILD_SLICE):
+            hi = lo + _BUILD_SLICE
+            indices[lo:hi] = keys[lo:hi] % n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees[order], out=indptr[1:])
+        return DataGraph.from_csr(
+            n,
+            indptr,
+            indices,
+            None if self.labels is None else self.labels[order],
+            name=self.name,
+            num_dropped_self_loops=self.num_dropped_self_loops,
+            num_duplicate_edges=self.num_duplicate_edges,
+            validate=False,
+        )
 
     @cached_property
     def dense_adjacency(self) -> np.ndarray | None:

@@ -566,6 +566,7 @@ class MorphingSession:
                 checkpoint,
                 meta={
                     "graph": graph.name,
+                    "fingerprint": graph.fingerprint,
                     "num_vertices": graph.num_vertices,
                     "num_edges": graph.num_edges,
                     "engine": self.engine.name,
@@ -627,7 +628,19 @@ class MorphingSession:
         ``prepare`` so pool spin-up is measured instead of hiding in
         the first pattern's match window — the ``executor_seconds``
         fix), the engine's tracer attachment, and the result's trace.
+
+        A batched run whose aggregation is ``id_invariant`` (count,
+        existence) is matched on :attr:`DataGraph.degree_ordered` — by
+        every engine and kernel, the executor's export and the
+        checkpoint: no vertex id leaves it, and on ascending-degree ids
+        every symmetry-breaking bound cuts a hub's row short. Plan search
+        and both caches stay on the caller's ``graph``: a count is the
+        same number on either numbering, and a cache is read back with
+        the graph its caller holds.
         """
+        matched = graph
+        if sink.mode == "batched" and self.aggregation.id_invariant:
+            matched = graph.degree_ordered
         engine = self.engine
         if getattr(engine, "busy", False):
             raise ValueError(
@@ -657,7 +670,7 @@ class MorphingSession:
                 engine.tracer = tracer
                 engine.batch_roots = self.batch_roots
                 engine.progress = self.progress
-                control, owns_checkpoint = self._make_control(graph)
+                control, owns_checkpoint = self._make_control(matched)
                 self._control = control
                 if (
                     self.workers > 1
@@ -669,7 +682,7 @@ class MorphingSession:
                             force=control is not None
                         )
                         if exec_ is not None and owned:
-                            exec_.prepare(engine, graph)
+                            exec_.prepare(engine, matched)
                     setup_seconds = setup_span.seconds
                 with timed_span(
                     tracer, "transform", queries=len(patterns)
@@ -678,7 +691,9 @@ class MorphingSession:
                         graph, patterns, sink.aggregation(graph, patterns)
                     )
                     sink.bind(plan)
-                result = self._execute(graph, plan, sink, exec_, cost_model)
+                result = self._execute(
+                    graph, matched, plan, sink, exec_, cost_model
+                )
                 result.transform_seconds = transform_span.seconds
             finally:
                 self._control = None
@@ -750,13 +765,14 @@ class MorphingSession:
         return cost_model, plan
 
     def _execute(
-        self, graph, plan: RewritePlan, sink, exec_, cost_model: CostModel
+        self, graph, matched, plan: RewritePlan, sink, exec_, cost_model: CostModel
     ) -> MorphRunResult:
         """Walk ``plan``'s steps into ``sink`` and assemble the result.
 
         The one step loop: cache lookup → deadline → progress →
         ``match.item`` span → measure → incomplete check → timing; then
         the sink converts and the audits pair predictions with timings.
+        Steps are matched on ``matched``; ``graph`` keys the cache.
         """
         tracer, progress, control = self.tracer, self.progress, self._control
         aggregation = cost_model.aggregation
@@ -789,7 +805,7 @@ class MorphingSession:
                 # tolerance trade it for per-step measurement — identical
                 # counts, and the audit gets a real per-step match time.
                 direct = [s for s in pending if isinstance(s, MeasureStep)]
-                counts = self.engine.count_set(graph, [s.pattern for s in direct])
+                counts = self.engine.count_set(matched, [s.pattern for s in direct])
                 store.update((s.item, counts[s.pattern]) for s in direct)
                 pending = [s for s in pending if s.item not in store]
             if progress is not None:
@@ -808,7 +824,7 @@ class MorphingSession:
                 with timed_span(
                     tracer, "match.item", item=label, rule=step.rule
                 ) as item_span:
-                    store[item] = sink.measure(self, graph, step, exec_)
+                    store[item] = sink.measure(self, matched, step, exec_)
                 if (
                     control is not None
                     and control.reports

@@ -476,6 +476,42 @@ class TestResume:
         oracle = repro.run(small_graph, [TRIANGLE])
         assert results_equal(again.results, oracle.results)
 
+    def test_rewired_graph_cannot_resume_anothers_journal(self, tmp_path):
+        """Two rewirings of one graph share name, |V|, |E| and degree
+        sequence, so they shard into the same windows: only the content
+        fingerprint tells their journals apart."""
+        from repro.core.atlas import motif_patterns
+        from repro.graph.generators import power_law_cluster, rewire
+
+        base = power_law_cluster(120, 4, 0.5, seed=2023, name="g")
+        first, second = (
+            rewire(base, swaps=base.num_edges // 4, seed=seed) for seed in (1, 2)
+        )
+        assert (first.name, first.num_vertices, first.num_edges) == (
+            second.name,
+            second.num_vertices,
+            second.num_edges,
+        )
+        queries = motif_patterns(4)
+        assert repro.run(first, queries).results != repro.run(second, queries).results
+        path = tmp_path / "rewired.ckpt.jsonl"
+        options = repro.RunOptions(checkpoint=path, strategy="direct")
+        repro.run(first, queries, options=options)
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            repro.run(second, queries, options=options)
+
+    def test_version_one_journal_is_refused(self, small_graph, tmp_path):
+        """A journal without a fingerprint predates the check: refused."""
+        path = tmp_path / "v1.ckpt.jsonl"
+        path.write_text(
+            '{"type": "meta", "format_version": 1, "graph": "%s"}\n'
+            % small_graph.name
+        )
+        with pytest.raises(CheckpointError, match="format_version 1"):
+            repro.run(
+                small_graph, [TRIANGLE], options=repro.RunOptions(checkpoint=path)
+            )
+
     def test_checkpoint_run_equals_plain_run(self, small_graph, tmp_path):
         assert_matches_oracle(
             small_graph, TRIANGLE, checkpoint=tmp_path / "fresh.jsonl"

@@ -288,8 +288,9 @@ class TestElementBudget:
         peaked at 43.5 MiB. ``strategy="direct"`` sends all six motifs
         through the default kernel itself (``auto`` would decompose some
         into a per-match Python stream, which tracemalloc slows tenfold
-        and which holds no frontier); the graph's lazily built,
-        graph-sized probe index is not transient memory and is built
+        and which holds no frontier); the graph-sized state a count run
+        builds lazily — the degree-ordered copy it matches, and that
+        copy's probe index — is not transient memory and is built
         before tracing starts.
         """
         ceiling = int(1.5 * 2**20)
@@ -298,7 +299,8 @@ class TestElementBudget:
         assert options.resolved_batch_roots() == DEFAULT_BATCH_ROOTS
         for vertices, attach in ((900, 6), (3000, 3)):
             graph = power_law_cluster(vertices, attach, 0.5, seed=1)
-            graph.adjacency_keys, graph.dense_adjacency
+            ordered = graph.degree_ordered
+            ordered.adjacency_keys, ordered.dense_adjacency
             tracemalloc.start()
             try:
                 with with_budget(SHIPPED_BUDGET):
