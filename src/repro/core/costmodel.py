@@ -109,28 +109,66 @@ class GraphModel:
         return max(self.label_fractions.get(label, 0.0), 1.0 / self.num_vertices)
 
 
-def _clustering_coefficient(graph: DataGraph, max_samples: int = 2000) -> float:
-    """Global clustering coefficient, sampled on large graphs."""
+#: Elements one transitivity pass holds at a time (32 KiB per array,
+#: like a frontier segment), so the scan's temporaries stay small on any
+#: graph.
+_PROBE_CHUNK = 1 << 12
+
+
+def _clustering_coefficient(graph: DataGraph) -> float:
+    """Global clustering coefficient (transitivity): ``3 · triangles / wedges``.
+
+    Exact, and a graph invariant — it does not depend on how vertices
+    are numbered. Each vertex keeps its *out-list*, the neighbours of
+    higher (degree, id) rank, and every ordered pair of its out-list is
+    probed for an edge: a triangle closes twice, at its lowest-ranked
+    vertex, and the probes number ``Σ d⁺(u)²`` — small even around hubs,
+    whose out-lists the orientation keeps short. Rows are taken in
+    ranges of at most :data:`_PROBE_CHUNK` elements, so besides the
+    packed edge keys only per-vertex arrays are graph-sized.
+    """
     import numpy as np
 
-    rng = np.random.default_rng(7)
-    vertices = np.flatnonzero(np.diff(graph.indptr) >= 2).tolist()
-    if not vertices:
+    from repro.graph.partition import budget_ranges
+
+    n = graph.num_vertices
+    indptr, indices = graph.indptr, graph.indices
+    degrees = np.diff(indptr)
+    wedges = int((degrees * (degrees - 1) // 2).sum())
+    if wedges == 0:
         return 0.0
-    if len(vertices) > max_samples:
-        vertices = rng.choice(vertices, size=max_samples, replace=False).tolist()
+    rank = np.empty(n, dtype=indices.dtype)
+    rank[np.lexsort((np.arange(n), degrees))] = np.arange(n)
+    # Packed ``u * n + v`` edge keys, sorted by construction (CSR order).
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    keys = np.repeat(np.arange(0, n * n, n, dtype=dtype), degrees)
+    keys += indices
+
+    def out_lists(lo: int, hi: int):
+        """Rows ``lo:hi``'s out-list entries and the row of each."""
+        row = np.repeat(np.arange(lo, hi), degrees[lo:hi])
+        neighbours = indices[indptr[lo] : indptr[hi]]
+        forward = rank[row] < rank[neighbours]
+        return row[forward], neighbours[forward]
+
+    out_degree = np.zeros(n, dtype=np.int64)
+    for lo, hi in budget_ranges(degrees, _PROBE_CHUNK):
+        row, _ = out_lists(lo, hi)
+        out_degree[lo:hi] = np.bincount(row - lo, minlength=hi - lo)
     closed = 0
-    wedges = 0
-    for v in vertices:
-        neigh = graph.neighbors(v)
-        d = len(neigh)
-        wedges += d * (d - 1) // 2
-        for i in range(d):
-            a = int(neigh[i])
-            rest = neigh[i + 1 :]
-            if len(rest):
-                closed += int(np.intersect1d(graph.neighbors(a), rest, assume_unique=True).size)
-    return closed / wedges if wedges else 0.0
+    for lo, hi in budget_ranges(degrees + out_degree**2, _PROBE_CHUNK):
+        row, out = out_lists(lo, hi)
+        # Every entry pairs with each entry of its own row's out-list.
+        lengths = out_degree[lo:hi]
+        list_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        sizes = out_degree[row]
+        offset = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        probes = np.multiply(np.repeat(out, sizes), n, dtype=dtype)
+        probes += out[np.repeat(list_start, sizes) + offset]
+        pos = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+        closed += int((keys[pos] == probes).sum())
+    # ``closed`` is 2 · triangles; transitivity is 3 · triangles / wedges.
+    return 1.5 * closed / wedges
 
 
 @dataclass(frozen=True)
@@ -183,6 +221,9 @@ class CostModel:
         self.model = model
         self.profile = profile or EngineCostProfile()
         self.aggregation = aggregation or CountAggregation()
+        #: ``(skeleton, variant, order)`` → :meth:`_loop_profile`'s pair:
+        #: a plan search prices the same item many times over.
+        self._profiles: dict[tuple, tuple[float, float]] = {}
 
     @classmethod
     def for_graph(
@@ -273,8 +314,18 @@ class CostModel:
         usable neighborhood (the paper's enhancement). Returns
         ``(cost, expected_matches)``; cost is in loop-iteration units and
         excludes iterating the innermost loop (the counting fast path
-        never does).
+        never does). Memoized per instance.
         """
+        key = (skel, variant, None if order is None else tuple(order))
+        profile = self._profiles.get(key)
+        if profile is None:
+            profile = self._profiles[key] = self._compute_profile(skel, variant, order)
+        return profile
+
+    def _compute_profile(
+        self, skel: Pattern, variant: str, order: list[int] | None
+    ) -> tuple[float, float]:
+        """:meth:`_loop_profile`, uncached."""
         m = self.model
         if order is None:
             order = matching_order(skel)

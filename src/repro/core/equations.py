@@ -25,10 +25,12 @@ at once and normalize to ``"E"``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.core.atlas import pattern_name
 from repro.core.generation import skeleton, superpattern_closure
 from repro.core.isomorphism import occurrence_count
-from repro.core.pattern import Pattern
+from repro.core.pattern import MEMO_SIZE, Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED
 
 Item = tuple[Pattern, str]
@@ -38,6 +40,7 @@ class UnderivableError(ValueError):
     """A query's result cannot be reconstructed from the measured set."""
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def normalize_item(skel: Pattern, variant: str) -> Item:
     """Canonicalize an item; cliques are E- and V-induced simultaneously."""
     if variant not in (EDGE_INDUCED, VERTEX_INDUCED):

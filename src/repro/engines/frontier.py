@@ -101,6 +101,7 @@ __all__ = [
     "BlockBuffer",
     "DEFAULT_BATCH_ROOTS",
     "FRONTIER_ELEMENT_BUDGET",
+    "gather_candidates",
     "level_counts",
     "level_cuts",
     "member_mask",
@@ -414,7 +415,7 @@ def _filter_candidates(
     return rows, cand
 
 
-def _gather_filtered(
+def gather_candidates(
     graph: DataGraph,
     level: PlanLevel,
     segment: np.ndarray,
@@ -423,7 +424,12 @@ def _gather_filtered(
     counts: np.ndarray,
     stats: SetOpStats,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One budget segment's surviving ``(rows, cand)`` pairs."""
+    """One segment's surviving ``(rows, cand)`` pairs.
+
+    ``values``/``starts``/``counts`` are the segment's :func:`level_cuts`;
+    ``rows`` indexes ``segment``. The caller keeps the gather within
+    :data:`FRONTIER_ELEMENT_BUDGET`.
+    """
     start = time.perf_counter()
     rows, cand = _ragged_take(values, starts, counts)
     stats.batched += 1
@@ -475,7 +481,7 @@ def level_counts(
     for lo, hi, seg_starts, seg_counts in _budget_segments(
         starts, counts, FRONTIER_ELEMENT_BUDGET
     ):
-        rows, _cand = _gather_filtered(
+        rows, _cand = gather_candidates(
             graph, level, emb[lo:hi], values, seg_starts, seg_counts, stats
         )
         out[lo:hi] += np.bincount(rows, minlength=hi - lo)
@@ -522,7 +528,7 @@ def _descend_batched(
         if should_stop is not None and should_stop():
             raise StopExploration()
         segment = emb[lo:hi]
-        rows, cand = _gather_filtered(
+        rows, cand = gather_candidates(
             graph, level, segment, values, seg_starts, seg_counts, setops
         )
         if last and on_block is None:

@@ -27,10 +27,18 @@ from repro.core.sdag import EDGE_INDUCED
 from repro.engines.base import MiningEngine
 from repro.engines.plan import ExplorationPlan
 from repro.graph.datagraph import DataGraph
-from repro.plan.rules import Decompose, DecomposedCount, Decomposition
+from repro.plan.rules import Cut, Decompose, DecomposedCount
 
 #: Bound on the orders the performance model scores per pattern.
 _MAX_ORDERS = 2000
+
+
+class _CompiledCount(DecomposedCount):
+    """A count compiled to one priced cut: finalizes to its member's int."""
+
+    def finalize(self, pattern: Pattern, value) -> int:
+        (count,) = super().finalize(pattern, value)
+        return count
 
 
 class GraphPiEngine(MiningEngine):
@@ -54,7 +62,7 @@ class GraphPiEngine(MiningEngine):
         # the pattern as numbered: an order is a permutation of *its*
         # vertices, so an isomorphic renumbering needs its own.
         self._order_cache: dict[tuple[Pattern, str], tuple[int, ...]] = {}
-        self._split_cache: dict[tuple[Pattern, str], Decomposition | None] = {}
+        self._split_cache: dict[tuple[Pattern, str], Cut | None] = {}
 
     def compile_aggregate(
         self, graph: DataGraph, pattern: Pattern, aggregation: Aggregation
@@ -78,9 +86,9 @@ class GraphPiEngine(MiningEngine):
         split = self._split_cache[key]
         if split is None:
             return pattern, aggregation
-        return split.prefix, DecomposedCount(split)
+        return split.prefix, _CompiledCount((split,))
 
-    def _priced_split(self, graph: DataGraph, pattern: Pattern) -> Decomposition | None:
+    def _priced_split(self, graph: DataGraph, pattern: Pattern) -> Cut | None:
         """``Decompose``'s best split if priced below the direct match."""
         from repro.morph.profiles import profile_for
 

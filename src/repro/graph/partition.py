@@ -11,9 +11,27 @@ dropped", the substitution preserves the experiment's semantics.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.graph.datagraph import DataGraph
+
+
+def budget_ranges(widths: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` row ranges whose widths sum to at most ``budget``.
+
+    Ranges are in order and cover every row; a row wider than the budget
+    is a range by itself. Consumers that must keep a row whole (its
+    elements are aggregated together) bound their temporaries this way.
+    """
+    ends = np.cumsum(widths)
+    lo, taken, n = 0, 0, len(widths)
+    while lo < n:
+        hi = max(int(np.searchsorted(ends, taken + budget, side="right")), lo + 1)
+        yield lo, hi
+        taken = int(ends[hi - 1])
+        lo = hi
 
 
 def ldg_partition(graph: DataGraph, num_parts: int, seed: int = 0) -> list[int]:

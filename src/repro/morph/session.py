@@ -4,8 +4,9 @@
 as one pipeline: *pattern transformation* searches a typed
 :class:`~repro.plan.RewritePlan` (S-DAG + Algorithm 1 + the rule
 competition of :func:`repro.plan.search_plan`), *matching* walks the
-plan's measure steps through the wrapped engine (untouched), and
-*result transformation* is the **sink** the steps feed:
+plan's units (measure steps and cut groups) through the wrapped engine
+(untouched), and *result transformation* is the **sink** the steps
+feed:
 
 * the **store sink** (Algorithm 2) keeps every step's value and then
   runs the plan's combine steps — :meth:`MorphingSession.run`, for
@@ -29,14 +30,15 @@ in one call.
 
 **Telemetry.** Pass ``tracer=repro.Tracer()`` and every phase of the run
 is spanned — ``transform`` (``plan.search`` with a ``selection`` child),
-``match`` with one ``match.item`` span per measured step (kernel and
-shard spans nested below), ``convert`` with one ``plan.step`` per
+``match`` with one ``match.item`` span per unit — a measure step, or a
+cut group of decompose steps sharing a prefix (kernel and shard spans
+nested below), ``convert`` with one ``plan.step`` per
 combine step, plus ``executor.setup``/``teardown`` for the worker pool's
 fixed cost. Phase spans *are* the timers the result reports:
 ``MorphRunResult.transform_seconds`` is the transform span's duration,
 so trace and result always reconcile exactly. Traced morphing runs
-additionally emit one cost-model audit record per measured step (the
-predicted cost vs the measured match time — §5.2's accuracy story) and
+additionally emit one cost-model audit record per unit (the predicted
+cost vs the measured match time — §5.2's accuracy story) and
 a ``selection`` summary record. Tracing changes no results (asserted
 byte-for-byte by the trace invariance tests); with ``tracer=None``
 nothing is recorded and, on the per-root kernel, the count path keeps
@@ -79,7 +81,7 @@ from repro.observe.audit import CostAuditRecord
 from repro.observe.export import RunTrace
 from repro.observe.progress import ProgressReporter
 from repro.observe.tracer import Tracer, timed_span
-from repro.plan.rewrite import DecomposeStep, MeasureStep, RewritePlan, item_label
+from repro.plan.rewrite import CutGroup, MeasureStep, RewritePlan
 from repro.plan.rules import DecomposedCount
 from repro.plan.search import SelectionResult, search_plan
 
@@ -172,18 +174,21 @@ class _StoreSink:
     def bind(self, plan: RewritePlan) -> None:
         """Nothing to prepare: conversion runs after matching."""
 
-    def measure(self, session: "MorphingSession", graph, step, exec_):
-        """One step's value: the run's aggregate, or a decomposed count.
+    def measure(self, session: "MorphingSession", graph, unit, exec_) -> dict:
+        """One unit's values by item: a step's aggregate, or a cut group's.
 
-        A decomposed item is the count-like fold of its prefix's matches
+        A cut group is one count-like fold of its prefix's matches
         (:class:`~repro.plan.rules.DecomposedCount`): it measures like
-        any aggregate, so a shard returns an integer partial sum rather
-        than its prefix matches.
+        any aggregate, so a shard returns integer partial sums rather
+        than its prefix matches, and the pass yields every member's
+        count.
         """
-        aggregation = self._aggregation
-        if isinstance(step, DecomposeStep):
-            aggregation = DecomposedCount(step.decomposition)
-        return session._measure(graph, step.pattern, aggregation, exec_)
+        if isinstance(unit, CutGroup):
+            fold = DecomposedCount(unit.members)
+            values = session._measure(graph, unit.pattern, fold, exec_)
+            return dict(zip(unit.items, values))
+        value = session._measure(graph, unit.pattern, self._aggregation, exec_)
+        return {unit.item: value}
 
     def interrupted(self, control) -> None:
         """Degrade: the executor quarantines the item and carries on."""
@@ -303,13 +308,14 @@ class _StreamSink:
 
             self.callbacks[item] = on_match
 
-    def measure(self, session: "MorphingSession", graph, step, exec_) -> None:
+    def measure(self, session: "MorphingSession", graph, step, exec_) -> dict:
         """Stream one step's matches through its callback (no value)."""
         delivered = session._stream(
             graph, step.pattern, self.callbacks[step.item], exec_
         )
         if step.query is not None and self.vertex_filter is None:
             self.emitted[step.query] += delivered
+        return {}
 
     def interrupted(self, control) -> None:
         """Streaming cannot degrade to a partial store: raise instead.
@@ -767,31 +773,41 @@ class MorphingSession:
     def _execute(
         self, graph, matched, plan: RewritePlan, sink, exec_, cost_model: CostModel
     ) -> MorphRunResult:
-        """Walk ``plan``'s steps into ``sink`` and assemble the result.
+        """Walk ``plan``'s units into ``sink`` and assemble the result.
 
-        The one step loop: cache lookup → deadline → progress →
+        The one unit loop — a unit is a measure step or a cut group, one
+        engine pass either way: cache lookup → deadline → progress →
         ``match.item`` span → measure → incomplete check → timing; then
         the sink converts and the audits pair predictions with timings.
-        Steps are matched on ``matched``; ``graph`` keys the cache.
+        Units are matched on ``matched``; ``graph`` keys the cache.
         """
         tracer, progress, control = self.tracer, self.progress, self._control
         aggregation = cost_model.aggregation
-        steps = plan.steps
         store: dict[Item, Any] = {}
         item_seconds: dict[Item, float] = {}
-        unstarted: list[Item] = []
+        pass_seconds: list[float] = []
+        unstarted: list = []
         incomplete: set[Item] = set()
-        with timed_span(tracer, "match", items=len(steps)) as match_span:
+        with timed_span(tracer, "match", items=len(plan.steps)) as match_span:
             # Steps matched as a query states it hold values in that
             # query's numbering; the cache's entries are canonical.
             cache = self.cache
-            shared = [s.item for s in steps if cache is not None and s.query is None]
+            shared = [
+                s.item for s in plan.steps if cache is not None and s.query is None
+            ]
             for item in shared:
                 value = cache.get(graph, aggregation, item)
                 if value is not None:
                     store[item] = value
             cached_items = set(store)
-            pending = [s for s in steps if s.item not in store]
+            pending = []
+            for unit in plan.units:
+                if isinstance(unit, CutGroup):
+                    unit = unit.without(cached_items)
+                elif unit.item in cached_items:
+                    unit = None
+                if unit is not None:
+                    pending.append(unit)
             if (
                 self.engine.multi_pattern
                 and isinstance(aggregation, CountAggregation)
@@ -807,32 +823,32 @@ class MorphingSession:
                 direct = [s for s in pending if isinstance(s, MeasureStep)]
                 counts = self.engine.count_set(matched, [s.pattern for s in direct])
                 store.update((s.item, counts[s.pattern]) for s in direct)
-                pending = [s for s in pending if s.item not in store]
+                pending = [u for u in pending if not isinstance(u, MeasureStep)]
             if progress is not None:
-                progress.start(
-                    [(item_label(s.item), s.predicted_cost) for s in pending]
-                )
-            for step in pending:
-                item = step.item
+                progress.start([(u.label, u.predicted_cost) for u in pending])
+            for unit in pending:
                 if control is not None and control.expired():
                     sink.interrupted(control)
-                    unstarted.append(item)
+                    unstarted.append(unit)
                     continue
-                label = item_label(item)
+                label = unit.label
                 if progress is not None:
                     progress.item_started(label)
                 with timed_span(
-                    tracer, "match.item", item=label, rule=step.rule
+                    tracer, "match.item", item=label, rule=unit.rule
                 ) as item_span:
-                    store[item] = sink.measure(self, matched, step, exec_)
+                    store.update(sink.measure(self, matched, unit, exec_))
                 if (
                     control is not None
                     and control.reports
                     and not control.reports[-1].complete
                 ):
+                    # One pass: an interrupted group leaves every member
+                    # incomplete.
                     sink.interrupted(control)
-                    incomplete.add(item)
-                item_seconds[item] = item_span.seconds
+                    incomplete.update(unit.items)
+                item_seconds.update(dict.fromkeys(unit.items, item_span.seconds))
+                pass_seconds.append(item_span.seconds)
                 if progress is not None:
                     progress.item_finished(label, item_span.seconds)
             if progress is not None:
@@ -856,7 +872,9 @@ class MorphingSession:
             results, unresolved = sink.convert(plan, store, partial, tracer)
 
         if tracer is not None and self.enabled:
-            self._emit_audits(plan, cost_model, item_seconds, store, cached_items)
+            self._emit_audits(
+                plan, cost_model, item_seconds, sum(pass_seconds), store, cached_items
+            )
 
         fields = dict(
             results=results,
@@ -884,34 +902,44 @@ class MorphingSession:
         plan: RewritePlan,
         cost_model: CostModel,
         item_seconds: dict[Item, float],
+        match_seconds: float,
         store: dict[Item, Any],
         cached_items: set[Item],
     ) -> None:
-        """One audit record per measured step, plus the set summary.
+        """One audit record per unit (step or cut group), plus the summary.
 
-        Each record pairs the executed step's own predicted cost with
-        its measured wall time — a decomposed item audits the
-        decomposition, not the direct match the search rejected, which
-        would poison the ``unit_seconds`` fit and the rank score.
+        Each record pairs the executed unit's own predicted cost with
+        its measured wall time — a decomposed item audits its cut, not
+        the direct match the search rejected, which would poison the
+        ``unit_seconds`` fit and the rank score — and a cut group audits
+        its one pass: the prefix counted once plus each member's block
+        work, against the sum of the members' predicted and measured
+        counts.
         """
         tracer = self.tracer
         selection = plan.selection
         query_items = set(selection.query_items.values())
-        for step in plan.steps:
-            skel, variant = item = step.item
-            value = store.get(item)
+        for unit in plan.units:
+            items = unit.items
+            skel, variant = items[0]
+            values = [store.get(item) for item in items]
+            measured = None
+            if all(isinstance(v, int) for v in values):
+                measured = values[0] if len(values) == 1 else sum(values)
             tracer.audit(
                 CostAuditRecord(
-                    item=item_label(item),
+                    item=unit.label,
                     pattern_id=pattern_id(skel),
                     variant=variant,
-                    role="query" if item in query_items else "alternative",
-                    predicted_cost=step.predicted_cost,
-                    measured_seconds=item_seconds.get(item, 0.0),
-                    predicted_matches=cost_model.estimated_matches(skel, variant),
-                    measured_matches=value if isinstance(value, int) else None,
-                    cached=item in cached_items,
-                    extra={} if step.rule == "direct" else {"rule": step.rule},
+                    role="query" if query_items.intersection(items) else "alternative",
+                    predicted_cost=unit.predicted_cost,
+                    measured_seconds=max(item_seconds.get(i, 0.0) for i in items),
+                    predicted_matches=sum(
+                        cost_model.estimated_matches(*item) for item in items
+                    ),
+                    measured_matches=measured,
+                    cached=cached_items.issuperset(items),
+                    extra={} if unit.rule == "direct" else {"rule": unit.rule},
                 )
             )
         tracer.audit(
@@ -921,7 +949,7 @@ class MorphingSession:
                 variant="*",
                 role="selection",
                 predicted_cost=selection.estimated_cost,
-                measured_seconds=sum(item_seconds.values()),
+                measured_seconds=match_seconds,
                 extra={
                     "estimated_query_cost": selection.estimated_query_cost,
                     "rounds": selection.rounds,

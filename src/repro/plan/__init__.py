@@ -5,22 +5,32 @@ move — :class:`~repro.plan.rules.SuperpatternMorph` — inside an explicit
 rewrite-rule space that also contains :class:`~repro.plan.rules
 .DirectMatch` and the DwarvesGraph-style
 :class:`~repro.plan.rules.Decompose` rule (prefix matching plus
-inclusion–exclusion arithmetic, engine-agnostic). The search
+inclusion–exclusion arithmetic, engine-agnostic; or, for ``K₂,ₖ``,
+a :class:`~repro.plan.rules.PairCut`). The search
 (:func:`~repro.plan.search.search_plan`) prices every applicable rule
 under the shared cost model and emits a typed
 :class:`~repro.plan.rewrite.RewritePlan` the morphing session executes
-uniformly.
+uniformly, one engine pass per measure step or per
+:class:`~repro.plan.rewrite.CutGroup` of cuts sharing a prefix.
 """
 
 from repro.plan.iep import ordered_distinct_count, set_partitions
-from repro.plan.rewrite import CombineStep, DecomposeStep, MeasureStep, RewritePlan
+from repro.plan.rewrite import (
+    CombineStep,
+    CutGroup,
+    DecomposeStep,
+    MeasureStep,
+    RewritePlan,
+)
 from repro.plan.rules import (
     Decompose,
     Decomposition,
     DirectMatch,
+    PairCut,
     RewriteRule,
     SuperpatternMorph,
     find_decompositions,
+    find_pair_cuts,
 )
 from repro.plan.search import (
     MAX_ROUNDS,
@@ -35,6 +45,7 @@ from repro.plan.search import (
 
 __all__ = [
     "CombineStep",
+    "CutGroup",
     "Decompose",
     "DecomposeStep",
     "Decomposition",
@@ -42,6 +53,7 @@ __all__ = [
     "MAX_ROUNDS",
     "MAX_SUBSET_CHILDREN",
     "MeasureStep",
+    "PairCut",
     "PlanTruncationWarning",
     "RewritePlan",
     "RewriteRule",
@@ -49,6 +61,7 @@ __all__ = [
     "SelectionResult",
     "SuperpatternMorph",
     "find_decompositions",
+    "find_pair_cuts",
     "legal_variants",
     "ordered_distinct_count",
     "search_plan",

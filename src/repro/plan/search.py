@@ -51,7 +51,13 @@ from repro.core.generation import superpattern_closure
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED, SDag
 from repro.observe.tracer import Tracer, timed_span
-from repro.plan.rewrite import CombineStep, DecomposeStep, MeasureStep, RewritePlan
+from repro.plan.rewrite import (
+    CombineStep,
+    DecomposeStep,
+    MeasureStep,
+    RewritePlan,
+    group_by_prefix,
+)
 from repro.plan.rules import Decompose
 
 __all__ = [
@@ -363,6 +369,9 @@ def search_plan(
     beat direct measurement by the same conservatism ``margin`` the
     greedy uses; ``"decompose"`` forces it wherever legal (testing /
     forcing the IEP path); ``"morph"`` and ``"direct"`` never decompose.
+    The chosen decompositions are then grouped by prefix
+    (:class:`~repro.plan.rewrite.CutGroup`): each group is one engine
+    pass, its prefix priced once.
 
     Emits a ``selection`` span under the ambient tracer around the
     greedy, mirroring the session's historical span layout.
@@ -421,6 +430,7 @@ def search_plan(
                             decomposition=dec,
                             predicted_cost=dec_cost,
                             direct_cost=direct_cost,
+                            prefix_cost=dec.prefix_cost(cost_model),
                         )
                     )
                     continue
@@ -430,14 +440,16 @@ def search_plan(
             )
         )
 
+    # Cuts with equal prefixes walk the same blocks: one pass per prefix.
+    groups = group_by_prefix(decompose_steps)
     predicted = sum(s.predicted_cost for s in measure_steps) + sum(
-        s.predicted_cost for s in decompose_steps
+        g.predicted_cost for g in groups
     )
     return RewritePlan(
         strategy=strategy,
         selection=selection,
         measure_steps=tuple(measure_steps),
-        decompose_steps=tuple(decompose_steps),
+        decompose_groups=groups,
         combine_steps=combine_steps,
         predicted_cost=predicted,
     )

@@ -67,7 +67,8 @@ class FaultSpec:
 
     ``times`` bounds how many *attempts* the fault affects (``None`` =
     every attempt — a poisoned shard). ``seconds`` is the ``slow``
-    delay; ``delta`` the ``corrupt`` offset applied to integer values.
+    delay; ``delta`` the ``corrupt`` offset applied to integer values (the
+    first of a tuple of them: a cut group's partial sums).
     """
 
     kind: str
@@ -205,6 +206,8 @@ class FaultPlan:
             return not value
         if isinstance(value, int):
             return value + spec.delta
+        if isinstance(value, tuple) and value and isinstance(value[0], int):
+            return (value[0] + spec.delta,) + value[1:]
         if isinstance(value, list):
             return value[:-1] if value else value
         return value

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import atlas
 from repro.core.aggregation import CountAggregation, MNIAggregation
+from repro.core import costmodel
 from repro.core.costmodel import (
     CostModel,
     EngineCostProfile,
@@ -14,7 +21,10 @@ from repro.core.costmodel import (
 )
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED
+from repro.graph.datagraph import DataGraph
 from repro.graph.generators import assign_labels, power_law_cluster
+
+from .strategies import data_graphs
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +53,65 @@ class TestGraphModel:
 
     def test_unlabeled_fraction_is_one(self, model):
         assert model.label_fraction(3) == 1.0
+
+
+def _transitivity(graph: DataGraph) -> float:
+    """``3 · triangles / wedges`` by enumerating vertex triples."""
+    n = graph.num_vertices
+    triangles = sum(
+        graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)
+        for a, b, c in combinations(range(n), 3)
+    )
+    wedges = sum(int(d) * (int(d) - 1) // 2 for d in graph.degrees)
+    return 3 * triangles / wedges if wedges else 0.0
+
+
+class TestClosureProbability:
+    """``closure_prob`` is the exact transitivity: a graph invariant."""
+
+    @given(data_graphs(min_n=1, max_n=14), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_and_independent_of_numbering(self, graph, rng):
+        perm = np.array(rng.sample(range(graph.num_vertices), graph.num_vertices))
+        other = DataGraph(graph.num_vertices, perm[graph.edge_array()])
+        want = _transitivity(graph)
+        assert costmodel._clustering_coefficient(graph) == pytest.approx(want)
+        assert costmodel._clustering_coefficient(
+            other
+        ) == costmodel._clustering_coefficient(graph)
+
+    def test_probe_chunks_do_not_change_the_value(self):
+        graph = power_law_cluster(300, 4, 0.5, seed=3)
+        want = costmodel._clustering_coefficient(graph)
+        with mock.patch.object(costmodel, "_PROBE_CHUNK", 1):
+            assert costmodel._clustering_coefficient(graph) == want
+
+    def test_relabelled_graph_has_the_same_model(self):
+        graph = power_law_cluster(400, 5, 0.5, seed=8)
+        perm = np.random.default_rng(8).permutation(graph.num_vertices)
+        other = DataGraph(graph.num_vertices, perm[graph.edge_array()])
+        assert GraphModel._build(graph, 95.0) == GraphModel._build(other, 95.0)
+        assert GraphModel._build(graph.degree_ordered, 95.0) == GraphModel._build(
+            graph, 95.0
+        )
+
+
+class TestLoopProfileMemo:
+    def test_repeated_pricing_computes_each_key_once(self, model):
+        cm = CostModel(model)
+        with mock.patch.object(
+            CostModel, "_compute_profile", autospec=True,
+            side_effect=CostModel._compute_profile,
+        ) as compute:
+            for _ in range(3):
+                cm.pattern_cost(atlas.FOUR_CYCLE, EDGE_INDUCED)
+                cm.estimated_matches(atlas.FOUR_CYCLE, EDGE_INDUCED)
+                cm.order_cost(atlas.FOUR_CYCLE, EDGE_INDUCED, [0, 1, 2, 3])
+        assert compute.call_count == 2  # default order, and [0, 1, 2, 3]
+        fresh = CostModel(model)
+        assert fresh.pattern_cost(atlas.FOUR_CYCLE, EDGE_INDUCED) == cm.pattern_cost(
+            atlas.FOUR_CYCLE, EDGE_INDUCED
+        )
 
 
 class TestPatternCosts:

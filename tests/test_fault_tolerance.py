@@ -167,6 +167,7 @@ class TestFaultPlan:
         assert plan.transform_value(0, 0, 10) == 13
         assert plan.transform_value(0, 0, True) is False
         assert plan.transform_value(0, 0, [1, 2]) == [1]
+        assert plan.transform_value(0, 0, (10, 4)) == (13, 4)  # a cut group
         assert plan.transform_value(1, 0, 10) == 10  # other shards untouched
 
     def test_plan_is_picklable(self):

@@ -74,8 +74,9 @@ def _compiled_split(graph, pattern, engine=None):
     if not isinstance(fold, DecomposedCount):
         assert prefix is pattern
         return None
-    assert prefix == fold.decomposition.prefix
-    return fold.decomposition
+    (split,) = fold.members
+    assert prefix == split.prefix
+    return split
 
 
 class TestSuffixDetection:
@@ -254,8 +255,8 @@ class TestBlockIEP:
                 continue  # a wedge prefix has C(d, 2) matches here
             engine = PeregrineEngine()
             engine.batch_roots = 2048
-            got = engine.aggregate(star, dec.prefix, DecomposedCount(dec))
-            assert got == math.comb(d, 4), dec.suffix_size
+            got = engine.aggregate(star, dec.prefix, DecomposedCount((dec,)))
+            assert got == (math.comb(d, 4),), dec.suffix_size
         # GraphPi's compiled count is the same block fold on this kernel.
         engine = GraphPiEngine()
         engine.batch_roots = 2048

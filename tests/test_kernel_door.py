@@ -7,7 +7,8 @@ kernel a run uses. These tests pin what that buys:
   priced ``Decompose`` split (prefix through the door, suffix as block
   arithmetic) — equal to the plain kernel and to brute force on every
   kernel, sharded, resumed or crashed, with integer shard partials, and
-  no module outside ``repro/plan/`` owns inclusion–exclusion;
+  no module outside ``repro/plan/`` owns inclusion–exclusion or the
+  pair cut;
 * a default-kernel run executes the same steps traced or untraced (no
   multi-pattern side door), while the per-root reference keeps
   AutoZero's merged schedules and SumPA's abstraction;
@@ -125,7 +126,7 @@ class TestGraphPiIEPIsOneExecution:
                 engine.aggregate_partial(small_graph, prefix, fold, root_window=w)[0]
                 for w in windows
             ]
-            assert all(type(part) is int for part in partials)
+            assert all(type(sum_) is int for part in partials for sum_ in part)
             merged = fold.zero()
             for part in partials:
                 merged = fold.merge(merged, part)
@@ -198,7 +199,10 @@ class TestGraphPiIEPIsOneExecution:
         assert fold.name.startswith("decompose/")
 
 
-IEP_OWNED = {"block_distinct_counts", "find_decompositions"}
+#: Names only ``repro/plan/`` may use: the IEP block arithmetic, both
+#: cut finders, and the cuts' constructors (matched as calls).
+IEP_OWNED = {"block_distinct_counts", "find_decompositions", "find_pair_cuts"}
+CUT_CLASSES = {"Decomposition", "PairCut"}
 
 
 def _referenced_name(node: ast.AST) -> str | None:
@@ -212,12 +216,12 @@ def _referenced_name(node: ast.AST) -> str | None:
 
 
 def _iep_references(tree: ast.AST) -> list[str]:
-    """IEP internals a module names, and every ``Decomposition(...)`` it builds."""
+    """IEP and pair-cut internals a module names, and every cut it builds."""
     found = []
     for node in ast.walk(tree):
         called = _referenced_name(node.func) if isinstance(node, ast.Call) else None
-        if called == "Decomposition":
-            found.append("Decomposition()")
+        if called in CUT_CLASSES:
+            found.append(f"{called}()")
         elif _referenced_name(node) in IEP_OWNED:
             found.append(_referenced_name(node))
     return found
@@ -242,11 +246,16 @@ class TestOnlyThePlannerOwnsIEP:
             "d = r.find_decompositions(p)\n"
             "x = Decomposition(skeleton=p)\n"
             "def f(d: Decomposition): pass\n"
+            "from repro.plan.rules import find_pair_cuts\n"
+            "c = r.PairCut(p, q, 2, None, None, 'max')\n"
+            "def g(c: PairCut): pass\n"
         )
         assert sorted(_iep_references(planted)) == [
             "Decomposition()",
+            "PairCut()",
             "block_distinct_counts",
             "find_decompositions",
+            "find_pair_cuts",
         ]
 
 

@@ -158,12 +158,18 @@ class TestTraceCoherence:
 
 class TestCostAudit:
     def test_one_record_per_measured_item(self, small_graph):
+        """One record per engine pass: a measure step, or a cut group
+        covering several items; together they cover every item once."""
         tracer = Tracer()
         result = MorphingSession(PeregrineEngine(), tracer=tracer).run(
             small_graph, list(motif_patterns(4))
         )
         per_item = [a for a in tracer.audits if a.role != "selection"]
-        assert len(per_item) == len(result.measured)
+        units = result.plan.units
+        assert len(per_item) == len(units)
+        assert [a.item for a in per_item] == [u.label for u in units]
+        covered = [item for unit in units for item in unit.items]
+        assert sorted(covered, key=repr) == sorted(result.measured, key=repr)
         for record in per_item:
             assert record.predicted_cost > 0.0
             assert record.measured_seconds > 0.0
@@ -229,7 +235,8 @@ class TestCostAudit:
         )
         per_item = [a for a in tracer.audits if a.role != "selection"]
         assert per_item, "no per-item CostAuditRecords were emitted"
-        assert len(per_item) == len(result.measured)
+        assert len(per_item) == len(result.plan.units)
+        assert sum(len(u.items) for u in result.plan.units) == len(result.measured)
         assert all(a.predicted_cost > 0.0 for a in per_item)
         assert all(a.measured_seconds > 0.0 for a in per_item)
 
@@ -523,7 +530,7 @@ class TestProgressIntegration:
         )
         assert plain.results == watched.results
         snap = reporter.snapshot()
-        assert snap.done_items == snap.total_items == len(watched.measured)
+        assert snap.done_items == snap.total_items == len(watched.plan.units)
         assert snap.fraction_done == 1.0
 
     def test_baseline_results_identical_with_progress(self, small_graph):

@@ -177,11 +177,11 @@ class TestDecomposeRule:
         decs = find_decompositions(pattern)
         assert decs
         for dec in decs:
-            fold = DecomposedCount(dec)
+            fold = DecomposedCount((dec,))
             matches = list(brute_force_match_tuples(tiny_graph, dec.prefix))
             rows = np.array(matches, dtype=np.int64).reshape(-1, dec.prefix.n)
             value = fold.from_block(tiny_graph, rows, EngineStats())
-            assert fold.finalize(dec.prefix, value) == expected
+            assert fold.finalize(dec.prefix, value) == (expected,)
 
 
 class TestAutoStrategy:
