@@ -325,33 +325,25 @@ class CostModel:
     def _compute_profile(
         self, skel: Pattern, variant: str, order: list[int] | None
     ) -> tuple[float, float]:
-        """:meth:`_loop_profile`, uncached."""
+        """:meth:`_loop_profile`, uncached: the skeleton's level template
+        priced with this graph model, the labels' fractions and the
+        labeling's symmetry-breaking constraints."""
         m = self.model
-        if order is None:
-            order = matching_order(skel)
-        anti_adj = (
-            skel.vertex_induced().anti_adjacency
-            if variant == VERTEX_INDUCED
-            else skel.anti_adjacency
-        )
-        position = {v: i for i, v in enumerate(order)}
+        order = tuple(matching_order(skel) if order is None else order)
+        anti = None if variant == VERTEX_INDUCED else skel.anti_edges
+        levels = _level_template(skel.bare, anti, order)
         constraints = _constraint_counts(skel, order)
 
         partial = 1.0
         cost = 0.0
         final_candidates = 1.0
-        for i, v in enumerate(order):
-            back_edges = sum(1 for w in skel.neighbors(v) if position[w] < i)
-            back_anti = sum(1 for w in anti_adj[v] if position[w] < i)
-
-            if i == 0:
+        for i, (v, back_edges, back_anti) in enumerate(levels):
+            if back_edges == 0:
                 candidates = m.num_vertices * m.label_fraction(skel.label(v))
             else:
-                if back_edges == 0:
-                    candidates = m.num_vertices * m.label_fraction(skel.label(v))
-                else:
-                    candidates = m.biased_degree * m.label_fraction(skel.label(v))
-                    candidates *= m.closure_prob ** (back_edges - 1)
+                candidates = m.biased_degree * m.label_fraction(skel.label(v))
+                candidates *= m.closure_prob ** (back_edges - 1)
+            if i > 0:
                 anti_prob = m.closure_prob if back_edges else m.edge_prob
                 candidates *= (1.0 - anti_prob) ** back_anti
                 # Symmetry enhancement: each partial-order constraint halves
@@ -375,28 +367,56 @@ class CostModel:
         return cost, partial * final_candidates
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _level_template(
+    bare: Pattern, anti_edges: frozenset | None, order: tuple[int, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """``(vertex, backward edges, backward anti-edges)`` per loop level.
 
-def _constraint_counts(skel: Pattern, order: list[int]) -> list[int]:
+    The label-free part of a loop profile, one entry per (shape,
+    anti-edges, order): ``anti_edges`` ``None`` stands for the
+    vertex-induced variant, where every earlier non-neighbour is one.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    levels = []
+    for i, v in enumerate(order):
+        back_edges = sum(1 for w in bare.neighbors(v) if position[w] < i)
+        if anti_edges is None:
+            back_anti = i - back_edges
+        else:
+            back_anti = sum(
+                1
+                for a, b in anti_edges
+                if (a == v and position[b] < i) or (b == v and position[a] < i)
+            )
+        levels.append((v, back_edges, back_anti))
+    return tuple(levels)
+
+
+def _constraint_counts(skel: Pattern, order) -> list[int]:
     """Symmetry-breaking constraints that become active at each level."""
     from repro.core.isomorphism import symmetry_breaking_conditions
 
-    position = {v: i for i, v in enumerate(order)}
+    conditions = symmetry_breaking_conditions(skel)
     counts = [0] * len(order)
-    for u, v in symmetry_breaking_conditions(skel):
+    if not conditions:
+        return counts
+    position = {v: i for i, v in enumerate(order)}
+    for u, v in conditions:
         counts[max(position[u], position[v])] += 1
     return counts
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _matching_order_cached(skel: Pattern) -> tuple[int, ...]:
-    degrees = [skel.degree(v) for v in range(skel.n)]
-    order = [max(range(skel.n), key=lambda v: (degrees[v], -v))]
+def _matching_order_cached(bare: Pattern) -> tuple[int, ...]:
+    degrees = [bare.degree(v) for v in range(bare.n)]
+    order = [max(range(bare.n), key=lambda v: (degrees[v], -v))]
     placed = set(order)
-    while len(order) < skel.n:
+    while len(order) < bare.n:
         best = max(
-            (v for v in range(skel.n) if v not in placed),
+            (v for v in range(bare.n) if v not in placed),
             key=lambda v: (
-                sum(1 for w in skel.neighbors(v) if w in placed),
+                sum(1 for w in bare.neighbors(v) if w in placed),
                 degrees[v],
                 -v,
             ),
@@ -408,8 +428,9 @@ def _matching_order_cached(skel: Pattern) -> tuple[int, ...]:
 
 def matching_order(skel: Pattern) -> list[int]:
     """Default core-first matching order: densest vertex, then max backward
-    connectivity — the heuristic Peregrine-style planners use."""
-    return list(_matching_order_cached(skel))
+    connectivity — the heuristic Peregrine-style planners use. It reads
+    regular edges only, so it is memoized per shape."""
+    return list(_matching_order_cached(skel.bare))
 
 
 #: Rough seconds per cost-model unit (one kernel loop iteration) on the

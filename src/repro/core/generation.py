@@ -16,29 +16,41 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from repro.core.canonical import canonical_form
+from repro.core.canonical import Shape, canonical_form, shape_of, specialise
 from repro.core.pattern import MEMO_SIZE, Pattern, normalize_edge
 
 
 def skeleton(pattern: Pattern) -> Pattern:
     """The canonical edge-induced skeleton of a pattern (labels kept)."""
-    return canonical_form(pattern.edge_induced())
+    if pattern.is_edge_induced:
+        return canonical_form(pattern)
+    return specialise(shape_of(pattern.bare), pattern.labels)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
+def _added_edge_shapes(bare: Pattern) -> tuple[Shape, ...]:
+    """The shape of ``bare`` plus each of its non-edges, in pair order."""
+    return tuple(
+        shape_of(bare.with_edge(u, v))
+        for u, v in combinations(range(bare.n), 2)
+        if normalize_edge(u, v) not in bare.edges
+    )
+
+
 def direct_superpatterns(skel: Pattern) -> tuple[Pattern, ...]:
     """Skeletons reachable by adding exactly one edge, deduplicated.
 
     Adding an edge between automorphic vertex pairs yields the same
     superpattern (e.g. every chord of a 4-cycle gives the chordal 4-cycle);
-    canonicalization collapses those.
+    canonicalization collapses those. The shapes are found once per
+    unlabeled skeleton; a labeled superpattern is one of them carrying
+    ``skel``'s labels (adding an edge renumbers nothing).
     """
-    supers: dict[Pattern, None] = {}
-    for u, v in combinations(range(skel.n), 2):
-        if normalize_edge(u, v) in skel.edges:
-            continue
-        supers[canonical_form(skel.with_edge(u, v))] = None
-    return tuple(supers)
+    return tuple(
+        dict.fromkeys(
+            specialise(shape, skel.labels) for shape in _added_edge_shapes(skel.bare)
+        )
+    )
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -49,7 +61,7 @@ def superpattern_closure(skel: Pattern) -> tuple[Pattern, ...]:
     labels). This is the closure the morphing equations quantify over
     (``q ⊃ₙ p`` in Eq. 1, plus ``p`` itself).
     """
-    skel = canonical_form(skel.edge_induced())
+    skel = skeleton(skel)
     seen: dict[Pattern, None] = {skel: None}
     frontier = [skel]
     while frontier:

@@ -17,14 +17,17 @@ These are the combinatorial primitives of the morphing algebra:
   vertices that makes a matching engine emit each data subgraph exactly
   once (Grochow–Kellis style, as used by Peregrine/GraphZero/GraphPi).
 
-All functions are memoized — the same small patterns recur constantly
-through S-DAG construction and result conversion.
+The maps between two patterns are memoized — the same small patterns
+recur constantly through S-DAG construction and result conversion. The
+group and the conditions are memoized per unlabeled shape only; a
+labeled pattern's are one pass over its shape's group.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from repro.core.canonical import shape_of
 from repro.core.pattern import MEMO_SIZE, Pattern, normalize_edge
 
 
@@ -101,19 +104,21 @@ def _connected_order(p: Pattern) -> list[int]:
     return order
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def automorphisms(p: Pattern) -> tuple[tuple[int, ...], ...]:
     """The automorphism group of ``p`` (edge- and label-preserving bijections).
 
-    For a vertex-induced pattern this equals the group preserving edges and
-    anti-edges simultaneously, because the anti-edges are exactly the
-    complement of the edges.
+    Anti-edges do not participate (as in :func:`subgraph_isomorphisms`);
+    for a vertex-induced pattern this equals the group preserving edges
+    and anti-edges simultaneously, because the anti-edges are exactly the
+    complement of the edges. The group of the regular edges alone is
+    found once per shape (:func:`repro.core.canonical.shape_of`); a
+    labeling keeps its label-preserving subgroup.
     """
-    return tuple(
-        f
-        for f in subgraph_isomorphisms(p, p)
-        if all(normalize_edge(f[u], f[v]) in p.edges for u, v in p.edges)
-    )
+    group = shape_of(p.bare).automorphisms
+    labels = p.labels
+    if labels is None:
+        return group
+    return tuple(g for g in group if tuple(map(labels.__getitem__, g)) == labels)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -148,7 +153,6 @@ def occurrence_count(p: Pattern, q: Pattern) -> int:
     return len(occurrence_embeddings(p, q))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def symmetry_breaking_conditions(p: Pattern) -> tuple[tuple[int, int], ...]:
     """Partial-order conditions ``(u, v)`` meaning "match(u) < match(v)".
 
@@ -156,12 +160,33 @@ def symmetry_breaking_conditions(p: Pattern) -> tuple[tuple[int, int], ...]:
     below the rest of its orbit, then recurses into the stabilizer — the
     standard symmetry-breaking construction [18]. An engine honoring these
     conditions enumerates each data subgraph exactly once.
+
+    They depend only on the group: a labeling that keeps its shape's
+    whole group shares the shape's memoized conditions, and one that
+    keeps only the identity has none.
     """
-    group = list(automorphisms(p))
+    if p.labels is None:
+        return _shape_conditions(p.bare)
+    group = automorphisms(p)
+    if len(group) == 1:
+        return ()
+    if len(group) == len(shape_of(p.bare).automorphisms):
+        return _shape_conditions(p.bare)
+    return _conditions(group, p.n)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _shape_conditions(bare: Pattern) -> tuple[tuple[int, int], ...]:
+    return _conditions(automorphisms(bare), bare.n)
+
+
+def _conditions(group, n: int) -> tuple[tuple[int, int], ...]:
+    """Symmetry-breaking conditions of a permutation group on ``n`` vertices."""
+    group = list(group)
     conditions: list[tuple[int, int]] = []
     while len(group) > 1:
         anchor = None
-        for v in range(p.n):
+        for v in range(n):
             orbit = {g[v] for g in group}
             if len(orbit) > 1:
                 anchor = v

@@ -259,10 +259,30 @@ class Pattern:
         )
 
     def with_labels(self, labels: Sequence | None) -> "Pattern":
-        return Pattern(self.n, self.edges, self.anti_edges, labels=labels)
+        twin = Pattern(self.n, self.edges, self.anti_edges, labels=labels)
+        if not self.anti_edges:
+            # Same edges: every labeling shares one bare pattern.
+            twin.__dict__["_bare"] = self.bare
+        return twin
 
     def unlabeled(self) -> "Pattern":
         return self if self.labels is None else self.with_labels(None)
+
+    @property
+    def bare(self) -> "Pattern":
+        """The regular edges alone: no anti-edges, no labels.
+
+        The key of the per-skeleton memos (:mod:`repro.core.canonical`):
+        every labeling and both variants of one numbered shape share it.
+        Built once per pattern (a pattern that is already bare is its
+        own, without a self-reference).
+        """
+        if self.labels is None and not self.anti_edges:
+            return self
+        bare = self.__dict__.get("_bare")
+        if bare is None:
+            bare = self.__dict__["_bare"] = Pattern(self.n, self.edges)
+        return bare
 
     # ------------------------------------------------------------------
     # Dunder plumbing.

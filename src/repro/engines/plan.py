@@ -75,7 +75,7 @@ class ExplorationPlan:
         automorphic image (used by tests to validate the conditions).
         """
         if order is None:
-            order = matching_order(pattern.edge_induced())
+            order = matching_order(pattern)
         order = list(order)
         if sorted(order) != list(range(pattern.n)):
             raise ValueError("order must be a permutation of the pattern vertices")

@@ -746,8 +746,9 @@ class MorphingSession:
                 tracer.metrics.add(
                     "plan.cache.hit" if plan is not None else "plan.cache.miss"
                 )
+        cached = plan is not None
         with timed_span(
-            tracer, "plan.search", strategy=strategy, cached=plan is not None
+            tracer, "plan.search", strategy=strategy, cached=cached
         ) as search_span:
             if plan is None:
                 plan = search_plan(
@@ -765,9 +766,13 @@ class MorphingSession:
             measured=len(selection.measured),
             decompose_steps=len(plan.decompose_steps),
             predicted_cost=plan.predicted_cost,
+            declined=selection.declined_early,
         )
-        if selection.truncated and tracer is not None:
-            tracer.metrics.add("plan.truncated", len(selection.truncations))
+        if tracer is not None:
+            if selection.truncated:
+                tracer.metrics.add("plan.truncated", len(selection.truncations))
+            if selection.declined_early and not cached:
+                tracer.metrics.add("plan.declined_early")
         return cost_model, plan
 
     def _execute(

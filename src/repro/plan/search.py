@@ -104,6 +104,9 @@ class SelectionResult:
     truncated: bool = False
     #: Which caps fired, e.g. ``("subset-children:house", "rounds")``.
     truncations: tuple[str, ...] = ()
+    #: True when a one-query set was kept as stated without building the
+    #: S-DAG (the result is the full search's; only the route differs).
+    declined_early: bool = field(default=False, compare=False)
 
 
 def legal_variants(aggregation: Aggregation) -> tuple[str, ...]:
@@ -129,25 +132,19 @@ def select_alternative_patterns(
     alternative sets underperform the query set).
     """
     aggregation = aggregation or CountAggregation()
-    sdag = sdag or SDag.build(queries)
     variants = legal_variants(aggregation)
+    if sdag is None and len(queries) == 1:
+        declined = _decline_alone(queries[0], cost_model, aggregation, margin)
+        if declined is not None:
+            return declined
+    sdag = sdag or SDag.build(queries)
     truncations: list[str] = []
 
     # -- initializePatternCosts -------------------------------------------
     item_costs: dict[Item, float] = {}
     best_item: dict[int, Item] = {}
     for node in sdag:
-        best = None
-        for variant in (EDGE_INDUCED, VERTEX_INDUCED):
-            item = normalize_item(node.skel, variant)
-            if item in item_costs:
-                continue
-            item_costs[item] = cost_model.pattern_cost(*item)
-        for variant in variants:
-            item = normalize_item(node.skel, variant)
-            if best is None or item_costs[item] < item_costs[best]:
-                best = item
-        assert best is not None
+        best = _price(node.skel, cost_model, variants, item_costs)
         best_item[node.id] = best
         node.cost = {
             EDGE_INDUCED: item_costs[normalize_item(node.skel, EDGE_INDUCED)],
@@ -214,22 +211,12 @@ def select_alternative_patterns(
             eligible = eligible[:MAX_SUBSET_CHILDREN]
             for size in range(1, len(eligible) + 1):
                 for subset in combinations(eligible, size):
-                    subset_set = set(subset)
-                    if not subset_set <= selected:
+                    if not set(subset) <= selected:
                         continue
-                    replacement: set[Item] = set()
-                    for item in subset:
-                        replacement |= closure_items(item)
-                    new_selected = (selected - subset_set) | replacement
-                    if new_selected == selected:
-                        continue
-                    saved = sum(
-                        item_costs[c] for c in subset_set if c not in replacement
+                    new_selected = _replace(
+                        subset, selected, closure_items, item_costs, margin
                     )
-                    added = sum(
-                        item_costs[i] for i in replacement if i not in selected
-                    )
-                    if added < margin * saved:
+                    if new_selected is not None:
                         selected = new_selected
                         changed = True
     if changed:
@@ -258,6 +245,90 @@ def select_alternative_patterns(
         item_costs=item_costs,
         truncated=bool(truncations),
         truncations=tuple(truncations),
+    )
+
+
+def _price(
+    skel: Pattern,
+    cost_model: CostModel,
+    variants: tuple[str, ...],
+    item_costs: dict[Item, float],
+) -> Item:
+    """Price both variants of ``skel`` into ``item_costs``; return the
+    cheapest *legal* one (the node's ``best_item``)."""
+    best = None
+    for variant in (EDGE_INDUCED, VERTEX_INDUCED):
+        item = normalize_item(skel, variant)
+        if item not in item_costs:
+            item_costs[item] = cost_model.pattern_cost(*item)
+    for variant in variants:
+        item = normalize_item(skel, variant)
+        if best is None or item_costs[item] < item_costs[best]:
+            best = item
+    assert best is not None
+    return best
+
+
+def _replace(subset, selected, closure_items, item_costs, margin):
+    """Algorithm 1's move: ``selected`` with ``subset`` replaced by its
+    closure items, or ``None`` unless that is predicted to pay.
+
+    The replacement must change the set and cost less than ``margin``
+    times what it saves; an item already in ``selected`` costs nothing
+    extra, a removed one saves its full cost.
+    """
+    subset_set = set(subset)
+    replacement: set[Item] = set()
+    for item in subset:
+        replacement |= closure_items(item)
+    new_selected = (selected - subset_set) | replacement
+    if new_selected == selected:
+        return None
+    saved = sum(item_costs[c] for c in subset_set if c not in replacement)
+    added = sum(item_costs[i] for i in replacement if i not in selected)
+    return new_selected if added < margin * saved else None
+
+
+def _decline_alone(
+    query: Pattern,
+    cost_model: CostModel,
+    aggregation: Aggregation,
+    margin: float,
+) -> SelectionResult | None:
+    """Algorithm 1 on a one-query set, when it keeps the query as stated.
+
+    With one query the first round offers one move, for every parent
+    alike: replace the query's item by its closure's best items. If that
+    does not pay (:func:`_replace`), nothing changes and the greedy ends
+    after that round, so its result is this one, without the S-DAG: the
+    same measured set, item costs (both variants of every closure node)
+    and ``rounds=1``. ``None`` when the move pays: the full search runs.
+    """
+    item = item_of(query)
+    variants = legal_variants(aggregation)
+    item_costs: dict[Item, float] = {}
+    closure = superpattern_closure(item[0])
+    best = {sup: _price(sup, cost_model, variants, item_costs) for sup in closure}
+    if (aggregation.invertible or item[1] == EDGE_INDUCED) and len(closure) > 1:
+        moved = _replace(
+            (item,),
+            {item},
+            lambda _item: frozenset(best[sup] for sup in closure),
+            item_costs,
+            margin,
+        )
+        if moved is not None:
+            return None
+    cost = item_costs[item]
+    return SelectionResult(
+        measured=frozenset({item}),
+        query_items={query: item},
+        morphed={query: False},
+        estimated_cost=cost,
+        estimated_query_cost=cost,
+        rounds=1,
+        item_costs=item_costs,
+        declined_early=True,
     )
 
 

@@ -488,6 +488,30 @@ class TestServerObservability:
                 assert f"serve.stage.{stage}.{engine}" in stats["histograms"]
         assert stats["flight"]["recent"] == total["count"]
 
+    def test_one_query_declines_are_counted(self, server):
+        # A lone triangle (a clique: nothing to morph into) declines
+        # without the S-DAG; its repeat is a plan-cache hit and a set of
+        # two queries takes the full search, so neither counts.
+        wedge = repro.format_pattern(repro.Pattern.path(3).vertex_induced())
+        declined = []
+        for texts in ([tri_text()], [tri_text()], [tri_text(), wedge]):
+            response = server.handle(
+                {
+                    "op": "run",
+                    "graph": "small",
+                    "patterns": texts,
+                    "use_result_cache": False,
+                }
+            )
+            assert response["ok"]
+            trace = server.flight.find(response["query_id"]).trace
+            (search,) = [s for s in trace.spans if s.name == "plan.search"]
+            declined.append(search.attributes["declined"])
+        # The cached plan still says how it was found.
+        assert declined == [True, True, False]
+        stats = validate_stats(server.handle({"op": "stats"}))
+        assert stats["metrics"]["plan.declined_early"] == 1
+
     def test_every_response_carries_a_fresh_query_id(self, server):
         ids = set()
         for _ in range(3):
