@@ -116,7 +116,7 @@ from repro.observe import (
     write_jsonl,
 )
 
-__version__ = "3.12.0"
+__version__ = "3.13.0"
 
 __all__ = [
     "Aggregation",

@@ -121,9 +121,6 @@ class SDag:
     def children(self, pattern: Pattern) -> list[SDagNode]:
         return [self._nodes[i] for i in self.node(pattern).children]
 
-    def query_nodes(self) -> list[SDagNode]:
-        return [n for n in self._nodes.values() if n.is_query]
-
     def closure(self, pattern: Pattern) -> list[SDagNode]:
         """All superpattern nodes of ``pattern`` including itself."""
         start = self.node(pattern)

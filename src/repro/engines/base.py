@@ -750,38 +750,13 @@ class MiningEngine(ABC):
         graph: DataGraph,
         pattern: Pattern,
         aggregation: Aggregation | None = None,
-        *,
-        workers: int = 1,
-        num_shards: int | None = None,
-        executor=None,
     ):
-        """Mine one pattern end-to-end, optionally shard-parallel.
+        """Mine one pattern end-to-end, serially (a count by default).
 
-        The default (``workers=1``, no executor) is the unchanged serial
-        path. With ``workers > 1`` the top-level candidate range is split
-        into degree-balanced shards, each shard runs through this
-        engine's kernels, and per-shard results merge deterministically
-        in shard order (:meth:`Aggregation.merge` for values,
-        :meth:`EngineStats.merge` for counters), so parallel runs return
-        byte-identical results to serial ones.
-
-        ``executor`` selects the transport: ``"process"`` (default for
-        ``workers > 1``; worker processes via ``ProcessPoolExecutor``),
-        ``"serial"`` (in-process sharding — same split/merge, no
-        processes), or a :class:`repro.engines.execution.ShardExecutor`
-        instance to reuse a warm worker pool across calls.
+        Sharded execution has one entry point,
+        :func:`repro.engines.execution.run_sharded`, which a session
+        reaches through ``RunOptions(workers=...)``.
         """
-        aggregation = aggregation if aggregation is not None else CountAggregation()
-        if workers <= 1 and executor is None:
-            return self.aggregate(graph, pattern, aggregation)
-        from repro.engines.execution import execute_sharded
-
-        return execute_sharded(
-            self,
-            graph,
-            pattern,
-            aggregation,
-            workers=workers,
-            num_shards=num_shards,
-            executor=executor,
-        )
+        if aggregation is None:
+            aggregation = CountAggregation()
+        return self.aggregate(graph, pattern, aggregation)

@@ -841,34 +841,3 @@ def run_sharded(
         value = aggregation.merge(value, part_value)
     return aggregation.finalize(pattern, value)
 
-
-def execute_sharded(
-    engine: MiningEngine,
-    graph: DataGraph,
-    pattern: Pattern,
-    aggregation: Aggregation,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    executor=None,
-):
-    """Entry point behind :meth:`MiningEngine.run`'s parallel path.
-
-    Owns the executor's lifetime unless the caller passed an instance in
-    (then the caller keeps the warm pool).
-    """
-    owned = not isinstance(executor, ShardExecutor)
-    resolved = make_executor(workers, executor)
-    try:
-        return run_sharded(
-            engine,
-            graph,
-            pattern,
-            aggregation,
-            resolved,
-            num_shards=num_shards,
-            tracer=getattr(engine, "tracer", None),
-        )
-    finally:
-        if owned:
-            resolved.close()

@@ -129,6 +129,14 @@ class Tracer:
             self._stack.pop()
             span.end = time.perf_counter()
 
+    def add(self, name: str, start: float, end: float, **attributes: Any) -> Span:
+        """Record a span timed elsewhere (``perf_counter`` seconds), as a
+        child of the current span: a step that ran before this tracer
+        existed."""
+        span = self._new_span(name, attributes)
+        span.start, span.end = start, end
+        return span
+
     def current_span_id(self) -> int | None:
         """Id of the innermost open span (``None`` at the root)."""
         return self._stack[-1] if self._stack else None

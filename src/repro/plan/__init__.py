@@ -1,9 +1,8 @@
 """The rewrite planner: a cost-driven search over composable rules.
 
 This package recasts alternative-pattern selection (Algorithm 1) as one
-move — :class:`~repro.plan.rules.SuperpatternMorph` — inside an explicit
-rewrite-rule space that also contains :class:`~repro.plan.rules
-.DirectMatch` and the DwarvesGraph-style
+move — superpattern morphing — inside an explicit rewrite-rule space
+that also contains direct matching and the DwarvesGraph-style
 :class:`~repro.plan.rules.Decompose` rule (prefix matching plus
 inclusion–exclusion arithmetic, engine-agnostic; or, for ``K₂,ₖ``,
 a :class:`~repro.plan.rules.PairCut`). The search
@@ -25,10 +24,7 @@ from repro.plan.rewrite import (
 from repro.plan.rules import (
     Decompose,
     Decomposition,
-    DirectMatch,
     PairCut,
-    RewriteRule,
-    SuperpatternMorph,
     find_decompositions,
     find_pair_cuts,
 )
@@ -49,17 +45,14 @@ __all__ = [
     "Decompose",
     "DecomposeStep",
     "Decomposition",
-    "DirectMatch",
     "MAX_ROUNDS",
     "MAX_SUBSET_CHILDREN",
     "MeasureStep",
     "PairCut",
     "PlanTruncationWarning",
     "RewritePlan",
-    "RewriteRule",
     "STRATEGIES",
     "SelectionResult",
-    "SuperpatternMorph",
     "find_decompositions",
     "find_pair_cuts",
     "legal_variants",

@@ -39,7 +39,7 @@ def item_label(item: Item) -> str:
 
 @dataclass(frozen=True)
 class MeasureStep:
-    """Measure one item directly on the engine (the DirectMatch rule)."""
+    """Measure one item directly on the engine (direct matching)."""
 
     item: Item
     predicted_cost: float

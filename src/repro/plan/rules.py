@@ -1,12 +1,12 @@
 """The rewrite-rule space the planner searches over.
 
-Three composable ways to answer a query, each priced by the shared cost
-model (the DwarvesGraph/Geo observation that rewriting should be a
-cost-driven search over an explicit rule space, not one hard-coded
-greedy):
+Three ways to answer a query, each priced by the shared cost model (the
+DwarvesGraph/Geo observation that rewriting should be a cost-driven
+search over an explicit rule space, not one hard-coded greedy):
 
-* :class:`DirectMatch` — hand the item to the engine as-is;
-* :class:`SuperpatternMorph` — the paper's Algorithm 1 move: replace a
+* direct matching — hand the item to the engine as-is;
+* superpattern morphing — the paper's Algorithm 1 move
+  (:func:`repro.plan.search.select_alternative_patterns`): replace a
   pattern by the cheapest variants of its superpattern closure and
   recombine through the morphing equations (Eq. 1);
 * :class:`Decompose` — split a *counting* item into a smaller prefix
@@ -80,10 +80,7 @@ __all__ = [
     "Decompose",
     "DecomposedCount",
     "Decomposition",
-    "DirectMatch",
     "PairCut",
-    "RewriteRule",
-    "SuperpatternMorph",
     "find_decompositions",
     "find_pair_cuts",
 ]
@@ -563,47 +560,7 @@ class DecomposedCount(Aggregation):
         return tuple(v // m.divisor for v, m in zip(value, self.members))
 
 
-class RewriteRule:
-    """One move in the planner's rewrite space.
-
-    Rules are stateless deciders: :meth:`applies` gates legality for an
-    ``(item, aggregation)`` pair, and the search prices the applicable
-    moves against each other under the shared cost model.
-    """
-
-    name = "rule"
-
-    def applies(self, item: Item, aggregation: Aggregation) -> bool:
-        """Whether this rule may rewrite ``item`` under ``aggregation``."""
-        raise NotImplementedError
-
-
-class DirectMatch(RewriteRule):
-    """Measure the item with the engine exactly as stated (always legal)."""
-
-    name = "direct"
-
-    def applies(self, item: Item, aggregation: Aggregation) -> bool:
-        """Direct measurement is the universal fallback."""
-        return True
-
-
-class SuperpatternMorph(RewriteRule):
-    """Algorithm 1's move: replace an item by its superpattern closure.
-
-    Legal in both Eq. 1 directions for invertible aggregations; for
-    non-invertible ones only edge-induced items may morph (the V-union
-    direction), mirroring :func:`repro.plan.search.legal_variants`.
-    """
-
-    name = "morph"
-
-    def applies(self, item: Item, aggregation: Aggregation) -> bool:
-        """Invertible aggregations morph anything; others only E items."""
-        return aggregation.invertible or item[1] == EDGE_INDUCED
-
-
-class Decompose(RewriteRule):
+class Decompose:
     """Answer a counting item by a cut: prefix matching plus arithmetic.
 
     The candidates are the IEP splits (:func:`find_decompositions`) and
@@ -614,8 +571,6 @@ class Decompose(RewriteRule):
     (vertex-induced anti-edges between suffix vertices would invalidate
     candidate independence).
     """
-
-    name = "decompose"
 
     def applies(self, item: Item, aggregation: Aggregation) -> bool:
         """Invertible aggregation + edge-induced item with a cut."""

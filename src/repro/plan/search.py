@@ -2,11 +2,10 @@
 
 This module owns the Algorithm 1 greedy (Section 5.2,
 :func:`select_alternative_patterns`) that decides *which items to
-measure*, recast as the :class:`~repro.plan.rules.SuperpatternMorph`
-move inside a wider search. On top of it, :func:`search_plan` lets the
-execution rules — :class:`~repro.plan.rules.DirectMatch` vs
-:class:`~repro.plan.rules.Decompose` — compete per measured item under
-the same cost model, and emits the typed
+measure*, recast as the superpattern-morphing move inside a wider
+search. On top of it, :func:`search_plan` lets the execution rules —
+direct matching vs :class:`~repro.plan.rules.Decompose` — compete per
+measured item under the same cost model, and emits the typed
 :class:`~repro.plan.rewrite.RewritePlan` the session executes.
 
 Strategies:
@@ -434,9 +433,9 @@ def search_plan(
 ) -> RewritePlan:
     """Search the rewrite space and emit an executable plan.
 
-    The :class:`~repro.plan.rules.SuperpatternMorph` move (Algorithm 1)
-    decides the measured set; then ``DirectMatch`` and ``Decompose``
-    compete per measured item. Under ``"auto"`` a decomposition must
+    The superpattern-morphing move (Algorithm 1) decides the measured
+    set; then direct matching and ``Decompose`` compete per measured
+    item. Under ``"auto"`` a decomposition must
     beat direct measurement by the same conservatism ``margin`` the
     greedy uses; ``"decompose"`` forces it wherever legal (testing /
     forcing the IEP path); ``"morph"`` and ``"direct"`` never decompose.

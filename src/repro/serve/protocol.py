@@ -21,6 +21,7 @@ from typing import Any, BinaryIO
 
 __all__ = [
     "decode_value",
+    "encode_message",
     "encode_value",
     "read_message",
     "validate_stats",
@@ -173,6 +174,11 @@ def decode_value(value: Any) -> Any:
     raise ValueError(f"cannot decode {value!r}")
 
 
+def encode_message(message: dict) -> bytes:
+    """One JSON-lines frame: the compact JSON text and its newline."""
+    return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
 def write_message(stream: BinaryIO, message: dict) -> None:
     """Write one JSON-lines message — a single ``write`` — and flush.
 
@@ -181,7 +187,7 @@ def write_message(stream: BinaryIO, message: dict) -> None:
     Nagle's algorithm waiting for the peer's delayed ACK (~40 ms a
     message).
     """
-    stream.write(json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n")
+    stream.write(encode_message(message))
     stream.flush()
 
 

@@ -72,6 +72,19 @@ class Query:
         #: once at admission so no later stage parses them again.
         self.options = None
         self.cache_key: tuple | None = None
+        #: What the server's stages hand each other along one walk
+        #: (:data:`repro.serve.server.STAGES`): the chaos fault drawn
+        #: for the request, the sentinel watching it on the worker, its
+        #: tracer (misses only), the answer or error so far, the
+        #: session's phase seconds, and a ``(stage, start, end)`` mark
+        #: per stage walked.
+        self.fault = None
+        self.sentinel = None
+        self.tracer = None
+        self.answer: dict | None = None
+        self.error: Exception | None = None
+        self.phases: tuple[tuple[str, float], ...] = ()
+        self.marks: list[tuple[str, float, float]] = []
         self.response: dict | None = None
         #: Backoff hint stamped by the shed controller on an
         #: ``rejected:overload`` verdict (``None`` otherwise).
@@ -83,6 +96,13 @@ class Query:
         self.started_at: float | None = None
         self.finished_at: float | None = None
         self._done = threading.Event()
+
+    @property
+    def queue_wait(self) -> float:
+        """Seconds from admission to dispatch (``0.0`` if never queued)."""
+        if self.submitted_at is None or self.started_at is None:
+            return 0.0
+        return max(0.0, self.started_at - self.submitted_at)
 
     def finish(self, response: dict) -> None:
         """Publish the response and wake the waiting submitter."""
@@ -161,8 +181,11 @@ class QueryScheduler:
         self._inflight: dict[str, int] = {}
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
-        self._closed = False
-        self._draining = False
+        #: The service lifecycle, ``accepting`` → ``draining`` →
+        #: ``closed`` (or straight to ``closed``): its one record, which
+        #: the server's ``drain_state`` and ``admit`` stage read. Written
+        #: under the lock, read without it.
+        self.state = "accepting"
 
     # -- submit --------------------------------------------------------------
 
@@ -180,7 +203,7 @@ class QueryScheduler:
         bounds a client's total footprint on the daemon.
         """
         with self._lock:
-            if self._draining or self._closed:
+            if self.state != "accepting":
                 verdict = REJECTED_DRAINING
             else:
                 verdict = self.policy.admit(
@@ -221,7 +244,8 @@ class QueryScheduler:
             with self._lock:
                 if not self._heap and timeout != 0:
                     self._available.wait_for(
-                        lambda: self._heap or self._closed, timeout=timeout
+                        lambda: self._heap or self.state == "closed",
+                        timeout=timeout,
                     )
                 if not self._heap:
                     return None
@@ -339,22 +363,28 @@ class QueryScheduler:
         with self._lock:
             return sum(self._inflight.values())
 
-    def set_draining(self, draining: bool = True) -> None:
+    def set_draining(self, draining: bool = True) -> bool:
         """Enter (or leave) drain mode: submissions are rejected with
-        ``rejected:draining`` while queued/executing work proceeds."""
+        ``rejected:draining`` while queued/executing work proceeds.
+
+        Returns whether the state changed: only an accepting scheduler
+        starts draining, and a closed one stays closed.
+        """
         with self._lock:
-            self._draining = draining
+            before = self.state
+            if before == ("accepting" if draining else "draining"):
+                self.state = "draining" if draining else "accepting"
+            return self.state != before
 
     @property
     def draining(self) -> bool:
         """Whether new submissions are being rejected for drain."""
-        with self._lock:
-            return self._draining
+        return self.state == "draining"
 
     def close(self) -> None:
         """Reject everything still queued and wake blocked workers."""
         with self._lock:
-            self._closed = True
+            self.state = "closed"
             pending = [query for _, _, query in self._heap]
             self._heap.clear()
             self.metrics.sample_window("serve.queue.depth", 0)
@@ -371,5 +401,5 @@ class QueryScheduler:
                 "inflight": dict(self._inflight),
                 "max_queue_depth": self.policy.max_queue_depth,
                 "max_per_client": self.policy.max_per_client,
-                "draining": self._draining,
+                "draining": self.state == "draining",
             }

@@ -3,10 +3,11 @@
 One process owns the expensive state — resident graphs (with their
 shared-memory segments), a warm :class:`repro.PlanCache`, a
 :class:`repro.MeasurementCache`, and a result cache — and answers
-queries over the JSON-lines protocol (:mod:`.protocol`).
-Requests flow through the :class:`.scheduler.QueryScheduler` (priority
-ordering, per-client limits, deadline-aware admission) into a small
-pool of worker threads, each of which builds a *fresh* engine per query
+queries over the JSON-lines protocol (:mod:`.protocol`). A ``run``
+request walks :data:`STAGES`, the one declaration of its path, through
+the :class:`.scheduler.QueryScheduler` (priority ordering, per-client
+limits, deadline-aware admission) into a small pool of worker threads,
+each of which builds a *fresh* engine per query
 (:func:`repro.resolve_engine` with ``fresh=True`` — engine instances
 carry per-run mutable state and must never be shared across concurrent
 runs).
@@ -32,13 +33,15 @@ the ``stats`` op.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import socket
 import socketserver
 import tempfile
 import threading
 import time
 import warnings
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.core.parser import format_pattern, parse_pattern
 from repro.engines.recovery import Deadline
@@ -65,7 +68,7 @@ from repro.serve.sentinel import SentinelBoard
 from repro.serve.shed import ShedController
 from repro.serve.state import load_service_state, save_service_state
 
-__all__ = ["MiningServer"]
+__all__ = ["MiningServer", "STAGES", "Stage"]
 
 #: Bound on the idempotency map (completed responses kept for replay).
 #: The other tiers keep :data:`repro.morph.cache.STORE_CAPACITY`.
@@ -74,6 +77,36 @@ _IDEMPOTENCY_CAPACITY = 256
 #: Metrics forwarded to clients in every run response (cache behavior
 #: is part of the service contract, so clients can assert on it).
 _RESPONSE_METRICS = ("plan.cache.hit", "plan.cache.miss")
+
+
+class Stage(NamedTuple):
+    """One named step of a served ``run`` (see :data:`STAGES`).
+
+    ``run(server, query)`` returns the query's response when the stage
+    answers it, ``None`` to hand it on, raises :class:`_Declined` to
+    refuse or replay it, and raises anything else to fail it.
+    """
+
+    name: str
+    run: Callable[["MiningServer", Query], dict | None]
+
+
+class _Declined(Exception):
+    """A stage's answer to a request it does not serve: a refusal, or
+    an idempotent replay. It ends the walk with ``response``, leaving no
+    flight record and no latency sample."""
+
+    def __init__(self, response: dict) -> None:
+        super().__init__(response.get("error", "replay"))
+        self.response = response
+
+    @classmethod
+    def refusal(cls, verdict: str, retry_after_s=None, **fields) -> "_Declined":
+        """A typed ``rejected:*`` answer, with its backoff hint if any."""
+        response = {"ok": False, "error": verdict, "admission": verdict, **fields}
+        if retry_after_s is not None:
+            response["retry_after_s"] = retry_after_s
+        return cls(response)
 
 
 class MiningServer:
@@ -96,8 +129,9 @@ class MiningServer:
     Observability: every run mints a ``query_id`` (returned in the
     response and stamped into every span of the query's trace), the
     metrics registry accumulates latency histograms
-    (``serve.latency.total`` / ``.queue_wait`` / ``.first_result`` and
-    per-engine ``serve.stage.{plan,match,convert}.<engine>``), and a
+    (``serve.latency.total`` / ``.queue_wait`` / ``.first_result``, one
+    ``serve.stage.<name>`` per :data:`STAGES` entry, and per-engine
+    ``serve.stage.{plan,match,convert}.<engine>``), and a
     :class:`~repro.serve.flightrecorder.FlightRecorder` retains the
     last ``flight_capacity`` query traces plus anomalies — errors,
     partial answers, and queries whose measured match time exceeded
@@ -173,18 +207,18 @@ class MiningServer:
         #: Optional :class:`repro.testing.faults.QueryFaultPlan` driving
         #: the service-level chaos harness (``None`` in production).
         self.chaos = chaos
+        #: Per connection thread: the fault its last ``run`` drew.
+        self._drawn = threading.local()
         self._lock = threading.Lock()
         #: Live handler sockets, hung up by :meth:`close`.
         self._connections: set[socket.socket] = set()
         self._tcp: _TCPServer | None = None
         self._threads: list[threading.Thread] = []
-        self._worker_threads: list[threading.Thread] = []
+        #: Set by :meth:`close`: stops the loops, releases :meth:`wait`.
         self._stop = threading.Event()
-        self._closed = threading.Event()
         self._started: float | None = None
-        self._query_seq = 0
-        #: Drain state machine: ``accepting`` → ``draining`` → ``closed``.
-        self._drain_state = "accepting"
+        #: Query-id sequence (``next`` on a count is atomic).
+        self._query_seq = itertools.count(1)
 
     # -- protocol dispatch ---------------------------------------------------
 
@@ -205,7 +239,7 @@ class MiningServer:
                 resident = self.registry.load(str(request["graph"]))
                 return {"ok": True, "graph": resident.describe()}
             if op == "run":
-                return self._handle_run(request)
+                return self._walk(Query(request))
             if op == "stats":
                 return self._stats_snapshot()
             if op == "health":
@@ -213,25 +247,32 @@ class MiningServer:
             if op == "dump":
                 directory, files = self.dump_flight(request.get("dir"))
                 return {"ok": True, "dir": directory, "files": files}
-            if op == "drain":
-                # Same write-then-act discipline as shutdown: over a
-                # socket the handler loop starts the drain after the
-                # ack is flushed; dict-level callers get a thread here.
+            if op in ("drain", "shutdown"):
+                # Over a socket the handler loop acts only after the ack
+                # is flushed — acting here would race the response write
+                # with the listener teardown. Dict-level callers have no
+                # handler loop, so act now on their behalf.
                 if self._tcp is None:
-                    threading.Thread(target=self.drain, daemon=True).start()
-                return {"ok": True, "draining": True}
-            if op == "shutdown":
-                # Over a socket the handler loop triggers close() only
-                # after the acknowledgement is flushed — starting it
-                # here would race the response write with the listener
-                # teardown. Dict-level callers have no handler loop, so
-                # close immediately on their behalf.
-                if self._tcp is None:
-                    threading.Thread(target=self.close, daemon=True).start()
-                return {"ok": True, "stopping": True}
+                    self._after_ack(op)
+                return {"ok": True, "draining" if op == "drain" else "stopping": True}
             return {"ok": False, "error": f"unknown op {op!r}"}
         except Exception as exc:  # noqa: BLE001 - protocol boundary
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+    def _after_ack(self, op) -> bool:
+        """Start, off-thread, what an acknowledged ``drain`` or
+        ``shutdown`` asks for; whether ``op`` was one of them."""
+        action = {"drain": self.drain, "shutdown": self.close}.get(op)
+        if action is not None:
+            threading.Thread(target=action, daemon=True).start()
+        return action is not None
+
+    def _take_fault(self):
+        """The chaos fault this thread's last ``run`` drew, once: the
+        socket handler's ``encode`` hook."""
+        fault = getattr(self._drawn, "fault", None)
+        self._drawn.fault = None
+        return fault
 
     # -- observability snapshots ----------------------------------------------
 
@@ -277,7 +318,7 @@ class MiningServer:
             "flight": flight,
             "uptime_seconds": self._uptime_seconds(),
             "service": {
-                "state": self._drain_state,
+                "state": self.drain_state,
                 "workers": self.workers,
                 "drain_deadline_s": self.drain_deadline_s,
                 "idempotency_entries": len(self._idempotency),
@@ -311,31 +352,88 @@ class MiningServer:
         self.metrics.add("serve.flight.dumps")
         return str(directory), files
 
-    def _next_query_id(self) -> str:
-        with self._lock:
-            self._query_seq += 1
-            return f"q-{self._query_seq:06d}"
+    # -- the run op: one walk over STAGES ---------------------------------------
 
-    def _handle_run(self, request: dict) -> dict:
-        """Answer one mining query, from the result cache or scheduled.
+    def _walk(self, query: Query, worker: bool = False) -> dict:
+        """Walk :data:`STAGES` for one ``run`` request (on a ``worker``:
+        the stages after ``queue``).
 
-        The checks run in this order: draining, idempotency replay,
-        breaker. Then a result-cache hit is answered right here, on the
-        calling (connection) thread. A hit is not an admission: it never
-        waits in the queue, so it records no ``serve.latency.queue_wait``,
-        it is never shed and it does not count against
-        ``max_per_client``. Only a miss (or a request carrying a chaos
-        fault, so fault plans replay unchanged) becomes a scheduled
-        :class:`Query`. Both paths share the tail: ``serve.latency.total``,
-        the wire-fault marker and the idempotency store.
+        The runner: the only code that times, traces, faults and records
+        a served query. Per stage it observes ``serve.stage.<name>``,
+        keeps a ``(name, start, end)`` mark (a span in the flight trace
+        if the query gets a tracer) and fires the query's chaos fault
+        if the fault's kind names the stage. A stage answers by
+        returning the response, or fails by raising; from then on only
+        ``record`` runs. ``queue`` hands the query to a worker, which
+        walks the stages after it (:meth:`_execute`), so its answer
+        ends the submitter's walk. A :class:`_Declined` answer ends the
+        walk unrecorded; every other walk leaves one flight record and
+        one ``serve.latency.total`` sample, written by the submitter.
         """
-        if self._drain_state != "accepting":
+        clock = self.scheduler.clock
+        if worker:
+            self.metrics.observe("serve.latency.queue_wait", query.queue_wait)
+        else:
+            arrived = query.submitted_at = clock()
+            query.query_id = f"q-{next(self._query_seq):06d}"
+        for stage in STAGES[_WORKER_FIRST:] if worker else STAGES:
+            if stage is not _RECORD and (
+                query.answer is not None or query.error is not None
+            ):
+                continue
+            start = time.perf_counter()
+            try:
+                if query.fault is not None and query.fault.stage == stage.name:
+                    query.fault.fire(query.sentinel and query.sentinel.deadline)
+                answer = stage.run(self, query)
+            except _Declined as declined:
+                return declined.response
+            except Exception as exc:  # noqa: BLE001 - recorded, re-raised below
+                query.error, answer = exc, None
+            finally:
+                end = time.perf_counter()
+                self.metrics.observe(f"serve.stage.{stage.name}", end - start)
+                query.marks.append((stage.name, start, end))
+            if answer is not None:
+                query.answer = answer
+                if stage is _HANDOFF:
+                    break  # a worker walked the rest
+                self.metrics.observe(
+                    "serve.latency.first_result",
+                    max(0.0, clock() - query.submitted_at),
+                )
+        if worker:
+            for phase, seconds in query.phases:
+                self.metrics.observe(
+                    f"serve.stage.{phase}.{query.options.engine}", seconds
+                )
+        else:
+            # Includes the submitter's wakeup: what a client experiences.
+            self.metrics.observe("serve.latency.total", clock() - arrived)
+            self._record_flight(query)
+        if query.answer is None:
+            raise query.error
+        return query.answer
+
+    def _execute(self, query: Query) -> dict:
+        """The worker's half of :meth:`_walk` (the scheduler calls it),
+        under the query's sentinel: armed before anything can run away,
+        its deadline — the tighter of the request's own and the server
+        wall budget — lets the board cancel the run."""
+        query.sentinel = self.sentinels.watch(
+            query.query_id or "", query.options.deadline_seconds
+        )
+        try:
+            return self._walk(query, worker=True)
+        finally:
+            self.sentinels.finish(query.query_id or "")
+
+    def _admit(self, query: Query) -> None:
+        """Draining, idempotency replay, options, breaker."""
+        request = query.request
+        if self.scheduler.state != "accepting":
             self.metrics.add("serve.admission.rejected.draining")
-            return {
-                "ok": False,
-                "error": REJECTED_DRAINING,
-                "admission": REJECTED_DRAINING,
-            }
+            raise _Declined.refusal(REJECTED_DRAINING)
         idempotency_key = request.get("idempotency_key")
         if idempotency_key is not None:
             stored = self._idempotency.lookup(str(idempotency_key))
@@ -344,112 +442,22 @@ class MiningServer:
                 # whose response the client never saw — torn socket,
                 # timeout) replays the exact original response.
                 self.metrics.add("serve.idempotent.replays")
-                return dict(stored)
+                raise _Declined(dict(stored))
         if self.chaos is not None:
-            spec, attempt = self.chaos.begin(request.get("chaos_index"))
-            if spec is not None:
-                request["_chaos"] = (spec, attempt)
-        options = self._parse_options(request)
+            fault = self.chaos.begin(request.get("chaos_index"))
+            if fault.spec is not None:
+                query.fault = self._drawn.fault = fault
+        query.client = str(request.get("client", "anonymous"))
+        query.options = options = RunOptions.from_dict(request.get("options") or {})
         breaker = self.breakers.get(
             str(request.get("graph", "?")), str(options.engine)
         )
         if not breaker.allow():
             self.metrics.add("serve.admission.rejected.circuit-open")
-            response: dict[str, Any] = {
-                "ok": False,
-                "error": REJECTED_CIRCUIT_OPEN,
-                "admission": REJECTED_CIRCUIT_OPEN,
-            }
-            retry_after = breaker.retry_after()
-            if retry_after is not None:
-                response["retry_after_s"] = retry_after
-            return response
-        query = Query(
-            request,
-            client=str(request.get("client", "anonymous")),
-            priority=int(request.get("priority", 0)),
-            deadline=self.scheduler.make_deadline(options.deadline_seconds),
-            query_id=self._next_query_id(),
-        )
-        query.options = options
+            raise _Declined.refusal(REJECTED_CIRCUIT_OPEN, breaker.retry_after())
+        query.priority = int(request.get("priority", 0))
+        query.deadline = self.scheduler.make_deadline(options.deadline_seconds)
         query.cache_key = self._result_key(request, options)
-        accepted_at = query.submitted_at = self.scheduler.clock()
-        hit = None
-        if query.cache_key is not None and "_chaos" not in request:
-            hit = self._cached_response(query)
-        if hit is not None:
-            # As on the worker, an answered query closes a half-open
-            # breaker and resets its failure count.
-            breaker.record_success()
-            response = hit
-        else:
-            verdict = self.scheduler.submit(query)
-            if verdict != ACCEPTED:
-                response = {
-                    "ok": False,
-                    "error": verdict,
-                    "admission": verdict,
-                    "query_id": query.query_id,
-                }
-                if query.retry_after_s is not None:
-                    response["retry_after_s"] = query.retry_after_s
-                return response
-            if not self._worker_threads:
-                # Synchronous mode (``workers=0``, dict-level unit tests):
-                # drain the queue in the calling thread until this query
-                # resolves — higher-priority work still runs first.
-                while query.response is None:
-                    self.scheduler.run_next(self._execute)
-            response = query.wait(timeout=None)
-            assert response is not None
-        # End-to-end latency includes queueing, execution *and* the
-        # submitter's wakeup — the number a client actually experiences.
-        self.metrics.observe(
-            "serve.latency.total", self.scheduler.clock() - accepted_at
-        )
-        chaos = request.get("_chaos")
-        if chaos is not None and chaos[0].kind in ("corrupt", "torn-socket"):
-            # Wire-level faults ride the response as a private marker
-            # the socket handler pops before (not) writing the bytes.
-            response = dict(response)
-            response["_chaos_wire"] = chaos[0].kind
-        if (
-            idempotency_key is not None
-            and response.get("ok")
-            and not response.get("partial")
-        ):
-            clean = {
-                k: v for k, v in response.items() if k != "_chaos_wire"
-            }
-            self._idempotency.insert(str(idempotency_key), clean)
-        return response
-
-    def _parse_options(self, request: dict) -> RunOptions:
-        """``request``'s run options; bad ones are a flight anomaly too."""
-        try:
-            return RunOptions.from_dict(request.get("options") or {})
-        except Exception as exc:
-            query = Query(
-                request,
-                client=str(request.get("client", "anonymous")),
-                query_id=self._next_query_id(),
-            )
-            self._record_failure(query, exc)
-            raise
-
-    def _record_failure(self, query: Query, exc: Exception) -> None:
-        """Retain a query that died before a session existed (unknown
-        graph, unparseable pattern, bad options): the operator will ask
-        about it, so it is an anomaly, traceless."""
-        request = query.request
-        self._record_flight(
-            query,
-            str(request.get("graph", "?")),
-            list(request.get("patterns") or []),
-            query.options or RunOptions(),
-            status="error",
-            error=f"{type(exc).__name__}: {exc}",
-        )
 
     def _result_key(self, request: dict, options: RunOptions) -> tuple | None:
         """Result-cache identity: everything that can change the answer.
@@ -460,7 +468,7 @@ class MiningServer:
         excluded deliberately — a deadline changes *whether* the full
         answer arrives, not what it is, and partial results are never
         cached. Local-only fields can't occur here (options arrived via
-        ``from_dict``).
+        ``from_dict``), so ``aggregation`` is a wire name or ``None``.
         """
         if not request.get("use_result_cache", True):
             return None
@@ -469,13 +477,10 @@ class MiningServer:
             texts = tuple(str(t) for t in request.get("patterns") or [])
         except (KeyError, TypeError):
             return None
-        aggregation = options.aggregation
-        if aggregation is not None and not isinstance(aggregation, str):
-            aggregation = aggregation.name
         return (
             resident.graph.fingerprint,
             texts,
-            aggregation or "count",
+            options.aggregation or "count",
             options.engine,
             options.strategy,
             options.morph,
@@ -484,212 +489,80 @@ class MiningServer:
             options.batch_roots,
         )
 
-    def _cached_response(self, query: Query, queue_wait: float = 0.0) -> dict | None:
-        """The result-cache entry for ``query`` stamped for it.
+    def _lookup(self, query: Query) -> dict | None:
+        """The cache entry for ``query`` stamped for it; ``None`` on a miss.
 
-        The one lookup behind both hit paths: before admission (on the
-        connection thread) and on the worker, for a query that queued
-        behind an identical one. Returns ``None`` on a miss; misses are
-        counted by the worker alone, so each is counted once.
+        A hit is answered on the connection thread. It is not an
+        admission: it never waits in the queue, is never shed and does
+        not count against ``max_per_client``. A request carrying a chaos
+        fault bypasses the cache, so fault plans replay unchanged.
         """
+        if query.cache_key is None or query.fault is not None:
+            return None
         hit = self._result_cache.lookup(query.cache_key)
         if hit is None:
             return None
         self.metrics.add("serve.result_cache.hits")
-        response = dict(hit)
-        response["cached"] = True
-        response["query_id"] = query.query_id
-        self._observe_first_result(query)
-        request = query.request
-        self._record_flight(
-            query,
-            str(request["graph"]),
-            list(request.get("patterns") or []),
-            query.options,
-            status="ok",
-            cached=True,
-            queue_wait=queue_wait,
-        )
-        return response
+        return {**hit, "cached": True, "query_id": query.query_id}
 
-    # -- query execution -----------------------------------------------------
-
-    def _execute(self, query: Query) -> dict:
-        """Run one admitted query to a wire-ready response payload."""
-        request = query.request
-        try:
-            resident = self.registry.get(str(request["graph"]))
-            texts = list(request.get("patterns") or [])
-            if not texts:
-                raise ValueError("run request carries no patterns")
-            patterns = [parse_pattern(str(t)) for t in texts]
-        except Exception as exc:
-            self._record_failure(query, exc)
-            raise
-        options = query.options
-        queue_wait = 0.0
-        if query.submitted_at is not None and query.started_at is not None:
-            queue_wait = max(0.0, query.started_at - query.submitted_at)
-        self.metrics.observe("serve.latency.queue_wait", queue_wait)
-        breaker = self.breakers.get(
-            str(request.get("graph", "?")), str(options.engine)
-        )
-        # Arm the watchdog before anything can run away: its deadline —
-        # the tighter of the request's own and the server wall budget —
-        # replaces the plain seconds so the board (or the budgets) can
-        # cancel the run externally through the established path.
-        sentinel = self.sentinels.watch(
-            query.query_id or "", options.deadline_seconds
-        )
-        run_options = options
-        if sentinel is not None:
-            run_options = options.replace(deadline_seconds=sentinel.deadline)
-        try:
-            self._apply_chaos(query, sentinel, resident.name, texts, options)
-            response = self._run_query(
-                query, resident, texts, patterns, options, run_options, queue_wait
+    def _queue(self, query: Query) -> dict:
+        """Shed and admission, then hand-off: the worker's answer."""
+        verdict = self.scheduler.submit(query)
+        if verdict != ACCEPTED:
+            raise _Declined.refusal(
+                verdict, query.retry_after_s, query_id=query.query_id
             )
-        except Exception as exc:
-            if isinstance(exc, WorkerCrashError) or (
-                sentinel is not None and sentinel.tripped
-            ):
-                breaker.record_failure()
-            raise
-        finally:
-            self.sentinels.finish(query.query_id or "")
-        tripped = sentinel.tripped if sentinel is not None else None
-        if tripped is None and sentinel is not None and response.get("partial"):
-            # The run degraded without a poll-time trip: a wall-budget
-            # overrun the sampler never sampled still gets attributed.
-            tripped = sentinel.check(None)
-            if tripped is not None:
-                self.metrics.add(f"serve.sentinel.trip.{tripped}")
-            elif sentinel.deadline.expiry_reason is not None:
-                tripped = sentinel.deadline.expiry_reason
-        if tripped is not None:
-            breaker.record_failure()
-            response = dict(response)
-            response["sentinel"] = tripped
-        else:
-            breaker.record_success()
-        return response
+        if self._tcp is None or not self.workers:
+            # Synchronous mode (``workers=0``, dict-level unit tests):
+            # drain the queue in the calling thread until this query
+            # resolves — higher-priority work still runs first.
+            while query.response is None:
+                self.scheduler.run_next(self._execute)
+        return query.wait(timeout=None)
 
-    def _apply_chaos(
-        self,
-        query: Query,
-        sentinel,
-        graph: str,
-        texts: list,
-        options: RunOptions,
-    ) -> None:
-        """Fire this query's injected fault (chaos harness only).
+    def _run(self, query: Query) -> dict:
+        """Resolve graph and patterns, then run the session.
 
-        ``crash`` raises a :class:`WorkerCrashError` (the typed shape a
-        real pool-worker death surfaces as); ``slow`` sleeps; ``hang``
-        wedges until the sentinel's deadline releases it — exactly the
-        runaway a production sentinel exists to cancel. Wire-level
-        kinds (``corrupt``/``torn-socket``) are applied by the socket
-        handler, not here.
+        The worker looks the cache up again first, for a query that
+        queued behind an identical one; misses are counted here alone,
+        so each is counted once.
         """
-        chaos = query.request.get("_chaos")
-        if chaos is None:
-            return
-        spec, attempt = chaos
-        if spec.kind == "crash":
-            exc = WorkerCrashError(
-                f"injected chaos crash (attempt {attempt})",
-                attempts=attempt + 1,
-            )
-            self._record_flight(
-                query,
-                graph,
-                texts,
-                options,
-                status="error",
-                error=f"WorkerCrashError: {exc}",
-            )
-            raise exc
-        if spec.kind == "slow":
-            time.sleep(spec.seconds)
-        elif spec.kind == "hang":
-            stop = sentinel.deadline if sentinel is not None else query.deadline
-            if stop is None:
-                raise ValueError(
-                    "a 'hang' chaos fault needs a wall budget or deadline "
-                    "to release it — configure one for this server"
-                )
-            while not stop.expired():
-                time.sleep(0.005)
-
-    def _run_query(
-        self,
-        query: Query,
-        resident,
-        texts: list,
-        patterns: list,
-        options: RunOptions,
-        run_options: RunOptions,
-        queue_wait: float,
-    ) -> dict:
-        """Cache check + session run + response build for one query."""
-        use_cache = query.cache_key is not None
-        if use_cache:
-            hit = self._cached_response(query, queue_wait)
-            if hit is not None:
-                return hit
+        hit = self._lookup(query)
+        if hit is not None:
+            return hit
+        if query.cache_key is not None:
             self.metrics.add("serve.result_cache.misses")
-
-        tracer = Tracer(
-            tags={"query_id": query.query_id} if query.query_id else None
-        )
+        request, options = query.request, query.options
+        resident = self.registry.get(str(request["graph"]))
+        texts = list(request.get("patterns") or [])
+        if not texts:
+            raise ValueError("run request carries no patterns")
+        patterns = [parse_pattern(str(t)) for t in texts]
+        query.tracer = tracer = Tracer(tags={"query_id": query.query_id})
         from repro.api import resolve_engine
 
         engine = resolve_engine(options.engine, fresh=True)
-        try:
-            with tracer.span(
-                "serve.query",
-                graph=resident.name,
-                client=query.client,
-                engine=options.engine,
-                patterns=len(patterns),
-            ):
-                session = MorphingSession(
-                    engine,
-                    options=run_options.replace(
-                        trace=tracer,
-                        plan_cache=self.plan_cache,
-                        cache=self.measurement_cache,
-                    ),
-                )
-                result = session.run(resident.graph, patterns)
-        except Exception as exc:
-            # Retain the failure's trace before the scheduler converts
-            # the exception into an error response.
-            self._record_flight(
-                query,
-                resident.name,
-                texts,
-                options,
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
-                queue_wait=queue_wait,
-                tracer=tracer,
-            )
-            raise
-        engine_label = str(options.engine)
+        run_options = options.replace(
+            trace=tracer, plan_cache=self.plan_cache, cache=self.measurement_cache
+        )
+        if query.sentinel is not None:
+            run_options = run_options.replace(deadline_seconds=query.sentinel.deadline)
+        with tracer.span(
+            "serve.query",
+            graph=resident.name,
+            client=query.client,
+            engine=options.engine,
+            patterns=len(patterns),
+        ):
+            session = MorphingSession(engine, options=run_options)
+            result = session.run(resident.graph, patterns)
         self.metrics.merge(tracer.metrics)
         self.metrics.add("serve.queries")
-        self.metrics.observe(
-            f"serve.stage.plan.{engine_label}", result.transform_seconds
+        query.phases = (
+            ("plan", result.transform_seconds),
+            ("match", result.match_seconds),
+            ("convert", result.convert_seconds),
         )
-        self.metrics.observe(
-            f"serve.stage.match.{engine_label}", result.match_seconds
-        )
-        self.metrics.observe(
-            f"serve.stage.convert.{engine_label}", result.convert_seconds
-        )
-        self._observe_first_result(query)
-
         partial = isinstance(result, PartialRunResult)
         response: dict[str, Any] = {
             "ok": True,
@@ -716,96 +589,107 @@ class MiningServer:
         if partial:
             response["coverage"] = result.coverage
             response["unresolved"] = [format_pattern(p) for p in result.unresolved]
-        elif use_cache:
+        return response
+
+    def _record(self, query: Query) -> None:
+        """Result-cache insert, breaker and sentinel attribution,
+        idempotency store."""
+        if query.options is None:
+            return  # failed in admit, before it named a breaker cell
+        breaker = self.breakers.get(
+            str(query.request.get("graph", "?")), str(query.options.engine)
+        )
+        sentinel, answer = query.sentinel, query.answer
+        tripped = sentinel.tripped if sentinel is not None else None
+        if answer is None:
+            if isinstance(query.error, WorkerCrashError) or tripped is not None:
+                breaker.record_failure()
+            return
+        if query.cache_key is not None and not (answer["cached"] or answer["partial"]):
             # Partial results never enter the cache: a later identical
             # query without deadline pressure deserves the full answer.
             # The fresh query_id is stripped with the cached flag — a
             # repeat query gets its own id stamped on the hit path.
             entry = {
-                k: v for k, v in response.items() if k not in ("cached", "query_id")
+                k: v for k, v in answer.items() if k not in ("cached", "query_id")
             }
             evicted = self._result_cache.insert(query.cache_key, entry)
             if evicted:
                 self.metrics.add("serve.result_cache.evictions", evicted)
-        self._record_flight(
-            query,
-            resident.name,
-            texts,
-            options,
-            status="partial" if partial else "ok",
-            queue_wait=queue_wait,
-            tracer=tracer,
-        )
-        return response
+        if tripped is None and sentinel is not None and answer["partial"]:
+            # The run degraded without a poll-time trip: a wall-budget
+            # overrun the sampler never sampled still gets attributed.
+            tripped = sentinel.check(None)
+            if tripped is not None:
+                self.metrics.add(f"serve.sentinel.trip.{tripped}")
+            elif sentinel.deadline.expiry_reason is not None:
+                tripped = sentinel.deadline.expiry_reason
+        if tripped is not None:
+            breaker.record_failure()
+            answer = query.answer = {**answer, "sentinel": tripped}
+        else:
+            # An answered query (a hit too) closes a half-open breaker.
+            breaker.record_success()
+        idempotency_key = query.request.get("idempotency_key")
+        if idempotency_key is not None and not answer["partial"]:
+            self._idempotency.insert(str(idempotency_key), answer)
 
-    def _observe_first_result(self, query: Query) -> None:
-        """Record admission-to-first-result latency for ``query``."""
-        if query.submitted_at is None:
-            return
-        self.metrics.observe(
-            "serve.latency.first_result",
-            max(0.0, self.scheduler.clock() - query.submitted_at),
-        )
+    def _record_flight(self, query: Query) -> None:
+        """Retain one walked query in the flight recorder.
 
-    def _record_flight(
-        self,
-        query: Query,
-        graph: str,
-        texts: list,
-        options: RunOptions,
-        status: str,
-        *,
-        cached: bool = False,
-        error: str | None = None,
-        queue_wait: float = 0.0,
-        tracer: Tracer | None = None,
-    ) -> FlightRecord:
-        """Retain one completed query in the flight recorder.
-
-        The cost-model-based slowness verdict compares the selection
-        audit's measured match seconds against its predicted cost
-        scaled by the engine profile's calibrated ``unit_seconds`` —
-        the same audit PR 3 emits offline, reused as an online SLO.
+        Errors that struck before a session existed (bad options, an
+        unknown graph) are retained traceless. A query with a tracer
+        gets one ``serve.stage.<name>`` span per stage it walked, the
+        session's spans nested under ``execute``. The slowness verdict
+        compares the selection audit's measured match seconds against
+        its predicted cost scaled by the engine profile's calibrated
+        ``unit_seconds``.
         """
-        predicted_cost = predicted_seconds = measured_seconds = None
+        request, tracer = query.request, query.tracer
+        answer = query.answer or {}
+        engine = str(query.options.engine if query.options else RunOptions.engine)
+        graph = str(request.get("graph", "?"))
+        error = None
+        if query.error is not None:
+            error = f"{type(query.error).__name__}: {query.error}"
+        elif not answer.get("ok"):
+            error = str(answer.get("error"))
+        predicted_cost = predicted_seconds = measured_seconds = trace = None
         if tracer is not None:
             selection = next(
-                (
-                    audit
-                    for audit in tracer.audits
-                    if getattr(audit, "role", None) == "selection"
-                ),
+                (a for a in tracer.audits if getattr(a, "role", None) == "selection"),
                 None,
             )
             if selection is not None:
                 predicted_cost = float(selection.predicted_cost)
-                predicted_seconds = (
-                    predicted_cost * profile_for(str(options.engine)).unit_seconds
-                )
+                predicted_seconds = predicted_cost * profile_for(engine).unit_seconds
                 measured_seconds = float(selection.measured_seconds)
-        seconds = 0.0
-        if query.submitted_at is not None:
-            seconds = max(0.0, self.scheduler.clock() - query.submitted_at)
-        trace = None
-        if tracer is not None:
+            session_roots = [s for s in tracer.spans if s.parent_id is None]
+            for name, start, end in sorted(query.marks, key=lambda mark: mark[1]):
+                span = tracer.add(f"serve.stage.{name}", start, end)
+                if name == "execute":
+                    for root in session_roots:
+                        root.parent_id = span.span_id
             trace = RunTrace.from_tracer(
                 tracer,
                 query_id=query.query_id,
                 client=query.client,
                 graph=graph,
-                engine=str(options.engine),
+                engine=engine,
             )
         record = self.flight.record(
             FlightRecord(
                 query_id=query.query_id or "",
                 client=query.client,
                 graph=graph,
-                engine=str(options.engine),
-                patterns=[str(t) for t in texts],
-                status=status,
-                cached=cached,
-                seconds=seconds,
-                queue_wait=queue_wait,
+                engine=engine,
+                patterns=[str(t) for t in request.get("patterns") or []],
+                status=(
+                    "error" if error else "partial" if answer.get("partial") else "ok"
+                ),
+                cached=bool(answer.get("cached")),
+                seconds=max(0.0, self.scheduler.clock() - query.submitted_at),
+                queue_wait=query.queue_wait,
                 predicted_cost=predicted_cost,
                 predicted_seconds=predicted_seconds,
                 measured_seconds=measured_seconds,
@@ -815,7 +699,6 @@ class MiningServer:
         )
         if record.slow:
             self.metrics.add("serve.slow_queries")
-        return record
 
     def _on_breaker_transition(self, cell: str, old: str, new: str) -> None:
         """Record one circuit-breaker state change (metric + anomaly)."""
@@ -826,9 +709,9 @@ class MiningServer:
 
     @property
     def drain_state(self) -> str:
-        """Service lifecycle state: ``accepting``/``draining``/``closed``."""
-        with self._lock:
-            return self._drain_state
+        """Service lifecycle state: ``accepting``/``draining``/``closed``
+        (the scheduler keeps it)."""
+        return self.scheduler.state
 
     def drain(self, dump_dir: str | None = None) -> dict:
         """Graceful stop: finish in-flight work, persist, then close.
@@ -844,28 +727,20 @@ class MiningServer:
         ``repro serve --resume`` reboots warm. Idempotent: a second
         call reports the current state without re-draining.
         """
-        with self._lock:
-            if self._drain_state != "accepting":
-                return {"state": self._drain_state, "drained": False}
-            self._drain_state = "draining"
+        if not self.scheduler.set_draining(True):
+            return {"state": self.drain_state, "drained": False}
         self.metrics.add("serve.drain.started")
         self.flight.note("drain", "drain started")
-        self.scheduler.set_draining(True)
         deadline = Deadline(self.drain_deadline_s, clock=self.scheduler.clock)
-        drained = True
-        while self.scheduler.total_inflight() > 0:
-            if deadline.expired():
-                drained = False
-                break
+        while self.scheduler.total_inflight() > 0 and not deadline.expired():
             time.sleep(0.01)
-        summary: dict[str, Any] = {
-            "drained": drained,
-            "abandoned": self.scheduler.total_inflight(),
-        }
+        abandoned = self.scheduler.total_inflight()
+        drained = abandoned == 0
+        summary: dict[str, Any] = {"drained": drained, "abandoned": abandoned}
         self.flight.note(
             "drain",
             "drained clean" if drained else
-            f"drain deadline expired with {summary['abandoned']} in flight",
+            f"drain deadline expired with {abandoned} in flight",
         )
         directory, files = self.dump_flight(dump_dir)
         summary["flight_dir"] = directory
@@ -890,8 +765,6 @@ class MiningServer:
                 )
                 summary["state_error"] = str(exc)
         self.close()
-        with self._lock:
-            self._drain_state = "closed"
         summary["state"] = "closed"
         return summary
 
@@ -952,41 +825,27 @@ class MiningServer:
             self.metrics.add("serve.segments.swept", len(swept))
         self._started = self.scheduler.clock()
         self._stop.clear()
-        self._closed.clear()
         self._tcp = _TCPServer((self.host, self.port), _Handler, self)
         self.host, self.port = self._tcp.server_address[:2]
-        listener = threading.Thread(
-            target=self._tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-serve-listener",
-            daemon=True,
-        )
-        listener.start()
-        self._threads = [listener]
-        self._worker_threads = []
+        self._threads = []
+        self._spawn(self._tcp.serve_forever, "listener", poll_interval=0.05)
         for index in range(self.workers):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-serve-worker-{index}",
-                daemon=True,
-            )
-            worker.start()
-            self._worker_threads.append(worker)
-        self._threads.extend(self._worker_threads)
+            self._spawn(self._worker_loop, f"worker-{index}")
         if self.sample_interval > 0:
-            sampler = threading.Thread(
-                target=self._sampler_loop,
-                name="repro-serve-sampler",
-                daemon=True,
-            )
-            sampler.start()
-            self._threads.append(sampler)
+            self._spawn(self._sampler_loop, "sampler")
         return self.host, self.port
+
+    def _spawn(self, target, name: str, **kwargs) -> None:
+        """Start one daemon thread that :meth:`close` joins."""
+        thread = threading.Thread(
+            target=target, name=f"repro-serve-{name}", kwargs=kwargs, daemon=True
+        )
+        thread.start()
+        self._threads.append(thread)
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
-            if not self.scheduler.run_next(self._execute, timeout=0.1):
-                continue
+            self.scheduler.run_next(self._execute, timeout=0.1)
 
     def _sampler_loop(self) -> None:
         """Periodic queue-depth sampling (the satellite to admission-time
@@ -1002,7 +861,7 @@ class MiningServer:
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until :meth:`close` runs (the ``repro serve`` main loop)."""
-        return self._closed.wait(timeout)
+        return self._stop.wait(timeout)
 
     def _track_connection(self, connection: socket.socket) -> None:
         """Register an accepted connection until its handler closes it."""
@@ -1025,10 +884,10 @@ class MiningServer:
         it.
         """
         self._stop.set()
-        self._closed.set()
+        # Closing the scheduler first refuses new runs from here on.
+        self.scheduler.close()
         with self._lock:
             tcp, self._tcp = self._tcp, None
-            self._drain_state = "closed"
         if tcp is not None:
             tcp.shutdown()
             tcp.server_close()
@@ -1036,13 +895,13 @@ class MiningServer:
         with self._lock:
             connections, self._connections = self._connections, set()
         for connection in connections:
-            _hang_up(connection)
-        self.scheduler.close()
+            # End both directions: its handler sees EOF.
+            with contextlib.suppress(OSError):  # already gone
+                connection.shutdown(socket.SHUT_RDWR)
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=5)
         self._threads = []
-        self._worker_threads = []
         self.registry.close()
 
     def __enter__(self) -> "MiningServer":
@@ -1051,14 +910,6 @@ class MiningServer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _hang_up(connection: socket.socket) -> None:
-    """End both directions of ``connection``; its handler sees EOF."""
-    try:
-        connection.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass  # already gone
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -1103,6 +954,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: MiningServer = self.server.mining_server  # type: ignore[attr-defined]
         while True:
+            hang_up = False
             try:
                 request = protocol.read_message(self.rfile)
             except (ConnectionError, socket.error):
@@ -1110,47 +962,45 @@ class _Handler(socketserver.StreamRequestHandler):
             except ValueError as exc:
                 # Malformed request line (bad JSON, non-object, torn
                 # UTF-8): typed response, anomaly, then hang up.
+                error = f"{type(exc).__name__}: {exc}"
                 server.metrics.add("serve.protocol.errors")
-                server.flight.note(
-                    "protocol-error", f"{type(exc).__name__}: {exc}"
-                )
-                try:
-                    protocol.write_message(
-                        self.wfile,
-                        {
-                            "ok": False,
-                            "error": (
-                                "protocol-error: request line is not a "
-                                f"JSON object ({type(exc).__name__}: {exc})"
-                            ),
-                        },
-                    )
-                except (ConnectionError, socket.error, BrokenPipeError):
-                    pass
-                break
-            if request is None:
-                break
-            response = server.handle(request)
-            wire_fault = None
-            if isinstance(response, dict):
-                wire_fault = response.pop("_chaos_wire", None)
-            if wire_fault == "torn-socket":
-                # Chaos harness: drop the connection without answering.
-                break
+                server.flight.note("protocol-error", error)
+                request, hang_up = {}, True
+                response = {
+                    "ok": False,
+                    "error": "protocol-error: request line is not a JSON "
+                    f"object ({error})",
+                }
+            else:
+                if request is None:
+                    break
+                response = server.handle(request)
+            frame = protocol.encode_message(response)
+            fault = server._take_fault() if server.chaos is not None else None
+            if fault is not None and fault.stage == "encode":
+                frame = fault.encode(frame)
+                if frame is None:
+                    break  # a torn socket: hang up unanswered
             try:
-                if wire_fault == "corrupt":
-                    # Chaos harness: an unparsable response line.
-                    self.wfile.write(b"\x00corrupted-response-frame\n")
-                    self.wfile.flush()
-                else:
-                    protocol.write_message(self.wfile, response)
+                self.wfile.write(frame)
+                self.wfile.flush()
             except (ConnectionError, socket.error, BrokenPipeError):
                 break
-            if request.get("op") == "shutdown":
-                # The ack is on the wire; now the daemon may die.
-                threading.Thread(target=server.close, daemon=True).start()
-                break
-            if request.get("op") == "drain":
-                # Ack flushed; drain (and eventually close) off-thread.
-                threading.Thread(target=server.drain, daemon=True).start()
-                break
+            if server._after_ack(request.get("op")) or hang_up:
+                break  # the ack is on the wire
+
+
+#: The ``run`` op, in order: the one declaration of a served query's
+#: path, walked by :meth:`MiningServer._walk`. ``queue`` hands the query
+#: to a worker, which walks ``execute`` and ``record`` (or the calling
+#: thread does, with ``workers=0``); a hit answered by ``result_cache``
+#: goes straight to ``record``.
+STAGES = (
+    Stage("admit", MiningServer._admit),
+    Stage("result_cache", MiningServer._lookup),
+    Stage("queue", MiningServer._queue),
+    Stage("execute", MiningServer._run),
+    Stage("record", MiningServer._record),
+)
+_HANDOFF, _RECORD = STAGES[2], STAGES[-1]
+_WORKER_FIRST = STAGES.index(_HANDOFF) + 1

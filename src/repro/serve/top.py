@@ -2,13 +2,14 @@
 
 Polls the ``stats`` op at a fixed interval and renders one compact
 frame per poll: QPS, end-to-end latency quantiles, queue-depth envelope
-(the window gauge), per-engine stage breakdowns, cache hit rates and
-the flight recorder's slow-query log. The same injection seams as
-:class:`~repro.observe.progress.ProgressReporter` — ``clock``,
-``sleep`` and ``stream`` are constructor parameters — so tests drive a
-whole session against a fake daemon deterministically, and the frame
-builder (:meth:`TopDashboard.render`) is a pure function of two stats
-snapshots.
+(the window gauge), one row per declared stage of a served query
+(:data:`repro.serve.server.STAGES`), per-engine phase breakdowns,
+cache hit rates and the flight recorder's slow-query log. The same
+injection seams as :class:`~repro.observe.progress.ProgressReporter` —
+``clock``, ``sleep`` and ``stream`` are constructor parameters — so
+tests drive a whole session against a fake daemon deterministically,
+and the frame builder (:meth:`TopDashboard.render`) is a pure function
+of two stats snapshots.
 
 QPS is a *rate between polls*: ``Δ serve.queries / Δ uptime``, not the
 lifetime average — a daemon that served a burst an hour ago shows 0.0,
@@ -22,6 +23,7 @@ import time
 from typing import Any, Callable, TextIO
 
 from repro.serve.client import Client
+from repro.serve.server import STAGES
 
 __all__ = ["TopDashboard"]
 
@@ -127,6 +129,11 @@ class TopDashboard:
             _quantile_line("queue_wait", histograms.get("serve.latency.queue_wait")),
             _quantile_line(
                 "first_result", histograms.get("serve.latency.first_result")
+            ),
+            "stages:",
+            *(
+                _quantile_line(s.name, histograms.get(f"serve.stage.{s.name}"))
+                for s in STAGES
             ),
         ]
 

@@ -35,21 +35,32 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
+
+from repro.errors import WorkerCrashError
 
 __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedWorkerCrash",
+    "QueryFault",
     "QueryFaultPlan",
     "QueryFaultSpec",
 ]
 
 _KINDS = ("crash", "hang", "slow", "corrupt")
 
-#: Query-scoped kinds: the shard kinds plus two wire-level failures the
-#: *service* (not the execution layer) must survive.
-_QUERY_KINDS = ("crash", "hang", "slow", "corrupt", "torn-socket")
+#: Query-scoped kinds, keyed to where each fires: crash, hang and slow in
+#: the daemon's ``execute`` stage; corrupt (the response line, not a
+#: value) and torn-socket where the socket handler encodes the response.
+_QUERY_FAULT_STAGES = {
+    "crash": "execute",
+    "hang": "execute",
+    "slow": "execute",
+    "corrupt": "encode",
+    "torn-socket": "encode",
+}
+_QUERY_KINDS = tuple(_QUERY_FAULT_STAGES)
 
 
 class InjectedWorkerCrash(RuntimeError):
@@ -306,7 +317,7 @@ class QueryFaultPlan:
                 )
         return cls(specs)
 
-    def begin(self, query_index: int | None) -> tuple[QueryFaultSpec | None, int]:
+    def begin(self, query_index: int | None) -> "QueryFault":
         """Burn one attempt of ``query_index``; the spec that fires, if any.
 
         Returns ``(spec, attempt)`` where ``spec`` is ``None`` when no
@@ -314,11 +325,11 @@ class QueryFaultPlan:
         outside the chaos workload) never fault.
         """
         if query_index is None:
-            return None, 0
+            return QueryFault(None, 0)
         with self._lock:
             attempt = self._attempts.get(query_index, 0)
             self._attempts[query_index] = attempt + 1
-        return self.spec_for(query_index, attempt), attempt
+        return QueryFault(self.spec_for(query_index, attempt), attempt)
 
     def spec_for(
         self, query_index: int, attempt: int
@@ -327,4 +338,55 @@ class QueryFaultPlan:
         spec = self.specs.get(query_index)
         if spec is not None and spec.active(attempt):
             return spec
+        return None
+
+
+class QueryFault(NamedTuple):
+    """One request's draw from a :class:`QueryFaultPlan`: the spec that
+    fires (``None`` when none does) and the attempt it fires on.
+
+    The daemon's stage runner fires it in the stage its kind names
+    (:attr:`stage`): :meth:`fire` in ``execute``, :meth:`encode` where
+    the socket handler encodes the response.
+    """
+
+    spec: QueryFaultSpec | None
+    attempt: int
+
+    @property
+    def stage(self) -> str | None:
+        """The stage this fault fires in (``None`` when nothing fires)."""
+        return None if self.spec is None else _QUERY_FAULT_STAGES[self.spec.kind]
+
+    def fire(self, stop=None) -> None:
+        """The ``execute`` hook.
+
+        ``crash`` raises a :class:`WorkerCrashError` (the typed shape a
+        real pool-worker death surfaces as); ``slow`` sleeps; ``hang``
+        wedges until ``stop`` (the query's sentinel deadline) expires —
+        exactly the runaway a production sentinel exists to cancel.
+        """
+        kind = self.spec.kind
+        if kind == "crash":
+            raise WorkerCrashError(
+                f"injected chaos crash (attempt {self.attempt})",
+                attempts=self.attempt + 1,
+            )
+        if kind == "slow":
+            time.sleep(self.spec.seconds)
+        elif kind == "hang":
+            if stop is None:
+                raise ValueError(
+                    "a 'hang' chaos fault needs a wall budget or deadline "
+                    "to release it — configure one for this server"
+                )
+            while not stop.expired():
+                time.sleep(0.005)
+
+    def encode(self, frame: bytes) -> bytes | None:
+        """The socket handler's ``encode`` hook: ``corrupt`` replaces the
+        response line with an unparsable one; ``torn-socket`` drops it
+        (``None``: hang up without answering)."""
+        if self.spec.kind == "corrupt":
+            return b"\x00corrupted-response-frame\n"
         return None

@@ -1,6 +1,7 @@
 """Differential tests for the shard-parallel execution layer.
 
-The layer's contract is exact: ``run(workers=1)`` and ``run(workers=N)``
+The layer's contract is exact: a serial run and a sharded one
+(``run_sharded`` on any executor, or a session with ``workers=N``)
 return *identical* values — counts, MNI tables, existence booleans, and
 match lists byte-for-byte in the same order — for every engine, every
 aggregation, and both the morphed and baseline session paths. The
@@ -36,6 +37,7 @@ from repro.engines.execution import (
     SerialShardExecutor,
     default_shard_count,
     make_executor,
+    run_sharded,
 )
 from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.peregrine.engine import PeregrineEngine
@@ -66,6 +68,17 @@ AGGREGATIONS = [
 
 #: Query mix: plain, anti-edge (vertex-induced), and cyclic patterns.
 QUERIES = [TRIANGLE, TAILED_TRIANGLE.vertex_induced(), FOUR_CYCLE]
+
+
+def sharded(
+    engine, graph, pattern, aggregation=None, *, workers=4, executor=None, **kw
+):
+    """One run through the one sharded entry point, on an executor it
+    owns (``make_executor``'s default transport unless ``executor``)."""
+    if aggregation is None:
+        aggregation = CountAggregation()
+    with make_executor(workers, executor) as pool:
+        return run_sharded(engine, graph, pattern, aggregation, pool, **kw)
 
 
 # -- sharding ---------------------------------------------------------------
@@ -117,7 +130,7 @@ class TestShardByDegreePrefix:
 @pytest.mark.parametrize("engine_cls", ENGINES)
 @pytest.mark.parametrize("aggregation_cls", AGGREGATIONS)
 class TestEngineParallelDifferential:
-    """``engine.run`` parallel == serial for every engine × aggregation."""
+    """``run_sharded`` == serial for every engine × aggregation."""
 
     @given(data_graphs(min_n=4, max_n=10), shard_counts())
     @settings(max_examples=6, deadline=None)
@@ -128,21 +141,21 @@ class TestEngineParallelDifferential:
             serial_engine = engine_cls()
             serial = serial_engine.run(graph, pattern, aggregation_cls())
             sharded_engine = engine_cls()
-            sharded = sharded_engine.run(
+            result = sharded(
+                sharded_engine,
                 graph,
                 pattern,
                 aggregation_cls(),
-                workers=4,
-                num_shards=num_shards,
                 executor="serial",
+                num_shards=num_shards,
             )
-            assert sharded == serial
+            assert result == serial
             if aggregation_cls is CountAggregation:
                 assert serial == brute_force_count(graph, pattern)
             if aggregation_cls is MatchListAggregation:
                 # Byte-identical, not just set-equal: shard-order merge
                 # must reproduce the serial enumeration order.
-                assert pickle.dumps(sharded) == pickle.dumps(serial)
+                assert pickle.dumps(result) == pickle.dumps(serial)
             if aggregation_cls is not ExistenceAggregation:
                 # Existence cancels mid-run, legitimately skipping work;
                 # every other aggregation must do identical work.
@@ -219,7 +232,7 @@ class TestStreamingParallel:
 def test_process_pool_equals_serial(engine_cls, small_graph):
     for pattern in QUERIES:
         serial = engine_cls().run(small_graph, pattern)
-        parallel = engine_cls().run(small_graph, pattern, workers=2)
+        parallel = sharded(engine_cls(), small_graph, pattern, workers=2)
         assert parallel == serial
 
 
@@ -227,7 +240,9 @@ def test_process_pool_reused_across_patterns(small_graph):
     engine = PeregrineEngine()
     with ProcessShardExecutor(2) as executor:
         for pattern in QUERIES:
-            got = engine.run(small_graph, pattern, executor=executor)
+            got = run_sharded(
+                engine, small_graph, pattern, CountAggregation(), executor
+            )
             assert got == engine_count_reference(small_graph, pattern)
 
 
@@ -239,8 +254,8 @@ def test_determinism_process_matchlist(small_graph):
     """Two identical workers=4 runs are byte-identical, and == serial."""
 
     def run_once():
-        return PeregrineEngine().run(
-            small_graph, TRIANGLE, MatchListAggregation(), workers=4
+        return sharded(
+            PeregrineEngine(), small_graph, TRIANGLE, MatchListAggregation()
         )
 
     first, second = run_once(), run_once()
@@ -258,8 +273,8 @@ class TestEarlyTermination:
         self, engine_cls, small_graph
     ):
         engine = engine_cls()
-        found = engine.run(
-            small_graph, TRIANGLE, ExistenceAggregation(), workers=4,
+        found = sharded(
+            engine, small_graph, TRIANGLE, ExistenceAggregation(),
             executor="serial",
         )
         assert found is True
@@ -270,15 +285,16 @@ class TestEarlyTermination:
         # A path has no triangles: every shard runs to completion.
         graph = DataGraph(12, [(v, v + 1) for v in range(11)], name="path")
         engine = PeregrineEngine()
-        found = engine.run(
-            graph, TRIANGLE, ExistenceAggregation(), workers=4, executor="serial"
+        found = sharded(
+            engine, graph, TRIANGLE, ExistenceAggregation(), executor="serial"
         )
         assert found is False
         engine.stats.validate()
 
     def test_existence_process_pool(self, small_graph):
-        found = PeregrineEngine().run(
-            small_graph, TRIANGLE, ExistenceAggregation(), workers=2
+        found = sharded(
+            PeregrineEngine(), small_graph, TRIANGLE, ExistenceAggregation(),
+            workers=2,
         )
         assert found is True
 
@@ -481,9 +497,10 @@ class TestExecutorResolution:
 
 def test_engine_run_default_is_serial(small_graph):
     engine = PeregrineEngine()
-    assert engine.run(small_graph, TRIANGLE) == engine_count_reference(
-        small_graph, TRIANGLE
-    )
+    reference = engine_count_reference(small_graph, TRIANGLE)
+    assert engine.run(small_graph, TRIANGLE) == reference
+    # One worker resolves to the in-process transport.
+    assert sharded(engine, small_graph, TRIANGLE, workers=1) == reference
 
 
 def test_program_parallel_fluent(small_graph):
