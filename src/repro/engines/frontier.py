@@ -28,12 +28,18 @@ Data layout (see docs/architecture.md, "Batched frontier matching"):
   level gathers only the anchor's run of that label from
   :attr:`~repro.graph.datagraph.DataGraph.label_runs` (each CSR row
   stored a second time in (label, id) order), so candidates of other
-  labels are never materialized. The remaining constraints
+  labels are never materialized. A run is a fixed slice of its row, so
+  an unbounded side of it is one gather from a per-label column of row
+  positions, not a search. The remaining constraints
   (injectivity as comparisons against the partial-embedding columns,
   then backward intersections and anti-edge differences as packed-key
   membership probes) each filter the surviving ``(row, cand)`` pairs,
   cheapest first, compacting between passes so every probe runs over
-  an already-shrunk frontier.
+  an already-shrunk frontier. A probe reads one slot of the graph's
+  membership table (:attr:`~repro.graph.datagraph.DataGraph.adjacency_filter`):
+  the exact adjacency matrix on small graphs, else a hashed filter
+  whose set slots alone are confirmed by binary search, so the misses
+  that most anti-edge probes are cost one table read.
 
 **The element budget.** Transient memory is a constant, not a function
 of the graph: before a level gathers anything, every frontier row's
@@ -180,9 +186,11 @@ def _label_run_cuts(
     """``(values, starts, ends)`` of a labeled anchored level's label runs.
 
     Each row's candidates are the anchor's neighbours that carry the
-    level's label (:attr:`DataGraph.label_runs`), ids ascending; a strict
-    bound becomes the label-local rank of the bounding id, added to the
-    run's base key. Probes are packed in the key array's dtype, as in
+    level's label (:attr:`DataGraph.label_runs`), ids ascending. An
+    unbounded side of the run is read off the label's per-row column
+    (:meth:`DataGraph.label_run_bounds`); a strict bound becomes the
+    label-local rank of the bounding id, added to the run's base key and
+    searched. Probes are packed in the key array's dtype, as in
     :func:`_packed_keys`, so ``searchsorted`` never converts the keys.
     """
     runs = graph.label_runs
@@ -190,20 +198,18 @@ def _label_run_cuts(
     if members is None:
         empty = np.zeros(len(emb), dtype=np.int64)
         return runs.neighbors, empty, empty
-    dtype = runs.keys.dtype
     owners = emb[:, level.backward_neighbors[0]]
-    base = np.multiply(owners, graph.num_vertices, dtype=dtype)
-    base += runs.offsets[level.label]
-    if lower is None:
-        lo = base
-    else:
-        lo = base + np.searchsorted(members, lower, side="right").astype(dtype)
-    if upper is None:
-        hi = base + len(members)
-    else:
-        hi = base + np.searchsorted(members, upper, side="left").astype(dtype)
-    starts = np.searchsorted(runs.keys, lo)
-    ends = np.searchsorted(runs.keys, hi)
+    run_starts, run_ends = graph.label_run_bounds(level.label)
+    starts, ends = run_starts[owners], run_ends[owners]
+    if lower is not None or upper is not None:
+        base = np.multiply(owners, graph.num_vertices, dtype=runs.keys.dtype)
+        base += runs.offsets[level.label]
+        if lower is not None:
+            rank = np.searchsorted(members, lower, side="right").astype(base.dtype)
+            starts = np.searchsorted(runs.keys, base + rank)
+        if upper is not None:
+            rank = np.searchsorted(members, upper, side="left").astype(base.dtype)
+            ends = np.searchsorted(runs.keys, base + rank)
     return runs.neighbors, starts, ends
 
 
@@ -282,34 +288,38 @@ def member_mask(
 ) -> np.ndarray:
     """Vectorized membership: is ``cand[i]`` adjacent to ``owners[i]``?
 
-    On graphs small enough for a :attr:`DataGraph.dense_adjacency`
-    matrix this is one 2-D fancy index. Otherwise: one
-    ``np.searchsorted`` of the packed ``owner * n + cand`` probe keys
-    into the graph's sorted directed-edge key array — the batch
-    analogue of the per-row ``searchsorted`` probe the galloping set
-    kernels use, with the per-row slicing folded into the key packing
-    (a probe can only land inside its own owner's CSR row, because the
-    keys of row ``u`` occupy ``[u*n, (u+1)*n)``). ``difference=True``
-    only flips the stats attribution (a batched anti-edge difference);
-    the returned mask is always *membership* — callers negate it
-    themselves.
+    The packed ``owner * n + cand`` probe keys read the graph's
+    membership table (:attr:`DataGraph.adjacency_filter`) at one slot
+    each. When the table is the exact dense matrix that is the answer.
+    Otherwise it is a hashed filter: a clear slot is a certain miss, and
+    only the probes that land on a set slot are looked up by one
+    ``np.searchsorted`` into the sorted directed-edge keys — the batch
+    analogue of the per-row probe the galloping set kernels use, with
+    the per-row slicing folded into the key packing (a probe can only
+    land inside its own owner's CSR row, because the keys of row ``u``
+    occupy ``[u*n, (u+1)*n)``). Most probes of a vertex-induced query
+    are anti-edge checks that miss, so most never search.
+    ``difference=True`` only flips the stats attribution (a batched
+    anti-edge difference); the returned mask is always *membership* —
+    callers negate it themselves.
     """
     start = time.perf_counter()
     n = len(cand)
-    dense = graph.dense_adjacency
     if n == 0:
         found = np.zeros(0, dtype=bool)
-    elif dense is not None:
-        found = dense[owners, cand]
-    elif len(graph.adjacency_keys) == 0:
-        found = np.zeros(n, dtype=bool)
     else:
-        keys = graph.adjacency_keys
+        table = graph.adjacency_filter
         probes = _packed_keys(graph, owners)
         probes += cand
-        pos = np.searchsorted(keys, probes)
-        np.minimum(pos, len(keys) - 1, out=pos)
-        found = keys[pos] == probes
+        found = table.table[table.slots(probes)]
+        if not table.exact:
+            maybe = np.flatnonzero(found)
+            if len(maybe):
+                keys = graph.adjacency_keys
+                probes = probes[maybe]
+                pos = np.searchsorted(keys, probes)
+                np.minimum(pos, len(keys) - 1, out=pos)
+                found[maybe] = keys[pos] == probes
     if difference:
         stats.differences += 1
     else:

@@ -6,7 +6,7 @@ array (``int64``, length ``n + 1``) and one flat ``indices`` array
 every vertex's sorted neighbor list back to back — the adjacency shape
 Peregrine/GraphPi read directly in their set-operation kernels.
 ``neighbors(v)`` is a zero-copy read-only slice of ``indices``;
-``has_edge`` is a binary search on the shorter endpoint's row. Vertex
+``has_edge`` is a hash-set probe of the packed edge key. Vertex
 ids are dense ``0..n-1``; optional integer labels support labeled
 mining (FSM). Undirected, simple (self-loops and duplicate edges are
 dropped during construction and *counted*, see
@@ -18,7 +18,16 @@ frontier level gathers only the neighbours that carry its label. It is
 built lazily by the first labeled level that has a backward neighbour,
 never for an unlabeled graph, and costs two more arrays of
 ``len(indices)`` entries: the sorted packed keys (``adjacency_keys``'
-dtype) and the neighbour ids (the ``indices`` dtype).
+dtype) and the neighbour ids (the ``indices`` dtype). A row's run of
+one label is a fixed slice of those arrays, so the run's bounds are
+kept as columns of ``n`` flat positions, one per label a query touches
+(:meth:`DataGraph.label_run_bounds`).
+
+Batch membership ("is ``v`` adjacent to ``u``?" for a whole frontier)
+reads one per-graph table of at most :data:`DENSE_ADJACENCY_MAX_BYTES`
+(:attr:`DataGraph.adjacency_filter`): the exact ``n × n`` matrix while
+it fits, else a hashed bit table over the packed edge keys whose "maybe"
+answers alone are checked against the sorted :attr:`~DataGraph.adjacency_keys`.
 
 Every graph can also hand out a copy of itself with ids in ascending
 (degree, id) order (:attr:`DataGraph.degree_ordered`): on it a
@@ -29,7 +38,7 @@ it). It is built lazily, once per graph object, straight from the CSR
 by permutation, and is ``self`` when the order is already the identity.
 The copy is an ordinary graph: its fingerprint is its own content hash,
 and its :attr:`~DataGraph.label_runs`, :attr:`~DataGraph.adjacency_keys`
-and :attr:`~DataGraph.dense_adjacency` are built on first use, on
+and :attr:`~DataGraph.adjacency_filter` are built on first use, on
 whichever graph a kernel reads. It costs one more ``indptr`` and
 ``indices``.
 
@@ -50,11 +59,25 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 
-#: Byte cap of the dense boolean adjacency matrix (``n²`` bytes, so
-#: n <= 1024): small enough to stay cache-resident and to be noise in a
-#: process's peak RSS. Bigger graphs answer batch membership through the
-#: sorted ``adjacency_keys`` binary search, which measured as fast.
+#: Byte cap of the per-graph membership table
+#: (:attr:`DataGraph.adjacency_filter`): the dense boolean adjacency
+#: matrix while its ``n²`` bytes fit (n <= 1024), else a hashed filter
+#: of at most this many slots. Small enough to be noise in a process's
+#: peak RSS.
 DENSE_ADJACENCY_MAX_BYTES = 1 << 20
+
+#: Least filter slots per directed edge. The slot count is the next
+#: power of two, so 4-8 per edge: 12-22 % of the slots are set, and only
+#: a missing edge that lands on one pays a binary search. On morphbench's
+#: 6,000-vertex ``serve-cold`` graph (71,928 directed edges) 2¹⁸, 2¹⁹
+#: and 2²⁰ slots ran its queries at the same speed.
+_FILTER_SLOTS_PER_EDGE = 4
+
+#: Fibonacci-hashing multipliers (odd, ≈ 2^w / φ) per packed-key width.
+_HASH_MULTIPLIERS = {
+    np.dtype(np.int32): np.uint32(0x9E3779B1),
+    np.dtype(np.int64): np.uint64(0x9E3779B97F4A7C15),
+}
 
 
 #: Elements per slice when :attr:`DataGraph.label_runs` and
@@ -85,6 +108,33 @@ class LabelRuns(NamedTuple):
     keys: np.ndarray
     neighbors: np.ndarray
     offsets: dict[int, int]
+
+
+class AdjacencyFilter(NamedTuple):
+    """A graph's batch membership table (:attr:`DataGraph.adjacency_filter`).
+
+    ``table[slot]`` is True for the slot of every directed edge's packed
+    key ``u * n + v``. The slot is the key itself when ``shift`` is
+    ``None`` (the exact dense matrix), else the top bits of the key
+    times a Fibonacci multiplier, unsigned and wrapping: then a True
+    answer only says "maybe", and False is exact.
+    """
+
+    table: np.ndarray
+    shift: np.unsignedinteger | None
+
+    @property
+    def exact(self) -> bool:
+        return self.shift is None
+
+    def slots(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of every packed key (in :attr:`DataGraph.adjacency_keys`'
+        dtype, contiguous)."""
+        if self.shift is None:
+            return keys
+        slots = keys.view(self.shift.dtype) * _HASH_MULTIPLIERS[keys.dtype]
+        slots >>= self.shift
+        return slots
 
 
 class DataGraph:
@@ -355,6 +405,43 @@ class DataGraph:
         neighbors.flags.writeable = False
         return LabelRuns(keys, neighbors, offsets)
 
+    def label_run_bounds(self, label: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)``: row ``u``'s run of ``label`` in
+        :attr:`label_runs` is ``neighbors[starts[u] : ends[u]]``.
+
+        A run is a fixed slice of a row, so both are columns of ``n``
+        flat positions: the column of label-major rank ``r`` holds every
+        row's first key at or past ``u * n + r``, one ``searchsorted`` of
+        the row bases, built on first use and kept. ``starts`` is the
+        label's own rank and ``ends`` the next label's (``indptr[1:]``
+        after the last label), so a graph holds one column for each
+        label its queries touch, plus one.
+        """
+        rank = self.label_runs.offsets[label]
+        end = rank + len(self.vertices_by_label[label])
+        return self._run_column(rank), self._run_column(end)
+
+    @cached_property
+    def _run_columns(self) -> dict[int, np.ndarray]:
+        """:meth:`label_run_bounds`' columns built so far, by rank."""
+        return {}
+
+    def _run_column(self, rank: int) -> np.ndarray:
+        column = self._run_columns.get(rank)
+        if column is None:
+            n = self.num_vertices
+            if rank in (0, n):
+                column = self._indptr[1:] if rank else self._indptr[:-1]
+            else:
+                keys = self.label_runs.keys
+                bases = np.arange(n, dtype=keys.dtype)
+                bases *= n
+                bases += rank
+                column = np.searchsorted(keys, bases)
+                column.flags.writeable = False
+            self._run_columns[rank] = column
+        return column
+
     @cached_property
     def degree_ordered(self) -> "DataGraph":
         """This graph with ids handed out in ascending (degree, id) order.
@@ -368,7 +455,7 @@ class DataGraph:
         directed edge, sorted in place, are the copy's rows back to back.
         Its fingerprint is its own content hash, and its lazies
         (:attr:`adjacency_keys`, :attr:`label_runs`,
-        :attr:`dense_adjacency`) are built on first use, like any graph's.
+        :attr:`adjacency_filter`) are built on first use, like any graph's.
         """
         degrees = self.degrees
         if np.all(degrees[1:] >= degrees[:-1]):
@@ -404,24 +491,38 @@ class DataGraph:
         )
 
     @cached_property
-    def dense_adjacency(self) -> np.ndarray | None:
-        """Dense boolean adjacency matrix, or ``None`` above the byte cap.
+    def adjacency_filter(self) -> AdjacencyFilter:
+        """The batch membership table, at most ``DENSE_ADJACENCY_MAX_BYTES``.
 
-        ``dense[u, v]`` answers adjacency with a single 2-D fancy index —
-        the fastest batch membership primitive there is, but it costs
-        ``n²`` bytes, so it only exists while that stays under
-        ``DENSE_ADJACENCY_MAX_BYTES`` (1 MiB, i.e. n <= 1024): the matrix
-        is then cache-resident and invisible in peak RSS. Larger graphs
-        use the ``adjacency_keys`` binary search.
+        While ``n²`` bytes fit the cap (n <= 1024) it is the dense
+        boolean adjacency matrix, flattened and read at the packed key
+        ``u * n + v``: exact, and small enough to stay cache-resident.
+        Above the cap it is a bool table of ``2^b`` slots, the next power
+        of two of four per directed edge (at most the cap), with each
+        edge's slot set at the top ``b`` bits of its key times a
+        Fibonacci multiplier (``uint32`` or ``uint64`` arithmetic, as
+        wide as the keys): a probe whose slot is clear is not an edge,
+        and only the others need :attr:`adjacency_keys`' binary search.
+        Built in slices, like :attr:`label_runs`, so its temporaries
+        stay small.
         """
+        keys = self.adjacency_keys
         n = self.num_vertices
-        if n * n > DENSE_ADJACENCY_MAX_BYTES:
-            return None
-        dense = np.zeros((n, n), dtype=bool)
-        heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
-        dense[heads, self._indices] = True
-        dense.flags.writeable = False
-        return dense
+        if n * n <= DENSE_ADJACENCY_MAX_BYTES:
+            table = np.zeros(n * n, dtype=bool)
+            table[keys] = True
+            table.flags.writeable = False
+            return AdjacencyFilter(table, None)
+        wanted = _FILTER_SLOTS_PER_EDGE * max(len(keys), 1)
+        cap = DENSE_ADJACENCY_MAX_BYTES.bit_length() - 1
+        bits = min((wanted - 1).bit_length(), cap)
+        unsigned = _HASH_MULTIPLIERS[keys.dtype].dtype
+        table = np.zeros(1 << bits, dtype=bool)
+        filt = AdjacencyFilter(table, unsigned.type(8 * unsigned.itemsize - bits))
+        for lo in range(0, len(keys), _BUILD_SLICE):
+            table[filt.slots(keys[lo : lo + _BUILD_SLICE])] = True
+        table.flags.writeable = False
+        return filt
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v`` — a zero-copy read-only CSR slice."""

@@ -34,7 +34,9 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from repro.core.aggregation import Aggregation, CountAggregation
 from repro.core.canonical import pattern_id
@@ -83,6 +85,31 @@ class PlanTruncationWarning(RuntimeWarning):
     """Raised as a warning when a planner safety cap dropped candidates."""
 
 
+class _PricedOnRead:
+    """:attr:`SelectionResult.item_costs`: a plain dict field, except that
+    the closure nodes an early decline left unpriced
+    (:attr:`SelectionResult.unpriced`) are priced into it on its first
+    read — equality and ``repr`` read it too."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the field's default: an empty map
+        costs = result.__dict__[self.name]
+        price = result.unpriced
+        if price is not None:
+            # Cleared only once filled: a concurrent reader prices the
+            # same values again rather than seeing a partial map.
+            price(costs)
+            result.unpriced = None
+        return costs
+
+    def __set__(self, result, costs) -> None:
+        result.__dict__[self.name] = {} if costs is None else costs
+
+
 @dataclass
 class SelectionResult:
     """Outcome of Algorithm 1 plus the conversion bookkeeping."""
@@ -98,7 +125,7 @@ class SelectionResult:
     estimated_query_cost: float = 0.0
     rounds: int = 0
     #: All per-item costs considered (for introspection / Fig. 15e).
-    item_costs: dict[Item, float] = field(default_factory=dict)
+    item_costs: dict[Item, float] = _PricedOnRead()
     #: True when a safety cap (subset-children or rounds) dropped work.
     truncated: bool = False
     #: Which caps fired, e.g. ``("subset-children:house", "rounds")``.
@@ -106,6 +133,16 @@ class SelectionResult:
     #: True when a one-query set was kept as stated without building the
     #: S-DAG (the result is the full search's; only the route differs).
     declined_early: bool = field(default=False, compare=False)
+    #: Prices what an early decline left out of ``item_costs`` into it;
+    #: called once, on that map's first read.
+    unpriced: Callable[[dict], None] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def cost_of(self, item: Item) -> float | None:
+        """``item``'s priced cost, without pricing the rest of
+        ``item_costs``; ``None`` when it has none yet."""
+        return self.__dict__["item_costs"].get(item)
 
 
 def legal_variants(aggregation: Aggregation) -> tuple[str, ...]:
@@ -302,23 +339,47 @@ def _decline_alone(
     after that round, so its result is this one, without the S-DAG: the
     same measured set, item costs (both variants of every closure node)
     and ``rounds=1``. ``None`` when the move pays: the full search runs.
+
+    Only a prefix of the pricing decides. When the query's skeleton is
+    cheapest in the query's own variant, the move saves nothing and is
+    declined at once. Otherwise the closure is walked from that skeleton
+    outward (by edge count), adding each node's best cost to what the
+    move would add; costs are non-negative, so once that partial sum
+    reaches ``margin`` times what the move saves, the move cannot pay.
+    That is declared only when the sum clears the limit by a relative
+    ``1e-9``, so float summation order cannot decide a tie; otherwise
+    every node is priced and :func:`_replace` decides, as before. The
+    nodes left unpriced are priced into ``item_costs`` on its first
+    read (:attr:`SelectionResult.unpriced`).
     """
     item = item_of(query)
     variants = legal_variants(aggregation)
     item_costs: dict[Item, float] = {}
     closure = superpattern_closure(item[0])
-    best = {sup: _price(sup, cost_model, variants, item_costs) for sup in closure}
-    if (aggregation.invertible or item[1] == EDGE_INDUCED) and len(closure) > 1:
-        moved = _replace(
-            (item,),
-            {item},
-            lambda _item: frozenset(best[sup] for sup in closure),
-            item_costs,
-            margin,
-        )
-        if moved is not None:
-            return None
+    best = {closure[0]: _price(closure[0], cost_model, variants, item_costs)}
+    priced = 1
+    morphable = aggregation.invertible or item[1] == EDGE_INDUCED
+    if morphable and len(closure) > 1 and best[closure[0]] != item:
+        # The move saves the query's item and adds every best item.
+        limit = margin * item_costs[item]
+        added = item_costs[best[closure[0]]]
+        while priced < len(closure) and added <= limit + 1e-9 * abs(limit):
+            sup = closure[priced]
+            best[sup] = _price(sup, cost_model, variants, item_costs)
+            added += item_costs[best[sup]]
+            priced += 1
+        if priced == len(closure):
+            moved = _replace(
+                (item,),
+                {item},
+                lambda _item: frozenset(best.values()),
+                item_costs,
+                margin,
+            )
+            if moved is not None:
+                return None
     cost = item_costs[item]
+    rest = closure[priced:]
     return SelectionResult(
         measured=frozenset({item}),
         query_items={query: item},
@@ -328,7 +389,19 @@ def _decline_alone(
         rounds=1,
         item_costs=item_costs,
         declined_early=True,
+        unpriced=partial(_price_all, rest, cost_model, variants) if rest else None,
     )
+
+
+def _price_all(
+    skels: tuple[Pattern, ...],
+    cost_model: CostModel,
+    variants: tuple[str, ...],
+    item_costs: dict[Item, float],
+) -> None:
+    """:func:`_price` every skeleton into ``item_costs``."""
+    for skel in skels:
+        _price(skel, cost_model, variants, item_costs)
 
 
 def _prune(
@@ -484,7 +557,7 @@ def search_plan(
     measure_steps: list[MeasureStep] = []
     decompose_steps: list[DecomposeStep] = []
     for item in sorted(selection.measured, key=repr):
-        direct_cost = selection.item_costs.get(item)
+        direct_cost = selection.cost_of(item)
         if direct_cost is None:
             direct_cost = cost_model.pattern_cost(*item)
         if strategy in ("auto", "decompose") and decompose.applies(

@@ -35,15 +35,18 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import socket
 import socketserver
 import tempfile
 import threading
 import time
 import warnings
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
 from repro.core.parser import format_pattern, parse_pattern
+from repro.core.pattern import MEMO_SIZE
 from repro.engines.recovery import Deadline
 from repro.errors import WorkerCrashError
 from repro.morph.cache import BoundedStore, MeasurementCache, PlanCache
@@ -77,6 +80,26 @@ _IDEMPOTENCY_CAPACITY = 256
 #: Metrics forwarded to clients in every run response (cache behavior
 #: is part of the service contract, so clients can assert on it).
 _RESPONSE_METRICS = ("plan.cache.hit", "plan.cache.miss")
+
+
+def _parse_options(fields) -> RunOptions:
+    """A request's options, parsed once per distinct canonical text.
+
+    A hit is answered before any work, so :meth:`RunOptions.from_dict`
+    would otherwise be most of its cost. Only successful parses are
+    kept, so a bad field is rejected on every request that carries it;
+    a value with no JSON text is parsed as given.
+    """
+    try:
+        text = json.dumps(fields, sort_keys=True)
+    except (TypeError, ValueError):
+        return RunOptions.from_dict(fields)
+    return _parse_options_text(text)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _parse_options_text(text: str) -> RunOptions:
+    return RunOptions.from_dict(json.loads(text))
 
 
 class Stage(NamedTuple):
@@ -410,6 +433,8 @@ class MiningServer:
         else:
             # Includes the submitter's wakeup: what a client experiences.
             self.metrics.observe("serve.latency.total", clock() - arrived)
+            if query.answer is not None and query.answer.get("ok"):
+                self.metrics.add("serve.queries")  # hits are queries too
             self._record_flight(query)
         if query.answer is None:
             raise query.error
@@ -448,7 +473,7 @@ class MiningServer:
             if fault.spec is not None:
                 query.fault = self._drawn.fault = fault
         query.client = str(request.get("client", "anonymous"))
-        query.options = options = RunOptions.from_dict(request.get("options") or {})
+        query.options = options = _parse_options(request.get("options") or {})
         breaker = self.breakers.get(
             str(request.get("graph", "?")), str(options.engine)
         )
@@ -557,7 +582,6 @@ class MiningServer:
             session = MorphingSession(engine, options=run_options)
             result = session.run(resident.graph, patterns)
         self.metrics.merge(tracer.metrics)
-        self.metrics.add("serve.queries")
         query.phases = (
             ("plan", result.transform_seconds),
             ("match", result.match_seconds),

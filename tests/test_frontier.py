@@ -55,12 +55,12 @@ from repro.engines.base import EngineStats, run_plan
 from repro.engines.bigjoin.engine import BigJoinEngine
 from repro.engines.frontier import DEFAULT_BATCH_ROOTS, run_plan_batched
 from repro.engines.graphpi.engine import GraphPiEngine
-from repro.engines.plan import ExplorationPlan
+from repro.engines.plan import ExplorationPlan, PlanLevel
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.engines.sumpa.engine import SumPAEngine
 from repro.engines.recovery import Deadline
 from repro.engines.setops import SetOpStats
-from repro.graph.datagraph import DataGraph
+from repro.graph.datagraph import DENSE_ADJACENCY_MAX_BYTES, DataGraph
 from repro.graph.generators import power_law_cluster
 from repro.observe.progress import ProgressReporter
 from repro.testing.oracle import assert_matches_oracle
@@ -290,8 +290,8 @@ class TestElementBudget:
         into a per-match Python stream, which tracemalloc slows tenfold
         and which holds no frontier); the graph-sized state a count run
         builds lazily — the degree-ordered copy it matches, and that
-        copy's probe index — is not transient memory and is built
-        before tracing starts.
+        copy's probe index and membership table — is not transient
+        memory and is built before tracing starts.
         """
         ceiling = int(1.5 * 2**20)
         motifs = list(motif_patterns(4))
@@ -300,7 +300,7 @@ class TestElementBudget:
         for vertices, attach in ((900, 6), (3000, 3)):
             graph = power_law_cluster(vertices, attach, 0.5, seed=1)
             ordered = graph.degree_ordered
-            ordered.adjacency_keys, ordered.dense_adjacency
+            ordered.adjacency_keys, ordered.adjacency_filter
             tracemalloc.start()
             try:
                 with with_budget(SHIPPED_BUDGET):
@@ -511,6 +511,73 @@ class TestLabelRuns:
             assert expected > 0
             assert batched_count(graph, plan, batch=DEFAULT_BATCH_ROOTS) == expected
 
+    @given(labeled_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_run_columns_equal_searched_cuts(self, case, seed):
+        """A labeled anchored level's cuts, unbounded sides read off the
+        per-label columns, == two binary searches of every row's base
+        key: for every label of the graph and of the pattern (absent
+        ones too), every label spelling, rows without the label, and
+        each side bounded or not."""
+        graph, plan = case
+        runs = graph.label_runs
+        n = graph.num_vertices
+        dtype = graph.indices.dtype
+        rng = np.random.default_rng(seed)
+        emb = rng.integers(0, n, size=(3 * n, 3)).astype(dtype)
+        emb[:n, 0] = np.arange(n)  # every row once
+        labels = set(graph.vertices_by_label) | {lv.label for lv in plan.levels}
+        for label in sorted(labels):
+            members = graph.vertices_by_label.get(label)
+            for lower, upper in ((), ()), ((1,), ()), ((), (2,)), ((1,), (2,)):
+                level = PlanLevel(3, (0,), (), upper, lower, (), label)
+                values, starts, counts = frontier.level_cuts(
+                    graph, level, emb, SetOpStats()
+                )
+                if members is None:
+                    assert not counts.any()
+                    continue
+                base = emb[:, 0].astype(np.int64) * n + runs.offsets[label]
+                lo = base + (
+                    np.searchsorted(members, emb[:, 1], side="right") if lower else 0
+                )
+                hi = base + (
+                    np.searchsorted(members, emb[:, 2], side="left")
+                    if upper
+                    else len(members)
+                )
+                want_starts = np.searchsorted(runs.keys, lo)
+                want_ends = np.searchsorted(runs.keys, hi)
+                want_counts = np.maximum(want_ends - want_starts, 0)
+                assert values is runs.neighbors
+                assert starts.tolist() == want_starts.tolist()
+                assert counts.tolist() == want_counts.tolist()
+
+    def test_columns_are_built_per_touched_label(self, small_labeled_graph):
+        """A label's bounds are its own column and the next label's
+        (``indptr`` at either end), built once and read-only."""
+        graph = DataGraph(
+            small_labeled_graph.num_vertices,
+            small_labeled_graph.edge_array(),
+            labels=small_labeled_graph.labels,
+        )
+        labels = list(graph.vertices_by_label)
+        first = graph.label_run_bounds(labels[0])
+        assert first[0] is graph.label_run_bounds(labels[0])[0]
+        assert first[0].tolist() == graph.indptr[:-1].tolist()
+        last = graph.label_run_bounds(labels[-1])
+        assert last[1].tolist() == graph.indptr[1:].tolist()
+        assert not first[1].flags.writeable
+        rare = min(labels, key=lambda label: len(graph.vertices_by_label[label]))
+        starts, ends = graph.label_run_bounds(rare)
+        without = [
+            u
+            for u in range(graph.num_vertices)
+            if all(graph.label(v) != rare for v in graph.neighbors(u))
+        ]
+        assert without, "some row lacks the rarest label"
+        assert all(starts[u] == ends[u] for u in without)
+
     def test_unlabeled_graphs_never_build_runs(self, small_graph, small_labeled_graph):
         """Only a labeled level on a labeled graph builds the runs."""
         unlabeled = DataGraph(
@@ -533,6 +600,112 @@ class TestLabelRuns:
         assert "label_runs" not in labeled.__dict__
         batched_count(labeled, PeregrineEngine().make_plan(labeled_query, labeled))
         assert "label_runs" in labeled.__dict__
+
+
+# -- membership table ---------------------------------------------------------
+
+#: Vertex-count ranges of the three membership-table regimes: the exact
+#: dense matrix, a hashed filter over 32-bit keys, and one over 64-bit
+#: keys (``n² - 1`` past ``2³¹ - 1``).
+MEMBERSHIP_REGIMES = {
+    "exact": (1, 1024),
+    "hashed-32": (1025, 46_340),
+    "hashed-64": (46_342, 60_000),
+}
+
+
+def searched_membership(graph, owners, cand):
+    """Membership by one binary search of the sorted directed-edge keys."""
+    keys = graph.adjacency_keys.astype(np.int64)
+    probes = owners.astype(np.int64) * graph.num_vertices + cand
+    if len(keys) == 0:
+        return np.zeros(len(probes), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+    return keys[pos] == probes
+
+
+@st.composite
+def membership_cases(draw, regime):
+    """A sparse random graph of the regime's size (with a dense corner
+    at the top ids, where keys are largest) and a probe set: empty, all
+    edges, all non-edges, or a mix."""
+    low, high = MEMBERSHIP_REGIMES[regime]
+    n = draw(st.integers(low, high))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = rng.integers(0, n, size=(draw(st.integers(0, 400)), 2))
+    corner = min(n, 40)
+    edges[: len(edges) // 2] = n - 1 - edges[: len(edges) // 2] % corner
+    graph = DataGraph(n, edges, name=f"membership-{regime}")
+    dtype = graph.indices.dtype
+    kind = draw(st.sampled_from(["empty", "present", "absent", "mixed"]))
+    size = 0 if kind == "empty" else draw(st.integers(1, 300))
+    heads = np.repeat(np.arange(n), np.diff(graph.indptr))
+    present = rng.integers(0, len(heads), size=size) if len(heads) else []
+    pairs = {
+        "present": (heads[present], graph.indices[present]),
+        "random": tuple(rng.integers(0, n, size=(2, size))),
+    }
+    if kind == "present" and len(heads):
+        owners, cand = pairs["present"]
+    elif kind == "mixed" and len(heads):
+        owners = np.concatenate([pairs["present"][0], pairs["random"][0]])
+        cand = np.concatenate([pairs["present"][1], pairs["random"][1]])
+    else:
+        owners, cand = pairs["random"]
+        if kind == "absent":
+            keep = ~searched_membership(graph, owners, cand)
+            owners, cand = owners[keep], cand[keep]
+    return graph, np.asarray(owners, dtype=dtype), np.asarray(cand, dtype=dtype)
+
+
+class TestMembership:
+    """:func:`frontier.member_mask` through the per-graph table ==
+    a plain binary search of ``adjacency_keys``, in every regime."""
+
+    @pytest.mark.parametrize("regime", sorted(MEMBERSHIP_REGIMES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_binary_search(self, regime, data):
+        graph, owners, cand = data.draw(membership_cases(regime))
+        table = graph.adjacency_filter
+        assert table.exact == (regime == "exact")
+        assert graph.adjacency_keys.dtype == (
+            np.int64 if regime == "hashed-64" else np.int32
+        )
+        want = searched_membership(graph, owners, cand)
+        for difference in (False, True):
+            stats = SetOpStats()
+            got = frontier.member_mask(
+                graph, owners, cand, stats, difference=difference
+            )
+            assert got.dtype == bool
+            assert got.tolist() == want.tolist()
+            assert stats.elements_scanned == len(cand)
+            assert (stats.differences, stats.intersections) == (
+                (1, 0) if difference else (0, 1)
+            )
+
+    @pytest.mark.parametrize("n", [1024, 1025, 46_340, 46_342])
+    def test_table_size_is_capped_and_sized_from_the_edges(self, n):
+        rng = np.random.default_rng(n)
+        graph = DataGraph(n, rng.integers(0, n, size=(5_000, 2)))
+        table = graph.adjacency_filter
+        assert table.table.nbytes <= DENSE_ADJACENCY_MAX_BYTES
+        assert not table.table.flags.writeable
+        if table.exact:
+            assert n * n <= DENSE_ADJACENCY_MAX_BYTES
+            assert len(table.table) == n * n  # the dense matrix, flattened
+        else:
+            slots_per_edge = len(table.table) / len(graph.adjacency_keys)
+            assert 4 <= slots_per_edge < 8
+            # Every edge's own slot is set: a clear slot is a sure miss.
+            assert table.table[table.slots(graph.adjacency_keys)].all()
+
+    def test_edgeless_graph_answers_no(self):
+        graph = DataGraph(50_000, [])
+        owners = np.array([0, 49_999], dtype=graph.indices.dtype)
+        got = frontier.member_mask(graph, owners, owners[::-1].copy(), SetOpStats())
+        assert got.tolist() == [False, False]
 
 
 # -- session level: the full matrix ------------------------------------------

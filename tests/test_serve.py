@@ -21,6 +21,7 @@ import os
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from repro.engines.peregrine.engine import PeregrineEngine
 from repro.morph.session import MorphingSession
 from repro.options import RunOptions
 from repro.serve import protocol
+from repro.serve import server as server_module
 from repro.serve import (
     AdmissionPolicy,
     Client,
@@ -341,6 +343,36 @@ class TestServerProtocol:
         assert all(record.status == "error" for record in anomalies)
         assert [record.patterns for record in anomalies] == [[tri_text()]] * 2
         assert server.handle({"op": "stats"})["flight"]["anomalies"] == 2
+
+    def test_options_are_parsed_once_per_text_and_rejected_every_time(self, server):
+        """The parse is memoized on the canonical options text (key order
+        does not matter); a rejected text is never kept, so every
+        request that carries it is rejected again."""
+        base = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        server_module._parse_options_text.cache_clear()
+        with mock.patch.object(
+            RunOptions, "from_dict", wraps=RunOptions.from_dict
+        ) as parse:
+            for options in (
+                {"engine": "peregrine", "margin": 0.55},
+                {"margin": 0.55, "engine": "peregrine"},
+            ):
+                assert server.handle({**base, "options": options})["ok"]
+            assert parse.call_count == 1
+            for _ in range(2):
+                response = server.handle({**base, "options": {"wrkers": 2}})
+                assert not response["ok"] and "wrkers" in response["error"]
+            assert parse.call_count == 3
+
+    def test_hits_count_as_queries(self, server):
+        """``serve.queries`` (``repro top``'s count, ``health``'s
+        ``queries``) counts every answered query, result-cache hits
+        included, and no failed one."""
+        request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        assert not server.handle(dict(request))["cached"]
+        assert server.handle(dict(request))["cached"]
+        assert not server.handle({**request, "graph": "nope"})["ok"]
+        assert server.handle({"op": "health"})["queries"] == 2
 
     def test_result_cache_hit_is_byte_identical(self, server):
         request = {"op": "run", "graph": "small", "patterns": [tri_text()]}

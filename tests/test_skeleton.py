@@ -26,7 +26,11 @@ from repro.core.canonical import (
     shape_of,
 )
 from repro.core.costmodel import CostModel, _level_template, _matching_order_cached
-from repro.core.generation import _added_edge_shapes, direct_superpatterns
+from repro.core.generation import (
+    _added_edge_shapes,
+    direct_superpatterns,
+    superpattern_closure,
+)
 from repro.core.isomorphism import (
     _conditions,
     _shape_conditions,
@@ -242,3 +246,32 @@ class TestOneQueryDecline:
         assert not select_alternative_patterns(
             [tt], model, sdag=SDag.build([tt])
         ).declined_early
+
+
+class TestDeclinePricesWhatDecides:
+    """An early decline stops pricing once the answer is known, and its
+    ``item_costs`` are completed on first read (equality included)."""
+
+    def test_rest_is_priced_on_first_read(self):
+        query = atlas.NAMED_PATTERNS["TT"].vertex_induced()
+        model = CostModel.for_graph(GRAPH)
+        cost, priced = model.pattern_cost, []
+
+        def counted(*item):
+            priced.append(item)
+            return cost(*item)
+
+        model.pattern_cost = counted
+        plan = search_plan([query], model)
+        selection = plan.selection
+        assert selection.declined_early and selection.unpriced is not None
+        decided = len(priced)
+        closure = superpattern_closure(query)
+        assert decided < 2 * len(closure)
+        full = select_alternative_patterns(
+            [query], CostModel.for_graph(GRAPH), sdag=SDag.build([query])
+        )
+        assert selection.item_costs == full.item_costs
+        assert selection.unpriced is None
+        assert len(priced) > decided
+

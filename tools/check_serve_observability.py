@@ -14,7 +14,8 @@ guaranteed failure — then asserts the whole observability contract:
 * the flight recorder retained slow queries *and* the failed query;
 * the ``dump`` op writes loadable trace JSONL + Chrome JSON whose spans
   carry the originating ``query_id`` (worker spans included);
-* ``repro top --once`` renders a frame against the live daemon.
+* ``repro top --once`` renders a frame against the live daemon, and its
+  query count is the number of answered queries, cache hits included.
 
 The dump directory is left behind for the CI job to upload as an
 artifact. Exit code is non-zero on the first broken claim.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +176,10 @@ def main() -> int:
         assert top.returncode == 0, top.stderr
         assert "repro top" in top.stdout and "latency:" in top.stdout, (
             top.stdout
+        )
+        shown = re.search(r"^queries (\d+)", top.stdout, re.MULTILINE)
+        assert shown and int(shown.group(1)) == ok, (
+            f"top counts {shown and shown.group(1)} queries, {ok} were answered"
         )
         print("repro top --once rendered a frame:")
         print(top.stdout)
