@@ -284,6 +284,17 @@ class Pattern:
             bare = self.__dict__["_bare"] = Pattern(self.n, self.edges)
         return bare
 
+    @property
+    def text(self) -> str:
+        """This pattern in the DSL (:func:`repro.core.parser.format_pattern`),
+        rendered once per pattern: the wire form a served query sends."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            from repro.core.parser import format_pattern
+
+            text = self.__dict__["_text"] = format_pattern(self)
+        return text
+
     # ------------------------------------------------------------------
     # Dunder plumbing.
     # ------------------------------------------------------------------

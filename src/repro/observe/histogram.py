@@ -40,6 +40,8 @@ DEFAULT_LO = 1e-6
 DEFAULT_HI = 1e4
 DEFAULT_BUCKETS_PER_DECADE = 10
 
+_log10 = math.log10
+
 
 class StreamingHistogram:
     """Fixed-boundary log-bucketed histogram with O(1) mergeable records.
@@ -57,6 +59,7 @@ class StreamingHistogram:
         "buckets_per_decade",
         "_counts",
         "_log_lo",
+        "_top",
         "count",
         "total",
         "min",
@@ -83,6 +86,8 @@ class StreamingHistogram:
         # +2 for the underflow (index 0) and overflow (last) buckets.
         n = int(math.ceil(decades * self.buckets_per_decade)) + 2
         self._counts = [0] * n
+        #: The last interior bucket.
+        self._top = n - 2
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -102,15 +107,13 @@ class StreamingHistogram:
         if value < self.lo:
             index = 0
         elif value >= self.hi:
-            index = len(self._counts) - 1
+            index = self._top + 1
         else:
-            index = 1 + int(
-                (math.log10(value) - self._log_lo) * self.buckets_per_decade
-            )
+            index = 1 + int((_log10(value) - self._log_lo) * self.buckets_per_decade)
             # Float rounding at an exact boundary may land one past the
             # last interior bucket; clamp rather than spill into overflow.
-            if index > len(self._counts) - 2:
-                index = len(self._counts) - 2
+            if index > self._top:
+                index = self._top
         self._counts[index] += 1
 
     def merge(self, other: "StreamingHistogram") -> None:

@@ -57,7 +57,9 @@ class MetricsRegistry:
         layout (1µs..10ks, 10 buckets/decade); the record path is O(1)
         and allocation-free thereafter.
         """
-        hist = self.histogram(name)
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self.histogram(name)
         with self._lock:
             hist.record(value)
 

@@ -30,6 +30,13 @@ EOF or unparsable frame drops that connection and surfaces unchanged
 up *between* requests is noticed before anything is sent and reopened
 transparently. A request whose bytes were written is never resent by
 the connection layer.
+
+Frames: a ``run`` with default options, no retry policy and no chaos
+tag is encoded once per distinct request and client. The frame is kept
+in a :class:`~repro.morph.cache.BoundedStore` keyed by the pattern texts
+(each rendered once per :class:`Pattern`) and the other fields, each
+with its type, so requests whose JSON differs never share a frame. Any
+other ``run`` is encoded per call.
 """
 
 from __future__ import annotations
@@ -44,9 +51,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.parser import format_pattern
 from repro.core.pattern import Pattern
 from repro.engines.recovery import RetryPolicy
+from repro.morph.cache import BoundedStore
 from repro.options import RunOptions
 from repro.serve import protocol
 
@@ -64,6 +71,9 @@ _RETRYABLE_VERDICTS = (
 #: transient execution failure (a crash *loop* opens the circuit
 #: breaker, which surfaces as a retryable verdict instead).
 _RETRYABLE_ERRORS = ("WorkerCrashError",)
+
+#: The wire form of ``options=None``, built once.
+_DEFAULT_OPTIONS = RunOptions().to_dict()
 
 
 class ServeRejected(RuntimeError):
@@ -188,6 +198,8 @@ class Client:
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._local = threading.local()
+        #: ``run`` request key -> its frame (see the module docstring).
+        self._frames = BoundedStore()
 
     def _connection(self) -> _Connection:
         """The calling thread's connection, (re)opened when unusable."""
@@ -202,11 +214,13 @@ class Client:
             self._local.connection = connection
         return connection
 
-    def _request(self, payload: dict) -> dict:
+    def _request(self, frame: bytes) -> dict:
         """One request/response exchange on the thread's connection."""
         connection = self._connection()
         try:
-            protocol.write_message(connection.stream, payload)
+            # One write: see :func:`protocol.write_message`.
+            connection.stream.write(frame)
+            connection.stream.flush()
             response = protocol.read_message(connection.stream)
             if response is None:
                 raise ConnectionError("server closed the connection mid-request")
@@ -220,21 +234,24 @@ class Client:
         return response
 
     def _checked(self, payload: dict) -> dict:
-        response = self._request(payload)
+        return self._answered(str(payload.get("op")), protocol.encode_message(payload))
+
+    def _answered(self, op: str, frame: bytes) -> dict:
+        """Send ``frame``, an encoded ``op`` request, and return the
+        answer; an error answer raises."""
+        response = self._request(frame)
         if not response.get("ok"):
             error = str(response.get("error", "unknown error"))
             if error.startswith("rejected:"):
                 retry_after = response.get("retry_after_s")
                 raise ServeRejected(
-                    str(payload.get("op")),
+                    op,
                     error,
                     retry_after_s=(
                         float(retry_after) if retry_after is not None else None
                     ),
                 )
-            raise RuntimeError(
-                f"server rejected {payload.get('op')!r}: {error}"
-            )
+            raise RuntimeError(f"server rejected {op!r}: {error}")
         return response
 
     def _checked_with_retry(self, payload: dict) -> dict:
@@ -342,6 +359,24 @@ class Client:
         ).hexdigest()[:16]
         return f"{self.client_id}:{seq}:{digest}"
 
+    def _run_payload(
+        self,
+        graph: str,
+        texts: tuple[str, ...],
+        options: RunOptions | None,
+        priority: int,
+        use_result_cache: bool,
+    ) -> dict[str, Any]:
+        return {
+            "op": "run",
+            "graph": graph,
+            "patterns": list(texts),
+            "options": _DEFAULT_OPTIONS if options is None else options.to_dict(),
+            "client": self.client_id,
+            "priority": priority,
+            "use_result_cache": use_result_cache,
+        }
+
     def run(
         self,
         graph: str,
@@ -370,21 +405,26 @@ class Client:
         if isinstance(patterns, Pattern):
             patterns = [patterns]
         patterns = list(patterns)
-        texts = [format_pattern(p) for p in patterns]
-        payload: dict[str, Any] = {
-            "op": "run",
-            "graph": graph,
-            "patterns": texts,
-            "options": (options or RunOptions()).to_dict(),
-            "client": self.client_id,
-            "priority": priority,
-            "use_result_cache": use_result_cache,
-        }
-        if chaos_index is not None:
-            payload["chaos_index"] = int(chaos_index)
-        if self.retry is not None:
-            payload["idempotency_key"] = self._next_idempotency_key(payload)
-        response = self._checked_with_retry(payload)
+        texts = tuple(pattern.text for pattern in patterns)
+        if options is None and self.retry is None and chaos_index is None:
+            fields = (graph, priority, use_result_cache, self.client_id)
+            key = (texts, fields, tuple(map(type, fields)))
+            frame = self._frames.lookup(key)
+            if frame is None:
+                frame = protocol.encode_message(
+                    self._run_payload(graph, texts, None, priority, use_result_cache)
+                )
+                self._frames.insert(key, frame)
+            response = self._answered("run", frame)
+        else:
+            payload = self._run_payload(
+                graph, texts, options, priority, use_result_cache
+            )
+            if chaos_index is not None:
+                payload["chaos_index"] = int(chaos_index)
+            if self.retry is not None:
+                payload["idempotency_key"] = self._next_idempotency_key(payload)
+            response = self._checked_with_retry(payload)
         by_text = response.get("results", {})
         results = {
             pattern: protocol.decode_value(by_text.get(text))

@@ -12,21 +12,34 @@ tables) that plain JSON would flatten into indistinguishable arrays.
 :func:`encode_value` / :func:`decode_value` wrap compound values in
 ``{"t": <kind>, "v": [...]}`` tags so the client reconstructs the
 exact type — a remote result compares ``==`` to the in-process one.
+
+A :class:`Framed` message carries its frame: the daemon encodes a
+cached answer once, and every hit on it is that frame with its
+``cached`` and ``query_id`` fields spliced on (:func:`stamped`).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, BinaryIO
 
 __all__ = [
+    "Framed",
     "decode_value",
     "encode_message",
     "encode_value",
+    "framed",
     "read_message",
+    "stamped",
     "validate_stats",
     "write_message",
 ]
+
+#: The compact encoder behind every frame (``json.dumps`` with these
+#: separators would build an encoder per call), and its sorted twin.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_SORTED_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 #: Tag names for the compound types that must survive the round-trip.
 _TAGS = ("tuple", "list", "frozenset", "set", "dict")
@@ -174,9 +187,45 @@ def decode_value(value: Any) -> Any:
     raise ValueError(f"cannot decode {value!r}")
 
 
+class Framed(dict):
+    """A message that carries its own frame, the bytes
+    :func:`encode_message` gives for it when built. The daemon writes
+    ``frame`` for the answers it builds this way; :func:`encode_message`
+    still encodes the dict, so an edited copy is sent as edited."""
+
+    __slots__ = ("frame",)
+
+
 def encode_message(message: dict) -> bytes:
     """One JSON-lines frame: the compact JSON text and its newline."""
-    return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _ENCODER.encode(message).encode("utf-8") + b"\n"
+
+
+def framed(message: dict) -> Framed:
+    """``message`` with its keys sorted at every level, as a JSON
+    journal stores it, carrying its frame: encoded now, once. A message
+    read back from such a journal frames to the same bytes."""
+    text = _SORTED_ENCODER.encode(message)
+    out = Framed(json.loads(text))
+    out.frame = text.encode("utf-8") + b"\n"
+    return out
+
+
+def stamped(body: Framed, cached: bool, query_id: str | None) -> Framed:
+    """``{**body, "cached": cached, "query_id": query_id}``, its frame
+    spliced from ``body``'s rather than encoded: byte-identical to
+    :func:`encode_message` of that dict. ``body`` holds neither key."""
+    out = Framed(body)
+    out["cached"] = cached
+    out["query_id"] = query_id
+    out.frame = b"".join((
+        body.frame[:-2],  # the closing brace and newline
+        b"," if body else b"",
+        b'"cached":true,"query_id":' if cached else b'"cached":false,"query_id":',
+        b"null" if query_id is None else encode_basestring_ascii(query_id).encode(),
+        b"}\n",
+    ))
+    return out
 
 
 def write_message(stream: BinaryIO, message: dict) -> None:
@@ -192,13 +241,15 @@ def write_message(stream: BinaryIO, message: dict) -> None:
 
 
 def read_message(stream: BinaryIO) -> dict | None:
-    """Read one JSON-lines message; ``None`` on a closed stream."""
+    """Read one JSON-lines message; ``None`` on a closed stream.
+
+    A blank line is not a message: like any other non-JSON line it
+    raises :class:`ValueError`.
+    """
     line = stream.readline()
     if not line:
         return None
-    text = line.decode("utf-8").strip()
-    if not text:
-        return None
+    text = line.decode("utf-8")
     message = json.loads(text)
     if not isinstance(message, dict):
         raise ValueError(f"protocol messages are JSON objects, got {text[:80]!r}")

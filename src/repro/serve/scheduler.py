@@ -49,7 +49,9 @@ class Query:
     """One scheduled unit of work: a request plus its completion slot.
 
     The submitting thread waits on :meth:`wait`; whichever worker
-    executes the query publishes through :meth:`finish`.
+    executes the query publishes through :meth:`finish`. The event they
+    meet on is made when the query is queued: a query answered where it
+    arrived (a result-cache hit, a refusal) never needs one.
     """
 
     def __init__(
@@ -74,11 +76,12 @@ class Query:
         self.cache_key: tuple | None = None
         #: What the server's stages hand each other along one walk
         #: (:data:`repro.serve.server.STAGES`): the chaos fault drawn
-        #: for the request, the sentinel watching it on the worker, its
-        #: tracer (misses only), the answer or error so far, the
-        #: session's phase seconds, and a ``(stage, start, end)`` mark
-        #: per stage walked.
+        #: for the request, its circuit-breaker cell, the sentinel
+        #: watching it on the worker, its tracer (misses only), the
+        #: answer or error so far, the session's phase seconds, and a
+        #: ``(stage, start, end)`` mark per stage walked.
         self.fault = None
+        self.breaker = None
         self.sentinel = None
         self.tracer = None
         self.answer: dict | None = None
@@ -95,7 +98,7 @@ class Query:
         self.submitted_at: float | None = None
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        self._done = threading.Event()
+        self._done: threading.Event | None = None
 
     @property
     def queue_wait(self) -> float:
@@ -104,14 +107,21 @@ class Query:
             return 0.0
         return max(0.0, self.started_at - self.submitted_at)
 
+    def _event(self) -> threading.Event:
+        # Made by ``QueryScheduler.submit`` before any worker can see
+        # the query; a query that was never queued has no thread to race.
+        if self._done is None:
+            self._done = threading.Event()
+        return self._done
+
     def finish(self, response: dict) -> None:
         """Publish the response and wake the waiting submitter."""
         self.response = response
-        self._done.set()
+        self._event().set()
 
     def wait(self, timeout: float | None = None) -> dict | None:
         """Block until :meth:`finish`; ``None`` on timeout."""
-        if not self._done.wait(timeout):
+        if not self._event().wait(timeout):
             return None
         return self.response
 
@@ -222,6 +232,7 @@ class QueryScheduler:
                         f"serve.shed.{(decision.reason or 'unknown')}"
                     )
             if verdict == ACCEPTED:
+                query._event()
                 query.submitted_at = self.clock()
                 self._inflight[query.client] = self._inflight.get(query.client, 0) + 1
                 heapq.heappush(self._heap, (-query.priority, self._seq, query))

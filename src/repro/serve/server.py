@@ -14,10 +14,12 @@ runs).
 
 Three cache layers, coarsest first:
 
-1. **result cache** — byte-identical encoded payloads keyed by (graph
-   fingerprint, pattern texts, aggregation, engine, strategy, morph
-   knobs); a hit is answered on the connection thread, before the
-   scheduler, and touches neither the queue nor the pipeline;
+1. **result cache** — answers keyed by (graph fingerprint, pattern
+   texts, aggregation, engine, strategy, morph knobs), each encoded
+   once (a :class:`~.protocol.Framed` entry); a hit is answered on the
+   connection thread, before the scheduler, touches neither the queue
+   nor the pipeline, and goes out as the entry's bytes with its
+   ``cached`` and ``query_id`` fields spliced on;
 2. **plan cache** — a result-cache miss still skips plan *search* when
    the same (graph, queries, engine, strategy) was planned before;
 3. **measurement cache** — memoized alternative-set measurements
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import socket
 import socketserver
 import tempfile
@@ -83,23 +84,35 @@ _RESPONSE_METRICS = ("plan.cache.hit", "plan.cache.miss")
 
 
 def _parse_options(fields) -> RunOptions:
-    """A request's options, parsed once per distinct canonical text.
+    """A request's options, parsed once per distinct canonical form.
 
     A hit is answered before any work, so :meth:`RunOptions.from_dict`
-    would otherwise be most of its cost. Only successful parses are
-    kept, so a bad field is rejected on every request that carries it;
-    a value with no JSON text is parsed as given.
+    would otherwise be most of its cost. The form is the set of
+    ``((name, value), type)`` pairs: field order does not matter, and
+    the types keep ``1``, ``1.0`` and ``True`` apart. Only successful
+    parses are kept, so a bad field is rejected on every request that
+    carries it; options with a nested or unhashable value are parsed as
+    given.
     """
     try:
-        text = json.dumps(fields, sort_keys=True)
-    except (TypeError, ValueError):
+        form = frozenset(zip(fields.items(), map(type, fields.values())))
+    except (AttributeError, TypeError):
         return RunOptions.from_dict(fields)
-    return _parse_options_text(text)
+    return _parse_options_text(form)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _parse_options_text(text: str) -> RunOptions:
-    return RunOptions.from_dict(json.loads(text))
+def _parse_options_text(form: frozenset) -> RunOptions:
+    return RunOptions.from_dict(dict(item for item, _type in form))
+
+
+def _cache_entry(answer: dict) -> protocol.Framed:
+    """A result-cache entry: ``answer`` without its per-query fields,
+    encoded once, in the form the drain journal keeps, so a hit reads
+    byte for byte the same before a drain and after the resume."""
+    return protocol.framed(
+        {k: v for k, v in answer.items() if k not in ("cached", "query_id")}
+    )
 
 
 class Stage(NamedTuple):
@@ -285,10 +298,11 @@ class MiningServer:
     def _after_ack(self, op) -> bool:
         """Start, off-thread, what an acknowledged ``drain`` or
         ``shutdown`` asks for; whether ``op`` was one of them."""
-        action = {"drain": self.drain, "shutdown": self.close}.get(op)
-        if action is not None:
-            threading.Thread(target=action, daemon=True).start()
-        return action is not None
+        if op not in ("drain", "shutdown"):
+            return False
+        action = self.drain if op == "drain" else self.close
+        threading.Thread(target=action, daemon=True).start()
+        return True
 
     def _take_fault(self):
         """The chaos fault this thread's last ``run`` drew, once: the
@@ -415,7 +429,7 @@ class MiningServer:
                 query.error, answer = exc, None
             finally:
                 end = time.perf_counter()
-                self.metrics.observe(f"serve.stage.{stage.name}", end - start)
+                self.metrics.observe(_STAGE_METRICS[stage.name], end - start)
                 query.marks.append((stage.name, start, end))
             if answer is not None:
                 query.answer = answer
@@ -474,15 +488,22 @@ class MiningServer:
                 query.fault = self._drawn.fault = fault
         query.client = str(request.get("client", "anonymous"))
         query.options = options = _parse_options(request.get("options") or {})
-        breaker = self.breakers.get(
-            str(request.get("graph", "?")), str(options.engine)
-        )
+        breaker = self._breaker(query)
         if not breaker.allow():
             self.metrics.add("serve.admission.rejected.circuit-open")
             raise _Declined.refusal(REJECTED_CIRCUIT_OPEN, breaker.retry_after())
         query.priority = int(request.get("priority", 0))
         query.deadline = self.scheduler.make_deadline(options.deadline_seconds)
         query.cache_key = self._result_key(request, options)
+
+    def _breaker(self, query: Query):
+        """The breaker cell of the query's (graph, engine), looked up
+        once per walk."""
+        if query.breaker is None:
+            query.breaker = self.breakers.get(
+                str(query.request.get("graph", "?")), str(query.options.engine)
+            )
+        return query.breaker
 
     def _result_key(self, request: dict, options: RunOptions) -> tuple | None:
         """Result-cache identity: everything that can change the answer.
@@ -499,7 +520,7 @@ class MiningServer:
             return None
         try:
             resident = self.registry.get(str(request["graph"]))
-            texts = tuple(str(t) for t in request.get("patterns") or [])
+            texts = tuple(map(str, request.get("patterns") or []))
         except (KeyError, TypeError):
             return None
         return (
@@ -520,7 +541,9 @@ class MiningServer:
         A hit is answered on the connection thread. It is not an
         admission: it never waits in the queue, is never shed and does
         not count against ``max_per_client``. A request carrying a chaos
-        fault bypasses the cache, so fault plans replay unchanged.
+        fault bypasses the cache, so fault plans replay unchanged. The
+        answer carries its frame: the entry's, with ``cached`` and
+        ``query_id`` spliced on, so nothing is encoded.
         """
         if query.cache_key is None or query.fault is not None:
             return None
@@ -528,7 +551,7 @@ class MiningServer:
         if hit is None:
             return None
         self.metrics.add("serve.result_cache.hits")
-        return {**hit, "cached": True, "query_id": query.query_id}
+        return protocol.stamped(hit, True, query.query_id)
 
     def _queue(self, query: Query) -> dict:
         """Shed and admission, then hand-off: the worker's answer."""
@@ -620,9 +643,7 @@ class MiningServer:
         idempotency store."""
         if query.options is None:
             return  # failed in admit, before it named a breaker cell
-        breaker = self.breakers.get(
-            str(query.request.get("graph", "?")), str(query.options.engine)
-        )
+        breaker = self._breaker(query)
         sentinel, answer = query.sentinel, query.answer
         tripped = sentinel.tripped if sentinel is not None else None
         if answer is None:
@@ -633,13 +654,16 @@ class MiningServer:
             # Partial results never enter the cache: a later identical
             # query without deadline pressure deserves the full answer.
             # The fresh query_id is stripped with the cached flag — a
-            # repeat query gets its own id stamped on the hit path.
-            entry = {
-                k: v for k, v in answer.items() if k not in ("cached", "query_id")
-            }
+            # repeat query gets its own id stamped on the hit path. The
+            # entry is encoded once: this answer's frame is spliced
+            # from it too.
+            entry = _cache_entry(answer)
             evicted = self._result_cache.insert(query.cache_key, entry)
             if evicted:
                 self.metrics.add("serve.result_cache.evictions", evicted)
+            answer = query.answer = protocol.stamped(
+                entry, False, answer["query_id"]
+            )
         if tripped is None and sentinel is not None and answer["partial"]:
             # The run degraded without a poll-time trip: a wall-budget
             # overrun the sampler never sampled still gets attributed.
@@ -707,7 +731,7 @@ class MiningServer:
                 client=query.client,
                 graph=graph,
                 engine=engine,
-                patterns=[str(t) for t in request.get("patterns") or []],
+                patterns=list(map(str, request.get("patterns") or [])),
                 status=(
                     "error" if error else "partial" if answer.get("partial") else "ok"
                 ),
@@ -818,7 +842,7 @@ class MiningServer:
                 failed.append(name)
         # A journal may come from a build with a larger (or no) bound.
         for key, entry in state.results.items():
-            self._result_cache.insert(key, entry)
+            self._result_cache.insert(key, _cache_entry(entry))
         self.metrics.add("serve.resume.graphs", len(loaded))
         self.metrics.add("serve.resume.results", len(state.results))
         if state.skipped:
@@ -964,8 +988,8 @@ class _Handler(socketserver.StreamRequestHandler):
     thread). The loop ends on EOF, after a ``shutdown``/``drain`` ack,
     on a wire fault, or when :meth:`MiningServer.close` hangs it up.
 
-    Protocol errors are *answered*, not dropped: a torn or non-JSON
-    request line gets a typed ``protocol-error`` response (and a
+    Protocol errors are *answered*, not dropped: a torn, blank or
+    non-JSON request line gets a typed ``protocol-error`` response (and a
     flight-recorder anomaly) before the connection closes — a client
     whose serializer glitched learns so, instead of staring at a
     silently closed socket. The stream state after a bad line is
@@ -984,8 +1008,8 @@ class _Handler(socketserver.StreamRequestHandler):
             except (ConnectionError, socket.error):
                 break
             except ValueError as exc:
-                # Malformed request line (bad JSON, non-object, torn
-                # UTF-8): typed response, anomaly, then hang up.
+                # Malformed request line (bad JSON, blank, non-object,
+                # torn UTF-8): typed response, anomaly, then hang up.
                 error = f"{type(exc).__name__}: {exc}"
                 server.metrics.add("serve.protocol.errors")
                 server.flight.note("protocol-error", error)
@@ -999,7 +1023,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 if request is None:
                     break
                 response = server.handle(request)
-            frame = protocol.encode_message(response)
+            frame = (
+                response.frame
+                if type(response) is protocol.Framed
+                else protocol.encode_message(response)
+            )
             fault = server._take_fault() if server.chaos is not None else None
             if fault is not None and fault.stage == "encode":
                 frame = fault.encode(frame)
@@ -1028,3 +1056,4 @@ STAGES = (
 )
 _HANDOFF, _RECORD = STAGES[2], STAGES[-1]
 _WORKER_FIRST = STAGES.index(_HANDOFF) + 1
+_STAGE_METRICS = {stage.name: f"serve.stage.{stage.name}" for stage in STAGES}

@@ -10,7 +10,10 @@ query mixes identically to the serial in-process oracle, then shuts
 down without leaking a shared-memory segment (the suite-wide autouse
 probe enforces that part). On top of the socket stack: one persistent
 connection per client thread, result-cache hits answered before
-admission, and hypothesis-generated garbage on a live connection.
+admission, and hypothesis-generated garbage on a live connection. A hit
+goes out as its cache entry's frame with two fields spliced on, so its
+bytes are checked against the dict it stands for, across a drain and
+resume too; the client encodes each distinct request once.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import socket
 import threading
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -28,7 +32,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.atlas import TRIANGLE, motif_patterns
+from repro.core.pattern import Pattern
 from repro.engines.peregrine.engine import PeregrineEngine
+from repro.morph.cache import STORE_CAPACITY
 from repro.morph.session import MorphingSession
 from repro.options import RunOptions
 from repro.serve import protocol
@@ -1089,6 +1095,8 @@ _BAD_LINES = st.one_of(
     ).map(lambda v: json.dumps(v).encode() + b"\n"),
     st.binary(max_size=32).map(lambda b: b"\xff" + b.replace(b"\n", b"") + b"\n"),
     st.just(b"x" * (1 << 20) + b"\n"),
+    # Blank and whitespace-only lines are not messages either.
+    st.text(alphabet=" \t\r\f\v", max_size=8).map(lambda t: t.encode() + b"\n"),
 )
 
 
@@ -1147,3 +1155,292 @@ class TestWireFuzz:
             assert connect(port=server.port).ping()
             assert server.metrics.value("serve.protocol.errors") >= 1
         assert_no_leaked_segments()
+
+
+#: Answers a session can give, each of which the wire must carry exactly:
+#: counts (past 64 bits too), existence, MNI tables and match lists.
+_ANSWERS = st.one_of(
+    st.integers(min_value=0, max_value=1 << 70),
+    st.integers(min_value=1 << 63, max_value=(1 << 63) + 8),
+    st.booleans(),
+    st.lists(st.frozensets(st.integers(0, 1 << 40), max_size=4), max_size=4).map(tuple),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=5),
+)
+
+#: Vertex labels; decimal digits of other scripts parse as integers, so
+#: the pattern texts, and the result keys, are not ASCII.
+_LABELS = st.one_of(
+    st.integers(0, 9),
+    st.text(alphabet="٠١٢٣०१२", min_size=1, max_size=3),
+)
+
+
+class TestHitFrames:
+    """A hit's frame is its cache entry's, with ``cached`` and
+    ``query_id`` spliced on: the same bytes as encoding the dict
+    ``handle()`` returns, and the same answer as the miss."""
+
+    def test_spliced_frames_equal_encoded_dicts(self, small_graph, monkeypatch):
+        drawn = {}
+
+        class DrawnSession:
+            """Answers every pattern with the drawn value."""
+
+            def __init__(self, engine, options=None):
+                pass
+
+            def run(self, graph, patterns):
+                return SimpleNamespace(
+                    results={pattern: drawn["value"] for pattern in patterns},
+                    transform_seconds=1e-4,
+                    match_seconds=2.5e-4,
+                    convert_seconds=0.0,
+                    executor_seconds=0.0,
+                    total_seconds=3.5e-4,
+                )
+
+        monkeypatch.setattr(server_module, "MorphingSession", DrawnSession)
+        with _small_server(small_graph, workers=1) as server:
+            client = connect(port=server.port)
+
+            @settings(max_examples=60, deadline=None)
+            @given(value=_ANSWERS, labels=st.lists(_LABELS, min_size=3, max_size=3))
+            def exchange(value, labels):
+                server._result_cache.clear()
+                drawn["value"] = value
+                pattern = TRIANGLE.with_labels(labels)
+                miss = client.run("small", pattern)
+                hit = client.run("small", pattern)
+                assert not miss.cached and hit.cached
+                assert hit.results == miss.results == {pattern: value}
+                assert type(hit.results[pattern]) is type(value)
+                answer = server.handle(
+                    {"op": "run", "graph": "small", "patterns": [pattern.text]}
+                )
+                assert answer["cached"] and type(answer) is protocol.Framed
+                assert answer.frame == protocol.encode_message(answer)
+
+            exchange()
+
+    def test_a_miss_frame_is_spliced_from_its_entry(self, server):
+        request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        miss = server.handle(dict(request))
+        assert not miss["cached"] and type(miss) is protocol.Framed
+        assert miss.frame == protocol.encode_message(miss)
+        ((key, entry),) = server._result_cache.snapshot().items()
+        assert miss.frame.startswith(entry.frame[:-2])
+        assert dict(entry) == {
+            k: v for k, v in miss.items() if k not in ("cached", "query_id")
+        }
+
+
+def _recording_client(**kwargs) -> tuple[Client, list[bytes]]:
+    """A client whose connection is a stub: it keeps every frame sent
+    and answers each with an empty result."""
+    client = Client(port=1, **kwargs)
+    sent: list[bytes] = []
+
+    def request(frame: bytes) -> dict:
+        sent.append(frame)
+        return {"ok": True, "results": {}}
+
+    client._request = request
+    return client, sent
+
+
+def _parent_frame(client, graph, patterns, options=None, priority=0,
+                  use_result_cache=True) -> bytes:
+    """The frame a ``run`` call was sent as before frames were memoized."""
+    return protocol.encode_message({
+        "op": "run",
+        "graph": graph,
+        "patterns": [repro.format_pattern(p) for p in patterns],
+        "options": (options or RunOptions()).to_dict(),
+        "client": client.client_id,
+        "priority": priority,
+        "use_result_cache": use_result_cache,
+    })
+
+
+class TestRequestMemos:
+    """The client's frame memo and the daemon's options memo share an
+    entry only between requests whose JSON is the same."""
+
+    def test_requests_whose_json_differs_never_share_a_frame(self):
+        client, sent = _recording_client()
+        calls = [
+            {"patterns": [Pattern(1, [], labels=[6])]},
+            {"patterns": [Pattern(1, [], labels=[6.0])]},
+            {"patterns": [Pattern(1, [], labels=["6"])]},
+            {"patterns": [WEDGE], "priority": 1},
+            {"patterns": [WEDGE], "priority": True},
+            {"patterns": [WEDGE], "use_result_cache": 1},
+            {"patterns": [WEDGE], "use_result_cache": True},
+        ]
+        for call in calls * 2:
+            client.run("small", **call)
+        expected = [_parent_frame(client, "small", **call) for call in calls]
+        assert sent == expected * 2
+        # Label 6 and label "6" render alike: one frame, one entry.
+        assert len(set(expected)) == len(calls) - 1
+        assert len(client._frames) == len(set(expected))
+
+    def test_the_options_memo_is_type_exact(self, server):
+        server_module._parse_options_text.cache_clear()
+        for fields in ({"margin": 1}, {"margin": 1.0}, {"workers": 1}):
+            parsed = server_module._parse_options(fields)
+            assert repr(parsed) == repr(RunOptions.from_dict(fields))
+        assert server_module._parse_options_text.cache_info().currsize == 3
+        base = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        assert server.handle({**base, "options": {"workers": 1}})["ok"]
+        refused = server.handle({**base, "options": {"workers": True}})
+        assert not refused["ok"] and "workers must be an int" in refused["error"]
+
+    def test_the_client_memo_is_bounded(self):
+        client, sent = _recording_client()
+        for index in range(STORE_CAPACITY + 1):
+            client.run(f"g{index}", WEDGE)
+        frames = client._frames
+        assert len(frames) == STORE_CAPACITY and frames.evictions == 1
+        client.run(f"g{STORE_CAPACITY}", WEDGE)  # kept: no new encoding
+        assert frames.misses == STORE_CAPACITY + 1
+        client.run("g0", WEDGE)  # the oldest was evicted: encoded again
+        assert frames.misses == STORE_CAPACITY + 2
+        assert sent[-1] == sent[0]
+
+    def test_threads_share_one_memo(self):
+        """More threads than cores, switching as often as possible: every
+        lookup is counted and each distinct request is kept once."""
+        import sys
+
+        client, sent = _recording_client()
+        patterns = [TRIANGLE, WEDGE, Pattern(1, [], labels=[6])]
+        errors: list[BaseException] = []
+
+        def caller(index: int) -> None:
+            try:
+                for call in range(200):
+                    client.run(f"g{call % 5}", patterns[(index + call) % 3])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        frames = client._frames
+        assert len(frames) == 15 and len(set(sent)) == 15
+        assert frames.hits + frames.misses == len(sent) == 800
+
+    def test_explicit_options_bypass_the_memo(self):
+        client, sent = _recording_client()
+        calls = [RunOptions(), RunOptions(margin=1), RunOptions(margin=1.0)]
+        with mock.patch.object(
+            RunOptions, "to_dict", autospec=True, side_effect=RunOptions.to_dict
+        ) as to_dict:
+            for options in calls * 2:
+                client.run("small", WEDGE, options=options)
+        assert to_dict.call_count == len(sent) == 6
+        assert len(client._frames) == 0
+        expected = [_parent_frame(client, "small", [WEDGE], o) for o in calls]
+        assert sent == expected * 2
+
+    def test_retry_and_chaos_calls_bypass_the_memo(self):
+        retrying, sent = _recording_client(retry=1)
+        for _ in range(2):
+            retrying.run("small", WEDGE)
+        assert len(retrying._frames) == 0
+        keys = [json.loads(frame)["idempotency_key"] for frame in sent]
+        assert len(set(keys)) == 2
+        tagged, sent = _recording_client()
+        for _ in range(2):
+            tagged.run("small", WEDGE, chaos_index=3)
+        assert len(tagged._frames) == 0
+        assert [json.loads(frame)["chaos_index"] for frame in sent] == [3, 3]
+
+
+class TestJournalCompatibility:
+    """The drain journal keeps the 3.14.0 format both ways, and a hit
+    reads the same bytes before a drain and after the resume."""
+
+    REQUESTS = [
+        {"op": "run", "graph": "mico", "patterns": [tri_text()]},
+        {"op": "run", "graph": "mico", "patterns": [repro.format_pattern(WEDGE)],
+         "options": {"aggregation": "exists"}},
+    ]
+
+    @staticmethod
+    def _journal_as_3_14_wrote_it(entries) -> str:
+        """Every line as 3.14.0's ``save_service_state`` wrote it for a
+        drained daemon serving ``mico``: plain dicts, sorted keys."""
+        fields = ("fingerprint", "patterns", "aggregation", "engine",
+                  "strategy", "morph", "margin", "workers", "batch_roots")
+        lines = [
+            {"drained": True, "graphs": 1, "kind": "meta",
+             "results": len(entries), "version": 1},
+            {"kind": "graph", "name": "mico"},
+        ]
+        for key, entry in entries.items():
+            wire = dict(zip(fields, key))
+            wire["patterns"] = list(wire["patterns"])
+            lines.append({"key": wire, "kind": "result", "response": dict(entry)})
+        return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+
+    def test_old_journals_resume_and_new_ones_read_the_same(self, tmp_path):
+        state_path = tmp_path / "state.jsonl"
+        registry = GraphRegistry(share=False)
+        registry.load("mico")
+        first = MiningServer(
+            registry=registry, workers=0, state_path=str(state_path),
+            drain_deadline_s=2.0,
+        )
+        for request in self.REQUESTS:
+            assert not first.handle(dict(request))["cached"]
+        before = [first.handle(dict(request)) for request in self.REQUESTS]
+        entries = first._result_cache.snapshot()
+        first.drain(dump_dir=str(tmp_path / "flight"))
+        legacy = self._journal_as_3_14_wrote_it(entries)
+        assert state_path.read_text(encoding="utf-8") == legacy
+
+        legacy_path = tmp_path / "legacy.jsonl"
+        legacy_path.write_text(legacy, encoding="utf-8")
+        second = MiningServer(registry=GraphRegistry(share=False), workers=0)
+        try:
+            assert second.resume_from(str(legacy_path))["results"] == 2
+            after = [second.handle(dict(request)) for request in self.REQUESTS]
+        finally:
+            second.close()
+        for old, new in zip(before, after):
+            assert old["cached"] and new["cached"]
+            assert new.frame == protocol.encode_message(new)
+            assert new.frame.replace(
+                new["query_id"].encode(), old["query_id"].encode()
+            ) == old.frame
+
+    @pytest.mark.parametrize(
+        "response", [{}, {"cached": False, "query_id": "q-000009", "ok": True}]
+    )
+    def test_any_journaled_response_frames_as_its_dict(
+        self, server, tmp_path, response
+    ):
+        """A journal is outside input: an empty response, or one that
+        kept its per-query fields, still answers a well-formed hit."""
+        from repro.serve import save_service_state
+
+        request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        key = server._result_key(request, RunOptions())
+        path = str(tmp_path / "state.jsonl")
+        save_service_state(path, graphs=[], result_cache={key: response})
+        assert server.resume_from(path)["results"] == 1
+        hit = server.handle(dict(request))
+        assert hit["cached"] is True and hit["query_id"] != "q-000009"
+        assert hit.frame == protocol.encode_message(hit)
+        json.loads(hit.frame)

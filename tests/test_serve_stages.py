@@ -7,20 +7,25 @@ records it. These tests pin what that buys: every declared stage has a
 histogram, a worker-run query has one span per stage it walked, a chaos
 fault fires in the stage its kind names and nowhere else, the server
 module keeps no timer or flight record outside the runner, and a
-result-cache hit costs no tracer.
+result-cache hit costs no tracer, no JSON encoding on either end, no
+completion event and one breaker lookup.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import socket
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core import parser as parser_module
 from repro.core.atlas import TRIANGLE
+from repro.options import RunOptions
 from repro.serve import GraphRegistry, MiningServer, protocol, validate_stats
 from repro.serve import server as server_module
 from repro.serve.server import STAGES
@@ -48,6 +53,20 @@ def make_server(small_graph, **kwargs) -> MiningServer:
     registry = GraphRegistry(share=False)
     registry.add("small", small_graph)
     return MiningServer(registry=registry, **kwargs)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so that each call is appended to the list
+    returned."""
+    calls: list = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def stage_counts(server: MiningServer) -> dict[str, int]:
@@ -278,6 +297,68 @@ class TestHitsStayCheap:
             for _ in range(3):
                 assert server.handle(run_request())["cached"]
             assert len(made) == 1
+        finally:
+            server.close()
+
+    def test_a_repeated_run_encodes_nothing_on_either_end(
+        self, small_graph, monkeypatch
+    ):
+        """Counted, never timed: the client sends its memoized frame and
+        the daemon answers with a spliced one."""
+        with make_server(small_graph, workers=1) as server:
+            client = repro.connect(port=server.port)
+            pattern = repro.parse_pattern("a-b-c-a")  # no rendered text yet
+            assert not client.run("small", pattern).cached
+            calls = [
+                count_calls(monkeypatch, parser_module, "format_pattern"),
+                count_calls(monkeypatch, RunOptions, "to_dict"),
+                count_calls(monkeypatch, json, "dumps"),
+                count_calls(monkeypatch, json.JSONEncoder, "encode"),
+            ]
+            for _ in range(3):
+                assert client.run("small", pattern).cached
+            assert calls == [[], [], [], []]
+
+    def test_a_socket_hit_is_spliced_not_encoded(self, small_graph, monkeypatch):
+        with make_server(small_graph, workers=1) as server:
+            frame = protocol.encode_message(run_request())
+            with socket.create_connection((server.host, server.port)) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(frame)
+                stream.flush()
+                assert not json.loads(stream.readline())["cached"]
+                before = stage_counts(server)
+                encodings = [
+                    count_calls(monkeypatch, json, "dumps"),
+                    count_calls(monkeypatch, json.JSONEncoder, "encode"),
+                ]
+                stream.write(frame)
+                stream.flush()
+                line = stream.readline()
+                assert encodings == [[], []]
+                monkeypatch.undo()
+                hit = json.loads(line)
+                assert hit["cached"] and line == protocol.encode_message(hit)
+                stream.close()
+            after = stage_counts(server)
+        # The hit still walked admit, result_cache and record, and left
+        # a cached flight record.
+        assert {name: after[name] - before[name] for name in STAGE_NAMES} == {
+            "admit": 1, "result_cache": 1, "queue": 0, "execute": 0, "record": 1
+        }
+        record = server.flight.find(hit["query_id"])
+        assert record is not None and record.cached and record.status == "ok"
+
+    def test_a_hit_makes_no_event_and_one_breaker_lookup(
+        self, small_graph, monkeypatch
+    ):
+        server = make_server(small_graph, workers=0)  # no other thread
+        try:
+            assert not server.handle(run_request())["cached"]
+            events = count_calls(monkeypatch, threading.Event, "__init__")
+            lookups = count_calls(monkeypatch, server.breakers, "get")
+            assert server.handle(run_request())["cached"]
+            assert events == [] and lookups == ["get"]
         finally:
             server.close()
 
