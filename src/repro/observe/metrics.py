@@ -63,6 +63,20 @@ class MetricsRegistry:
         with self._lock:
             hist.record(value)
 
+    def record_batch(self, samples, counters=()) -> None:
+        """Record each ``(name, value)`` of ``samples`` as :meth:`observe`
+        would and add one to each counter named in ``counters``, all
+        under one hold of the lock: a served query's bookkeeping."""
+        histograms = self._histograms
+        with self._lock:
+            for name, value in samples:
+                hist = histograms.get(name)
+                if hist is None:
+                    hist = self.histogram(name)
+                hist.record(value)
+            for name in counters:
+                self._counters[name] = self._counters.get(name, 0) + 1
+
     def sample_window(self, name: str, value: float) -> None:
         """Record a sample into window gauge ``name`` (and gauge ``name``).
 

@@ -19,7 +19,8 @@ Topology::
     repro.connect(port=...)  ──  Client.run(graph, patterns, options)
 
 The wire request schema is :meth:`repro.RunOptions.to_dict` — the same
-object that configures an in-process run configures a remote one.
+object that configures an in-process run configures a remote one. A
+field left out, or the whole ``options`` object, reads as its default.
 
 Live observability: every run response carries a daemon-minted
 ``query_id`` stamped into the query's whole span tree, the ``stats``

@@ -31,9 +31,10 @@ up *between* requests is noticed before anything is sent and reopened
 transparently. A request whose bytes were written is never resent by
 the connection layer.
 
-Frames: a ``run`` with default options, no retry policy and no chaos
-tag is encoded once per distinct request and client. The frame is kept
-in a :class:`~repro.morph.cache.BoundedStore` keyed by the pattern texts
+Frames: a ``run`` with default options (``options=None``) sends no
+``options`` field. Without a retry policy or a chaos tag it is encoded
+once per distinct request and client. The frame is kept in a
+:class:`~repro.morph.cache.BoundedStore` keyed by the pattern texts
 (each rendered once per :class:`Pattern`) and the other fields, each
 with its type, so requests whose JSON differs never share a frame. Any
 other ``run`` is encoded per call.
@@ -71,9 +72,6 @@ _RETRYABLE_VERDICTS = (
 #: transient execution failure (a crash *loop* opens the circuit
 #: breaker, which surfaces as a retryable verdict instead).
 _RETRYABLE_ERRORS = ("WorkerCrashError",)
-
-#: The wire form of ``options=None``, built once.
-_DEFAULT_OPTIONS = RunOptions().to_dict()
 
 
 class ServeRejected(RuntimeError):
@@ -371,7 +369,8 @@ class Client:
             "op": "run",
             "graph": graph,
             "patterns": list(texts),
-            "options": _DEFAULT_OPTIONS if options is None else options.to_dict(),
+            # The daemon reads a missing ``options`` as the defaults.
+            **({} if options is None else {"options": options.to_dict()}),
             "client": self.client_id,
             "priority": priority,
             "use_result_cache": use_result_cache,

@@ -26,6 +26,7 @@ from typing import Any, BinaryIO
 
 __all__ = [
     "Framed",
+    "decode_message",
     "decode_value",
     "encode_message",
     "encode_value",
@@ -249,6 +250,12 @@ def read_message(stream: BinaryIO) -> dict | None:
     line = stream.readline()
     if not line:
         return None
+    return decode_message(line)
+
+
+def decode_message(line: bytes) -> dict:
+    """The message one JSON-lines frame carries; :class:`ValueError`
+    when it is not a JSON object (a blank line included)."""
     text = line.decode("utf-8")
     message = json.loads(text)
     if not isinstance(message, dict):

@@ -25,7 +25,8 @@ Three cache layers, coarsest first:
 3. **measurement cache** — memoized alternative-set measurements
    shared across queries (keyed by graph fingerprint).
 
-Each layer, and the idempotency map, is a
+Each layer, the idempotency map and the socket handler's request memo
+(a repeated ``run`` line is not decoded again) is a
 :class:`repro.morph.cache.BoundedStore`: one bound rule, one lock and
 one eviction counter per tier. Every layer reports into the server's
 metrics registry (``serve.result_cache.*``, merged ``plan.cache.*``,
@@ -81,6 +82,11 @@ _IDEMPOTENCY_CAPACITY = 256
 #: Metrics forwarded to clients in every run response (cache behavior
 #: is part of the service contract, so clients can assert on it).
 _RESPONSE_METRICS = ("plan.cache.hit", "plan.cache.miss")
+
+
+#: The options of a request that sends none (``Client.run`` with
+#: ``options=None``): parsed once, never looked up.
+_DEFAULT_OPTIONS = RunOptions()
 
 
 def _parse_options(fields) -> RunOptions:
@@ -231,6 +237,9 @@ class MiningServer:
         self._result_cache = BoundedStore()
         self._idempotency = BoundedStore()
         self._idempotency.capacity = _IDEMPOTENCY_CAPACITY
+        #: ``run`` request line -> the dict it decoded to (see
+        #: :meth:`_read_request`). Nothing on a walk writes to a request.
+        self._requests = BoundedStore()
         self.flight = FlightRecorder(
             capacity=flight_capacity, slow_factor=slow_factor
         )
@@ -304,6 +313,28 @@ class MiningServer:
         threading.Thread(target=action, daemon=True).start()
         return True
 
+    def _read_request(self, stream) -> dict | None:
+        """The socket handler's next request (``None`` at EOF).
+
+        A ``run`` line seen before is answered from :attr:`_requests`,
+        the dict its first copy decoded to, so a repeat makes no JSON
+        decode; a line that decodes to any other op, or to a ``run``
+        carrying an ``idempotency_key`` or a ``chaos_index`` (unique per
+        call, or drawing a fault), is decoded each time and never kept.
+        A line that is not a JSON object raises :class:`ValueError`.
+        """
+        line = stream.readline()
+        if not line:
+            return None
+        request = self._requests.lookup(line)
+        if request is None:
+            request = protocol.decode_message(line)
+            if request.get("op") == "run" and not (
+                "idempotency_key" in request or "chaos_index" in request
+            ):
+                self._requests.insert(line, request)
+        return request
+
     def _take_fault(self):
         """The chaos fault this thread's last ``run`` drew, once: the
         socket handler's ``encode`` hook."""
@@ -351,6 +382,7 @@ class MiningServer:
                 "idempotency": self._idempotency.describe(),
                 "plan": self.plan_cache.describe(),
                 "measurement": self.measurement_cache.describe(),
+                "requests": self._requests.describe(),
             },
             "flight": flight,
             "uptime_seconds": self._uptime_seconds(),
@@ -396,7 +428,7 @@ class MiningServer:
         the stages after ``queue``).
 
         The runner: the only code that times, traces, faults and records
-        a served query. Per stage it observes ``serve.stage.<name>``,
+        a served query. Per stage it samples ``serve.stage.<name>``,
         keeps a ``(name, start, end)`` mark (a span in the flight trace
         if the query gets a tracer) and fires the query's chaos fault
         if the fault's kind names the stage. A stage answers by
@@ -406,50 +438,58 @@ class MiningServer:
         ends the submitter's walk. A :class:`_Declined` answer ends the
         walk unrecorded; every other walk leaves one flight record and
         one ``serve.latency.total`` sample, written by the submitter.
+        The samples and counts a walk takes are recorded together as it
+        ends, however it ends: one :meth:`MetricsRegistry.record_batch`.
         """
         clock = self.scheduler.clock
-        if worker:
-            self.metrics.observe("serve.latency.queue_wait", query.queue_wait)
-        else:
-            arrived = query.submitted_at = clock()
-            query.query_id = f"q-{next(self._query_seq):06d}"
-        for stage in STAGES[_WORKER_FIRST:] if worker else STAGES:
-            if stage is not _RECORD and (
-                query.answer is not None or query.error is not None
-            ):
-                continue
-            start = time.perf_counter()
-            try:
-                if query.fault is not None and query.fault.stage == stage.name:
-                    query.fault.fire(query.sentinel and query.sentinel.deadline)
-                answer = stage.run(self, query)
-            except _Declined as declined:
-                return declined.response
-            except Exception as exc:  # noqa: BLE001 - recorded, re-raised below
-                query.error, answer = exc, None
-            finally:
-                end = time.perf_counter()
-                self.metrics.observe(_STAGE_METRICS[stage.name], end - start)
-                query.marks.append((stage.name, start, end))
-            if answer is not None:
-                query.answer = answer
-                if stage is _HANDOFF:
-                    break  # a worker walked the rest
-                self.metrics.observe(
-                    "serve.latency.first_result",
-                    max(0.0, clock() - query.submitted_at),
-                )
-        if worker:
-            for phase, seconds in query.phases:
-                self.metrics.observe(
-                    f"serve.stage.{phase}.{query.options.engine}", seconds
-                )
-        else:
-            # Includes the submitter's wakeup: what a client experiences.
-            self.metrics.observe("serve.latency.total", clock() - arrived)
-            if query.answer is not None and query.answer.get("ok"):
-                self.metrics.add("serve.queries")  # hits are queries too
-            self._record_flight(query)
+        samples: list[tuple[str, float]] = []
+        counts: list[str] = []
+        try:
+            if worker:
+                samples.append(("serve.latency.queue_wait", query.queue_wait))
+            else:
+                arrived = query.submitted_at = clock()
+                query.query_id = f"q-{next(self._query_seq):06d}"
+            for stage in STAGES[_WORKER_FIRST:] if worker else STAGES:
+                if stage is not _RECORD and (
+                    query.answer is not None or query.error is not None
+                ):
+                    continue
+                start = time.perf_counter()
+                try:
+                    if query.fault is not None and query.fault.stage == stage.name:
+                        query.fault.fire(query.sentinel and query.sentinel.deadline)
+                    answer = stage.run(self, query)
+                except _Declined as declined:
+                    return declined.response
+                except Exception as exc:  # noqa: BLE001 - recorded, re-raised below
+                    query.error, answer = exc, None
+                finally:
+                    end = time.perf_counter()
+                    samples.append((_STAGE_METRICS[stage.name], end - start))
+                    query.marks.append((stage.name, start, end))
+                if answer is not None:
+                    query.answer = answer
+                    if stage is _HANDOFF:
+                        break  # a worker walked the rest
+                    if answer.get("cached"):
+                        counts.append("serve.result_cache.hits")
+                    samples.append((
+                        "serve.latency.first_result",
+                        max(0.0, clock() - query.submitted_at),
+                    ))
+            if worker:
+                engine = query.options.engine
+                for phase, seconds in query.phases:
+                    samples.append((f"serve.stage.{phase}.{engine}", seconds))
+            else:
+                # Includes the submitter's wakeup: what a client experiences.
+                samples.append(("serve.latency.total", clock() - arrived))
+                if query.answer is not None and query.answer.get("ok"):
+                    counts.append("serve.queries")  # hits are queries too
+                self._record_flight(query)
+        finally:
+            self.metrics.record_batch(samples, counts)
         if query.answer is None:
             raise query.error
         return query.answer
@@ -487,7 +527,10 @@ class MiningServer:
             if fault.spec is not None:
                 query.fault = self._drawn.fault = fault
         query.client = str(request.get("client", "anonymous"))
-        query.options = options = _parse_options(request.get("options") or {})
+        fields = request.get("options")
+        query.options = options = (
+            _parse_options(fields) if fields else _DEFAULT_OPTIONS
+        )
         breaker = self._breaker(query)
         if not breaker.allow():
             self.metrics.add("serve.admission.rejected.circuit-open")
@@ -543,14 +586,14 @@ class MiningServer:
         not count against ``max_per_client``. A request carrying a chaos
         fault bypasses the cache, so fault plans replay unchanged. The
         answer carries its frame: the entry's, with ``cached`` and
-        ``query_id`` spliced on, so nothing is encoded.
+        ``query_id`` spliced on, so nothing is encoded. The walk counts
+        the hit.
         """
         if query.cache_key is None or query.fault is not None:
             return None
         hit = self._result_cache.lookup(query.cache_key)
         if hit is None:
             return None
-        self.metrics.add("serve.result_cache.hits")
         return protocol.stamped(hit, True, query.query_id)
 
     def _queue(self, query: Query) -> dict:
@@ -1004,7 +1047,7 @@ class _Handler(socketserver.StreamRequestHandler):
         while True:
             hang_up = False
             try:
-                request = protocol.read_message(self.rfile)
+                request = server._read_request(self.rfile)
             except (ConnectionError, socket.error):
                 break
             except ValueError as exc:

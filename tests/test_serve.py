@@ -530,8 +530,12 @@ class TestBoundedCaches:
 
         stats = protocol.validate_stats(server.handle({"op": "stats"}))
         tiers = stats["caches"]
-        assert sorted(tiers) == ["idempotency", "measurement", "plan", "result"]
+        assert sorted(tiers) == [
+            "idempotency", "measurement", "plan", "requests", "result"
+        ]
         assert all(tier["entries"] <= 3 for tier in tiers.values())
+        # Only the socket handler reads request lines.
+        assert tiers["requests"] == {"entries": 0, "evictions": 0}
         assert tiers["result"] == {"entries": 3, "evictions": 5}
         assert tiers["idempotency"] == {"entries": 3, "evictions": 5}
         # Nine plans searched (eight queries, the oldest twice).
@@ -1250,16 +1254,19 @@ def _recording_client(**kwargs) -> tuple[Client, list[bytes]]:
 
 def _parent_frame(client, graph, patterns, options=None, priority=0,
                   use_result_cache=True) -> bytes:
-    """The frame a ``run`` call was sent as before frames were memoized."""
-    return protocol.encode_message({
+    """The frame a ``run`` call is sent as, encoded afresh, without a
+    memo: ``options`` only when the call gives some."""
+    request = {
         "op": "run",
         "graph": graph,
         "patterns": [repro.format_pattern(p) for p in patterns],
-        "options": (options or RunOptions()).to_dict(),
-        "client": client.client_id,
-        "priority": priority,
-        "use_result_cache": use_result_cache,
-    })
+    }
+    if options is not None:
+        request["options"] = options.to_dict()
+    request.update(
+        client=client.client_id, priority=priority, use_result_cache=use_result_cache
+    )
+    return protocol.encode_message(request)
 
 
 class TestRequestMemos:
@@ -1365,6 +1372,68 @@ class TestRequestMemos:
             tagged.run("small", WEDGE, chaos_index=3)
         assert len(tagged._frames) == 0
         assert [json.loads(frame)["chaos_index"] for frame in sent] == [3, 3]
+
+
+class TestSlimRequests:
+    """``Client.run`` with default options sends no ``options`` field,
+    where a 3.15.0 client sent all twelve: both lines name one query."""
+
+    def test_the_old_and_the_slim_wire_share_an_answer(self, small_graph):
+        recorder, sent = _recording_client()
+        recorder.run("small", TRIANGLE)
+        (slim,) = sent
+        old = _parent_frame(recorder, "small", [TRIANGLE], RunOptions())
+        assert "options" not in json.loads(slim)
+        assert len(json.loads(old)["options"]) == 12
+        with _small_server(small_graph, workers=1) as server:
+            with socket.create_connection((server.host, server.port)) as sock:
+                stream = sock.makefile("rwb")
+                answers = []
+                for line in (old, slim, old, slim):
+                    stream.write(line)
+                    stream.flush()
+                    answers.append(json.loads(stream.readline()))
+                stream.close()
+            remote = connect(port=server.port).run("small", TRIANGLE)
+            assert server._requests.hits == 3  # the client sent ``slim``
+            assert len(server._result_cache) == 1
+            assert server.metrics.value("serve.result_cache.misses") == 1
+            assert server.metrics.value("serve.result_cache.hits") == 4
+        assert [a["cached"] for a in answers] == [False, True, True, True]
+        assert remote.cached
+        assert remote.results == {
+            TRIANGLE: decode_value(answers[0]["results"][tri_text()])
+        }
+        unstamped = [
+            {k: v for k, v in a.items() if k not in ("query_id", "cached")}
+            for a in answers
+        ]
+        assert unstamped == unstamped[:1] * 4
+
+    @pytest.mark.parametrize(
+        "options, error",
+        [({"bogus": 1}, "unknown RunOptions field(s): bogus"),
+         ({"workers": True}, "workers must be an int")],
+    )
+    def test_a_bad_option_is_refused_on_every_request(
+        self, small_graph, options, error
+    ):
+        line = protocol.encode_message(
+            {"op": "run", "graph": "small", "patterns": [tri_text()],
+             "options": options}
+        )
+        with _small_server(small_graph, workers=1) as server:
+            with socket.create_connection((server.host, server.port)) as sock:
+                stream = sock.makefile("rwb")
+                for _ in range(3):
+                    stream.write(line)
+                    stream.flush()
+                    answer = json.loads(stream.readline())
+                    assert not answer["ok"] and error in answer["error"]
+                stream.close()
+            # Kept after the first, so the last two were not decoded.
+            assert server._requests.snapshot() == {line: json.loads(line)}
+            assert server._requests.hits == 2
 
 
 class TestJournalCompatibility:

@@ -14,6 +14,7 @@ completion event and one breaker lookup.
 from __future__ import annotations
 
 import ast
+import copy
 import json
 import socket
 import sys
@@ -21,6 +22,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core import parser as parser_module
@@ -244,16 +246,21 @@ class TestFaultsFireInTheirStage:
             server.close()
 
 
+#: The calls that record a served query: a histogram sample, a walk's
+#: batch of samples and counts, a flight record.
+_GUARDED = ("observe", "record_batch", "_record_flight")
+
+
 def _observers(tree: ast.AST) -> dict[str, set[str]]:
-    """Function name → the guarded calls (``.observe``, ``_record_flight``)
-    made directly in its body."""
+    """Function name → the guarded calls (:data:`_GUARDED`) made
+    directly in its body."""
     found: dict[str, set[str]] = {}
 
     def visit(node: ast.AST, function: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in ("observe", "_record_flight"):
+            if node.func.attr in _GUARDED:
                 found.setdefault(function or "<module>", set()).add(node.func.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -267,7 +274,7 @@ class TestOnlyTheRunnerRecords:
         source = SERVER_SOURCE.read_text()
         found = _observers(ast.parse(source))
         assert set(found) == {"_walk"}, found
-        assert found["_walk"] == {"observe", "_record_flight"}
+        assert found["_walk"] == {"record_batch", "_record_flight"}
         assert "_chaos" not in source
 
     def test_the_guard_sees_a_planted_timer(self):
@@ -275,9 +282,31 @@ class TestOnlyTheRunnerRecords:
             "class S:\n"
             "    def _run(self, query):\n"
             "        self.metrics.observe('serve.latency.total', 1.0)\n"
+            "        self.metrics.record_batch([('serve.stage.x', 1.0)])\n"
             "        self._record_flight(query)\n"
         )
-        assert _observers(planted) == {"_run": {"observe", "_record_flight"}}
+        assert _observers(planted) == {"_run": set(_GUARDED)}
+
+
+class _CountingLock:
+    """A lock that counts how often it is held."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.holds = 0
+
+    def __enter__(self):
+        self.holds += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+def _exchange(stream, line: bytes) -> dict:
+    stream.write(line)
+    stream.flush()
+    return json.loads(stream.readline())
 
 
 class TestHitsStayCheap:
@@ -361,6 +390,185 @@ class TestHitsStayCheap:
             assert events == [] and lookups == ["get"]
         finally:
             server.close()
+
+    def test_a_repeated_socket_hit_is_not_decoded(self, small_graph, monkeypatch):
+        with make_server(small_graph, workers=1) as server:
+            client = repro.connect(port=server.port)
+            assert not client.run("small", TRIANGLE).cached
+            assert client.run("small", TRIANGLE).cached
+            decodes = count_calls(monkeypatch, json.JSONDecoder, "decode")
+            for _ in range(3):
+                assert client.run("small", TRIANGLE).cached
+            # The client decodes each answer; the daemon decodes nothing.
+            assert decodes == ["decode"] * 3
+            monkeypatch.undo()
+            assert server._requests.hits == 4
+
+    def test_a_walk_holds_the_metrics_lock_once(self, small_graph):
+        server = make_server(small_graph, workers=0)
+        try:
+            assert not server.handle(run_request())["cached"]
+            before = server.metrics.histogram_snapshots()
+            server.metrics._lock = counting = _CountingLock()
+            assert server.handle(run_request())["cached"]
+            assert counting.holds == 1
+            after = server.metrics.histogram_snapshots()
+        finally:
+            server.close()
+        grew = {
+            name for name, summary in after.items()
+            if summary["count"] != before.get(name, {}).get("count", 0)
+        }
+        assert grew == {
+            "serve.stage.admit", "serve.stage.result_cache",
+            "serve.stage.record", "serve.latency.first_result",
+            "serve.latency.total",
+        }
+        assert server.metrics.value("serve.result_cache.hits") == 1
+        assert server.metrics.value("serve.queries") == 2
+
+    def test_only_plain_run_lines_are_kept(self, small_graph):
+        kept = protocol.encode_message(run_request())
+        skipped = [
+            protocol.encode_message(request)
+            for request in (
+                {"op": "ping"},
+                run_request(idempotency_key="k1"),
+                run_request(chaos_index=0),
+            )
+        ]
+        with make_server(small_graph, workers=1) as server:
+            for bad in (b"\n", b"{not json\n", b"[1]\n"):
+                with socket.create_connection((server.host, server.port)) as sock:
+                    stream = sock.makefile("rwb")
+                    answer = _exchange(stream, bad)
+                    assert answer["error"].startswith("protocol-error")
+                    assert stream.readline() == b""  # hung up
+                    stream.close()
+            with socket.create_connection((server.host, server.port)) as sock:
+                stream = sock.makefile("rwb")
+                for line in skipped * 2:
+                    assert _exchange(stream, line)["ok"]
+                assert len(server._requests) == 0
+                for _ in range(2):
+                    assert _exchange(stream, kept)["ok"]
+                stream.close()
+            assert server._requests.snapshot() == {kept: run_request()}
+            assert server.handle({"op": "stats"})["caches"]["requests"] == {
+                "entries": 1, "evictions": 0
+            }
+
+    def test_connections_share_one_memo(self, small_graph):
+        """More connection threads than cores, switching as often as
+        possible: every line is looked up once, each distinct line is
+        kept once, and every answer is right."""
+        patterns = [TRIANGLE, repro.parse_pattern("a-b-c"), repro.parse_pattern("a-b")]
+        oracle = repro.run(small_graph, patterns).results
+        errors: list[BaseException] = []
+        with make_server(small_graph, workers=1) as server:
+            client = repro.connect(port=server.port)
+
+            def caller(index: int) -> None:
+                try:
+                    for call in range(50):
+                        pattern = patterns[(index + call) % 3]
+                        answer = client.run("small", pattern).results[pattern]
+                        assert answer == oracle[pattern]
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=caller, args=(n,)) for n in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            memo = server._requests
+            # Every line is looked up: 200 runs and ``connect``'s ping.
+            assert len(memo) == 3 and memo.hits + memo.misses == 201
+
+    def test_the_memo_evicts_at_its_capacity(self, small_graph):
+        from repro.morph.cache import STORE_CAPACITY
+
+        with make_server(small_graph, workers=1) as server:
+            with socket.create_connection((server.host, server.port)) as sock:
+                stream = sock.makefile("rwb")
+                for index in range(STORE_CAPACITY + 1):
+                    line = protocol.encode_message(run_request(client=f"c{index}"))
+                    assert _exchange(stream, line)["ok"]
+                    if index == STORE_CAPACITY - 1:
+                        assert server._requests.evictions == 0
+                stream.close()
+            caches = server.handle({"op": "stats"})["caches"]
+        assert caches["requests"] == {"entries": STORE_CAPACITY, "evictions": 1}
+
+
+#: The fields of a ``run`` request whose values send it down every path:
+#: hits, misses, replays, bad options, refusals and injected faults.
+_RUN_FIELDS = st.fixed_dictionaries(
+    {
+        "graph": st.sampled_from(["small"] * 4 + ["no-such-graph"]),
+        "patterns": st.sampled_from(
+            [["a-b-c-a"], ["a-b-c"], ["a-b-c-a", "a-b-c"]] * 2 + [[]]
+        ),
+    },
+    optional={
+        "options": st.sampled_from([
+            {}, {"margin": 1}, {"aggregation": "exists"}, {"morph": False},
+            {"deadline_seconds": 1e-9}, {"bogus": 1}, {"workers": True}, None,
+        ]),
+        "idempotency_key": st.sampled_from(["k1", "k2"]),
+        "chaos_index": st.integers(0, 5),
+        "priority": st.integers(0, 2),
+        "use_result_cache": st.booleans(),
+        "client": st.sampled_from(["a", "b"]),
+    },
+)
+
+
+class TestRequestsAreReadOnly:
+    """The socket handler hands one decoded dict to every repeat of a
+    line, so no stage may write into ``query.request``: ``handle``
+    leaves every request deep-equal to a copy taken before the call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        requests=st.lists(_RUN_FIELDS, min_size=1, max_size=4),
+        then=st.sampled_from(["accepting", "draining", "circuit-open"]),
+    )
+    def test_handle_writes_nothing_into_a_request(self, small_graph, requests, then):
+        plan = QueryFaultPlan({
+            0: QueryFaultSpec("crash"),
+            1: QueryFaultSpec("slow", seconds=0.001),
+            2: QueryFaultSpec("corrupt"),
+        })
+        server = make_server(small_graph, workers=0, chaos=plan, breaker_threshold=1)
+        answers = []
+
+        def handle(request: dict) -> None:
+            before = copy.deepcopy(request)
+            answers.append(server.handle(request))
+            assert repr(request) == repr(before)
+
+        try:
+            requests = [{"op": "run", **fields} for fields in requests]
+            for request in requests:  # misses, failures, bad options
+                handle(request)
+            if then == "draining":
+                server.scheduler.set_draining(True)
+            elif then == "circuit-open":
+                server.breakers.get("small", "peregrine").record_failure()
+            for request in requests:  # hits, replays, refusals
+                handle(request)
+        finally:
+            server.close()
+        assert all("ok" in answer for answer in answers)
 
 
 class TestOneDrainRecord:
