@@ -7,8 +7,7 @@ consequence, quantifying why the design is the way it is:
 * AutoZero schedule merging (shared loop prefixes);
 * symmetry breaking (without it, every match is found |Aut| times);
 * the cost model's heavy-tail corrections (size-biased degree +
-  clustering closure) vs. a plain Erdős–Rényi abstraction;
-* compiled vs. interpreted matching kernels.
+  clustering closure) vs. a plain Erdős–Rényi abstraction.
 """
 
 from __future__ import annotations
@@ -152,36 +151,6 @@ def test_ablation_cost_model_corrections(benchmark, mico):
     benchmark.extra_info["plain_rank_matches"] = plain_score
     assert enhanced_score >= plain_score
     assert enhanced_score >= len(patterns) // 2
-
-
-def test_ablation_compiled_kernels(benchmark, mico):
-    """Compiled (AutoMine-style) kernels vs the interpreted kernel."""
-    from repro.engines.autozero.codegen import run_compiled
-
-    patterns = list(all_connected_patterns(4))
-    plans = [ExplorationPlan.build(p) for p in patterns]
-
-    interp_stats = EngineStats()
-    start = time.perf_counter()
-    interp_counts = [run_plan(mico, plan, interp_stats) for plan in plans]
-    interp_seconds = time.perf_counter() - start
-
-    def run():
-        stats = EngineStats()
-        start = time.perf_counter()
-        counts = [run_compiled(mico, plan, stats) for plan in plans]
-        return counts, time.perf_counter() - start
-
-    compiled_counts, compiled_seconds = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    assert compiled_counts == interp_counts
-    benchmark.extra_info["interpreted_s"] = round(interp_seconds, 3)
-    benchmark.extra_info["compiled_s"] = round(compiled_seconds, 3)
-    benchmark.extra_info["speedup"] = round(interp_seconds / compiled_seconds, 3)
-    # Compilation removes interpretive overhead; it must never be much
-    # slower, and is typically 1.1-1.5x faster.
-    assert compiled_seconds < interp_seconds * 1.15
 
 
 def test_ablation_iep_counting(benchmark, mico):

@@ -1,11 +1,12 @@
 """The four graph-mining system substrates the paper integrates with.
 
 ``peregrine`` (pattern-aware, native anti-edges), ``autozero``
-(AutoMine/GraphZero-style compiled + merged schedules), ``graphpi``
+(AutoMine/GraphZero-style merged schedules), ``graphpi``
 (performance-model order selection + IEP, edge-induced only), ``bigjoin``
-(worst-case-optimal joins, breadth-first), plus ``sumpa``
-(pattern-abstraction matching for pattern sets). All share the
-instrumented kernel in ``base``.
+(worst-case-optimal joins, Filter UDF for anti-edges), plus ``sumpa``
+(pattern-abstraction matching for pattern sets). All share two match
+kernels: the per-root DFS in ``base`` and the batched one in
+``frontier``.
 """
 
 from repro.engines.base import EngineStats, MiningEngine

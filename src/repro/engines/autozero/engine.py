@@ -10,19 +10,16 @@ Differences from the Peregrine-style engine:
 * Anti-edges are supported natively (GraphZero-style set differences), so
   motif counting runs without filter UDFs.
 
-The real AutoZero emits C++ and compiles it with g++. Here the per-root
-single-pattern kernel is likewise *generated*: ``_run_kernel`` compiles
-each plan into specialized Python source
-(:mod:`repro.engines.autozero.codegen`). The merged multi-pattern pass
-interprets the schedule trie directly (DESIGN.md §3 records the
-substitution — the schedule/merging structure, not codegen, is what the
-reported set-operation reductions come from).
+The real AutoZero emits C++ and compiles it with g++. Here single
+patterns run on the shared kernels like every other engine's, and the
+merged multi-pattern pass interprets the schedule trie (DESIGN.md §3
+records the substitution — the schedule/merging structure, not codegen,
+is what the reported set-operation reductions come from).
 """
 
 from __future__ import annotations
 
 from repro.core.pattern import Pattern
-from repro.engines.autozero.codegen import run_compiled
 from repro.engines.autozero.schedule import execute_merged_counts, merge_schedules
 from repro.engines.base import MiningEngine
 from repro.graph.datagraph import DataGraph
@@ -33,15 +30,6 @@ class AutoZeroEngine(MiningEngine):
 
     name = "autozero"
     native_anti_edges = True
-    kernel_name = "kernel.compiled"
-
-    def _run_kernel(
-        self, graph, plan, on_match=None, root_window=None, should_stop=None
-    ):
-        """The per-root kernel is *compiled* per plan (AutoMine-style)."""
-        return run_compiled(
-            graph, plan, self.stats, on_match, root_window, should_stop
-        )
 
     #: Sharing ratio of the most recent merged execution (1.0 = no sharing).
     last_sharing_ratio: float = 1.0

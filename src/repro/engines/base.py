@@ -339,11 +339,6 @@ class MiningEngine(ABC):
 
     name = "engine"
     native_anti_edges = True
-    #: False for an engine whose own kernel replaces the shared ones
-    #: whatever ``batch_roots`` says (BigJoin's breadth-first join).
-    batched_kernel = True
-    #: Span name of the engine's own per-match kernel (``_run_kernel``).
-    kernel_name = "kernel"
 
     def __init__(self) -> None:
         self.stats = EngineStats()
@@ -451,7 +446,7 @@ class MiningEngine(ABC):
         The one place that knows two kernels exist (and the one that
         opens their span). Matches leave either of them as blocks:
         ``on_block(rows)``, one match per row in pattern-vertex order —
-        the frontier kernel's native output; a per-match ``_run_kernel``
+        the frontier kernel's native output; the per-root ``run_plan``
         is adapted by :class:`~repro.engines.frontier.BlockBuffer`.
         Without ``on_block`` nothing is materialized and only the count
         returns. ``root_window``/``cancel`` scope the run to one shard;
@@ -460,12 +455,12 @@ class MiningEngine(ABC):
         from repro.engines.frontier import BlockBuffer, run_plan_batched
 
         should_stop = cancel.is_set if cancel is not None else None
-        batched = self.batch_roots is not None and self.batched_kernel
+        batched = self.batch_roots is not None
         attributes = {"batch_roots": self.batch_roots} if batched else {}
         if fold is not None:
             attributes["fold"] = fold
         with self.kernel_span(
-            "kernel.batched" if batched else self.kernel_name,
+            "kernel.batched" if batched else "kernel",
             depth=plan.depth,
             window=list(root_window) if root_window else None,
             **attributes,
@@ -482,10 +477,11 @@ class MiningEngine(ABC):
                     on_batch=progress.item_progress if progress is not None else None,
                     on_block=on_block,
                 )
+            stats = self.stats
             if on_block is None:
-                return self._run_kernel(graph, plan, None, root_window, should_stop)
+                return run_plan(graph, plan, stats, None, root_window, should_stop)
             buffer = BlockBuffer(on_block)
-            count = self._run_kernel(graph, plan, buffer, root_window, should_stop)
+            count = run_plan(graph, plan, stats, buffer, root_window, should_stop)
             # The tail block is consumed after the kernel closed its
             # wall-time window; its (UDF) seconds still belong to the total.
             start = time.perf_counter()
@@ -493,14 +489,8 @@ class MiningEngine(ABC):
                 buffer.flush()
             except StopExploration:
                 pass  # the consumer saturated on the tail block
-            self.stats.total_seconds += time.perf_counter() - start
+            stats.total_seconds += time.perf_counter() - start
             return count
-
-    def _run_kernel(
-        self, graph, plan, on_match=None, root_window=None, should_stop=None
-    ) -> int:
-        """The engine's own per-match kernel (engines override this)."""
-        return run_plan(graph, plan, self.stats, on_match, root_window, should_stop)
 
     # -- filter UDF for non-native anti-edges ------------------------------
 

@@ -564,12 +564,10 @@ def _descend_batched(
 class BlockBuffer:
     """Turn a one-match-at-a-time kernel into a block producer.
 
-    The per-root kernel and the engines with kernels of their own
-    (BigJoin's BFS, AutoZero's compiled loops) emit ``on_match(match)``;
-    block consumers take ``on_block(rows)``. Matches are buffered as
-    they arrive and handed over, in order, one
-    :data:`FRONTIER_ELEMENT_BUDGET`-row matrix at a time. The owner
-    calls :meth:`flush` once the kernel returns.
+    The per-root kernel emits ``on_match(match)``; block consumers take
+    ``on_block(rows)``. Matches are buffered as they arrive and handed
+    over, in order, one :data:`FRONTIER_ELEMENT_BUDGET`-row matrix at a
+    time. The owner calls :meth:`flush` once the kernel returns.
     """
 
     __slots__ = ("_on_block", "_rows", "_capacity")

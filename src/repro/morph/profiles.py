@@ -10,16 +10,19 @@ operation costs. Profiles below reflect each substrate's structure:
 * AutoZero: merged schedules make extra patterns cheap — modeled with a
   lower intersection weight (shared prefixes amortize ops).
 * GraphPi: no anti-edges; Filter-UDF checks are branchy and expensive.
-* BigJoin: no anti-edges; materializes every level, so materialization
-  and per-tuple costs are high.
+* BigJoin: no anti-edges; the weights keep the dataflow system's
+  per-level binding materialization, which the shared kernels it runs
+  here do not pay.
 * SumPA: generic operation weights; listed for its calibrated clock.
 
 Each profile's ``unit_seconds`` (cost units → wall seconds, used by
 ETAs and the flight recorder's slowness verdict, never by rankings)
-comes from ``tools/calibrate_costmodel.py --run-suite --repeats 5`` on
-the plans the planner picks today: direct items on the batched kernel
-and decomposed items as block folds both run at 1–2e-7 s per unit
-(BigJoin, whose BFS join is per-binding Python, at ~5e-6).
+comes from ``tools/calibrate_costmodel.py --run-suite`` on
+the plans the planner picks at the time of each fit: direct items on the
+batched kernel and decomposed items as block folds. BigJoin's was last
+fit in 3.17.0, when it moved onto the shared kernels (3.3–3.8e-8 over
+two runs); the other four were fit earlier and now read 0.17–0.33x of
+their values, which the flight recorder's slowness verdict still uses.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ GRAPHPI_PROFILE = EngineCostProfile(
 
 BIGJOIN_PROFILE = EngineCostProfile(
     name="bigjoin",
-    unit_seconds=4.8e-6,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=3.6e-8,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=2.0,
     difference_weight=2.5,
     materialize_weight=2.5,  # per-level binding materialization

@@ -44,11 +44,9 @@ import tempfile
 import threading
 import time
 import warnings
-from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
 from repro.core.parser import format_pattern, parse_pattern
-from repro.core.pattern import MEMO_SIZE
 from repro.engines.recovery import Deadline
 from repro.errors import WorkerCrashError
 from repro.morph.cache import BoundedStore, MeasurementCache, PlanCache
@@ -88,28 +86,10 @@ _RESPONSE_METRICS = ("plan.cache.hit", "plan.cache.miss")
 #: ``options=None``): parsed once, never looked up.
 _DEFAULT_OPTIONS = RunOptions()
 
-
-def _parse_options(fields) -> RunOptions:
-    """A request's options, parsed once per distinct canonical form.
-
-    A hit is answered before any work, so :meth:`RunOptions.from_dict`
-    would otherwise be most of its cost. The form is the set of
-    ``((name, value), type)`` pairs: field order does not matter, and
-    the types keep ``1``, ``1.0`` and ``True`` apart. Only successful
-    parses are kept, so a bad field is rejected on every request that
-    carries it; options with a nested or unhashable value are parsed as
-    given.
-    """
-    try:
-        form = frozenset(zip(fields.items(), map(type, fields.values())))
-    except (AttributeError, TypeError):
-        return RunOptions.from_dict(fields)
-    return _parse_options_text(form)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _parse_options_text(form: frozenset) -> RunOptions:
-    return RunOptions.from_dict(dict(item for item, _type in form))
+#: Longest request line (bytes, newline included) that
+#: :meth:`MiningServer._read_request` keeps decoded: 24x ``serve-cold``'s
+#: mean line, so a store of long distinct lines stays small.
+_REQUEST_MEMO_LINE_BYTES = 4096
 
 
 def _cache_entry(answer: dict) -> protocol.Framed:
@@ -320,12 +300,15 @@ class MiningServer:
         the dict its first copy decoded to, so a repeat makes no JSON
         decode; a line that decodes to any other op, or to a ``run``
         carrying an ``idempotency_key`` or a ``chaos_index`` (unique per
-        call, or drawing a fault), is decoded each time and never kept.
+        call, or drawing a fault), is decoded each time and never kept,
+        and so is a line longer than :data:`_REQUEST_MEMO_LINE_BYTES`.
         A line that is not a JSON object raises :class:`ValueError`.
         """
         line = stream.readline()
         if not line:
             return None
+        if len(line) > _REQUEST_MEMO_LINE_BYTES:
+            return protocol.decode_message(line)
         request = self._requests.lookup(line)
         if request is None:
             request = protocol.decode_message(line)
@@ -529,7 +512,7 @@ class MiningServer:
         query.client = str(request.get("client", "anonymous"))
         fields = request.get("options")
         query.options = options = (
-            _parse_options(fields) if fields else _DEFAULT_OPTIONS
+            RunOptions.from_dict(fields) if fields else _DEFAULT_OPTIONS
         )
         breaker = self._breaker(query)
         if not breaker.allow():

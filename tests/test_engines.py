@@ -175,14 +175,6 @@ class TestInstrumentation:
             engine.count(small_graph, atlas.FOUR_CYCLE.vertex_induced())
             assert engine.stats.branches == 0
 
-    def test_bigjoin_materializes_levels(self, small_graph):
-        bj = BigJoinEngine()
-        bj.count(small_graph, atlas.TRIANGLE)
-        dfs = PeregrineEngine()
-        dfs.count(small_graph, atlas.TRIANGLE)
-        # BFS materializes intermediate bindings; the DFS fast path none.
-        assert bj.stats.materialized > dfs.stats.materialized
-
     def test_reset_stats(self, small_graph):
         engine = PeregrineEngine()
         engine.count(small_graph, atlas.TRIANGLE)

@@ -798,7 +798,8 @@ def test_run_facade_batch_roots_validated(small_graph):
 
 
 def test_default_is_batched_and_zero_is_per_root(small_graph):
-    """The policy, read off the kernel spans a traced run leaves."""
+    """The policy, read off the kernel spans a traced run leaves: the
+    same two kernels for every engine."""
 
     def kernels(**options):
         result = repro.run(
@@ -806,11 +807,10 @@ def test_default_is_batched_and_zero_is_per_root(small_graph):
         )
         return {s.name for s in result.trace.spans if s.name.startswith("kernel")}
 
-    assert kernels() == {"kernel.batched"}
-    assert kernels(batch_roots=7) == {"kernel.batched"}
-    assert kernels(batch_roots=0) == {"kernel"}
-    assert kernels(batch_roots=0, engine="autozero") == {"kernel.compiled"}
-    assert kernels(engine="autozero") == {"kernel.batched"}
+    for engine in sorted(repro.ENGINES):
+        assert kernels(engine=engine) == {"kernel.batched"}, engine
+        assert kernels(engine=engine, batch_roots=7) == {"kernel.batched"}, engine
+        assert kernels(engine=engine, batch_roots=0) == {"kernel"}, engine
     # Mechanism level: a bare engine stays per-root until told otherwise.
     assert PeregrineEngine().batch_roots is None
     assert repro.RunOptions().resolved_batch_roots() == DEFAULT_BATCH_ROOTS

@@ -12,8 +12,8 @@ kernel a run uses. These tests pin what that buys:
 * a default-kernel run executes the same steps traced or untraced (no
   multi-pattern side door), while the per-root reference keeps
   AutoZero's merged schedules and SumPA's abstraction;
-* no module outside ``engines/base.py``, ``engines/frontier.py`` and an
-  engine's own ``_run_kernel`` names a kernel entry point;
+* no module outside ``engines/base.py`` and ``engines/frontier.py``
+  names a kernel entry point;
 * the two early-stop behaviours of the block ``explore`` loop;
 * the block-delivery contract: every consumer of a block (``explore``,
   the sharded stream replay, the match-list fold) sees the per-root
@@ -279,7 +279,7 @@ class TestSideDoorFollowsTheKernel:
         assert untraced.results == traced.results
         assert untraced.stats.setops.batched == traced.stats.setops.batched > 0
         assert untraced.stats.setops.intersections == traced.stats.setops.intersections
-        for name in ("kernel.abstraction", "kernel.merged", "kernel", "kernel.compiled"):
+        for name in ("kernel.abstraction", "kernel.merged", "kernel"):
             assert not traced.trace.find(name)
         assert len(traced.trace.find("kernel.batched")) == len(EDGE_INDUCED_4)
         for engine in (untraced_engine, traced_engine):
@@ -312,15 +312,13 @@ class TestSideDoorFollowsTheKernel:
 
 
 SRC = Path(repro.__file__).parent
-KERNEL_ENTRY_POINTS = {"run_plan", "run_compiled", "run_plan_batched"}
-#: Files that may name a kernel entry point anywhere / only inside
-#: ``_run_kernel`` (plus the import that brings it in).
-DOOR = {"engines/base.py", "engines/frontier.py", "engines/autozero/codegen.py"}
-OWNERS = {"engines/autozero/engine.py"}
+KERNEL_ENTRY_POINTS = {"run_plan", "run_plan_batched"}
+#: Files that may name a kernel entry point.
+DOOR = {"engines/base.py", "engines/frontier.py"}
 
 
 def _kernel_references(tree: ast.AST):
-    """``(name, enclosing function or None, is an import)`` per code reference."""
+    """``(name, enclosing function or None)`` per code reference."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -333,7 +331,7 @@ def _kernel_references(tree: ast.AST):
         elif isinstance(node, ast.alias):
             name = node.name.rsplit(".", 1)[-1]
         if name in KERNEL_ENTRY_POINTS:
-            yield name, function, isinstance(node, ast.alias)
+            yield name, function
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
 
@@ -347,21 +345,15 @@ class TestOnlyTheDoorNamesAKernel:
             relative = path.relative_to(SRC).as_posix()
             if relative in DOOR:
                 continue
-            for name, function, is_import in _kernel_references(
-                ast.parse(path.read_text())
-            ):
-                owned = relative in OWNERS and (
-                    function == "_run_kernel" or (is_import and function is None)
-                )
-                if not owned:
-                    offenders.append(f"{relative}: {name} in {function or '<module>'}")
+            for name, function in _kernel_references(ast.parse(path.read_text())):
+                offenders.append(f"{relative}: {name} in {function or '<module>'}")
         assert offenders == []
 
     def test_the_check_sees_a_planted_reference(self):
         planted = ast.parse(
             "def count(self):\n    from x import run_plan\n    return run_plan(g)\n"
         )
-        assert [(n, f) for n, f, _ in _kernel_references(planted)] == [
+        assert list(_kernel_references(planted)) == [
             ("run_plan", "count"),
             ("run_plan", "count"),
         ]

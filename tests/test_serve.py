@@ -350,25 +350,18 @@ class TestServerProtocol:
         assert [record.patterns for record in anomalies] == [[tri_text()]] * 2
         assert server.handle({"op": "stats"})["flight"]["anomalies"] == 2
 
-    def test_options_are_parsed_once_per_text_and_rejected_every_time(self, server):
-        """The parse is memoized on the canonical options text (key order
-        does not matter); a rejected text is never kept, so every
-        request that carries it is rejected again."""
+    def test_options_are_rejected_every_time(self, server):
+        """Key order does not matter, and every request that carries a
+        bad field is rejected again."""
         base = {"op": "run", "graph": "small", "patterns": [tri_text()]}
-        server_module._parse_options_text.cache_clear()
-        with mock.patch.object(
-            RunOptions, "from_dict", wraps=RunOptions.from_dict
-        ) as parse:
-            for options in (
-                {"engine": "peregrine", "margin": 0.55},
-                {"margin": 0.55, "engine": "peregrine"},
-            ):
-                assert server.handle({**base, "options": options})["ok"]
-            assert parse.call_count == 1
-            for _ in range(2):
-                response = server.handle({**base, "options": {"wrkers": 2}})
-                assert not response["ok"] and "wrkers" in response["error"]
-            assert parse.call_count == 3
+        for options in (
+            {"engine": "peregrine", "margin": 0.55},
+            {"margin": 0.55, "engine": "peregrine"},
+        ):
+            assert server.handle({**base, "options": options})["ok"]
+        for _ in range(2):
+            response = server.handle({**base, "options": {"wrkers": 2}})
+            assert not response["ok"] and "wrkers" in response["error"]
 
     def test_hits_count_as_queries(self, server):
         """``serve.queries`` (``repro top``'s count, ``health``'s
@@ -1270,8 +1263,8 @@ def _parent_frame(client, graph, patterns, options=None, priority=0,
 
 
 class TestRequestMemos:
-    """The client's frame memo and the daemon's options memo share an
-    entry only between requests whose JSON is the same."""
+    """The client's frame memo shares an entry only between requests
+    whose JSON is the same, and the daemon reads options type-exact."""
 
     def test_requests_whose_json_differs_never_share_a_frame(self):
         client, sent = _recording_client()
@@ -1292,12 +1285,7 @@ class TestRequestMemos:
         assert len(set(expected)) == len(calls) - 1
         assert len(client._frames) == len(set(expected))
 
-    def test_the_options_memo_is_type_exact(self, server):
-        server_module._parse_options_text.cache_clear()
-        for fields in ({"margin": 1}, {"margin": 1.0}, {"workers": 1}):
-            parsed = server_module._parse_options(fields)
-            assert repr(parsed) == repr(RunOptions.from_dict(fields))
-        assert server_module._parse_options_text.cache_info().currsize == 3
+    def test_options_are_type_exact(self, server):
         base = {"op": "run", "graph": "small", "patterns": [tri_text()]}
         assert server.handle({**base, "options": {"workers": 1}})["ok"]
         refused = server.handle({**base, "options": {"workers": True}})

@@ -508,6 +508,25 @@ class TestHitsStayCheap:
             caches = server.handle({"op": "stats"})["caches"]
         assert caches["requests"] == {"entries": STORE_CAPACITY, "evictions": 1}
 
+    def test_an_over_long_line_is_answered_but_never_kept(self, small_graph):
+        limit = server_module._REQUEST_MEMO_LINE_BYTES
+        short = protocol.encode_message(run_request())
+        long = protocol.encode_message(run_request(client="c" * limit))
+        assert len(short) <= limit < len(long)
+        with make_server(small_graph, workers=1) as server:
+            with socket.create_connection((server.host, server.port)) as sock:
+                stream = sock.makefile("rwb")
+                answers = [_exchange(stream, short)]
+                for _ in range(2):
+                    answers.append(_exchange(stream, long))
+                    assert len(server._requests) == 1
+                answers.append(_exchange(stream, short))
+                stream.close()
+            assert server._requests.hits == 1  # the second short line
+            assert server._requests.snapshot() == {short: run_request()}
+        assert [a["cached"] for a in answers] == [False, True, True, True]
+        assert all(a["results"] == answers[0]["results"] for a in answers)
+
 
 #: The fields of a ``run`` request whose values send it down every path:
 #: hits, misses, replays, bad options, refusals and injected faults.
