@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--serve-workers", type=int, default=2, metavar="N",
-        help="concurrent query worker threads (default 2)",
+        help="queries that may execute at once (default 2; 0 = no bound)",
     )
     serve.add_argument(
         "--max-queue-depth", type=int, default=64,

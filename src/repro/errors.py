@@ -25,6 +25,7 @@ __all__ = [
     "ReproError",
     "RunDeadlineExceeded",
     "SharedMemoryLeakError",
+    "UnservedOptionError",
     "WorkerCrashError",
 ]
 
@@ -123,4 +124,15 @@ class CheckpointError(ReproError):
     the file is structurally unreadable. Individually corrupt *shard
     records* do not raise — they are dropped with a warning and the
     shard is recomputed.
+    """
+
+
+class UnservedOptionError(ReproError, ValueError):
+    """A served run asked for an option only an in-process run may use.
+
+    The daemon refuses it at admission, before it opens a file or starts
+    a process: a ``checkpoint`` or ``trace`` file at a path the client
+    chose (a checkpoint's records are unpickled on resume), a
+    ``progress`` line on its terminal, or more ``workers`` per query
+    than it has CPUs.
     """

@@ -19,10 +19,10 @@ Each profile's ``unit_seconds`` (cost units → wall seconds, used by
 ETAs and the flight recorder's slowness verdict, never by rankings)
 comes from ``tools/calibrate_costmodel.py --run-suite`` on
 the plans the planner picks at the time of each fit: direct items on the
-batched kernel and decomposed items as block folds. BigJoin's was last
-fit in 3.17.0, when it moved onto the shared kernels (3.3–3.8e-8 over
-two runs); the other four were fit earlier and now read 0.17–0.33x of
-their values, which the flight recorder's slowness verdict still uses.
+batched kernel and decomposed items as block folds. Peregrine's,
+AutoZero's, GraphPi's and SumPA's were fit in 3.18.0 (two runs each:
+3.2–3.3e-8, 4.3–4.4e-8, 5.0–5.1e-8 and 3.1–3.4e-8); BigJoin's in 3.17.0,
+when it moved onto the shared kernels (3.1–3.8e-8 over four runs).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.engines.base import MiningEngine
 
 PEREGRINE_PROFILE = EngineCostProfile(
     name="peregrine",
-    unit_seconds=1.4e-7,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=3.2e-8,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=2.0,
     difference_weight=2.5,
     materialize_weight=1.5,
@@ -42,7 +42,7 @@ PEREGRINE_PROFILE = EngineCostProfile(
 
 AUTOZERO_PROFILE = EngineCostProfile(
     name="autozero",
-    unit_seconds=1.7e-7,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=4.4e-8,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=1.2,  # merged schedules share loop prefixes
     difference_weight=1.8,
     materialize_weight=1.5,
@@ -52,7 +52,7 @@ AUTOZERO_PROFILE = EngineCostProfile(
 
 GRAPHPI_PROFILE = EngineCostProfile(
     name="graphpi",
-    unit_seconds=2.2e-7,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=5.1e-8,  # tools/calibrate_costmodel.py --run-suite
     intersection_weight=1.8,  # model-selected orders shave set-op work
     difference_weight=2.3,
     materialize_weight=1.5,
@@ -74,7 +74,7 @@ BIGJOIN_PROFILE = EngineCostProfile(
 
 SUMPA_PROFILE = EngineCostProfile(
     name="sumpa",
-    unit_seconds=1.8e-7,  # tools/calibrate_costmodel.py --run-suite
+    unit_seconds=3.2e-8,  # tools/calibrate_costmodel.py --run-suite
     native_anti_edges=True,
 )
 

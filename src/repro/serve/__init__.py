@@ -13,8 +13,9 @@ Topology::
 
     repro serve  ──  MiningServer (JSON-lines over TCP)
                        ├── GraphRegistry       graphs + shm segments
-                       ├── QueryScheduler      priority queue + admission
-                       └── worker threads  ──  MorphingSession per query
+                       ├── QueryScheduler      admission + priority-ordered slots
+                       └── connection threads  MorphingSession per query,
+                                               once its slot is granted
 
     repro.connect(port=...)  ──  Client.run(graph, patterns, options)
 

@@ -56,7 +56,7 @@ class FlightRecord:
     cached: bool = False
     #: End-to-end seconds (submit → response published).
     seconds: float = 0.0
-    #: Seconds spent queued before a worker picked the query up.
+    #: Seconds spent queued before the query was granted a slot.
     queue_wait: float = 0.0
     #: Algorithm 1's predicted cost for the selected set (units).
     predicted_cost: float | None = None

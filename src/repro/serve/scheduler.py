@@ -1,4 +1,4 @@
-"""Query queue: priorities, per-client limits, deadline-aware admission.
+"""Query gate: admission, priorities, deadlines and execution slots.
 
 The daemon multiplexes one machine across many clients, so "just run
 everything immediately" degrades into thrash exactly when the service
@@ -9,11 +9,17 @@ is most loaded. The scheduler makes the contention policy explicit:
   in-flight cap, and a deadline feasibility check (a query whose
   deadline will expire before it can plausibly start is rejected now,
   not after wasting a slot);
+* **slots** bound how many queries execute at once. A query runs on
+  the thread that submitted it: :meth:`QueryScheduler.acquire` blocks
+  that thread until the query is granted a slot, and
+  :meth:`QueryScheduler.release` hands the slot to the next queued
+  query. ``slots=0`` means no bound;
 * **ordering** is a strict priority queue (higher ``priority`` first,
-  FIFO within a priority level);
-* **deadlines** are re-checked at dispatch (reusing
+  FIFO within a priority level), pre-empted only by queries whose
+  deadline cannot wait any longer;
+* **deadlines** are re-checked at grant (reusing
   :class:`repro.Deadline`, clock injectable), so a query that queued
-  fine but aged out while waiting is dropped without running.
+  fine but aged out while waiting is refused without running.
 
 Every verdict lands in the metrics registry
 (``serve.admission.accepted`` / ``serve.admission.rejected.<reason>``)
@@ -46,12 +52,11 @@ REJECTED_DRAINING = "rejected:draining"
 
 
 class Query:
-    """One scheduled unit of work: a request plus its completion slot.
+    """One scheduled unit of work: a request and its walk's state.
 
-    The submitting thread waits on :meth:`wait`; whichever worker
-    executes the query publishes through :meth:`finish`. The event they
-    meet on is made when the query is queued: a query answered where it
-    arrived (a result-cache hit, a refusal) never needs one.
+    The thread that read the request walks it from admission to its
+    answer; the scheduler only stamps it (timestamps, a slot, or the
+    refusal that ends its wait).
     """
 
     def __init__(
@@ -77,7 +82,7 @@ class Query:
         #: What the server's stages hand each other along one walk
         #: (:data:`repro.serve.server.STAGES`): the chaos fault drawn
         #: for the request, its circuit-breaker cell, the sentinel
-        #: watching it on the worker, its tracer (misses only), the
+        #: watching it while it holds a slot, its tracer (misses only), the
         #: answer or error so far, the session's phase seconds, and a
         #: ``(stage, start, end)`` mark per stage walked.
         self.fault = None
@@ -88,42 +93,28 @@ class Query:
         self.error: Exception | None = None
         self.phases: tuple[tuple[str, float], ...] = ()
         self.marks: list[tuple[str, float, float]] = []
-        self.response: dict | None = None
         #: Backoff hint stamped by the shed controller on an
         #: ``rejected:overload`` verdict (``None`` otherwise).
         self.retry_after_s: float | None = None
         #: Scheduler-clock timestamps, stamped by the scheduler: at
-        #: admission, at dispatch to a worker, and at completion. They
-        #: feed the queue-wait and end-to-end latency histograms.
+        #: admission, at grant (or refusal) off the queue, and at
+        #: release. They feed the queue-wait and end-to-end latency
+        #: histograms.
         self.submitted_at: float | None = None
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        self._done: threading.Event | None = None
+        #: Whether the query holds an execution slot, and the answer
+        #: that ended its wait for one instead (both written by the
+        #: scheduler under its lock).
+        self.holds_slot = False
+        self.refusal: dict | None = None
 
     @property
     def queue_wait(self) -> float:
-        """Seconds from admission to dispatch (``0.0`` if never queued)."""
+        """Seconds from admission to grant (``0.0`` if never queued)."""
         if self.submitted_at is None or self.started_at is None:
             return 0.0
         return max(0.0, self.started_at - self.submitted_at)
-
-    def _event(self) -> threading.Event:
-        # Made by ``QueryScheduler.submit`` before any worker can see
-        # the query; a query that was never queued has no thread to race.
-        if self._done is None:
-            self._done = threading.Event()
-        return self._done
-
-    def finish(self, response: dict) -> None:
-        """Publish the response and wake the waiting submitter."""
-        self.response = response
-        self._event().set()
-
-    def wait(self, timeout: float | None = None) -> dict | None:
-        """Block until :meth:`finish`; ``None`` on timeout."""
-        if not self._event().wait(timeout):
-            return None
-        return self.response
 
 
 class AdmissionPolicy:
@@ -165,13 +156,15 @@ class AdmissionPolicy:
 
 
 class QueryScheduler:
-    """Thread-safe priority queue with admission control.
+    """Thread-safe priority gate with admission control.
 
-    ``clock`` is injectable (like :class:`repro.Deadline`'s) so tests
-    drive deadline behavior deterministically. The scheduler itself is
-    thread-less: the server's worker threads call :meth:`next_query` /
-    :meth:`run_next`, and unit tests can drain the queue synchronously
-    without any server at all.
+    ``slots`` bounds the queries that hold an execution slot at once
+    (``0``: no bound). ``clock`` is injectable (like
+    :class:`repro.Deadline`'s) so tests drive deadline behavior
+    deterministically. The scheduler runs nothing and starts no thread:
+    a caller :meth:`submit` s a query, :meth:`acquire` s its slot,
+    executes it and :meth:`release` s the slot; unit tests drive the
+    same calls from one thread.
     """
 
     def __init__(
@@ -180,17 +173,23 @@ class QueryScheduler:
         clock: Callable[[], float] = time.monotonic,
         metrics: MetricsRegistry | None = None,
         shed: ShedController | None = None,
+        slots: int = 0,
     ) -> None:
+        if slots < 0:
+            raise ValueError(f"slots must be >= 0, got {slots!r}")
         self.policy = policy or AdmissionPolicy()
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Optional overload gate consulted before the admission policy.
         self.shed = shed
+        self.slots = slots
+        self._running = 0
         self._heap: list[tuple[int, int, Query]] = []
         self._seq = 0
         self._inflight: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._available = threading.Condition(self._lock)
+        #: Notified whenever a queued query is granted or refused.
+        self._settled = threading.Condition(self._lock)
         #: The service lifecycle, ``accepting`` → ``draining`` →
         #: ``closed`` (or straight to ``closed``): its one record, which
         #: the server's ``drain_state`` and ``admit`` stage read. Written
@@ -206,7 +205,8 @@ class QueryScheduler:
         return Deadline(seconds, clock=self.clock)
 
     def submit(self, query: Query) -> str:
-        """Admit-or-reject ``query``; an accepted query is queued.
+        """Admit-or-reject ``query``; an accepted query is queued, and
+        granted a slot at once if one is free.
 
         Returns the verdict string. In-flight accounting covers both
         queued and executing queries of a client, so ``max_per_client``
@@ -232,54 +232,65 @@ class QueryScheduler:
                         f"serve.shed.{(decision.reason or 'unknown')}"
                     )
             if verdict == ACCEPTED:
-                query._event()
                 query.submitted_at = self.clock()
                 self._inflight[query.client] = self._inflight.get(query.client, 0) + 1
                 heapq.heappush(self._heap, (-query.priority, self._seq, query))
                 self._seq += 1
                 self.metrics.sample_window("serve.queue.depth", len(self._heap))
-                self._available.notify()
+                self._grant_locked()
         self.metrics.add(f"serve.admission.{verdict.replace(':', '.')}")
         return verdict
 
-    # -- dispatch ------------------------------------------------------------
+    # -- slots ---------------------------------------------------------------
 
-    def next_query(self, timeout: float | None = 0) -> Query | None:
-        """Pop the highest-priority query; ``None`` when empty/closed.
+    def acquire(self, query: Query) -> dict | None:
+        """Block until the submitted ``query`` holds a slot (``None``)
+        or is refused: the refusal's response, ``rejected:deadline``
+        when its deadline passed while it queued, or ``scheduler
+        closed``."""
+        with self._settled:
+            self._settled.wait_for(
+                lambda: query.holds_slot or query.refusal is not None
+            )
+        return query.refusal
 
-        ``timeout=0`` polls; ``None`` blocks until work or close.
-        Queries whose deadline expired while queued are finished with a
-        ``rejected:deadline`` error here and never reach a worker.
-        """
-        while True:
-            with self._lock:
-                if not self._heap and timeout != 0:
-                    self._available.wait_for(
-                        lambda: self._heap or self.state == "closed",
-                        timeout=timeout,
-                    )
-                if not self._heap:
-                    return None
-                query = self._pop_locked()
-                query.started_at = self.clock()
-                self.metrics.sample_window("serve.queue.depth", len(self._heap))
+    def release(self, query: Query) -> None:
+        """Give back the slot ``query`` holds and grant the next queued
+        queries; the client's in-flight charge ends here."""
+        with self._lock:
+            query.finished_at = self.clock()
+            if query.holds_slot:
+                query.holds_slot = False
+                self._running -= 1
+            self._uncharge_locked(query)
+            self._grant_locked()
+
+    def _grant_locked(self) -> None:
+        """Hand free slots to queued queries in dispatch order (caller
+        holds the lock). A query whose deadline expired while it queued
+        is refused here and never runs."""
+        while self._heap and (not self.slots or self._running < self.slots):
+            query = self._pop_locked()
+            query.started_at = self.clock()
+            self.metrics.sample_window("serve.queue.depth", len(self._heap))
+            self._settled.notify_all()
             if query.deadline is not None and query.deadline.expired():
                 self.metrics.add("serve.admission.rejected.deadline")
-                self._release(query)
-                response = {
+                self._uncharge_locked(query)
+                query.finished_at = query.started_at
+                query.refusal = {
                     "ok": False,
                     "error": REJECTED_DEADLINE,
                     "admission": REJECTED_DEADLINE,
                 }
                 if query.query_id is not None:
-                    response["query_id"] = query.query_id
-                query.finished_at = self.clock()
-                query.finish(response)
+                    query.refusal["query_id"] = query.query_id
                 continue
-            return query
+            query.holds_slot = True
+            self._running += 1
 
     def _pop_locked(self) -> Query:
-        """Pop the next query to dispatch (caller holds the lock).
+        """Pop the next query to grant (caller holds the lock).
 
         Normally strict priority order — but a queued query whose
         deadline has less headroom than one estimated service time is
@@ -288,7 +299,7 @@ class QueryScheduler:
         first). This is the anti-starvation guarantee: a stream of
         high-priority arrivals cannot hold a feasible low-priority
         query past its deadline. Already-expired queries are not urgent
-        (the post-pop deadline check rejects them as before), and with
+        (the grant-time deadline check refuses them), and with
         ``estimated_service_seconds == 0`` the scan never fires.
         """
         estimate = self.policy.estimated_service_seconds
@@ -310,40 +321,18 @@ class QueryScheduler:
                 return query
         return heapq.heappop(self._heap)[2]
 
-    def run_next(self, execute: Callable[[Query], dict], timeout: float | None = 0) -> bool:
-        """Synchronously execute one queued query (worker loop body).
-
-        Returns ``False`` when no query was available. Exceptions from
-        ``execute`` become error responses, never worker crashes.
-        """
-        query = self.next_query(timeout=timeout)
-        if query is None:
-            return False
-        try:
-            response = execute(query)
-        except Exception as exc:  # noqa: BLE001 - workers must not die
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            if query.query_id is not None:
-                response["query_id"] = query.query_id
-        finally:
-            self._release(query)
-        query.finished_at = self.clock()
-        query.finish(response)
-        return True
-
-    def _release(self, query: Query) -> None:
-        with self._lock:
-            count = self._inflight.get(query.client, 0) - 1
-            if count <= 0:
-                self._inflight.pop(query.client, None)
-            else:
-                self._inflight[query.client] = count
+    def _uncharge_locked(self, query: Query) -> None:
+        count = self._inflight.get(query.client, 0) - 1
+        if count <= 0:
+            self._inflight.pop(query.client, None)
+        else:
+            self._inflight[query.client] = count
 
     # -- lifecycle -----------------------------------------------------------
 
     @property
     def depth(self) -> int:
-        """Number of queries currently queued (not executing)."""
+        """Number of queries waiting for a slot."""
         with self._lock:
             return len(self._heap)
 
@@ -369,7 +358,7 @@ class QueryScheduler:
         """Queued + executing queries across every client.
 
         The drain loop polls this: zero means every admitted query has
-        published its response and the daemon may stop.
+        released its slot and the daemon may stop.
         """
         with self._lock:
             return sum(self._inflight.values())
@@ -387,22 +376,17 @@ class QueryScheduler:
                 self.state = "draining" if draining else "accepting"
             return self.state != before
 
-    @property
-    def draining(self) -> bool:
-        """Whether new submissions are being rejected for drain."""
-        return self.state == "draining"
-
     def close(self) -> None:
-        """Reject everything still queued and wake blocked workers."""
+        """Refuse everything still queued and wake its waiting threads;
+        queries holding a slot run on."""
         with self._lock:
             self.state = "closed"
-            pending = [query for _, _, query in self._heap]
+            for _, _, query in self._heap:
+                self._uncharge_locked(query)
+                query.refusal = {"ok": False, "error": "scheduler closed"}
             self._heap.clear()
             self.metrics.sample_window("serve.queue.depth", 0)
-            self._available.notify_all()
-        for query in pending:
-            self._release(query)
-            query.finish({"ok": False, "error": "scheduler closed"})
+            self._settled.notify_all()
 
     def snapshot(self) -> dict[str, Any]:
         """Wire-safe scheduler state for the ``stats`` op."""

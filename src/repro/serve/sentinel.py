@@ -3,13 +3,13 @@
 A resident service lives or dies by isolation: one runaway query — a
 pattern that explodes combinatorially, a hang injected by the chaos
 harness, a slow engine on a huge graph — must cost *its own* budget,
-never a worker thread forever. PR 5 already built the cancellation
-machinery (:class:`repro.Deadline` flows into ``RunControl`` and stops
-shard dispatch at the next boundary, returning the established
-``PartialRunResult`` / typed-error shapes); the sentinel layer arms it
-per query and adds the trigger the batch layer never needed: an
-**external** watchdog that can expire the deadline from outside the
-run.
+never a serving thread forever. The batch layer already has the
+cancellation machinery (:class:`repro.Deadline` flows into
+``RunControl`` and stops shard dispatch at the next boundary, returning
+the established ``PartialRunResult`` / typed-error shapes); the
+sentinel layer arms it per query and adds the trigger the batch layer
+never needed: an **external** watchdog that can expire the deadline
+from outside the run.
 
 Each executing query gets a :class:`QuerySentinel` owning a live
 :class:`~repro.engines.recovery.Deadline` (injectable clock) that the
@@ -168,23 +168,25 @@ class SentinelBoard:
     # -- lifecycle ----------------------------------------------------------
 
     def watch(
-        self, query_id: str, deadline_seconds: float | None = None
+        self, query_id: str, deadline: Deadline | None = None
     ) -> QuerySentinel | None:
         """Arm a sentinel for a query that is starting to execute.
 
-        The sentinel's deadline is the tighter of the request's own
-        ``deadline_seconds`` and the server wall budget; with neither
-        (and no RSS budget) no sentinel is armed.
+        ``deadline`` is the query's own, which has run since admission.
+        The sentinel's deadline is the tighter of it and the server
+        wall budget; with neither (and no RSS budget) no sentinel is
+        armed.
         """
-        candidates = [
-            s for s in (deadline_seconds, self.wall_budget_s) if s is not None
-        ]
-        if not candidates and self.rss_budget_bytes is None:
-            return None
-        effective = min(candidates) if candidates else _FAR_FUTURE_SECONDS
+        wall = self.wall_budget_s
+        if wall is not None and (deadline is None or deadline.remaining() > wall):
+            deadline = Deadline(wall, clock=self.clock)
+        if deadline is None:
+            if self.rss_budget_bytes is None:
+                return None
+            deadline = Deadline(_FAR_FUTURE_SECONDS, clock=self.clock)
         sentinel = QuerySentinel(
             query_id,
-            Deadline(effective, clock=self.clock),
+            deadline,
             clock=self.clock,
             wall_budget_s=self.wall_budget_s,
             rss_budget_bytes=self.rss_budget_bytes,

@@ -4,10 +4,10 @@ One process owns the expensive state — resident graphs (with their
 shared-memory segments), a warm :class:`repro.PlanCache`, a
 :class:`repro.MeasurementCache`, and a result cache — and answers
 queries over the JSON-lines protocol (:mod:`.protocol`). A ``run``
-request walks :data:`STAGES`, the one declaration of its path, through
-the :class:`.scheduler.QueryScheduler` (priority ordering, per-client
-limits, deadline-aware admission) into a small pool of worker threads,
-each of which builds a *fresh* engine per query
+request walks :data:`STAGES`, the one declaration of its path, on the
+thread that read it: the :class:`.scheduler.QueryScheduler` (priority
+ordering, per-client limits, deadline-aware admission) grants it one of
+``workers`` execution slots, and the query then builds a *fresh* engine
 (:func:`repro.resolve_engine` with ``fresh=True`` — engine instances
 carry per-run mutable state and must never be shared across concurrent
 runs).
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import socket
 import socketserver
 import tempfile
@@ -48,7 +49,7 @@ from typing import Any, Callable, NamedTuple
 
 from repro.core.parser import format_pattern, parse_pattern
 from repro.engines.recovery import Deadline
-from repro.errors import WorkerCrashError
+from repro.errors import UnservedOptionError, WorkerCrashError
 from repro.morph.cache import BoundedStore, MeasurementCache, PlanCache
 from repro.morph.profiles import profile_for
 from repro.morph.session import MorphingSession, PartialRunResult
@@ -92,6 +93,16 @@ _DEFAULT_OPTIONS = RunOptions()
 _REQUEST_MEMO_LINE_BYTES = 4096
 
 
+def _refuse_unserved(options: RunOptions) -> None:
+    """Raise :class:`UnservedOptionError` for a wire option the daemon
+    must not honour (see the error's docstring)."""
+    for name in ("checkpoint", "trace", "progress"):
+        if getattr(options, name) is not None:
+            raise UnservedOptionError(f"option {name!r} is not served")
+    if options.workers > 1 and options.workers > (os.cpu_count() or 1):
+        raise UnservedOptionError("option 'workers' exceeds the daemon's CPUs")
+
+
 def _cache_entry(answer: dict) -> protocol.Framed:
     """A result-cache entry: ``answer`` without its per-query fields,
     encoded once, in the form the drain journal keeps, so a hit reads
@@ -116,11 +127,13 @@ class Stage(NamedTuple):
 class _Declined(Exception):
     """A stage's answer to a request it does not serve: a refusal, or
     an idempotent replay. It ends the walk with ``response``, leaving no
-    flight record and no latency sample."""
+    flight record and no latency sample, unless ``recorded`` (a query
+    refused after it queued, like every query that waited for a slot)."""
 
-    def __init__(self, response: dict) -> None:
+    def __init__(self, response: dict, recorded: bool = False) -> None:
         super().__init__(response.get("error", "replay"))
         self.response = response
+        self.recorded = recorded
 
     @classmethod
     def refusal(cls, verdict: str, retry_after_s=None, **fields) -> "_Declined":
@@ -138,15 +151,15 @@ class MiningServer:
 
     * :meth:`handle` — dict in, dict out; the full protocol without any
       sockets or threads (unit tests drive this directly);
-    * :meth:`start` / :meth:`close` — TCP listener plus worker threads
-      (what ``repro serve`` runs);
+    * :meth:`start` / :meth:`close` — TCP listener, one thread per
+      connection, plus the sampler thread (what ``repro serve`` runs);
     * ``with MiningServer(...) as server:`` — start/close scoped.
 
+    Every query runs on the thread that read it. ``workers`` is the
+    number of queries that may execute at once — the scheduler's slots;
+    the rest wait in priority order. ``workers=0`` sets no bound.
     ``clock`` is forwarded to the scheduler so tests control deadline
-    admission deterministically. ``workers=0`` runs queries
-    synchronously in whichever thread submitted them (deterministic
-    integration tests); any positive count gives real cross-query
-    concurrency.
+    admission deterministically.
 
     Observability: every run mints a ``query_id`` (returned in the
     response and stamped into every span of the query's trace), the
@@ -183,8 +196,6 @@ class MiningServer:
         state_path: str | None = None,
         chaos: Any = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers!r}")
         if drain_deadline_s <= 0:
             raise ValueError(
                 f"drain_deadline_s must be positive, got {drain_deadline_s!r}"
@@ -199,7 +210,7 @@ class MiningServer:
             estimated_service_seconds=policy.estimated_service_seconds,
         )
         self.scheduler = QueryScheduler(
-            policy=policy, clock=clock, metrics=self.metrics, shed=self.shed
+            policy, clock, self.metrics, shed=self.shed, slots=workers
         )
         self.sentinels = SentinelBoard(
             clock=clock,
@@ -406,9 +417,8 @@ class MiningServer:
 
     # -- the run op: one walk over STAGES ---------------------------------------
 
-    def _walk(self, query: Query, worker: bool = False) -> dict:
-        """Walk :data:`STAGES` for one ``run`` request (on a ``worker``:
-        the stages after ``queue``).
+    def _walk(self, query: Query) -> dict:
+        """Walk :data:`STAGES` for one ``run`` request, on this thread.
 
         The runner: the only code that times, traces, faults and records
         a served query. Per stage it samples ``serve.stage.<name>``,
@@ -416,24 +426,22 @@ class MiningServer:
         if the query gets a tracer) and fires the query's chaos fault
         if the fault's kind names the stage. A stage answers by
         returning the response, or fails by raising; from then on only
-        ``record`` runs. ``queue`` hands the query to a worker, which
-        walks the stages after it (:meth:`_execute`), so its answer
-        ends the submitter's walk. A :class:`_Declined` answer ends the
-        walk unrecorded; every other walk leaves one flight record and
-        one ``serve.latency.total`` sample, written by the submitter.
-        The samples and counts a walk takes are recorded together as it
-        ends, however it ends: one :meth:`MetricsRegistry.record_batch`.
+        ``record`` runs, and a failure is answered as
+        ``{"ok": false, "error", "query_id"}``. A :class:`_Declined`
+        answer ends the walk, unrecorded unless it says otherwise;
+        every other walk leaves one flight record and one
+        ``serve.latency.total`` sample. A query granted a slot by
+        ``queue`` gives it back as its walk ends. The samples and counts
+        a walk takes are recorded together as it ends, however it ends:
+        one :meth:`MetricsRegistry.record_batch`.
         """
         clock = self.scheduler.clock
         samples: list[tuple[str, float]] = []
         counts: list[str] = []
+        arrived = query.submitted_at = clock()
+        query.query_id = f"q-{next(self._query_seq):06d}"
         try:
-            if worker:
-                samples.append(("serve.latency.queue_wait", query.queue_wait))
-            else:
-                arrived = query.submitted_at = clock()
-                query.query_id = f"q-{next(self._query_seq):06d}"
-            for stage in STAGES[_WORKER_FIRST:] if worker else STAGES:
+            for stage in STAGES:
                 if stage is not _RECORD and (
                     query.answer is not None or query.error is not None
                 ):
@@ -444,8 +452,11 @@ class MiningServer:
                         query.fault.fire(query.sentinel and query.sentinel.deadline)
                     answer = stage.run(self, query)
                 except _Declined as declined:
-                    return declined.response
-                except Exception as exc:  # noqa: BLE001 - recorded, re-raised below
+                    if not declined.recorded:
+                        return declined.response
+                    query.answer, answer = declined.response, None
+                    break
+                except Exception as exc:  # noqa: BLE001 - answered below
                     query.error, answer = exc, None
                 finally:
                     end = time.perf_counter()
@@ -453,45 +464,33 @@ class MiningServer:
                     query.marks.append((stage.name, start, end))
                 if answer is not None:
                     query.answer = answer
-                    if stage is _HANDOFF:
-                        break  # a worker walked the rest
                     if answer.get("cached"):
                         counts.append("serve.result_cache.hits")
                     samples.append((
                         "serve.latency.first_result",
                         max(0.0, clock() - query.submitted_at),
                     ))
-            if worker:
-                engine = query.options.engine
-                for phase, seconds in query.phases:
-                    samples.append((f"serve.stage.{phase}.{engine}", seconds))
-            else:
-                # Includes the submitter's wakeup: what a client experiences.
-                samples.append(("serve.latency.total", clock() - arrived))
-                if query.answer is not None and query.answer.get("ok"):
-                    counts.append("serve.queries")  # hits are queries too
-                self._record_flight(query)
+            if query.holds_slot:
+                samples.append(("serve.latency.queue_wait", query.queue_wait))
+            for phase, seconds in query.phases:
+                samples.append((f"serve.stage.{phase}.{query.options.engine}", seconds))
+            samples.append(("serve.latency.total", clock() - arrived))
+            if query.answer is None:
+                error = f"{type(query.error).__name__}: {query.error}"
+                query.answer = {"ok": False, "error": error, "query_id": query.query_id}
+            elif query.answer.get("ok"):
+                counts.append("serve.queries")  # hits are queries too
+            self._record_flight(query)
         finally:
+            if query.holds_slot:
+                self.sentinels.finish(query.query_id)
+                self.scheduler.release(query)
             self.metrics.record_batch(samples, counts)
-        if query.answer is None:
-            raise query.error
         return query.answer
 
-    def _execute(self, query: Query) -> dict:
-        """The worker's half of :meth:`_walk` (the scheduler calls it),
-        under the query's sentinel: armed before anything can run away,
-        its deadline — the tighter of the request's own and the server
-        wall budget — lets the board cancel the run."""
-        query.sentinel = self.sentinels.watch(
-            query.query_id or "", query.options.deadline_seconds
-        )
-        try:
-            return self._walk(query, worker=True)
-        finally:
-            self.sentinels.finish(query.query_id or "")
-
     def _admit(self, query: Query) -> None:
-        """Draining, idempotency replay, options, breaker."""
+        """Draining, idempotency replay, options, breaker; the query's
+        deadline starts here."""
         request = query.request
         if self.scheduler.state != "accepting":
             self.metrics.add("serve.admission.rejected.draining")
@@ -511,9 +510,10 @@ class MiningServer:
                 query.fault = self._drawn.fault = fault
         query.client = str(request.get("client", "anonymous"))
         fields = request.get("options")
-        query.options = options = (
-            RunOptions.from_dict(fields) if fields else _DEFAULT_OPTIONS
-        )
+        options = RunOptions.from_dict(fields) if fields else _DEFAULT_OPTIONS
+        if fields:
+            _refuse_unserved(options)
+        query.options = options
         breaker = self._breaker(query)
         if not breaker.allow():
             self.metrics.add("serve.admission.rejected.circuit-open")
@@ -579,27 +579,30 @@ class MiningServer:
             return None
         return protocol.stamped(hit, True, query.query_id)
 
-    def _queue(self, query: Query) -> dict:
-        """Shed and admission, then hand-off: the worker's answer."""
+    def _queue(self, query: Query) -> None:
+        """Shed and admission, then the wait for a slot.
+
+        A granted query is armed with its sentinel before anything can
+        run away: its deadline — the tighter of what is left of the
+        request's own, which started at admission, and the server wall
+        budget — lets the board cancel the run.
+        """
         verdict = self.scheduler.submit(query)
         if verdict != ACCEPTED:
             raise _Declined.refusal(
                 verdict, query.retry_after_s, query_id=query.query_id
             )
-        if self._tcp is None or not self.workers:
-            # Synchronous mode (``workers=0``, dict-level unit tests):
-            # drain the queue in the calling thread until this query
-            # resolves — higher-priority work still runs first.
-            while query.response is None:
-                self.scheduler.run_next(self._execute)
-        return query.wait(timeout=None)
+        refusal = self.scheduler.acquire(query)
+        if refusal is not None:
+            raise _Declined(refusal, recorded=True)
+        query.sentinel = self.sentinels.watch(query.query_id, query.deadline)
 
     def _run(self, query: Query) -> dict:
         """Resolve graph and patterns, then run the session.
 
-        The worker looks the cache up again first, for a query that
-        queued behind an identical one; misses are counted here alone,
-        so each is counted once.
+        The cache is looked up again first, for a query that queued
+        behind an identical one; misses are counted here alone, so each
+        is counted once.
         """
         hit = self._lookup(query)
         if hit is not None:
@@ -883,7 +886,7 @@ class MiningServer:
     # -- socket front-end ----------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Bind the TCP listener and spin up the worker threads.
+        """Bind the TCP listener and start its thread and the sampler's.
 
         Returns the bound ``(host, port)`` — with ``port=0`` the OS
         picks a free port, so parallel test runs never collide.
@@ -903,8 +906,6 @@ class MiningServer:
         self.host, self.port = self._tcp.server_address[:2]
         self._threads = []
         self._spawn(self._tcp.serve_forever, "listener", poll_interval=0.05)
-        for index in range(self.workers):
-            self._spawn(self._worker_loop, f"worker-{index}")
         if self.sample_interval > 0:
             self._spawn(self._sampler_loop, "sampler")
         return self.host, self.port
@@ -916,10 +917,6 @@ class MiningServer:
         )
         thread.start()
         self._threads.append(thread)
-
-    def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            self.scheduler.run_next(self._execute, timeout=0.1)
 
     def _sampler_loop(self) -> None:
         """Periodic queue-depth sampling (the satellite to admission-time
@@ -948,8 +945,8 @@ class MiningServer:
             self._connections.discard(connection)
 
     def close(self) -> None:
-        """Stop listening, hang up live connections, drain workers,
-        release graphs and segments.
+        """Stop listening, refuse queued queries, hang up live
+        connections, release graphs and segments.
 
         Clients keep their connections open between requests, so a
         closed daemon must hang them up: otherwise their handler threads
@@ -1069,10 +1066,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 #: The ``run`` op, in order: the one declaration of a served query's
-#: path, walked by :meth:`MiningServer._walk`. ``queue`` hands the query
-#: to a worker, which walks ``execute`` and ``record`` (or the calling
-#: thread does, with ``workers=0``); a hit answered by ``result_cache``
-#: goes straight to ``record``.
+#: path, walked by :meth:`MiningServer._walk` on the thread that read
+#: the request. ``queue`` returns once the query holds an execution
+#: slot; a hit answered by ``result_cache`` goes straight to ``record``.
 STAGES = (
     Stage("admit", MiningServer._admit),
     Stage("result_cache", MiningServer._lookup),
@@ -1080,6 +1076,5 @@ STAGES = (
     Stage("execute", MiningServer._run),
     Stage("record", MiningServer._record),
 )
-_HANDOFF, _RECORD = STAGES[2], STAGES[-1]
-_WORKER_FIRST = STAGES.index(_HANDOFF) + 1
+_RECORD = STAGES[-1]
 _STAGE_METRICS = {stage.name: f"serve.stage.{stage.name}" for stage in STAGES}

@@ -22,6 +22,7 @@ import io
 import json
 import os
 import socket
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -195,9 +196,24 @@ class FakeClock:
         self.now += seconds
 
 
+def hold_slot(scheduler: QueryScheduler, tag: str = "holder") -> Query:
+    """Submit a query that takes a free slot, so later ones queue."""
+    holder = Query({"tag": tag}, client=tag)
+    assert scheduler.submit(holder) == "accepted"
+    assert scheduler.acquire(holder) is None and holder.holds_slot
+    return holder
+
+
+def granted(queries: list[Query]) -> Query:
+    """The one query of ``queries`` that holds a slot."""
+    (holder,) = [query for query in queries if query.holds_slot]
+    return holder
+
+
 class TestScheduler:
     def test_priority_ordering_fifo_within_level(self):
-        scheduler = QueryScheduler()
+        scheduler = QueryScheduler(slots=1)
+        holder = hold_slot(scheduler)
         queries = [
             Query({"tag": "low"}, priority=0),
             Query({"tag": "high"}, priority=5),
@@ -206,11 +222,21 @@ class TestScheduler:
         ]
         for query in queries:
             assert scheduler.submit(query) == "accepted"
-        order = [scheduler.next_query().request["tag"] for _ in range(4)]
+        assert scheduler.depth == 4
+        order = []
+        for _ in range(4):
+            # Each release grants exactly the next query, and only it.
+            scheduler.release(holder)
+            holder = granted(queries)
+            assert scheduler.acquire(holder) is None
+            order.append(holder.request["tag"])
         assert order == ["high", "high2", "mid", "low"]
 
     def test_queue_full_rejection(self):
-        scheduler = QueryScheduler(policy=AdmissionPolicy(max_queue_depth=2))
+        scheduler = QueryScheduler(
+            policy=AdmissionPolicy(max_queue_depth=2), slots=1
+        )
+        hold_slot(scheduler)
         assert scheduler.submit(Query({})) == "accepted"
         assert scheduler.submit(Query({})) == "accepted"
         assert scheduler.submit(Query({})) == "rejected:queue-full"
@@ -228,15 +254,20 @@ class TestScheduler:
         query = Query({}, client="a")
         assert scheduler.submit(query) == "accepted"
         assert scheduler.submit(Query({}, client="a")) == "rejected:client-limit"
-        assert scheduler.run_next(lambda q: {"ok": True})
-        assert scheduler.inflight("a") == 0
+        assert scheduler.acquire(query) is None
+        assert scheduler.inflight("a") == 1  # executing still counts
+        scheduler.release(query)
+        assert scheduler.inflight("a") == 0 and not query.holds_slot
         assert scheduler.submit(Query({}, client="a")) == "accepted"
 
     def test_deadline_infeasible_at_submit_rejected(self):
         clock = FakeClock()
         scheduler = QueryScheduler(
-            policy=AdmissionPolicy(estimated_service_seconds=1.0), clock=clock
+            policy=AdmissionPolicy(estimated_service_seconds=1.0),
+            clock=clock,
+            slots=1,
         )
+        hold_slot(scheduler)
         for _ in range(3):
             assert scheduler.submit(Query({})) == "accepted"
         # 3 queued × ~1s each, but only 2s of deadline headroom: reject.
@@ -247,44 +278,113 @@ class TestScheduler:
 
     def test_deadline_expired_while_queued_never_runs(self):
         clock = FakeClock()
-        scheduler = QueryScheduler(clock=clock)
+        scheduler = QueryScheduler(clock=clock, slots=1)
+        holder = hold_slot(scheduler)
         query = Query({}, deadline=scheduler.make_deadline(1.0))
         assert scheduler.submit(query) == "accepted"
         clock.advance(2.0)
-        executed = []
-        assert not scheduler.run_next(lambda q: executed.append(q) or {"ok": True})
-        assert executed == []
-        assert query.response == {
+        scheduler.release(holder)
+        assert scheduler.acquire(query) == {
             "ok": False,
             "error": "rejected:deadline",
             "admission": "rejected:deadline",
         }
+        assert not query.holds_slot and scheduler.total_inflight() == 0
+        assert scheduler.metrics.value("serve.admission.rejected.deadline") == 1
+        # The refused query did not take the slot: the next one gets it.
+        nxt = Query({})
+        assert scheduler.submit(nxt) == "accepted" and nxt.holds_slot
 
-    def test_execute_exception_becomes_error_response(self):
-        scheduler = QueryScheduler()
-        query = Query({})
-        scheduler.submit(query)
-
-        def boom(_query):
+    def test_execute_exception_becomes_error_response(self, server, monkeypatch):
+        def boom(*args, **kwargs):
             raise RuntimeError("kaput")
 
-        assert scheduler.run_next(boom)
-        assert query.response == {"ok": False, "error": "RuntimeError: kaput"}
+        monkeypatch.setattr(server_module.MorphingSession, "run", boom)
+        response = server.handle(
+            {"op": "run", "graph": "small", "patterns": [tri_text()]}
+        )
+        assert response == {
+            "ok": False,
+            "error": "RuntimeError: kaput",
+            "query_id": response["query_id"],
+        }
+        assert server.scheduler.total_inflight() == 0
+        assert server.flight.find(response["query_id"]).status == "error"
 
     def test_close_rejects_pending(self):
-        scheduler = QueryScheduler()
+        scheduler = QueryScheduler(slots=1)
+        holder = hold_slot(scheduler)
         query = Query({})
         scheduler.submit(query)
+        refusals = []
+        waiter = threading.Thread(
+            target=lambda: refusals.append(scheduler.acquire(query))
+        )
+        waiter.start()
         scheduler.close()
-        assert query.response == {"ok": False, "error": "scheduler closed"}
-        assert scheduler.depth == 0
+        waiter.join(timeout=5)
+        assert refusals == [{"ok": False, "error": "scheduler closed"}]
+        assert scheduler.depth == 0 and scheduler.inflight("anonymous") == 0
+        # The query that held a slot runs on and gives it back.
+        assert holder.holds_slot
+        scheduler.release(holder)
+        assert scheduler.total_inflight() == 0
+
+    def test_slots_bound_concurrent_holders(self):
+        """More threads than cores contend for two slots with the switch
+        interval shortened: never more than two hold one at once, and
+        every slot and in-flight charge comes back."""
+        scheduler = QueryScheduler(
+            policy=AdmissionPolicy(max_queue_depth=64), slots=2
+        )
+        lock = threading.Lock()
+        holding = {"now": 0, "most": 0}
+        errors: list[BaseException] = []
+
+        def contend(index: int) -> None:
+            try:
+                for _ in range(100):
+                    query = Query({}, client=f"c{index}")
+                    assert scheduler.submit(query) == "accepted"
+                    assert scheduler.acquire(query) is None
+                    with lock:
+                        holding["now"] += 1
+                        holding["most"] = max(holding["most"], holding["now"])
+                    time.sleep(0)
+                    with lock:
+                        holding["now"] -= 1
+                    scheduler.release(query)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=contend, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 1 <= holding["most"] <= 2
+        assert scheduler.metrics.value("serve.admission.accepted") == 800
+        assert scheduler.total_inflight() == 0 and scheduler.depth == 0
+        # Every slot is free again: two new queries are granted at once.
+        fresh = [Query({}), Query({})]
+        for query in fresh:
+            scheduler.submit(query)
+        assert all(query.holds_slot for query in fresh)
 
     def test_depth_gauge_tracks_queue(self):
-        scheduler = QueryScheduler()
+        scheduler = QueryScheduler(slots=1)
+        holder = hold_slot(scheduler)
         scheduler.submit(Query({}))
         scheduler.submit(Query({}))
         assert scheduler.metrics.value("serve.queue.depth") == 2
-        scheduler.run_next(lambda q: {"ok": True})
+        scheduler.release(holder)
         assert scheduler.metrics.value("serve.queue.depth") == 1
 
 
@@ -1052,36 +1152,106 @@ class TestEarlyHits:
         finally:
             server.close()
 
-    def test_observables_match_a_worker_hit(self, server):
+    def test_observables_match_a_queued_hit(self, small_graph):
+        server = _small_server(small_graph, workers=1)
         request = {"op": "run", "graph": "small", "patterns": [tri_text()]}
-        # Two identical queries queued together: the second one is a hit
-        # answered by the worker (the path every hit took before).
-        queued = [Query(dict(request), query_id=f"q-w{i}") for i in range(2)]
-        for query in queued:
-            query.options = RunOptions()
-            query.cache_key = server._result_key(query.request, query.options)
-            assert server.scheduler.submit(query) == "accepted"
-        while server.scheduler.run_next(server._execute):
-            pass
-        cold, worker_hit = (query.response for query in queued)
-        assert not cold["cached"] and worker_hit["cached"]
+        answers: dict[int, dict] = {}
+        try:
+            # Two identical queries queue behind a query that holds the
+            # only slot: the first misses, and the second is a hit
+            # answered by ``execute`` (the path every hit took before
+            # hits were answered ahead of admission).
+            holder = Query({}, client="holder")
+            assert server.scheduler.submit(holder) == "accepted"
+            threads = []
+            for index in range(2):
+                thread = threading.Thread(
+                    target=lambda i=index: answers.__setitem__(
+                        i, server.handle(dict(request))
+                    )
+                )
+                thread.start()
+                threads.append(thread)
+                _wait_until(lambda n=index + 1: server.scheduler.depth == n)
+            server.scheduler.release(holder)
+            for thread in threads:
+                thread.join(timeout=30)
+            cold, queued_hit = answers[0], answers[1]
+            assert not cold["cached"] and queued_hit["cached"]
 
-        early = server.handle({**request, "idempotency_key": "k1"})
-        replay = server.handle({**request, "idempotency_key": "k1"})
+            early = server.handle({**request, "idempotency_key": "k1"})
+            replay = server.handle({**request, "idempotency_key": "k1"})
+        finally:
+            server.close()
         strip = lambda r: {k: v for k, v in r.items() if k != "query_id"}
-        assert json.dumps(strip(early)) == json.dumps(strip(worker_hit))
+        assert json.dumps(strip(early)) == json.dumps(strip(queued_hit))
         assert replay == early and server._idempotency.lookup("k1") == early
         assert server.metrics.value("serve.result_cache.hits") == 2
         assert server.metrics.value("serve.result_cache.misses") == 1
         assert server.metrics.value("serve.idempotent.replays") == 1
-        # Total latency for the early hit only (the queued pair bypassed
-        # ``handle``); queue wait only for the two scheduled queries.
-        assert server.metrics.histogram("serve.latency.total").count == 1
+        # Total latency for the three walks (not the replay); queue wait
+        # only for the two queries granted a slot by the walk.
+        assert server.metrics.histogram("serve.latency.total").count == 3
         assert server.metrics.histogram("serve.latency.queue_wait").count == 2
-        assert server.metrics.value("serve.admission.accepted") == 2
+        # The holder and the two queued queries.
+        assert server.metrics.value("serve.admission.accepted") == 3
         record = server.flight.find(early["query_id"])
         assert record is not None and record.cached and record.status == "ok"
         assert record.queue_wait == 0.0 and record.trace is None
+        queued = server.flight.find(queued_hit["query_id"])
+        assert queued.cached and queued.queue_wait > 0.0
+
+
+class TestUnservedOptions:
+    """Options that would have the daemon write a client-named file,
+    draw on its terminal or fork past its CPUs are refused at admission,
+    with a typed error, before anything opens a file or starts a
+    process."""
+
+    @staticmethod
+    def _run(server, **options) -> dict:
+        return server.handle(
+            {"op": "run", "graph": "small", "patterns": [tri_text()],
+             "options": options}
+        )
+
+    def test_a_checkpoint_path_is_refused_and_never_created(self, server, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        refused = self._run(server, checkpoint=str(journal))
+        assert not refused["ok"]
+        assert refused["error"].startswith("UnservedOptionError: option 'checkpoint'")
+        assert not journal.exists()
+        assert server.metrics.value("serve.admission.accepted", 0) == 0
+        assert server.flight.find(refused["query_id"]).status == "error"
+
+    @pytest.mark.parametrize("name, value", [
+        ("trace", "trace.jsonl"), ("trace", True), ("progress", True),
+    ])
+    def test_trace_and_progress_are_refused(
+        self, server, tmp_path, monkeypatch, name, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        refused = self._run(server, **{name: value})
+        assert refused["error"].startswith(f"UnservedOptionError: option {name!r}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_more_workers_than_cpus_is_refused_before_a_process_starts(
+        self, server, monkeypatch
+    ):
+        import multiprocessing.process
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        monkeypatch.setattr(os, "fork", no_process)
+        refused = self._run(server, workers=(os.cpu_count() or 1) + 1)
+        assert refused["error"].startswith("UnservedOptionError: option 'workers'")
+        # Null fields, as ``RunOptions.to_dict`` sends them, are served.
+        served = self._run(
+            server, workers=1, checkpoint=None, trace=None, progress=None
+        )
+        assert served["ok"]
 
 
 #: Lines no well-behaved client sends, each answered by ``protocol-error``.

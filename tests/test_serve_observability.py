@@ -200,19 +200,23 @@ class TestMetricsRegistryHistograms:
 class TestQueueDepthWindow:
     def test_depth_window_sees_transient_peak(self):
         clock = FakeClock()
-        scheduler = QueryScheduler(clock=clock)
+        scheduler = QueryScheduler(clock=clock, slots=1)
+        holder = Query({"op": "run"}, client="holder")
+        assert scheduler.submit(holder) == "accepted"  # takes the slot
         queries = [Query({"op": "run"}, client=f"c{i}") for i in range(3)]
         for query in queries:
             assert scheduler.submit(query) == "accepted"
             clock.advance(0.1)
-        while scheduler.next_query() is not None:
-            pass
+        for query in queries:
+            scheduler.release(holder)
+            assert query.holds_slot  # FIFO within the one priority
+            holder = query
         window = scheduler.metrics.window("serve.queue.depth").read()
         # Admission-time gauging alone would report only the final 0.
         assert window["max"] == 3.0
         assert window["min"] == 0.0
         assert window["last"] == 0.0
-        assert window["samples"] == 6  # 3 submits + 3 pops
+        assert window["samples"] == 8  # 4 submits + 4 grants
         # Reset-on-read: the next window starts fresh at the last value.
         assert scheduler.metrics.window("serve.queue.depth").read()["samples"] == 0
         # The plain gauge still answers for legacy readers.
@@ -220,8 +224,9 @@ class TestQueueDepthWindow:
 
     def test_time_based_sampling_between_transitions(self):
         clock = FakeClock()
-        scheduler = QueryScheduler(clock=clock)
-        scheduler.submit(Query({"op": "run"}))
+        scheduler = QueryScheduler(clock=clock, slots=1)
+        scheduler.submit(Query({"op": "run"}))  # takes the slot
+        scheduler.submit(Query({"op": "run"}))  # waits for it
         scheduler.metrics.window("serve.queue.depth").read()
         assert scheduler.sample_depth() == 1
         window = scheduler.metrics.window("serve.queue.depth").read()
@@ -229,16 +234,21 @@ class TestQueueDepthWindow:
 
     def test_scheduler_stamps_query_timestamps(self):
         clock = FakeClock()
-        scheduler = QueryScheduler(clock=clock)
+        scheduler = QueryScheduler(clock=clock, slots=1)
+        holder = Query({"op": "run"}, query_id="q-000041")
+        scheduler.submit(holder)
         query = Query({"op": "run"}, query_id="q-000042")
         clock.advance(5.0)
         scheduler.submit(query)
-        assert query.submitted_at == 5.0
+        assert query.submitted_at == 5.0 and query.started_at is None
         clock.advance(2.5)
-        assert scheduler.run_next(lambda q: {"ok": True}) is True
+        scheduler.release(holder)
+        assert scheduler.acquire(query) is None
         assert query.started_at == 7.5
-        assert query.finished_at == 7.5
-        assert query.started_at - query.submitted_at == pytest.approx(2.5)
+        clock.advance(1.0)
+        scheduler.release(query)
+        assert query.finished_at == 8.5
+        assert query.queue_wait == pytest.approx(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +547,13 @@ class TestServerObservability:
         server = MiningServer(
             registry=registry,
             policy=AdmissionPolicy(max_queue_depth=1),
+            workers=1,
         )
         try:
-            # Pin a placeholder in the queue so the next admission sees
-            # it full (the threadless server drains synchronously, so
-            # the queue can never fill up through handle() alone).
-            server.scheduler.submit(Query({"op": "noop"}, client="pin"))
+            # One placeholder holds the only slot and a second waits for
+            # it, so the next admission sees the queue full.
+            for _ in range(2):
+                server.scheduler.submit(Query({"op": "noop"}, client="pin"))
             response = server.handle(
                 {"op": "run", "graph": "small", "patterns": [tri_text()]}
             )

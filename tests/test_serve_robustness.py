@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro.core.atlas import TRIANGLE
-from repro.engines.recovery import RetryPolicy
+from repro.engines.recovery import Deadline, RetryPolicy
 from repro.observe.metrics import MetricsRegistry
 from repro.options import RunOptions
 from repro.serve import (
@@ -238,9 +238,11 @@ class TestCircuitBreaker:
 
 class TestSentinels:
     def test_no_budgets_and_no_deadline_arms_nothing(self):
-        board = SentinelBoard(clock=FakeClock())
+        clock = FakeClock()
+        board = SentinelBoard(clock=clock)
         assert board.watch("q1", None) is None
-        assert board.watch("q2", 3.0) is not None  # a deadline is enforceable
+        # A deadline is enforceable.
+        assert board.watch("q2", Deadline(3.0, clock=clock)) is not None
 
     def test_wall_budget_trips_via_poll(self):
         clock = FakeClock()
@@ -274,9 +276,10 @@ class TestSentinels:
     def test_effective_deadline_is_the_tighter_bound(self):
         clock = FakeClock()
         board = SentinelBoard(clock=clock, wall_budget_s=5.0)
-        tight = board.watch("q1", 2.0)
-        loose = board.watch("q2", 10.0)
-        assert tight.deadline.remaining() == pytest.approx(2.0)
+        own = Deadline(2.0, clock=clock)
+        tight = board.watch("q1", own)
+        loose = board.watch("q2", Deadline(10.0, clock=clock))
+        assert tight.deadline is own  # the query's own deadline, not a copy
         assert loose.deadline.remaining() == pytest.approx(5.0)
 
     def test_finish_disarms(self):
@@ -305,16 +308,25 @@ class TestSentinels:
 # scheduler: drain + anti-starvation
 
 
+def hold_slot(scheduler: QueryScheduler) -> Query:
+    """Submit a query that takes the free slot, so later ones queue."""
+    holder = Query({"tag": "holder"}, client="holder")
+    assert scheduler.submit(holder) == "accepted"
+    assert scheduler.acquire(holder) is None
+    return holder
+
+
 class TestSchedulerRobustness:
     def test_draining_rejects_new_work_but_keeps_queued_work(self):
-        scheduler = QueryScheduler()
+        scheduler = QueryScheduler(slots=1)
+        holder = hold_slot(scheduler)
         queued = Query({"tag": "early"})
         assert scheduler.submit(queued) == "accepted"
         scheduler.set_draining(True)
         assert scheduler.submit(Query({})) == "rejected:draining"
         assert scheduler.metrics.value("serve.admission.rejected.draining") == 1
-        assert scheduler.run_next(lambda q: {"ok": True})
-        assert queued.response == {"ok": True}
+        scheduler.release(holder)
+        assert scheduler.acquire(queued) is None and queued.holds_slot
         assert scheduler.snapshot()["draining"] is True
 
     def test_shed_verdict_wired_through_submit(self):
@@ -345,23 +357,30 @@ class TestSchedulerRobustness:
                 estimated_service_seconds=estimate,
             ),
             clock=clock,
+            slots=1,
         )
+        holder = hold_slot(scheduler)
         victim = Query(
             {"tag": "victim"}, priority=0,
             deadline=scheduler.make_deadline(5.0),
         )
         assert scheduler.submit(victim) == "accepted"
+        queries = [victim]
         executed = []
         for _ in range(20):
             for _ in range(rng.randint(1, 3)):
-                scheduler.submit(Query({"tag": "noise"}, priority=10))
-            assert scheduler.run_next(
-                lambda q: executed.append(q.request["tag"]) or {"ok": True}
-            )
+                noise = Query({"tag": "noise"}, priority=10)
+                scheduler.submit(noise)
+                queries.append(noise)
+            # One service time per grant: the holder finishes, the next
+            # query takes its slot.
+            scheduler.release(holder)
+            (holder,) = [query for query in queries if query.holds_slot]
+            executed.append(holder.request["tag"])
             clock.advance(estimate)
-            if victim.response is not None:
+            if victim.holds_slot:
                 break
-        assert victim.response == {"ok": True}
+        assert victim.holds_slot and victim.refusal is None
         assert "victim" in executed
         assert scheduler.metrics.value("serve.scheduler.urgent_dispatch") >= 1
 
@@ -370,17 +389,22 @@ class TestSchedulerRobustness:
         rejects them with the exact established response shape."""
         clock = FakeClock()
         scheduler = QueryScheduler(
-            policy=AdmissionPolicy(estimated_service_seconds=1.0), clock=clock
+            policy=AdmissionPolicy(estimated_service_seconds=1.0),
+            clock=clock,
+            slots=1,
         )
+        holder = hold_slot(scheduler)
         doomed = Query({}, deadline=scheduler.make_deadline(10.0))
         assert scheduler.submit(doomed) == "accepted"
         clock.advance(11.0)
-        assert not scheduler.run_next(lambda q: {"ok": True})
-        assert doomed.response == {
+        scheduler.release(holder)
+        assert scheduler.acquire(doomed) == {
             "ok": False,
             "error": "rejected:deadline",
             "admission": "rejected:deadline",
         }
+        assert not doomed.holds_slot
+        assert scheduler.metrics.value("serve.scheduler.urgent_dispatch", 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 :data:`repro.serve.server.STAGES` names the path of every served query
 (admit → result_cache → queue → execute → record), and
 ``MiningServer._walk`` is the only code that times, traces, faults and
-records it. These tests pin what that buys: every declared stage has a
-histogram, a worker-run query has one span per stage it walked, a chaos
-fault fires in the stage its kind names and nowhere else, the server
-module keeps no timer or flight record outside the runner, and a
+records it, on the thread that read the request. These tests pin what
+that buys: every declared stage has a histogram, a served miss has one
+span per stage it walked, in order and without overlap, and one batch
+of samples; a chaos fault fires in the stage its kind names and nowhere
+else; the server module keeps no timer or flight record outside the
+runner; a started server runs no thread beyond its listener, sampler
+and connections; a served deadline counts from admission; and a
 result-cache hit costs no tracer, no JSON encoding on either end, no
 completion event and one breaker lookup.
 """
@@ -19,6 +22,7 @@ import json
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,7 @@ import repro
 from repro.core import parser as parser_module
 from repro.core.atlas import TRIANGLE
 from repro.options import RunOptions
-from repro.serve import GraphRegistry, MiningServer, protocol, validate_stats
+from repro.serve import GraphRegistry, MiningServer, Query, protocol, validate_stats
 from repro.serve import server as server_module
 from repro.serve.server import STAGES
 from repro.testing.faults import (
@@ -549,6 +553,109 @@ _RUN_FIELDS = st.fixed_dictionaries(
         "client": st.sampled_from(["a", "b"]),
     },
 )
+
+
+class FakeClock:
+    """Deterministic monotonic clock for deadline tests."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def wait_until(condition, timeout: float = 10.0) -> None:
+    stop = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < stop, "condition never held"
+        time.sleep(0.002)
+
+
+class TestOneThreadPerQuery:
+    def test_start_spawns_only_the_listener_and_the_sampler(self, small_graph):
+        before = set(threading.enumerate())
+        with make_server(small_graph, workers=3) as server:
+            spawned = set(threading.enumerate()) - before
+            assert sorted(thread.name for thread in spawned) == [
+                "repro-serve-listener", "repro-serve-sampler"
+            ]
+            assert server.scheduler.slots == 3
+
+    def test_a_socket_miss_walks_in_order_and_records_once(
+        self, small_graph, monkeypatch
+    ):
+        with make_server(small_graph, workers=1) as server:
+            client = repro.connect(port=server.port)
+            batches = count_calls(monkeypatch, server.metrics, "record_batch")
+            miss = client.run("small", TRIANGLE)
+            assert not miss.cached
+            # One walk, one batch of samples and counts: it takes the
+            # metrics lock for its recording once.
+            assert batches == ["record_batch"]
+            monkeypatch.undo()
+            record = server.flight.find(miss.query_id)
+        marks = [
+            span for span in record.trace.spans
+            if span.name.startswith("serve.stage.")
+        ]
+        assert [span.name for span in marks] == [
+            f"serve.stage.{name}" for name in STAGE_NAMES
+        ]
+        for earlier, later in zip(marks, marks[1:]):
+            assert earlier.start <= earlier.end <= later.start
+        histograms = server.metrics.histogram_snapshots()
+        # Queue wait and every stage sampled once, by the one walk.
+        for name in ["serve.latency.queue_wait"] + [
+            f"serve.stage.{name}" for name in STAGE_NAMES
+        ]:
+            assert histograms[name]["count"] == 1
+
+    def test_a_miss_makes_no_event(self, small_graph, monkeypatch):
+        server = make_server(small_graph, workers=1)
+        try:
+            events = count_calls(monkeypatch, threading.Event, "__init__")
+            assert not server.handle(run_request())["cached"]
+            assert events == []
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("wall_budget_s, left", [(None, 2.0), (1.0, 1.0)])
+    def test_a_served_deadline_counts_from_admission(
+        self, small_graph, monkeypatch, wall_budget_s, left
+    ):
+        clock = FakeClock()
+        server = make_server(
+            small_graph, workers=1, clock=clock, wall_budget_s=wall_budget_s
+        )
+        armed = []
+        watch = server.sentinels.watch
+
+        def spy(query_id, deadline=None):
+            sentinel = watch(query_id, deadline)
+            armed.append(sentinel.deadline.remaining())
+            return sentinel
+
+        monkeypatch.setattr(server.sentinels, "watch", spy)
+        answers = []
+        try:
+            holder = Query({}, client="holder")
+            assert server.scheduler.submit(holder) == "accepted"
+            # Admitted at t=0 with 5 s, granted at t=3: 2 s are left.
+            waiter = threading.Thread(
+                target=lambda: answers.append(
+                    server.handle(run_request(options={"deadline_seconds": 5.0}))
+                )
+            )
+            waiter.start()
+            wait_until(lambda: server.scheduler.depth == 1)
+            clock.now = 3.0
+            server.scheduler.release(holder)
+            waiter.join(timeout=30)
+        finally:
+            server.close()
+        assert armed == [left]
+        assert answers[0]["ok"] and not answers[0]["partial"]
 
 
 class TestRequestsAreReadOnly:
