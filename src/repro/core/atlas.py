@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from repro.core.canonical import canonical_form, pattern_id
+from repro.core.canonical import canonical_form, pattern_id, shape_of
 from repro.core.pattern import Pattern
 
 # ---------------------------------------------------------------------------
@@ -145,10 +145,20 @@ def motif_patterns(k: int) -> tuple[Pattern, ...]:
 
 def pattern_name(p: Pattern) -> str:
     """Human-readable name for a known pattern, else a structural summary."""
-    canon = canonical_form(p.edge_induced().unlabeled())
-    for name, known in {**NAMED_PATTERNS, **EVALUATION_PATTERNS}.items():
-        if canonical_form(known) == canon:
-            suffix = "" if p.is_edge_induced else "-V"
-            return name + suffix
+    name = _shape_names(p.n).get(shape_of(p.bare).form)
+    if name is not None:
+        return name if p.is_edge_induced else name + "-V"
     kind = "V" if p.is_vertex_induced and not p.is_clique else "E"
     return f"<{p.n}v{p.num_edges}e:{kind}:{pattern_id(p) & 0xFFFF:04x}>"
+
+
+@lru_cache(maxsize=None)
+def _shape_names(n: int) -> dict[Pattern, str]:
+    """Canonical form → the first name (Figure 1's, then Figure 11a's)
+    whose ``n``-vertex pattern has it; built on first use per vertex
+    count, so naming a small pattern searches no 7-vertex one."""
+    names: dict[Pattern, str] = {}
+    for name, known in {**NAMED_PATTERNS, **EVALUATION_PATTERNS}.items():
+        if known.n == n:
+            names.setdefault(canonical_form(known), name)
+    return names

@@ -26,7 +26,8 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from itertools import permutations
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from repro.core.pattern import MEMO_SIZE, Pattern
 
@@ -125,6 +126,12 @@ class Shape(NamedTuple):
     placements: tuple[tuple[int, ...], ...]
     #: The pattern's automorphisms (edges and anti-edges kept), sorted.
     automorphisms: tuple[tuple[int, ...], ...]
+    #: Per placement, ``labels -> tuple(labels[v] for v in placement)``
+    #: (an :func:`operator.itemgetter`): a label pass's inner loop.
+    arrangers: tuple[Callable[[tuple], tuple], ...]
+    #: The same per automorphism: a labeling keeps the automorphisms
+    #: that arrange its labels to themselves.
+    group_arrangers: tuple[Callable[[tuple], tuple], ...]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -147,12 +154,23 @@ def shape_of(pattern: Pattern) -> Shape:
     best = ties[0]
     placements = tuple(_inverse(t) for t in ties)
     first = placements[0]
+    group = tuple(sorted(tuple(first[i] for i in t) for t in ties))
     return Shape(
         perm=best,
         form=pattern.relabel(best),
         placements=placements,
-        automorphisms=tuple(sorted(tuple(first[i] for i in t) for t in ties)),
+        automorphisms=group,
+        arrangers=tuple(map(_arranger, placements)),
+        group_arrangers=tuple(map(_arranger, group)),
     )
+
+
+def _arranger(placement: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``labels -> tuple(labels[v] for v in placement)``."""
+    if len(placement) == 1:
+        (v,) = placement
+        return lambda labels: (labels[v],)
+    return itemgetter(*placement)
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -162,28 +180,43 @@ def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inverse)
 
 
-def _label_pass(shape: Shape, labels: tuple) -> tuple[tuple[int, ...], tuple]:
-    """``(canonical renaming, canonical labels)`` of one labeling of ``shape``.
+def _label_pass(shape: Shape, labels: tuple) -> int:
+    """The index of the placement that takes one labeling of ``shape``
+    to its canonical form.
 
     Of the renamings onto the canonical form, the one that leaves the
     least label vector (compared by ``repr``, as the encoding compares
     labels) wins: two labelings are isomorphic exactly when they share a
     shape and this vector.
     """
+    return least_arrangement(shape.arrangers, label_ranks(labels))
+
+
+def label_ranks(labels: tuple) -> tuple[int, ...]:
+    """Each label's rank among the distinct ``repr`` of ``labels``: a
+    vector that orders arrangements as their ``repr`` lists would."""
     keys = [repr(label) for label in labels]
-    best_key, best = None, None
-    for placement in shape.placements:
-        key = [keys[v] for v in placement]
-        if best_key is None or key < best_key:
-            best_key, best = key, placement
-    return _inverse(best), tuple(labels[v] for v in best)
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return tuple(map(rank.__getitem__, keys))
+
+
+def least_arrangement(
+    arrangers: tuple[Callable[[tuple], tuple], ...], ranks: tuple[int, ...]
+) -> int:
+    """Index of the first of ``arrangers`` (a shape's) that leaves the
+    least arrangement of ``ranks``."""
+    if len(arrangers) == 1:
+        return 0
+    keys = [arrange(ranks) for arrange in arrangers]
+    return keys.index(min(keys))
 
 
 def canonical_permutation(pattern: Pattern) -> tuple[int, ...]:
     """The vertex renaming that takes ``pattern`` to its canonical form."""
     if pattern.labels is None:
         return shape_of(pattern).perm
-    return _label_pass(shape_of(pattern.unlabeled()), pattern.labels)[0]
+    shape = shape_of(pattern.unlabeled())
+    return _inverse(shape.placements[_label_pass(shape, pattern.labels)])
 
 
 def canonical_form(pattern: Pattern) -> Pattern:
@@ -199,7 +232,7 @@ def canonical_form(pattern: Pattern) -> Pattern:
     return specialise(shape_of(pattern.unlabeled()), pattern.labels)
 
 
-#: Set on every labeled form :func:`specialise` builds: a form knows it
+#: Set on every labeled form :func:`labeled_form` builds: a form knows it
 #: is canonical, so re-canonicalizing it (an S-DAG node, a closure
 #: member) costs no label pass.
 _CANONICAL = "_canonical"
@@ -209,9 +242,16 @@ def specialise(shape: Shape, labels: tuple | None) -> Pattern:
     """The canonical form of ``shape``'s pattern carrying ``labels``."""
     if labels is None:
         return shape.form
-    form = shape.form.with_labels(_label_pass(shape, labels)[1])
-    form.__dict__[_CANONICAL] = True
-    return form
+    arrange = shape.arrangers[_label_pass(shape, labels)]
+    return labeled_form(shape.form, arrange(labels))
+
+
+def labeled_form(form: Pattern, labels: tuple) -> Pattern:
+    """The canonical pattern ``form`` (a shape's form) carrying
+    ``labels``, which are already its canonical arrangement."""
+    labeled = Pattern._derived(form.n, form.edges, form.anti_edges, labels)
+    labeled.__dict__.update({"_bare": form.bare, _CANONICAL: True})
+    return labeled
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -223,9 +263,21 @@ def pattern_id(pattern: Pattern) -> int:
     probability (64-bit blake2b digest of the canonical encoding).
     """
     canon = canonical_form(pattern)
-    encoding = _encode(canon, tuple(range(canon.n)))
-    digest = hashlib.blake2b(repr(encoding).encode(), digest_size=8).digest()
+    labels = canon.labels
+    if labels is not None:
+        labels = tuple(map(repr, labels))
+    # ``repr`` of the canonical encoding (:func:`_encode` under the
+    # identity): its shape's part, then the labels'.
+    text = f"{_encoding_prefix(canon.n, canon.edges, canon.anti_edges)}{labels!r})"
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _encoding_prefix(n: int, edges: frozenset, anti_edges: frozenset) -> str:
+    """``repr`` of a canonical encoding up to its labels, once per
+    canonical shape: ``"(n, edges, anti-edges, "``."""
+    return f"({n!r}, {tuple(sorted(edges))!r}, {tuple(sorted(anti_edges))!r}, "
 
 
 def are_isomorphic(p: Pattern, q: Pattern) -> bool:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.aggregation import Aggregation, CountAggregation
+from repro.core.isomorphism import symmetry_breaking_conditions
 from repro.core.pattern import MEMO_SIZE, Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED
 from repro.graph.datagraph import DataGraph
@@ -329,19 +330,26 @@ class CostModel:
         priced with this graph model, the labels' fractions and the
         labeling's symmetry-breaking constraints."""
         m = self.model
-        order = tuple(matching_order(skel) if order is None else order)
+        bare = skel.bare
+        order = _matching_order_cached(bare) if order is None else tuple(order)
         anti = None if variant == VERTEX_INDUCED else skel.anti_edges
-        levels = _level_template(skel.bare, anti, order)
-        constraints = _constraint_counts(skel, order)
+        levels, position = _level_template(bare, anti, order)
+        # Symmetry-breaking constraints that become active at each level.
+        constraints = [0] * len(levels)
+        for u, w in symmetry_breaking_conditions(skel):
+            constraints[max(position[u], position[w])] += 1
+        labels = skel.labels
+        fraction = m.label_fraction
 
         partial = 1.0
         cost = 0.0
         final_candidates = 1.0
         for i, (v, back_edges, back_anti) in enumerate(levels):
+            share = 1.0 if labels is None else fraction(labels[v])
             if back_edges == 0:
-                candidates = m.num_vertices * m.label_fraction(skel.label(v))
+                candidates = m.num_vertices * share
             else:
-                candidates = m.biased_degree * m.label_fraction(skel.label(v))
+                candidates = m.biased_degree * share
                 candidates *= m.closure_prob ** (back_edges - 1)
             if i > 0:
                 anti_prob = m.closure_prob if back_edges else m.edge_prob
@@ -370,14 +378,17 @@ class CostModel:
 @lru_cache(maxsize=MEMO_SIZE)
 def _level_template(
     bare: Pattern, anti_edges: frozenset | None, order: tuple[int, ...]
-) -> tuple[tuple[int, int, int], ...]:
-    """``(vertex, backward edges, backward anti-edges)`` per loop level.
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """``(vertex, backward edges, backward anti-edges)`` per loop level,
+    and each vertex's level.
 
     The label-free part of a loop profile, one entry per (shape,
     anti-edges, order): ``anti_edges`` ``None`` stands for the
     vertex-induced variant, where every earlier non-neighbour is one.
     """
-    position = {v: i for i, v in enumerate(order)}
+    position = [0] * len(order)
+    for i, v in enumerate(order):
+        position[v] = i
     levels = []
     for i, v in enumerate(order):
         back_edges = sum(1 for w in bare.neighbors(v) if position[w] < i)
@@ -390,21 +401,7 @@ def _level_template(
                 if (a == v and position[b] < i) or (b == v and position[a] < i)
             )
         levels.append((v, back_edges, back_anti))
-    return tuple(levels)
-
-
-def _constraint_counts(skel: Pattern, order) -> list[int]:
-    """Symmetry-breaking constraints that become active at each level."""
-    from repro.core.isomorphism import symmetry_breaking_conditions
-
-    conditions = symmetry_breaking_conditions(skel)
-    counts = [0] * len(order)
-    if not conditions:
-        return counts
-    position = {v: i for i, v in enumerate(order)}
-    for u, v in conditions:
-        counts[max(position[u], position[v])] += 1
-    return counts
+    return tuple(levels), tuple(position)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

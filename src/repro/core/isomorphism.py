@@ -114,11 +114,15 @@ def automorphisms(p: Pattern) -> tuple[tuple[int, ...], ...]:
     found once per shape (:func:`repro.core.canonical.shape_of`); a
     labeling keeps its label-preserving subgroup.
     """
-    group = shape_of(p.bare).automorphisms
+    shape = shape_of(p.bare)
     labels = p.labels
     if labels is None:
-        return group
-    return tuple(g for g in group if tuple(map(labels.__getitem__, g)) == labels)
+        return shape.automorphisms
+    return tuple(
+        g
+        for g, arrange in zip(shape.automorphisms, shape.group_arrangers)
+        if arrange(labels) == labels
+    )
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -167,12 +171,19 @@ def symmetry_breaking_conditions(p: Pattern) -> tuple[tuple[int, int], ...]:
     """
     if p.labels is None:
         return _shape_conditions(p.bare)
-    group = automorphisms(p)
-    if len(group) == 1:
-        return ()
-    if len(group) == len(shape_of(p.bare).automorphisms):
-        return _shape_conditions(p.bare)
-    return _conditions(group, p.n)
+    conditions = p.__dict__.get("_conditions")
+    if conditions is None:
+        group = automorphisms(p)
+        if len(group) == 1:
+            conditions = ()
+        elif len(group) == len(shape_of(p.bare).automorphisms):
+            conditions = _shape_conditions(p.bare)
+        else:
+            conditions = _conditions(group, p.n)
+        # Kept on the pattern (as its ``bare`` is): a plan search prices
+        # both variants of one labeled skeleton.
+        p.__dict__["_conditions"] = conditions
+    return conditions
 
 
 @lru_cache(maxsize=MEMO_SIZE)

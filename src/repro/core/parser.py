@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.core.pattern import Pattern
 
-_NAME = r"[A-Za-z0-9_]+"
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 _LABEL_BLOCK = re.compile(r"\[(?P<body>[^\]]*)\]\s*$")
 _DECLARATION = re.compile(r"^\((?P<body>[^)]*)\)\s*")
 _CHAIN_SPLIT = re.compile(r"([!-])")
@@ -48,7 +48,7 @@ def parse_pattern(text: str) -> Pattern:
         for assignment in _split_nonempty(label_match.group("body"), ","):
             name, _, value = assignment.partition(":")
             name, value = name.strip(), value.strip()
-            if not re.fullmatch(_NAME, name) or not value:
+            if not _NAME.fullmatch(name) or not value:
                 raise PatternSyntaxError(f"bad label assignment {assignment!r}")
             try:
                 labels_by_name[name] = int(value)
@@ -63,7 +63,7 @@ def parse_pattern(text: str) -> Pattern:
     declaration = _DECLARATION.match(text)
     if declaration:
         for name in _split_nonempty(declaration.group("body"), ","):
-            if not re.fullmatch(_NAME, name):
+            if not _NAME.fullmatch(name):
                 raise PatternSyntaxError(f"bad vertex name {name!r}")
             if name in ids:
                 raise PatternSyntaxError(f"duplicate vertex {name!r}")
@@ -72,11 +72,12 @@ def parse_pattern(text: str) -> Pattern:
 
     def intern(name: str) -> int:
         name = name.strip()
-        if not re.fullmatch(_NAME, name):
-            raise PatternSyntaxError(f"bad vertex name {name!r}")
-        if name not in ids:
-            ids[name] = len(ids)
-        return ids[name]
+        vertex = ids.get(name)  # a known name was checked when it came
+        if vertex is None:
+            if not _NAME.fullmatch(name):
+                raise PatternSyntaxError(f"bad vertex name {name!r}")
+            vertex = ids[name] = len(ids)
+        return vertex
 
     edges: list[tuple[int, int]] = []
     anti: list[tuple[int, int]] = []
@@ -116,7 +117,7 @@ def parse_pattern(text: str) -> Pattern:
 
 
 def _split_nonempty(text: str, sep: str) -> list[str]:
-    return [part.strip() for part in text.split(sep) if part.strip()]
+    return [stripped for part in text.split(sep) if (stripped := part.strip())]
 
 
 def format_pattern(pattern: Pattern) -> str:

@@ -39,6 +39,19 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _normal_labels(n: int, labels: Sequence | None) -> tuple | None:
+    """``labels`` as a pattern keeps them: a tuple of ``n``, or ``None``
+    when absent or all ``None``."""
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError(f"expected {n} labels, got {len(labels)}")
+    if all(lab is None for lab in labels):
+        return None
+    return labels
+
+
 class Pattern:
     """An immutable small graph with edges, anti-edges and optional labels.
 
@@ -74,17 +87,25 @@ class Pattern:
         overlap = edge_set & anti_set
         if overlap:
             raise ValueError(f"edges and anti-edges overlap: {sorted(overlap)}")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError(f"expected {n} labels, got {len(labels)}")
-            if all(lab is None for lab in labels):
-                labels = None
+        self._set(n, edge_set, anti_set, _normal_labels(n, labels))
+
+    def _set(self, n: int, edges: frozenset, anti_edges: frozenset, labels) -> None:
         self.n = n
-        self.edges = edge_set
-        self.anti_edges = anti_set
+        self.edges = edges
+        self.anti_edges = anti_edges
         self.labels = labels
-        self._hash = hash((n, edge_set, anti_set, labels))
+        self._hash = hash((n, edges, anti_edges, labels))
+
+    @classmethod
+    def _derived(
+        cls, n: int, edges: frozenset, anti_edges: frozenset, labels: tuple | None
+    ) -> "Pattern":
+        """A pattern from parts another pattern already validated:
+        normalized edge sets and labels as :func:`_normal_labels` leaves
+        them. Nothing is checked again."""
+        pattern = object.__new__(cls)
+        pattern._set(n, edges, anti_edges, labels)
+        return pattern
 
     # ------------------------------------------------------------------
     # Constructors for common shapes (Figure 1 of the paper).
@@ -194,7 +215,9 @@ class Pattern:
     @property
     def is_vertex_induced(self) -> bool:
         """True when every non-edge is an anti-edge (cliques qualify trivially)."""
-        return not self.non_edges
+        # Edges and anti-edges are disjoint pairs: they cover every pair
+        # exactly when they number them all.
+        return len(self.edges) + len(self.anti_edges) == self.n * (self.n - 1) // 2
 
     @property
     def is_labeled(self) -> bool:
@@ -209,7 +232,7 @@ class Pattern:
         """The edge-induced variant pᴱ (anti-edges dropped)."""
         if self.is_edge_induced:
             return self
-        return Pattern(self.n, self.edges, labels=self.labels)
+        return Pattern._derived(self.n, self.edges, frozenset(), self.labels)
 
     def vertex_induced(self) -> "Pattern":
         """The vertex-induced variant pⱽ (anti-edges on every non-edge)."""
@@ -259,7 +282,9 @@ class Pattern:
         )
 
     def with_labels(self, labels: Sequence | None) -> "Pattern":
-        twin = Pattern(self.n, self.edges, self.anti_edges, labels=labels)
+        twin = Pattern._derived(
+            self.n, self.edges, self.anti_edges, _normal_labels(self.n, labels)
+        )
         if not self.anti_edges:
             # Same edges: every labeling shares one bare pattern.
             twin.__dict__["_bare"] = self.bare
@@ -281,7 +306,9 @@ class Pattern:
             return self
         bare = self.__dict__.get("_bare")
         if bare is None:
-            bare = self.__dict__["_bare"] = Pattern(self.n, self.edges)
+            bare = self.__dict__["_bare"] = Pattern._derived(
+                self.n, self.edges, frozenset(), None
+            )
         return bare
 
     @property

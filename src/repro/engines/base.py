@@ -16,7 +16,7 @@ import os
 import time
 from abc import ABC
 from collections import deque
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -328,6 +328,54 @@ def run_plan(
     return close_run(stats, start, count)
 
 
+#: :meth:`MiningEngine.kernel_span` without a tracer.
+_NO_SPAN = nullcontext()
+
+
+class _KernelSpan:
+    """:meth:`MiningEngine.kernel_span` with a tracer: a span whose
+    attributes gain the engine's counter deltas over the block."""
+
+    __slots__ = ("_stats", "_scope", "_before", "_span")
+
+    def __init__(self, tracer, stats: "EngineStats", name: str, attributes) -> None:
+        self._stats = stats
+        self._scope = tracer.span(name, **attributes)
+
+    def __enter__(self):
+        stats = self._stats
+        setops = stats.setops
+        self._before = (
+            setops.intersections,
+            setops.differences,
+            setops.galloped,
+            setops.seconds,
+            stats.udf_calls,
+            stats.udf_seconds,
+            stats.filter_seconds,
+            stats.materialized,
+            setops.batched,
+        )
+        self._span = self._scope.__enter__()
+        return self._span
+
+    def __exit__(self, *exc_info) -> None:
+        stats, before = self._stats, self._before
+        setops = stats.setops
+        self._span.attributes.update(
+            intersections=setops.intersections - before[0],
+            differences=setops.differences - before[1],
+            galloped=setops.galloped - before[2],
+            setop_seconds=setops.seconds - before[3],
+            udf_calls=stats.udf_calls - before[4],
+            udf_seconds=stats.udf_seconds - before[5],
+            filter_seconds=stats.filter_seconds - before[6],
+            materialized=stats.materialized - before[7],
+            batched=setops.batched - before[8],
+        )
+        self._scope.__exit__(*exc_info)
+
+
 class MiningEngine(ABC):
     """Common engine API: counting, aggregation and match streaming.
 
@@ -383,7 +431,6 @@ class MiningEngine(ABC):
     def reset_stats(self) -> None:
         self.stats = EngineStats()
 
-    @contextmanager
     def kernel_span(self, name: str = "kernel", **attributes):
         """Span one kernel invocation, sampling the engine's counters.
 
@@ -394,38 +441,9 @@ class MiningEngine(ABC):
         matches) to one span per kernel run. With no tracer attached it
         yields ``None`` without touching the clock.
         """
-        tracer = self.tracer
-        if tracer is None:
-            yield None
-            return
-        stats = self.stats
-        setops = stats.setops
-        before = (
-            setops.intersections,
-            setops.differences,
-            setops.galloped,
-            setops.seconds,
-            stats.udf_calls,
-            stats.udf_seconds,
-            stats.filter_seconds,
-            stats.materialized,
-            setops.batched,
-        )
-        with tracer.span(name, **attributes) as span:
-            try:
-                yield span
-            finally:
-                span.attributes.update(
-                    intersections=setops.intersections - before[0],
-                    differences=setops.differences - before[1],
-                    galloped=setops.galloped - before[2],
-                    setop_seconds=setops.seconds - before[3],
-                    udf_calls=stats.udf_calls - before[4],
-                    udf_seconds=stats.udf_seconds - before[5],
-                    filter_seconds=stats.filter_seconds - before[6],
-                    materialized=stats.materialized - before[7],
-                    batched=setops.batched - before[8],
-                )
+        if self.tracer is None:
+            return _NO_SPAN
+        return _KernelSpan(self.tracer, self.stats, name, attributes)
 
     # -- plan construction (engines override) ------------------------------
 

@@ -11,11 +11,12 @@ differ in how they choose orders and group plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.core.isomorphism import symmetry_breaking_conditions
 from repro.core.costmodel import matching_order
-from repro.core.pattern import Pattern
+from repro.core.pattern import MEMO_SIZE, Pattern
 
 
 @dataclass(frozen=True)
@@ -73,51 +74,47 @@ class ExplorationPlan:
         supplies performance-model-selected orders). With
         ``symmetry_breaking`` off the plan enumerates one match per
         automorphic image (used by tests to validate the conditions).
+
+        The positions come from a template kept per numbered shape
+        (:func:`_plan_template`); each call fills in the labels and
+        the symmetry bounds of the pattern's own (label-preserving)
+        group.
         """
         if order is None:
-            order = matching_order(pattern)
-        order = list(order)
-        if sorted(order) != list(range(pattern.n)):
-            raise ValueError("order must be a permutation of the pattern vertices")
-        position = {v: i for i, v in enumerate(order)}
-
-        conditions: tuple[tuple[int, int], ...] = ()
+            order = tuple(matching_order(pattern))
+        else:
+            order = tuple(order)
+            if sorted(order) != list(range(pattern.n)):
+                raise ValueError(
+                    "order must be a permutation of the pattern vertices"
+                )
+        upper: list[list[int]] = [[] for _ in order]
+        lower: list[list[int]] = [[] for _ in order]
         if symmetry_breaking:
-            conditions = symmetry_breaking_conditions(pattern)
-
-        levels = []
-        for i, v in enumerate(order):
-            backward = tuple(
-                sorted(position[w] for w in pattern.neighbors(v) if position[w] < i)
+            position = {v: i for i, v in enumerate(order)}
+            for u, w in symmetry_breaking_conditions(pattern):
+                # condition (u, w): match(u) < match(w), checked at the
+                # later of the two levels
+                if position[w] < position[u]:
+                    upper[position[u]].append(position[w])
+                else:
+                    lower[position[w]].append(position[u])
+        labels = pattern.labels
+        levels = tuple(
+            PlanLevel(
+                pattern_vertex=v,
+                backward_neighbors=backward,
+                backward_anti=anti,
+                upper_bounds=tuple(sorted(upper[i])),
+                lower_bounds=tuple(sorted(lower[i])),
+                non_adjacent=non_adjacent,
+                label=None if labels is None else labels[v],
             )
-            anti = tuple(
-                sorted(
-                    position[w] for w in pattern.anti_neighbors(v) if position[w] < i
-                )
+            for i, (v, backward, anti, non_adjacent) in enumerate(
+                _plan_template(pattern.bare, pattern.anti_edges, order)
             )
-            upper, lower = [], []
-            for u, w in conditions:
-                # condition (u, w): match(u) < match(w)
-                if v == u and position[w] < i:
-                    upper.append(position[w])
-                elif v == w and position[u] < i:
-                    lower.append(position[u])
-            # Backward regular edges force distinctness (no self-loops), but
-            # anti-edge differences do NOT remove the earlier vertex itself,
-            # so anti positions still need the explicit injectivity check.
-            non_adjacent = tuple(j for j in range(i) if j not in set(backward))
-            levels.append(
-                PlanLevel(
-                    pattern_vertex=v,
-                    backward_neighbors=backward,
-                    backward_anti=anti,
-                    upper_bounds=tuple(sorted(upper)),
-                    lower_bounds=tuple(sorted(lower)),
-                    non_adjacent=non_adjacent,
-                    label=pattern.label(v),
-                )
-            )
-        return cls(pattern=pattern, levels=tuple(levels))
+        )
+        return cls(pattern=pattern, levels=levels)
 
     def match_to_pattern_order(self, stack: Sequence[int]) -> tuple[int, ...]:
         """Convert a per-level match stack into pattern-vertex indexing."""
@@ -156,3 +153,34 @@ class ExplorationPlan:
                 f"{' '.join(parts)}{suffix}"
             )
         return "\n".join(lines)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _plan_template(
+    bare: Pattern, anti_edges: frozenset, order: tuple[int, ...]
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """``(vertex, backward, anti, non-adjacent)`` positions per level.
+
+    The part of a plan that neither labels nor symmetry breaking touch,
+    one entry per (numbered shape, anti-edges, order): every labeling
+    of a query shares it.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    anti_adjacency: list[set[int]] = [set() for _ in order]
+    for a, b in anti_edges:
+        anti_adjacency[a].add(b)
+        anti_adjacency[b].add(a)
+    levels = []
+    for i, v in enumerate(order):
+        backward = tuple(
+            sorted(position[w] for w in bare.neighbors(v) if position[w] < i)
+        )
+        anti = tuple(
+            sorted(position[w] for w in anti_adjacency[v] if position[w] < i)
+        )
+        # Backward regular edges force distinctness (no self-loops), but
+        # anti-edge differences do NOT remove the earlier vertex itself,
+        # so anti positions still need the explicit injectivity check.
+        non_adjacent = tuple(j for j in range(i) if j not in backward)
+        levels.append((v, backward, anti, non_adjacent))
+    return tuple(levels)

@@ -98,22 +98,30 @@ class MetricsRegistry:
         calls and seconds (Fig. 4a/d/e, 15b), materialization volume,
         and Filter-UDF branches/misses (Fig. 14c/d).
         """
-        self.add(prefix + "setops.intersections", stats.setops.intersections)
-        self.add(prefix + "setops.differences", stats.setops.differences)
-        self.add(prefix + "setops.galloped", stats.setops.galloped)
-        self.add(prefix + "setops.batched", stats.setops.batched)
-        self.add(prefix + "setops.elements_scanned", stats.setops.elements_scanned)
-        self.add(prefix + "setops.seconds", stats.setops.seconds)
-        self.add(prefix + "matches", stats.matches)
-        self.add(prefix + "materialized", stats.materialized)
-        self.add(prefix + "udf.calls", stats.udf_calls)
-        self.add(prefix + "udf.seconds", stats.udf_seconds)
-        self.add(prefix + "filter.calls", stats.filter_calls)
-        self.add(prefix + "filter.seconds", stats.filter_seconds)
-        self.add(prefix + "branches", stats.branches)
-        self.add(prefix + "branch_misses", stats.branch_misses)
-        self.add(prefix + "kernel.seconds", stats.total_seconds)
-        self.add(prefix + "patterns_matched", stats.patterns_matched)
+        setops = stats.setops
+        values = (
+            ("setops.intersections", setops.intersections),
+            ("setops.differences", setops.differences),
+            ("setops.galloped", setops.galloped),
+            ("setops.batched", setops.batched),
+            ("setops.elements_scanned", setops.elements_scanned),
+            ("setops.seconds", setops.seconds),
+            ("matches", stats.matches),
+            ("materialized", stats.materialized),
+            ("udf.calls", stats.udf_calls),
+            ("udf.seconds", stats.udf_seconds),
+            ("filter.calls", stats.filter_calls),
+            ("filter.seconds", stats.filter_seconds),
+            ("branches", stats.branches),
+            ("branch_misses", stats.branch_misses),
+            ("kernel.seconds", stats.total_seconds),
+            ("patterns_matched", stats.patterns_matched),
+        )
+        counters = self._counters
+        with self._lock:
+            for name, value in values:
+                name = prefix + name
+                counters[name] = counters.get(name, 0) + value
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry in: counters add, gauges overwrite,

@@ -31,14 +31,13 @@ where it is not.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["Span", "Tracer", "timed_span"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed interval in a run's trace tree."""
 
@@ -108,26 +107,20 @@ class Tracer:
         if self.tags:
             attributes = {**self.tags, **attributes}
         span = Span(
-            span_id=self._next_id,
-            parent_id=self._stack[-1] if self._stack else None,
-            name=name,
-            start=time.perf_counter(),
-            attributes=attributes,
+            self._next_id,
+            self._stack[-1] if self._stack else None,
+            name,
+            time.perf_counter(),
+            0.0,
+            attributes,
         )
         self._next_id += 1
         self.spans.append(span)
         return span
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def span(self, name: str, **attributes: Any) -> "timed_span":
         """Open a child span of the current span for the ``with`` body."""
-        span = self._new_span(name, attributes)
-        self._stack.append(span.span_id)
-        try:
-            yield span
-        finally:
-            self._stack.pop()
-            span.end = time.perf_counter()
+        return timed_span(self, name, **attributes)
 
     def add(self, name: str, start: float, end: float, **attributes: Any) -> Span:
         """Record a span timed elsewhere (``perf_counter`` seconds), as a
@@ -196,7 +189,7 @@ class Tracer:
 
 
 class _Stopwatch:
-    """Duck-typed stand-in yielded by :func:`timed_span` when tracing is off.
+    """Duck-typed stand-in :class:`timed_span` yields when tracing is off.
 
     Exposes the two members instrumented code touches on a live
     :class:`Span` — ``seconds`` and ``attributes`` — so call sites need
@@ -205,33 +198,45 @@ class _Stopwatch:
 
     __slots__ = ("start", "end", "attributes")
 
-    def __init__(self) -> None:
+    def __init__(self, attributes: dict[str, Any]) -> None:
         self.start = time.perf_counter()
         self.end = self.start
-        self.attributes: dict[str, Any] = {}
+        self.attributes = attributes
 
     @property
     def seconds(self) -> float:
         return max(0.0, self.end - self.start)
 
 
-@contextmanager
-def timed_span(tracer: Tracer | None, name: str, **attributes: Any):
+class timed_span:
     """A span when ``tracer`` is live, a bare stopwatch otherwise.
 
-    Either way the yielded object carries ``.seconds`` after the block
+    Either way the ``with`` target carries ``.seconds`` after the block
     and a writable ``.attributes`` dict, so phase timing and tracing
     share one timer — the reconciliation guarantee between
-    ``MorphRunResult``'s ``*_seconds`` fields and the trace.
+    ``MorphRunResult``'s ``*_seconds`` fields and the trace. The span
+    (or stopwatch) starts on entering the block and ends on leaving it,
+    however it leaves. A slotted context manager rather than a
+    generator: a traced query opens about fifteen.
     """
-    if tracer is not None:
-        with tracer.span(name, **attributes) as span:
-            yield span
-        return
-    watch = _Stopwatch()
-    if attributes:
-        watch.attributes.update(attributes)
-    try:
-        yield watch
-    finally:
-        watch.end = time.perf_counter()
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span")
+
+    def __init__(self, tracer: Tracer | None, name: str, **attributes: Any) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span | _Stopwatch:
+        tracer = self._tracer
+        if tracer is None:
+            span = self._span = _Stopwatch(self._attributes)
+            return span
+        span = self._span = tracer._new_span(self._name, self._attributes)
+        tracer._stack.append(span.span_id)
+        return span
+
+    def __exit__(self, *exc_info) -> None:
+        if self._tracer is not None:
+            self._tracer._stack.pop()
+        self._span.end = time.perf_counter()

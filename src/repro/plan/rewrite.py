@@ -15,6 +15,7 @@ the search emits, never in executor code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.pattern import Pattern
 from repro.core.equations import Item, materialize
@@ -61,9 +62,9 @@ class MeasureStep:
         """The items one engine pass of this step measures."""
         return (self.item,)
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Span / progress / audit label."""
+        """Span / progress / audit label (rendered once per step)."""
         return item_label(self.item)
 
 
@@ -120,9 +121,9 @@ class CutGroup:
         """The shared prefix the engine matches."""
         return self.steps[0].pattern
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """The members' item labels joined by ``+``."""
+        """The members' item labels joined by ``+`` (rendered once)."""
         return "+".join(item_label(item) for item in self.items)
 
     @property
@@ -193,17 +194,11 @@ class RewritePlan:
     )
 
     def __post_init__(self) -> None:
-        steps = tuple(
-            sorted(
-                self.measure_steps + self.decompose_steps,
-                key=lambda s: repr(s.item),
-            )
+        steps = _sorted(
+            self.measure_steps + self.decompose_steps, lambda s: repr(s.item)
         )
-        units = tuple(
-            sorted(
-                self.measure_steps + self.decompose_groups,
-                key=lambda u: repr(u.items[0]),
-            )
+        units = _sorted(
+            self.measure_steps + self.decompose_groups, lambda u: repr(u.items[0])
         )
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "units", units)
@@ -257,3 +252,8 @@ class RewritePlan:
                 f" via {step.mode}: {sources}"
             )
         return "\n".join(lines)
+
+
+def _sorted(members: tuple, key) -> tuple:
+    """``members`` sorted by ``key``, which a lone member is not asked for."""
+    return tuple(sorted(members, key=key)) if len(members) > 1 else members

@@ -48,7 +48,7 @@ from repro.core.equations import (
     normalize_item,
     solve_query,
 )
-from repro.core.generation import superpattern_closure
+from repro.core.generation import closure_members, superpattern_closure
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED, SDag
 from repro.observe.tracer import Tracer, timed_span
@@ -292,13 +292,13 @@ def _price(
 ) -> Item:
     """Price both variants of ``skel`` into ``item_costs``; return the
     cheapest *legal* one (the node's ``best_item``)."""
-    best = None
-    for variant in (EDGE_INDUCED, VERTEX_INDUCED):
-        item = normalize_item(skel, variant)
+    items = {v: normalize_item(skel, v) for v in (EDGE_INDUCED, VERTEX_INDUCED)}
+    for item in items.values():
         if item not in item_costs:
             item_costs[item] = cost_model.pattern_cost(*item)
+    best = None
     for variant in variants:
-        item = normalize_item(skel, variant)
+        item = items[variant]
         if best is None or item_costs[item] < item_costs[best]:
             best = item
     assert best is not None
@@ -350,25 +350,35 @@ def _decline_alone(
     ``1e-9``, so float summation order cannot decide a tie; otherwise
     every node is priced and :func:`_replace` decides, as before. The
     nodes left unpriced are priced into ``item_costs`` on its first
-    read (:attr:`SelectionResult.unpriced`).
+    read (:attr:`SelectionResult.unpriced`). The walk builds the
+    closure only as far as it reaches (:func:`closure_members`).
     """
     item = item_of(query)
+    skel = item[0]
     variants = legal_variants(aggregation)
     item_costs: dict[Item, float] = {}
-    closure = superpattern_closure(item[0])
-    best = {closure[0]: _price(closure[0], cost_model, variants, item_costs)}
-    priced = 1
+    # The closure starts at the skeleton itself, and has more members
+    # unless that is a clique; they are built only as the walk reaches
+    # them.
+    best = {skel: _price(skel, cost_model, variants, item_costs)}
+    priced, complete = 1, skel.is_clique
     morphable = aggregation.invertible or item[1] == EDGE_INDUCED
-    if morphable and len(closure) > 1 and best[closure[0]] != item:
+    if morphable and not complete and best[skel] != item:
         # The move saves the query's item and adds every best item.
         limit = margin * item_costs[item]
-        added = item_costs[best[closure[0]]]
-        while priced < len(closure) and added <= limit + 1e-9 * abs(limit):
-            sup = closure[priced]
+        limit += 1e-9 * abs(limit)
+        added = item_costs[best[skel]]
+        members = closure_members(skel)
+        next(members)  # the skeleton
+        while added <= limit:
+            sup = next(members, None)
+            if sup is None:
+                complete = True
+                break
             best[sup] = _price(sup, cost_model, variants, item_costs)
             added += item_costs[best[sup]]
             priced += 1
-        if priced == len(closure):
+        if complete:
             moved = _replace(
                 (item,),
                 {item},
@@ -379,7 +389,6 @@ def _decline_alone(
             if moved is not None:
                 return None
     cost = item_costs[item]
-    rest = closure[priced:]
     return SelectionResult(
         measured=frozenset({item}),
         query_items={query: item},
@@ -389,19 +398,25 @@ def _decline_alone(
         rounds=1,
         item_costs=item_costs,
         declined_early=True,
-        unpriced=partial(_price_all, rest, cost_model, variants) if rest else None,
+        unpriced=(
+            None
+            if complete
+            else partial(_price_rest, skel, priced, cost_model, variants)
+        ),
     )
 
 
-def _price_all(
-    skels: tuple[Pattern, ...],
+def _price_rest(
+    skel: Pattern,
+    priced: int,
     cost_model: CostModel,
     variants: tuple[str, ...],
     item_costs: dict[Item, float],
 ) -> None:
-    """:func:`_price` every skeleton into ``item_costs``."""
-    for skel in skels:
-        _price(skel, cost_model, variants, item_costs)
+    """:func:`_price` the members of ``skel``'s closure after its first
+    ``priced`` into ``item_costs``."""
+    for sup in superpattern_closure(skel)[priced:]:
+        _price(sup, cost_model, variants, item_costs)
 
 
 def _prune(
@@ -556,7 +571,8 @@ def search_plan(
     decompose = Decompose()
     measure_steps: list[MeasureStep] = []
     decompose_steps: list[DecomposeStep] = []
-    for item in sorted(selection.measured, key=repr):
+    measured = selection.measured
+    for item in sorted(measured, key=repr) if len(measured) > 1 else measured:
         direct_cost = selection.cost_of(item)
         if direct_cost is None:
             direct_cost = cost_model.pattern_cost(*item)

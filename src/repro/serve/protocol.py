@@ -205,11 +205,32 @@ def encode_message(message: dict) -> bytes:
 def framed(message: dict) -> Framed:
     """``message`` with its keys sorted at every level, as a JSON
     journal stores it, carrying its frame: encoded now, once. A message
-    read back from such a journal frames to the same bytes."""
-    text = _SORTED_ENCODER.encode(message)
-    out = Framed(json.loads(text))
-    out.frame = text.encode("utf-8") + b"\n"
+    read back from such a journal frames to the same bytes.
+
+    The dict is rebuilt from ``message``, not decoded from the frame:
+    it equals what decoding the frame gives for a message of JSON's
+    own types (``dict`` with string keys, ``list``, ``tuple``, ``str``,
+    ``int``, ``float``, ``bool``, ``None``), which is what answers are.
+    """
+    out = Framed(_sorted_json(message))
+    out.frame = _SORTED_ENCODER.encode(message).encode("utf-8") + b"\n"
     return out
+
+
+#: The containers :func:`_sorted_json` rebuilds; every other value is
+#: kept as it is.
+_CONTAINERS = (dict, list, tuple)
+
+
+def _sorted_json(value: dict | list | tuple) -> dict | list:
+    """The container ``value`` as JSON text would carry it back, with
+    its keys sorted at every level: tuples become lists."""
+    if isinstance(value, dict):
+        return {
+            key: _sorted_json(v) if isinstance(v, _CONTAINERS) else v
+            for key, v in sorted(value.items())
+        }
+    return [_sorted_json(v) if isinstance(v, _CONTAINERS) else v for v in value]
 
 
 def stamped(body: Framed, cached: bool, query_id: str | None) -> Framed:

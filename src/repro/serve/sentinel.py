@@ -21,10 +21,14 @@ session. The sentinel enforces two budgets:
   the server's wall budget), so the run self-cancels at the next shard
   boundary with zero polling;
 * an **RSS-growth budget** — the server's sampler loop polls
-  :meth:`SentinelBoard.poll` with the process RSS; a query whose
-  watch-interval growth exceeds the budget is tripped via
-  :meth:`~repro.engines.recovery.Deadline.expire`, which the running
-  session observes exactly like a deadline expiry.
+  :meth:`SentinelBoard.poll`, which reads the process RSS once. The
+  budget is process-wide: one sample cannot say which query grew, so
+  the growth is charged to the largest grower (the query watched
+  longest), which is tripped via
+  :meth:`~repro.engines.recovery.Deadline.expire` — the running
+  session observes that exactly like a deadline expiry — and every
+  other query is re-baselined at the sample, so none is charged for
+  growth it did not make.
 
 Trips are recorded with a reason (``wall-budget`` / ``rss-budget``) so
 the server can tag responses, metrics and flight-recorder anomalies,
@@ -136,10 +140,11 @@ class SentinelBoard:
     """Registry of active sentinels plus the budgets they enforce.
 
     ``wall_budget_s`` / ``rss_budget_bytes`` are the server-wide
-    defaults (``None`` disables that budget). :meth:`watch` arms a
-    sentinel for a starting query and returns it — or ``None`` when
-    there is nothing to enforce (no budgets, no request deadline), so
-    the unguarded fast path stays exactly as before.
+    defaults (``None`` disables that budget); the RSS budget bounds the
+    process's growth charged to one query (:meth:`poll`). :meth:`watch`
+    arms a sentinel for a starting query and returns it — or ``None``
+    when there is nothing to enforce (no budgets, no request deadline),
+    so the unguarded fast path stays exactly as before.
     """
 
     def __init__(
@@ -209,9 +214,14 @@ class SentinelBoard:
         """Check every active sentinel once; the ``(query_id, reason)``
         pairs tripped by *this* poll.
 
-        One RSS sample serves the whole sweep (the budgets are per-query
-        but the process RSS is global). Called from the server's sampler
-        loop; safe from any thread.
+        Wall budgets are per query. The RSS budget is process-wide: the
+        one RSS sample is charged to the largest grower — of the
+        untripped sentinels with a baseline, the one whose baseline is
+        lowest, so whose growth since it is largest — which trips when
+        that growth exceeds the budget. A trip re-baselines every other
+        such sentinel at the sample, so a survivor is charged neither
+        on this poll nor later for growth it did not make. Called from
+        the server's sampler loop; safe from any thread.
         """
         with self._lock:
             active = list(self._active.values())
@@ -222,10 +232,23 @@ class SentinelBoard:
         )
         tripped: list[tuple[str, str]] = []
         for sentinel in active:
-            reason = sentinel.check(rss)
+            reason = sentinel.check()
             if reason is not None:
                 tripped.append((sentinel.query_id, reason))
-                with self._lock:
+        watched = [
+            s for s in active if s.tripped is None and s.rss_start is not None
+        ]
+        if rss is not None and watched:
+            grower = min(watched, key=lambda s: s.rss_start)
+            reason = grower.check(rss)
+            if reason is not None:
+                tripped.append((grower.query_id, reason))
+                for survivor in watched:
+                    if survivor is not grower:
+                        survivor.rss_start = rss
+        if tripped:
+            with self._lock:
+                for _query_id, reason in tripped:
                     self._trips[reason] = self._trips.get(reason, 0) + 1
         return tripped
 

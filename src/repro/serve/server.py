@@ -619,11 +619,12 @@ class MiningServer:
         from repro.api import resolve_engine
 
         engine = resolve_engine(options.engine, fresh=True)
-        run_options = options.replace(
+        served = dict(
             trace=tracer, plan_cache=self.plan_cache, cache=self.measurement_cache
         )
         if query.sentinel is not None:
-            run_options = run_options.replace(deadline_seconds=query.sentinel.deadline)
+            served["deadline_seconds"] = query.sentinel.deadline
+        run_options = options.replace(**served)
         with tracer.span(
             "serve.query",
             graph=resident.name,
@@ -742,8 +743,9 @@ class MiningServer:
                 predicted_seconds = predicted_cost * profile_for(engine).unit_seconds
                 measured_seconds = float(selection.measured_seconds)
             session_roots = [s for s in tracer.spans if s.parent_id is None]
-            for name, start, end in sorted(query.marks, key=lambda mark: mark[1]):
-                span = tracer.add(f"serve.stage.{name}", start, end)
+            # The walk marks its stages in order, so by start time.
+            for name, start, end in query.marks:
+                span = tracer.add(_STAGE_METRICS[name], start, end)
                 if name == "execute":
                     for root in session_roots:
                         root.parent_id = span.span_id
@@ -1077,4 +1079,5 @@ STAGES = (
     Stage("record", MiningServer._record),
 )
 _RECORD = STAGES[-1]
+#: Each stage's histogram, and the name of its span in a flight trace.
 _STAGE_METRICS = {stage.name: f"serve.stage.{stage.name}" for stage in STAGES}

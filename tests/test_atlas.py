@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from repro.core import atlas
-from repro.core.canonical import are_isomorphic, canonical_form
+from repro.core.canonical import are_isomorphic, canonical_form, pattern_id
+from repro.core.pattern import Pattern
 
 
 class TestMotifEnumeration:
@@ -87,3 +91,33 @@ class TestPatternName:
     def test_name_ignores_numbering(self):
         relabeled = atlas.TAILED_TRIANGLE.relabel([3, 2, 1, 0])
         assert atlas.pattern_name(relabeled) == "TT"
+
+    def test_table_matches_the_scan(self):
+        """The shape → name table names what the scan over both tables
+        named: every atlas pattern, both variants, and seeded random
+        labeled patterns of at most 6 vertices."""
+        rng = random.Random(46)
+        samples = [
+            *atlas.NAMED_PATTERNS.values(),
+            *atlas.EVALUATION_PATTERNS.values(),
+            *(p for k in (2, 3, 4, 5) for p in atlas.all_connected_patterns(k)),
+        ]
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            pairs = list(combinations(range(n), 2))
+            edges = [e for e in pairs if rng.random() < 0.5] or pairs[:1]
+            labels = [rng.randrange(3) for _ in range(n)]
+            samples.append(Pattern(n, edges, labels=labels))
+        for p in samples:
+            for variant in (p.edge_induced(), p.vertex_induced()):
+                assert atlas.pattern_name(variant) == scanned_name(variant)
+
+
+def scanned_name(p: Pattern) -> str:
+    """``pattern_name`` as a scan over the named tables: the reference."""
+    canon = canonical_form(p.edge_induced().unlabeled())
+    for name, known in {**atlas.NAMED_PATTERNS, **atlas.EVALUATION_PATTERNS}.items():
+        if canonical_form(known) == canon:
+            return name + ("" if p.is_edge_induced else "-V")
+    kind = "V" if p.is_vertex_induced and not p.is_clique else "E"
+    return f"<{p.n}v{p.num_edges}e:{kind}:{pattern_id(p) & 0xFFFF:04x}>"

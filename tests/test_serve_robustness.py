@@ -273,6 +273,31 @@ class TestSentinels:
         assert board.poll() == [("q1", "rss-budget")]
         assert sentinel.deadline.expiry_reason == "rss-budget"
 
+    def test_rss_budget_charges_only_the_largest_grower(self):
+        """One process RSS, two queries: the idle one is not charged."""
+        clock = FakeClock()
+        mb = 1 << 20
+        rss = {"value": 100 * mb}
+        board = SentinelBoard(
+            clock=clock, rss_budget_bytes=50 * mb, rss_reader=lambda: rss["value"]
+        )
+        grower = board.watch("q-a", None)
+        rss["value"] += 30 * mb  # q-a allocates
+        idle = board.watch("q-b", None)
+        assert idle.rss_start == 130 * mb
+        rss["value"] += 60 * mb  # q-a again; q-b allocates nothing
+        assert board.poll() == [("q-a", "rss-budget")]
+        assert grower.tripped == "rss-budget"
+        assert idle.tripped is None
+        # Until q-a's memory is returned the process stays large: the
+        # survivor is charged only for growth after the trip.
+        assert board.poll() == []
+        rss["value"] += 40 * mb
+        assert board.poll() == []
+        rss["value"] += 20 * mb
+        assert board.poll() == [("q-b", "rss-budget")]
+        assert board.snapshot()["trips"] == {"rss-budget": 2}
+
     def test_effective_deadline_is_the_tighter_bound(self):
         clock = FakeClock()
         board = SentinelBoard(clock=clock, wall_budget_s=5.0)

@@ -1,13 +1,15 @@
 """A labeled pattern's structure, derived from its unlabeled skeleton.
 
 Canonical search, the automorphism group, symmetry breaking, matching
-orders, superpatterns and loop-profile templates are computed once per
-unlabeled shape and specialised to a labeling by one pass over the
-shape's group (:mod:`repro.core.canonical`). These tests hold the
-specialised answers to brute force over every vertex permutation, check
-that labelings share the skeleton's memo entries, and check that the
-one-query decline of :func:`repro.plan.search.select_alternative_patterns`
-returns exactly what the full Algorithm 1 search returns.
+orders, superpattern closures, loop-profile and exploration-plan
+templates are computed once per unlabeled shape and specialised to a
+labeling by one pass over the shape's group (:mod:`repro.core.canonical`).
+These tests hold the specialised answers to brute force over every
+vertex permutation and to derivations from the labeled pattern itself,
+check that labelings share the skeleton's memo entries, and check that
+the one-query decline of
+:func:`repro.plan.search.select_alternative_patterns` returns exactly
+what the full Algorithm 1 search returns.
 """
 
 from __future__ import annotations
@@ -20,14 +22,22 @@ from hypothesis import given, settings, strategies as st
 from repro.core import atlas
 from repro.core.aggregation import CountAggregation, MNIAggregation
 from repro.core.canonical import (
+    _encoding_prefix,
     canonical_form,
     canonical_permutation,
     pattern_id,
     shape_of,
 )
-from repro.core.costmodel import CostModel, _level_template, _matching_order_cached
+from repro.core.costmodel import (
+    CostModel,
+    _level_template,
+    _matching_order_cached,
+    matching_order,
+)
+from repro.core.equations import item_of
 from repro.core.generation import (
     _added_edge_shapes,
+    _closure_template,
     direct_superpatterns,
     superpattern_closure,
 )
@@ -39,10 +49,11 @@ from repro.core.isomorphism import (
 )
 from repro.core.pattern import Pattern
 from repro.core.sdag import SDag
+from repro.engines.plan import ExplorationPlan, PlanLevel, _plan_template
 from repro.graph.generators import assign_labels, power_law_cluster
 from repro.plan.search import search_plan, select_alternative_patterns
 
-from .strategies import patterns, permutations_of
+from .strategies import connected_skeletons, patterns, permutations_of
 
 
 def _keeps_structure(p: Pattern, q: Pattern, f) -> bool:
@@ -133,6 +144,9 @@ SKELETON_MEMOS = (
     _matching_order_cached,
     _level_template,
 )
+#: The templates a labeled query is specialised from (one entry per
+#: shape each).
+TEMPLATE_MEMOS = (_closure_template, _plan_template, _encoding_prefix)
 
 
 class TestMemoHygiene:
@@ -165,6 +179,35 @@ class TestMemoHygiene:
         assert [memo.cache_info().currsize for memo in SKELETON_MEMOS] == sizes
         assert len({pattern_id(p) for p in labelings}) > 32
 
+    def test_templates_take_one_entry_per_shape(self):
+        """N labelings of one shape: one entry in each template memo for
+        the shape, none for a labeling."""
+        graph = assign_labels(power_law_cluster(60, 3, 0.4, seed=3), 4, seed=1)
+        shape = atlas.NAMED_PATTERNS["TT"].vertex_induced()
+        labelings = [
+            shape.with_labels([a, b, c, d])
+            for a in range(4)
+            for b in range(4)
+            for c in range(3)
+            for d in range(3)
+        ]
+
+        def touch(p: Pattern) -> None:
+            skel = canonical_form(p.edge_induced())
+            superpattern_closure(skel)
+            ExplorationPlan.build(p)
+            pattern_id(p)
+            search_plan([p], CostModel.for_graph(graph))
+
+        for memo in TEMPLATE_MEMOS:
+            memo.cache_clear()
+        touch(shape.with_labels([9, 9, 8, 8]))
+        assert [memo.cache_info().currsize for memo in TEMPLATE_MEMOS] == [1, 1, 1]
+        for p in labelings:
+            touch(p)
+        assert [memo.cache_info().currsize for memo in TEMPLATE_MEMOS] == [1, 1, 1]
+        assert len({pattern_id(p) for p in labelings}) > 64
+
     def test_one_shape_entry_per_numbering(self):
         shape_of.cache_clear()
         star = Pattern.star(4)
@@ -172,6 +215,135 @@ class TestMemoHygiene:
             automorphisms(star.with_labels(labels))
             canonical_form(star.with_labels(labels))
         assert shape_of.cache_info().currsize == 1
+
+
+def reference_closure(skel: Pattern) -> tuple[Pattern, ...]:
+    """The closure by a walk over each member's one-edge superpatterns
+    (:func:`direct_superpatterns`), sorted by edge count, then ``repr``."""
+    skel = canonical_form(skel)
+    seen = {skel: None}
+    frontier = [skel]
+    while frontier:
+        found = []
+        for p in frontier:
+            for sup in direct_superpatterns(p):
+                if sup not in seen:
+                    seen[sup] = None
+                    found.append(sup)
+        frontier = found
+    return tuple(sorted(seen, key=lambda p: (p.num_edges, repr(p))))
+
+
+def reference_plan(pattern: Pattern, order=None, symmetry_breaking=True):
+    """An exploration plan's levels, each derived from the pattern alone."""
+    order = list(matching_order(pattern) if order is None else order)
+    position = {v: i for i, v in enumerate(order)}
+    conditions = symmetry_breaking_conditions(pattern) if symmetry_breaking else ()
+    levels = []
+    for i, v in enumerate(order):
+        backward = tuple(
+            sorted(position[w] for w in pattern.neighbors(v) if position[w] < i)
+        )
+        anti = tuple(
+            sorted(position[w] for w in pattern.anti_neighbors(v) if position[w] < i)
+        )
+        upper, lower = [], []
+        for u, w in conditions:
+            if v == u and position[w] < i:
+                upper.append(position[w])
+            elif v == w and position[u] < i:
+                lower.append(position[u])
+        levels.append(
+            PlanLevel(
+                pattern_vertex=v,
+                backward_neighbors=backward,
+                backward_anti=anti,
+                upper_bounds=tuple(sorted(upper)),
+                lower_bounds=tuple(sorted(lower)),
+                non_adjacent=tuple(j for j in range(i) if j not in backward),
+                label=pattern.label(v),
+            )
+        )
+    return ExplorationPlan(pattern=pattern, levels=tuple(levels))
+
+
+def reference_profile(model: CostModel, skel: Pattern, variant: str):
+    """``(cost, matches)`` of the nested-loop model, every level and the
+    symmetry conditions derived from the labeled pattern itself."""
+    m = model.model
+    order = matching_order(skel)
+    position = {v: i for i, v in enumerate(order)}
+    constraints = [0] * skel.n
+    for u, v in _conditions(brute_automorphisms(skel), skel.n):
+        constraints[max(position[u], position[v])] += 1
+    partial, cost, final_candidates = 1.0, 0.0, 1.0
+    for i, v in enumerate(order):
+        back_edges = sum(1 for w in skel.neighbors(v) if position[w] < i)
+        if variant == "V":
+            back_anti = i - back_edges
+        else:
+            back_anti = sum(1 for w in skel.anti_neighbors(v) if position[w] < i)
+        if back_edges == 0:
+            candidates = m.num_vertices * m.label_fraction(skel.label(v))
+        else:
+            candidates = m.biased_degree * m.label_fraction(skel.label(v))
+            candidates *= m.closure_prob ** (back_edges - 1)
+        if i > 0:
+            anti_prob = m.closure_prob if back_edges else m.edge_prob
+            candidates *= (1.0 - anti_prob) ** back_anti
+            candidates *= 0.5 ** constraints[i]
+            ops = (
+                max(back_edges - 1, 0) * model.profile.intersection_weight
+                + back_anti * model.profile.difference_weight
+            )
+            cost += partial * ops
+        if i < len(order) - 1:
+            partial *= max(candidates, 1e-12)
+            cost += partial
+        else:
+            final_candidates = max(candidates, 0.0)
+    return cost, partial * final_candidates
+
+
+class TestTemplates:
+    """What a labeled query derives from its shape's templates equals
+    what it derives from itself, in any numbering, in either variant."""
+
+    @given(
+        connected_skeletons(max_n=6, labeled=True),
+        st.data(),
+        st.sampled_from(["E", "V"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_specialised_equals_derived(self, shape: Pattern, data, variant):
+        query = shape.relabel(data.draw(permutations_of(shape.n)))
+        if variant == "V":
+            query = query.vertex_induced()
+        assert ExplorationPlan.build(query) == reference_plan(query)
+        assert ExplorationPlan.build(
+            query, symmetry_breaking=False
+        ) == reference_plan(query, symmetry_breaking=False)
+        order = data.draw(permutations_of(query.n))
+        assert ExplorationPlan.build(query, order=order) == reference_plan(
+            query, order=order
+        )
+
+        skel = item_of(query)[0]
+        closure = superpattern_closure(skel)
+        assert closure == reference_closure(skel)
+        assert [repr(p) for p in closure] == [repr(p) for p in reference_closure(skel)]
+
+        model = CostModel.for_graph(GRAPH)
+        for sup in closure[:4]:
+            for v in ("E", "V"):
+                assert model._loop_profile(sup, v) == reference_profile(model, sup, v)
+
+        if query.n <= 5:
+            fast = select_alternative_patterns([query], model)
+            full = select_alternative_patterns(
+                [query], model, sdag=SDag.build([query])
+            )
+            assert fast == full
 
 
 GRAPH = assign_labels(power_law_cluster(300, 4, 0.4, seed=5), 3, skew=0.8, seed=10)
