@@ -116,7 +116,7 @@ from repro.observe import (
     write_jsonl,
 )
 
-__version__ = "3.19.0"
+__version__ = "3.20.0"
 
 __all__ = [
     "Aggregation",

@@ -110,12 +110,6 @@ class GraphModel:
         return max(self.label_fractions.get(label, 0.0), 1.0 / self.num_vertices)
 
 
-#: Elements one transitivity pass holds at a time (32 KiB per array,
-#: like a frontier segment), so the scan's temporaries stay small on any
-#: graph.
-_PROBE_CHUNK = 1 << 12
-
-
 def _clustering_coefficient(graph: DataGraph) -> float:
     """Global clustering coefficient (transitivity): ``3 · triangles / wedges``.
 
@@ -125,11 +119,13 @@ def _clustering_coefficient(graph: DataGraph) -> float:
     probed for an edge: a triangle closes twice, at its lowest-ranked
     vertex, and the probes number ``Σ d⁺(u)²`` — small even around hubs,
     whose out-lists the orientation keeps short. Rows are taken in
-    ranges of at most :data:`_PROBE_CHUNK` elements, so besides the
-    packed edge keys only per-vertex arrays are graph-sized.
+    ranges of at most one frontier segment's worth of elements
+    (:data:`~repro.engines.frontier.FRONTIER_ELEMENT_BUDGET`), so
+    besides the packed edge keys only per-vertex arrays are graph-sized.
     """
     import numpy as np
 
+    from repro.engines import frontier
     from repro.graph.partition import budget_ranges
 
     n = graph.num_vertices
@@ -152,12 +148,13 @@ def _clustering_coefficient(graph: DataGraph) -> float:
         forward = rank[row] < rank[neighbours]
         return row[forward], neighbours[forward]
 
+    budget = frontier.FRONTIER_ELEMENT_BUDGET
     out_degree = np.zeros(n, dtype=np.int64)
-    for lo, hi in budget_ranges(degrees, _PROBE_CHUNK):
+    for lo, hi in budget_ranges(degrees, budget):
         row, _ = out_lists(lo, hi)
         out_degree[lo:hi] = np.bincount(row - lo, minlength=hi - lo)
     closed = 0
-    for lo, hi in budget_ranges(degrees + out_degree**2, _PROBE_CHUNK):
+    for lo, hi in budget_ranges(degrees + out_degree**2, budget):
         row, out = out_lists(lo, hi)
         # Every entry pairs with each entry of its own row's out-list.
         lengths = out_degree[lo:hi]

@@ -48,16 +48,31 @@ cumulative width crosses :data:`FRONTIER_ELEMENT_BUDGET` (a row wider
 than the whole budget is itself cut into budget-sized pieces) and the
 segments descend depth-first, in order. No gather, mask or probe ever
 spans more than the budget, so a run holds at most ``depth`` segments'
-worth of temporaries whatever the graph's size or skew. The budget is
-deliberately small (``1 << 12`` elements — a 32 KiB index array): a
-segment's arrays then stay cache-resident from the gather through the
-last probe, so wide segments buy nothing (4-motif count on a 900-vertex
-power-law graph, CPU seconds: 0.35 / 0.33 / 0.32 / 0.32 at 2 k / 4 k /
-8 k / 16 k elements), while every doubling from here adds about
-0.3 MiB to the heap of *each* thread that matches — a daemon's workers
-keep their malloc arenas — which is what holds peak RSS at the per-root
-kernel's. ``should_stop`` is polled once per segment, so cancellation
-and deadline latency are bounded by the budget as well.
+worth of temporaries whatever the graph's size or skew.
+
+The budget is ``1 << 13`` elements (a 64 KiB index array), chosen by
+one rule: the largest power of two at which the 4-motif count's traced
+peak stays under ``tests/test_frontier.py``'s 1.5 MiB ceiling and
+morphbench's ``peak_rss_mib`` stays within 2 % of the 4 k budget's on
+every workload. Each segment pays a fixed 25–30 numpy passes, which is
+what a small op spends its time on, so wider segments are faster with
+the same elements scanned; but every doubling roughly doubles the
+transient peak, and a daemon pays that heap once per connection thread
+that has run a query (each keeps its malloc arena). The readings behind
+the choice (``tools/sweep_budget.py``, one CPU, medians; daemon RSS
+after four connections each ran twelve cold ``serve-cold`` queries)::
+
+    budget  4-MC 900  4-MC 20,000  5-MC 900  peak 900/3,000   daemon RSS
+    4 k     3.03 ms   232 ms       406 ms    0.51/0.54 MiB    67.1 MiB
+    8 k     2.65 ms   197 ms       337 ms    0.96/1.02 MiB    68.1 MiB
+    16 k    2.51 ms   180 ms       305 ms    1.71/1.80 MiB    69.5 MiB
+    32 k    2.63 ms   168 ms       289 ms    2.94/3.15 MiB    71.0 MiB
+
+16 k fails both conditions: its peak is over the ceiling, and
+morphbench's ``enum-stream`` and ``serve-cold`` RSS grow by 2.6 % and
+2.9 %. ``should_stop`` is
+polled once per segment, so cancellation and deadline latency are
+bounded by the budget as well.
 
 The expansion preserves the per-root DFS enumeration order exactly:
 CSR rows are sorted ascending, ``np.repeat`` keeps frontier rows in
@@ -118,9 +133,11 @@ __all__ = [
 DEFAULT_BATCH_ROOTS = 2048
 
 #: Candidates one gather/mask/probe pass may span (see the module
-#: docstring): the frontier is split where the cumulative per-row
-#: cut-point width crosses it. Tests patch it down to 1.
-FRONTIER_ELEMENT_BUDGET = 1 << 12
+#: docstring for how the value was chosen): the frontier is split where
+#: the cumulative per-row cut-point width crosses it. The transitivity
+#: scan of :mod:`repro.core.costmodel` chunks by it too. Tests patch it
+#: down to 1.
+FRONTIER_ELEMENT_BUDGET = 1 << 13
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False

@@ -82,13 +82,15 @@ class Query:
         #: What the server's stages hand each other along one walk
         #: (:data:`repro.serve.server.STAGES`): the chaos fault drawn
         #: for the request, its circuit-breaker cell, the sentinel
-        #: watching it while it holds a slot, its tracer (misses only), the
-        #: answer or error so far, the session's phase seconds, and a
+        #: watching it while it holds a slot, its tracer and the
+        #: session's ``RunTrace`` of it (misses only), the answer or
+        #: error so far, the session's phase seconds, and a
         #: ``(stage, start, end)`` mark per stage walked.
         self.fault = None
         self.breaker = None
         self.sentinel = None
         self.tracer = None
+        self.trace = None
         self.answer: dict | None = None
         self.error: Exception | None = None
         self.phases: tuple[tuple[str, float], ...] = ()

@@ -634,6 +634,7 @@ class MiningServer:
         ):
             session = MorphingSession(engine, options=run_options)
             result = session.run(resident.graph, patterns)
+        query.trace = result.trace
         self.metrics.merge(tracer.metrics)
         query.phases = (
             ("plan", result.transform_seconds),
@@ -743,14 +744,18 @@ class MiningServer:
                 predicted_seconds = predicted_cost * profile_for(engine).unit_seconds
                 measured_seconds = float(selection.measured_seconds)
             session_roots = [s for s in tracer.spans if s.parent_id is None]
+            # The session's snapshot is the record's trace (a session
+            # that raised left none): it shares the tracer's span
+            # objects, so only the stage spans added below are new.
+            trace = query.trace or RunTrace.from_tracer(tracer)
             # The walk marks its stages in order, so by start time.
             for name, start, end in query.marks:
                 span = tracer.add(_STAGE_METRICS[name], start, end)
+                trace.spans.append(span)
                 if name == "execute":
                     for root in session_roots:
                         root.parent_id = span.span_id
-            trace = RunTrace.from_tracer(
-                tracer,
+            trace.meta = dict(
                 query_id=query.query_id,
                 client=query.client,
                 graph=graph,

@@ -21,6 +21,7 @@ from repro.core.costmodel import (
 )
 from repro.core.pattern import Pattern
 from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED
+from repro.engines import frontier
 from repro.graph.datagraph import DataGraph
 from repro.graph.generators import assign_labels, power_law_cluster
 
@@ -83,7 +84,7 @@ class TestClosureProbability:
     def test_probe_chunks_do_not_change_the_value(self):
         graph = power_law_cluster(300, 4, 0.5, seed=3)
         want = costmodel._clustering_coefficient(graph)
-        with mock.patch.object(costmodel, "_PROBE_CHUNK", 1):
+        with mock.patch.object(frontier, "FRONTIER_ELEMENT_BUDGET", 1):
             assert costmodel._clustering_coefficient(graph) == want
 
     def test_relabelled_graph_has_the_same_model(self):

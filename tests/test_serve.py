@@ -1364,6 +1364,7 @@ class TestHitFrames:
                     convert_seconds=0.0,
                     executor_seconds=0.0,
                     total_seconds=3.5e-4,
+                    trace=None,
                 )
 
         monkeypatch.setattr(server_module, "MorphingSession", DrawnSession)

@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.core import parser as parser_module
 from repro.core.atlas import TRIANGLE
+from repro.observe.export import RunTrace
 from repro.options import RunOptions
 from repro.serve import GraphRegistry, MiningServer, Query, protocol, validate_stats
 from repro.serve import server as server_module
@@ -141,6 +142,28 @@ class TestDeclaredStages:
 
             failed = server.flight.find(unknown["query_id"])
             assert failed.status == "error" and failed.trace is None
+
+    def test_a_served_miss_snapshots_its_tracer_once(self, small_graph, monkeypatch):
+        """The session's trace is the flight record's: one ``RunTrace``
+        per miss, carrying the walk's stage spans and the record's
+        meta."""
+        snapshots = count_calls(monkeypatch, RunTrace, "from_tracer")
+        with make_server(small_graph, workers=1) as server:
+            miss = server.handle(run_request())
+            assert miss["ok"] and not miss["cached"]
+            assert len(snapshots) == 1
+            trace = server.flight.find(miss["query_id"]).trace
+            stage_spans = [s for s in trace.spans if s.name.startswith("serve.stage.")]
+            assert [s.name for s in stage_spans] == [
+                f"serve.stage.{name}" for name in STAGE_NAMES
+            ]
+            assert trace.meta == {
+                "query_id": miss["query_id"],
+                "client": "anonymous",
+                "graph": "small",
+                "engine": "peregrine",
+            }
+            trace.validate_nesting()
 
     def test_top_renders_one_row_per_declared_stage(self, small_graph):
         from repro.serve.top import TopDashboard
