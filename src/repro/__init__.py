@@ -60,7 +60,6 @@ from repro.errors import (
     GraphValidationError,
     ReproError,
     RunDeadlineExceeded,
-    SharedMemoryLeakError,
     WorkerCrashError,
 )
 from repro.core.aggregation import (
@@ -116,7 +115,7 @@ from repro.observe import (
     write_jsonl,
 )
 
-__version__ = "3.20.0"
+__version__ = "3.21.0"
 
 __all__ = [
     "Aggregation",
@@ -161,7 +160,6 @@ __all__ = [
     "RunTrace",
     "SDag",
     "ShardCheckpoint",
-    "SharedMemoryLeakError",
     "Span",
     "SumPAEngine",
     "Tracer",

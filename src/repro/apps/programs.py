@@ -93,7 +93,7 @@ class PatternProgram:
         ``workers > 1`` fans each pattern over degree-balanced
         root-vertex shards; results are merged deterministically and are
         identical to the serial run. ``executor`` picks the transport
-        (``"process"`` default, ``"serial"`` for in-process sharding).
+        (``None``: a thread pool; ``"serial"``: inline sharding).
         """
         self._workers = workers
         self._executor = executor

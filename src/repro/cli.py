@@ -102,7 +102,7 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="shard-parallel worker processes (1 = serial, the default)",
+        help="shard-parallel worker threads (1 = serial, the default)",
     )
 
 
@@ -155,8 +155,8 @@ def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="re-execute a crashed shard up to N times (exponential "
-        "backoff) before the in-process fallback (default 3 on any "
-        "sharded run)",
+        "backoff) before the run fails with a worker-crash error "
+        "(default 3 on any sharded run)",
     )
 
 
@@ -291,13 +291,12 @@ def cmd_serve(args) -> int:
     """Run the resident mining daemon until interrupted or shut down."""
     from repro.serve import AdmissionPolicy, GraphRegistry, MiningServer
 
-    registry = GraphRegistry(share=not args.no_share)
+    registry = GraphRegistry()
     for name in args.graphs or []:
         resident = registry.load(name)
         print(
             f"# resident: {resident.name} "
-            f"({resident.graph.num_vertices} vertices, "
-            f"{'shared' if resident.payload is not None else 'private'})",
+            f"({resident.graph.num_vertices} vertices)",
             file=sys.stderr,
         )
     chaos = None
@@ -586,10 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-per-client", type=int, default=4,
         help="admission control: max in-flight queries per client id",
-    )
-    serve.add_argument(
-        "--no-share", action="store_true",
-        help="skip the shared-memory CSR export at load time",
     )
     serve.add_argument(
         "--slow-factor", type=float, default=8.0, metavar="K",

@@ -400,7 +400,7 @@ class MiningEngine(ABC):
         #: chunks of that size through the vectorized frontier kernel.
         #: Mechanism only — a bare engine is per-root; sessions set this
         #: from ``RunOptions.resolved_batch_roots()`` (batched unless
-        #: ``batch_roots=0``). Pickles to pool workers, so shards batch
+        #: ``batch_roots=0``). Copied to pool threads, so shards batch
         #: exactly like the parent would.
         self.batch_roots: int | None = None
         #: Live :class:`repro.observe.ProgressReporter` during a run
@@ -417,11 +417,12 @@ class MiningEngine(ABC):
         self.busy = False
 
     def __getstate__(self):
-        # Engines ship to pool workers by pickle; the tracer and the
-        # progress reporter stay home (workers record into their own
+        # A shard thread runs on its own copy of the engine (see
+        # ``execution.ThreadShardExecutor``); the tracer and the
+        # progress reporter stay home (a worker records into its own
         # tracer when span collection is requested — see
-        # ``execution.run_shard`` — and cannot render to the
-        # parent's stream).
+        # ``execution.run_shard`` — and does not render to the
+        # caller's stream).
         state = self.__dict__.copy()
         state["tracer"] = None
         state["progress"] = None

@@ -1,11 +1,10 @@
 """The one shard-mapping loop, and its policy: retry, deadlines, checkpoints.
 
-Every sharded run — in-process or process pool, with or without
+Every sharded run — inline or on pool threads, with or without
 fault-tolerance options — maps its shards through :func:`map_shards`;
 the transports in :mod:`repro.engines.execution` only run one shard
 attempt each. A crashed shard is re-executed (exponential backoff +
-jitter, up to :attr:`RetryPolicy.max_retries`), a shard that keeps
-killing pool workers is recovered **in-process** before the run gives up
+jitter, up to :attr:`RetryPolicy.max_retries`) before the run gives up
 with :class:`repro.errors.WorkerCrashError`, an expired
 :class:`Deadline` cancels outstanding shards through the transport's
 cancel token and reports the pattern as interrupted (the session turns
@@ -28,7 +27,6 @@ import random
 import time
 from concurrent.futures import Future
 from concurrent.futures import wait as wait_futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -59,9 +57,7 @@ class RetryPolicy:
     """How crashed shards are re-executed before the run gives up.
 
     ``max_retries`` bounds re-executions per shard (0 disables retry);
-    after the budget is spent a pool-backed run tries the shard once
-    more **in-process** (a worker-poisoning input shouldn't kill the
-    run if the parent can still compute it), then raises
+    a shard that crashes past the budget raises
     :class:`repro.errors.WorkerCrashError`. Backoff between attempts is
     ``backoff_seconds * backoff_factor**(attempt-1)`` stretched by up to
     ``jitter`` fraction of itself; the jitter RNG is seeded per
@@ -102,7 +98,7 @@ class Deadline:
     The clock is injectable (tests drive a fake monotonic clock), and
     ``remaining()`` feeds directly into ``concurrent.futures.wait``
     timeouts so a pool-backed run stops *waiting* the moment the budget
-    expires even if a worker is wedged.
+    expires even if a pool thread is wedged.
     """
 
     __slots__ = ("seconds", "clock", "_expires_at", "expiry_reason")
@@ -160,7 +156,6 @@ class PatternReport:
     completed_shards: int = 0
     checkpointed_shards: int = 0
     retries: int = 0
-    fallbacks: int = 0
     interrupted: bool = False
 
     @property
@@ -262,31 +257,27 @@ def map_shards(
 
     Returns shard index → ``(value, stats)`` for every shard that
     completed, checkpoint hits included; ``control.reports[-1]`` records
-    retries, fallbacks and interruption. Checkpointed shards are skipped
-    (a ``shard.checkpoint`` span each). Then rounds: submit every
-    outstanding shard (an in-process transport runs each as it is
+    retries and interruption. Checkpointed shards are skipped (a
+    ``shard.checkpoint`` span each). Then rounds: submit every
+    outstanding shard (the inline transport runs each as it is
     submitted, so the deadline is checked between shards), harvest the
-    completed ones in shard order, and charge each crashed one an
-    attempt. ``BrokenProcessPool`` semantics shape a round: one worker
-    dying abruptly breaks the *whole* pool, so every shard outstanding
-    at the collapse is a casualty (innocent ones included — the retry
-    budget is sized for that); the loop closes the broken pool and the
-    next round's first submit rebuilds it. A pool shard past the budget
-    gets one last attempt in-process (a ``shard.fallback`` span); a
-    shard that crashes in-process past it raises
-    :class:`WorkerCrashError`. An expired deadline stops the rounds and
-    sets the transport's cancel token, which releases wedged workers.
+    completed ones in shard order, and charge each crashed one (an
+    :class:`InjectedWorkerCrash`, on whichever transport) an attempt; a
+    shard that crashes past the budget raises :class:`WorkerCrashError`.
+    Any other exception is a genuine kernel error and propagates. An
+    expired deadline stops the rounds and sets the transport's cancel
+    token, which releases wedged pool threads.
     Completed shards are journaled to the control's checkpoint even
     when the pattern is interrupted or a poisoned shard raises — that
     is what makes resume work.
     """
     # Imported here: ``import repro`` needs this module's policy types,
     # not the transports.
-    from repro.engines.execution import SerialShardExecutor, ShardTask
+    from repro.engines.execution import ShardTask
 
     report = PatternReport(total_shards=len(shards))
     control.reports.append(report)
-    retry, deadline = control.retry, control.deadline
+    deadline = control.deadline
     key = checkpoint_key(pattern, aggregation)
     results: dict[int, ShardResult] = {}
     #: Outstanding shard index → attempts charged so far.
@@ -305,7 +296,6 @@ def map_shards(
         results[index] = hit
         report.completed_shards += 1
         report.checkpointed_shards += 1
-    inline = SerialShardExecutor()  # the last resort past the pool budget
     executor.begin_pattern()
     try:
         while attempts and not control.expired():
@@ -322,22 +312,16 @@ def map_shards(
                     control.faults,
                     collect_spans=tracer is not None,
                 )
-                if attempts[index] <= retry.max_retries:
-                    futures[index] = executor.submit(engine, graph, task, deadline)
-                    continue
-                with timed_span(
-                    tracer, "shard.fallback", shard=index, window=list(shards[index])
-                ):
-                    futures[index] = inline.submit(engine, graph, task, deadline)
+                futures[index] = executor.submit(engine, graph, task, deadline)
             timeout = None if deadline is None else max(0.0, deadline.remaining())
-            done, not_done = wait_futures(futures.values(), timeout=timeout)
+            _done, not_done = wait_futures(futures.values(), timeout=timeout)
             crashed: dict[int, BaseException] = {}
             for index, future in futures.items():
                 if future in not_done:
                     future.cancel()
                     continue
                 exc = future.exception()
-                if isinstance(exc, (InjectedWorkerCrash, BrokenProcessPool)):
+                if isinstance(exc, InjectedWorkerCrash):
                     crashed[index] = exc
                     continue
                 if exc is not None:
@@ -350,18 +334,10 @@ def map_shards(
                     tracer.adopt(spans)
                 results[index] = (value, stats)
                 report.completed_shards += 1
-                pool_attempts = attempts.pop(index)
-                if pool_attempts > retry.max_retries:
-                    report.fallbacks += 1
-                    control.event(
-                        "fallback",
-                        f"shard {index} recovered in-process after "
-                        f"{pool_attempts} pool attempts",
-                    )
+                del attempts[index]
             if not_done or control.expired():
                 break
             if crashed:
-                executor.close()  # the next submit rebuilds a broken pool
                 _charge(crashed, attempts, shards, pattern, report, control, tracer)
     finally:
         # Journal every completed shard — including on interruption or a
@@ -381,8 +357,8 @@ def _charge(crashed, attempts, shards, pattern, report, control, tracer) -> None
 
     Each shard's ``shard.retry`` span waits out only what the spans
     before it have not, so a round that lost many shards sleeps the
-    largest of their backoffs once. An in-process crash past the budget
-    has nowhere left to go and raises :class:`WorkerCrashError`.
+    largest of their backoffs once. A crash past the budget raises
+    :class:`WorkerCrashError`.
     """
     retry = control.retry
     waited = 0.0
@@ -391,7 +367,7 @@ def _charge(crashed, attempts, shards, pattern, report, control, tracer) -> None
         report.retries += 1
         attempt = attempts[index]
         error = type(exc).__name__
-        if attempt > retry.max_retries and not isinstance(exc, BrokenProcessPool):
+        if attempt > retry.max_retries:
             shard = tuple(shards[index])
             raise WorkerCrashError(
                 f"shard {index} {shard} of pattern {pattern_id(pattern):016x} "

@@ -5,9 +5,8 @@ Every failure the execution stack can surface derives from
 type and still pattern-match on the concrete failure. The hierarchy
 replaces the silent ``except Exception`` clamps the shard-parallel
 layer used to hide degradation behind: a failure is now either
-*recovered* (retry, in-process fallback, checkpoint resume — visible as
-tracer spans and warnings) or *typed* (one of the classes below), never
-swallowed.
+*recovered* (retry, checkpoint resume — visible as tracer spans and
+warnings) or *typed* (one of the classes below), never swallowed.
 
 Each subclass doubles as a plain stdlib type where one fits
 (``GraphValidationError`` is a ``ValueError``, ``RunDeadlineExceeded``
@@ -24,7 +23,6 @@ __all__ = [
     "GraphValidationError",
     "ReproError",
     "RunDeadlineExceeded",
-    "SharedMemoryLeakError",
     "UnservedOptionError",
     "WorkerCrashError",
 ]
@@ -37,9 +35,9 @@ class ReproError(Exception):
 class WorkerCrashError(ReproError):
     """A shard's worker crashed and every recovery path was exhausted.
 
-    Raised by the fault-tolerant executor after per-shard retries (with
-    exponential backoff) *and* the in-process serial fallback all
-    failed. Carries enough context to identify the poisoned shard.
+    Raised by the shard-mapping loop once a shard has crashed on every
+    attempt its retry budget allows (with exponential backoff between
+    them). Carries enough context to identify the poisoned shard.
     """
 
     def __init__(
@@ -73,20 +71,6 @@ class RunDeadlineExceeded(ReproError, TimeoutError):
     ) -> None:
         super().__init__(message)
         self.deadline_seconds = deadline_seconds
-
-
-class SharedMemoryLeakError(ReproError):
-    """A shared-memory graph segment outlived its owning executor.
-
-    Raised by the leak probe
-    (:func:`repro.engines.execution.assert_no_leaked_segments`) that the
-    test suite runs after every test; a leak means some exit path
-    skipped :meth:`SharedGraphPayload.dispose`.
-    """
-
-    def __init__(self, message: str, segments: tuple[str, ...] = ()) -> None:
-        super().__init__(message)
-        self.segments = segments
 
 
 class GraphValidationError(ReproError, ValueError):
@@ -131,7 +115,7 @@ class UnservedOptionError(ReproError, ValueError):
     """A served run asked for an option only an in-process run may use.
 
     The daemon refuses it at admission, before it opens a file or starts
-    a process: a ``checkpoint`` or ``trace`` file at a path the client
+    a shard thread: a ``checkpoint`` or ``trace`` file at a path the client
     chose (a checkpoint's records are unpickled on resume), a
     ``progress`` line on its terminal, or more ``workers`` per query
     than it has CPUs.

@@ -44,9 +44,8 @@ whichever graph a kernel reads. It costs one more ``indptr`` and
 
 The flat layout is what the rest of the system builds on: the partition
 layer shards via ``indptr`` prefix sums, the cost model reads degree
-statistics straight off ``indptr``, and the parallel execution layer
-ships the three arrays to worker processes through
-``multiprocessing.shared_memory`` so workers attach zero-copy
+statistics straight off ``indptr``, and the parallel execution layer's
+shard threads all read the one copy of the arrays
 (:mod:`repro.engines.execution`).
 """
 
@@ -248,8 +247,8 @@ class DataGraph:
         """Wrap pre-built CSR arrays without copying or re-cleaning.
 
         This is the zero-copy entry point: the arrays are adopted as-is
-        (and marked read-only), which is how shared-memory workers and
-        fast loaders reconstruct a graph. ``validate`` runs cheap shape
+        (and marked read-only), which is how the degree-ordered copy and
+        fast loaders build a graph. ``validate`` runs cheap shape
         and monotonicity checks only — callers guarantee sorted rows.
         """
         if validate:

@@ -403,11 +403,11 @@ class MorphingSession:
 
         ``workers`` enables the shard-parallel execution layer: with
         ``workers > 1`` every pattern's matching fans out over
-        degree-balanced root-vertex shards (one warm worker pool per
-        run) and merges deterministically, so results — counts, MNI
+        degree-balanced root-vertex shards (one thread pool per run)
+        and merges deterministically, so results — counts, MNI
         tables, ordered match lists — are identical to ``workers=1``.
-        ``executor`` overrides the transport (``"process"``/``"serial"``
-        or a ``ShardExecutor`` instance); the serial in-process path is
+        ``executor`` overrides the transport (``"serial"`` or a
+        ``ShardExecutor`` instance); the serial in-process path is
         the default and behavior is unchanged unless ``workers > 1`` or
         an executor is supplied.
 

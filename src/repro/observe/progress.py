@@ -188,13 +188,13 @@ class ProgressReporter:
         self._rendered = False
 
     def event(self, kind: str, detail: str) -> None:
-        """Record an out-of-band recovery event (retry/fallback/…).
+        """Record an out-of-band recovery event (a shard retry).
 
-        The fault-tolerance layer reports shard retries and in-process
-        fallbacks here; events accumulate in ``events`` (tests assert
-        on them, :meth:`start` clears them with the rest of the state)
-        and retry/fallback counts are rendered into the progress line
-        so a stalling run visibly says why.
+        The fault-tolerance layer reports shard retries here; events
+        accumulate in ``events`` (tests assert on them, :meth:`start`
+        clears them with the rest of the state) and the retry count is
+        rendered into the progress line so a stalling run visibly says
+        why.
         """
         self.events.append((kind, detail))
         if self._active:
@@ -274,11 +274,8 @@ class ProgressReporter:
         elif snap.current_item is not None:
             parts.append(f"({snap.current_item})")
         retries = sum(1 for kind, _ in self.events if kind == "retry")
-        fallbacks = sum(1 for kind, _ in self.events if kind == "fallback")
         if retries:
             parts.append(f"{retries} retr{'y' if retries == 1 else 'ies'}")
-        if fallbacks:
-            parts.append(f"{fallbacks} fallback{'s' if fallbacks != 1 else ''}")
         # Left-pad with \r and right-pad with spaces so a shorter line
         # fully overwrites a longer previous one without ANSI escapes.
         stream.write(("\r" + "  ".join(parts)).ljust(79))

@@ -15,17 +15,14 @@ in priority order:
 2. **Deterministic reconciliation.** Phase spans are the *same* timer
    the session reports: ``MorphRunResult.transform_seconds`` is the
    transform span's duration, so trace and result always agree.
-3. **Cross-process stitching.** Pool workers trace into their own
-   ``Tracer`` and ship ``Span`` lists back; :meth:`Tracer.adopt`
+3. **Cross-thread stitching.** Shard threads trace into their own
+   ``Tracer`` and hand ``Span`` lists back; :meth:`Tracer.adopt`
    re-ids them, re-parents them under the current span and clamps
    child intervals into the parent window, so the nesting invariant
-   (every child interval inside its parent) holds even when worker
-   clocks drift.
+   (every child interval inside its parent) holds by construction.
 
-Timestamps are ``time.perf_counter()`` seconds: on Linux that clock is
-``CLOCK_MONOTONIC``, shared across forked workers, which keeps shard
-spans on the parent's timeline; :meth:`adopt`'s clamp covers platforms
-where it is not.
+Timestamps are ``time.perf_counter()`` seconds, one clock for every
+thread of the process, so shard spans sit on the parent's timeline.
 """
 
 from __future__ import annotations
@@ -82,8 +79,8 @@ class Tracer:
     """Records a tree of spans plus run-level metrics and audit records.
 
     One tracer serves one run. It is deliberately not thread-safe: the
-    session and the engines it drives share one thread, and worker
-    processes record into their *own* tracer whose spans are adopted
+    session and the engines it drives share one thread, and shard
+    threads record into their *own* tracer whose spans are adopted
     afterwards (:meth:`adopt`).
     """
 
@@ -138,7 +135,7 @@ class Tracer:
         """Attach a cost-model audit record to the trace."""
         self.audits.append(record)
 
-    # -- cross-process stitching ------------------------------------------
+    # -- cross-thread stitching -------------------------------------------
 
     def adopt(self, spans: list[Span], clamp: bool = True) -> None:
         """Graft foreign spans (a worker's trace) under the current span.

@@ -7,12 +7,13 @@ holds loaded graphs, a server-owned :class:`repro.PlanCache` /
 work across queries, and a result cache returns byte-identical payloads
 for repeat queries without touching the engines at all. Every cache
 tier is bounded (:class:`repro.morph.cache.BoundedStore`). A sharded
-query (``workers > 1``) still starts its own process pool.
+query (``workers > 1``) runs its shards on threads over the resident
+graph.
 
 Topology::
 
     repro serve  ──  MiningServer (JSON-lines over TCP)
-                       ├── GraphRegistry       graphs + shm segments
+                       ├── GraphRegistry       resident graphs, built once per name
                        ├── QueryScheduler      admission + priority-ordered slots
                        └── connection threads  MorphingSession per query,
                                                once its slot is granted

@@ -3,7 +3,7 @@
 A crash loop is worse than a crash: when a particular graph × engine
 combination keeps killing workers (a poisoned dataset, an engine bug, a
 chaos-injected crash spec), re-dispatching fresh queries into it burns
-worker time, churns process pools, and stretches every other client's
+worker time, churns shard pools, and stretches every other client's
 latency. The standard remedy is the circuit breaker — after ``N``
 consecutive failures the breaker *opens* and requests fail immediately
 with a typed ``rejected:circuit-open`` verdict (cheap, honest,

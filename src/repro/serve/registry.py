@@ -18,17 +18,11 @@ __all__ = ["GraphRegistry", "ResidentGraph"]
 
 
 class ResidentGraph:
-    """One loaded graph plus its (optional) shared-memory export.
+    """One loaded graph under its registry name."""
 
-    ``payload`` is a :class:`repro.engines.execution.SharedGraphPayload`
-    when the registry shares and the platform supports shared memory,
-    else ``None``. No query attaches it: a sharded run exports its own.
-    """
-
-    def __init__(self, name: str, graph: DataGraph, payload=None) -> None:
+    def __init__(self, name: str, graph: DataGraph) -> None:
         self.name = name
         self.graph = graph
-        self.payload = payload
 
     def describe(self) -> dict:
         """Wire-safe summary row for the ``graphs`` op."""
@@ -37,32 +31,25 @@ class ResidentGraph:
             "vertices": int(self.graph.num_vertices),
             "edges": int(self.graph.num_edges),
             "fingerprint": self.graph.fingerprint,
-            "shared": self.payload is not None,
         }
-
-    def dispose(self) -> None:
-        """Release the shared-memory segment (idempotent)."""
-        if self.payload is not None:
-            self.payload.dispose()
-            self.payload = None
 
 
 class GraphRegistry:
     """Name → :class:`ResidentGraph` map with single-load semantics.
 
-    ``share=True`` (the default) also exports each graph's CSR arrays
-    into a shared-memory segment at load time. Sharded queries do not
-    attach that segment: each one's executor exports the graph afresh
-    for its pool workers and unlinks it when the run ends. The registry
-    owns its own segments: :meth:`close` disposes them, and tests pin
-    the no-leak contract with
-    :func:`repro.engines.execution.assert_no_leaked_segments`.
+    Every query reads the resident graph in place: sharded runs go on
+    threads of the same process, so nothing is exported or copied.
+    ``share`` is accepted and ignored; it stays only for the frozen
+    ``benchmarks/morphbench/layers.py``, which passes ``share=False``,
+    until ROADMAP item 1 (e) stops passing it.
     """
 
     def __init__(self, share: bool = True) -> None:
-        self.share = share
+        del share  # accepted for the frozen benchmark caller, ignored
         self._graphs: dict[str, ResidentGraph] = {}
         self._lock = threading.Lock()
+        #: name → the lock its one build holds (while it is in flight).
+        self._building: dict[str, threading.Lock] = {}
 
     def add(self, name: str, graph: DataGraph) -> ResidentGraph:
         """Register an already-built graph under ``name``."""
@@ -70,12 +57,7 @@ class GraphRegistry:
             existing = self._graphs.get(name)
             if existing is not None:
                 return existing
-            payload = None
-            if self.share:
-                from repro.engines.execution import export_graph
-
-                payload = export_graph(graph)
-            resident = ResidentGraph(name, graph, payload)
+            resident = ResidentGraph(name, graph)
             self._graphs[name] = resident
             return resident
 
@@ -83,15 +65,26 @@ class GraphRegistry:
         """Load ``name`` — a dataset name/code or an edge-list path.
 
         Idempotent: a name that is already resident is returned as-is
-        (the graph is *not* re-read), so concurrent ``load`` requests
-        for the same graph cost one load total.
+        (the graph is *not* re-read), and concurrent ``load`` requests
+        for the same name cost one build total: the first builds under
+        the name's lock, the rest wait on it and get its graph. Builds
+        of different names run concurrently.
         """
         with self._lock:
             existing = self._graphs.get(name)
-        if existing is not None:
-            return existing
-        graph = self._build(name)
-        return self.add(name, graph)
+            if existing is not None:
+                return existing
+            building = self._building.setdefault(name, threading.Lock())
+        with building:
+            with self._lock:
+                existing = self._graphs.get(name)
+            if existing is not None:
+                return existing
+            try:
+                return self.add(name, self._build(name))
+            finally:
+                with self._lock:
+                    self._building.pop(name, None)
 
     def _build(self, name: str) -> DataGraph:
         from repro.graph import datasets
@@ -130,12 +123,9 @@ class GraphRegistry:
         return [r.describe() for r in sorted(residents, key=lambda r: r.name)]
 
     def close(self) -> None:
-        """Dispose every shared segment and empty the registry."""
+        """Empty the registry."""
         with self._lock:
-            residents = list(self._graphs.values())
             self._graphs.clear()
-        for resident in residents:
-            resident.dispose()
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,11 +1,10 @@
 """The resident mining daemon: :class:`MiningServer`.
 
-One process owns the expensive state — resident graphs (with their
-shared-memory segments), a warm :class:`repro.PlanCache`, a
-:class:`repro.MeasurementCache`, and a result cache — and answers
-queries over the JSON-lines protocol (:mod:`.protocol`). A ``run``
-request walks :data:`STAGES`, the one declaration of its path, on the
-thread that read it: the :class:`.scheduler.QueryScheduler` (priority
+One process owns the expensive state — resident graphs, a warm
+:class:`repro.PlanCache`, a :class:`repro.MeasurementCache`, and a
+result cache — and answers queries over the JSON-lines protocol
+(:mod:`.protocol`). A ``run`` request walks :data:`STAGES`, the one
+declaration of its path, on the thread that read it: the :class:`.scheduler.QueryScheduler` (priority
 ordering, per-client limits, deadline-aware admission) grants it one of
 ``workers`` execution slots, and the query then builds a *fresh* engine
 (:func:`repro.resolve_engine` with ``fresh=True`` — engine instances
@@ -804,7 +803,7 @@ class MiningServer:
         ``accepting`` → ``draining`` (submissions rejected with
         ``rejected:draining``, queued/executing queries run to
         completion under ``drain_deadline_s``) → ``closed`` (listener
-        down, every :class:`SharedGraphPayload` disposed). Before
+        down, connections hung up). Before
         closing, the flight recorder is dumped (to ``dump_dir`` or a
         temp directory) and — when ``state_path`` is configured — the
         registry manifest and result-cache journal are saved so
@@ -900,13 +899,6 @@ class MiningServer:
         """
         if self._tcp is not None:
             return self.host, self.port
-        # Reclaim shared-memory segments a SIGKILLed predecessor daemon
-        # left in /dev/shm (warns with the segment names).
-        from repro.engines.execution import sweep_stale_segments
-
-        swept = sweep_stale_segments()
-        if swept:
-            self.metrics.add("serve.segments.swept", len(swept))
         self._started = self.scheduler.clock()
         self._stop.clear()
         self._tcp = _TCPServer((self.host, self.port), _Handler, self)
@@ -953,7 +945,7 @@ class MiningServer:
 
     def close(self) -> None:
         """Stop listening, refuse queued queries, hang up live
-        connections, release graphs and segments.
+        connections, release the graphs.
 
         Clients keep their connections open between requests, so a
         closed daemon must hang them up: otherwise their handler threads

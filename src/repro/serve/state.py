@@ -10,8 +10,8 @@ that state as a JSONL journal at drain time and reloads it on
 * the **registry manifest** — the *names* the resident graphs were
   loaded under (dataset names/codes or edge-list paths), which is all
   :meth:`~repro.serve.registry.GraphRegistry.load` needs to rebuild
-  them; the CSR arrays and shared-memory segments themselves are
-  process-lifetime objects and are deliberately rebuilt, not serialized;
+  them; the CSR arrays themselves are process-lifetime objects and are
+  deliberately rebuilt, not serialized;
 * the **result-cache journal** — every completed (non-partial) response
   keyed by the same (fingerprint, patterns, options) identity the live
   cache uses, so a resumed daemon answers repeat queries from cache

@@ -5,11 +5,8 @@ The fault-tolerance layer is only trustworthy if its recovery paths are
 modes the execution layer must survive, keyed by **shard index** so
 every run of a test hits exactly the same shards:
 
-* ``crash`` — the worker process dies abruptly (``os._exit`` inside a
-  pool worker, so the parent sees a real ``BrokenProcessPool``); in an
-  in-process transport the same spec raises
-  :class:`InjectedWorkerCrash` instead (``os._exit`` would kill the
-  test process).
+* ``crash`` — the shard's worker dies: the attempt raises
+  :class:`InjectedWorkerCrash`, inline or on a pool thread alike.
 * ``hang`` — the shard wedges: it spins polling the run's stop signal
   and never produces a result, releasing only when the deadline (or a
   saturation cancel) fires. Pair it with a deadline; a hang with no
@@ -24,9 +21,8 @@ every run of a test hits exactly the same shards:
 Faults are scoped by attempt: a spec with ``times=2`` fires on attempts
 0 and 1 and lets attempt 2 through — which is exactly how the retry
 path is proven to converge. ``times=None`` means every attempt (a
-"poisoned" shard). Plans are picklable (they ship to pool workers
-through the task payload) and :meth:`FaultPlan.random` derives a plan
-from a seed for property-style tests.
+"poisoned" shard). Plans are picklable, and :meth:`FaultPlan.random`
+derives a plan from a seed for property-style tests.
 """
 
 from __future__ import annotations
@@ -64,11 +60,11 @@ _QUERY_KINDS = tuple(_QUERY_FAULT_STAGES)
 
 
 class InjectedWorkerCrash(RuntimeError):
-    """The in-process stand-in for a worker process dying abruptly.
+    """An injected worker death.
 
     Raised by :meth:`FaultPlan.apply_before_shard` when a ``crash``
-    spec fires in a transport that shares the caller's process; the
-    recovery layer treats it exactly like a ``BrokenProcessPool``.
+    spec fires; the recovery layer charges the shard an attempt and
+    retries it.
     """
 
 
@@ -104,9 +100,9 @@ class FaultPlan:
     Construct directly from a ``{shard_index: FaultSpec}`` mapping or
     derive one deterministically from a seed with :meth:`random`. The
     plan is consulted by ``repro.engines.execution.run_shard``, the one
-    shard attempt, in pool workers and in-process alike; it keys on
+    shard attempt, on pool threads and inline alike; it keys on
     ``(shard_index, attempt)``, so behavior is identical no matter
-    which process evaluates the plan.
+    which thread evaluates the plan.
     """
 
     def __init__(self, specs: Mapping[int, FaultSpec] | None = None) -> None:
@@ -170,14 +166,12 @@ class FaultPlan:
         shard_index: int,
         attempt: int,
         *,
-        in_worker: bool,
         stop_check: Callable[[], bool] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> bool:
         """Fire pre-execution faults; returns True when the shard must abort.
 
-        ``crash`` kills the process (``in_worker=True``) or raises
-        :class:`InjectedWorkerCrash`; ``slow`` sleeps and proceeds;
+        ``crash`` raises :class:`InjectedWorkerCrash`; ``slow`` sleeps and proceeds;
         ``hang`` polls ``stop_check`` until it fires, then reports the
         shard as aborted (return ``True`` — the caller produces no
         result for it). ``corrupt`` does nothing here (it rewrites the
@@ -187,10 +181,6 @@ class FaultPlan:
         if spec is None:
             return False
         if spec.kind == "crash":
-            if in_worker:
-                import os
-
-                os._exit(13)
             raise InjectedWorkerCrash(
                 f"injected crash on shard {shard_index} (attempt {attempt})"
             )

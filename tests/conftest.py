@@ -35,19 +35,6 @@ def _frontier_budget(request):
         yield
 
 
-@pytest.fixture(autouse=True)
-def _shared_memory_leak_probe():
-    """Every test must leave no live shared-memory segment behind.
-
-    The probe reclaims whatever it reports, so a single leaking test
-    fails alone instead of cascading into the rest of the suite.
-    """
-    yield
-    from repro.engines.execution import assert_no_leaked_segments
-
-    assert_no_leaked_segments()
-
-
 @pytest.fixture(scope="session")
 def tiny_graph() -> DataGraph:
     """8 vertices, hand-built, with triangles / cycles / a near-clique."""

@@ -1,5 +1,5 @@
 """Fault-injection matrix for the recovery layer (retry / deadline /
-checkpoint / fallback).
+checkpoint).
 
 The contract under test is differential and exact: a run that survives
 injected faults must return results *byte-identical* to the fault-free
@@ -10,10 +10,9 @@ deadline-degraded run never passes a partial aggregate off as an answer
 clearly quarantined). The ``corrupt`` fault proves the matrix has teeth:
 a silently wrong shard value *must* make these comparisons fail.
 
-Most cases run the in-process sharded transport (fault-tolerance
-activation forces sharding even at ``workers=1``); a dedicated set
-exercises the real process pool with genuine ``os._exit`` worker crashes
-and ``BrokenProcessPool`` recovery.
+Most cases run the inline sharded transport (fault-tolerance activation
+forces sharding even at ``workers=1``); the ``pool`` cases and a
+dedicated set run the same faults on the thread pool.
 """
 
 from __future__ import annotations
@@ -133,12 +132,12 @@ class TestFaultPlan:
     def test_crash_in_process_raises(self):
         plan = FaultPlan.crashes([2])
         with pytest.raises(InjectedWorkerCrash):
-            plan.apply_before_shard(2, 0, in_worker=False)
+            plan.apply_before_shard(2, 0)
 
     def test_hang_requires_stop_signal(self):
         plan = FaultPlan({0: FaultSpec("hang")})
         with pytest.raises(ValueError, match="stop signal"):
-            plan.apply_before_shard(0, 0, in_worker=False, stop_check=None)
+            plan.apply_before_shard(0, 0, stop_check=None)
 
     def test_hang_releases_on_stop(self):
         plan = FaultPlan({0: FaultSpec("hang")})
@@ -146,7 +145,6 @@ class TestFaultPlan:
         aborted = plan.apply_before_shard(
             0,
             0,
-            in_worker=False,
             stop_check=lambda: len(polls) >= 3,
             sleep=lambda _s: polls.append(1),
         )
@@ -156,9 +154,7 @@ class TestFaultPlan:
     def test_slow_sleeps_then_proceeds(self):
         plan = FaultPlan({0: FaultSpec("slow", seconds=1.5)})
         slept = []
-        aborted = plan.apply_before_shard(
-            0, 0, in_worker=False, sleep=slept.append
-        )
+        aborted = plan.apply_before_shard(0, 0, sleep=slept.append)
         assert aborted is False
         assert slept == [1.5]
 
@@ -187,7 +183,7 @@ class TestCrashRetryMatrix:
     ):
         """Crashes on ≤2 shards, retried, must be byte-identical to the
         fault-free oracle — every engine, every aggregation, on both
-        transports (in-process crashes raise; pool workers ``os._exit``)."""
+        transports (inline and on pool threads)."""
         assert_matches_oracle(
             small_graph,
             TRIANGLE,
@@ -519,13 +515,13 @@ class TestResume:
         )
 
 
-# -- the real process pool ----------------------------------------------------
+# -- the real thread pool -----------------------------------------------------
 
 
-class TestProcessPoolRecovery:
-    def test_worker_os_exit_is_retried(self, small_graph):
-        """An os._exit(13) in a pool worker breaks the pool; the recovery
-        layer rebuilds it and the retried run matches the oracle."""
+class TestThreadPoolRecovery:
+    def test_worker_crash_is_retried(self, small_graph):
+        """A crash on a pool thread is charged to its shard alone; the
+        retried run matches the oracle."""
         survived, _oracle = assert_matches_oracle(
             small_graph,
             TRIANGLE,
@@ -534,25 +530,24 @@ class TestProcessPoolRecovery:
             retry=NOSLEEP,
             tracer=Tracer(),
         )
-        assert survived.trace.find("shard.retry")
+        retries = survived.trace.find("shard.retry")
+        assert [span.attributes["shard"] for span in retries] == [1]
 
-    def test_pool_poisoning_shard_recovered_in_process(self, small_graph):
-        """A shard that keeps killing workers is recovered in the parent
-        once its pool budget is spent — the run still completes."""
-        survived, _oracle = assert_matches_oracle(
-            small_graph,
-            TRIANGLE,
-            workers=2,
-            # Crashes attempts 0 and 1; the in-process fallback runs at
-            # attempt 2 and goes through clean.
-            faults=FaultPlan({1: FaultSpec("crash", times=2)}),
-            retry=RetryPolicy(max_retries=1, sleep=lambda _s: None),
-            tracer=Tracer(),
-        )
-        # Shards collateral to the same pool collapse are charged an
-        # attempt too, so another shard may fall back as well, and first.
-        fallbacks = survived.trace.find("shard.fallback")
-        assert 1 in {span.attributes["shard"] for span in fallbacks}
+    def test_pool_poisoning_shard_raises_worker_crash(self, small_graph):
+        """A shard that crashes on every attempt its budget allows fails
+        the run with a typed error naming it."""
+        with pytest.raises(WorkerCrashError) as info:
+            repro.run(
+                small_graph,
+                [TRIANGLE],
+                options=repro.RunOptions(
+                    workers=2,
+                    faults=FaultPlan({1: FaultSpec("crash", times=2)}),
+                    retry=RetryPolicy(max_retries=1, sleep=lambda _s: None),
+                ),
+            )
+        assert info.value.shard_index == 1
+        assert info.value.attempts == 2
 
 
 # -- graph input validation (io.py satellite) ---------------------------------

@@ -53,6 +53,7 @@ from repro.engines import frontier
 from repro.engines.autozero.engine import AutoZeroEngine
 from repro.engines.base import EngineStats, run_plan
 from repro.engines.bigjoin.engine import BigJoinEngine
+from repro.engines.execution import SerialShardExecutor, ThreadShardExecutor, run_sharded
 from repro.engines.frontier import DEFAULT_BATCH_ROOTS, run_plan_batched
 from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.plan import ExplorationPlan, PlanLevel
@@ -479,6 +480,39 @@ class TestLabelRuns:
         assert len(lone.backward_neighbors) == 1 and lone.non_adjacent
         assert_level_counts_brute(small_labeled_graph, plan)
 
+    def test_fingerprint_ignores_runs(self, small_labeled_graph):
+        """Label runs are derived storage: never part of the fingerprint."""
+        g = small_labeled_graph
+        untouched, built = (
+            DataGraph(g.num_vertices, g.edge_array(), labels=g.labels, name="twin")
+            for _ in range(2)
+        )
+        before = built.fingerprint
+        built.label_runs
+        del built.__dict__["fingerprint"]
+        assert built.fingerprint == before == untouched.fingerprint
+        assert "label_runs" not in untouched.__dict__
+
+    def test_pool_labeled_count_matches_serial(self, small_labeled_graph):
+        """Pool threads build the graph's runs on first use, once each
+        or racing; either way their count is the inline one."""
+        graph = DataGraph(
+            small_labeled_graph.num_vertices,
+            small_labeled_graph.edge_array(),
+            labels=small_labeled_graph.labels,
+            name="fresh",
+        )
+        labeled = Pattern(3, edges=[(0, 1), (1, 2)], labels=[0, 1, 0])
+        aggregation = CountAggregation()
+        per_root = PeregrineEngine().count(graph, labeled)
+        engine = PeregrineEngine()
+        engine.batch_roots = DEFAULT_BATCH_ROOTS
+        with SerialShardExecutor(1) as serial:
+            expected = run_sharded(engine, graph, labeled, aggregation, serial)
+        with ThreadShardExecutor(workers=2) as pool:
+            got = run_sharded(engine, graph, labeled, aggregation, pool)
+        assert got == expected == per_root > 0
+
     def test_runs_are_rows_by_label_then_id(self, small_labeled_graph):
         graph = small_labeled_graph
         runs = graph.label_runs
@@ -795,7 +829,7 @@ def test_forced_morph_stream_with_vertex_filter(small_graph, workers, batch):
 
 
 def test_process_pool_batched(small_graph):
-    """batch_roots must survive pickling into real pool workers."""
+    """batch_roots must reach the pool threads' engine copies."""
     assert_matches_oracle(small_graph, TRIANGLE, workers=2, batch_roots=7)
 
 

@@ -111,8 +111,8 @@ class TestIdOrderInvariance:
             assert exists == {q: c > 0 for q, c in want.items()}, config
 
     def test_process_pool_counts_on_the_exported_ordered_copy(self):
-        """Two real workers attach the ordered copy's CSR, on both
-        numberings of one graph."""
+        """Two pool threads count on the ordered copy, on both numberings
+        of one graph."""
         graph = power_law_cluster(150, 4, 0.5, seed=5, name="pool")
         rng = np.random.default_rng(5)
         other = relabelled(graph, rng.permutation(graph.num_vertices))

@@ -8,14 +8,17 @@ aggregation, and both the morphed and baseline session paths. The
 property tests here pin that contract against random graphs, with the
 brute-force oracle as an independent third opinion on counts.
 
-Most differential cases use ``executor="serial"`` (in-process sharding:
-the same split/merge machinery without process-pool overhead); a small
-set of dedicated tests exercises the real ``ProcessShardExecutor``.
+Most differential cases use ``executor="serial"`` (inline sharding: the
+same split/merge machinery on the caller's thread); a small set of
+dedicated tests exercises the real ``ThreadShardExecutor``, including
+two that pass only if its shards really run at the same time.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +36,8 @@ from repro.engines.base import EngineStats
 from repro.engines.bigjoin.engine import BigJoinEngine
 from repro.engines.execution import (
     CancelFlag,
-    ProcessShardExecutor,
     SerialShardExecutor,
+    ThreadShardExecutor,
     default_shard_count,
     make_executor,
     run_sharded,
@@ -225,7 +228,7 @@ class TestStreamingParallel:
         assert run(4) == run(1)
 
 
-# -- the real process pool --------------------------------------------------
+# -- the real thread pool ---------------------------------------------------
 
 
 @pytest.mark.parametrize("engine_cls", [PeregrineEngine, GraphPiEngine])
@@ -238,7 +241,7 @@ def test_process_pool_equals_serial(engine_cls, small_graph):
 
 def test_process_pool_reused_across_patterns(small_graph):
     engine = PeregrineEngine()
-    with ProcessShardExecutor(2) as executor:
+    with ThreadShardExecutor(2) as executor:
         for pattern in QUERIES:
             got = run_sharded(
                 engine, small_graph, pattern, CountAggregation(), executor
@@ -251,7 +254,8 @@ def engine_count_reference(graph, pattern):
 
 
 def test_determinism_process_matchlist(small_graph):
-    """Two identical workers=4 runs are byte-identical, and == serial."""
+    """Two identical workers=4 runs on the thread pool are byte-identical,
+    and == serial."""
 
     def run_once():
         return sharded(
@@ -262,6 +266,89 @@ def test_determinism_process_matchlist(small_graph):
     serial = PeregrineEngine().run(small_graph, TRIANGLE, MatchListAggregation())
     assert pickle.dumps(first) == pickle.dumps(second)
     assert pickle.dumps(first) == pickle.dumps(serial)
+
+
+class TestThreadsRunTogether:
+    """The thread transport's shards overlap in time. Each test holds one
+    shard until the other thread has done something, so it passes only
+    when the two run at once; the inline transport breaks the first."""
+
+    @staticmethod
+    def _hold(monkeypatch, before):
+        """Run ``before(root_window, cancel)`` ahead of every shard's kernel."""
+        original = PeregrineEngine.aggregate_partial
+
+        def held(self, graph, pattern, aggregation, *, root_window=None, cancel=None):
+            before(root_window, cancel)
+            return original(
+                self, graph, pattern, aggregation,
+                root_window=root_window, cancel=cancel,
+            )
+
+        monkeypatch.setattr(PeregrineEngine, "aggregate_partial", held)
+
+    @pytest.mark.parametrize("executor", ["thread", "serial"])
+    def test_two_shards_meet_at_a_barrier(self, small_graph, monkeypatch, executor):
+        expected = PeregrineEngine().count(small_graph, TRIANGLE)
+        barrier = threading.Barrier(2, timeout=10 if executor == "thread" else 0.2)
+        self._hold(monkeypatch, lambda _window, _cancel: barrier.wait())
+        transport = (
+            ThreadShardExecutor(2) if executor == "thread" else SerialShardExecutor(2)
+        )
+        with transport:
+            if executor == "serial":
+                with pytest.raises(threading.BrokenBarrierError):
+                    run_sharded(
+                        PeregrineEngine(), small_graph, TRIANGLE,
+                        CountAggregation(), transport, num_shards=2,
+                    )
+                return
+            got = run_sharded(
+                PeregrineEngine(), small_graph, TRIANGLE, CountAggregation(),
+                transport, num_shards=2,
+            )
+        assert got == expected
+
+    def test_a_saturating_shard_stops_its_sibling_thread(
+        self, small_graph, monkeypatch
+    ):
+        """Both shards start, then shard 1 holds until shard 0, on the
+        other thread, finds a triangle and sets the shared flag; shard 1's
+        kernel then sees the flag and stops, though its own window holds
+        triangles too."""
+        shards = shard_by_degree_prefix(small_graph, 2)
+        for window in shards:
+            alone, _ = PeregrineEngine().aggregate_partial(
+                small_graph, TRIANGLE, ExistenceAggregation(), root_window=window
+            )
+            assert alone is True
+        flagged = threading.Event()
+        started = threading.Barrier(2, timeout=10)
+
+        def before(window, cancel):
+            started.wait()
+            if tuple(window) == tuple(shards[1]):
+                for _ in range(1000):
+                    if cancel.is_set():
+                        flagged.set()
+                        return
+                    time.sleep(0.01)
+
+        self._hold(monkeypatch, before)
+        with ThreadShardExecutor(2) as transport:
+            results = map_shards(
+                transport,
+                PeregrineEngine(),
+                small_graph,
+                TRIANGLE,
+                ExistenceAggregation(),
+                shards,
+                control=RunControl(),
+            )
+        assert flagged.is_set(), "shard 0's flag never reached shard 1"
+        assert results[0][0] is True
+        assert results[1][0] is False
+        assert results[1][1].matches == 0
 
 
 # -- early termination across shards ----------------------------------------
@@ -322,7 +409,7 @@ class TestEarlyTermination:
         assert all(s.total_seconds == 0.0 for s in skipped_stats)
 
     @pytest.mark.parametrize(
-        "executor, workers", [("serial", 4), ("process", 2)], ids=["serial", "pool"]
+        "executor, workers", [("serial", 4), (None, 2)], ids=["serial", "pool"]
     )
     @pytest.mark.parametrize(
         "option",
@@ -465,7 +552,8 @@ class TestExecutorResolution:
 
     def test_process_for_many_workers(self):
         executor = make_executor(4)
-        assert isinstance(executor, ProcessShardExecutor)
+        assert isinstance(executor, ThreadShardExecutor)
+        assert executor.workers == 4
         executor.close()
 
     def test_serial_spec(self):
@@ -480,10 +568,12 @@ class TestExecutorResolution:
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor(2, "threads")
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor(2, "process")
 
     def test_process_executor_needs_two_workers(self):
         with pytest.raises(ValueError):
-            ProcessShardExecutor(1)
+            ThreadShardExecutor(1)
 
     def test_default_shard_count_oversubscribes(self, small_graph):
         assert default_shard_count(4, small_graph) == 16

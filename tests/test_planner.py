@@ -282,7 +282,7 @@ class TestDecomposeAxis:
             oracle_kwargs={"strategy": "direct"},
             strategy="decompose",
             workers=2,
-            faults=FaultPlan.crashes([1]),  # os._exit in a pool worker
+            faults=FaultPlan.crashes([1]),  # a crash on a pool thread
             retry=NOSLEEP,
             tracer=repro.Tracer(),
         )

@@ -7,8 +7,7 @@ threads); the server's dict-level protocol serves cached results
 byte-identical to cold ones and reports plan-cache hits on warm
 repeats; and the full socket stack answers concurrent multi-client
 query mixes identically to the serial in-process oracle, then shuts
-down without leaking a shared-memory segment (the suite-wide autouse
-probe enforces that part). On top of the socket stack: one persistent
+down. On top of the socket stack: one persistent
 connection per client thread, result-cache hits answered before
 admission, and hypothesis-generated garbage on a live connection. A hit
 goes out as its cache entry's frame with two fields spliced on, so its
@@ -34,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.core.atlas import TRIANGLE, motif_patterns
 from repro.core.pattern import Pattern
+from repro.engines.execution import ThreadShardExecutor
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.morph.cache import STORE_CAPACITY
 from repro.morph.session import MorphingSession
@@ -96,7 +96,7 @@ class TestWireFraming:
             )
 
         monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(registry=registry) as server:
             server.start()
@@ -151,27 +151,27 @@ class TestProtocolEncoding:
 
 class TestGraphRegistry:
     def test_add_get_describe(self, small_graph):
-        with GraphRegistry(share=False) as registry:
+        with GraphRegistry() as registry:
             registry.add("g", small_graph)
             assert registry.get("g").graph is small_graph
             (row,) = registry.describe()
             assert row["name"] == "g"
             assert row["vertices"] == small_graph.num_vertices
-            assert row["shared"] is False
+            assert "shared" not in row
 
     def test_add_is_idempotent(self, small_graph):
-        with GraphRegistry(share=False) as registry:
+        with GraphRegistry() as registry:
             first = registry.add("g", small_graph)
             assert registry.add("g", small_graph) is first
             assert len(registry) == 1
 
     def test_missing_graph_raises(self):
-        with GraphRegistry(share=False) as registry:
+        with GraphRegistry() as registry:
             with pytest.raises(KeyError, match="not resident"):
                 registry.get("nope")
 
     def test_unknown_name_raises(self):
-        with GraphRegistry(share=False) as registry:
+        with GraphRegistry() as registry:
             with pytest.raises(KeyError, match="unknown graph"):
                 registry.load("no-such-dataset-or-path")
 
@@ -180,7 +180,35 @@ class TestGraphRegistry:
         resident = registry.load("mico")
         assert registry.load("MI") is not resident  # code vs name differ as keys
         registry.close()
-        # autouse leak probe verifies the segments are gone
+        assert len(registry) == 0
+
+    def test_concurrent_loads_of_one_name_build_once(self, small_graph):
+        """Two threads loading one name wait on one build and share its
+        graph, even when the build is slow."""
+        builds = []
+
+        class SlowRegistry(GraphRegistry):
+            def _build(self, name):
+                builds.append(name)
+                time.sleep(0.2)
+                return small_graph
+
+        registry = SlowRegistry()
+        start = threading.Barrier(2, timeout=10)
+        loaded = []
+
+        def load():
+            start.wait()
+            loaded.append(registry.load("g"))
+
+        threads = [threading.Thread(target=load) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert builds == ["g"]
+        assert len(loaded) == 2 and loaded[0] is loaded[1]
+        assert loaded[0].graph is small_graph
 
 
 class FakeClock:
@@ -391,7 +419,7 @@ class TestScheduler:
 @pytest.fixture()
 def server(small_graph):
     """Threadless dict-level server over ``small_graph`` (no sockets)."""
-    registry = GraphRegistry(share=False)
+    registry = GraphRegistry()
     registry.add("small", small_graph)
     server = MiningServer(registry=registry)
     yield server
@@ -549,7 +577,7 @@ def capped(small_graph, monkeypatch):
     def build(store: int = 4096, idempotency: int = 256) -> MiningServer:
         monkeypatch.setattr(cache_module, "STORE_CAPACITY", store)
         monkeypatch.setattr(server_module, "_IDEMPOTENCY_CAPACITY", idempotency)
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         built.append(MiningServer(registry=registry, workers=0))
         return built[-1]
@@ -681,7 +709,7 @@ class TestDrainSnapshot:
 
     @staticmethod
     def _warm_server(small_graph, tmp_path) -> MiningServer:
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         server = MiningServer(
             registry=registry,
@@ -790,7 +818,7 @@ class TestEngineSharingContract:
 
 class TestSocketStack:
     def test_connect_run_and_shutdown(self, small_graph):
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(registry=registry, workers=2) as server:
             client = connect(port=server.port)
@@ -804,7 +832,7 @@ class TestSocketStack:
             Client(port=0)
 
     def test_admission_rejection_surfaces_to_client(self, small_graph):
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         server = MiningServer(
             registry=registry,
@@ -840,7 +868,7 @@ class TestSocketStack:
             ).results
             for spec in set(workload)
         }
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         failures = []
         with MiningServer(registry=registry, workers=3) as server:
@@ -867,7 +895,7 @@ class TestSocketStack:
         assert stats["metrics"]["serve.admission.accepted"] == len(workload)
 
     def test_repeat_queries_cached_across_clients(self, small_graph):
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(registry=registry, workers=2) as server:
             first = connect(port=server.port, client_id="a").run("small", TRIANGLE)
@@ -876,7 +904,7 @@ class TestSocketStack:
             assert first.results == second.results
 
     def test_load_on_demand_over_socket(self):
-        with MiningServer(registry=GraphRegistry(share=False)) as server:
+        with MiningServer(registry=GraphRegistry()) as server:
             server.start()
             client = connect(port=server.port)
             description = client.load("mico")
@@ -887,7 +915,7 @@ class TestSocketStack:
 
 
 def _small_server(small_graph, **kwargs) -> MiningServer:
-    registry = GraphRegistry(share=False)
+    registry = GraphRegistry()
     registry.add("small", small_graph)
     return MiningServer(registry=registry, **kwargs)
 
@@ -1204,9 +1232,9 @@ class TestEarlyHits:
 
 class TestUnservedOptions:
     """Options that would have the daemon write a client-named file,
-    draw on its terminal or fork past its CPUs are refused at admission,
+    draw on its terminal or shard past its CPUs are refused at admission,
     with a typed error, before anything opens a file or starts a
-    process."""
+    process or a shard thread."""
 
     @staticmethod
     def _run(server, **options) -> dict:
@@ -1241,10 +1269,11 @@ class TestUnservedOptions:
         import multiprocessing.process
 
         def no_process(*args, **kwargs):
-            raise AssertionError("a process was started")
+            raise AssertionError("a process or a shard thread was started")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
         monkeypatch.setattr(os, "fork", no_process)
+        monkeypatch.setattr(ThreadShardExecutor, "submit", no_process)
         refused = self._run(server, workers=(os.cpu_count() or 1) + 1)
         assert refused["error"].startswith("UnservedOptionError: option 'workers'")
         # Null fields, as ``RunOptions.to_dict`` sends them, are served.
@@ -1273,8 +1302,6 @@ class TestWireFuzz:
     daemon hangs up that connection and keeps serving new ones."""
 
     def test_bad_lines_after_valid_requests(self, small_graph):
-        from repro.engines.execution import assert_no_leaked_segments
-
         oracle = repro.run(small_graph, [TRIANGLE, WEDGE]).results
         valid = [
             ({"op": "ping"}, lambda r: r == {"ok": True, "pong": True}),
@@ -1287,7 +1314,7 @@ class TestWireFuzz:
             )
             for p in (TRIANGLE, WEDGE)
         ]
-        registry = GraphRegistry()  # shared memory, for the leak check
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(registry=registry, workers=1) as server:
 
@@ -1321,7 +1348,6 @@ class TestWireFuzz:
             exchange()
             assert connect(port=server.port).ping()
             assert server.metrics.value("serve.protocol.errors") >= 1
-        assert_no_leaked_segments()
 
 
 #: Answers a session can give, each of which the wire must carry exactly:
@@ -1624,7 +1650,7 @@ class TestJournalCompatibility:
 
     def test_old_journals_resume_and_new_ones_read_the_same(self, tmp_path):
         state_path = tmp_path / "state.jsonl"
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.load("mico")
         first = MiningServer(
             registry=registry, workers=0, state_path=str(state_path),
@@ -1640,7 +1666,7 @@ class TestJournalCompatibility:
 
         legacy_path = tmp_path / "legacy.jsonl"
         legacy_path.write_text(legacy, encoding="utf-8")
-        second = MiningServer(registry=GraphRegistry(share=False), workers=0)
+        second = MiningServer(registry=GraphRegistry(), workers=0)
         try:
             assert second.resume_from(str(legacy_path))["results"] == 2
             after = [second.handle(dict(request)) for request in self.REQUESTS]

@@ -8,8 +8,7 @@ with seeded-jitter backoff. The invariants:
 * every response the client ultimately *completes* (``ok`` and not
   partial) is identical to the in-process oracle's answer for the same
   (graph, patterns) pair;
-* the daemon never dies: it answers ``ping`` after the storm;
-* no shared-memory segments leak (the autouse conftest probe).
+* the daemon never dies: it answers ``ping`` after the storm.
 
 Hung queries are reaped by the wall-budget sentinel, so this test uses
 real (small) time budgets rather than a fake clock — the hang fault
@@ -45,7 +44,7 @@ class TestChaosDifferential:
                 4: QueryFaultSpec("hang", times=1),
             }
         )
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(
             registry=registry,
@@ -104,7 +103,7 @@ class TestChaosDifferential:
     def test_crash_exhausting_retries_surfaces_typed_error(self, small_graph):
         """A fault deeper than the retry budget is reported, not hidden."""
         chaos = QueryFaultPlan({0: QueryFaultSpec("crash", times=None)})
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(
             registry=registry, workers=2, chaos=chaos, breaker_threshold=100
@@ -123,7 +122,7 @@ class TestChaosDifferential:
         chaos = QueryFaultPlan(
             {i: QueryFaultSpec("crash", times=None) for i in range(3)}
         )
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(
             registry=registry,
@@ -187,7 +186,7 @@ class TestFaultPlanDeterminism:
         chaos = QueryFaultPlan.random(
             num_queries=4, seed=3, p_fault=0.6, kinds=("crash", "slow")
         )
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(
             registry=registry, workers=2, chaos=chaos, breaker_threshold=50

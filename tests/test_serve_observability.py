@@ -464,7 +464,7 @@ class TestFlightRecorder:
 @pytest.fixture()
 def server(small_graph):
     """Threadless dict-level server over ``small_graph`` (no sockets)."""
-    registry = GraphRegistry(share=False)
+    registry = GraphRegistry()
     registry.add("small", small_graph)
     server = MiningServer(registry=registry)
     yield server
@@ -540,7 +540,7 @@ class TestServerObservability:
         )
 
     def test_rejected_query_still_gets_an_id(self, small_graph):
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         from repro.serve import AdmissionPolicy
 
@@ -569,7 +569,7 @@ class TestServerObservability:
         # The 8-vertex graph: the kernel's fixed per-call overhead is
         # several times the calibrated prediction there, so the query
         # is under-predicted (cost_ratio > 1) on any machine.
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", tiny_graph)
         # A threshold this aggressive makes every real measurement
         # "slow": measured seconds always exceed 1e-9 x predicted.

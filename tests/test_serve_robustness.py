@@ -440,7 +440,7 @@ class TestSchedulerRobustness:
 def sync_server(small_graph):
     """Threadless server over ``small_graph`` with a fake clock."""
     clock = FakeClock()
-    registry = GraphRegistry(share=False)
+    registry = GraphRegistry()
     registry.add("small", small_graph)
     server = MiningServer(registry=registry, workers=0, clock=clock)
     server.clock = clock  # test-side handle
@@ -460,7 +460,7 @@ class TestServerRobustness:
 
     def test_overload_rejection_carries_retry_hint(self, small_graph):
         clock = FakeClock()
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         server = MiningServer(
             registry=registry, workers=0, clock=clock, slo_p99=0.5
@@ -502,7 +502,7 @@ class TestServerRobustness:
 
     def test_chaos_crash_opens_breaker_then_probe_closes_it(self, small_graph):
         clock = FakeClock()
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         chaos = QueryFaultPlan({0: QueryFaultSpec("crash", times=None)})
         server = MiningServer(
@@ -547,7 +547,7 @@ class TestServerRobustness:
             server.close()
 
     def test_drain_rejects_then_persists_then_closes(self, small_graph, tmp_path):
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.load("mico")
         state_path = str(tmp_path / "state.jsonl")
         server = MiningServer(
@@ -574,7 +574,7 @@ class TestServerRobustness:
         assert server.metrics.value("serve.drain.started") == 1
 
         # Warm restart: a fresh incarnation resumes graphs + results.
-        second = MiningServer(registry=GraphRegistry(share=False), workers=0)
+        second = MiningServer(registry=GraphRegistry(), workers=0)
         try:
             resumed = second.resume_from(state_path)
             assert resumed["graphs"] == ["mico"]
@@ -592,7 +592,7 @@ class TestServerRobustness:
 
         path = str(tmp_path / "state.jsonl")
         save_service_state(path, graphs=["no-such-graph-anywhere"], result_cache={})
-        server = MiningServer(registry=GraphRegistry(share=False), workers=0)
+        server = MiningServer(registry=GraphRegistry(), workers=0)
         try:
             with pytest.warns(RuntimeWarning, match="no-such-graph"):
                 resumed = server.resume_from(path)
@@ -602,7 +602,7 @@ class TestServerRobustness:
             server.close()
 
     def test_resume_from_missing_journal_raises(self, tmp_path):
-        server = MiningServer(registry=GraphRegistry(share=False), workers=0)
+        server = MiningServer(registry=GraphRegistry(), workers=0)
         try:
             with pytest.raises(FileNotFoundError):
                 server.resume_from(str(tmp_path / "nope.jsonl"))
@@ -770,7 +770,7 @@ class TestClientResilience:
 
 class TestProtocolErrors:
     def test_garbage_request_gets_typed_response(self, small_graph):
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(registry=registry, workers=1) as server:
             with socket.create_connection(
@@ -791,7 +791,7 @@ class TestProtocolErrors:
             assert client.ping()
 
     def test_non_object_json_line_also_answered(self, small_graph):
-        registry = GraphRegistry(share=False)
+        registry = GraphRegistry()
         registry.add("small", small_graph)
         with MiningServer(registry=registry, workers=1) as server:
             with socket.create_connection(
@@ -803,59 +803,3 @@ class TestProtocolErrors:
                 response = json.loads(stream.readline())
             assert response["ok"] is False
             assert "protocol-error" in response["error"]
-
-
-# ---------------------------------------------------------------------------
-# stale segment sweep
-
-
-class TestSegmentSweep:
-    def test_dead_incarnation_segment_swept_live_kept(self):
-        from multiprocessing import shared_memory
-
-        from repro.engines.execution import sweep_stale_segments
-
-        # A segment "owned" by a pid that cannot exist (beyond pid_max)
-        # stands in for a SIGKILLed previous daemon incarnation.
-        stale = shared_memory.SharedMemory(
-            name="repro-shm-99999999-0-deadbe", create=True, size=64
-        )
-        stale.close()
-        # The sweep unlinks this segment out-of-band; unregister it so
-        # the stdlib resource tracker does not complain at exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(stale._name, "shared_memory")
-        import os
-
-        live = shared_memory.SharedMemory(
-            name=f"repro-shm-{os.getpid()}-7-feed01", create=True, size=64
-        )
-        try:
-            with pytest.warns(RuntimeWarning, match="repro-shm-99999999"):
-                swept = sweep_stale_segments()
-            assert "repro-shm-99999999-0-deadbe" in swept
-            # Our own (live-pid) segment must survive the sweep.
-            probe = shared_memory.SharedMemory(
-                name=f"repro-shm-{os.getpid()}-7-feed01"
-            )
-            probe.close()
-        finally:
-            live.close()
-            live.unlink()
-
-    def test_sweep_is_a_noop_when_clean(self):
-        from repro.engines.execution import sweep_stale_segments
-
-        assert sweep_stale_segments() == ()
-
-    def test_exported_payloads_use_sweepable_names(self, small_graph):
-        import os
-
-        from repro.engines.execution import SharedGraphPayload
-
-        payload = SharedGraphPayload.export(small_graph)
-        try:
-            assert payload.shm_name.startswith(f"repro-shm-{os.getpid()}-")
-        finally:
-            payload.dispose()

@@ -57,7 +57,7 @@ def run_request(**fields) -> dict:
 
 
 def make_server(small_graph, **kwargs) -> MiningServer:
-    registry = GraphRegistry(share=False)
+    registry = GraphRegistry()
     registry.add("small", small_graph)
     return MiningServer(registry=registry, **kwargs)
 

@@ -17,8 +17,8 @@ hangs, slow responses, corrupted frames and torn sockets), then:
    is written for warm restart, and the flight recorder is dumped;
 4. warm-restarts a second daemon from the journal and asserts a cached
    query replays the pre-restart answer;
-5. asserts zero shared-memory segments leaked across both incarnations
-   (the stale-segment sweep finds nothing to reclaim).
+5. asserts the two daemon incarnations leave no ``repro-shm-*`` entry
+   in ``/dev/shm``: a guard that nothing exports a graph segment again.
 
 The flight dump directory is left behind for the CI job to upload as
 an artifact. Exit code is non-zero on the first broken claim.
@@ -60,6 +60,14 @@ def boot(extra: list[str]) -> tuple[subprocess.Popen, int]:
     return proc, port
 
 
+def _shm_entries() -> set[str]:
+    """The ``repro-shm-*`` names in ``/dev/shm`` (none where it is absent)."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("repro-shm-")}
+    except OSError:
+        return set()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -74,18 +82,11 @@ def main() -> int:
     args = parser.parse_args()
 
     import repro
-    from repro.engines.execution import sweep_stale_segments
     from repro.serve import Client, ServeRejected, connect
 
-    # Start from a clean shared-memory namespace so the zero-leak claim
-    # at the end is about *this* run, not a predecessor's corpses.
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pre = sweep_stale_segments()
-    if pre:
-        print(f"note: swept {len(pre)} stale segments from earlier runs")
+    # Entries an earlier run (or an older build) left behind are not
+    # this run's: the claim at the end is about new ones only.
+    before = _shm_entries()
 
     patterns = [repro.Pattern.clique(3), repro.Pattern.path(3)]
     from repro.graph.datasets import load
@@ -239,10 +240,10 @@ def main() -> int:
             if proc2.poll() is None:
                 proc2.kill()
 
-        # -- zero leaks across both incarnations ------------------------
-        leaked = sweep_stale_segments()
-        assert not leaked, f"daemon leaked shared-memory segments: {leaked}"
-        print("zero leaked shared-memory segments")
+        # -- no segment from either incarnation -------------------------
+        created = sorted(_shm_entries() - before)
+        assert not created, f"the daemons created shared-memory segments: {created}"
+        print("no repro-shm-* entry in /dev/shm from either daemon")
         print("serve chaos gate: all claims hold")
         return 0
     finally:

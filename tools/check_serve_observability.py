@@ -186,9 +186,6 @@ def main() -> int:
 
         client.shutdown()
         proc.wait(timeout=30)
-        from repro.engines.execution import assert_no_leaked_segments
-
-        assert_no_leaked_segments()
         print("serve observability gate: all claims hold")
         return 0
     finally:

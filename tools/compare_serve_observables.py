@@ -96,7 +96,7 @@ def emit(mode: str) -> list[dict]:
     from repro.graph.generators import power_law_cluster
     from repro.serve import GraphRegistry, MiningServer
 
-    registry = GraphRegistry(share=False)
+    registry = GraphRegistry()
     registry.add("small", power_law_cluster(25, 3, 0.5, seed=5, name="small"))
     clock = FakeClock()
     server = MiningServer(

@@ -137,7 +137,6 @@ def _timing(quick: bool) -> dict:
 
 def _daemon(quick: bool) -> dict:
     """Peak RSS of a started daemon after every connection ran queries."""
-    from repro.engines.execution import assert_no_leaked_segments
     from repro.serve import Client, GraphRegistry, MiningServer
 
     from benchmarks.morphbench.harness import vm_hwm_kib
@@ -188,7 +187,6 @@ def _daemon(quick: bool) -> dict:
             server.close()
     finally:
         registry.close()
-        assert_no_leaked_segments()
     return {"rss_mib": rss, "answers": {"served": answers}}
 
 
