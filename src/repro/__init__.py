@@ -115,7 +115,7 @@ from repro.observe import (
     write_jsonl,
 )
 
-__version__ = "3.21.0"
+__version__ = "3.22.0"
 
 __all__ = [
     "Aggregation",

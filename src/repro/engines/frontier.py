@@ -21,25 +21,33 @@ Data layout (see docs/architecture.md, "Batched frontier matching"):
   producing a ``rows``/``cand`` pair: candidate values and the frontier
   row each came from;
 * **mask propagation** — symmetry-breaking bounds are folded directly
-  into the gather (a packed-key ``searchsorted`` computes each row's
-  bound cut-points before any candidate is materialized, the batch
-  analogue of the per-root ``bound_above``/``bound_below`` slicing),
-  and so is a labeled level's label: on a labeled graph an anchored
-  level gathers only the anchor's run of that label from
+  into the gather (each row's bound cut-points are known before any
+  candidate is materialized, the batch analogue of the per-root
+  ``bound_above``/``bound_below`` slicing), and so is a labeled level's
+  label: on a labeled graph an anchored level gathers only the anchor's
+  run of that label from
   :attr:`~repro.graph.datagraph.DataGraph.label_runs` (each CSR row
   stored a second time in (label, id) order), so candidates of other
-  labels are never materialized. A run is a fixed slice of its row, so
-  an unbounded side of it is one gather from a per-label column of row
-  positions, not a search. The remaining constraints
-  (injectivity as comparisons against the partial-embedding columns,
-  then backward intersections and anti-edge differences as packed-key
-  membership probes) each filter the surviving ``(row, cand)`` pairs,
-  cheapest first, compacting between passes so every probe runs over
-  an already-shrunk frontier. A probe reads one slot of the graph's
-  membership table (:attr:`~repro.graph.datagraph.DataGraph.adjacency_filter`):
-  the exact adjacency matrix on small graphs, else a hashed filter
-  whose set slots alone are confirmed by binary search, so the misses
-  that most anti-edge probes are cost one table read.
+  labels are never materialized. A cut is read, not searched, wherever
+  a position already holds it: a row bounded by its own anchor (``v <
+  u`` in ``N(u)``) ends or starts at the row's split
+  (:attr:`~repro.graph.datagraph.DataGraph.row_splits`), a row bounded
+  by the vertex its anchor was gathered from at that edge's reverse
+  position (:attr:`~repro.graph.datagraph.DataGraph.reverse_positions`),
+  and an unbounded side of a label run at a per-label column of row
+  positions. Other bounds are one packed-key ``searchsorted``. The
+  remaining constraints (injectivity as comparisons against the
+  partial-embedding columns, then backward intersections and anti-edge
+  differences as packed-key membership probes) each filter the
+  surviving ``(row, cand)`` pairs, cheapest first, compacting between
+  passes so every probe runs over an already-shrunk frontier. A probe
+  reads one slot of the graph's membership table
+  (:attr:`~repro.graph.datagraph.DataGraph.adjacency_filter`): the exact
+  adjacency matrix on small graphs, else a hashed table whose slots
+  hold the tag of their one edge key, so a probe is decided by that one
+  read, and only the few on a slot two keys share (or, on tables whose
+  tags do not name a key, on a matching tag) are confirmed by binary
+  search.
 
 **The element budget.** Transient memory is a constant, not a function
 of the graph: before a level gathers anything, every frontier row's
@@ -123,6 +131,7 @@ __all__ = [
     "DEFAULT_BATCH_ROOTS",
     "FRONTIER_ELEMENT_BUDGET",
     "gather_candidates",
+    "gather_positions",
     "level_counts",
     "level_cuts",
     "member_mask",
@@ -141,30 +150,6 @@ FRONTIER_ELEMENT_BUDGET = 1 << 13
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
-
-
-def _ragged_take(
-    values: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-row slices ``values[starts[i] : starts[i]+counts[i]]``.
-
-    Returns ``(rows, cand)``: the row index each gathered element belongs
-    to, and the element itself, rows in order and each row's slice kept
-    contiguous — the layout every frontier kernel builds on.
-    """
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    if total == 0:
-        return _EMPTY, _EMPTY
-    rows = np.repeat(np.arange(len(counts)), counts)
-    # Output element k of row r reads values[k + starts[r] - (elements
-    # before row r)]: one per-row shift, spread by ``rows``, plus a flat
-    # arange — built in place so only three full-width arrays are live.
-    shift = starts - ends
-    shift += counts
-    index = shift[rows]
-    index += np.arange(total)
-    return rows, values[index]
 
 
 def _packed_keys(graph: DataGraph, owners: np.ndarray) -> np.ndarray:
@@ -230,11 +215,43 @@ def _label_run_cuts(
     return runs.neighbors, starts, ends
 
 
+def _csr_cut(
+    graph: DataGraph,
+    level: PlanLevel,
+    owners: np.ndarray,
+    side: str,
+    bound: np.ndarray,
+    anchor_positions: tuple[int, np.ndarray] | None,
+) -> np.ndarray:
+    """One bounded side of an anchored level's CSR cut: in row
+    ``owners[i]``, the first flat position past ``bound[i]`` (the lower
+    bound, ``side="right"``) or at it (the upper bound, ``"left"``).
+
+    A lone bound on the anchor's own column is the row's split
+    (:attr:`DataGraph.row_splits`; rows have no self-loops, so the two
+    sides agree). A lone bound on the column whose row the anchor was
+    gathered from (``anchor_positions``) is adjacent to the anchor, at
+    the reverse position of that edge (:attr:`DataGraph.reverse_positions`).
+    Any other bound is one ``searchsorted`` of the packed ``owner * n +
+    bound`` keys.
+    """
+    bounds = level.lower_bounds if side == "right" else level.upper_bounds
+    if bounds == level.backward_neighbors[:1]:
+        return graph.row_splits[owners]
+    if anchor_positions is not None and bounds == (anchor_positions[0],):
+        at = graph.reverse_positions[anchor_positions[1]]
+        return at + 1 if side == "right" else at
+    packed = _packed_keys(graph, owners)
+    packed += bound
+    return np.searchsorted(graph.adjacency_keys, packed, side=side)
+
+
 def level_cuts(
     graph: DataGraph,
     level: PlanLevel,
     emb: np.ndarray,
     stats: SetOpStats,
+    anchor_positions: tuple[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every frontier row's candidate slice, before anything is gathered.
 
@@ -250,13 +267,20 @@ def level_cuts(
     label's vertex set, or all vertices).
 
     The level's strict symmetry-breaking bounds are folded into the
-    cut-points: because the packed key array shares the CSR layout (row
-    ``u``'s keys occupy the same flat positions as its ``indices``
-    slice), one ``searchsorted`` of ``owner * n + bound`` yields every
-    row's cut at once — the bounds apply *before* any candidate is
-    materialized, which is what keeps star-shaped patterns from
-    gathering the full hub row for every frontier entry, and what lets
-    the element budget split the frontier by widths it already knows.
+    cut-points, so they apply *before* any candidate is materialized,
+    which is what keeps star-shaped patterns from gathering the full hub
+    row for every frontier entry, and what lets the element budget split
+    the frontier by widths it already knows. On a CSR row a side bounded
+    by the anchor itself, ``v < u`` or ``v > u`` in ``N(u)`` (the first
+    level of every edge or clique prefix), is read off the row's split,
+    and so is a side bounded by the vertex the anchor was gathered from,
+    when the caller passes ``anchor_positions = (column, positions)``:
+    row ``i``'s anchor sits at flat CSR position ``positions[i]`` of
+    ``emb[i, column]``'s row, and the cut is that edge's reverse position
+    (see :func:`_csr_cut`). Any other bound searches: the packed key
+    array shares the CSR layout (row ``u``'s keys occupy the same flat
+    positions as its ``indices`` slice), so one ``searchsorted`` of
+    ``owner * n + bound`` yields every row's cut at once.
     """
     start = time.perf_counter()
     lower, upper = _level_bounds(level, emb)
@@ -265,16 +289,14 @@ def level_cuts(
     elif level.backward_neighbors:
         values = graph.indices
         owners = emb[:, level.backward_neighbors[0]]
-        indptr = graph.indptr
-        starts = indptr[owners]
-        ends = indptr[owners + 1]
-        if (lower is not None or upper is not None) and len(owners):
-            keys = graph.adjacency_keys
-            packed = _packed_keys(graph, owners)
-            if lower is not None:
-                starts = np.searchsorted(keys, packed + lower, side="right")
-            if upper is not None:
-                ends = np.searchsorted(keys, packed + upper, side="left")
+        if lower is not None and len(owners):
+            starts = _csr_cut(graph, level, owners, "right", lower, anchor_positions)
+        else:
+            starts = graph.indptr[owners]
+        if upper is not None and len(owners):
+            ends = _csr_cut(graph, level, owners, "left", upper, anchor_positions)
+        else:
+            ends = graph.indptr[owners + 1]
     else:
         if level.label is not None and graph.is_labeled:
             values = graph.vertices_by_label.get(level.label, _EMPTY)
@@ -308,14 +330,17 @@ def member_mask(
     The packed ``owner * n + cand`` probe keys read the graph's
     membership table (:attr:`DataGraph.adjacency_filter`) at one slot
     each. When the table is the exact dense matrix that is the answer.
-    Otherwise it is a hashed filter: a clear slot is a certain miss, and
-    only the probes that land on a set slot are looked up by one
-    ``np.searchsorted`` into the sorted directed-edge keys — the batch
-    analogue of the per-row probe the galloping set kernels use, with
-    the per-row slicing folded into the key packing (a probe can only
-    land inside its own owner's CSR row, because the keys of row ``u``
-    occupy ``[u*n, (u+1)*n)``). Most probes of a vertex-induced query
-    are anti-edge checks that miss, so most never search.
+    Otherwise it is hashed, and a probe compares its tag with its slot's:
+    an empty slot or another tag is a certain miss, and while tags are
+    exact a match is a certain hit. Only the probes on a collided slot
+    (and, when tags are not exact, those whose tag matches) are looked up
+    by one ``np.searchsorted`` into the sorted directed-edge keys — the
+    batch analogue of the per-row probe the galloping set kernels use,
+    with the per-row slicing folded into the key packing (a probe can
+    only land inside its own owner's CSR row, because the keys of row
+    ``u`` occupy ``[u*n, (u+1)*n)``). On a 32-bit table of at least 2¹⁷
+    slots those are the probes on the 0.7-2.6 % of slots that hold two or
+    more keys (1.0 % of ``serve-cold``'s probes).
     ``difference=True`` only flips the stats attribution (a batched
     anti-edge difference); the returned mask is always *membership* —
     callers negate it themselves.
@@ -328,15 +353,17 @@ def member_mask(
         table = graph.adjacency_filter
         probes = _packed_keys(graph, owners)
         probes += cand
-        found = table.table[table.slots(probes)]
-        if not table.exact:
-            maybe = np.flatnonzero(found)
-            if len(maybe):
+        if table.exact:
+            found = table.table[probes]
+        else:
+            found, unsure = table.lookup(probes)
+            unsure = np.flatnonzero(unsure)
+            if len(unsure):
                 keys = graph.adjacency_keys
-                probes = probes[maybe]
+                probes = probes[unsure]
                 pos = np.searchsorted(keys, probes)
                 np.minimum(pos, len(keys) - 1, out=pos)
-                found[maybe] = keys[pos] == probes
+                found[unsure] = keys[pos] == probes
     if difference:
         stats.differences += 1
     else:
@@ -442,6 +469,41 @@ def _filter_candidates(
     return rows, cand
 
 
+def gather_positions(
+    starts: np.ndarray, counts: np.ndarray, stats: SetOpStats
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate one segment's per-row ranges ``starts[i] :
+    starts[i]+counts[i]`` (its :func:`level_cuts`).
+
+    Returns ``(rows, positions)``: the row index each position belongs
+    to, and the flat position in the cuts' ``values`` itself, rows in
+    order and each row's range kept contiguous — the layout every
+    frontier kernel builds on. A level with nothing left to filter (one
+    anchor, no anti-edge, no injectivity beyond its bounds) keeps every
+    candidate, so its caller can read ``values[positions]`` and still
+    hold where each came from. The caller keeps the gather within
+    :data:`FRONTIER_ELEMENT_BUDGET`.
+    """
+    start = time.perf_counter()
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    rows = positions = _EMPTY
+    if total:
+        rows = np.repeat(np.arange(len(counts)), counts)
+        # Output element k of row r is position k + starts[r] - (elements
+        # before row r): one per-row shift, spread by ``rows``, plus a
+        # flat arange — built in place so only three full-width arrays
+        # are live.
+        shift = starts - ends
+        shift += counts
+        positions = shift[rows]
+        positions += np.arange(total)
+    stats.batched += 1
+    stats.elements_scanned += total
+    stats.seconds += time.perf_counter() - start
+    return rows, positions
+
+
 def gather_candidates(
     graph: DataGraph,
     level: PlanLevel,
@@ -457,11 +519,9 @@ def gather_candidates(
     ``rows`` indexes ``segment``. The caller keeps the gather within
     :data:`FRONTIER_ELEMENT_BUDGET`.
     """
-    start = time.perf_counter()
-    rows, cand = _ragged_take(values, starts, counts)
-    stats.batched += 1
-    stats.elements_scanned += len(cand)
-    stats.seconds += time.perf_counter() - start
+    rows, positions = gather_positions(starts, counts, stats)
+    cand = values[positions]
+    del positions  # not held while the filters run
     return _filter_candidates(graph, level, segment, rows, cand, stats)
 
 

@@ -24,10 +24,22 @@ kept as columns of ``n`` flat positions, one per label a query touches
 (:meth:`DataGraph.label_run_bounds`).
 
 Batch membership ("is ``v`` adjacent to ``u``?" for a whole frontier)
-reads one per-graph table of at most :data:`DENSE_ADJACENCY_MAX_BYTES`
-(:attr:`DataGraph.adjacency_filter`): the exact ``n × n`` matrix while
-it fits, else a hashed bit table over the packed edge keys whose "maybe"
-answers alone are checked against the sorted :attr:`~DataGraph.adjacency_keys`.
+reads one slot of a per-graph table (:attr:`DataGraph.adjacency_filter`):
+the exact ``n × n`` boolean matrix while its bytes fit
+:data:`DENSE_ADJACENCY_MAX_BYTES`, else a hashed table of at most that
+many ``uint16`` slots over the packed edge keys. A hashed slot holds the
+*tag* of the one key in it (the bits of the key's hash below the slot
+bits), :data:`EMPTY_SLOT` or :data:`COLLIDED`; while slot and tag name a
+key exactly (every 32-bit-key table of at least 2¹⁷ slots) only probes
+on a collided slot are checked against the sorted
+:attr:`~DataGraph.adjacency_keys`, else tag matches are too.
+
+Two more lazies let the frontier kernel cut a row at a symmetry-breaking
+bound by reading a position instead of searching for it:
+:attr:`DataGraph.row_splits` (each vertex's flat position of its first
+neighbour above itself, ``n`` entries) and
+:attr:`DataGraph.reverse_positions` (each directed edge ``u → v``'s
+flat position of ``u`` in ``v``'s row, ``2m`` entries).
 
 Every graph can also hand out a copy of itself with ids in ascending
 (degree, id) order (:attr:`DataGraph.degree_ordered`): on it a
@@ -37,9 +49,9 @@ count and existence runs are matched on it (the one switch is in
 it). It is built lazily, once per graph object, straight from the CSR
 by permutation, and is ``self`` when the order is already the identity.
 The copy is an ordinary graph: its fingerprint is its own content hash,
-and its :attr:`~DataGraph.label_runs`, :attr:`~DataGraph.adjacency_keys`
-and :attr:`~DataGraph.adjacency_filter` are built on first use, on
-whichever graph a kernel reads. It costs one more ``indptr`` and
+and its :attr:`~DataGraph.label_runs`, :attr:`~DataGraph.adjacency_keys`,
+:attr:`~DataGraph.adjacency_filter` and position arrays are built on
+first use, on whichever graph a kernel reads. It costs one more ``indptr`` and
 ``indices``.
 
 The flat layout is what the rest of the system builds on: the partition
@@ -58,18 +70,22 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 
-#: Byte cap of the per-graph membership table
+#: Cap of the per-graph membership table
 #: (:attr:`DataGraph.adjacency_filter`): the dense boolean adjacency
-#: matrix while its ``n²`` bytes fit (n <= 1024), else a hashed filter
-#: of at most this many slots. Small enough to be noise in a process's
-#: peak RSS.
+#: matrix while its ``n²`` bytes fit (n <= 1024), else a hashed table of
+#: at most this many ``uint16`` slots (2 MiB). Small enough to be noise
+#: in a process's peak RSS.
 DENSE_ADJACENCY_MAX_BYTES = 1 << 20
 
-#: Least filter slots per directed edge. The slot count is the next
-#: power of two, so 4-8 per edge: 12-22 % of the slots are set, and only
-#: a missing edge that lands on one pays a binary search. On morphbench's
-#: 6,000-vertex ``serve-cold`` graph (71,928 directed edges) 2¹⁸, 2¹⁹
-#: and 2²⁰ slots ran its queries at the same speed.
+#: Least hashed slots per directed edge. The slot count is the next
+#: power of two, so 4-8 per edge: 0.7-2.6 % of the slots hold two or
+#: more keys (:data:`COLLIDED`), and a probe on one of those is the only
+#: kind a 32-bit table of at least 2¹⁷ slots searches. On morphbench's
+#: 6,000-vertex ``serve-cold`` graph (71,928 directed edges, 2¹⁹ slots:
+#: 1.0 % of its probes search) 2¹⁸, 2¹⁹ and 2²⁰ slots ran its cold
+#: queries at the same speed, within run-to-run spread (per-query
+#: median 384, 377 and 381 µs through ``MiningServer.handle``, the
+#: medians of three alternating runs).
 _FILTER_SLOTS_PER_EDGE = 4
 
 #: Fibonacci-hashing multipliers (odd, ≈ 2^w / φ) per packed-key width.
@@ -78,6 +94,17 @@ _HASH_MULTIPLIERS = {
     np.dtype(np.int64): np.uint64(0x9E3779B97F4A7C15),
 }
 
+#: Bits of a hashed slot's tag. Every tag is below ``1 << TAG_BITS``, so
+#: the two marks, which are not, can never be mistaken for one.
+TAG_BITS = 15
+
+#: A hashed slot no edge key lands on: every probe on it misses.
+EMPTY_SLOT = np.uint16(0xFFFF)
+
+#: A hashed slot two or more edge keys land on (with different tags):
+#: a probe on it is decided by binary search.
+COLLIDED = np.uint16(0xFFFE)
+
 
 #: Elements per slice when :attr:`DataGraph.label_runs` and
 #: :attr:`DataGraph.degree_ordered` map between ranks and ids, so their
@@ -85,9 +112,10 @@ _HASH_MULTIPLIERS = {
 _BUILD_SLICE = 1 << 13
 
 
-def _index_dtype(num_vertices: int) -> np.dtype:
-    """Narrowest integer dtype that holds every vertex id."""
-    return np.dtype(np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64)
+def _index_dtype(count: int) -> np.dtype:
+    """Narrowest integer dtype that holds every id (or flat position)
+    below ``count``."""
+    return np.dtype(np.int32 if count <= np.iinfo(np.int32).max else np.int64)
 
 
 def _key_dtype(num_vertices: int) -> np.dtype:
@@ -112,28 +140,54 @@ class LabelRuns(NamedTuple):
 class AdjacencyFilter(NamedTuple):
     """A graph's batch membership table (:attr:`DataGraph.adjacency_filter`).
 
-    ``table[slot]`` is True for the slot of every directed edge's packed
-    key ``u * n + v``. The slot is the key itself when ``shift`` is
-    ``None`` (the exact dense matrix), else the top bits of the key
-    times a Fibonacci multiplier, unsigned and wrapping: then a True
-    answer only says "maybe", and False is exact.
+    When ``shift`` is ``None`` the table is the exact dense matrix:
+    ``table[u * n + v]`` is True for every directed edge. Otherwise it is
+    hashed: a packed key's Fibonacci hash (the key times an odd
+    multiplier, unsigned and wrapping, as wide as the keys) has its top
+    bits as the slot and the bits below them as the *tag*, and
+    ``table[slot]`` (``uint16``) holds the tag of the one edge key in the
+    slot, :data:`EMPTY_SLOT` or :data:`COLLIDED`. Multiplying by an odd
+    constant is a bijection, so while the bits below the slot fit
+    :data:`TAG_BITS` (``tag_shift`` is 0) slot and tag name one key and a
+    tag match is an edge. Wider remainders keep their top
+    :data:`TAG_BITS` bits, and a tag match only says "maybe".
     """
 
     table: np.ndarray
     shift: np.unsignedinteger | None
+    #: Low hash bits dropped below a tag: 0 while the bits under the
+    #: slot fit :data:`TAG_BITS`.
+    tag_shift: int = 0
+    #: A tag's bits, once shifted down.
+    tag_mask: int = 0
 
     @property
     def exact(self) -> bool:
+        """The dense matrix: every answer is one read."""
         return self.shift is None
 
-    def slots(self, keys: np.ndarray) -> np.ndarray:
-        """The slot of every packed key (in :attr:`DataGraph.adjacency_keys`'
-        dtype, contiguous)."""
-        if self.shift is None:
-            return keys
-        slots = keys.view(self.shift.dtype) * _HASH_MULTIPLIERS[keys.dtype]
-        slots >>= self.shift
-        return slots
+    def hash(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, tags)`` of every packed key of a hashed table (keys
+        in :attr:`DataGraph.adjacency_keys`' dtype, contiguous)."""
+        tags = keys.view(self.shift.dtype) * _HASH_MULTIPLIERS[keys.dtype]
+        slots = tags >> self.shift
+        if self.tag_shift:
+            tags >>= self.tag_shift
+        tags &= self.tag_mask
+        return slots, tags
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(hit, unsure)`` for every packed key of a hashed table: ``hit``
+        where its slot holds its tag, ``unsure`` where one read does not
+        decide — a collided slot, or a tag match when tags do not name a
+        key. Elsewhere ``hit`` is the answer."""
+        slots, tags = self.hash(keys)
+        stored = np.take(self.table, slots)
+        hit = stored == tags
+        unsure = stored == COLLIDED
+        if self.tag_shift:
+            unsure |= hit
+        return hit, unsure
 
 
 class DataGraph:
@@ -491,19 +545,22 @@ class DataGraph:
 
     @cached_property
     def adjacency_filter(self) -> AdjacencyFilter:
-        """The batch membership table, at most ``DENSE_ADJACENCY_MAX_BYTES``.
+        """The batch membership table.
 
-        While ``n²`` bytes fit the cap (n <= 1024) it is the dense
-        boolean adjacency matrix, flattened and read at the packed key
-        ``u * n + v``: exact, and small enough to stay cache-resident.
-        Above the cap it is a bool table of ``2^b`` slots, the next power
-        of two of four per directed edge (at most the cap), with each
-        edge's slot set at the top ``b`` bits of its key times a
-        Fibonacci multiplier (``uint32`` or ``uint64`` arithmetic, as
-        wide as the keys): a probe whose slot is clear is not an edge,
-        and only the others need :attr:`adjacency_keys`' binary search.
-        Built in slices, like :attr:`label_runs`, so its temporaries
-        stay small.
+        While ``n²`` bytes fit ``DENSE_ADJACENCY_MAX_BYTES`` (n <= 1024)
+        it is the dense boolean adjacency matrix, flattened and read at
+        the packed key ``u * n + v``: exact, and small enough to stay
+        cache-resident. Above the cap it is a ``uint16`` table of ``2^b``
+        slots, the next power of two of four per directed edge (at most
+        ``DENSE_ADJACENCY_MAX_BYTES`` slots), and each slot holds the tag
+        of the one edge key hashed to it, :data:`EMPTY_SLOT` or
+        :data:`COLLIDED` (see :class:`AdjacencyFilter`): a probe reads its
+        slot, and only a probe on a collided slot, or on a matching tag
+        when tags are not exact, needs :attr:`adjacency_keys`' binary
+        search. Built in slices, like :attr:`label_runs`, so its
+        temporaries stay small: every edge writes its tag, then every
+        edge reads its slot back, and a slot that lost a write is marked
+        collided.
         """
         keys = self.adjacency_keys
         n = self.num_vertices
@@ -516,12 +573,70 @@ class DataGraph:
         cap = DENSE_ADJACENCY_MAX_BYTES.bit_length() - 1
         bits = min((wanted - 1).bit_length(), cap)
         unsigned = _HASH_MULTIPLIERS[keys.dtype].dtype
-        table = np.zeros(1 << bits, dtype=bool)
-        filt = AdjacencyFilter(table, unsigned.type(8 * unsigned.itemsize - bits))
+        remainder = 8 * unsigned.itemsize - bits
+        tag_shift = max(remainder - TAG_BITS, 0)
+        table = np.full(1 << bits, EMPTY_SLOT, dtype=np.uint16)
+        filt = AdjacencyFilter(
+            table,
+            unsigned.type(remainder),
+            tag_shift,
+            (1 << (remainder - tag_shift)) - 1,
+        )
         for lo in range(0, len(keys), _BUILD_SLICE):
-            table[filt.slots(keys[lo : lo + _BUILD_SLICE])] = True
+            slots, tags = filt.hash(keys[lo : lo + _BUILD_SLICE])
+            table[slots] = tags
+        for lo in range(0, len(keys), _BUILD_SLICE):
+            slots, tags = filt.hash(keys[lo : lo + _BUILD_SLICE])
+            table[slots[table[slots] != tags]] = COLLIDED
         table.flags.writeable = False
         return filt
+
+    @cached_property
+    def row_splits(self) -> np.ndarray:
+        """Each vertex's split: the flat position of its first neighbour
+        above itself (``indptr[u + 1]`` when it has none), ``int64``.
+
+        Row ``u``'s neighbours below ``u`` are ``indices[indptr[u] :
+        row_splits[u]]`` and those above it the rest of the row (there are
+        no self-loops), so a frontier level bounded only by its own
+        anchor, ``v < u`` or ``v > u`` in ``N(u)``, reads its cut here
+        instead of searching for it. One ``searchsorted`` of the ``n``
+        diagonal keys ``u * n + u``, built on first use.
+        """
+        keys = self.adjacency_keys
+        n = self.num_vertices
+        diagonal = np.arange(n, dtype=keys.dtype)
+        diagonal *= n + 1
+        splits = np.searchsorted(keys, diagonal, side="right")
+        splits.flags.writeable = False
+        return splits
+
+    @cached_property
+    def reverse_positions(self) -> np.ndarray:
+        """Each directed edge's reverse position: for the edge ``u → v`` at
+        flat position ``p`` (``indices[p] == v`` in row ``u``), the flat
+        position of ``u`` in row ``v``.
+
+        An involution that swaps every edge's head and tail. A frontier
+        row that reached ``v`` through the edge at ``p`` cuts ``N(v)`` at
+        ``u`` by reading ``reverse_positions[p]``: ``N(v)`` below ``u``
+        ends there, and above ``u`` starts one past it. ``int32`` while
+        ``2m`` positions fit, else ``int64``; built on first use, in
+        slices (each one ``searchsorted`` of the reversed keys ``v * n +
+        u``), so its temporaries stay small.
+        """
+        keys = self.adjacency_keys
+        n = self.num_vertices
+        reverse = np.empty(len(keys), dtype=_index_dtype(len(keys)))
+        for lo in range(0, len(keys), _BUILD_SLICE):
+            forward = keys[lo : lo + _BUILD_SLICE]
+            backward = np.multiply(
+                self._indices[lo : lo + _BUILD_SLICE], n, dtype=keys.dtype
+            )
+            backward += forward // n
+            reverse[lo : lo + len(forward)] = np.searchsorted(keys, backward)
+        reverse.flags.writeable = False
+        return reverse
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v`` — a zero-copy read-only CSR slice."""

@@ -409,12 +409,14 @@ class PairCut(Cut):
         values, starts, counts = frontier.level_cuts(graph, first, roots, setops)
         total = 0
         for lo, hi in budget_ranges(counts, budget):
-            owner, a = frontier.gather_candidates(
-                graph, first, roots[lo:hi], values, starts[lo:hi], counts[lo:hi], setops
-            )
-            wedges = np.column_stack((roots[lo:hi, 0][owner], a))
+            # The first hop filters nothing, so every gathered ``a`` keeps
+            # its flat position: on the CSR that is the edge ``u → a``,
+            # whose reverse position ends ``w < u`` in ``N(a)``.
+            owner, at = frontier.gather_positions(starts[lo:hi], counts[lo:hi], setops)
+            wedges = np.column_stack((roots[lo:hi, 0][owner], values[at]))
+            through = (0, at) if values is graph.indices else None
             values2, starts2, counts2 = frontier.level_cuts(
-                graph, second, wedges, setops
+                graph, second, wedges, setops, anchor_positions=through
             )
             # Wedge rows are grouped by root, in root order.
             bounds = np.searchsorted(owner, np.arange(hi - lo + 1))

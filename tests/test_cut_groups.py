@@ -290,6 +290,23 @@ class TestPairCut:
         direct = repro.run(graph, [k2(k)], options=repro.RunOptions(strategy="direct"))
         assert direct.results[k2(k)] == want
 
+    def test_unlabeled_second_hop_ends_at_the_reverse_position(self):
+        """On the CSR the second hop's ``w < u`` in ``N(a)`` is read off
+        the reverse position of the first-hop edge ``u → a``; labeled
+        hops gather label runs and never build the reverse positions."""
+        for k in (2, 3):
+            base = hub_graph(hubs=3, leaves=60, seed=k)
+            graph = DataGraph(base.num_vertices, base.edge_array())
+            (cut,) = find_pair_cuts(k2(k))
+            assert fold(graph, [cut], DEFAULT_BATCH_ROOTS) == (closed_form_k2(graph, k),)
+            assert "reverse_positions" in graph.__dict__
+        n = base.num_vertices
+        labeled = DataGraph(n, base.edge_array(), labels=[0] * n)
+        pattern = k2(2, labels=[0, 0, 0, 0])
+        (cut,) = find_pair_cuts(pattern)
+        assert fold(labeled, [cut], DEFAULT_BATCH_ROOTS) == (closed_form_k2(labeled, 2),)
+        assert "reverse_positions" not in labeled.__dict__
+
     def test_labeled_pair_cuts_equal_brute_force(self, small_labeled_graph):
         for labels in ([0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 2], [1, 1, 1, 1, 1]):
             pattern = k2(len(labels) - 2, labels=labels)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -61,7 +62,13 @@ from repro.engines.peregrine.engine import PeregrineEngine
 from repro.engines.sumpa.engine import SumPAEngine
 from repro.engines.recovery import Deadline
 from repro.engines.setops import SetOpStats
-from repro.graph.datagraph import DENSE_ADJACENCY_MAX_BYTES, DataGraph
+from repro.graph.datagraph import (
+    _HASH_MULTIPLIERS,
+    COLLIDED,
+    DENSE_ADJACENCY_MAX_BYTES,
+    EMPTY_SLOT,
+    DataGraph,
+)
 from repro.graph.generators import power_law_cluster
 from repro.observe.progress import ProgressReporter
 from repro.testing.oracle import assert_matches_oracle
@@ -294,8 +301,8 @@ class TestElementBudget:
         into a per-match Python stream, which tracemalloc slows tenfold
         and which holds no frontier); the graph-sized state a count run
         builds lazily — the degree-ordered copy it matches, and that
-        copy's probe index and membership table — is not transient
-        memory and is built before tracing starts.
+        copy's probe index, membership table and position arrays — is
+        not transient memory and is built before tracing starts.
         """
         ceiling = int(1.5 * 2**20)
         motifs = list(motif_patterns(4))
@@ -306,6 +313,7 @@ class TestElementBudget:
             graph = power_law_cluster(vertices, attach, 0.5, seed=1)
             ordered = graph.degree_ordered
             ordered.adjacency_keys, ordered.adjacency_filter
+            ordered.row_splits, ordered.reverse_positions
             tracemalloc.start()
             try:
                 with with_budget(SHIPPED_BUDGET):
@@ -643,6 +651,186 @@ class TestLabelRuns:
         assert "label_runs" in labeled.__dict__
 
 
+# -- position arrays: bound cuts read, not searched ---------------------------
+
+
+@st.composite
+def position_graphs(draw):
+    """A graph for the position arrays: random, generator-built, edgeless,
+    or edges among a few vertices with the rest isolated — optionally
+    labeled, and optionally its degree-ordered copy."""
+    kind = draw(st.sampled_from(["random", "generator", "edgeless", "isolated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        graph = draw(data_graphs(min_n=1, max_n=14))
+    elif kind == "generator":
+        n, attach = draw(st.integers(5, 80)), draw(st.integers(1, 4))
+        graph = power_law_cluster(n, attach, 0.5, seed=int(rng.integers(99)))
+    elif kind == "edgeless":
+        graph = DataGraph(draw(st.integers(1, 20)), [])
+    else:
+        n = draw(st.integers(2, 40))
+        busy = rng.choice(n, size=draw(st.integers(2, n)), replace=False)
+        graph = DataGraph(n, busy[rng.integers(0, len(busy), size=(3 * n, 2))])
+    if draw(st.booleans()):
+        graph = DataGraph.from_csr(
+            graph.num_vertices,
+            graph.indptr,
+            graph.indices,
+            rng.integers(0, 3, size=graph.num_vertices),
+        )
+    return graph.degree_ordered if draw(st.booleans()) else graph
+
+
+def edge_heads(graph):
+    """The head ``u`` of the directed edge at every flat position."""
+    return np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+
+
+def searched_splits(graph):
+    """Each row's first position above its own vertex, by a binary search
+    of the row."""
+    return [
+        graph.indptr[u] + np.searchsorted(graph.neighbors(u), u, side="right")
+        for u in range(graph.num_vertices)
+    ]
+
+
+def searched_reverse(graph):
+    """Each directed edge ``u → v``'s position of ``u`` in ``v``'s row, by
+    a binary search of that row."""
+    return [
+        graph.indptr[v] + np.searchsorted(graph.neighbors(v), u)
+        for u, v in zip(edge_heads(graph).tolist(), graph.indices.tolist())
+    ]
+
+
+def searched_cuts(graph, level, emb):
+    """``(starts, counts)`` of an anchored level by binary search alone.
+
+    The kernel's cuts before any was read off a position, kept as the
+    oracle: every row's bounds become keys of the packed CSR array — or,
+    on a labeled level of a labeled graph, of its label run — and both
+    ends are searched.
+    """
+    n = graph.num_vertices
+    owners = emb[:, level.backward_neighbors[0]].astype(np.int64)
+    lower = upper = None
+    if level.lower_bounds:
+        lower = emb[:, list(level.lower_bounds)].astype(np.int64).max(axis=1)
+    if level.upper_bounds:
+        upper = emb[:, list(level.upper_bounds)].astype(np.int64).min(axis=1)
+    if level.label is not None and graph.is_labeled:
+        members = graph.vertices_by_label.get(level.label)
+        if members is None:
+            return np.zeros(len(emb), dtype=np.int64), np.zeros(len(emb), dtype=np.int64)
+        runs = graph.label_runs
+        keys = runs.keys.astype(np.int64)
+        base = owners * n + runs.offsets[level.label]
+        lo = base + (0 if lower is None else np.searchsorted(members, lower, side="right"))
+        hi = base + (len(members) if upper is None else np.searchsorted(members, upper))
+    else:
+        keys = graph.adjacency_keys.astype(np.int64)
+        base = owners * n
+        lo = base if lower is None else base + lower + 1
+        hi = base + (n if upper is None else upper)
+    starts = np.searchsorted(keys, lo)
+    return starts, np.maximum(np.searchsorted(keys, hi) - starts, 0)
+
+
+class TestRowPositions:
+    """:attr:`DataGraph.row_splits` and :attr:`DataGraph.reverse_positions`
+    == a binary search of each row, on every kind of graph."""
+
+    @given(position_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_splits_equal_searched_reference(self, graph):
+        splits = graph.row_splits
+        assert splits.dtype == np.int64 and not splits.flags.writeable
+        assert splits.tolist() == searched_splits(graph)
+        for u in range(graph.num_vertices):
+            assert (graph.indices[graph.indptr[u] : splits[u]] < u).all()
+            assert (graph.indices[splits[u] : graph.indptr[u + 1]] > u).all()
+
+    @given(position_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_reverse_positions_are_an_involution_that_swaps_ends(self, graph):
+        reverse = graph.reverse_positions
+        heads = edge_heads(graph)
+        assert reverse.dtype == np.int32 and not reverse.flags.writeable
+        assert len(reverse) == len(graph.indices)
+        assert reverse[reverse].tolist() == list(range(len(reverse)))
+        assert graph.indices[reverse].tolist() == heads.tolist()
+        assert heads[reverse].tolist() == graph.indices.tolist()
+        assert reverse.tolist() == searched_reverse(graph)
+
+
+#: Bound columns of the cut property over ``(u, a, x)`` rows, ``a`` a
+#: neighbour of ``u`` and ``x`` any vertex: none, the anchor alone, the
+#: other end of the row's edge alone, an unrelated column, and two.
+CUT_BOUNDS = ((), ("anchor",), ("through",), (2,), ("anchor", 2), ("through", 2))
+
+
+class TestPositionCuts:
+    @given(position_graphs(), st.integers(0, 2**32 - 1), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_cuts_equal_searched_reference(self, graph, seed, rows):
+        """Every bounded level's ``(starts, counts)`` == two binary
+        searches: lower and upper bounds on the anchor itself, on the
+        vertex the anchor was gathered from (with and without its
+        positions), on other columns and on several, anchored at either
+        end of an edge, unlabeled and labeled levels on unlabeled and
+        labeled graphs."""
+        rng = np.random.default_rng(seed)
+        n = graph.num_vertices
+        dtype = graph.indices.dtype
+        if len(graph.indices):
+            at = rng.integers(0, len(graph.indices), size=rows)
+            emb = np.column_stack(
+                (edge_heads(graph)[at], graph.indices[at], rng.integers(0, n, size=rows))
+            ).astype(dtype)
+            back = np.array(searched_reverse(graph), dtype=np.int64)[at]
+        else:
+            at = back = None
+            emb = rng.integers(0, n, size=(rows, 3)).astype(dtype)
+        labels = [None, *sorted(graph.vertices_by_label)[:1], 99]
+        axes = product((0, 1), labels, CUT_BOUNDS, CUT_BOUNDS)
+        for anchor, label, lower, upper in axes:
+            other = 1 - anchor
+            spell = {"anchor": anchor, "through": other}
+            level = PlanLevel(
+                3,
+                (anchor,),
+                (),
+                tuple(spell.get(j, j) for j in upper),
+                tuple(spell.get(j, j) for j in lower),
+                (),
+                label,
+            )
+            want_starts, want_counts = searched_cuts(graph, level, emb)
+            for through in (None, (other, at if anchor else back)):
+                if through is not None and at is None:
+                    continue
+                stats = SetOpStats()
+                values, starts, counts = frontier.level_cuts(
+                    graph, level, emb, stats, anchor_positions=through
+                )
+                assert stats.batched == 1
+                assert np.asarray(starts).tolist() == want_starts.tolist()
+                assert counts.tolist() == want_counts.tolist()
+
+    def test_the_first_level_of_an_edge_reads_the_split(self, small_graph):
+        """``v < u`` in ``N(u)`` — the first level of every edge or clique
+        prefix — builds the split and needs no key array."""
+        graph = DataGraph(small_graph.num_vertices, small_graph.edge_array())
+        level = PlanLevel(1, (0,), (), (0,), (), (), None)
+        emb = graph.all_vertices[:, None]
+        _values, starts, counts = frontier.level_cuts(graph, level, emb, SetOpStats())
+        assert starts.tolist() == graph.indptr[:-1].tolist()
+        assert counts.tolist() == (graph.row_splits - graph.indptr[:-1]).tolist()
+        assert "reverse_positions" not in graph.__dict__
+
+
 # -- membership table ---------------------------------------------------------
 
 #: Vertex-count ranges of the three membership-table regimes: the exact
@@ -663,6 +851,19 @@ def searched_membership(graph, owners, cand):
         return np.zeros(len(probes), dtype=bool)
     pos = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
     return keys[pos] == probes
+
+
+def reference_table(table, graph):
+    """A hashed table by its definition: per slot, ``EMPTY_SLOT``, the
+    tag every edge key on it shares, or ``COLLIDED``."""
+    slots, tags = table.hash(graph.adjacency_keys)
+    by_slot: dict[int, set[int]] = {}
+    for slot, tag in zip(slots.tolist(), tags.tolist()):
+        by_slot.setdefault(slot, set()).add(tag)
+    want = np.full(len(table.table), EMPTY_SLOT, dtype=np.uint16)
+    for slot, seen in by_slot.items():
+        want[slot] = seen.pop() if len(seen) == 1 else COLLIDED
+    return want
 
 
 @st.composite
@@ -731,16 +932,73 @@ class TestMembership:
         rng = np.random.default_rng(n)
         graph = DataGraph(n, rng.integers(0, n, size=(5_000, 2)))
         table = graph.adjacency_filter
-        assert table.table.nbytes <= DENSE_ADJACENCY_MAX_BYTES
         assert not table.table.flags.writeable
         if table.exact:
             assert n * n <= DENSE_ADJACENCY_MAX_BYTES
-            assert len(table.table) == n * n  # the dense matrix, flattened
+            assert table.table.nbytes == n * n  # the dense matrix, flattened
         else:
+            assert table.table.dtype == np.uint16
+            assert len(table.table) <= DENSE_ADJACENCY_MAX_BYTES
             slots_per_edge = len(table.table) / len(graph.adjacency_keys)
             assert 4 <= slots_per_edge < 8
-            # Every edge's own slot is set: a clear slot is a sure miss.
-            assert table.table[table.slots(graph.adjacency_keys)].all()
+            # Every edge's own slot holds its tag or the collided mark:
+            # an empty slot or another tag is a sure miss.
+            slots, tags = table.hash(graph.adjacency_keys)
+            stored = table.table[slots]
+            assert ((stored == tags) | (stored == COLLIDED)).all()
+            assert table.table.tolist() == reference_table(table, graph).tolist()
+
+    @pytest.mark.parametrize(
+        "n, num_edges, tags_exact",
+        [(5_000, 12_000, True), (40_000, 600, False), (50_000, 3_000, False)],
+        ids=["32-bit-exact-tags", "32-bit-confirmed-tags", "64-bit"],
+    )
+    def test_collided_slots_and_unconfirmed_tags(self, n, num_edges, tags_exact):
+        """Deterministic probes that reach every branch of a hashed
+        lookup: edges and non-edges on collided slots, and — where the
+        bits below the slot do not fit a tag — non-edges whose tag
+        matches the slot's, which the binary search must turn down.
+        Where they fit, slot and tag give the key back."""
+        rng = np.random.default_rng(n)
+        graph = DataGraph(n, rng.integers(0, n, size=(num_edges, 2)))
+        table = graph.adjacency_filter
+        keys = graph.adjacency_keys
+        assert not table.exact and (table.tag_shift == 0) == tags_exact
+        assert table.table.tolist() == reference_table(table, graph).tolist()
+        unsigned = table.shift.dtype
+        width = 8 * unsigned.itemsize
+        multiplier = int(_HASH_MULTIPLIERS[keys.dtype])
+        if tags_exact:
+            slots, tags = table.hash(keys)
+            inverse = pow(multiplier, -1, 2**width)
+            rebuilt = [
+                ((s << int(table.shift) | t) * inverse) % 2**width
+                for s, t in zip(slots.tolist(), tags.tolist())
+            ]
+            assert rebuilt == keys.tolist()
+        # Rare probes are sieved out of many random ones by their slot.
+        found = []
+        for _ in range(4):
+            probes = rng.integers(0, n * n, size=1 << 20).astype(keys.dtype)
+            slots, tags = table.hash(probes)
+            stored = table.table[slots]
+            keep = (stored == tags) | (stored == COLLIDED)
+            keep[:2_000] = True  # and a plain sample
+            found.append(probes[keep])
+        probes = np.concatenate([*found, keys[:: max(1, len(keys) // 2_000)]])
+        slots, tags = table.hash(probes)
+        stored = table.table[slots]
+        owners = (probes // n).astype(graph.indices.dtype)
+        cand = (probes % n).astype(graph.indices.dtype)
+        edge = searched_membership(graph, owners, cand)
+        collided = stored == COLLIDED
+        matched = stored == tags
+        assert (collided & edge).any() and (collided & ~edge).any()
+        assert (matched & edge).any()
+        assert (matched & ~edge).any() != tags_exact
+        assert not (edge & ~matched & ~collided).any()
+        got = frontier.member_mask(graph, owners, cand, SetOpStats())
+        assert got.tolist() == edge.tolist()
 
     def test_edgeless_graph_answers_no(self):
         graph = DataGraph(50_000, [])

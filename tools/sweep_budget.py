@@ -15,7 +15,9 @@ processes, each pinned to one CPU:
 * **transient peak**: the ``tracemalloc`` peak of the 4-motif count
   that ``tests/test_frontier.py::TestElementBudget::
   test_peak_memory_does_not_grow_with_the_graph`` pins, on its 900-
-  and 3,000-vertex graphs.
+  and 3,000-vertex graphs, with the graph-sized lazies (the
+  degree-ordered copy, its key array, membership table and position
+  arrays) built before tracing starts, as the test builds them.
 * **daemon RSS**: ``VmHWM`` of a process that serves morphbench's
   ``serve-cold`` graph (seed 1) from a started ``MiningServer`` after
   several connections have each run distinct cold labeled queries. A
@@ -124,6 +126,7 @@ def _timing(quick: bool) -> dict:
         graph = power_law_cluster(vertices, attach, 0.5, seed=1)
         ordered = graph.degree_ordered
         ordered.adjacency_keys, ordered.adjacency_filter
+        ordered.row_splits, ordered.reverse_positions
         tracemalloc.start()
         try:
             result = repro.run(graph, motifs, options=options)
