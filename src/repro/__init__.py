@@ -26,7 +26,7 @@ Public API quick tour — one call does the whole pipeline::
 :class:`RunOptions` carrying the whole configuration (``aggregation``,
 ``morph``, ``strategy``, ``workers``, ``margin``, ``cache``,
 ``plan_cache``, ``trace``, ``progress``, plus fault tolerance:
-``deadline_seconds``, ``checkpoint``, ``retry``, ``faults``).
+``deadline_seconds``, ``checkpoint``, ``faults``).
 ``repro.run`` returns a :class:`MorphRunResult`. Failures surface
 through the typed :class:`ReproError` hierarchy; deadline-degraded runs
 return :class:`PartialRunResult` (completed aggregates + coverage fraction),
@@ -86,7 +86,7 @@ from repro.core.sdag import EDGE_INDUCED, VERTEX_INDUCED, SDag
 from repro.engines.autozero.engine import AutoZeroEngine
 from repro.engines.base import EngineStats, MiningEngine
 from repro.engines.bigjoin.engine import BigJoinEngine
-from repro.engines.recovery import Deadline, RetryPolicy
+from repro.engines.recovery import Deadline
 from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.peregrine.engine import PeregrineEngine
 from repro.engines.sumpa.engine import SumPAEngine
@@ -100,7 +100,7 @@ from repro.morph.session import (
     compare_baseline_and_morphed,
 )
 from repro.options import RunOptions
-from repro.serve.client import connect
+from repro.serve.client import RetryPolicy, connect
 from repro.testing import FaultPlan, FaultSpec
 from repro.observe import (
     CostAuditRecord,
@@ -115,7 +115,7 @@ from repro.observe import (
     write_jsonl,
 )
 
-__version__ = "3.22.0"
+__version__ = "3.23.0"
 
 __all__ = [
     "Aggregation",

@@ -149,15 +149,6 @@ def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
         help="JSONL journal of completed shard results; re-running with "
         "the same path resumes, skipping finished shards",
     )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="re-execute a crashed shard up to N times (exponential "
-        "backoff) before the run fails with a worker-crash error "
-        "(default 3 on any sharded run)",
-    )
 
 
 def _add_trace(parser: argparse.ArgumentParser) -> None:
@@ -200,7 +191,6 @@ def _run_options(args) -> RunOptions:
         batch_roots=args.batch_roots,
         deadline_seconds=args.deadline,
         checkpoint=args.checkpoint,
-        retry=args.max_retries,
     )
 
 

@@ -15,12 +15,12 @@ results **deterministically in shard order**:
 * counters through :meth:`repro.engines.base.EngineStats.merge`.
 
 One loop, :func:`repro.engines.recovery.map_shards`, maps every
-sharded run's shards: rounds, retries, deadlines and checkpoints live
-there, once. This module holds what the loop drives: :func:`run_shard`,
-the one function that runs one shard attempt, and two transports whose
-only job is to ``submit`` it:
+sharded run's shards: deadlines and checkpoints live there, once. This
+module holds what the loop drives: :func:`run_shard`, the one function
+that runs one shard, and two transports whose only job is to
+``submit`` it:
 
-* :class:`SerialShardExecutor` — runs the attempt inline, on the
+* :class:`SerialShardExecutor` — runs the shard inline, on the
   caller's thread and engine. The same split/merge code path with zero
   new failure modes, used by the differential tests to pin the parallel
   semantics to the serial kernel.
@@ -60,7 +60,7 @@ ShardResult = tuple[Any, EngineStats]
 
 
 class CancelFlag:
-    """A pattern's cancellation token, shared by every shard attempt."""
+    """A pattern's cancellation token, shared by every shard."""
 
     __slots__ = ("_flag",)
 
@@ -81,14 +81,13 @@ def default_shard_count(workers: int, graph: DataGraph) -> int:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One attempt at one shard: everything a transport needs besides the
-    (engine, graph) pair it runs on."""
+    """One shard: everything a transport needs besides the (engine,
+    graph) pair it runs on."""
 
     pattern: Pattern
     aggregation: Aggregation
     shard: Shard
     index: int
-    attempt: int = 0
     faults: Any = None
     collect_spans: bool = False
 
@@ -102,13 +101,13 @@ def run_shard(
     in_worker: bool = False,
     deadline=None,
 ):
-    """Run one shard attempt; ``(value, stats, spans)``, or ``None``.
+    """Run one shard; ``(value, stats, spans)``, or ``None``.
 
     Both transports run this. The shard's stats are isolated from the
     engine's; a shard whose ``cancel`` token is already set (a sibling
     saturated) returns its aggregation's zero without running; a
     :class:`~repro.testing.faults.FaultPlan` fires its pre-shard hook
-    (a crash raises) and rewrites the value afterwards. ``None`` means
+    (a hang or a delay) and rewrites the value afterwards. ``None`` means
     an injected hang was released by the deadline or the cancel token:
     the shard has no result. ``spans`` are the shard's spans when it
     runs on a pool thread (``in_worker``) and ``task.collect_spans``
@@ -131,7 +130,7 @@ def run_shard(
                     cancel=cancel,
                 )
             if task.faults is not None:
-                value = task.faults.transform_value(task.index, task.attempt, value)
+                value = task.faults.transform_value(task.index, value)
         elif cancel.is_set():
             value = task.aggregation.zero()
         else:
@@ -153,25 +152,24 @@ def _fault_aborts(task: ShardTask, cancel, deadline) -> bool:
     stop_check = None
     if deadline is not None:
         stop_check = lambda: cancel.is_set() or deadline.expired()  # noqa: E731
-    return task.faults.apply_before_shard(task.index, task.attempt, stop_check=stop_check)
+    return task.faults.apply_before_shard(task.index, stop_check=stop_check)
 
 
 def _run_inline(engine, graph, task, cancel, deadline) -> Future:
-    """Run one attempt on the calling thread; a finished future."""
+    """Run one shard on the calling thread; a finished future."""
     future: Future = Future()
     try:
         future.set_result(run_shard(engine, graph, task, cancel, deadline=deadline))
-    except Exception as exc:  # noqa: BLE001 - the loop decides what is a crash
+    except Exception as exc:  # noqa: BLE001 - the loop raises it on harvest
         future.set_exception(exc)
     return future
 
 
 class ShardExecutor(ABC):
-    """Transport for shard attempts: run one, get a future for its result.
+    """Transport for shards: run one, get a future for its result.
 
     The mapping loop (:func:`repro.engines.recovery.map_shards`) owns
-    everything else — rounds, retries, deadlines, checkpoints, the merge
-    order. A transport owns one :class:`CancelFlag` per pattern, which
+    everything else — deadlines, checkpoints, the merge order. A transport owns one :class:`CancelFlag` per pattern, which
     the loop resets with :meth:`begin_pattern` and sets with
     :meth:`cancel`; a saturating shard sets it from the inside.
     """
@@ -184,8 +182,8 @@ class ShardExecutor(ABC):
     def submit(
         self, engine: MiningEngine, graph: DataGraph, task: ShardTask, deadline=None
     ) -> Future:
-        """Start one shard attempt; the future resolves to :func:`run_shard`'s
-        result or raises what the attempt raised."""
+        """Start one shard; the future resolves to :func:`run_shard`'s
+        result or raises what the shard raised."""
 
     def begin_pattern(self) -> None:
         """A fresh cancellation token for a pattern's shards.
@@ -220,7 +218,7 @@ class ShardExecutor(ABC):
 class SerialShardExecutor(ShardExecutor):
     """In-process sharded execution: identical split/merge, no threads.
 
-    ``submit`` runs the attempt inline and hands back a finished future.
+    ``submit`` runs the shard inline and hands back a finished future.
     """
 
     def submit(self, engine, graph, task, deadline=None):
@@ -237,7 +235,7 @@ class ThreadShardExecutor(ShardExecutor):
     So no engine instance runs two shards at once, and the caller's
     engine runs none. A :class:`MorphingSession` reuses one pool across
     every pattern of a run. If the platform refuses to start a thread,
-    the executor degrades for good to running attempts inline, with one
+    the executor degrades for good to running shards inline, with one
     ``RuntimeWarning``.
     """
 
@@ -289,7 +287,7 @@ class ThreadShardExecutor(ShardExecutor):
         return _run_inline(engine, graph, task, self._cancel, deadline)
 
     def _run(self, engine, graph, task, cancel, deadline):
-        """One attempt on a pool thread, on that thread's engine copy.
+        """One shard on a pool thread, on that thread's engine copy.
 
         A copy serves one (engine, pattern) pair — the pattern's cancel
         flag names it — so it always carries the engine's current
@@ -370,8 +368,8 @@ def run_sharded(
 
     Every sharded run maps its shards through the one loop,
     :func:`repro.engines.recovery.map_shards`, under ``control`` (a
-    :class:`~repro.engines.recovery.RunControl`; a default one — retry
-    on worker crashes, no deadline, no checkpoint — when ``None``).
+    :class:`~repro.engines.recovery.RunControl`; a default one — no
+    deadline, no checkpoint — when ``None``).
     With a ``tracer``, a pool thread's spans are adopted (re-parented
     and clamped) under the tracer's current span; inline shards trace
     live. With a deadline the merge covers

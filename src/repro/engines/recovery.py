@@ -1,29 +1,26 @@
-"""The one shard-mapping loop, and its policy: retry, deadlines, checkpoints.
+"""The one shard-mapping loop, and its policy: deadlines and checkpoints.
 
 Every sharded run — inline or on pool threads, with or without
 fault-tolerance options — maps its shards through :func:`map_shards`;
 the transports in :mod:`repro.engines.execution` only run one shard
-attempt each. A crashed shard is re-executed (exponential backoff +
-jitter, up to :attr:`RetryPolicy.max_retries`) before the run gives up
-with :class:`repro.errors.WorkerCrashError`, an expired
-:class:`Deadline` cancels outstanding shards through the transport's
-cancel token and reports the pattern as interrupted (the session turns
-that into a :class:`repro.PartialRunResult`), and completed shards are
-journaled to a :class:`repro.checkpoint.ShardCheckpoint` so a resumed
-run skips them (visible as ``shard.checkpoint`` tracer spans). A run
-with no option gets a default :class:`RunControl`: retry under
-``RetryPolicy()``, no deadline, no checkpoint.
+each. Each shard runs once: a shard's error is the kernel's, and a
+deterministic kernel that raised once would raise again, so it
+propagates unchanged. An expired :class:`Deadline` cancels outstanding
+shards through the transport's cancel token and reports the pattern as
+interrupted (the session turns that into a
+:class:`repro.PartialRunResult`), and completed shards are journaled to
+a :class:`repro.checkpoint.ShardCheckpoint` so a resumed run skips them
+(visible as ``shard.checkpoint`` tracer spans). A run with no option
+gets a default :class:`RunControl`: no deadline, no checkpoint.
 
 Everything stays deterministic: results are merged in ascending shard
-index, a shard's value is the same no matter how many retries it took
-to produce, and backoff jitter is seeded per ``(shard, attempt)``. The
-differential matrix in ``tests/test_fault_tolerance.py`` pins
-retried/resumed/degraded runs to the serial oracle byte-for-byte.
+index. The differential matrix in ``tests/test_fault_tolerance.py``
+pins deadline-bounded, resumed and degraded runs to the serial oracle
+byte-for-byte.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from concurrent.futures import Future
 from concurrent.futures import wait as wait_futures
@@ -34,10 +31,9 @@ from repro.core.aggregation import Aggregation
 from repro.core.canonical import pattern_id
 from repro.core.pattern import Pattern
 from repro.engines.base import MiningEngine
-from repro.errors import WorkerCrashError
 from repro.graph.datagraph import DataGraph
 from repro.observe.tracer import timed_span
-from repro.testing.faults import FaultPlan, InjectedWorkerCrash
+from repro.testing.faults import FaultPlan
 
 if TYPE_CHECKING:
     from repro.engines.execution import ShardExecutor, ShardResult
@@ -45,51 +41,10 @@ if TYPE_CHECKING:
 __all__ = [
     "Deadline",
     "PatternReport",
-    "RetryPolicy",
     "RunControl",
     "checkpoint_key",
     "map_shards",
 ]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How crashed shards are re-executed before the run gives up.
-
-    ``max_retries`` bounds re-executions per shard (0 disables retry);
-    a shard that crashes past the budget raises
-    :class:`repro.errors.WorkerCrashError`. Backoff between attempts is
-    ``backoff_seconds * backoff_factor**(attempt-1)`` stretched by up to
-    ``jitter`` fraction of itself; the jitter RNG is seeded per
-    ``(seed, shard, attempt)`` so runs are reproducible. ``sleep`` is
-    injectable so tests retry instantly.
-    """
-
-    max_retries: int = 3
-    backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
-    sleep: Callable[[float], None] = time.sleep
-
-    def delay(self, shard_index: int, attempt: int) -> float:
-        """Backoff before re-running ``shard_index``'s ``attempt``-th retry."""
-        base = self.backoff_seconds * self.backoff_factor ** max(0, attempt - 1)
-        rng = random.Random(f"{self.seed}:{shard_index}:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
-
-    @classmethod
-    def resolve(cls, spec: "RetryPolicy | int | None") -> "RetryPolicy":
-        """Normalize a policy spec: ``None`` → defaults, int → max_retries."""
-        if spec is None:
-            return cls()
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, int) and not isinstance(spec, bool):
-            return cls(max_retries=spec)
-        raise TypeError(
-            f"retry must be a RetryPolicy or an int (max_retries), got {spec!r}"
-        )
 
 
 class Deadline:
@@ -155,7 +110,6 @@ class PatternReport:
     total_shards: int = 0
     completed_shards: int = 0
     checkpointed_shards: int = 0
-    retries: int = 0
     interrupted: bool = False
 
     @property
@@ -178,17 +132,13 @@ class RunControl:
     def __init__(
         self,
         *,
-        retry: RetryPolicy | int | None = None,
         deadline: "Deadline | float | None" = None,
         checkpoint: Any | None = None,
         faults: FaultPlan | None = None,
-        progress: Any | None = None,
     ) -> None:
-        self.retry = RetryPolicy.resolve(retry)
         self.deadline = Deadline.resolve(deadline)
         self.checkpoint = checkpoint
         self.faults = faults if faults else None
-        self.progress = progress
         self.reports: list[PatternReport] = []
 
     @property
@@ -223,13 +173,6 @@ class RunControl:
             return 1.0
         return self.completed_shards / total
 
-    def event(self, kind: str, detail: str) -> None:
-        """Forward a recovery event to the progress reporter, if any."""
-        if self.progress is not None:
-            emit = getattr(self.progress, "event", None)
-            if emit is not None:
-                emit(kind, detail)
-
 
 def checkpoint_key(pattern: Pattern, aggregation: Aggregation) -> str:
     """Stable journal key for one (pattern, aggregation) pair.
@@ -257,19 +200,16 @@ def map_shards(
 
     Returns shard index → ``(value, stats)`` for every shard that
     completed, checkpoint hits included; ``control.reports[-1]`` records
-    retries and interruption. Checkpointed shards are skipped (a
-    ``shard.checkpoint`` span each). Then rounds: submit every
-    outstanding shard (the inline transport runs each as it is
-    submitted, so the deadline is checked between shards), harvest the
-    completed ones in shard order, and charge each crashed one (an
-    :class:`InjectedWorkerCrash`, on whichever transport) an attempt; a
-    shard that crashes past the budget raises :class:`WorkerCrashError`.
-    Any other exception is a genuine kernel error and propagates. An
-    expired deadline stops the rounds and sets the transport's cancel
-    token, which releases wedged pool threads.
-    Completed shards are journaled to the control's checkpoint even
-    when the pattern is interrupted or a poisoned shard raises — that
-    is what makes resume work.
+    whether the pattern was interrupted. One pass: checkpointed shards
+    are skipped (a ``shard.checkpoint`` span each), every other shard is
+    submitted once (the inline transport runs each as it is submitted,
+    so the deadline is checked between shards), and the completed ones
+    are harvested in shard order. A shard's exception propagates
+    unchanged. Completed shards are journaled to the control's
+    checkpoint on every exit, an interrupted pattern or a raised error
+    included: that is what makes resume work. Every exit that leaves a
+    shard outstanding sets the transport's cancel token, which releases
+    wedged pool threads and stops polling kernels.
     """
     # Imported here: ``import repro`` needs this module's policy types,
     # not the transports.
@@ -280,8 +220,7 @@ def map_shards(
     deadline = control.deadline
     key = checkpoint_key(pattern, aggregation)
     results: dict[int, ShardResult] = {}
-    #: Outstanding shard index → attempts charged so far.
-    attempts: dict[int, int] = {}
+    pending: list[int] = []
     for index, shard in enumerate(shards):
         hit = (
             control.checkpoint.get(key, shard)
@@ -289,7 +228,7 @@ def map_shards(
             else None
         )
         if hit is None:
-            attempts[index] = 0
+            pending.append(index)
             continue
         with timed_span(tracer, "shard.checkpoint", shard=index, window=list(shard)):
             pass
@@ -298,94 +237,41 @@ def map_shards(
         report.checkpointed_shards += 1
     executor.begin_pattern()
     try:
-        while attempts and not control.expired():
-            futures: dict[int, Future] = {}
-            for index in sorted(attempts):
-                if control.expired():
-                    break
-                task = ShardTask(
-                    pattern,
-                    aggregation,
-                    shards[index],
-                    index,
-                    attempts[index],
-                    control.faults,
-                    collect_spans=tracer is not None,
-                )
-                futures[index] = executor.submit(engine, graph, task, deadline)
-            timeout = None if deadline is None else max(0.0, deadline.remaining())
-            _done, not_done = wait_futures(futures.values(), timeout=timeout)
-            crashed: dict[int, BaseException] = {}
-            for index, future in futures.items():
-                if future in not_done:
-                    future.cancel()
-                    continue
-                exc = future.exception()
-                if isinstance(exc, InjectedWorkerCrash):
-                    crashed[index] = exc
-                    continue
-                if exc is not None:
-                    raise exc  # a genuine kernel error: not recoverable noise
-                part = future.result()
-                if part is None:
-                    continue  # a hang the deadline released: no result
-                value, stats, spans = part
-                if spans:
-                    tracer.adopt(spans)
-                results[index] = (value, stats)
-                report.completed_shards += 1
-                del attempts[index]
-            if not_done or control.expired():
+        futures: dict[int, Future] = {}
+        for index in pending:
+            if control.expired():
                 break
-            if crashed:
-                _charge(crashed, attempts, shards, pattern, report, control, tracer)
+            task = ShardTask(
+                pattern,
+                aggregation,
+                shards[index],
+                index,
+                control.faults,
+                collect_spans=tracer is not None,
+            )
+            futures[index] = executor.submit(engine, graph, task, deadline)
+        timeout = None if deadline is None else max(0.0, deadline.remaining())
+        _done, not_done = wait_futures(futures.values(), timeout=timeout)
+        for index, future in futures.items():
+            if future in not_done:
+                future.cancel()
+                continue
+            part = future.result()  # a shard's error propagates unchanged
+            if part is None:
+                continue  # a hang the deadline released: no result
+            value, stats, spans = part
+            if spans:
+                tracer.adopt(spans)
+            results[index] = (value, stats)
+            report.completed_shards += 1
     finally:
-        # Journal every completed shard — including on interruption or a
-        # terminal WorkerCrashError — so the next run resumes from here.
+        if len(results) < len(shards):
+            executor.cancel()  # release polite hangs and polling kernels
+        # Journal every completed shard, including on interruption or a
+        # raised error, so the next run resumes from here.
         if control.checkpoint is not None:
             for index in sorted(results):
                 value, stats = results[index]
                 control.checkpoint.put(key, shards[index], index, value, stats)
-    if attempts:
-        executor.cancel()  # release polite hangs and polling kernels
-        report.interrupted = True
+    report.interrupted = len(results) < len(shards)
     return results
-
-
-def _charge(crashed, attempts, shards, pattern, report, control, tracer) -> None:
-    """Charge each crashed shard one attempt, with one backoff per round.
-
-    Each shard's ``shard.retry`` span waits out only what the spans
-    before it have not, so a round that lost many shards sleeps the
-    largest of their backoffs once. A crash past the budget raises
-    :class:`WorkerCrashError`.
-    """
-    retry = control.retry
-    waited = 0.0
-    for index, exc in crashed.items():
-        attempts[index] += 1
-        report.retries += 1
-        attempt = attempts[index]
-        error = type(exc).__name__
-        if attempt > retry.max_retries:
-            shard = tuple(shards[index])
-            raise WorkerCrashError(
-                f"shard {index} {shard} of pattern {pattern_id(pattern):016x} "
-                f"still failing after {attempt} attempts",
-                shard=shard,
-                shard_index=index,
-                attempts=attempt,
-                cause=exc,
-            ) from exc
-        delay = retry.delay(index, attempt)
-        with timed_span(
-            tracer,
-            "shard.retry",
-            shard=index,
-            attempt=attempt,
-            error=error,
-            backoff_seconds=delay,
-        ):
-            retry.sleep(max(0.0, delay - waited))
-        waited = max(waited, delay)
-        control.event("retry", f"shard {index} attempt {attempt} after {error}")

@@ -5,8 +5,9 @@ Every failure the execution stack can surface derives from
 type and still pattern-match on the concrete failure. The hierarchy
 replaces the silent ``except Exception`` clamps the shard-parallel
 layer used to hide degradation behind: a failure is now either
-*recovered* (retry, checkpoint resume — visible as tracer spans and
-warnings) or *typed* (one of the classes below), never swallowed.
+*recovered* (checkpoint resume, inline degradation — visible as tracer
+spans and warnings) or *typed* (one of the classes below), never
+swallowed.
 
 Each subclass doubles as a plain stdlib type where one fits
 (``GraphValidationError`` is a ``ValueError``, ``RunDeadlineExceeded``
@@ -33,28 +34,19 @@ class ReproError(Exception):
 
 
 class WorkerCrashError(ReproError):
-    """A shard's worker crashed and every recovery path was exhausted.
+    """A served query's run died as a worker crash.
 
-    Raised by the shard-mapping loop once a shard has crashed on every
-    attempt its retry budget allows (with exponential backoff between
-    them). Carries enough context to identify the poisoned shard.
+    Raised by the daemon's chaos injection
+    (:meth:`repro.testing.faults.QueryFault.fire`, a ``crash`` spec);
+    ``attempts`` is the attempt of that query index it fired on, counted
+    from 1. The daemon's error answer names it (``WorkerCrashError:
+    …``) and its circuit breaker counts a failure; the client retries
+    it under its :class:`repro.RetryPolicy`.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        shard: tuple[int, int] | None = None,
-        shard_index: int | None = None,
-        attempts: int = 0,
-        cause: BaseException | None = None,
-    ) -> None:
+    def __init__(self, message: str, *, attempts: int = 0) -> None:
         super().__init__(message)
-        self.shard = shard
-        self.shard_index = shard_index
         self.attempts = attempts
-        if cause is not None:
-            self.__cause__ = cause
 
 
 class RunDeadlineExceeded(ReproError, TimeoutError):

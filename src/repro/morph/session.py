@@ -364,7 +364,6 @@ class MorphingSession:
         batch_roots: int | None = None,
         deadline_seconds: float | None = None,
         checkpoint=None,
-        retry=None,
         faults=None,
     ) -> None:
         """Configuration is keyword-only.
@@ -433,10 +432,10 @@ class MorphingSession:
         across all of them (the ``tests/test_frontier.py`` differential
         matrix pins this), and the setting composes with every other
         knob: shards feed root batches, so
-        workers/retries/deadlines/checkpoints behave unchanged, and with
+        workers/deadlines/checkpoints behave unchanged, and with
         ``progress`` the ETA recalibrates after every chunk.
 
-        **Fault tolerance** (any of the four below activates it; matching
+        **Fault tolerance** (any of the three below activates it; matching
         then always routes through the sharded path, in-process when
         ``workers <= 1``): ``deadline_seconds`` bounds the run's wall
         time — on expiry outstanding shards are cancelled and batched
@@ -444,9 +443,8 @@ class MorphingSession:
         :class:`repro.errors.RunDeadlineExceeded`). ``checkpoint`` is a
         :class:`repro.ShardCheckpoint` or a path to one: completed
         shards are journaled as they finish and a resumed run skips
-        them. ``retry`` is a :class:`repro.RetryPolicy` (or an int
-        ``max_retries``) governing re-execution of crashed shards.
-        ``faults`` injects a :class:`repro.FaultPlan` (tests only)."""
+        them. ``faults`` injects a :class:`repro.FaultPlan` (tests
+        only). A shard runs once: a shard's error propagates."""
         from repro.options import RunOptions
 
         keywords = dict(
@@ -462,7 +460,6 @@ class MorphingSession:
             batch_roots=batch_roots,
             deadline_seconds=deadline_seconds,
             checkpoint=checkpoint,
-            retry=retry,
             faults=faults,
         )
         if options is None:
@@ -492,7 +489,6 @@ class MorphingSession:
         self.batch_roots = options.resolved_batch_roots()
         self.deadline_seconds = options.deadline_seconds
         self.checkpoint = options.checkpoint
-        self.retry = options.retry
         self.faults = options.faults
         #: The active run's RunControl (set by ``_run`` for the duration
         #: of one run; the sharded measure helper reads it).
@@ -532,7 +528,7 @@ class MorphingSession:
         of a run; a caller-supplied ``ShardExecutor`` instance outlives
         the run (``owned=False``). ``force`` (fault-tolerant runs)
         resolves an in-process executor even when ``workers <= 1`` so
-        retries/deadlines/checkpoints apply on the sharded path.
+        deadlines/checkpoints apply on the sharded path.
         """
         if self.workers <= 1 and self.executor is None:
             if not force:
@@ -557,7 +553,6 @@ class MorphingSession:
         if (
             self.deadline_seconds is None
             and self.checkpoint is None
-            and self.retry is None
             and self.faults is None
         ):
             return None, False
@@ -581,11 +576,9 @@ class MorphingSession:
             )
             owns_checkpoint = True
         control = RunControl(
-            retry=self.retry,
             deadline=self.deadline_seconds,
             checkpoint=checkpoint,
             faults=self.faults,
-            progress=self.progress,
         )
         return control, owns_checkpoint
 

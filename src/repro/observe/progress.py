@@ -105,7 +105,6 @@ class ProgressReporter:
         self._last_emit = float("-inf")
         self._active = False
         self._rendered = False
-        self.events: list[tuple[str, str]] = []
 
     @property
     def _stream(self) -> TextIO | None:
@@ -187,19 +186,6 @@ class ProgressReporter:
             stream.flush()
         self._rendered = False
 
-    def event(self, kind: str, detail: str) -> None:
-        """Record an out-of-band recovery event (a shard retry).
-
-        The fault-tolerance layer reports shard retries here; events
-        accumulate in ``events`` (tests assert on them, :meth:`start`
-        clears them with the rest of the state) and the retry count is
-        rendered into the progress line so a stalling run visibly says
-        why.
-        """
-        self.events.append((kind, detail))
-        if self._active:
-            self._emit()
-
     # -- the estimate ------------------------------------------------------
 
     def _partial_cost(self) -> float:
@@ -273,9 +259,6 @@ class ProgressReporter:
             parts.append(f"done in {snap.elapsed_seconds:.2f}s")
         elif snap.current_item is not None:
             parts.append(f"({snap.current_item})")
-        retries = sum(1 for kind, _ in self.events if kind == "retry")
-        if retries:
-            parts.append(f"{retries} retr{'y' if retries == 1 else 'ies'}")
         # Left-pad with \r and right-pad with spaces so a shorter line
         # fully overwrites a longer previous one without ANSI escapes.
         stream.write(("\r" + "  ".join(parts)).ljust(79))

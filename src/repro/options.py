@@ -1,7 +1,7 @@
 """Typed run configuration: :class:`RunOptions`.
 
 ``repro.run()`` grew one keyword at a time — workers, margin, caches,
-tracing, batching, four fault-tolerance knobs — until its signature was
+tracing, batching, fault-tolerance knobs — until its signature was
 sixteen loose kwargs that every layer (facade, session, CLI, bench
 harness) re-declared in parallel. :class:`RunOptions` consolidates them
 into one frozen, validated dataclass that is simultaneously:
@@ -47,17 +47,6 @@ AGGREGATIONS: dict[str, type[Aggregation]] = {
     "matches": MatchListAggregation,
     "exists": ExistenceAggregation,
 }
-
-#: RetryPolicy fields that survive the JSON round-trip (``sleep`` is a
-#: callable and stays local).
-_RETRY_WIRE_FIELDS = (
-    "max_retries",
-    "backoff_seconds",
-    "backoff_factor",
-    "jitter",
-    "seed",
-)
-
 
 def resolve_aggregation(spec: "Aggregation | str | None") -> Aggregation:
     """Turn an aggregation spec into a live instance.
@@ -118,8 +107,6 @@ class RunOptions:
     deadline_seconds: Any = None
     #: Checkpoint journal path (wire) or an open ``ShardCheckpoint``.
     checkpoint: Any = None
-    #: ``int`` max-retries (wire), a ``RetryPolicy``, or ``None``.
-    retry: Any = None
     #: ``FaultPlan`` for deterministic fault injection (local only).
     faults: Any = None
     #: Shared ``MeasurementCache`` (local only).
@@ -181,10 +168,6 @@ class RunOptions:
             )
         if isinstance(self.aggregation, str):
             resolve_aggregation(self.aggregation)  # raise on unknown names
-        if self.retry is not None:
-            from repro.engines.recovery import RetryPolicy
-
-            RetryPolicy.resolve(self.retry)  # raises TypeError on bad specs
 
     @staticmethod
     def _is_live_deadline(value: Any) -> bool:
@@ -226,15 +209,6 @@ class RunOptions:
             checkpoint = str(checkpoint)
         elif checkpoint is not None and not isinstance(checkpoint, str):
             local.append("checkpoint")
-        retry = self.retry
-        if retry is not None and not isinstance(retry, int):
-            retry_fields = {
-                name: getattr(retry, name, None) for name in _RETRY_WIRE_FIELDS
-            }
-            if None in retry_fields.values():
-                local.append("retry")
-            else:
-                retry = retry_fields
         trace = self.trace
         if isinstance(trace, Path):
             trace = str(trace)
@@ -260,7 +234,6 @@ class RunOptions:
             "batch_roots": self.batch_roots,
             "deadline_seconds": self.deadline_seconds,
             "checkpoint": checkpoint,
-            "retry": retry,
             "trace": trace,
             "progress": bool(progress) if progress is not None else None,
         }
@@ -283,18 +256,7 @@ class RunOptions:
                 f"unknown RunOptions field(s): {', '.join(unknown)}; "
                 f"known fields: {', '.join(sorted(known))}"
             )
-        values = dict(data)
-        retry = values.get("retry")
-        if isinstance(retry, Mapping):
-            from repro.engines.recovery import RetryPolicy
-
-            unknown_retry = sorted(set(retry) - set(_RETRY_WIRE_FIELDS))
-            if unknown_retry:
-                raise ValueError(
-                    f"unknown retry field(s): {', '.join(unknown_retry)}"
-                )
-            values["retry"] = RetryPolicy(**dict(retry))
-        return cls(**values)
+        return cls(**data)
 
     # -- resolution helpers (consumed by the session and the facade) --------
 

@@ -524,8 +524,8 @@ class DecomposedCount(Aggregation):
     that adds element-wise across blocks and shards; :meth:`finalize`
     divides each by its member's divisor once. Engines run it through
     :attr:`~repro.core.aggregation.Aggregation.from_block`, so workers,
-    retries, deadlines and checkpoints treat a group exactly like a
-    count of its prefix.
+    deadlines and checkpoints treat a group exactly like a count of its
+    prefix.
     """
 
     invertible = True

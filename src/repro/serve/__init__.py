@@ -43,9 +43,9 @@ per-(graph, engine) :class:`CircuitBreaker` cells fail crash loops fast
 stops admission, finishes in-flight work under a drain deadline, dumps
 the flight recorder and persists service state so ``repro serve
 --resume`` reboots warm. :class:`Client` retries retryable verdicts and
-torn connections under the batch layer's seeded-jitter
-:class:`repro.RetryPolicy`, with idempotency keys so a retried query
-replays the stored answer byte-identically.
+torn connections under a seeded-jitter :class:`repro.RetryPolicy`,
+with idempotency keys so a retried query replays the stored answer
+byte-identically.
 """
 
 from repro.serve.breaker import (

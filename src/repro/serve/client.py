@@ -9,16 +9,16 @@ the only visible difference is that the graph lives in the daemon and
 is named, not passed.
 
 Resilience: with a retry policy configured (``retry=`` — an ``int`` or
-a full :class:`repro.RetryPolicy`), :meth:`Client.run` survives the
+a full :class:`RetryPolicy`), :meth:`Client.run` survives the
 transient failures a hardened daemon *intentionally* produces — typed
 ``rejected:overload`` / ``rejected:circuit-open`` verdicts (honoring
 their ``retry_after_s`` hints), torn connections, unparsable response
-frames, per-request socket timeouts — using the same seeded-jitter
-exponential backoff the batch layer uses for shard retries, so a test
-with a fixed seed replays the exact same schedule. Each logical call
-carries an **idempotency key**: if attempt 0's response was lost on the
-wire after the daemon completed the query, the retry replays the stored
-response instead of re-mining (and the answer stays byte-identical).
+frames, per-request socket timeouts — under seeded-jitter exponential
+backoff, so a test with a fixed seed replays the exact same schedule.
+Each logical call carries an **idempotency key**: if attempt 0's
+response was lost on the wire after the daemon completed the query, the
+retry replays the stored response instead of re-mining (and the answer
+stays byte-identical).
 Permanent rejections (``rejected:deadline``, unknown graphs, …) raise
 :class:`ServeRejected` / :class:`RuntimeError` immediately — retrying
 them would never succeed.
@@ -46,19 +46,20 @@ import contextlib
 import hashlib
 import json
 import os
+import random
 import select
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.pattern import Pattern
-from repro.engines.recovery import RetryPolicy
 from repro.morph.cache import BoundedStore
 from repro.options import RunOptions
 from repro.serve import protocol
 
-__all__ = ["Client", "ServeRejected", "ServeResult", "connect"]
+__all__ = ["Client", "RetryPolicy", "ServeRejected", "ServeResult", "connect"]
 
 #: Admission verdicts worth retrying: the condition is load, not the
 #: request — backing off and retrying is the designed client response.
@@ -68,10 +69,49 @@ _RETRYABLE_VERDICTS = (
     "rejected:queue-full",
 )
 
-#: Server-side error families worth retrying: a worker crash is a
-#: transient execution failure (a crash *loop* opens the circuit
-#: breaker, which surfaces as a retryable verdict instead).
+#: Server-side error families worth retrying: the daemon's chaos
+#: injection (``QueryFault.fire``, a ``crash`` spec) raises a
+#: ``WorkerCrashError`` for one attempt of a query, so another attempt
+#: can succeed (a crash *loop* opens the circuit breaker, which surfaces
+#: as a retryable verdict instead).
 _RETRYABLE_ERRORS = ("WorkerCrashError",)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How a :class:`Client` re-sends a request that failed transiently.
+
+    ``max_retries`` bounds re-sends per call (0 disables retry). The
+    wait before retry ``attempt`` is ``backoff_seconds *
+    backoff_factor**(attempt-1)`` stretched by up to ``jitter`` fraction
+    of itself; the jitter RNG is seeded per ``(seed, attempt)`` so
+    schedules are reproducible. ``sleep`` is injectable so tests retry
+    instantly.
+    """
+
+    max_retries: int = 3
+    backoff_seconds: float = 0.05
+    backoff_factor: float = 2.0
+    jitter: float = 0.25
+    seed: int = 0
+    sleep: Callable[[float], None] = time.sleep
+
+    def delay(self, attempt: int) -> float:
+        """Backoff before retry ``attempt``."""
+        base = self.backoff_seconds * self.backoff_factor ** max(0, attempt - 1)
+        rng = random.Random(f"{self.seed}:{attempt}")
+        return base * (1.0 + self.jitter * rng.random())
+
+    @classmethod
+    def resolve(cls, spec: "RetryPolicy | int") -> "RetryPolicy":
+        """Normalize a policy spec: an int is ``max_retries``."""
+        if isinstance(spec, cls):
+            return spec
+        if isinstance(spec, int) and not isinstance(spec, bool):
+            return cls(max_retries=spec)
+        raise TypeError(
+            f"retry must be a RetryPolicy or an int (max_retries), got {spec!r}"
+        )
 
 
 class ServeRejected(RuntimeError):
@@ -273,7 +313,7 @@ class Client:
                 if not exc.retryable or attempt >= policy.max_retries:
                     raise
                 last_error = exc
-                delay = policy.delay(0, attempt)
+                delay = policy.delay(attempt)
                 if exc.retry_after_s is not None:
                     delay = max(delay, exc.retry_after_s)
             except RuntimeError as exc:
@@ -284,14 +324,14 @@ class Client:
                 ):
                     raise
                 last_error = exc
-                delay = policy.delay(0, attempt)
+                delay = policy.delay(attempt)
             except (ConnectionError, socket.timeout, OSError, ValueError) as exc:
                 # Torn socket, refused/reset connection, per-request
                 # timeout, or a corrupt (unparsable) response frame.
                 if attempt >= policy.max_retries:
                     raise
                 last_error = exc
-                delay = policy.delay(0, attempt)
+                delay = policy.delay(attempt)
             policy.sleep(delay)
         raise last_error if last_error is not None else AssertionError(
             "retry loop exited without an outcome"
@@ -457,7 +497,7 @@ def connect(
         result = client.run("mico", [repro.Pattern.clique(3)])
 
     ``timeout`` bounds each request on the wire; ``retry`` (an ``int``
-    or a :class:`repro.RetryPolicy`) turns on client-side resilience —
+    or a :class:`RetryPolicy`) turns on client-side resilience —
     see :class:`Client`.
     """
     client = Client(

@@ -9,13 +9,12 @@ differential suites assert with, and
 the adaptive ones are compared against.
 """
 
-from repro.testing.faults import FaultPlan, FaultSpec, InjectedWorkerCrash
+from repro.testing.faults import FaultPlan, FaultSpec
 from repro.testing.oracle import assert_matches_oracle, canonical, results_equal
 
 __all__ = [
     "FaultPlan",
     "FaultSpec",
-    "InjectedWorkerCrash",
     "assert_matches_oracle",
     "canonical",
     "results_equal",

@@ -1,12 +1,10 @@
 """Deterministic shard-level fault injection.
 
 The fault-tolerance layer is only trustworthy if its recovery paths are
-*exercised*, not just written; this module injects the four failure
+*exercised*, not just written; this module injects the three failure
 modes the execution layer must survive, keyed by **shard index** so
 every run of a test hits exactly the same shards:
 
-* ``crash`` — the shard's worker dies: the attempt raises
-  :class:`InjectedWorkerCrash`, inline or on a pool thread alike.
 * ``hang`` — the shard wedges: it spins polling the run's stop signal
   and never produces a result, releasing only when the deadline (or a
   saturation cancel) fires. Pair it with a deadline; a hang with no
@@ -18,11 +16,10 @@ every run of a test hits exactly the same shards:
   to prove the differential matrix *would catch* silent corruption and
   that checkpoint integrity checking rejects tampered records.
 
-Faults are scoped by attempt: a spec with ``times=2`` fires on attempts
-0 and 1 and lets attempt 2 through — which is exactly how the retry
-path is proven to converge. ``times=None`` means every attempt (a
-"poisoned" shard). Plans are picklable, and :meth:`FaultPlan.random`
-derives a plan from a seed for property-style tests.
+A shard runs once, so a spec fires on every run of its shard.
+:class:`QueryFaultPlan` is the resident service's counterpart, keyed
+by query index and scoped by attempt, because a client retries a
+query.
 """
 
 from __future__ import annotations
@@ -31,20 +28,19 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from repro.errors import WorkerCrashError
 
 __all__ = [
     "FaultPlan",
     "FaultSpec",
-    "InjectedWorkerCrash",
     "QueryFault",
     "QueryFaultPlan",
     "QueryFaultSpec",
 ]
 
-_KINDS = ("crash", "hang", "slow", "corrupt")
+_KINDS = ("hang", "slow", "corrupt")
 
 #: Query-scoped kinds, keyed to where each fires: crash, hang and slow in
 #: the daemon's ``execute`` stage; corrupt (the response line, not a
@@ -59,27 +55,16 @@ _QUERY_FAULT_STAGES = {
 _QUERY_KINDS = tuple(_QUERY_FAULT_STAGES)
 
 
-class InjectedWorkerCrash(RuntimeError):
-    """An injected worker death.
-
-    Raised by :meth:`FaultPlan.apply_before_shard` when a ``crash``
-    spec fires; the recovery layer charges the shard an attempt and
-    retries it.
-    """
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """One shard's injected failure mode.
 
-    ``times`` bounds how many *attempts* the fault affects (``None`` =
-    every attempt — a poisoned shard). ``seconds`` is the ``slow``
-    delay; ``delta`` the ``corrupt`` offset applied to integer values (the
-    first of a tuple of them: a cut group's partial sums).
+    ``seconds`` is the ``slow`` delay; ``delta`` the ``corrupt`` offset
+    applied to integer values (the first of a tuple of them: a cut
+    group's partial sums).
     """
 
     kind: str
-    times: int | None = 1
     seconds: float = 0.05
     delta: int = 1
 
@@ -89,20 +74,14 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r}; choose from {_KINDS}"
             )
 
-    def active(self, attempt: int) -> bool:
-        """Whether this spec fires on the given (0-based) attempt."""
-        return self.times is None or attempt < self.times
-
 
 class FaultPlan:
     """Shard-index-keyed fault schedule for one run.
 
-    Construct directly from a ``{shard_index: FaultSpec}`` mapping or
-    derive one deterministically from a seed with :meth:`random`. The
-    plan is consulted by ``repro.engines.execution.run_shard``, the one
-    shard attempt, on pool threads and inline alike; it keys on
-    ``(shard_index, attempt)``, so behavior is identical no matter
-    which thread evaluates the plan.
+    Construct from a ``{shard_index: FaultSpec}`` mapping. The plan is
+    consulted by ``repro.engines.execution.run_shard``, on pool threads
+    and inline alike; it keys on the shard index alone, so behavior is
+    identical no matter which thread evaluates the plan.
     """
 
     def __init__(self, specs: Mapping[int, FaultSpec] | None = None) -> None:
@@ -112,78 +91,32 @@ class FaultPlan:
         return bool(self.specs)
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{i}:{s.kind}x{s.times if s.times is not None else 'inf'}"
-            for i, s in sorted(self.specs.items())
-        )
+        inner = ", ".join(f"{i}:{s.kind}" for i, s in sorted(self.specs.items()))
         return f"FaultPlan({{{inner}}})"
 
-    @classmethod
-    def crashes(
-        cls, shard_indices: Iterable[int], times: int = 1
-    ) -> "FaultPlan":
-        """Plan that crashes each listed shard ``times`` attempts."""
-        return cls({i: FaultSpec("crash", times=times) for i in shard_indices})
-
-    @classmethod
-    def random(
-        cls,
-        num_shards: int,
-        seed: int,
-        p_fault: float = 0.2,
-        kinds: tuple[str, ...] = ("crash", "slow"),
-        max_times: int = 2,
-    ) -> "FaultPlan":
-        """Seed-derived plan: each shard independently faulty with ``p_fault``.
-
-        The RNG is local and fully determined by ``seed``, so the same
-        seed always produces the same plan — the property the
-        differential matrix needs to shrink failures.
-        """
-        rng = random.Random(seed)
-        specs: dict[int, FaultSpec] = {}
-        for index in range(num_shards):
-            if rng.random() < p_fault:
-                kind = rng.choice(list(kinds))
-                specs[index] = FaultSpec(
-                    kind,
-                    times=rng.randint(1, max_times),
-                    seconds=0.01 * rng.randint(1, 3),
-                )
-        return cls(specs)
-
-    def spec_for(self, shard_index: int, attempt: int) -> FaultSpec | None:
-        """The spec that fires for this (shard, attempt), if any."""
-        spec = self.specs.get(shard_index)
-        if spec is not None and spec.active(attempt):
-            return spec
-        return None
+    def spec_for(self, shard_index: int) -> FaultSpec | None:
+        """The spec that fires for this shard, if any."""
+        return self.specs.get(shard_index)
 
     # -- application -------------------------------------------------------
 
     def apply_before_shard(
         self,
         shard_index: int,
-        attempt: int,
         *,
         stop_check: Callable[[], bool] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> bool:
         """Fire pre-execution faults; returns True when the shard must abort.
 
-        ``crash`` raises :class:`InjectedWorkerCrash`; ``slow`` sleeps and proceeds;
-        ``hang`` polls ``stop_check`` until it fires, then reports the
-        shard as aborted (return ``True`` — the caller produces no
-        result for it). ``corrupt`` does nothing here (it rewrites the
+        ``slow`` sleeps and proceeds; ``hang`` polls ``stop_check``
+        until it fires, then reports the shard as aborted (return
+        ``True`` — the caller produces no result for it). ``corrupt`` does nothing here (it rewrites the
         result afterwards, see :meth:`transform_value`).
         """
-        spec = self.spec_for(shard_index, attempt)
+        spec = self.spec_for(shard_index)
         if spec is None:
             return False
-        if spec.kind == "crash":
-            raise InjectedWorkerCrash(
-                f"injected crash on shard {shard_index} (attempt {attempt})"
-            )
         if spec.kind == "slow":
             sleep(spec.seconds)
             return False
@@ -198,9 +131,9 @@ class FaultPlan:
             return True
         return False  # corrupt: post-execution only
 
-    def transform_value(self, shard_index: int, attempt: int, value):
+    def transform_value(self, shard_index: int, value):
         """Apply a ``corrupt`` spec to a completed shard's value."""
-        spec = self.spec_for(shard_index, attempt)
+        spec = self.spec_for(shard_index)
         if spec is None or spec.kind != "corrupt":
             return value
         if isinstance(value, bool):
@@ -233,9 +166,8 @@ class QueryFaultSpec:
       written; the client sees EOF mid-request and must retry.
 
     ``times`` bounds how many *attempts* of the same query index the
-    fault affects (``None`` = every attempt), exactly like
-    :class:`FaultSpec` — which is how client-side retry convergence is
-    proven.
+    fault affects (``None`` = every attempt) — which is how client-side
+    retry convergence is proven.
     """
 
     kind: str
@@ -351,8 +283,8 @@ class QueryFault(NamedTuple):
     def fire(self, stop=None) -> None:
         """The ``execute`` hook.
 
-        ``crash`` raises a :class:`WorkerCrashError` (the typed shape a
-        real pool-worker death surfaces as); ``slow`` sleeps; ``hang``
+        ``crash`` raises a :class:`WorkerCrashError`, the breaker's
+        only crash input; ``slow`` sleeps; ``hang``
         wedges until ``stop`` (the query's sentinel deadline) expires —
         exactly the runaway a production sentinel exists to cancel.
         """

@@ -75,7 +75,7 @@ def assert_matches_oracle(
     on the per-root reference kernel — the oracle; a variant on session
     defaults therefore never shares a match kernel with it) and once
     with ``run_kwargs`` (the variant under test: ``workers``,
-    ``faults``/``retry``, ``tracer``, ``batch_roots``, ...). The variant
+    ``faults``, ``tracer``, ``batch_roots``, ...). The variant
     must complete (no :class:`~repro.morph.session.PartialRunResult`)
     and its results must satisfy :func:`results_equal` against the
     oracle's.

@@ -83,6 +83,51 @@ class TestCliCommands:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["count", "--pattern", "triangle"], ["motifs", "--size", "3"]],
+        ids=["count", "motifs"],
+    )
+    def test_max_retries_flag_is_gone(self, capsys, argv):
+        """A shard runs once, so there is no retry budget to set."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-retries", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-retries 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["count", "--pattern", "triangle"], ["motifs", "--size", "3"]],
+        ids=["count", "motifs"],
+    )
+    def test_checkpoint_flag_resumes_to_the_same_answer(
+        self, capsys, tmp_path, small_graph, argv
+    ):
+        from repro.checkpoint import ShardCheckpoint
+        from repro.graph.io import save_edge_list
+
+        path = tmp_path / "g.edges"
+        save_edge_list(small_graph, path)
+        journal = tmp_path / "run.ckpt.jsonl"
+        args = argv + [
+            "--graph-file", str(path),
+            "--checkpoint", str(journal),
+            "--deadline", "600",
+        ]
+
+        def answer_lines() -> list[str]:
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if not line.startswith("#")]
+
+        assert main(args) == 0
+        first = answer_lines()
+        with ShardCheckpoint(journal) as written:
+            assert len(written) > 0
+        assert main(args) == 0
+        assert answer_lines() == first
+        expected = brute_force_count(small_graph, Pattern.clique(3))
+        assert f"triangle   {expected}" in first
+
     def test_count_on_file(self, capsys, tmp_path, small_graph):
         from repro.graph.io import save_edge_list
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import FaultPlan, FaultSpec, PartialRunResult, RetryPolicy, ShardCheckpoint
+from repro import FaultPlan, FaultSpec, PartialRunResult, ShardCheckpoint
 from repro.core import atlas
 from repro.core.canonical import canonical_form
 from repro.core.equations import normalize_item
@@ -45,7 +45,6 @@ from .strategies import data_graphs
 ATLAS_4_5 = [p for n in (4, 5) for p in atlas.all_connected_patterns(n)]
 #: strategy x batch_roots {per-root, default} x workers.
 CONFIGS = list(product(("decompose", "auto"), (0, None), (1, 2)))
-NOSLEEP = RetryPolicy(max_retries=3, backoff_seconds=0.0, sleep=lambda _s: None)
 
 
 def k2(k: int, labels=None) -> Pattern:
@@ -213,8 +212,7 @@ class TestGroupRecovery:
             options=repro.RunOptions(
                 strategy="decompose",
                 deadline_seconds=0.25,
-                faults=FaultPlan({2: FaultSpec("hang", times=None)}),
-                retry=NOSLEEP,
+                faults=FaultPlan({2: FaultSpec("hang")}),
             ),
         )
         assert isinstance(result, PartialRunResult)

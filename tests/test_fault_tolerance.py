@@ -1,14 +1,15 @@
-"""Fault-injection matrix for the recovery layer (retry / deadline /
-checkpoint).
+"""Fault-injection matrix for the recovery layer (deadline / checkpoint).
 
 The contract under test is differential and exact: a run that survives
 injected faults must return results *byte-identical* to the fault-free
-oracle — a retried shard's value does not depend on how many attempts it
-took, a resumed run on a checkpoint matches the uninterrupted run, and a
+oracle — a delayed shard's value does not depend on its delay, a
+resumed run on a checkpoint matches the uninterrupted run, and a
 deadline-degraded run never passes a partial aggregate off as an answer
 (it returns a :class:`repro.PartialRunResult` with the partial values
 clearly quarantined). The ``corrupt`` fault proves the matrix has teeth:
-a silently wrong shard value *must* make these comparisons fail.
+a silently wrong shard value *must* make these comparisons fail. A
+shard runs once, so a kernel's error propagates unchanged, with the
+shards that completed journaled and the rest cancelled.
 
 Most cases run the inline sharded transport (fault-tolerance activation
 forces sharding even at ``workers=1``); the ``pool`` cases and a
@@ -18,6 +19,7 @@ dedicated set run the same faults on the thread pool.
 from __future__ import annotations
 
 import pickle
+import time
 
 import pytest
 
@@ -33,17 +35,20 @@ from repro import (
     MatchListAggregation,
     MNIAggregation,
     PartialRunResult,
-    RetryPolicy,
+    PeregrineEngine,
     ShardCheckpoint,
     Tracer,
-    WorkerCrashError,
 )
 from repro.core.atlas import FOUR_CYCLE, TAILED_TRIANGLE, TRIANGLE
-from repro.engines.recovery import PatternReport, RunControl, checkpoint_key
+from repro.engines.execution import SerialShardExecutor, ThreadShardExecutor
+from repro.engines.recovery import (
+    PatternReport,
+    RunControl,
+    checkpoint_key,
+    map_shards,
+)
 from repro.errors import RunDeadlineExceeded
 from repro.morph.session import MorphingSession
-from repro.observe.progress import ProgressReporter
-from repro.testing import InjectedWorkerCrash
 from repro.testing.oracle import assert_matches_oracle, results_equal
 
 ENGINES = ("peregrine", "autozero", "graphpi", "bigjoin", "sumpa")
@@ -54,36 +59,11 @@ AGGREGATIONS = (
     MatchListAggregation,
 )
 
-#: Retries without wall-clock cost: backoff computed but never slept.
-NOSLEEP = RetryPolicy(max_retries=3, backoff_seconds=0.0, sleep=lambda _s: None)
+#: A fault plan that delays two shards without wedging them.
+SLOW = FaultPlan({index: FaultSpec("slow", seconds=0.001) for index in (0, 2)})
 
 
-# -- policy / deadline / plan units -------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_resolve_none_gives_defaults(self):
-        assert RetryPolicy.resolve(None).max_retries == RetryPolicy().max_retries
-
-    def test_resolve_int_sets_budget(self):
-        assert RetryPolicy.resolve(5).max_retries == 5
-
-    def test_resolve_instance_passthrough(self):
-        assert RetryPolicy.resolve(NOSLEEP) is NOSLEEP
-
-    def test_resolve_rejects_bool_and_junk(self):
-        with pytest.raises(TypeError):
-            RetryPolicy.resolve(True)
-        with pytest.raises(TypeError):
-            RetryPolicy.resolve("twice")
-
-    def test_delay_is_deterministic_and_grows(self):
-        policy = RetryPolicy(backoff_seconds=0.1, backoff_factor=2.0, jitter=0.25)
-        first = policy.delay(3, 1)
-        assert first == policy.delay(3, 1), "jitter must be seeded"
-        assert policy.delay(4, 1) != first, "jitter must vary per shard"
-        assert 0.1 <= first <= 0.1 * 1.25
-        assert 0.2 <= policy.delay(3, 2) <= 0.2 * 1.25
+# -- deadline / plan units ----------------------------------------------------
 
 
 class TestDeadline:
@@ -108,42 +88,20 @@ class TestDeadline:
 
 
 class TestFaultPlan:
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["melt", "crash"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ValueError):
-            FaultSpec("melt")
-
-    def test_times_scopes_attempts(self):
-        plan = FaultPlan({1: FaultSpec("crash", times=2)})
-        assert plan.spec_for(1, 0) is not None
-        assert plan.spec_for(1, 1) is not None
-        assert plan.spec_for(1, 2) is None
-        assert plan.spec_for(0, 0) is None
-
-    def test_poisoned_shard_never_clears(self):
-        plan = FaultPlan({0: FaultSpec("crash", times=None)})
-        assert plan.spec_for(0, 10_000) is not None
-
-    def test_random_is_seed_deterministic(self):
-        a = FaultPlan.random(32, seed=7)
-        b = FaultPlan.random(32, seed=7)
-        assert {i: s for i, s in a.specs.items()} == b.specs
-        assert FaultPlan.random(32, seed=8).specs != a.specs
-
-    def test_crash_in_process_raises(self):
-        plan = FaultPlan.crashes([2])
-        with pytest.raises(InjectedWorkerCrash):
-            plan.apply_before_shard(2, 0)
+            FaultSpec(kind)
 
     def test_hang_requires_stop_signal(self):
         plan = FaultPlan({0: FaultSpec("hang")})
         with pytest.raises(ValueError, match="stop signal"):
-            plan.apply_before_shard(0, 0, stop_check=None)
+            plan.apply_before_shard(0, stop_check=None)
 
     def test_hang_releases_on_stop(self):
         plan = FaultPlan({0: FaultSpec("hang")})
         polls = []
         aborted = plan.apply_before_shard(
-            0,
             0,
             stop_check=lambda: len(polls) >= 3,
             sleep=lambda _s: polls.append(1),
@@ -154,105 +112,63 @@ class TestFaultPlan:
     def test_slow_sleeps_then_proceeds(self):
         plan = FaultPlan({0: FaultSpec("slow", seconds=1.5)})
         slept = []
-        aborted = plan.apply_before_shard(0, 0, sleep=slept.append)
+        aborted = plan.apply_before_shard(0, sleep=slept.append)
         assert aborted is False
         assert slept == [1.5]
 
     def test_transform_value_variants(self):
-        plan = FaultPlan({0: FaultSpec("corrupt", times=None, delta=3)})
-        assert plan.transform_value(0, 0, 10) == 13
-        assert plan.transform_value(0, 0, True) is False
-        assert plan.transform_value(0, 0, [1, 2]) == [1]
-        assert plan.transform_value(0, 0, (10, 4)) == (13, 4)  # a cut group
-        assert plan.transform_value(1, 0, 10) == 10  # other shards untouched
+        plan = FaultPlan({0: FaultSpec("corrupt", delta=3)})
+        assert plan.transform_value(0, 10) == 13
+        assert plan.transform_value(0, True) is False
+        assert plan.transform_value(0, [1, 2]) == [1]
+        assert plan.transform_value(0, (10, 4)) == (13, 4)  # a cut group
+        assert plan.transform_value(1, 10) == 10  # other shards untouched
+
+    def test_spec_fires_on_every_run_of_its_shard(self):
+        """No attempt scoping: a shard runs once per run, so its spec
+        fires every time that shard runs, and never on another shard."""
+        plan = FaultPlan({1: FaultSpec("slow", seconds=0.5)})
+        slept = []
+        for _ in range(3):
+            assert plan.apply_before_shard(1, sleep=slept.append) is False
+            assert plan.apply_before_shard(0, sleep=slept.append) is False
+        assert slept == [0.5, 0.5, 0.5]
+        assert plan.spec_for(1) is plan.spec_for(1)
+        assert plan.spec_for(0) is None
 
     def test_plan_is_picklable(self):
-        plan = FaultPlan.crashes([0, 2], times=2)
+        plan = FaultPlan({0: FaultSpec("hang"), 2: FaultSpec("corrupt", delta=2)})
         assert pickle.loads(pickle.dumps(plan)).specs == plan.specs
 
 
-# -- the differential matrix: crash + retry == oracle -------------------------
+# -- the differential matrix: faulted == oracle -------------------------------
 
 
-class TestCrashRetryMatrix:
+class TestFaultMatrix:
     @pytest.mark.parametrize("workers", [1, 2], ids=["inprocess", "pool"])
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("agg_cls", AGGREGATIONS)
-    def test_crashes_on_two_shards_match_oracle(
-        self, small_graph, engine, agg_cls, workers
-    ):
-        """Crashes on ≤2 shards, retried, must be byte-identical to the
-        fault-free oracle — every engine, every aggregation, on both
+    def test_slow_shards_match_oracle(self, small_graph, engine, agg_cls, workers):
+        """Delays on two shards must leave the answer byte-identical to
+        the fault-free oracle — every engine, every aggregation, on both
         transports (inline and on pool threads)."""
         assert_matches_oracle(
-            small_graph,
-            TRIANGLE,
-            engine,
-            agg_cls,
-            faults=FaultPlan.crashes([0, 2]),
-            retry=NOSLEEP,
-            workers=workers,
+            small_graph, TRIANGLE, engine, agg_cls, faults=SLOW, workers=workers
         )
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_multi_query_morphed_run_survives_crashes(self, small_graph, engine):
+    def test_multi_query_morphed_run_with_slow_shards_matches_oracle(
+        self, small_graph, engine
+    ):
         queries = [TRIANGLE, TAILED_TRIANGLE.vertex_induced(), FOUR_CYCLE]
         assert_matches_oracle(
             small_graph,
             queries,
             engine,
-            faults=FaultPlan.crashes([1, 3], times=2),
-            retry=NOSLEEP,
-        )
-
-    def test_seeded_random_plan_converges(self, small_graph):
-        """Property-style: a seed-derived crash/slow plan still matches."""
-        plan = FaultPlan.random(8, seed=11, p_fault=0.5, kinds=("crash",))
-        assert_matches_oracle(
-            small_graph,
-            [TRIANGLE, FOUR_CYCLE],
-            "peregrine",
-            faults=plan,
-            retry=NOSLEEP,
-        )
-
-    def test_retry_emits_spans_and_progress_events(self, small_graph):
-        tracer = Tracer()
-        reporter = ProgressReporter(stream=None)
-        result = repro.run(
-            small_graph,
-            [TRIANGLE],
-            options=repro.RunOptions(
-                faults=FaultPlan.crashes([0]),
-                retry=NOSLEEP,
-                trace=tracer,
-                progress=reporter,
+            faults=FaultPlan(
+                {index: FaultSpec("slow", seconds=0.001) for index in (1, 3)}
             ),
         )
-        retries = result.trace.find("shard.retry")
-        assert retries, "a retried shard must be visible in the trace"
-        span = retries[0]
-        assert span.attributes["shard"] == 0
-        assert span.attributes["attempt"] == 1
-        assert span.attributes["error"] == "InjectedWorkerCrash"
-        assert span.attributes["backoff_seconds"] >= 0.0
-        assert ("retry", "shard 0 attempt 1 after InjectedWorkerCrash") in (
-            reporter.events
-        )
-
-    def test_poisoned_shard_exhausts_budget(self, small_graph):
-        with pytest.raises(WorkerCrashError) as info:
-            repro.run(
-                small_graph,
-                [TRIANGLE],
-                options=repro.RunOptions(
-                    faults=FaultPlan({1: FaultSpec("crash", times=None)}),
-                    retry=RetryPolicy(max_retries=2, sleep=lambda _s: None),
-                ),
-            )
-        assert info.value.shard_index == 1
-        assert info.value.attempts == 3  # initial try + 2 retries
-        assert isinstance(info.value.__cause__, InjectedWorkerCrash)
 
     def test_corrupt_fault_is_caught_by_the_differential(self, small_graph):
         """A silently wrong shard value must fail the oracle comparison —
@@ -267,7 +183,7 @@ class TestCrashRetryMatrix:
             [TRIANGLE],
             options=repro.RunOptions(
                 morph=False,
-                faults=FaultPlan({0: FaultSpec("corrupt", times=None, delta=1)}),
+                faults=FaultPlan({0: FaultSpec("corrupt", delta=1)}),
             ),
         )
         assert corrupted.results[TRIANGLE] == oracle.results[TRIANGLE] + 1
@@ -284,8 +200,7 @@ class TestRunDeadline:
             [TRIANGLE],
             options=repro.RunOptions(
                 deadline_seconds=0.25,
-                faults=FaultPlan({2: FaultSpec("hang", times=None)}),
-                retry=NOSLEEP,
+                faults=FaultPlan({2: FaultSpec("hang")}),
             ),
         )
         assert isinstance(result, PartialRunResult)
@@ -303,8 +218,7 @@ class TestRunDeadline:
         session = MorphingSession(
             repro.PeregrineEngine(),
             deadline_seconds=0.25,
-            faults=FaultPlan({1: FaultSpec("hang", times=None)}),
-            retry=NOSLEEP,
+            faults=FaultPlan({1: FaultSpec("hang")}),
         )
         seen: list = []
         with pytest.raises(RunDeadlineExceeded):
@@ -407,8 +321,7 @@ class TestResume:
             options=repro.RunOptions(
                 deadline_seconds=0.25,
                 checkpoint=path,
-                faults=FaultPlan({2: FaultSpec("hang", times=None)}),
-                retry=NOSLEEP,
+                faults=FaultPlan({2: FaultSpec("hang")}),
             ),
         )
         assert isinstance(interrupted, PartialRunResult)
@@ -430,34 +343,39 @@ class TestResume:
             "every journaled shard must be skipped, visibly, on resume"
         )
 
-    def test_resume_after_crashes_skips_completed_shards(
+    def test_resume_after_an_interruption_skips_completed_shards(
         self, small_graph, tmp_path
     ):
-        """A run killed by a poisoned shard still journals the shards that
-        finished before it; the rerun only recomputes the rest."""
+        """A run cut short on pool threads by a hung shard still journals
+        the shards that finished; the rerun only recomputes the rest."""
         path = tmp_path / "run.ckpt.jsonl"
-        with pytest.raises(WorkerCrashError):
-            repro.run(
-                small_graph,
-                [TRIANGLE],
-                options=repro.RunOptions(
-                    checkpoint=path,
-                    faults=FaultPlan({3: FaultSpec("crash", times=None)}),
-                    retry=RetryPolicy(max_retries=1, sleep=lambda _s: None),
-                ),
-            )
+        interrupted = repro.run(
+            small_graph,
+            [TRIANGLE],
+            options=repro.RunOptions(
+                workers=2,
+                deadline_seconds=0.25,
+                checkpoint=path,
+                faults=FaultPlan({3: FaultSpec("hang")}),
+            ),
+        )
+        assert isinstance(interrupted, PartialRunResult)
         journal = ShardCheckpoint(path)
-        assert len(journal) > 0
+        journaled = len(journal)
         journal.close()
+        assert 0 < journaled < interrupted.total_shards
         oracle = repro.run(small_graph, [TRIANGLE])
         tracer = Tracer()
         resumed = repro.run(
             small_graph,
             [TRIANGLE],
-            options=repro.RunOptions(checkpoint=path, trace=tracer),
+            options=repro.RunOptions(workers=2, checkpoint=path, trace=tracer),
         )
         assert results_equal(resumed.results, oracle.results)
-        assert resumed.trace.find("shard.checkpoint")
+        assert len(resumed.trace.find("shard.checkpoint")) == journaled
+        assert len(resumed.trace.find("shard")) == (
+            interrupted.total_shards - journaled
+        )
 
     def test_mismatched_checkpoint_leaves_engine_reusable(
         self, small_graph, tiny_graph, tmp_path
@@ -515,39 +433,221 @@ class TestResume:
         )
 
 
-# -- the real thread pool -----------------------------------------------------
+# -- a shard's own error -----------------------------------------------------
 
 
-class TestThreadPoolRecovery:
-    def test_worker_crash_is_retried(self, small_graph):
-        """A crash on a pool thread is charged to its shard alone; the
-        retried run matches the oracle."""
-        survived, _oracle = assert_matches_oracle(
+class KernelFault(RuntimeError):
+    """A kernel's own error, raised by the stub engines below."""
+
+
+class FailsOnThirdShard(PeregrineEngine):
+    """Runs shards normally, except the third it is given, which raises.
+
+    On the inline transport shards run in shard order, so that is shard 2.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.shards_begun = 0
+        self.error = KernelFault("shard 2 failed")
+
+    def aggregate_partial(self, graph, pattern, aggregation, **kwargs):
+        self.shards_begun += 1
+        if self.shards_begun == 3:
+            raise self.error
+        return super().aggregate_partial(graph, pattern, aggregation, **kwargs)
+
+
+class StopsOnlyOnCancel(PeregrineEngine):
+    """Shard 0 raises; any other shard polls only its cancel token, like
+    a kernel, and records whether the token released it. The record is
+    class-level: pool threads run deep copies of the engine."""
+
+    released: list[bool] = []
+
+    def aggregate_partial(self, graph, pattern, aggregation, *, root_window, cancel):
+        if root_window[0] == 0:
+            raise KernelFault("shard 0 failed")
+        give_up = time.monotonic() + 5.0
+        while not cancel.is_set() and time.monotonic() < give_up:
+            time.sleep(0.005)
+        type(self).released.append(cancel.is_set())
+        return aggregation.zero(), False
+
+
+class RecordsShards(PeregrineEngine):
+    """Records the root window of every shard it begins and raises on
+    the one starting at ``fail_at``. The record is class-level: pool
+    threads run deep copies of the engine."""
+
+    begun: list[int] = []
+    fail_at: int = -1
+
+    def aggregate_partial(self, graph, pattern, aggregation, **kwargs):
+        start = kwargs["root_window"][0]
+        type(self).begun.append(start)
+        if start == type(self).fail_at:
+            raise KernelFault(f"shard at root {start} failed")
+        return super().aggregate_partial(graph, pattern, aggregation, **kwargs)
+
+
+class SubmissionLog(SerialShardExecutor):
+    """The inline transport, logging the index of every submitted shard."""
+
+    def __init__(self):
+        super().__init__()
+        self.submitted: list[int] = []
+
+    def submit(self, engine, graph, task, deadline=None):
+        self.submitted.append(task.index)
+        return super().submit(engine, graph, task, deadline)
+
+
+def _quarters(graph):
+    step = -(-graph.num_vertices // 4)
+    return [
+        (start, min(start + step, graph.num_vertices))
+        for start in range(0, graph.num_vertices, step)
+    ]
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inprocess", "pool"])
+    def test_a_failing_shard_runs_once(self, small_graph, workers):
+        """The failing shard's kernel is entered exactly once, on either
+        transport; no shard is run a second time."""
+        shards = _quarters(small_graph)
+        RecordsShards.begun = []
+        RecordsShards.fail_at = shards[1][0]
+        executor = (
+            SerialShardExecutor() if workers == 1 else ThreadShardExecutor(workers)
+        )
+        try:
+            with pytest.raises(KernelFault):
+                map_shards(
+                    executor,
+                    RecordsShards(),
+                    small_graph,
+                    TRIANGLE,
+                    CountAggregation(),
+                    shards,
+                    control=RunControl(),
+                )
+        finally:
+            executor.close()
+        assert RecordsShards.begun.count(shards[1][0]) == 1
+        assert len(RecordsShards.begun) == len(set(RecordsShards.begun))
+
+    def test_checkpointed_shards_are_never_submitted(self, small_graph, tmp_path):
+        shards = _quarters(small_graph)
+        aggregation = CountAggregation()
+        key = checkpoint_key(TRIANGLE, aggregation)
+        with ShardCheckpoint(tmp_path / "run.ckpt.jsonl") as journal:
+            first = map_shards(
+                SerialShardExecutor(),
+                PeregrineEngine(),
+                small_graph,
+                TRIANGLE,
+                aggregation,
+                shards[:2],
+                control=RunControl(checkpoint=journal),
+            )
+            assert [journal.get(key, shard) for shard in shards[:2]] == [
+                first[0],
+                first[1],
+            ]
+            log = SubmissionLog()
+            control = RunControl(checkpoint=journal)
+            results = map_shards(
+                log,
+                PeregrineEngine(),
+                small_graph,
+                TRIANGLE,
+                aggregation,
+                shards,
+                control=control,
+            )
+        assert log.submitted == [2, 3]
+        assert sorted(results) == [0, 1, 2, 3]
+        assert control.reports[-1].checkpointed_shards == 2
+        assert control.reports[-1].complete
+
+    def test_an_expired_deadline_stops_inline_submission(self, small_graph):
+        """The inline transport checks the deadline between shards: a
+        slow first shard that outlives the budget still completes, and
+        no later shard is submitted."""
+        shards = _quarters(small_graph)
+        log = SubmissionLog()
+        control = RunControl(
+            deadline=0.05,
+            faults=FaultPlan({0: FaultSpec("slow", seconds=0.2)}),
+        )
+        results = map_shards(
+            log,
+            PeregrineEngine(),
             small_graph,
             TRIANGLE,
-            workers=2,
-            faults=FaultPlan.crashes([1]),
-            retry=NOSLEEP,
-            tracer=Tracer(),
+            CountAggregation(),
+            shards,
+            control=control,
         )
-        retries = survived.trace.find("shard.retry")
-        assert [span.attributes["shard"] for span in retries] == [1]
+        assert log.submitted == [0]
+        assert sorted(results) == [0]
+        report = control.reports[-1]
+        assert report.interrupted
+        assert (report.completed_shards, report.total_shards) == (1, 4)
 
-    def test_pool_poisoning_shard_raises_worker_crash(self, small_graph):
-        """A shard that crashes on every attempt its budget allows fails
-        the run with a typed error naming it."""
-        with pytest.raises(WorkerCrashError) as info:
-            repro.run(
-                small_graph,
-                [TRIANGLE],
-                options=repro.RunOptions(
-                    workers=2,
-                    faults=FaultPlan({1: FaultSpec("crash", times=2)}),
-                    retry=RetryPolicy(max_retries=1, sleep=lambda _s: None),
-                ),
+
+class TestShardErrors:
+    def test_kernel_error_propagates_and_completed_shards_resume(
+        self, small_graph, tmp_path
+    ):
+        """A kernel's error is not retried: it propagates unchanged, the
+        shards harvested before it are journaled, and a rerun skips them."""
+        path = tmp_path / "run.ckpt.jsonl"
+        failing = FailsOnThirdShard()
+        with pytest.raises(KernelFault) as info:
+            MorphingSession(failing, enabled=False, checkpoint=path).run(
+                small_graph, [TRIANGLE]
             )
-        assert info.value.shard_index == 1
-        assert info.value.attempts == 2
+        assert info.value is failing.error
+        journal = ShardCheckpoint(path)
+        assert len(journal) == 2  # shards 0 and 1
+        journal.close()
+        oracle = repro.run(small_graph, [TRIANGLE])
+        resumed = repro.run(
+            small_graph,
+            [TRIANGLE],
+            options=repro.RunOptions(morph=False, checkpoint=path, trace=Tracer()),
+        )
+        assert results_equal(resumed.results, oracle.results)
+        assert len(resumed.trace.find("shard.checkpoint")) == 2
+
+    def test_an_error_cancels_the_shards_still_running(self, small_graph):
+        """When a shard's error ends the pass while a sibling still runs
+        past the deadline, the sibling's cancel token is set, so closing
+        the pool does not wait for it."""
+        StopsOnlyOnCancel.released = []
+        half = small_graph.num_vertices // 2
+        shards = [(0, half), (half, small_graph.num_vertices)]
+        executor = ThreadShardExecutor(2)
+        try:
+            with pytest.raises(KernelFault):
+                map_shards(
+                    executor,
+                    StopsOnlyOnCancel(),
+                    small_graph,
+                    TRIANGLE,
+                    CountAggregation(),
+                    shards,
+                    control=RunControl(deadline=0.2),
+                )
+        finally:
+            started = time.monotonic()
+            executor.close()
+            closing = time.monotonic() - started
+        assert StopsOnlyOnCancel.released == [True]
+        assert closing < 2.0
 
 
 # -- graph input validation (io.py satellite) ---------------------------------
@@ -641,9 +741,3 @@ class TestRunControl:
 
     def test_empty_run_has_full_coverage(self):
         assert RunControl().coverage() == 1.0
-
-    def test_events_forward_to_progress(self):
-        reporter = ProgressReporter(stream=None)
-        control = RunControl(progress=reporter)
-        control.event("retry", "shard 0")
-        assert reporter.events == [("retry", "shard 0")]

@@ -18,7 +18,7 @@ four layers:
   kernel {default, chunk 1, chunk 7} × workers {1, 4} × result sink
   {store, stream} (the stream sink where the aggregation is a match
   list);
-* composition — batching under shard retry, deadlines, checkpoints and
+* composition — batching under slow shards, deadlines, checkpoints and
   progress reporting still matches the fault-free per-root oracle.
 
 ``--frontier-budget N`` (tests/conftest.py) re-runs this whole module
@@ -46,7 +46,6 @@ from repro import (
     MatchListAggregation,
     MNIAggregation,
     PartialRunResult,
-    RetryPolicy,
 )
 from repro.core.atlas import FOUR_CYCLE, TAILED_TRIANGLE, TRIANGLE, motif_patterns
 from repro.core.pattern import Pattern
@@ -103,8 +102,6 @@ QUERIES = [TRIANGLE, TAILED_TRIANGLE.vertex_induced(), FOUR_CYCLE]
 
 #: The result-sink axis: Algorithm 2's store and Algorithm 3's stream.
 SINKS = ("store", "stream")
-
-NOSLEEP = RetryPolicy(max_retries=3, backoff_seconds=0.0, sleep=lambda _s: None)
 
 
 def batched_count(graph, plan, *, root_window=None, batch=7):
@@ -1173,14 +1170,11 @@ def test_autozero_count_set_batched_matches(small_graph):
 
 
 class TestBatchedComposition:
-    def test_crash_retry_matches_oracle(self, small_graph):
+    def test_slow_shards_match_oracle(self, small_graph):
+        slow = FaultPlan({index: FaultSpec("slow", seconds=0.001) for index in (0, 2)})
         for batch in BATCH_SIZES:
             assert_matches_oracle(
-                small_graph,
-                [TRIANGLE, FOUR_CYCLE],
-                batch_roots=batch,
-                faults=FaultPlan.crashes([0, 2]),
-                retry=NOSLEEP,
+                small_graph, [TRIANGLE, FOUR_CYCLE], batch_roots=batch, faults=slow
             )
 
     def test_generous_deadline_matches_oracle(self, small_graph):
@@ -1195,8 +1189,7 @@ class TestBatchedComposition:
             options=repro.RunOptions(
                 batch_roots=7,
                 deadline_seconds=0.25,
-                faults=FaultPlan({2: FaultSpec("hang", times=None)}),
-                retry=NOSLEEP,
+                faults=FaultPlan({2: FaultSpec("hang")}),
             ),
         )
         assert isinstance(result, PartialRunResult)

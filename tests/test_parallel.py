@@ -44,11 +44,12 @@ from repro.engines.execution import (
 )
 from repro.engines.graphpi.engine import GraphPiEngine
 from repro.engines.peregrine.engine import PeregrineEngine
-from repro.engines.recovery import RetryPolicy, RunControl, map_shards
+from repro.engines.recovery import RunControl, map_shards
 from repro.engines.sumpa.engine import SumPAEngine
 from repro.graph.datagraph import DataGraph
 from repro.graph.partition import shard_by_degree_prefix
 from repro.morph.session import MorphingSession
+from repro.testing import FaultPlan, FaultSpec
 from repro.testing.oracle import assert_matches_oracle
 
 from .oracle import brute_force_count
@@ -413,8 +414,11 @@ class TestEarlyTermination:
     )
     @pytest.mark.parametrize(
         "option",
-        [{"retry": RetryPolicy(max_retries=0)}, {"deadline_seconds": 600}],
-        ids=["retry", "deadline"],
+        [
+            {"deadline_seconds": 600},
+            {"faults": FaultPlan({0: FaultSpec("slow", seconds=0.001)})},
+        ],
+        ids=["deadline", "faults"],
     )
     def test_fault_tolerance_options_keep_saturation_across_shards(
         self, small_graph, executor, workers, option

@@ -155,22 +155,11 @@ class TestRunOptions:
             batch_roots=64,
             deadline_seconds=10.0,
             checkpoint="ckpt.jsonl",
-            retry=2,
             trace="out.jsonl",
             progress=True,
         )
         wire = json.loads(json.dumps(opts.to_dict()))
-        rebuilt = repro.RunOptions.from_dict(wire)
-        # retry=2 serializes as the int shorthand; everything else exact.
-        assert rebuilt.replace(retry=opts.retry) == opts
-
-    def test_retry_policy_round_trips(self):
-        policy = repro.RetryPolicy(max_retries=5, backoff_seconds=0.1, seed=7)
-        opts = repro.RunOptions(retry=policy)
-        rebuilt = repro.RunOptions.from_dict(
-            json.loads(json.dumps(opts.to_dict()))
-        )
-        assert rebuilt.retry == policy
+        assert repro.RunOptions.from_dict(wire) == opts
 
     def test_sparse_request_body_uses_defaults(self):
         opts = repro.RunOptions.from_dict({"workers": 4})
@@ -190,7 +179,7 @@ class TestRunOptions:
             {"deadline_seconds": 0},
             {"aggregation": "median"},
             {"engine": ""},
-            {"retry": "forever"},
+            {"workers": True},
         ],
     )
     def test_validation_rejects_bad_values(self, bad):
@@ -225,6 +214,11 @@ class TestRunOptions:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="wokers"):
             repro.RunOptions.from_dict({"wokers": 4})
+
+    def test_from_dict_refuses_a_retry_field(self):
+        """A shard runs once: ``retry`` is an unknown field on the wire."""
+        with pytest.raises(ValueError, match=r"unknown RunOptions field\(s\): retry"):
+            repro.RunOptions.from_dict({"retry": "forever"})
 
     def test_aggregation_instance_serializes_as_name(self):
         opts = repro.RunOptions(aggregation=repro.MNIAggregation())

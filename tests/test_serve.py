@@ -1561,7 +1561,8 @@ class TestRequestMemos:
 
 class TestSlimRequests:
     """``Client.run`` with default options sends no ``options`` field,
-    where a 3.15.0 client sent all twelve: both lines name one query."""
+    where explicit default options send all eleven: both lines name one
+    query."""
 
     def test_the_old_and_the_slim_wire_share_an_answer(self, small_graph):
         recorder, sent = _recording_client()
@@ -1569,7 +1570,7 @@ class TestSlimRequests:
         (slim,) = sent
         old = _parent_frame(recorder, "small", [TRIANGLE], RunOptions())
         assert "options" not in json.loads(slim)
-        assert len(json.loads(old)["options"]) == 12
+        assert len(json.loads(old)["options"]) == 11
         with _small_server(small_graph, workers=1) as server:
             with socket.create_connection((server.host, server.port)) as sock:
                 stream = sock.makefile("rwb")
@@ -1598,6 +1599,7 @@ class TestSlimRequests:
     @pytest.mark.parametrize(
         "options, error",
         [({"bogus": 1}, "unknown RunOptions field(s): bogus"),
+         ({"retry": 3}, "unknown RunOptions field(s): retry"),
          ({"workers": True}, "workers must be an int")],
     )
     def test_a_bad_option_is_refused_on_every_request(

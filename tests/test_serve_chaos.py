@@ -24,7 +24,7 @@ import pytest
 
 import repro
 from repro.core.atlas import TRIANGLE
-from repro.engines.recovery import RetryPolicy
+from repro.serve.client import RetryPolicy
 from repro.serve import Client, GraphRegistry, MiningServer, ServeRejected
 from repro.testing.faults import QueryFaultPlan, QueryFaultSpec
 

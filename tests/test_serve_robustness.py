@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro.core.atlas import TRIANGLE
-from repro.engines.recovery import Deadline, RetryPolicy
+from repro.engines.recovery import Deadline
 from repro.observe.metrics import MetricsRegistry
 from repro.options import RunOptions
 from repro.serve import (
@@ -35,6 +35,7 @@ from repro.serve import (
     ShedController,
     validate_stats,
 )
+from repro.serve.client import RetryPolicy
 from repro.serve.shed import LATENCY_METRIC
 from repro.testing.faults import QueryFaultPlan, QueryFaultSpec
 
@@ -655,6 +656,32 @@ class TestServiceStateJournal:
 
 # ---------------------------------------------------------------------------
 # client resilience (no sockets: _checked is stubbed)
+
+
+class TestRetryPolicy:
+    def test_resolve_int_sets_budget(self):
+        assert RetryPolicy.resolve(5).max_retries == 5
+
+    def test_resolve_instance_passthrough(self):
+        policy = RetryPolicy(max_retries=1)
+        assert RetryPolicy.resolve(policy) is policy
+
+    def test_resolve_rejects_bool_and_junk(self):
+        with pytest.raises(TypeError):
+            RetryPolicy.resolve(True)
+        with pytest.raises(TypeError):
+            RetryPolicy.resolve("twice")
+
+    def test_delay_is_deterministic_and_grows(self):
+        policy = RetryPolicy(backoff_seconds=0.1, backoff_factor=2.0, jitter=0.25)
+        first = policy.delay(1)
+        assert first == policy.delay(1), "jitter must be seeded"
+        assert RetryPolicy(seed=1).delay(1) != RetryPolicy(seed=2).delay(1)
+        assert 0.1 <= first <= 0.1 * 1.25
+        assert 0.2 <= policy.delay(2) <= 0.2 * 1.25
+
+    def test_is_the_public_policy(self):
+        assert repro.RetryPolicy is RetryPolicy
 
 
 class TestClientResilience:
